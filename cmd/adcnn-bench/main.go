@@ -71,7 +71,7 @@ func main() {
 	if *exp == "kernels" {
 		rep := kernelbench.Run()
 		rep.WriteText(w)
-		if err := rep.WriteJSON(*kernelsOut); err != nil {
+		if err := telemetry.WriteJSON(*kernelsOut, rep); err != nil {
 			fmt.Fprintf(os.Stderr, "kernels: %v\n", err)
 			os.Exit(1)
 		}
@@ -92,7 +92,7 @@ func main() {
 	if *exp == "compress" {
 		rep := codecbench.Run()
 		rep.WriteText(w)
-		if err := rep.WriteJSON(*compressOut); err != nil {
+		if err := telemetry.WriteJSON(*compressOut, rep); err != nil {
 			fmt.Fprintf(os.Stderr, "compress: %v\n", err)
 			os.Exit(1)
 		}
@@ -188,7 +188,7 @@ func main() {
 			return err
 		}
 		rep.WriteText(w)
-		if err := rep.WriteJSON(*streamOut); err != nil {
+		if err := telemetry.WriteJSON(*streamOut, rep); err != nil {
 			return err
 		}
 		fmt.Fprintf(w, "wrote %s\n", *streamOut)
@@ -204,7 +204,7 @@ func main() {
 			return err
 		}
 		rep.WriteText(w)
-		if err := rep.WriteJSON(*sloOut); err != nil {
+		if err := telemetry.WriteJSON(*sloOut, rep); err != nil {
 			return err
 		}
 		fmt.Fprintf(w, "wrote %s\n", *sloOut)
@@ -221,7 +221,7 @@ func main() {
 			return err
 		}
 		rep.WriteText(w)
-		if err := rep.WriteJSON(*chaosOut); err != nil {
+		if err := telemetry.WriteJSON(*chaosOut, rep); err != nil {
 			return err
 		}
 		fmt.Fprintf(w, "wrote %s\n", *chaosOut)
@@ -239,7 +239,7 @@ func main() {
 			return err
 		}
 		rep.WriteText(w)
-		if err := rep.WriteJSON(*clusterOut); err != nil {
+		if err := telemetry.WriteJSON(*clusterOut, rep); err != nil {
 			return err
 		}
 		fmt.Fprintf(w, "wrote %s\n", *clusterOut)

@@ -18,6 +18,7 @@ import (
 	"net"
 	"net/http"
 	"os"
+	"path/filepath"
 	"strconv"
 	"strings"
 	"time"
@@ -71,6 +72,150 @@ func dialNode(addr string, budget time.Duration) (net.Conn, error) {
 	}
 }
 
+// redialer returns the reconnect dialer for addr: a node session whose
+// connection drops mid-run redials (with backoff) instead of staying
+// dead forever.
+func redialer(addr string) core.Dialer {
+	return func(ctx context.Context) (core.Conn, error) {
+		d := net.Dialer{}
+		c, err := d.DialContext(ctx, "tcp", addr)
+		if err != nil {
+			return nil, err
+		}
+		return core.NewStreamConn(c), nil
+	}
+}
+
+// replicaObs is the per-replica observability buildCentral leaves
+// behind for the run loop: the SLO engine /healthz consults (nil
+// without -metrics-addr) and the tracer written out at exit (nil
+// without -trace).
+type replicaObs struct {
+	engine *telemetry.SLOEngine
+	trace  *telemetry.Trace
+}
+
+// centralBuilder holds what every replica is built from. One closure,
+// buildCentral, turns it into a configured, running Central — whatever
+// the replica count, every replica gets the same dialers, link
+// settings, flight ring, metrics, SLO engine and tracer.
+type centralBuilder struct {
+	logger   *slog.Logger
+	addrs    []string
+	replicas int
+	model    func() (*models.Model, error) // a fresh instance per call
+	// base is the configuration the replicas share as is: T_L, γ, the
+	// link settings and the process-wide flight ring. buildCentral adds
+	// what is per replica — model, connections, metrics, tracer.
+	base           core.CentralConfig
+	connectTimeout time.Duration
+	slo            core.SLOConfig
+	tracing        bool
+
+	// reg is nil without -metrics-addr: no metrics, no SLO engines.
+	reg *telemetry.Registry
+	// One audit ring (like the one flight ring) for the whole process:
+	// replica reallocations and cluster rebalances interleave in the
+	// same decision history, which is the view a postmortem wants.
+	audit *sched.Audit
+
+	obs []replicaObs // indexed by replica, filled by buildCentral
+}
+
+// buildCentral is core.NewCluster's build function for replica r.
+func (b *centralBuilder) buildCentral(r int) (*core.Central, error) {
+	// Each replica gets its own model instance (same seed, same weights,
+	// so all replicas compute identical back layers) — Central serializes
+	// back-layer execution per instance, and neither another replica nor
+	// the -verify oracle may contend on its scratch state.
+	cfg := b.base
+	var err error
+	if cfg.Model, err = b.model(); err != nil {
+		return nil, err
+	}
+	for _, addr := range b.addrs {
+		nc, err := dialNode(addr, b.connectTimeout)
+		if err != nil {
+			for _, c := range cfg.Conns {
+				c.Close()
+			}
+			return nil, err
+		}
+		cfg.Conns = append(cfg.Conns, core.NewStreamConn(nc))
+		cfg.Dialers = append(cfg.Dialers, redialer(addr))
+	}
+	obs := &b.obs[r]
+	if b.reg != nil {
+		// A lone Central keeps the unlabeled metric schema; replicas
+		// sharing the registry each get the replica-labeled one.
+		if b.replicas == 1 {
+			cfg.Metrics = core.NewMetrics(b.reg)
+		} else {
+			cfg.Metrics = core.NewReplicaMetrics(b.reg, strconv.Itoa(r))
+		}
+		// Scheduler decision audit: every Algorithm 3 reallocation lands
+		// in the ring served at /debug/sched and logged at Debug level.
+		cfg.Metrics.Sched.AttachAudit(b.audit)
+		obs.engine = core.NewSLOEngine(cfg.Metrics, b.slo)
+	}
+	if b.tracing {
+		obs.trace = telemetry.NewTrace()
+		cfg.Trace = obs.trace
+	}
+	cen, err := cfg.Start()
+	if err != nil {
+		return nil, err
+	}
+	if obs.engine != nil {
+		// SLO engine over the windowed instruments: a breach dumps the
+		// flight ring (naming the objective and the worst-health node)
+		// and fails /healthz so a load balancer drains us.
+		cen.WireSLO(obs.engine)
+		obs.engine.Subscribe(func(tr telemetry.SLOTransition) {
+			b.logger.Warn("slo transition", "replica", r, "objective", tr.Objective,
+				"from", tr.FromName, "to", tr.ToName, "detail", tr.Detail)
+		})
+		go obs.engine.Run(context.Background(), 0)
+	}
+	return cen, nil
+}
+
+// breached is the /healthz and /readyz check: it fails while any
+// replica's SLO engine is in breach.
+func (b *centralBuilder) breached() error {
+	for r, o := range b.obs {
+		if o.engine.Breached() {
+			return fmt.Errorf("slo breach on replica %d: %+v", r, o.engine.Status())
+		}
+	}
+	return nil
+}
+
+// tracePath names replica r's trace file: path itself for a lone
+// Central, path with ".r<r>" before the extension otherwise.
+func (b *centralBuilder) tracePath(path string, r int) string {
+	if b.replicas == 1 {
+		return path
+	}
+	ext := filepath.Ext(path)
+	return fmt.Sprintf("%s.r%d%s", strings.TrimSuffix(path, ext), r, ext)
+}
+
+// sessionsHandler serves every replica's node-session snapshot as JSON,
+// keyed by replica index, for mounting at /debug/sessions.
+func sessionsHandler(cl *core.Cluster) http.Handler {
+	return http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
+		w.Header().Set("Content-Type", "application/json")
+		all := make(map[string][]core.SessionDebug, cl.Replicas())
+		for r := 0; r < cl.Replicas(); r++ {
+			all[strconv.Itoa(r)] = cl.Replica(r).DebugSessions()
+		}
+		enc := json.NewEncoder(w)
+		enc.SetIndent("", " ")
+		_ = enc.Encode(all)
+	})
+}
+
 func main() {
 	nodeList := flag.String("nodes", "127.0.0.1:9001", "comma-separated Conv node addresses")
 	model := flag.String("model", "vgg-sim", "model short name")
@@ -85,11 +230,11 @@ func main() {
 	quant := flag.Int("quant", 0, "quantization bits (0 = off)")
 	quantized := flag.Bool("quantized", false, "int8 operating mode: quantize weights per channel, send quantized tiles, run the back layers through the int8 path")
 	verify := flag.Bool("verify", true, "check outputs against local execution")
-	metricsAddr := flag.String("metrics-addr", "", "serve /metrics, /healthz, /debug/pprof, /debug/flight and /debug/sessions on this address (e.g. :9090)")
-	tracePath := flag.String("trace", "", "write a Chrome trace-event JSON timeline (central + conv-side spans) to this file")
+	metricsAddr := flag.String("metrics-addr", "", "serve /metrics, /healthz, /debug/pprof, /debug/flight, /debug/sessions and /debug/sched on this address (e.g. :9090)")
+	tracePath := flag.String("trace", "", "write a Chrome trace-event JSON timeline (central + conv-side spans) to this file; with -replicas N, one file per replica (out.r0.json, ...)")
 	connectTimeout := flag.Duration("connect-timeout", 30*time.Second, "total dial budget per conv node (retry with backoff)")
-	pipeline := flag.Int("pipeline", 0, "stream images through a bounded pipeline of this depth (0 = sequential Infer loop)")
-	replicas := flag.Int("replicas", 1, "cluster mode: run this many Central replicas over the same conv pool (each conv node serves one session per replica)")
+	pipeline := flag.Int("pipeline", 0, "keep up to this many images in flight per replica (0 = one at a time)")
+	replicas := flag.Int("replicas", 1, "run this many Central replicas over the same conv pool (each conv node serves one session per replica)")
 	breakdown := flag.Bool("breakdown", false, "print the per-image mean phase decomposition after each image")
 	flightSize := flag.Int("flight-size", telemetry.DefaultFlightSize, "flight recorder ring capacity (events)")
 	sloP99 := flag.Duration("slo-p99", 250*time.Millisecond, "SLO: p99 tile round-trip latency objective (0 disables)")
@@ -114,162 +259,116 @@ func main() {
 	if err != nil {
 		die("bad -grid", "err", err)
 	}
-	m, err := models.Build(cfg, models.Options{
-		Grid: g, ClipLo: float32(*clipLo), ClipHi: float32(*clipHi), QuantBits: *quant,
-		Int8: *quantized,
-	}, *seed)
-	if err != nil {
-		die("build model", "err", err)
+	if *replicas < 1 {
+		die("bad -replicas", "replicas", *replicas)
 	}
-	if *weights != "" {
-		f, err := os.Open(*weights)
+	buildModel := func() (*models.Model, error) {
+		m, err := models.Build(cfg, models.Options{
+			Grid: g, ClipLo: float32(*clipLo), ClipHi: float32(*clipHi), QuantBits: *quant,
+			Int8: *quantized,
+		}, *seed)
 		if err != nil {
-			die("open weights", "err", err)
+			return nil, err
 		}
-		if err := m.Net.LoadParams(f); err != nil {
-			die("load weights", "err", err)
-		}
-		f.Close()
-	}
-	if *quantized {
-		n, err := m.QuantizeInt8()
-		if err != nil {
-			die("int8 quantize", "err", err)
-		}
-		logger.Info("int8 inference enabled", "layers", n, "quantized_uplink", m.Int8InputOK())
-	}
-
-	if m.Opt.Clipped() && *quant > 0 {
-		// Same line the conv nodes emit, so mismatched clip/quant flags
-		// between the two ends show up immediately in the logs.
-		p := compress.NewPipeline(*quant, m.Opt.ClipHi-m.Opt.ClipLo)
-		q := p.Quantizer()
-		logger.Info("boundary codec",
-			"bits", *quant, "range", m.Opt.ClipHi-m.Opt.ClipLo,
-			"step", q.Step(), "zero_threshold", q.ZeroThreshold())
-	}
-
-	var addrs []string
-	for _, addr := range strings.Split(*nodeList, ",") {
-		addrs = append(addrs, strings.TrimSpace(addr))
-	}
-
-	if *replicas > 1 {
-		runCluster(logger, die, m, clusterConfig{
-			addrs: addrs, replicas: *replicas,
-			cfg: cfg, opt: m.Opt, seed: *seed, weights: *weights, quantized: *quantized,
-			tl: *tl, gamma: *gamma, images: *images, depth: *pipeline,
-			verify: *verify, breakdown: *breakdown,
-			metricsAddr: *metricsAddr, connectTimeout: *connectTimeout,
-			flightSize:    *flightSize,
-			probeInterval: *probeInterval, linkAware: *linkAware,
-		})
-		return
-	}
-
-	var conns []core.Conn
-	for _, addr := range addrs {
-		c, err := dialNode(addr, *connectTimeout)
-		if err != nil {
-			die("connect to conv node", "err", err)
-		}
-		conns = append(conns, core.NewStreamConn(c))
-	}
-	central, err := core.NewCentral(m, conns, *tl, *gamma)
-	if err != nil {
-		die("new central", "err", err)
-	}
-	defer central.Shutdown()
-	if *probeInterval > 0 {
-		central.EnableLinkProbes(*probeInterval)
-	}
-	if *linkAware {
-		central.EnableLinkAware()
-	}
-	// Let each node session reconnect (with backoff) if its connection
-	// drops mid-run, instead of staying dead forever.
-	for k, addr := range addrs {
-		addr := addr
-		central.SetDialer(k, func(ctx context.Context) (core.Conn, error) {
-			d := net.Dialer{}
-			c, err := d.DialContext(ctx, "tcp", addr)
+		if *weights != "" {
+			f, err := os.Open(*weights)
 			if err != nil {
 				return nil, err
 			}
-			return core.NewStreamConn(c), nil
-		})
+			defer f.Close()
+			if err := m.Net.LoadParams(f); err != nil {
+				return nil, err
+			}
+		}
+		if *quantized {
+			if _, err := m.QuantizeInt8(); err != nil {
+				return nil, err
+			}
+		}
+		return m, nil
+	}
+	// The oracle instance -verify runs locally; every replica builds its
+	// own from the same recipe.
+	oracle, err := buildModel()
+	if err != nil {
+		die("build model", "err", err)
+	}
+	if *quantized {
+		logger.Info("int8 inference enabled", "quantized_uplink", oracle.Int8InputOK())
+	}
+	if oracle.Opt.Clipped() && *quant > 0 {
+		// Same line the conv nodes emit, so mismatched clip/quant flags
+		// between the two ends show up immediately in the logs.
+		q := compress.NewPipeline(*quant, oracle.Opt.ClipHi-oracle.Opt.ClipLo).Quantizer()
+		logger.Info("boundary codec",
+			"bits", *quant, "range", oracle.Opt.ClipHi-oracle.Opt.ClipLo,
+			"step", q.Step(), "zero_threshold", q.ZeroThreshold())
 	}
 
-	// The flight recorder is cheap (a mutex-guarded ring) and is what
-	// explains a missed deadline after the fact, so it is always on; the
-	// metrics address only decides whether it is reachable over HTTP.
-	flight := telemetry.NewFlightRecorder(*flightSize)
-	central.SetFlightRecorder(flight)
-
-	if *metricsAddr != "" {
-		reg := telemetry.NewRegistry()
-		met := core.NewMetrics(reg)
-		central.SetMetrics(met)
-		compress.Instrument(reg)
-		telemetry.RegisterBuildInfo(reg, "central", tensor.DetectedKernelTier().String())
-
-		// Scheduler decision audit: every Algorithm 3 reallocation lands
-		// in a ring served at /debug/sched and logged at Debug level.
-		met.Sched.AttachAudit(sched.NewAudit(0, logger))
-
-		// SLO engine over the windowed instruments: a breach dumps the
-		// flight ring (naming the objective and the worst-health node)
-		// and flips /healthz to 503 so a load balancer drains us.
-		engine := core.NewSLOEngine(met, core.SLOConfig{
+	b := &centralBuilder{
+		logger: logger, replicas: *replicas, model: buildModel,
+		base: core.CentralConfig{
+			TL: *tl, Gamma: *gamma, ProbeEvery: *probeInterval, LinkAware: *linkAware,
+			// The flight recorder is cheap (a mutex-guarded ring) and is
+			// what explains a missed deadline after the fact, so it is
+			// always on; the metrics address only decides whether it is
+			// reachable over HTTP.
+			Flight: telemetry.NewFlightRecorder(*flightSize),
+		},
+		connectTimeout: *connectTimeout,
+		slo: core.SLOConfig{
 			TileP99:    disableZero(sloP99.Seconds()),
 			MissBudget: disableZero(*sloMiss),
 			FastWindow: *sloFast,
 			SlowWindow: *sloSlow,
-		})
-		central.WireSLO(engine)
-		engine.Subscribe(func(tr telemetry.SLOTransition) {
-			logger.Warn("slo transition", "objective", tr.Objective,
-				"from", tr.FromName, "to", tr.ToName, "detail", tr.Detail)
-		})
-		go engine.Run(context.Background(), 0)
+		},
+		tracing: *tracePath != "",
+		audit:   sched.NewAudit(0, logger),
+		obs:     make([]replicaObs, *replicas),
+	}
+	for _, addr := range strings.Split(*nodeList, ",") {
+		b.addrs = append(b.addrs, strings.TrimSpace(addr))
+	}
+	if *metricsAddr != "" {
+		b.reg = telemetry.NewRegistry()
+		compress.Instrument(b.reg)
+		telemetry.RegisterBuildInfo(b.reg, "central", tensor.DetectedKernelTier().String())
+	}
 
-		breachCheck := func() error {
-			if engine.Breached() {
-				return fmt.Errorf("slo breach: %+v", engine.Status())
-			}
-			return nil
-		}
-		mux := telemetry.MuxChecks(reg, breachCheck, breachCheck)
-		mux.Handle("/debug/flight", flight)
-		mux.Handle("/debug/sessions", central.SessionsHandler())
-		mux.Handle("/debug/sched", met.Sched.Audit())
+	// One run path for every replica count: N full Centrals — each with
+	// its own connections, statistics and pending table — drive the Conv
+	// pool through core.Cluster, which partitions node capacity by demand
+	// and steals queued images between replicas. With one replica that
+	// reduces to a bounded pipeline over a single Central.
+	depth := *pipeline
+	if depth < 1 {
+		depth = 1
+	}
+	cl, err := core.NewCluster(b.buildCentral, core.ClusterOptions{
+		Replicas: *replicas, Depth: depth, Registry: b.reg, Audit: b.audit,
+	})
+	if err != nil {
+		die("start central", "err", err)
+	}
+	logger.Info("central up", "replicas", *replicas, "nodes", len(b.addrs))
+
+	if b.reg != nil {
+		mux := telemetry.MuxChecks(b.reg, b.breached, b.breached)
+		mux.Handle("/debug/flight", b.base.Flight)
+		mux.Handle("/debug/sched", b.audit)
+		mux.Handle("/debug/sessions", sessionsHandler(cl))
 		_, bound, err := telemetry.ServeMux(*metricsAddr, mux)
 		if err != nil {
 			die("metrics server", "err", err)
 		}
-		logger.Info("debug endpoints up",
-			"addr", bound.String(),
+		logger.Info("debug endpoints up", "addr", bound.String(),
 			"paths", "/metrics /healthz /readyz /debug/pprof /debug/flight /debug/sessions /debug/sched")
-	}
-	var trace *telemetry.Trace
-	if *tracePath != "" {
-		trace = telemetry.NewTrace()
-		central.SetTrace(trace)
-		defer func() {
-			if err := trace.WriteFile(*tracePath); err != nil {
-				logger.Error("write trace", "err", err)
-			} else {
-				logger.Info("wrote trace", "path", *tracePath, "events", trace.Len())
-			}
-		}()
 	}
 
 	set, err := synthSet(cfg, *images, *seed+100)
 	if err != nil {
 		die("build dataset", "err", err)
 	}
-	var total time.Duration
-	mismatches := 0
 	// In the int8 operating mode the distributed run quantizes each tile
 	// with its own affine while the local oracle quantizes the whole
 	// image, so outputs agree only to within accumulated quantization
@@ -278,265 +377,76 @@ func main() {
 	if *quantized {
 		verifyTol = 5e-2
 	}
-	report := func(i int, x *tensor.Tensor, out *tensor.Tensor, st core.InferStats) {
-		total += st.Latency
-		status := ""
-		if *verify {
-			want := m.Net.Forward(x, false)
-			if !out.Equal(want, verifyTol) {
-				status = "  MISMATCH vs local"
-				mismatches++
-			}
-		}
-		fmt.Printf("image %2d: latency %8v  missed %d  alloc %v%s\n",
-			i, st.Latency.Round(time.Microsecond), st.TilesMissed, st.Alloc, status)
-		if *breakdown {
-			st.Breakdown.WriteText(os.Stdout)
-		}
-		logger.Debug("image complete",
-			"image", i, "trace_id", core.TraceIDString(st.TraceID),
-			"latency", st.Latency, "missed", st.TilesMissed)
-	}
 
-	wallStart := time.Now()
-	if *pipeline > 0 {
-		// Streaming mode: up to -pipeline images in flight, so image i+1's
-		// tiles are on the wire while image i's results are still arriving.
-		p := core.NewPipeline(central, *pipeline)
-		inputs := make(chan *tensor.Tensor, 1)
-		go func() {
-			defer close(inputs)
-			for i := 0; i < *images; i++ {
-				x, _ := set.Batch(i, 1)
-				inputs <- x
-			}
-		}()
-		for r := range p.Run(context.Background(), inputs) {
-			if r.Err != nil {
-				die("pipeline image failed", "image", r.Index, "err", r.Err)
-			}
-			x, _ := set.Batch(r.Index, 1)
-			report(r.Index, x, r.Out, r.Stats)
-		}
-	} else {
-		for i := 0; i < *images; i++ {
-			x, _ := set.Batch(i, 1)
-			out, st, err := central.Infer(x)
-			if err != nil {
-				die("infer failed", "image", i, "err", err)
-			}
-			report(i, x, out, st)
-		}
-	}
-	wall := time.Since(wallStart)
-	fmt.Printf("mean latency: %v over %d images; throughput %.2f imgs/s; %d mismatches\n",
-		(total / time.Duration(*images)).Round(time.Microsecond), *images,
-		float64(*images)/wall.Seconds(), mismatches)
-	if mismatches > 0 {
-		os.Exit(1)
-	}
-}
-
-// clusterConfig carries the flag values the multi-replica path needs.
-type clusterConfig struct {
-	addrs          []string
-	replicas       int
-	cfg            models.Config
-	opt            models.Options
-	seed           int64
-	weights        string
-	quantized      bool
-	tl             time.Duration
-	gamma          float64
-	images         int
-	depth          int
-	verify         bool
-	breakdown      bool
-	metricsAddr    string
-	connectTimeout time.Duration
-	flightSize     int
-	probeInterval  time.Duration
-	linkAware      bool
-}
-
-// runCluster is the -replicas N path: N full Centrals — each with its
-// own connections, statistics, and pending table — drive the same Conv
-// pool through core.Cluster, which partitions node capacity by demand
-// and steals queued images between replicas. Images are submitted
-// round-robin across replica origins and reported in submission order.
-func runCluster(logger *slog.Logger, die func(string, ...any), oracle *models.Model, cc clusterConfig) {
-	var reg *telemetry.Registry
-	if cc.metricsAddr != "" {
-		reg = telemetry.NewRegistry()
-		compress.Instrument(reg)
-		telemetry.RegisterBuildInfo(reg, "central", tensor.DetectedKernelTier().String())
-	}
-	// One audit ring and one flight ring for the whole cluster: replica
-	// reallocations and cluster rebalances interleave in the same
-	// decision history, which is exactly the view a postmortem wants.
-	audit := sched.NewAudit(0, logger)
-	flight := telemetry.NewFlightRecorder(cc.flightSize)
-
-	build := func(r int) (*core.Central, error) {
-		// Each replica gets its own model instance (same seed, same
-		// weights, so all replicas compute identical back layers) —
-		// Central serializes back-layer execution per instance, and
-		// replicas must not contend on one model's scratch state.
-		mr, err := models.Build(cc.cfg, cc.opt, cc.seed)
-		if err != nil {
-			return nil, err
-		}
-		if cc.weights != "" {
-			f, err := os.Open(cc.weights)
-			if err != nil {
-				return nil, err
-			}
-			if err := mr.Net.LoadParams(f); err != nil {
-				f.Close()
-				return nil, err
-			}
-			f.Close()
-		}
-		if cc.quantized {
-			if _, err := mr.QuantizeInt8(); err != nil {
-				return nil, err
-			}
-		}
-		var conns []core.Conn
-		for _, addr := range cc.addrs {
-			nc, err := dialNode(addr, cc.connectTimeout)
-			if err != nil {
-				return nil, err
-			}
-			conns = append(conns, core.NewStreamConn(nc))
-		}
-		cen, err := core.NewCentral(mr, conns, cc.tl, cc.gamma)
-		if err != nil {
-			return nil, err
-		}
-		if cc.probeInterval > 0 {
-			cen.EnableLinkProbes(cc.probeInterval)
-		}
-		if cc.linkAware {
-			cen.EnableLinkAware()
-		}
-		for k, addr := range cc.addrs {
-			addr := addr
-			cen.SetDialer(k, func(ctx context.Context) (core.Conn, error) {
-				d := net.Dialer{}
-				nc, err := d.DialContext(ctx, "tcp", addr)
-				if err != nil {
-					return nil, err
-				}
-				return core.NewStreamConn(nc), nil
-			})
-		}
-		cen.SetFlightRecorder(flight)
-		if reg != nil {
-			met := core.NewReplicaMetrics(reg, strconv.Itoa(r))
-			cen.SetMetrics(met)
-			met.Sched.AttachAudit(audit)
-		}
-		return cen, nil
-	}
-
-	cl, err := core.NewCluster(build, core.ClusterOptions{
-		Replicas: cc.replicas, Depth: cc.depth, Registry: reg, Audit: audit,
-	})
-	if err != nil {
-		die("new cluster", "err", err)
-	}
-	defer cl.Shutdown()
-	logger.Info("cluster up", "replicas", cc.replicas, "nodes", len(cc.addrs))
-
-	if cc.metricsAddr != "" {
-		mux := telemetry.MuxChecks(reg, nil, nil)
-		mux.Handle("/debug/flight", flight)
-		mux.Handle("/debug/sched", audit)
-		mux.Handle("/debug/sessions", http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
-			w.Header().Set("Content-Type", "application/json")
-			all := make(map[string][]core.SessionDebug, cl.Replicas())
-			for r := 0; r < cl.Replicas(); r++ {
-				all[strconv.Itoa(r)] = cl.Replica(r).DebugSessions()
-			}
-			enc := json.NewEncoder(w)
-			enc.SetIndent("", " ")
-			_ = enc.Encode(all)
-		}))
-		_, bound, err := telemetry.ServeMux(cc.metricsAddr, mux)
-		if err != nil {
-			die("metrics server", "err", err)
-		}
-		logger.Info("debug endpoints up", "addr", bound.String(),
-			"paths", "/metrics /healthz /readyz /debug/pprof /debug/flight /debug/sessions /debug/sched")
-	}
-
-	set, err := synthSet(cc.cfg, cc.images, cc.seed+100)
-	if err != nil {
-		die("build dataset", "err", err)
-	}
-	verifyTol := float32(1e-4)
-	if cc.quantized {
-		verifyTol = 5e-2
-	}
-
-	// Submit from a feeder goroutine (Submit blocks on admission once a
-	// replica's queue is full) and collect in submission order here.
-	type pendingImg struct {
-		i  int
-		ch <-chan core.ClusterResult
-	}
-	pend := make(chan pendingImg, cc.replicas*4)
+	// Submit round-robin across replica origins from a feeder goroutine
+	// (Submit blocks on admission once a replica's queue is full) and
+	// collect in submission order here.
+	pend := make(chan (<-chan core.ClusterResult), *replicas*4)
 	go func() {
 		defer close(pend)
-		for i := 0; i < cc.images; i++ {
+		for i := 0; i < *images; i++ {
 			x, _ := set.Batch(i, 1)
-			ch, err := cl.Submit(context.Background(), i%cc.replicas, x)
+			ch, err := cl.Submit(context.Background(), i%*replicas, x)
 			if err != nil {
 				ec := make(chan core.ClusterResult, 1)
-				ec <- core.ClusterResult{Origin: i % cc.replicas, Err: err}
+				ec <- core.ClusterResult{Origin: i % *replicas, Err: err}
 				ch = ec
 			}
-			pend <- pendingImg{i, ch}
+			pend <- ch
 		}
 	}()
 
 	wallStart := time.Now()
 	var total time.Duration
-	mismatches := 0
-	executed := make([]int, cc.replicas)
-	for p := range pend {
-		r := <-p.ch
+	mismatches, i := 0, 0
+	executed := make([]int, *replicas)
+	for ch := range pend {
+		r := <-ch
 		if r.Err != nil {
-			die("cluster image failed", "image", p.i, "err", r.Err)
+			die("image failed", "image", i, "err", r.Err)
 		}
 		executed[r.Replica]++
 		total += r.Stats.Latency
 		status := ""
-		if cc.verify {
-			x, _ := set.Batch(p.i, 1)
-			want := oracle.Net.Forward(x, false)
-			if !r.Out.Equal(want, verifyTol) {
-				status = "  MISMATCH vs local"
+		if r.Replica != r.Origin {
+			status = fmt.Sprintf(" (stolen %d<-%d)", r.Replica, r.Origin)
+		}
+		if *verify {
+			x, _ := set.Batch(i, 1)
+			if !r.Out.Equal(oracle.Net.Forward(x, false), verifyTol) {
+				status += "  MISMATCH vs local"
 				mismatches++
 			}
 		}
-		stolen := ""
-		if r.Replica != r.Origin {
-			stolen = fmt.Sprintf(" (stolen %d<-%d)", r.Replica, r.Origin)
-		}
-		fmt.Printf("image %2d: replica %d  latency %8v  missed %d  alloc %v%s%s\n",
-			p.i, r.Replica, r.Stats.Latency.Round(time.Microsecond),
-			r.Stats.TilesMissed, r.Stats.Alloc, stolen, status)
-		if cc.breakdown {
+		fmt.Printf("image %2d: replica %d  latency %8v  missed %d  alloc %v%s\n",
+			i, r.Replica, r.Stats.Latency.Round(time.Microsecond),
+			r.Stats.TilesMissed, r.Stats.Alloc, status)
+		if *breakdown {
 			r.Stats.Breakdown.WriteText(os.Stdout)
 		}
+		logger.Debug("image complete",
+			"image", i, "replica", r.Replica, "trace_id", core.TraceIDString(r.Stats.TraceID),
+			"latency", r.Stats.Latency, "missed", r.Stats.TilesMissed)
+		i++
 	}
 	wall := time.Since(wallStart)
 	fmt.Printf("mean latency: %v over %d images; throughput %.2f imgs/s; %d mismatches\n",
-		(total / time.Duration(cc.images)).Round(time.Microsecond), cc.images,
-		float64(cc.images)/wall.Seconds(), mismatches)
-	fmt.Printf("cluster: executed per replica %v; steals %v\n", executed, cl.Steals())
+		(total / time.Duration(*images)).Round(time.Microsecond), *images,
+		float64(*images)/wall.Seconds(), mismatches)
+	fmt.Printf("executed per replica %v; steals %v\n", executed, cl.Steals())
+
+	cl.Shutdown()
+	for r, o := range b.obs {
+		if o.trace == nil {
+			continue
+		}
+		path := b.tracePath(*tracePath, r)
+		if err := o.trace.WriteFile(path); err != nil {
+			logger.Error("write trace", "err", err)
+		} else {
+			logger.Info("wrote trace", "path", path, "events", o.trace.Len())
+		}
+	}
 	if mismatches > 0 {
 		os.Exit(1)
 	}

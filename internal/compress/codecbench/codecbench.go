@@ -7,11 +7,9 @@
 package codecbench
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 	"math/rand"
-	"os"
 	"runtime"
 	"testing"
 	"time"
@@ -153,15 +151,6 @@ func Run() Report {
 		tensor.PutBytes(buf)
 	}
 	return rep
-}
-
-// WriteJSON writes the report, indented, to path.
-func (r Report) WriteJSON(path string) error {
-	data, err := json.MarshalIndent(r, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
 }
 
 // WriteText renders a human-readable table.

@@ -181,11 +181,7 @@ func NewCluster(build func(r int) (*Central, error), opts ClusterOptions) (*Clus
 			c.slots[r] <- struct{}{}
 		}
 	}
-	nodes := c.replicas[0].NumNodes()
-	if nodes == 0 {
-		nodes = len(c.replicas[0].Conns)
-	}
-	c.applyShares(sched.FairShares(nodes, opts.Replicas), nil)
+	c.applyShares(sched.FairShares(c.replicas[0].NumNodes(), opts.Replicas), nil)
 	for r := 0; r < opts.Replicas; r++ {
 		c.dispWG.Add(1)
 		go c.dispatch(r)
@@ -374,11 +370,7 @@ func (c *Cluster) Rebalance() {
 	for r, cen := range c.replicas {
 		demand[r] += float64(cen.InFlight())
 	}
-	nodes := c.replicas[0].NumNodes()
-	if nodes == 0 {
-		nodes = len(c.replicas[0].Conns)
-	}
-	c.applyShares(sched.DemandShares(nodes, demand), demand)
+	c.applyShares(sched.DemandShares(c.replicas[0].NumNodes(), demand), demand)
 }
 
 // applyShares installs a share matrix on the replicas, publishes the

@@ -1,12 +1,7 @@
 package core
 
-import (
-	"encoding/json"
-	"net/http"
-)
-
 // SessionDebug is one node session's state snapshot, served as JSON at
-// /debug/sessions on the metrics mux.
+// /debug/sessions on adcnn-central's metrics mux.
 type SessionDebug struct {
 	Node  int  `json:"node"`
 	Alive bool `json:"alive"`
@@ -35,28 +30,15 @@ type SessionDebug struct {
 	LinkProbes  uint64  `json:"link_probes"`
 }
 
-// DebugSessions snapshots every node session's state. It is safe to
-// call before the first Infer (the sessions spin up on first use, so
-// the list is empty until then).
+// DebugSessions snapshots every node session's state.
 func (c *Central) DebugSessions() []SessionDebug {
-	sessions := c.rep.snapshot()
+	sessions := c.snapshot()
 	out := make([]SessionDebug, 0, len(sessions))
-	perNode := c.rep.pending.perNode()
+	perNode := c.pending.perNode()
 	for _, s := range sessions {
 		info := s.debugInfo()
 		info.PendingTiles = perNode[s.id]
 		out = append(out, info)
 	}
 	return out
-}
-
-// SessionsHandler serves DebugSessions as JSON, for mounting at
-// /debug/sessions beside /metrics.
-func (c *Central) SessionsHandler() http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
-		w.Header().Set("Content-Type", "application/json")
-		enc := json.NewEncoder(w)
-		enc.SetIndent("", " ")
-		_ = enc.Encode(c.DebugSessions())
-	})
 }

@@ -9,6 +9,7 @@ import (
 
 	"adcnn/internal/fdsp"
 	"adcnn/internal/models"
+	"adcnn/internal/telemetry"
 	"adcnn/internal/tensor"
 )
 
@@ -91,15 +92,69 @@ func TestRuntimeAllWorkersDead(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a, b := Pipe()
-	_ = b
-	c, err := NewCentral(m, []Conn{a}, 100*time.Millisecond, 0.9)
+	a, _ := Pipe()
+	met := NewMetrics(telemetry.NewRegistry())
+	c, err := CentralConfig{Model: m, Conns: []Conn{a}, TL: 100 * time.Millisecond, Gamma: 0.9, Metrics: met}.Start()
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer c.Shutdown()
 	a.Close()
+	for deadline := time.Now().Add(2 * time.Second); c.DebugSessions()[0].Alive; {
+		if time.Now().After(deadline) {
+			t.Fatal("session never noticed its closed connection")
+		}
+		time.Sleep(time.Millisecond)
+	}
 	x := tensor.New(1, 3, 32, 32)
 	if _, _, err := c.Infer(x); err == nil {
 		t.Fatal("inference with every node dead must error")
 	}
+	// An image whose dispatch failed never existed: it is not counted,
+	// and it holds no in-flight slot.
+	if n := met.Images.Value(); n != 0 {
+		t.Fatalf("images_total = %v after a failed dispatch, want 0", n)
+	}
+	if n := c.InFlight(); n != 0 {
+		t.Fatalf("InFlight = %d after a failed dispatch, want 0", n)
+	}
+}
+
+// TestWaitAfterShutdownFailsFast: an image whose tiles are outstanding
+// when the Central shuts down must fail at once — nobody is left to
+// deliver them, so waiting out T_L would only return a zero-filled
+// answer late and call it a success.
+func TestWaitAfterShutdownFailsFast(t *testing.T) {
+	m, err := models.Build(models.VGGSim(), models.Options{Grid: fdsp.Grid{Rows: 2, Cols: 2}}, 42)
+	if err != nil {
+		t.Fatal(err)
+	}
+	conns := make([]Conn, 2)
+	var wg sync.WaitGroup
+	for i := range conns {
+		a, b := Pipe()
+		conns[i] = a
+		w := NewWorker(i+1, m)
+		w.Delay = 500 * time.Millisecond
+		wg.Add(1)
+		go func() { defer wg.Done(); _ = w.Serve(context.Background(), b) }()
+	}
+	c, err := NewCentral(m, conns, 3*time.Second, 0.9)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h, err := c.InferAsync(context.Background(), tensor.New(1, 3, 32, 32))
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.Shutdown()
+	start := time.Now()
+	out, _, err := h.Wait()
+	if err == nil || out != nil {
+		t.Fatalf("Wait after Shutdown must fail, got out=%v err=%v", out, err)
+	}
+	if d := time.Since(start); d > 100*time.Millisecond {
+		t.Fatalf("Wait after Shutdown took %v; it must not wait out T_L", d)
+	}
+	wg.Wait()
 }

@@ -208,7 +208,11 @@ const (
 )
 
 // NewSLOEngine builds an engine over m's windowed instruments with the
-// standard ADCNN objectives: p99 tile latency and zero-fill ratio.
+// standard ADCNN objectives: p99 tile latency and zero-fill ratio. Over
+// a replica-labeled bundle (NewReplicaMetrics) the objective names carry
+// an "@replica" suffix, so the engines of several replicas sharing one
+// registry export separate adcnn_slo_* series instead of overwriting
+// each other's.
 func NewSLOEngine(m *Metrics, cfg SLOConfig) *telemetry.SLOEngine {
 	if cfg.TileP99 == 0 {
 		cfg.TileP99 = DefaultTileP99
@@ -222,13 +226,17 @@ func NewSLOEngine(m *Metrics, cfg SLOConfig) *telemetry.SLOEngine {
 	if cfg.SlowWindow <= 0 {
 		cfg.SlowWindow = DefaultSLOWindows[1]
 	}
+	suffix := ""
+	if m.replica != "" {
+		suffix = "@" + m.replica
+	}
 	e := telemetry.NewSLOEngine(m.Registry)
 	if cfg.TileP99 > 0 {
-		e.Register(telemetry.NewLatencySLO(SLOTileLatency, m.TileLatencyWindow,
+		e.Register(telemetry.NewLatencySLO(SLOTileLatency+suffix, m.TileLatencyWindow,
 			0.99, cfg.TileP99, cfg.FastWindow, cfg.SlowWindow))
 	}
 	if cfg.MissBudget > 0 {
-		e.Register(telemetry.NewRatioSLO(SLOZeroFill, m.TilesOKWindow, m.TilesMissWindow,
+		e.Register(telemetry.NewRatioSLO(SLOZeroFill+suffix, m.TilesOKWindow, m.TilesMissWindow,
 			cfg.MissBudget, cfg.FastWindow, cfg.SlowWindow))
 	}
 	return e

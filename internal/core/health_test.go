@@ -163,13 +163,12 @@ func TestHealthTrackerRecoveryTimeline(t *testing.T) {
 // node.
 func TestSLOBreachDumpsFlightRecorder(t *testing.T) {
 	opt := models.Options{Grid: fdsp.Grid{Rows: 2, Cols: 2}}
-	c, _, stop := buildRuntime(t, opt, 2, 10*time.Second)
-	defer stop()
-	reg := telemetry.NewRegistry()
-	met := NewMetrics(reg)
-	c.SetMetrics(met)
+	met := NewMetrics(telemetry.NewRegistry())
 	flight := telemetry.NewFlightRecorder(0)
-	c.SetFlightRecorder(flight)
+	c, _, stop := buildRuntime(t, opt, 2, 10*time.Second, func(cfg *CentralConfig) {
+		cfg.Metrics, cfg.Flight = met, flight
+	})
+	defer stop()
 
 	engine := NewSLOEngine(met, SLOConfig{
 		TileP99:    0.001, // 1ms: any real inference breaches
@@ -233,11 +232,9 @@ func TestSLOBreachDumpsFlightRecorder(t *testing.T) {
 // and ops console read from them.
 func TestCentralFeedsWindowsAndHealth(t *testing.T) {
 	opt := models.Options{Grid: fdsp.Grid{Rows: 2, Cols: 2}}
-	c, _, stop := buildRuntime(t, opt, 2, 10*time.Second)
+	met := NewMetrics(telemetry.NewRegistry())
+	c, _, stop := buildRuntime(t, opt, 2, 10*time.Second, func(cfg *CentralConfig) { cfg.Metrics = met })
 	defer stop()
-	reg := telemetry.NewRegistry()
-	met := NewMetrics(reg)
-	c.SetMetrics(met)
 
 	rng := rand.New(rand.NewSource(22))
 	x := tensor.New(1, 3, 32, 32)
@@ -256,7 +253,7 @@ func TestCentralFeedsWindowsAndHealth(t *testing.T) {
 		t.Fatalf("miss window = %v, want 0", got)
 	}
 	if c.Health() == nil {
-		t.Fatal("SetMetrics must create the health tracker")
+		t.Fatal("a Central with Metrics must have a health tracker")
 	}
 	// One image through two nodes: both observed at least one tile.
 	if n, _, _ := c.Health().Worst(); n < 0 {

@@ -15,6 +15,7 @@ import (
 // per binary (TCP runs).
 type Metrics struct {
 	Registry *telemetry.Registry
+	replica  string // the replica label every family carries; "" = unlabeled schema
 
 	// Central side.
 	Images          *telemetry.Counter
@@ -127,6 +128,7 @@ func newMetrics(reg *telemetry.Registry, replica string) *Metrics {
 	}
 	m := &Metrics{
 		Registry:        reg,
+		replica:         replica,
 		Images:          counter("adcnn_central_images_total", "Distributed inferences started."),
 		ImageLatency:    hist("adcnn_central_image_latency_seconds", "End-to-end latency of one distributed inference."),
 		TileRoundTrip:   hist("adcnn_central_tile_roundtrip_seconds", "Tile dispatch to intermediate-result arrival."),

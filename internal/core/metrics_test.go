@@ -41,12 +41,10 @@ func buildInstrumentedRuntime(t *testing.T, n int) (*Central, *Metrics, *telemet
 			_ = w.Serve(context.Background(), b)
 		}()
 	}
-	c, err := NewCentral(m, conns, 5*time.Second, 0.9)
+	c, err := CentralConfig{Model: m, Conns: conns, TL: 5 * time.Second, Gamma: 0.9, Metrics: met, Trace: trace}.Start()
 	if err != nil {
 		t.Fatal(err)
 	}
-	c.SetMetrics(met)
-	c.SetTrace(trace)
 	return c, met, trace, func() { c.Shutdown(); wg.Wait() }
 }
 

@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"math/rand"
 	"net"
-	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"sync"
@@ -20,7 +19,7 @@ import (
 
 // tcpRuntime wires a Central to n real TCP Conv-node servers on
 // loopback and returns the Central plus a stop func.
-func tcpRuntime(t *testing.T, m *models.Model, n int, tl time.Duration) (*Central, func()) {
+func tcpRuntime(t *testing.T, m *models.Model, n int, tl time.Duration, trace *telemetry.Trace) (*Central, func()) {
 	t.Helper()
 	var wg sync.WaitGroup
 	conns := make([]Conn, n)
@@ -47,7 +46,7 @@ func tcpRuntime(t *testing.T, m *models.Model, n int, tl time.Duration) (*Centra
 		}
 		conns[i] = NewStreamConn(dial)
 	}
-	c, err := NewCentral(m, conns, tl, 0.9)
+	c, err := CentralConfig{Model: m, Conns: conns, TL: tl, Gamma: 0.9, Trace: trace}.Start()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,10 +69,9 @@ func TestTCPTraceMergesBothSides(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c, stop := tcpRuntime(t, m, 2, 10*time.Second)
-	defer stop()
 	trace := telemetry.NewTrace()
-	c.SetTrace(trace)
+	c, stop := tcpRuntime(t, m, 2, 10*time.Second, trace)
+	defer stop()
 
 	rng := rand.New(rand.NewSource(11))
 	var stats []InferStats
@@ -188,10 +186,9 @@ func TestInferBreakdownCloses(t *testing.T) {
 // non-empty flight dump naming the image and the missed tiles.
 func TestDeadlineMissDumpsFlightRecorder(t *testing.T) {
 	opt := models.Options{Grid: fdsp.Grid{Rows: 2, Cols: 2}}
-	c, _, stop := buildRuntime(t, opt, 2, time.Nanosecond)
-	defer stop()
 	flight := telemetry.NewFlightRecorder(0)
-	c.SetFlightRecorder(flight)
+	c, _, stop := buildRuntime(t, opt, 2, time.Nanosecond, func(cfg *CentralConfig) { cfg.Flight = flight })
+	defer stop()
 	rng := rand.New(rand.NewSource(13))
 	x := tensor.New(1, 3, 32, 32)
 	x.RandN(rng, 1)
@@ -227,14 +224,13 @@ func TestDeadlineMissDumpsFlightRecorder(t *testing.T) {
 	}
 }
 
-// TestDebugSessionsEndpoint: after traffic has flowed, /debug/sessions
-// must report one row per node with live offset-estimator state.
-func TestDebugSessionsEndpoint(t *testing.T) {
+// TestDebugSessions: after traffic has flowed, DebugSessions must report one row per node with live offset-estimator state.
+func TestDebugSessions(t *testing.T) {
 	opt := models.Options{Grid: fdsp.Grid{Rows: 2, Cols: 2}}
 	c, _, stop := buildRuntime(t, opt, 2, 10*time.Second)
 	defer stop()
-	if got := c.DebugSessions(); len(got) != 0 {
-		t.Fatalf("before first Infer the session list is empty, got %d", len(got))
+	if got := c.DebugSessions(); len(got) != 2 {
+		t.Fatalf("sessions start with the Central: want 2 rows before the first Infer, got %d", len(got))
 	}
 	rng := rand.New(rand.NewSource(14))
 	x := tensor.New(1, 3, 32, 32)
@@ -258,17 +254,15 @@ func TestDebugSessionsEndpoint(t *testing.T) {
 		}
 	}
 
-	rec := httptest.NewRecorder()
-	c.SessionsHandler().ServeHTTP(rec, httptest.NewRequest("GET", "/debug/sessions", nil))
-	if ct := rec.Header().Get("Content-Type"); ct != "application/json" {
-		t.Fatalf("content type %q", ct)
+	// The rows are what adcnn-central serves at /debug/sessions: they must
+	// survive a JSON round trip.
+	data, err := json.Marshal(infos)
+	if err != nil {
+		t.Fatal(err)
 	}
 	var rows []SessionDebug
-	if err := json.Unmarshal(rec.Body.Bytes(), &rows); err != nil {
-		t.Fatalf("bad JSON from /debug/sessions: %v", err)
-	}
-	if len(rows) != 2 {
-		t.Fatalf("endpoint served %d rows", len(rows))
+	if err := json.Unmarshal(data, &rows); err != nil || len(rows) != 2 || rows[1] != infos[1] {
+		t.Fatalf("session rows do not round-trip through JSON: %v %+v", err, rows)
 	}
 }
 

@@ -172,21 +172,21 @@ func TestPipeConnDelivers(t *testing.T) {
 }
 
 // buildRuntime wires a Central and n in-process Workers sharing one
-// model's weights.
-func buildRuntime(t *testing.T, opt models.Options, n int, tl time.Duration) (*Central, *models.Model, func()) {
+// model's weights. Each with hook edits the CentralConfig before Start.
+func buildRuntime(t *testing.T, opt models.Options, n int, tl time.Duration, with ...func(*CentralConfig)) (*Central, *models.Model, func()) {
 	t.Helper()
 	cfg := models.VGGSim()
 	m, err := models.Build(cfg, opt, 42)
 	if err != nil {
 		t.Fatal(err)
 	}
-	c, _, stop := buildRuntimeConns(t, m, n, tl)
+	c, _, stop := buildRuntimeConns(t, m, n, tl, with...)
 	return c, m, stop
 }
 
 // buildRuntimeConns is buildRuntime for callers that need the central
 // sides of the pipes (e.g. to kill one mid-test).
-func buildRuntimeConns(t *testing.T, m *models.Model, n int, tl time.Duration) (*Central, []Conn, func()) {
+func buildRuntimeConns(t *testing.T, m *models.Model, n int, tl time.Duration, with ...func(*CentralConfig)) (*Central, []Conn, func()) {
 	t.Helper()
 	conns := make([]Conn, n)
 	var wg sync.WaitGroup
@@ -200,7 +200,11 @@ func buildRuntimeConns(t *testing.T, m *models.Model, n int, tl time.Duration) (
 			_ = w.Serve(context.Background(), b)
 		}()
 	}
-	c, err := NewCentral(m, conns, tl, 0.9)
+	cfg := CentralConfig{Model: m, Conns: conns, TL: tl, Gamma: 0.9}
+	for _, f := range with {
+		f(&cfg)
+	}
+	c, err := cfg.Start()
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -167,20 +167,20 @@ const (
 	dialTimeout   = 5 * time.Second
 )
 
-// nodeSession owns one replica's relationship with one Conv node: a
+// nodeSession owns one Central's relationship with one Conv node: a
 // persistent send loop draining a bounded task queue onto the
 // connection, and a persistent recv loop decoding results and demuxing
-// them through the replica's pending table. Both loops live for the
+// them through the Central's pending table. Both loops live for the
 // connection's lifetime; a supervisor restarts them after a reconnect.
 // Queued tasks stranded by a connection failure are handed back to the
-// replica for redispatch to surviving nodes, so a node death costs at
+// Central for redispatch to surviving nodes, so a node death costs at
 // most the tiles already on its wire.
 type nodeSession struct {
 	id int // node index (0-based)
-	r  *replica
+	c  *Central
 	// dial, when set, lets the session re-establish a failed connection
 	// with exponential backoff instead of staying dead forever.
-	dial func(context.Context) (Conn, error)
+	dial Dialer
 
 	sendq chan *Message
 
@@ -205,10 +205,10 @@ type nodeSession struct {
 	offsetGauge *telemetry.Gauge // nil disables
 }
 
-func newNodeSession(id int, r *replica, conn Conn, dial func(context.Context) (Conn, error)) *nodeSession {
+func newNodeSession(id int, c *Central, conn Conn, dial Dialer) *nodeSession {
 	s := &nodeSession{
 		id:     id,
-		r:      r,
+		c:      c,
 		dial:   dial,
 		sendq:  make(chan *Message, 256),
 		conn:   conn,
@@ -216,7 +216,7 @@ func newNodeSession(id int, r *replica, conn Conn, dial func(context.Context) (C
 		down:   make(chan struct{}),
 		offset: telemetry.NewOffsetEstimator(0),
 	}
-	if m := r.c.metrics; m != nil {
+	if m := c.metrics; m != nil {
 		s.queueDepth = m.SendQueueDepth.With(nodeLabel(id))
 		s.offsetGauge = m.ClockOffset.With(nodeLabel(id))
 		s.link.rttGauge = m.LinkRTT.With(nodeLabel(id))
@@ -276,8 +276,7 @@ func (s *nodeSession) isClosed() bool {
 	return s.closed
 }
 
-// closeConn closes the session's current connection (Shutdown path for
-// nodes that joined after construction, whose conns are not in c.Conns).
+// closeConn closes the session's current connection (Shutdown path).
 func (s *nodeSession) closeConn() {
 	s.mu.Lock()
 	conn := s.conn
@@ -314,7 +313,7 @@ func (s *nodeSession) enqueue(ctx context.Context, m *Message) bool {
 			return false
 		case <-ctx.Done():
 			return false
-		case <-s.r.c.ctx.Done():
+		case <-s.c.ctx.Done():
 			return false
 		case <-time.After(time.Millisecond):
 		}
@@ -367,8 +366,8 @@ func (s *nodeSession) revive(conn Conn) {
 // (redispatching stranded tasks), and — when a dialer is configured —
 // reconnects with exponential backoff and starts the next epoch.
 func (s *nodeSession) run() {
-	defer s.r.loopWG.Done()
-	c := s.r.c
+	defer s.c.loopWG.Done()
+	c := s.c
 	for {
 		s.mu.Lock()
 		conn := s.conn
@@ -422,7 +421,7 @@ func (s *nodeSession) run() {
 				c.flight.Dump("session-failover", m.ImageID)
 			}
 		}
-		s.r.redispatch(orphans)
+		s.c.redispatch(orphans)
 		if s.isClosed() || s.dial == nil {
 			return
 		}
@@ -437,7 +436,7 @@ func (s *nodeSession) run() {
 func (s *nodeSession) sendLoop(conn Conn, stop chan struct{}) error {
 	for {
 		select {
-		case <-s.r.c.ctx.Done():
+		case <-s.c.ctx.Done():
 			return nil
 		case <-stop:
 			return nil
@@ -459,11 +458,11 @@ func (s *nodeSession) sendLoop(conn Conn, stop chan struct{}) error {
 			s.mu.Unlock()
 			// Stamp t0 just before the write so the uplink phase (and the
 			// offset estimator's request leg) includes the serialization.
-			s.r.pending.markSent(pendingKey{m.ImageID, m.TileID}, monoNow())
+			s.c.pending.markSent(pendingKey{m.ImageID, m.TileID}, monoNow())
 			if err := conn.Send(m); err != nil {
 				return err
 			}
-			s.r.c.flight.Record("sent", m.ImageID, int(m.TileID), s.id, "")
+			s.c.flight.Record("sent", m.ImageID, int(m.TileID), s.id, "")
 			// Release the task's pooled payload only if markDown has not
 			// claimed the message in the window after Send returned: a
 			// concurrent epoch teardown orphans pendingSend for redispatch,
@@ -508,10 +507,10 @@ func (s *nodeSession) recvLoop(conn Conn) error {
 		if m.Kind != KindResult {
 			continue
 		}
-		e, ok := s.r.pending.claim(pendingKey{m.ImageID, m.TileID})
+		e, ok := s.c.pending.claim(pendingKey{m.ImageID, m.TileID})
 		if !ok {
-			s.r.pending.markStale()
-			s.r.c.flight.Record("stale", m.ImageID, int(m.TileID), s.id, "")
+			s.c.pending.markStale()
+			s.c.flight.Record("stale", m.ImageID, int(m.TileID), s.id, "")
 			continue
 		}
 		var offsetNs int64
@@ -543,10 +542,10 @@ func (s *nodeSession) recvLoop(conn Conn) error {
 		if derr != nil {
 			// An undecodable result is as good as a missed tile: the
 			// image zero-fills it at the deadline.
-			s.r.c.flight.Record("decode-error", m.ImageID, int(m.TileID), s.id, derr.Error())
+			s.c.flight.Record("decode-error", m.ImageID, int(m.TileID), s.id, derr.Error())
 			continue
 		}
-		s.r.c.flight.Record("result", m.ImageID, int(m.TileID), s.id, "")
+		s.c.flight.Record("result", m.ImageID, int(m.TileID), s.id, "")
 		e.col.ch <- arrival{
 			tile: int(m.TileID), node: s.id, t: t, wire: wire,
 			taskWire: e.taskBytes,
@@ -560,7 +559,7 @@ func (s *nodeSession) recvLoop(conn Conn) error {
 // exponential backoff, then revives the session and the node's
 // scheduler estimate.
 func (s *nodeSession) reconnect() bool {
-	c := s.r.c
+	c := s.c
 	backoff := reconnectBase
 	for {
 		s.mu.Lock()
@@ -582,7 +581,7 @@ func (s *nodeSession) reconnect() bool {
 		conn, err := s.dial(dctx)
 		cancel()
 		if err == nil && conn != nil {
-			if c.metrics != nil && c.metrics.Wire != nil {
+			if c.metrics != nil {
 				conn = InstrumentConn(conn, c.metrics.Wire)
 			}
 			s.mu.Lock()

@@ -23,17 +23,8 @@ func TestSessionReconnectRevivesNode(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c, conns, stop := buildRuntimeConns(t, m, 2, 5*time.Second)
-	// Shutdown closes the reconnected conns, which is what lets the
-	// dialer-spawned workers exit — so stop must run before wg.Wait.
 	var wg sync.WaitGroup
-	defer func() { stop(); wg.Wait() }()
-
-	reg := telemetry.NewRegistry()
-	met := NewMetrics(reg)
-	c.SetMetrics(met)
-
-	c.SetDialer(0, func(ctx context.Context) (Conn, error) {
+	redial := func(ctx context.Context) (Conn, error) {
 		a, b := Pipe()
 		wg.Add(1)
 		go func() {
@@ -41,7 +32,14 @@ func TestSessionReconnectRevivesNode(t *testing.T) {
 			_ = NewWorker(1, m).Serve(context.Background(), b)
 		}()
 		return a, nil
+	}
+	met := NewMetrics(telemetry.NewRegistry())
+	c, conns, stop := buildRuntimeConns(t, m, 2, 5*time.Second, func(cfg *CentralConfig) {
+		cfg.Metrics, cfg.Dialers = met, []Dialer{redial, nil}
 	})
+	// Shutdown closes the reconnected conns, which is what lets the
+	// dialer-spawned workers exit — so stop must run before wg.Wait.
+	defer func() { stop(); wg.Wait() }()
 
 	rng := rand.New(rand.NewSource(31))
 	x := tensor.New(1, 3, 32, 32)
@@ -216,11 +214,9 @@ func TestInferContextCancellation(t *testing.T) {
 // must be dropped and counted, not delivered to a dead collector.
 func TestStaleResultsCounted(t *testing.T) {
 	opt := models.Options{Grid: fdsp.Grid{Rows: 2, Cols: 2}}
-	c, _, stop := buildRuntime(t, opt, 2, time.Nanosecond)
+	met := NewMetrics(telemetry.NewRegistry())
+	c, _, stop := buildRuntime(t, opt, 2, time.Nanosecond, func(cfg *CentralConfig) { cfg.Metrics = met })
 	defer stop()
-	reg := telemetry.NewRegistry()
-	met := NewMetrics(reg)
-	c.SetMetrics(met)
 
 	rng := rand.New(rand.NewSource(35))
 	x := tensor.New(1, 3, 32, 32)

@@ -162,15 +162,18 @@ func (ns *NodeServer) Sessions() []WorkerSessionDebug {
 }
 
 // pace charges the shared device pacer for one task and sleeps until the
-// device frees up. Back-to-back tasks — from any session — chain off the
-// previous release time, so the node's simulated capacity is one
-// resource no matter how many Centrals are attached (see the Delay
-// comment in the compute loop for why a plain sleep would be wrong).
-func (ns *NodeServer) pace(ctx context.Context, delay time.Duration) bool {
-	now := time.Now()
+// device frees up. The device takes the task up when it arrived (recv)
+// or when the previous task releases it, whichever is later — from any
+// session — so a task that was already queued starts the instant the
+// device frees, however long this host took to wake up, compute and
+// send the previous result; the node's simulated capacity is one
+// fixed-rate resource no matter how many Centrals are attached or how
+// busy the host is (see the Delay comment in the compute loop for why a
+// plain sleep would be wrong).
+func (ns *NodeServer) pace(ctx context.Context, delay time.Duration, recv time.Time) bool {
 	ns.mu.Lock()
-	if ns.nextFree.Before(now) {
-		ns.nextFree = now
+	if ns.nextFree.Before(recv) {
+		ns.nextFree = recv
 	}
 	ns.nextFree = ns.nextFree.Add(delay)
 	rem := time.Until(ns.nextFree)
@@ -424,7 +427,7 @@ func (s *workerSession) computeLoop(ctx context.Context) error {
 		// shows up in the timing record as queue time, like a busy real
 		// device — and so does any wait in the bounded task queue itself.
 		if delay := w.tileDelay(); delay > 0 {
-			if !s.ns.pace(ctx, delay) {
+			if !s.ns.pace(ctx, delay, t.start) {
 				putWorkerTask(t)
 				return nil
 			}

@@ -2,13 +2,10 @@ package experiments
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"io"
 	"math"
 	"math/rand"
-	"net"
-	"os"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -160,7 +157,7 @@ func ChaosBench(cfg ChaosBenchConfig) (*ChaosReport, error) {
 		Pass:            true,
 	}
 	for _, name := range cfg.Drills {
-		var fn func(*chaosCluster, *ChaosDrillResult)
+		var fn func(*drillRig, *ChaosDrillResult)
 		switch name {
 		case "bandwidth":
 			fn = drillBandwidth
@@ -185,15 +182,15 @@ func ChaosBench(cfg ChaosBenchConfig) (*ChaosReport, error) {
 
 // runChaosDrill builds a fresh cluster, calibrates the SLO objective
 // off its healthy baseline, runs the drill, and tears everything down.
-func runChaosDrill(cfg ChaosBenchConfig, name string, fn func(*chaosCluster, *ChaosDrillResult)) (*ChaosDrillResult, error) {
-	cl, err := newChaosCluster(cfg)
+func runChaosDrill(cfg ChaosBenchConfig, name string, fn func(*drillRig, *ChaosDrillResult)) (*ChaosDrillResult, error) {
+	cl, err := newDrillRig(cfg, core.CentralConfig{ProbeEvery: cfg.ProbeInterval, LinkAware: true})
 	if err != nil {
 		return nil, err
 	}
 	defer cl.stop()
 	res := &ChaosDrillResult{Drill: name, Pass: true}
 	start := time.Now()
-	if err := cl.calibrate(res); err != nil {
+	if err := cl.calibrate(res, 0); err != nil {
 		return nil, err
 	}
 	fn(cl, res)
@@ -206,23 +203,29 @@ func runChaosDrill(cfg ChaosBenchConfig, name string, fn func(*chaosCluster, *Ch
 	return res, nil
 }
 
-// chaosCluster is one drill's live runtime: a Central dialing real TCP
-// listeners, closed-loop traffic, and the calibrated SLO engine.
-type chaosCluster struct {
+// drillRig is the live runtime a fault drill runs on — the chaos drills
+// here and the SLO bench alike: the fixture's pool, one Central dialed
+// into it, continuous traffic, and (after calibrate) an SLO engine
+// whose latency objective is derived from the healthy baseline.
+type drillRig struct {
 	cfg    ChaosBenchConfig
 	ctx    context.Context
 	cancel context.CancelFunc
 
-	c      *core.Central
-	nodes  []*chaosNode
-	met    *core.Metrics
-	flight *telemetry.FlightRecorder
-	engine *telemetry.SLOEngine
+	c        *core.Central
+	nodes    []*liveNode
+	stopLive func()
+	met      *core.Metrics
+	flight   *telemetry.FlightRecorder
+	engine   *telemetry.SLOEngine
 
 	start  time.Time
 	images atomic.Int64
 	failed atomic.Int64
 	done   chan struct{}
+	// pace, once set, caps the image rate at one per period; zero is
+	// closed-loop traffic.
+	pace atomic.Int64
 
 	mu          sync.Mutex
 	transitions []SLOTimedTransition
@@ -230,66 +233,39 @@ type chaosCluster struct {
 	p99 float64 // calibrated healthy tile p99, seconds
 }
 
-func newChaosCluster(cfg ChaosBenchConfig) (*chaosCluster, error) {
-	opt := models.Options{Grid: fdsp.Grid{Rows: 2, Cols: 2}}
-	m, err := models.Build(models.VGGSim(), opt, 42)
-	if err != nil {
-		return nil, err
-	}
-	reg := telemetry.NewRegistry()
-	met := core.NewMetrics(reg)
+// newDrillRig boots the rig. central carries the link settings under
+// test; the rig adds its own metrics and flight recorder.
+func newDrillRig(cfg ChaosBenchConfig, central core.CentralConfig) (*drillRig, error) {
+	met := core.NewMetrics(telemetry.NewRegistry())
 	met.Sched.AttachAudit(sched.NewAudit(0, nil))
-
-	ctx, cancel := context.WithCancel(context.Background())
-	cl := &chaosCluster{
-		cfg: cfg, ctx: ctx, cancel: cancel,
-		met: met, done: make(chan struct{}),
-	}
-	fail := func(err error) (*chaosCluster, error) {
-		for _, n := range cl.nodes {
-			n.crash()
-		}
-		cancel()
-		return nil, err
-	}
-
-	conns := make([]core.Conn, cfg.Nodes)
-	for k := 0; k < cfg.Nodes; k++ {
-		n, err := startChaosNode(ctx, k, m, cfg.BaseDelay)
-		if err != nil {
-			return fail(err)
-		}
-		cl.nodes = append(cl.nodes, n)
-		if conns[k], err = n.dial(ctx); err != nil {
-			return fail(err)
-		}
-	}
-	c, err := core.NewCentral(m, conns, 10*time.Second, 0.9)
-	if err != nil {
-		return fail(err)
-	}
-	for k, n := range cl.nodes {
-		c.SetDialer(k, n.dial)
-	}
-	c.EnableLinkProbes(cfg.ProbeInterval)
-	c.EnableLinkAware()
-	c.SetMetrics(met)
 	// A deep ring: closed-loop traffic emits thousands of tile events
 	// per second, and the crash drill inspects markers recorded a
 	// reconnect-backoff (~1-2s) before the check runs.
-	cl.flight = telemetry.NewFlightRecorder(1 << 15)
-	c.SetFlightRecorder(cl.flight)
-	cl.c = c
-	cl.start = time.Now()
+	flight := telemetry.NewFlightRecorder(1 << 15)
+	central.Metrics, central.Flight = met, flight
+	// One tile per node: a faulted node's slowdown lands on exactly its
+	// share of tiles, so the bad fraction is 1/Nodes by design.
+	c, live, stop, err := liveCentral(models.Options{Grid: fdsp.Grid{Rows: 2, Cols: 2}}, cfg.Nodes,
+		func(w *core.Worker) { w.Delay = cfg.BaseDelay }, central)
+	if err != nil {
+		return nil, err
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cl := &drillRig{
+		cfg: cfg, ctx: ctx, cancel: cancel,
+		c: c, nodes: live.nodes, stopLive: stop, met: met, flight: flight,
+		start: time.Now(), done: make(chan struct{}),
+	}
 
-	// Closed-loop traffic until the drill ends. Infer failures are
-	// counted, not fatal: the crash drill asserts the count stays zero,
-	// i.e. redispatch carried every stranded tile.
+	// Traffic until the drill ends. Infer failures are counted, not
+	// fatal: the crash drill asserts the count stays zero, i.e.
+	// redispatch carried every stranded tile.
 	go func() {
 		defer close(cl.done)
 		x := tensor.New(1, 3, 32, 32)
 		x.RandN(rand.New(rand.NewSource(7)), 1)
 		for ctx.Err() == nil {
+			t0 := time.Now()
 			if _, _, err := c.Infer(x); err != nil {
 				if ctx.Err() != nil {
 					return
@@ -299,6 +275,9 @@ func newChaosCluster(cfg ChaosBenchConfig) (*chaosCluster, error) {
 				continue
 			}
 			cl.images.Add(1)
+			if d := time.Duration(cl.pace.Load()) - time.Since(t0); d > 0 {
+				wait(ctx, d)
+			}
 		}
 	}()
 	return cl, nil
@@ -306,7 +285,12 @@ func newChaosCluster(cfg ChaosBenchConfig) (*chaosCluster, error) {
 
 // calibrate waits out the healthy baseline, derives the latency
 // objective (2.5× the observed tile p99), and starts the SLO engine.
-func (cl *chaosCluster) calibrate(res *ChaosDrillResult) error {
+// paceP99, when >0, paces the traffic from here on at one image per
+// paceP99 × p99: a fault that slows the cluster down would otherwise
+// shift the image rate, skewing the good/bad tile mix inside the burn
+// windows and stretching detection latency for reasons that have
+// nothing to do with the SLO engine.
+func (cl *drillRig) calibrate(res *ChaosDrillResult, paceP99 float64) error {
 	cfg := cl.cfg
 	wait(cl.ctx, cfg.Baseline)
 	p99 := cl.met.TileLatencyWindow.Quantile(cfg.SlowWindow, 0.99)
@@ -314,6 +298,7 @@ func (cl *chaosCluster) calibrate(res *ChaosDrillResult) error {
 		return fmt.Errorf("no baseline traffic (p99=%v)", p99)
 	}
 	cl.p99 = p99
+	cl.pace.Store(int64(paceP99 * p99 * float64(time.Second)))
 	threshold := 2.5 * p99
 	res.BaselineP99Ms = p99 * 1e3
 	res.ThresholdMs = threshold * 1e3
@@ -332,15 +317,16 @@ func (cl *chaosCluster) calibrate(res *ChaosDrillResult) error {
 	})
 	go engine.Run(cl.ctx, cfg.FastWindow/10)
 	cl.engine = engine
-	// Let the engine judge the healthy state before any fault lands.
+	// Let the engine judge the healthy state — a full slow window of the
+	// traffic it will see during the drill — before any fault lands.
 	wait(cl.ctx, cfg.SlowWindow)
 	return nil
 }
 
-func (cl *chaosCluster) sinceMs(t time.Time) float64 { return ms(t.Sub(cl.start)) }
+func (cl *drillRig) sinceMs(t time.Time) float64 { return ms(t.Sub(cl.start)) }
 
 // seen reports the first transition into state to at or after afterMs.
-func (cl *chaosCluster) seen(to telemetry.SLOState, afterMs float64) (float64, bool) {
+func (cl *drillRig) seen(to telemetry.SLOState, afterMs float64) (float64, bool) {
 	cl.mu.Lock()
 	defer cl.mu.Unlock()
 	for _, tr := range cl.transitions {
@@ -351,18 +337,28 @@ func (cl *chaosCluster) seen(to telemetry.SLOState, afterMs float64) (float64, b
 	return 0, false
 }
 
-// session returns node k's debug snapshot.
-func (cl *chaosCluster) session(k int) (core.SessionDebug, bool) {
-	for _, s := range cl.c.DebugSessions() {
-		if s.Node == k {
-			return s, true
+// session returns node k's debug snapshot (sessions start with the
+// Central, so the row always exists).
+func (cl *drillRig) session(k int) core.SessionDebug { return cl.c.DebugSessions()[k] }
+
+// checkBlame waits for the breach's flight dump and asserts its reason
+// names the faulted node as the worst-health one.
+func (cl *drillRig) checkBlame(res *ChaosDrillResult, target *liveNode) {
+	wantBlame := fmt.Sprintf("worst-node=%d", target.idx)
+	_, blamed := waitFor(cl.ctx, cl.cfg.Timeout, func() (float64, bool) {
+		for _, d := range cl.flight.Dumps() {
+			if strings.Contains(d.Reason, "slo-breach") && strings.Contains(d.Reason, wantBlame) {
+				res.DumpReason = d.Reason
+				return 1, true
+			}
 		}
-	}
-	return core.SessionDebug{}, false
+		return 0, false
+	})
+	res.check("flight-blame", blamed, "breach dump blames the faulted node: %q", res.DumpReason)
 }
 
 // settleOK waits for the SLO engine to leave the breach state.
-func (cl *chaosCluster) settleOK() bool {
+func (cl *drillRig) settleOK() bool {
 	_, ok := waitFor(cl.ctx, cl.cfg.Timeout, func() (float64, bool) {
 		if cl.engine.Breached() {
 			return 0, false
@@ -372,13 +368,10 @@ func (cl *chaosCluster) settleOK() bool {
 	return ok
 }
 
-func (cl *chaosCluster) stop() {
+func (cl *drillRig) stop() {
 	cl.cancel()
 	<-cl.done
-	cl.c.Shutdown()
-	for _, n := range cl.nodes {
-		n.crash()
-	}
+	cl.stopLive()
 }
 
 // drillBandwidth collapses the last node's link to ThrottleRate and
@@ -391,18 +384,15 @@ func (cl *chaosCluster) stop() {
 // the breach must clear while the fault is still active. Act 3 heals
 // the link: probation revival re-admits the starved node and the
 // estimates recover.
-func drillBandwidth(cl *chaosCluster, res *ChaosDrillResult) {
+func drillBandwidth(cl *drillRig, res *ChaosDrillResult) {
 	cfg := cl.cfg
 	target := cl.nodes[len(cl.nodes)-1]
 	rate := float64(cfg.ThrottleRate)
 
-	var healthyUp float64
-	if s, ok := cl.session(target.idx); ok {
-		healthyUp = s.UplinkBps
-	}
+	healthyUp := cl.session(target.idx).UplinkBps
 
 	// Act 1: speed-only dispatch under the collapse.
-	cl.c.DisableLinkAware()
+	cl.c.SetLinkAware(false)
 	res.FaultAtMs = cl.sinceMs(time.Now())
 	target.rate.Store(cfg.ThrottleRate)
 
@@ -413,21 +403,17 @@ func drillBandwidth(cl *chaosCluster, res *ChaosDrillResult) {
 	// healthy), since probe echoes queued behind throttled transfers
 	// bias its one-way delays.
 	est, ok := waitFor(cl.ctx, cfg.Timeout, func() (float64, bool) {
-		if s, ok := cl.session(target.idx); ok && s.DownlinkBps > 0 {
-			if math.Abs(s.DownlinkBps-rate)/rate <= 0.25 {
-				return s.DownlinkBps, true
-			}
+		if s := cl.session(target.idx); s.DownlinkBps > 0 && math.Abs(s.DownlinkBps-rate)/rate <= 0.25 {
+			return s.DownlinkBps, true
 		}
 		return 0, false
 	})
 	res.LinkDownBps = est
 	res.check("link-estimate", ok,
 		"downlink estimate %.0f B/s within 25%% of the %.0f B/s throttle", est, rate)
-	if s, found := cl.session(target.idx); found {
-		res.LinkUpBps = s.UplinkBps
-		res.check("link-collapse", healthyUp > 0 && s.UplinkBps < healthyUp/4,
-			"uplink estimate fell %.0f -> %.0f B/s under the throttle", healthyUp, s.UplinkBps)
-	}
+	res.LinkUpBps = cl.session(target.idx).UplinkBps
+	res.check("link-collapse", healthyUp > 0 && res.LinkUpBps < healthyUp/4,
+		"uplink estimate fell %.0f -> %.0f B/s under the throttle", healthyUp, res.LinkUpBps)
 
 	breachAt, breached := waitFor(cl.ctx, cfg.Timeout, func() (float64, bool) {
 		return cl.seen(telemetry.SLOBreach, res.FaultAtMs)
@@ -435,22 +421,12 @@ func drillBandwidth(cl *chaosCluster, res *ChaosDrillResult) {
 	res.BreachAtMs = breachAt
 	res.check("slo-breach", breached, "SLO breached %.0fms after the collapse", breachAt-res.FaultAtMs)
 	if breached {
-		wantBlame := fmt.Sprintf("worst-node=%d", target.idx)
-		_, blamed := waitFor(cl.ctx, cfg.Timeout, func() (float64, bool) {
-			for _, d := range cl.flight.Dumps() {
-				if strings.Contains(d.Reason, "slo-breach") && strings.Contains(d.Reason, wantBlame) {
-					res.DumpReason = d.Reason
-					return 1, true
-				}
-			}
-			return 0, false
-		})
-		res.check("flight-blame", blamed, "breach dump blames the throttled node: %q", res.DumpReason)
+		cl.checkBlame(res, target)
 	}
 
 	// Act 2: link-aware dispatch reroutes while the fault is live.
 	enableWall := time.Now()
-	cl.c.EnableLinkAware()
+	cl.c.SetLinkAware(true)
 	wantTrig := fmt.Sprintf("link node=%d", target.idx)
 	trig := ""
 	_, ok = waitFor(cl.ctx, cfg.Timeout, func() (float64, bool) {
@@ -478,7 +454,7 @@ func drillBandwidth(cl *chaosCluster, res *ChaosDrillResult) {
 	res.HealAtMs = cl.sinceMs(healWall)
 	target.rate.Store(0)
 	rec, ok := waitFor(cl.ctx, cfg.Timeout, func() (float64, bool) {
-		if s, ok := cl.session(target.idx); ok && s.UplinkBps > 3*rate && s.DownlinkBps > 3*rate {
+		if s := cl.session(target.idx); s.UplinkBps > 3*rate && s.DownlinkBps > 3*rate {
 			return s.UplinkBps, true
 		}
 		return 0, false
@@ -500,7 +476,7 @@ func drillBandwidth(cl *chaosCluster, res *ChaosDrillResult) {
 // drillCrash kills the last node's listener and connections mid-run,
 // restarts it on the same address, and asserts the session failed over
 // (redispatch, zero failed images) and reconnected (epoch bump).
-func drillCrash(cl *chaosCluster, res *ChaosDrillResult) {
+func drillCrash(cl *drillRig, res *ChaosDrillResult) {
 	cfg := cl.cfg
 	target := cl.nodes[len(cl.nodes)-1]
 	res.FaultAtMs = cl.sinceMs(time.Now())
@@ -515,7 +491,7 @@ func drillCrash(cl *chaosCluster, res *ChaosDrillResult) {
 
 	var s core.SessionDebug
 	_, ok := waitFor(cl.ctx, cfg.Timeout, func() (float64, bool) {
-		if got, found := cl.session(target.idx); found && got.Alive && got.Epochs >= 2 {
+		if got := cl.session(target.idx); got.Alive && got.Epochs >= 2 {
 			s = got
 			return float64(got.Epochs), true
 		}
@@ -556,13 +532,13 @@ func drillCrash(cl *chaosCluster, res *ChaosDrillResult) {
 // probe-fed offset estimator absorbs it in both directions without an
 // SLO breach — skew must corrupt the phase decomposition only until
 // the estimator catches up, never the Central-side latency SLO.
-func drillSkew(cl *chaosCluster, res *ChaosDrillResult) {
+func drillSkew(cl *drillRig, res *ChaosDrillResult) {
 	cfg := cl.cfg
 	target := cl.nodes[len(cl.nodes)-1]
 	skew := float64(cfg.Skew.Nanoseconds())
 
 	_, warm := waitFor(cl.ctx, cfg.Timeout, func() (float64, bool) {
-		if s, ok := cl.session(target.idx); ok && s.OffsetSamples >= 5 {
+		if s := cl.session(target.idx); s.OffsetSamples >= 5 {
 			return float64(s.OffsetSamples), true
 		}
 		return 0, false
@@ -574,12 +550,8 @@ func drillSkew(cl *chaosCluster, res *ChaosDrillResult) {
 	// The node's stamps now read +skew, so the mapping back onto the
 	// Central's clock must converge to −skew.
 	off, ok := waitFor(cl.ctx, cfg.Timeout, func() (float64, bool) {
-		if s, found := cl.session(target.idx); found {
-			if math.Abs(float64(s.ClockOffsetNs)+skew) <= 0.3*skew {
-				return float64(s.ClockOffsetNs), true
-			}
-		}
-		return 0, false
+		off := float64(cl.session(target.idx).ClockOffsetNs)
+		return off, math.Abs(off+skew) <= 0.3*skew
 	})
 	res.OffsetNs = int64(off)
 	res.check("offset-converges", ok,
@@ -589,12 +561,8 @@ func drillSkew(cl *chaosCluster, res *ChaosDrillResult) {
 	res.HealAtMs = cl.sinceMs(time.Now())
 	target.w.SetClockSkew(0)
 	back, ok := waitFor(cl.ctx, cfg.Timeout, func() (float64, bool) {
-		if s, found := cl.session(target.idx); found {
-			if math.Abs(float64(s.ClockOffsetNs)) <= 0.3*skew {
-				return float64(s.ClockOffsetNs), true
-			}
-		}
-		return 0, false
+		off := float64(cl.session(target.idx).ClockOffsetNs)
+		return off, math.Abs(off) <= 0.3*skew
 	})
 	res.check("offset-recovers", ok, "offset estimate back to %.2fms after removing the skew", back/1e6)
 
@@ -606,7 +574,7 @@ func drillSkew(cl *chaosCluster, res *ChaosDrillResult) {
 // drillSlowNode is the gray-failure schedule: the last node serves
 // tiles SlowFactor× slower, the SLO must breach with the health
 // tracker blaming that node, and recover once it heals.
-func drillSlowNode(cl *chaosCluster, res *ChaosDrillResult) {
+func drillSlowNode(cl *drillRig, res *ChaosDrillResult) {
 	cfg := cl.cfg
 	target := cl.nodes[len(cl.nodes)-1]
 	inject := time.Duration(cfg.SlowFactor * cl.p99 * float64(time.Second))
@@ -622,17 +590,7 @@ func drillSlowNode(cl *chaosCluster, res *ChaosDrillResult) {
 		node, score, phase := cl.c.Health().Worst()
 		res.check("health-blame", node == target.idx,
 			"health tracker blames node %d (score %.2f, phase %s)", node, score, phase)
-		wantBlame := fmt.Sprintf("worst-node=%d", target.idx)
-		_, blamed := waitFor(cl.ctx, cfg.Timeout, func() (float64, bool) {
-			for _, d := range cl.flight.Dumps() {
-				if strings.Contains(d.Reason, "slo-breach") && strings.Contains(d.Reason, wantBlame) {
-					res.DumpReason = d.Reason
-					return 1, true
-				}
-			}
-			return 0, false
-		})
-		res.check("flight-blame", blamed, "breach dump blames the slow node: %q", res.DumpReason)
+		cl.checkBlame(res, target)
 	}
 
 	res.HealAtMs = cl.sinceMs(time.Now())
@@ -644,173 +602,6 @@ func drillSlowNode(cl *chaosCluster, res *ChaosDrillResult) {
 		res.RecoverAtMs = at
 		res.check("slo-recovery", ok, "SLO back to ok %.0fms after the heal", at-res.HealAtMs)
 	}
-}
-
-// chaosNode is one Conv node the harness owns end to end: its worker,
-// its NodeServer, its TCP listener, and a rate cap its server-side
-// connections enforce in both directions.
-type chaosNode struct {
-	idx  int
-	addr string
-	ctx  context.Context
-	w    *core.Worker
-	ns   *core.NodeServer
-	rate atomic.Int64 // bytes/sec cap; 0 = unthrottled
-
-	mu    sync.Mutex
-	ln    net.Listener
-	conns map[net.Conn]struct{}
-}
-
-func startChaosNode(ctx context.Context, idx int, m *models.Model, delay time.Duration) (*chaosNode, error) {
-	w := core.NewWorker(idx+1, m)
-	w.Delay = delay
-	n := &chaosNode{
-		idx: idx, ctx: ctx, w: w,
-		ns:    core.NewNodeServer(w, 0),
-		conns: make(map[net.Conn]struct{}),
-	}
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		return nil, err
-	}
-	n.addr = ln.Addr().String()
-	n.serve(ln)
-	return n, nil
-}
-
-// serve installs ln and runs its accept loop until the listener closes.
-func (n *chaosNode) serve(ln net.Listener) {
-	n.mu.Lock()
-	n.ln = ln
-	n.mu.Unlock()
-	go func() {
-		for {
-			raw, err := ln.Accept()
-			if err != nil {
-				return
-			}
-			n.mu.Lock()
-			n.conns[raw] = struct{}{}
-			n.mu.Unlock()
-			go func(raw net.Conn) {
-				_ = n.ns.ServeConn(n.ctx, core.NewStreamConn(&throttledConn{Conn: raw, rate: &n.rate}))
-				raw.Close()
-				n.mu.Lock()
-				delete(n.conns, raw)
-				n.mu.Unlock()
-			}(raw)
-		}
-	}()
-}
-
-// dial opens a fresh Central-side connection; it doubles as the
-// session's reconnect dialer, so a restarted node is found at the same
-// address.
-func (n *chaosNode) dial(ctx context.Context) (core.Conn, error) {
-	d := net.Dialer{Timeout: time.Second}
-	raw, err := d.DialContext(ctx, "tcp", n.addr)
-	if err != nil {
-		return nil, err
-	}
-	return core.NewStreamConn(raw), nil
-}
-
-// crash closes the listener and every live server-side connection,
-// keeping the address so restart revives the node in place.
-func (n *chaosNode) crash() {
-	n.mu.Lock()
-	ln := n.ln
-	n.ln = nil
-	conns := make([]net.Conn, 0, len(n.conns))
-	for c := range n.conns {
-		conns = append(conns, c)
-	}
-	n.mu.Unlock()
-	if ln != nil {
-		ln.Close()
-	}
-	for _, c := range conns {
-		c.Close()
-	}
-}
-
-// restart re-binds the node's original address (retrying briefly in
-// case the old socket lingers) and resumes accepting.
-func (n *chaosNode) restart() error {
-	var err error
-	for i := 0; i < 50; i++ {
-		var ln net.Listener
-		if ln, err = net.Listen("tcp", n.addr); err == nil {
-			n.serve(ln)
-			return nil
-		}
-		time.Sleep(20 * time.Millisecond)
-	}
-	return err
-}
-
-// throttleChunk is the transfer granularity of a throttled connection:
-// small enough that a collapsed link stays smooth at the drill's rates,
-// large enough that the per-chunk sleep dominates syscall cost.
-const throttleChunk = 512
-
-// throttledConn enforces a bytes/sec cap on both directions of a
-// server-side connection by sleeping after each chunk of I/O — reads
-// model a collapsed uplink (Central→node tasks), writes a collapsed
-// downlink (node→Central results). rate 0 passes through untouched.
-type throttledConn struct {
-	net.Conn
-	rate *atomic.Int64
-}
-
-func (t *throttledConn) Read(p []byte) (int, error) {
-	r := t.rate.Load()
-	if r <= 0 {
-		return t.Conn.Read(p)
-	}
-	if len(p) > throttleChunk {
-		p = p[:throttleChunk]
-	}
-	n, err := t.Conn.Read(p)
-	if n > 0 {
-		time.Sleep(time.Duration(float64(n) / float64(r) * float64(time.Second)))
-	}
-	return n, err
-}
-
-func (t *throttledConn) Write(p []byte) (int, error) {
-	var total int
-	for len(p) > 0 {
-		r := t.rate.Load()
-		if r <= 0 {
-			n, err := t.Conn.Write(p)
-			return total + n, err
-		}
-		c := p
-		if len(c) > throttleChunk {
-			c = c[:throttleChunk]
-		}
-		n, err := t.Conn.Write(c)
-		total += n
-		if n > 0 {
-			time.Sleep(time.Duration(float64(n) / float64(r) * float64(time.Second)))
-		}
-		if err != nil {
-			return total, err
-		}
-		p = p[n:]
-	}
-	return total, nil
-}
-
-// WriteJSON writes the report, indented, to path.
-func (r *ChaosReport) WriteJSON(path string) error {
-	data, err := json.MarshalIndent(r, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
 }
 
 // WriteText renders the drill-by-drill verdicts.

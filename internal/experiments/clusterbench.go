@@ -2,12 +2,9 @@ package experiments
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"io"
 	"math/rand"
-	"net"
-	"os"
 	"sort"
 	"sync"
 	"time"
@@ -21,12 +18,9 @@ import (
 
 // ClusterBenchRun is one measured closed-loop pass over the shared pool.
 type ClusterBenchRun struct {
-	Replicas      int     `json:"replicas"`
-	Images        int     `json:"images"`
-	ThroughputIPS float64 `json:"throughput_ips"`
-	MeanLatencyMs float64 `json:"mean_latency_ms"`
-	P95LatencyMs  float64 `json:"p95_latency_ms"`
-	Steals        []int64 `json:"steals"`
+	Replicas int `json:"replicas"`
+	StreamBenchRun
+	Steals []int64 `json:"steals"`
 }
 
 // ClusterImbalance is the work-stealing pass: open-loop offered load
@@ -73,78 +67,12 @@ type ClusterBenchReport struct {
 	Imbalance   ClusterImbalance `json:"imbalance"`
 }
 
-// clusterPool starts n Conv nodes on loopback TCP, each a NodeServer
-// over one worker whose simulated device takes delay per tile — the
-// shared pool every replica dials into. stop closes the listeners and
-// waits for every session goroutine.
-func clusterPool(opt models.Options, n int, delay time.Duration) (addrs []string, stop func(), err error) {
-	m, err := models.Build(models.VGGSim(), opt, 42)
-	if err != nil {
-		return nil, nil, err
-	}
-	ctx, cancel := context.WithCancel(context.Background())
-	var wg sync.WaitGroup
-	var lns []net.Listener
-	for i := 0; i < n; i++ {
-		w := core.NewWorker(i+1, m)
-		w.Delay = delay
-		ns := core.NewNodeServer(w, 0)
-		ln, lerr := net.Listen("tcp", "127.0.0.1:0")
-		if lerr != nil {
-			cancel()
-			for _, l := range lns {
-				l.Close()
-			}
-			return nil, nil, lerr
-		}
-		lns = append(lns, ln)
-		addrs = append(addrs, ln.Addr().String())
-		wg.Add(1)
-		go func(ln net.Listener, ns *core.NodeServer) {
-			defer wg.Done()
-			for {
-				conn, aerr := ln.Accept()
-				if aerr != nil {
-					return
-				}
-				wg.Add(1)
-				go func() {
-					defer wg.Done()
-					_ = ns.ServeConn(ctx, core.NewStreamConn(conn))
-				}()
-			}
-		}(ln, ns)
-	}
-	stop = func() {
-		cancel()
-		for _, ln := range lns {
-			ln.Close()
-		}
-		wg.Wait()
-	}
-	return addrs, stop, nil
-}
-
-// dialCluster builds a cluster of replicas over the pool at addrs, each
-// replica with its own TCP connections and model instance.
-func dialCluster(addrs []string, opt models.Options, replicas int) (*core.Cluster, error) {
-	build := func(int) (*core.Central, error) {
-		m, err := models.Build(models.VGGSim(), opt, 42)
-		if err != nil {
-			return nil, err
-		}
-		conns := make([]core.Conn, len(addrs))
-		for i, a := range addrs {
-			nc, derr := net.Dial("tcp", a)
-			if derr != nil {
-				return nil, derr
-			}
-			conns[i] = core.NewStreamConn(nc)
-		}
-		return core.NewCentral(m, conns, 2*time.Second, 0.9)
-	}
+// replicas runs a core.Cluster of n Centrals over the pool, each with
+// its own TCP connections and model instance.
+func (cl *liveCluster) replicas(n int) (*core.Cluster, error) {
+	build := func(int) (*core.Central, error) { return cl.central(core.CentralConfig{}) }
 	return core.NewCluster(build, core.ClusterOptions{
-		Replicas: replicas, Depth: 1, RebalanceEvery: 100 * time.Millisecond,
+		Replicas: n, Depth: 1, RebalanceEvery: 100 * time.Millisecond,
 	})
 }
 
@@ -201,19 +129,7 @@ func clusterClosedLoop(cl *core.Cluster, images, warmup int) (ClusterBenchRun, e
 	if err != nil {
 		return ClusterBenchRun{}, err
 	}
-	sort.Float64s(lat)
-	var sum float64
-	for _, v := range lat {
-		sum += v
-	}
-	return ClusterBenchRun{
-		Replicas:      reps,
-		Images:        len(lat),
-		ThroughputIPS: float64(len(lat)) / wall.Seconds(),
-		MeanLatencyMs: sum / float64(len(lat)),
-		P95LatencyMs:  lat[(len(lat)*95)/100],
-		Steals:        cl.Steals(),
-	}, nil
+	return ClusterBenchRun{Replicas: reps, StreamBenchRun: summarize(len(lat), lat, wall), Steals: cl.Steals()}, nil
 }
 
 // clusterImbalance offers an open-loop stream at offered images/sec,
@@ -325,13 +241,13 @@ func ClusterBench(images int) (*ClusterBenchReport, error) {
 		Depth:       1,
 	}
 
-	addrs, stopPool, err := clusterPool(opt, nodes, tileDelay)
+	pool, err := startLiveCluster(opt, nodes, func(w *core.Worker) { w.Delay = tileDelay })
 	if err != nil {
 		return nil, err
 	}
-	defer stopPool()
+	defer pool.stop()
 
-	cl1, err := dialCluster(addrs, opt, 1)
+	cl1, err := pool.replicas(1)
 	if err != nil {
 		return nil, err
 	}
@@ -341,7 +257,7 @@ func ClusterBench(images int) (*ClusterBenchReport, error) {
 		return nil, err
 	}
 
-	cl2, err := dialCluster(addrs, opt, 2)
+	cl2, err := pool.replicas(2)
 	if err != nil {
 		return nil, err
 	}
@@ -363,15 +279,6 @@ func ClusterBench(images int) (*ClusterBenchReport, error) {
 		return nil, err
 	}
 	return rep, nil
-}
-
-// WriteJSON writes the report, indented, to path.
-func (r *ClusterBenchReport) WriteJSON(path string) error {
-	data, err := json.MarshalIndent(r, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
 }
 
 // WriteText renders the scaling and stealing results.

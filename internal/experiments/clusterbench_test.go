@@ -5,6 +5,8 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
+
+	"adcnn/internal/telemetry"
 )
 
 // TestClusterBenchSmall runs the full control-plane sharding benchmark
@@ -50,7 +52,7 @@ func TestClusterBenchSmall(t *testing.T) {
 	}
 
 	path := filepath.Join(t.TempDir(), "BENCH_cluster.json")
-	if err := rep.WriteJSON(path); err != nil {
+	if err := telemetry.WriteJSON(path, rep); err != nil {
 		t.Fatal(err)
 	}
 	data, err := os.ReadFile(path)

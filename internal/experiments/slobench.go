@@ -2,71 +2,35 @@ package experiments
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"io"
-	"math/rand"
-	"os"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"adcnn/internal/core"
-	"adcnn/internal/fdsp"
 	"adcnn/internal/models"
 	"adcnn/internal/telemetry"
-	"adcnn/internal/tensor"
 )
 
 // SLOBench measures the observability stack end to end: how fast does
 // the burn-rate SLO engine detect a gray-failing node, does the health
 // scorer finger the right one, and does the breach clear once the node
-// recovers? The experiment runs a live in-process cluster, streams
+// recovers? The experiment runs a live loopback-TCP cluster, streams
 // images continuously, calibrates the latency objective from a healthy
 // baseline, then makes one node serve tiles factor× slower mid-run —
 // the injected equivalent of a thermally-throttled edge device — and
 // records every SLO transition with timestamps.
 
-// SLOBenchConfig parameterizes the run; zero values take defaults.
+// SLOBenchConfig parameterizes the run. The bench runs on the chaos
+// drills' rig and is configured like one: Nodes, BaseDelay, the SLO
+// windows, Baseline, Timeout and SlowFactor apply; the link-fault knobs
+// do not.
 //
-// Factor scales the *measured* healthy tile p99, not BaseDelay: the
-// injected node's per-tile service time becomes Factor×p99 while the
+// SlowFactor scales the *measured* healthy tile p99, not BaseDelay: the
+// injected node's per-tile service time becomes SlowFactor×p99 while the
 // objective sits at 2.5×p99, so the slow node is unambiguously bad and
 // the healthy nodes unambiguously good regardless of how loaded the
 // host running the experiment is.
-type SLOBenchConfig struct {
-	Nodes      int           // cluster size (default 4)
-	BaseDelay  time.Duration // healthy per-tile Conv service time (default 2ms)
-	Factor     float64       // injected service time, ×(baseline p99) (default 5)
-	FastWindow time.Duration // SLO fast burn window (default 500ms)
-	SlowWindow time.Duration // SLO slow burn window (default 2s)
-	Baseline   time.Duration // healthy traffic before calibration (default 1.5×slow)
-	Timeout    time.Duration // per-phase wait bound (default 6×slow)
-}
-
-func (c *SLOBenchConfig) fill() {
-	if c.Nodes <= 0 {
-		c.Nodes = 4
-	}
-	if c.BaseDelay <= 0 {
-		c.BaseDelay = 2 * time.Millisecond
-	}
-	if c.Factor <= 1 {
-		c.Factor = 5
-	}
-	if c.FastWindow <= 0 {
-		c.FastWindow = 500 * time.Millisecond
-	}
-	if c.SlowWindow <= 0 {
-		c.SlowWindow = 2 * time.Second
-	}
-	if c.Baseline <= 0 {
-		c.Baseline = c.SlowWindow + c.SlowWindow/2
-	}
-	if c.Timeout <= 0 {
-		c.Timeout = 6 * c.SlowWindow
-	}
-}
+type SLOBenchConfig = ChaosBenchConfig
 
 // SLOTimedTransition is one engine transition stamped relative to the
 // run clock.
@@ -111,7 +75,9 @@ type SLOBenchReport struct {
 	Transitions []SLOTimedTransition `json:"transitions"`
 }
 
-// SLOBench runs the slow-node injection experiment.
+// SLOBench runs the slow-node injection experiment on the drill rig,
+// with speed-only dispatch and no link probes: the SLO engine and the
+// health scorer are what is being measured.
 func SLOBench(cfg SLOBenchConfig) (*SLOBenchReport, error) {
 	cfg.fill()
 	rep := &SLOBenchReport{
@@ -121,133 +87,46 @@ func SLOBench(cfg SLOBenchConfig) (*SLOBenchReport, error) {
 		Grid:         "2x2",
 		Nodes:        cfg.Nodes,
 		BaseDelayMs:  ms(cfg.BaseDelay),
-		Factor:       cfg.Factor,
+		Factor:       cfg.SlowFactor,
 		FastWindowMs: ms(cfg.FastWindow),
 		SlowWindowMs: ms(cfg.SlowWindow),
 		InjectNode:   cfg.Nodes - 1,
 	}
-
-	// One tile per node: the injected node's slowdown lands on exactly
-	// its share of tiles, so the bad fraction is 1/Nodes by design.
-	opt := models.Options{Grid: fdsp.Grid{Rows: 2, Cols: 2}}
-	reg := telemetry.NewRegistry()
-	met := core.NewMetrics(reg)
-	c, workers, stop, err := streamRuntime(opt, cfg.Nodes, func(w *core.Worker) {
-		w.Delay = cfg.BaseDelay
-		w.Metrics = met
-	})
+	rig, err := newDrillRig(cfg, core.CentralConfig{})
 	if err != nil {
 		return nil, err
 	}
-	defer stop()
-	c.SetMetrics(met)
-	flight := telemetry.NewFlightRecorder(0)
-	c.SetFlightRecorder(flight)
-
-	// Continuous traffic until the run ends. paceNs, once set, caps the
-	// image rate at one per pace period: the injection slows the cluster
-	// down, and without pacing that rate shift skews the good/bad tile
-	// mix inside the burn windows and stretches the measured detection
-	// latency for reasons that have nothing to do with the SLO engine.
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	var paceNs atomic.Int64
-	x := tensor.New(1, 3, 32, 32)
-	x.RandN(rand.New(rand.NewSource(7)), 1)
-	images := 0
-	trafficDone := make(chan error, 1)
-	go func() {
-		for ctx.Err() == nil {
-			t0 := time.Now()
-			if _, _, err := c.Infer(x); err != nil {
-				if ctx.Err() == nil {
-					trafficDone <- err
-					return
-				}
-				break
-			}
-			images++
-			if p := paceNs.Load(); p > 0 {
-				if d := time.Duration(p) - time.Since(t0); d > 0 {
-					wait(ctx, d)
-				}
-			}
-		}
-		trafficDone <- nil
-	}()
-	start := time.Now()
-	since := func(t time.Time) float64 { return ms(t.Sub(start)) }
+	defer rig.stop()
+	injected := rig.nodes[rep.InjectNode].w
 
 	// Phase 1 — healthy baseline: warm the EWMAs and the windows, then
 	// calibrate everything off the observed healthy p99: the objective at
 	// 2.5×p99, the injected service time at Factor×p99 (Factor=5 puts bad
-	// tiles at 2× the threshold), and the paced image period comfortably
-	// above the injected delay so throughput holds through the injection.
-	wait(ctx, cfg.Baseline)
-	p99 := met.TileLatencyWindow.Quantile(cfg.SlowWindow, 0.99)
-	if p99 <= 0 || p99 != p99 {
-		cancel()
-		<-trafficDone
-		return nil, fmt.Errorf("experiments: no baseline traffic (p99=%v)", p99)
+	// tiles at 2× the threshold), and the paced image period at 1.5× the
+	// injected delay so throughput holds through the injection.
+	var cal ChaosDrillResult
+	if err := rig.calibrate(&cal, 1.5*cfg.SlowFactor); err != nil {
+		return nil, fmt.Errorf("experiments: %w", err)
 	}
-	rep.BaselineP99Ms = p99 * 1e3
-	threshold := 2.5 * p99
-	rep.ThresholdMs = threshold * 1e3
-	injectDelay := time.Duration(cfg.Factor * p99 * float64(time.Second))
+	rep.BaselineP99Ms, rep.ThresholdMs = cal.BaselineP99Ms, cal.ThresholdMs
+	injectDelay := time.Duration(cfg.SlowFactor * rig.p99 * float64(time.Second))
 	rep.InjectedDelayMs = ms(injectDelay)
-	pace := injectDelay + injectDelay/2
-	paceNs.Store(int64(pace))
-	rep.PaceMs = ms(pace)
-
-	engine := core.NewSLOEngine(met, core.SLOConfig{
-		TileP99:    threshold,
-		MissBudget: -1, // latency objective only: no tiles are dropped here
-		FastWindow: cfg.FastWindow,
-		SlowWindow: cfg.SlowWindow,
-	})
-	c.WireSLO(engine)
-	var mu sync.Mutex
-	var transitions []SLOTimedTransition
-	engine.Subscribe(func(tr telemetry.SLOTransition) {
-		mu.Lock()
-		transitions = append(transitions, SLOTimedTransition{AtMs: since(tr.At), SLOTransition: tr})
-		mu.Unlock()
-	})
-	go engine.Run(ctx, cfg.FastWindow/10)
-
-	// Let the engine judge the healthy state and let a full slow window
-	// of paced traffic accumulate, so the windows hold a uniform-density
-	// stream when the injection hits.
-	wait(ctx, cfg.SlowWindow)
+	rep.PaceMs = ms(time.Duration(rig.pace.Load()))
 
 	// Phase 2 — inject: the last node serves tiles at Factor× the
 	// healthy p99.
-	injectAt := time.Now()
-	rep.InjectAtMs = since(injectAt)
-	workers[rep.InjectNode].SetDelay(injectDelay)
-
-	seen := func(to telemetry.SLOState, after float64) (float64, bool) {
-		mu.Lock()
-		defer mu.Unlock()
-		for _, tr := range transitions {
-			if tr.To == to && tr.AtMs >= after {
-				return tr.AtMs, true
-			}
-		}
-		return 0, false
-	}
-	breachAt, ok := waitFor(ctx, cfg.Timeout, func() (float64, bool) {
-		return seen(telemetry.SLOBreach, rep.InjectAtMs)
+	rep.InjectAtMs = rig.sinceMs(time.Now())
+	injected.SetDelay(injectDelay)
+	breachAt, ok := waitFor(rig.ctx, cfg.Timeout, func() (float64, bool) {
+		return rig.seen(telemetry.SLOBreach, rep.InjectAtMs)
 	})
 	if ok {
 		rep.BreachAtMs = breachAt
 		rep.DetectionMs = breachAt - rep.InjectAtMs
 		rep.WithinTwoFastWin = rep.DetectionMs <= 2*ms(cfg.FastWindow)
-		if at, ok := seen(telemetry.SLOWarn, rep.InjectAtMs); ok {
-			rep.WarnAtMs = at
-		}
-		rep.HealthAtBreach = c.Health().Scores()
-		node, _, phase := c.Health().Worst()
+		rep.WarnAtMs, _ = rig.seen(telemetry.SLOWarn, rep.InjectAtMs)
+		rep.HealthAtBreach = rig.c.Health().Scores()
+		node, _, phase := rig.c.Health().Worst()
 		rep.WorstNodeAtBreach = node
 		rep.WorstIsInjected = node == rep.InjectNode
 		rep.WorstPhaseAtBreach = phase
@@ -255,25 +134,22 @@ func SLOBench(cfg SLOBenchConfig) (*SLOBenchReport, error) {
 
 	// Phase 3 — recover: restore the node and wait for the breach to
 	// drain out of the slow window.
-	recoverStart := time.Now()
-	workers[rep.InjectNode].SetDelay(cfg.BaseDelay)
+	healAt := rig.sinceMs(time.Now())
+	injected.SetDelay(cfg.BaseDelay)
 	if ok {
-		if at, found := waitFor(ctx, cfg.Timeout, func() (float64, bool) {
-			return seen(telemetry.SLOOK, since(recoverStart))
-		}); found {
-			rep.RecoverAtMs = at
-		}
+		rep.RecoverAtMs, _ = waitFor(rig.ctx, cfg.Timeout, func() (float64, bool) {
+			return rig.seen(telemetry.SLOOK, healAt)
+		})
 	}
 
-	cancel()
-	if err := <-trafficDone; err != nil {
-		return nil, err
+	if n := rig.failed.Load(); n > 0 {
+		return nil, fmt.Errorf("experiments: %d images failed during the SLO bench", n)
 	}
-	rep.Images = images
-	rep.FlightDumps = len(flight.Dumps())
-	mu.Lock()
-	rep.Transitions = transitions
-	mu.Unlock()
+	rep.Images = int(rig.images.Load())
+	rep.FlightDumps = len(rig.flight.Dumps())
+	rig.mu.Lock()
+	rep.Transitions = append(rep.Transitions, rig.transitions...)
+	rig.mu.Unlock()
 	return rep, nil
 }
 
@@ -296,15 +172,6 @@ func waitFor(ctx context.Context, timeout time.Duration, cond func() (float64, b
 		wait(ctx, 10*time.Millisecond)
 	}
 	return cond()
-}
-
-// WriteJSON writes the report, indented, to path.
-func (r *SLOBenchReport) WriteJSON(path string) error {
-	data, err := json.MarshalIndent(r, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
 }
 
 // WriteText renders the detection timeline.

@@ -2,12 +2,9 @@ package experiments
 
 import (
 	"context"
-	"encoding/json"
 	"io"
 	"math/rand"
-	"os"
 	"sort"
-	"sync"
 	"time"
 
 	"adcnn/internal/compress"
@@ -29,7 +26,7 @@ type StreamBenchRun struct {
 // StreamBenchReport pins two properties of the live runtime hot path.
 //
 // First, telemetry overhead: the same image stream is run through a real
-// Central + Conv-node cluster (in-process transport) with telemetry
+// Central + Conv-node cluster (loopback TCP) with telemetry
 // disabled and then fully enabled (metrics registry + tracer + wire
 // metering + compression instruments), and the throughput delta is the
 // cost of observability. The acceptance bound is < 2% regression.
@@ -64,38 +61,6 @@ type StreamBenchReport struct {
 	PhaseMeansMs       map[string]float64 `json:"phase_means_ms,omitempty"`
 	PhaseTiles         int                `json:"phase_tiles,omitempty"`
 	PhaseSumVsTotalPct float64            `json:"phase_sum_vs_total_pct"`
-}
-
-// streamRuntime wires a live Central with n in-process workers. setup,
-// when non-nil, configures each worker (delay, metrics) before its Serve
-// goroutine starts — mutating Worker fields after Serve is running races
-// with its reads.
-func streamRuntime(opt models.Options, n int, setup func(*core.Worker)) (*core.Central, []*core.Worker, func(), error) {
-	m, err := models.Build(models.VGGSim(), opt, 42)
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	conns := make([]core.Conn, n)
-	workers := make([]*core.Worker, n)
-	var wg sync.WaitGroup
-	for i := 0; i < n; i++ {
-		a, b := core.Pipe()
-		conns[i] = a
-		workers[i] = core.NewWorker(i+1, m)
-		if setup != nil {
-			setup(workers[i])
-		}
-		wg.Add(1)
-		go func(w *core.Worker, conn core.Conn) {
-			defer wg.Done()
-			_ = w.Serve(context.Background(), conn)
-		}(workers[i], b)
-	}
-	c, err := core.NewCentral(m, conns, 10*time.Second, 0.9)
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	return c, workers, func() { c.Shutdown(); wg.Wait() }, nil
 }
 
 // summarize folds per-image latencies and the wall clock into a run row.
@@ -174,7 +139,7 @@ func measurePipelined(c *core.Central, images, warmup, depth int) (StreamBenchRu
 // compute that the Central can overlap with its own back layers.
 func livePipelineComparison(opt models.Options, nodes, images, warmup, depth int, delay time.Duration) (seq, pipe StreamBenchRun, err error) {
 	run := func(measure func(*core.Central) (StreamBenchRun, error)) (StreamBenchRun, error) {
-		c, _, stop, err := streamRuntime(opt, nodes, func(w *core.Worker) { w.Delay = delay })
+		c, _, stop, err := liveCentral(opt, nodes, func(w *core.Worker) { w.Delay = delay }, core.CentralConfig{})
 		if err != nil {
 			return StreamBenchRun{}, err
 		}
@@ -216,7 +181,7 @@ func StreamBench(images int, trace *telemetry.Trace) (*StreamBenchReport, error)
 	}
 
 	// Pass 1: telemetry fully disabled.
-	c, _, stop, err := streamRuntime(opt, nodes, nil)
+	c, _, stop, err := liveCentral(opt, nodes, nil, core.CentralConfig{})
 	if err != nil {
 		return nil, err
 	}
@@ -232,18 +197,17 @@ func StreamBench(images int, trace *telemetry.Trace) (*StreamBenchReport, error)
 	met := core.NewMetrics(reg)
 	compress.Instrument(reg)
 	defer compress.Instrument(nil)
-	c, _, stop, err = streamRuntime(opt, nodes, func(w *core.Worker) { w.Metrics = met })
-	if err != nil {
-		return nil, err
-	}
-	c.SetMetrics(met) // also attaches the windowed instruments and health tracker
-	c.SetTrace(trace)
 	// The SLO engine and flight recorder run live during the enabled pass
 	// so the <2% overhead gate covers the whole observability layer, not
 	// just the counters: window rotation, burn evaluation, health EWMAs.
+	c, _, stop, err = liveCentral(opt, nodes, func(w *core.Worker) { w.Metrics = met }, core.CentralConfig{
+		Metrics: met, Trace: trace, Flight: telemetry.NewFlightRecorder(0),
+	})
+	if err != nil {
+		return nil, err
+	}
 	sloCtx, sloStop := context.WithCancel(context.Background())
 	engine := core.NewSLOEngine(met, core.SLOConfig{})
-	c.SetFlightRecorder(telemetry.NewFlightRecorder(0))
 	c.WireSLO(engine)
 	go engine.Run(sloCtx, 0)
 	var phaseSum [core.NumPhases]time.Duration
@@ -309,15 +273,6 @@ func StreamBench(images int, trace *telemetry.Trace) (*StreamBenchReport, error)
 	}
 	rep.PipelineGain = rep.LivePipelined.ThroughputIPS / rep.LiveSequential.ThroughputIPS
 	return rep, nil
-}
-
-// WriteJSON writes the report, indented, to path.
-func (r *StreamBenchReport) WriteJSON(path string) error {
-	data, err := json.MarshalIndent(r, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
 }
 
 // WriteText renders the overhead comparison.

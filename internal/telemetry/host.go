@@ -1,6 +1,8 @@
 package telemetry
 
 import (
+	"encoding/json"
+	"os"
 	"runtime"
 	"runtime/debug"
 
@@ -58,4 +60,14 @@ func HostInfo() Host {
 		}
 	}
 	return h
+}
+
+// WriteJSON writes a benchmark report, indented, to path — the one
+// serializer behind every BENCH_*.json.
+func WriteJSON(path string, report any) error {
+	data, err := json.MarshalIndent(report, "", "  ")
+	if err != nil {
+		return err
+	}
+	return os.WriteFile(path, append(data, '\n'), 0o644)
 }

@@ -7,11 +7,9 @@
 package kernelbench
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 	"math/rand"
-	"os"
 	"runtime"
 	"strings"
 	"testing"
@@ -398,15 +396,6 @@ func (r Report) MinInt8WholeLayerRatio() float64 {
 		}
 	}
 	return min
-}
-
-// WriteJSON writes the report, indented, to path.
-func (r Report) WriteJSON(path string) error {
-	data, err := json.MarshalIndent(r, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
 }
 
 // WriteText renders a human-readable table.
