@@ -6,13 +6,16 @@
 //	adcnn-bench -exp fig11          # one experiment
 //	adcnn-bench -exp accuracy -quick
 //
-// Experiments: fig3, accuracy (= fig10 + table1 + table2), fig11,
-// table3, fig12, fig13, fig14, fig15, stream, slo, chaos, cluster, all.
+// Experiments are listed by -h and by the error for an unknown -exp
+// (accuracy = fig10 + table1 + table2). The ones that produce a report
+// write it to -out, by default BENCH_<exp>.json.
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 
@@ -24,255 +27,256 @@ import (
 	"adcnn/internal/tensor/kernelbench"
 )
 
-func main() {
-	exp := flag.String("exp", "all", "experiment to run (kernels|compress|fig3|fig9|accuracy|fig11|table3|fig12|fig13|fig14|fig15|stream|slo|chaos|cluster|partition|locality|failure|all)")
-	images := flag.Int("images", 50, "images per latency measurement")
-	quick := flag.Bool("quick", false, "small accuracy setup (fast, one model)")
-	seed := flag.Int64("seed", 1, "random seed")
-	kernelsOut := flag.String("kernels-out", "BENCH_kernels.json", "output path for the kernel microbenchmark report (-exp kernels)")
-	int8Gate := flag.Float64("int8-gate", 0, "fail if the minimum whole-layer int8/f32 forward ratio falls below this floor (-exp kernels; 0 disables)")
-	compressOut := flag.String("compress-out", "BENCH_compress.json", "output path for the boundary-codec microbenchmark report (-exp compress)")
-	streamOut := flag.String("stream-out", "BENCH_stream.json", "output path for the live-stream telemetry-overhead report (-exp stream)")
-	sloOut := flag.String("slo-out", "BENCH_slo.json", "output path for the SLO slow-node detection report (-exp slo)")
-	chaosOut := flag.String("chaos-out", "BENCH_chaos.json", "output path for the chaos drill report (-exp chaos)")
-	clusterOut := flag.String("cluster-out", "BENCH_cluster.json", "output path for the multi-replica control-plane report (-exp cluster)")
-	tracePath := flag.String("trace", "", "write a Chrome trace-event JSON timeline from the traced experiments (fig9, stream) to this file")
-	flag.Parse()
+// env is what an experiment runs against: the parsed flags and stdout.
+type env struct {
+	w        io.Writer
+	images   int
+	quick    bool
+	seed     int64
+	int8Gate float64
+	out      string // -out; empty selects the per-experiment default
+	opts     experiments.SimOptions
+	trace    *telemetry.Trace // nil without -trace
+}
 
-	w := os.Stdout
-	opts := experiments.DefaultSimOptions()
-	opts.Seed = *seed
-
-	var trace *telemetry.Trace
-	if *tracePath != "" {
-		trace = telemetry.NewTrace()
-		defer func() {
-			if err := trace.WriteFile(*tracePath); err != nil {
-				fmt.Fprintf(os.Stderr, "write trace: %v\n", err)
-				os.Exit(1)
-			}
-			fmt.Fprintf(w, "wrote %s (%d events)\n", *tracePath, trace.Len())
-		}()
+// report writes an experiment's JSON report to -out, or to
+// BENCH_<name>.json when the flag is unset.
+func (e *env) report(name string, rep any) error {
+	path := reportPath(e.out, name)
+	if err := telemetry.WriteJSON(path, rep); err != nil {
+		return err
 	}
+	fmt.Fprintf(e.w, "wrote %s\n", path)
+	return nil
+}
 
-	run := func(name string, f func() error) {
-		if *exp != "all" && *exp != name {
-			return
-		}
-		fmt.Fprintf(w, "\n==== %s ====\n", strings.ToUpper(name))
-		if err := f(); err != nil {
-			fmt.Fprintf(os.Stderr, "%s: %v\n", name, err)
-			os.Exit(1)
-		}
+func reportPath(out, name string) string {
+	if out != "" {
+		return out
 	}
+	return "BENCH_" + name + ".json"
+}
 
+// text adapts the experiments that only print a result.
+func text[R interface{ WriteText(io.Writer) }](f func(*env) (R, error)) func(*env) error {
+	return func(e *env) error {
+		res, err := f(e)
+		if err != nil {
+			return err
+		}
+		res.WriteText(e.w)
+		return nil
+	}
+}
+
+// accuracySetup is the quick setup the accuracy-derived experiments share.
+func accuracySetup(e *env) experiments.AccuracySetup {
+	setup := experiments.QuickAccuracySetup()
+	setup.Seed = e.seed
+	return setup
+}
+
+// experimentTable is the one list of experiments: the -exp help, the
+// unknown-name error and the dispatcher all read it. solo experiments
+// run only when named, not under -exp all.
+var experimentTable = []struct {
+	name string
+	solo bool
+	run  func(*env) error
+}{
 	// The kernel suite is deliberately not part of -exp all: it pins
 	// GOMAXPROCS while calibrating and takes ~a minute on its own.
-	if *exp == "kernels" {
+	{"kernels", true, func(e *env) error {
 		rep := kernelbench.Run()
-		rep.WriteText(w)
-		if err := telemetry.WriteJSON(*kernelsOut, rep); err != nil {
-			fmt.Fprintf(os.Stderr, "kernels: %v\n", err)
-			os.Exit(1)
+		rep.WriteText(e.w)
+		if err := e.report("kernels", rep); err != nil {
+			return err
 		}
-		fmt.Fprintf(w, "\nwrote %s\n", *kernelsOut)
-		if *int8Gate > 0 {
+		if e.int8Gate > 0 {
 			ratio := rep.MinInt8WholeLayerRatio()
-			if ratio < *int8Gate {
-				fmt.Fprintf(os.Stderr, "kernels: int8 whole-layer ratio %.3fx below gate %.3fx\n", ratio, *int8Gate)
-				os.Exit(1)
+			if ratio < e.int8Gate {
+				return fmt.Errorf("int8 whole-layer ratio %.3fx below gate %.3fx", ratio, e.int8Gate)
 			}
-			fmt.Fprintf(w, "int8 whole-layer gate: min ratio %.3fx >= %.3fx\n", ratio, *int8Gate)
+			fmt.Fprintf(e.w, "int8 whole-layer gate: min ratio %.3fx >= %.3fx\n", ratio, e.int8Gate)
 		}
-		return
-	}
-
+		return nil
+	}},
 	// Likewise for the boundary-codec suite: it measures the fused
 	// encoder/decoder against the retained scalar reference.
-	if *exp == "compress" {
+	{"compress", true, func(e *env) error {
 		rep := codecbench.Run()
-		rep.WriteText(w)
-		if err := telemetry.WriteJSON(*compressOut, rep); err != nil {
-			fmt.Fprintf(os.Stderr, "compress: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Fprintf(w, "\nwrote %s\n", *compressOut)
-		return
-	}
-
-	run("fig3", func() error {
-		experiments.Figure3().WriteText(w)
+		rep.WriteText(e.w)
+		return e.report("compress", rep)
+	}},
+	{"fig3", false, func(e *env) error {
+		experiments.Figure3().WriteText(e.w)
 		return nil
-	})
-	run("fig9", func() error {
-		sim, _, _, err := experiments.NewADCNNSim(models.VGG16(), opts)
+	}},
+	{"fig9", false, func(e *env) error {
+		sim, _, _, err := experiments.NewADCNNSim(models.VGG16(), e.opts)
 		if err != nil {
 			return err
 		}
-		sim.SetTrace(trace)
-		r := sim.RunImage()
-		core.TimelineFor(r).WriteText(w, 64)
+		sim.SetTrace(e.trace)
+		core.TimelineFor(sim.RunImage()).WriteText(e.w, 64)
 		return nil
-	})
-	run("accuracy", func() error {
+	}},
+	{"accuracy", false, text(func(e *env) (*experiments.AccuracyResult, error) {
 		setup := experiments.FullAccuracySetup()
-		if *quick {
+		if e.quick {
 			setup = experiments.QuickAccuracySetup()
 		}
-		setup.Seed = *seed
-		res, err := experiments.RunAccuracy(setup)
+		setup.Seed = e.seed
+		return experiments.RunAccuracy(setup)
+	})},
+	{"fig11", false, text(func(e *env) (*experiments.Figure11Result, error) {
+		return experiments.Figure11(e.images, e.opts)
+	})},
+	{"table3", false, text(func(e *env) (*experiments.Table3Result, error) {
+		return experiments.Table3(e.opts)
+	})},
+	{"fig12", false, text(func(e *env) (*experiments.Figure12Result, error) {
+		return experiments.Figure12(e.images, e.seed)
+	})},
+	{"fig13", false, text(func(e *env) (*experiments.Figure13Result, error) {
+		return experiments.Figure13(e.images, e.opts)
+	})},
+	{"fig14", false, text(func(e *env) (*experiments.Figure14Result, error) {
+		return experiments.Figure14(e.images, e.opts)
+	})},
+	{"fig15", false, text(func(e *env) (*experiments.Figure15Result, error) {
+		return experiments.Figure15(e.images, e.opts)
+	})},
+	{"stream", false, func(e *env) error {
+		res, err := experiments.Throughput(e.images, e.opts)
 		if err != nil {
 			return err
 		}
-		res.WriteText(w)
-		return nil
-	})
-	run("fig11", func() error {
-		res, err := experiments.Figure11(*images, opts)
-		if err != nil {
-			return err
-		}
-		res.WriteText(w)
-		return nil
-	})
-	run("table3", func() error {
-		res, err := experiments.Table3(opts)
-		if err != nil {
-			return err
-		}
-		res.WriteText(w)
-		return nil
-	})
-	run("fig12", func() error {
-		res, err := experiments.Figure12(*images, *seed)
-		if err != nil {
-			return err
-		}
-		res.WriteText(w)
-		return nil
-	})
-	run("fig13", func() error {
-		res, err := experiments.Figure13(*images, opts)
-		if err != nil {
-			return err
-		}
-		res.WriteText(w)
-		return nil
-	})
-	run("fig14", func() error {
-		res, err := experiments.Figure14(*images, opts)
-		if err != nil {
-			return err
-		}
-		res.WriteText(w)
-		return nil
-	})
-	run("fig15", func() error {
-		res, err := experiments.Figure15(*images, opts)
-		if err != nil {
-			return err
-		}
-		res.WriteText(w)
-		return nil
-	})
-	run("stream", func() error {
-		res, err := experiments.Throughput(*images, opts)
-		if err != nil {
-			return err
-		}
-		res.WriteText(w)
+		res.WriteText(e.w)
 		// Live-runtime half: pin the telemetry instrumentation overhead
 		// on the real hot path and persist it for cross-PR tracking.
-		rep, err := experiments.StreamBench(*images, trace)
+		rep, err := experiments.StreamBench(e.images, e.trace)
 		if err != nil {
 			return err
 		}
-		rep.WriteText(w)
-		if err := telemetry.WriteJSON(*streamOut, rep); err != nil {
-			return err
-		}
-		fmt.Fprintf(w, "wrote %s\n", *streamOut)
-		return nil
-	})
-	run("slo", func() error {
-		// Gray-failure drill: inject a slow node into a live cluster and
-		// measure how fast the burn-rate SLO engine detects it, whether
-		// the health scorer blames the right node, and how fast the
-		// breach clears after recovery.
+		rep.WriteText(e.w)
+		return e.report("stream", rep)
+	}},
+	// Gray-failure drill: inject a slow node into a live cluster and
+	// measure how fast the burn-rate SLO engine detects it, whether the
+	// health scorer blames the right node, and how fast the breach
+	// clears after recovery.
+	{"slo", false, func(e *env) error {
 		rep, err := experiments.SLOBench(experiments.SLOBenchConfig{})
 		if err != nil {
 			return err
 		}
-		rep.WriteText(w)
-		if err := telemetry.WriteJSON(*sloOut, rep); err != nil {
-			return err
-		}
-		fmt.Fprintf(w, "wrote %s\n", *sloOut)
-		return nil
-	})
-	run("chaos", func() error {
-		// Scripted fault schedule against the live TCP runtime: node
-		// crash/restart, bandwidth collapse, clock skew, and a slow-node
-		// gray failure, each asserting the telemetry stack saw what
-		// happened (link estimates, audit attribution, breach + blame,
-		// recovery).
+		rep.WriteText(e.w)
+		return e.report("slo", rep)
+	}},
+	// Scripted fault schedule against the live TCP runtime: node
+	// crash/restart, bandwidth collapse, clock skew, and a slow-node
+	// gray failure, each asserting the telemetry stack saw what happened
+	// (link estimates, audit attribution, breach + blame, recovery).
+	{"chaos", false, func(e *env) error {
 		rep, err := experiments.ChaosBench(experiments.ChaosBenchConfig{})
 		if err != nil {
 			return err
 		}
-		rep.WriteText(w)
-		if err := telemetry.WriteJSON(*chaosOut, rep); err != nil {
+		rep.WriteText(e.w)
+		if err := e.report("chaos", rep); err != nil {
 			return err
 		}
-		fmt.Fprintf(w, "wrote %s\n", *chaosOut)
 		if !rep.Pass {
-			return fmt.Errorf("drill assertions failed (see %s)", *chaosOut)
+			return fmt.Errorf("drill assertions failed (see %s)", reportPath(e.out, "chaos"))
 		}
 		return nil
-	})
-	run("cluster", func() error {
-		// Control-plane sharding: single vs dual Central replica
-		// throughput over one shared live-TCP Conv pool, plus the 3:1
-		// origin-imbalance work-stealing pass.
-		rep, err := experiments.ClusterBench(*images * 4)
+	}},
+	// Control-plane sharding: single vs dual Central replica throughput
+	// over one shared live-TCP Conv pool, plus the 3:1 origin-imbalance
+	// work-stealing pass.
+	{"cluster", false, func(e *env) error {
+		rep, err := experiments.ClusterBench(e.images * 4)
 		if err != nil {
 			return err
 		}
-		rep.WriteText(w)
-		if err := telemetry.WriteJSON(*clusterOut, rep); err != nil {
-			return err
+		rep.WriteText(e.w)
+		return e.report("cluster", rep)
+	}},
+	{"locality", false, text(func(e *env) (*experiments.LocalityResult, error) {
+		return experiments.FeatureLocality(accuracySetup(e))
+	})},
+	{"partition", false, text(func(e *env) (*experiments.PartitioningResult, error) {
+		return experiments.ComparePartitioning(accuracySetup(e))
+	})},
+	{"failure", false, text(func(e *env) (*experiments.FailureResult, error) {
+		return experiments.FailureSweep(accuracySetup(e), 4)
+	})},
+}
+
+// experimentNames renders the table's names (plus "all") for the flag
+// help and the unknown-name error.
+func experimentNames() string {
+	names := make([]string, 0, len(experimentTable)+1)
+	for _, x := range experimentTable {
+		names = append(names, x.name)
+	}
+	return strings.Join(append(names, "all"), "|")
+}
+
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+// run is main with its inputs and outputs as arguments; it returns the
+// exit code: 0 on success, 1 when an experiment fails, 2 on bad usage.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("adcnn-bench", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	exp := fs.String("exp", "all", "experiment to run ("+experimentNames()+")")
+	e := &env{w: stdout}
+	fs.IntVar(&e.images, "images", 50, "images per latency measurement")
+	fs.BoolVar(&e.quick, "quick", false, "small accuracy setup (fast, one model)")
+	fs.Int64Var(&e.seed, "seed", 1, "random seed")
+	fs.StringVar(&e.out, "out", "", "output path for the experiment's JSON report (default BENCH_<exp>.json; needs a single -exp)")
+	fs.Float64Var(&e.int8Gate, "int8-gate", 0, "fail if the minimum whole-layer int8/f32 forward ratio falls below this floor (-exp kernels; 0 disables)")
+	tracePath := fs.String("trace", "", "write a Chrome trace-event JSON timeline from the traced experiments (fig9, stream) to this file")
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
 		}
-		fmt.Fprintf(w, "wrote %s\n", *clusterOut)
-		return nil
-	})
-	run("locality", func() error {
-		setup := experiments.QuickAccuracySetup()
-		setup.Seed = *seed
-		res, err := experiments.FeatureLocality(setup)
-		if err != nil {
-			return err
+		return 2
+	}
+	selected := experimentTable[:0:0]
+	for _, x := range experimentTable {
+		if *exp == x.name || (*exp == "all" && !x.solo) {
+			selected = append(selected, x)
 		}
-		res.WriteText(w)
-		return nil
-	})
-	run("partition", func() error {
-		setup := experiments.QuickAccuracySetup()
-		setup.Seed = *seed
-		res, err := experiments.ComparePartitioning(setup)
-		if err != nil {
-			return err
+	}
+	if len(selected) == 0 {
+		fmt.Fprintf(stderr, "adcnn-bench: unknown experiment %q; valid: %s\n", *exp, experimentNames())
+		return 2
+	}
+	if *exp == "all" && e.out != "" {
+		fmt.Fprintln(stderr, "adcnn-bench: -out names one report; pick a single -exp")
+		return 2
+	}
+	e.opts = experiments.DefaultSimOptions()
+	e.opts.Seed = e.seed
+	if *tracePath != "" {
+		e.trace = telemetry.NewTrace()
+	}
+	for _, x := range selected {
+		fmt.Fprintf(stdout, "\n==== %s ====\n", strings.ToUpper(x.name))
+		if err := x.run(e); err != nil {
+			fmt.Fprintf(stderr, "%s: %v\n", x.name, err)
+			return 1
 		}
-		res.WriteText(w)
-		return nil
-	})
-	run("failure", func() error {
-		setup := experiments.QuickAccuracySetup()
-		setup.Seed = *seed
-		res, err := experiments.FailureSweep(setup, 4)
-		if err != nil {
-			return err
+	}
+	if e.trace != nil {
+		if err := e.trace.WriteFile(*tracePath); err != nil {
+			fmt.Fprintf(stderr, "write trace: %v\n", err)
+			return 1
 		}
-		res.WriteText(w)
-		return nil
-	})
+		fmt.Fprintf(stdout, "wrote %s (%d events)\n", *tracePath, e.trace.Len())
+	}
+	return 0
 }

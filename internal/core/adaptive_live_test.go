@@ -30,7 +30,7 @@ func TestLiveRuntimeAdaptsToSlowWorker(t *testing.T) {
 		conns[i] = a
 		w := NewWorker(i+1, m)
 		if i == workers-1 {
-			w.Delay = 80 * time.Millisecond // last node is far slower per tile
+			w.SetDelay(80 * time.Millisecond) // last node is far slower per tile
 		}
 		wg.Add(1)
 		go func() { defer wg.Done(); _ = w.Serve(context.Background(), b) }()

@@ -43,7 +43,6 @@ type Cluster struct {
 	entitled []float64 // scalar per-replica entitlement from the last rebalance
 
 	admit []chan struct{} // per-origin admission tokens, cap QueueCap
-	slots []chan struct{} // per-replica execution slots, cap pipeline depth
 
 	steals []atomic.Int64
 
@@ -154,7 +153,6 @@ func NewCluster(build func(r int) (*Central, error), opts ClusterOptions) (*Clus
 		opts:     opts,
 		queues:   make([][]*clusterItem, opts.Replicas),
 		admit:    make([]chan struct{}, opts.Replicas),
-		slots:    make([]chan struct{}, opts.Replicas),
 		steals:   make([]atomic.Int64, opts.Replicas),
 		entitled: make([]float64, opts.Replicas),
 		ctx:      ctx,
@@ -176,10 +174,6 @@ func NewCluster(build func(r int) (*Central, error), opts ClusterOptions) (*Clus
 		c.replicas[r] = cen
 		c.pipes[r] = NewPipeline(cen, opts.Depth)
 		c.admit[r] = make(chan struct{}, opts.QueueCap)
-		c.slots[r] = make(chan struct{}, c.pipes[r].Depth())
-		for i := 0; i < c.pipes[r].Depth(); i++ {
-			c.slots[r] <- struct{}{}
-		}
 	}
 	c.applyShares(sched.FairShares(c.replicas[0].NumNodes(), opts.Replicas), nil)
 	for r := 0; r < opts.Replicas; r++ {
@@ -203,17 +197,6 @@ func (c *Cluster) Steals() []int64 {
 	out := make([]int64, len(c.steals))
 	for r := range c.steals {
 		out[r] = c.steals[r].Load()
-	}
-	return out
-}
-
-// QueueDepths snapshots the undispatched queue length per replica.
-func (c *Cluster) QueueDepths() []int {
-	c.qmu.Lock()
-	defer c.qmu.Unlock()
-	out := make([]int, len(c.queues))
-	for r := range c.queues {
-		out[r] = len(c.queues[r])
 	}
 	return out
 }
@@ -302,29 +285,34 @@ func (c *Cluster) popLocked(from, by int) *clusterItem {
 	return it
 }
 
-// dispatch is replica r's executor: reserve an execution slot, pop (or
-// steal) an image, submit it through r's pipeline, and deliver the
-// result from a waiter goroutine so the next image can dispatch while
-// this one's results are still arriving.
+// dispatch is replica r's executor: reserve a slot in r's pipeline, pop
+// (or steal) an image, submit it into the reserved slot, and deliver
+// the result from a waiter goroutine so the next image can dispatch
+// while this one's results are still arriving.
 //
-// The slot acquisition MUST precede take(): a dispatcher whose
-// pipeline is at depth would otherwise still grab an item — possibly
-// stealing it — and then block in Submit holding it hostage, while the
-// item's origin replica sits idle and could have run it immediately.
-// Reserving capacity first means only a replica that can actually
-// start an image competes for one.
+// The reservation MUST precede take(): a dispatcher whose pipeline is
+// at depth would otherwise still grab an item — possibly stealing it —
+// and then block in Submit holding it hostage, while the item's origin
+// replica sits idle and could have run it immediately. Reserving
+// capacity first means only a replica that can actually start an image
+// competes for one. The pipeline's own admission bound is that
+// capacity; the slot comes back when the image's Wait finishes.
 func (c *Cluster) dispatch(r int) {
 	defer c.dispWG.Done()
 	for {
-		<-c.slots[r]
+		// Reserve fails only once the replica is shut down, and then every
+		// image this dispatcher still takes fails the same way.
+		err := c.pipes[r].Reserve(context.Background())
 		it := c.take(r)
 		if it == nil {
 			return
 		}
 		start := time.Now()
-		h, err := c.pipes[r].Submit(context.Background(), it.x)
+		var h *Inflight
+		if err == nil {
+			h, err = c.pipes[r].SubmitReserved(context.Background(), it.x)
+		}
 		if err != nil {
-			c.slots[r] <- struct{}{}
 			it.ch <- ClusterResult{Origin: it.origin, Replica: r, Err: err}
 			continue
 		}
@@ -332,7 +320,6 @@ func (c *Cluster) dispatch(r int) {
 		go func(it *clusterItem) {
 			defer c.waitWG.Done()
 			out, stats, werr := h.Wait()
-			c.slots[r] <- struct{}{}
 			if c.met != nil {
 				c.met.images.With(replicaLabel(r)).Inc()
 				c.met.latency.With(replicaLabel(r)).ObserveDuration(time.Since(start).Nanoseconds())

@@ -135,7 +135,7 @@ func TestWaitAfterShutdownFailsFast(t *testing.T) {
 		a, b := Pipe()
 		conns[i] = a
 		w := NewWorker(i+1, m)
-		w.Delay = 500 * time.Millisecond
+		w.SetDelay(500 * time.Millisecond)
 		wg.Add(1)
 		go func() { defer wg.Done(); _ = w.Serve(context.Background(), b) }()
 	}

@@ -73,20 +73,18 @@ func FuzzReadMessage(f *testing.F) {
 func FuzzDecodeTensor(f *testing.F) {
 	x := tensor.New(2, 3)
 	x.Data[0] = 1.5
-	f.Add(EncodeTensor(x))
+	f.Add(AppendTensor(nil, x))
 	f.Add([]byte{})
 	f.Add([]byte{1, 255, 255, 255, 255})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		// Guard against absurd allocations from corrupt shape headers:
-		// DecodeTensor validates total length, so a huge declared volume
-		// with a short payload errors before allocating... the tensor.New
-		// happens after the length check.
-		y, err := DecodeTensor(data)
-		if err != nil {
+		// DecodeTensorInto validates total length, so a huge declared
+		// volume with a short payload errors before allocating.
+		y, z := new(tensor.Tensor), new(tensor.Tensor)
+		if err := DecodeTensorInto(y, data); err != nil {
 			return
 		}
-		z, err := DecodeTensor(EncodeTensor(y))
-		if err != nil || !z.Equal(y, 0) {
+		if err := DecodeTensorInto(z, AppendTensor(nil, y)); err != nil || !z.Equal(y, 0) {
 			t.Fatal("tensor round trip failed")
 		}
 	})

@@ -153,7 +153,7 @@ func TestHaloModeDeadlineMissIsAnError(t *testing.T) {
 	}
 	a, b := Pipe()
 	w := NewWorker(1, m)
-	w.Delay = 100 * time.Millisecond
+	w.SetDelay(100 * time.Millisecond)
 	var wg sync.WaitGroup
 	wg.Add(1)
 	go func() { defer wg.Done(); _ = w.Serve(context.Background(), b) }()

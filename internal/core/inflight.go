@@ -20,7 +20,7 @@ import (
 // An image moves through one tile lifecycle, each step a method below:
 //
 //	InferAsync: layout → allocate → dispatch (encodeTile + place per tile)
-//	Wait:       settle (settleTile per arrival) → updateStats → assemble → back
+//	Wait:       settle (settleTile per arrival) → assemble → back → updateStats
 //
 // FDSP and halo execution differ only in layout (halo extends each
 // tile's source region) and assemble (halo crops instead of
@@ -40,11 +40,6 @@ type Inflight struct {
 	dispatchAt []time.Time // per tile, for round-trip accounting
 	start      time.Time
 	release    func() // pipeline admission slot, may be nil
-
-	// Link-aware allocation context (nil when the mode is off or no
-	// estimates existed at dispatch), recorded in the audit trail.
-	linkSecs  []float64
-	effSpeeds []float64
 
 	// What settle has gathered so far; the rest of the tally (results
 	// per node, result bytes, the breakdown) accumulates in stats.
@@ -130,30 +125,33 @@ func (h *Inflight) layout(x *tensor.Tensor) error {
 	return nil
 }
 
-// allocate is the input-partition block: tiles go to nodes by current
-// stats (Algorithm 3), skipping nodes whose sessions are down and
-// scaling by the cluster share when one is installed. In link-aware
-// mode the speeds are derated by each node's measured transfer cost
-// first, so a node behind a collapsed link sheds tiles even while its
-// compute-rate estimate still looks healthy. Returns tile → node.
+// allocate is the input-partition block: the driver plans the split
+// (Algorithm 3 on the current stats, skipping nodes whose sessions are
+// down — see sched.Driver.Plan) from this image's view of the
+// membership and its links. Returns tile → node.
 func (h *Inflight) allocate(sessions []*nodeSession) ([]int, error) {
 	c := h.c
-	c.mu.Lock()
-	c.probationRevivesLocked(sessions, h.start)
-	speeds := c.aliveSpeedsLocked(sessions)
-	if c.linkAware.Load() {
-		h.linkSecs = c.linkSecsLocked(sessions)
-		if h.effSpeeds = sched.EffectiveSpeeds(speeds, h.linkSecs, c.latEWMA); h.effSpeeds != nil {
-			speeds = h.effSpeeds
-		}
+	nodes := make([]sched.NodeView, len(sessions))
+	for k, s := range sessions {
+		nodes[k].Alive = s.Alive()
+		nodes[k].UpBps, nodes[k].DownBps = s.link.rates()
 	}
-	alloc, err := sched.Allocate(len(h.tiles), speeds, 0, nil, nil)
-	c.mu.Unlock()
+	plan, err := c.driver.Plan(h.start, h.img, len(h.tiles), nodes, 0, nil)
 	if err != nil {
 		return nil, fmt.Errorf("core: allocation: %w", err)
 	}
+	// A node revived on probation is measured afresh: its link estimate
+	// predates the starvation (the plan already ignored it).
+	for _, k := range plan.Revived {
+		sessions[k].link.reset()
+		if c.metrics != nil {
+			c.metrics.Revives.With(nodeLabel(k)).Inc()
+		}
+		c.flight.Record("probation-revive", 0, 0, k,
+			"starved speed estimate: re-admitting node at cold-start weight")
+	}
 	assignment := make([]int, 0, len(h.tiles))
-	for k, n := range alloc {
+	for k, n := range plan.Alloc {
 		for j := 0; j < n; j++ {
 			assignment = append(assignment, k)
 		}
@@ -280,8 +278,9 @@ func (h *Inflight) collect() (*tensor.Tensor, error) {
 	}
 	var merged *tensor.Tensor
 	if err == nil {
-		h.updateStats()
-		merged, err = h.assemble()
+		if merged, err = h.assemble(); err != nil {
+			h.updateStats(0) // a failed image is no latency reference
+		}
 	}
 	if err != nil {
 		h.stats.Latency = time.Since(h.start)
@@ -291,9 +290,7 @@ func (h *Inflight) collect() (*tensor.Tensor, error) {
 
 	latency := time.Since(h.start)
 	h.stats.Latency = latency
-	c.mu.Lock()
-	c.latEWMA = latRefEWMA(c.latEWMA, latency.Seconds())
-	c.mu.Unlock()
+	h.updateStats(latency)
 	if c.metrics != nil {
 		c.metrics.ImageLatency.ObserveDuration(latency.Nanoseconds())
 	}
@@ -379,23 +376,16 @@ func (h *Inflight) settleTile(a arrival) {
 	}
 }
 
-// updateStats is the statistics-collection block (Algorithm 2), plus
-// the transfer-cost calibration the link-aware allocator reads: average
-// payload bytes per tile in each direction this image.
-func (h *Inflight) updateStats() {
-	c := h.c
-	c.mu.Lock()
-	c.Stats.Update(h.stats.Received)
-	speeds := c.Stats.Speeds()
+// updateStats is the statistics-collection block: the image's per-node
+// tally goes to Algorithm 2, and its average payload bytes per tile in
+// each direction and its latency calibrate the transfer cost the
+// link-aware allocator reads (see sched.Driver.Settle).
+func (h *Inflight) updateStats(latency time.Duration) {
+	var up, down float64
 	if h.got > 0 {
-		c.upBytesEWMA = calibEWMA(c.upBytesEWMA, float64(h.taskWire)/float64(h.got))
-		c.downBytesEWMA = calibEWMA(c.downBytesEWMA, float64(h.stats.WireBytes)/float64(h.got))
+		up, down = float64(h.taskWire)/float64(h.got), float64(h.stats.WireBytes)/float64(h.got)
 	}
-	c.mu.Unlock()
-	if met := c.metrics; met != nil {
-		met.Sched.ObserveSpeeds(speeds)
-		met.Sched.ObserveAllocationLink(h.stats.Alloc, speeds, h.effSpeeds, h.linkSecs, h.img)
-	}
+	h.c.driver.Settle(h.stats.Received, up, down, latency)
 }
 
 // assemble turns the settled tiles into the back layers' input. Under

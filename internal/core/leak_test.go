@@ -111,7 +111,7 @@ func TestNoGoroutineLeakAfterMembershipChurn(t *testing.T) {
 	// queued on it are genuinely unsettled when we retire it below.
 	a, b := Pipe()
 	w := NewWorker(3, m)
-	w.Delay = 2 * time.Millisecond
+	w.SetDelay(2 * time.Millisecond)
 	var wwg sync.WaitGroup
 	wwg.Add(1)
 	go func() { defer wwg.Done(); _ = w.Serve(context.Background(), b) }()

@@ -55,9 +55,7 @@ func (c *Central) addSession(conn Conn, dial Dialer) int {
 func (c *Central) AddNode(conn Conn, dial Dialer) int {
 	// Grow the estimate before publishing the session so a concurrent
 	// allocation never sees a node without a speed.
-	c.mu.Lock()
-	c.Stats.Add()
-	c.mu.Unlock()
+	c.driver.Add()
 	c.health.Grow(1)
 	k := c.addSession(conn, dial)
 	c.flight.Record("node-join", 0, -1, k, "")
@@ -82,9 +80,7 @@ func (c *Central) RemoveNode(k int) bool {
 // re-enters the allocation (the EWMA of a dead node decays toward zero
 // and would otherwise never assign it work again).
 func (c *Central) reviveNode(k int) {
-	c.mu.Lock()
-	c.Stats.Revive(k)
-	c.mu.Unlock()
+	c.driver.Revive(k)
 	if c.metrics != nil {
 		c.metrics.Reconnects.With(nodeLabel(k)).Inc()
 	}

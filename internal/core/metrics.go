@@ -122,10 +122,6 @@ func newMetrics(reg *telemetry.Registry, replica string) *Metrics {
 		}
 		return reg.HistogramVec(name, help, nil, append([]string{"replica"}, labels...)...).Curry(replica)
 	}
-	mon := sched.NewMonitor
-	if replica != "" {
-		mon = func(reg *telemetry.Registry) *sched.Monitor { return sched.NewReplicaMonitor(reg, replica) }
-	}
 	m := &Metrics{
 		Registry:        reg,
 		replica:         replica,
@@ -148,7 +144,7 @@ func newMetrics(reg *telemetry.Registry, replica string) *Metrics {
 		LinkUp:          gaugeVec("adcnn_central_link_up_bytes_per_second", "EWMA uplink transfer rate to each Conv node, estimated from tile phase timings (0 = unknown or stale).", "node"),
 		LinkDown:        gaugeVec("adcnn_central_link_down_bytes_per_second", "EWMA downlink transfer rate from each Conv node, estimated from tile phase timings (0 = unknown or stale).", "node"),
 		LinkProbes:      counterVec("adcnn_central_link_probes_total", "Link probe echoes received per Conv node.", "node"),
-		Sched:           mon(reg),
+		Sched:           sched.NewMonitor(reg, replica),
 
 		TileLatencyWindow: telemetry.NewWindowedHistogram(windowSpan, windowSlots, nil),
 		TilesOKWindow:     telemetry.NewWindowedCounter(windowSpan, windowSlots),
@@ -198,11 +194,6 @@ const (
 )
 
 var dirNames = [2]string{"sent", "recv"}
-
-// NewWireMetrics registers the wire counters on reg.
-func NewWireMetrics(reg *telemetry.Registry) *WireMetrics {
-	return newWireMetrics(reg, "")
-}
 
 func newWireMetrics(reg *telemetry.Registry, replica string) *WireMetrics {
 	vec := func(name, help string, labels ...string) *telemetry.CounterVec {

@@ -170,7 +170,7 @@ func TestClusterStealsDrainsAndRejectsAfterShutdown(t *testing.T) {
 	servers := make([]*NodeServer, nodes)
 	for i := range servers {
 		w := NewWorker(i+1, m)
-		w.Delay = 2 * time.Millisecond // make images slow enough to queue
+		w.SetDelay(2 * time.Millisecond) // make images slow enough to queue
 		servers[i] = NewNodeServer(w, 0)
 	}
 	ctx, cancel := context.WithCancel(context.Background())

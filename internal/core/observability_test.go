@@ -285,7 +285,7 @@ func TestResultEchoesTraceContext(t *testing.T) {
 	x.RandN(rand.New(rand.NewSource(15)), 1)
 	tls := m.Opt.Grid.Layout(32, 32)
 	task := &Message{Kind: KindTask, ImageID: 5, TileID: 2, NodeID: 0,
-		TraceID: 0xabc, SpanID: 0xdef, Payload: EncodeTensor(fdsp.ExtractTile(x, tls[2]))}
+		TraceID: 0xabc, SpanID: 0xdef, Payload: AppendTensor(nil, fdsp.ExtractTile(x, tls[2]))}
 	if err := a.Send(task); err != nil {
 		t.Fatal(err)
 	}

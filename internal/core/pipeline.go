@@ -27,40 +27,54 @@ func NewPipeline(c *Central, depth int) *Pipeline {
 	return &Pipeline{C: c, depth: depth, sem: make(chan struct{}, depth)}
 }
 
-// Depth returns the admission bound.
-func (p *Pipeline) Depth() int { return p.depth }
-
-// InFlight returns the number of images currently holding an admission
-// slot (dispatched, Wait not yet finished).
-func (p *Pipeline) InFlight() int { return len(p.sem) }
-
 // Submit blocks until an admission slot frees, then dispatches x's
 // tiles and returns the in-flight handle. The slot is released when the
 // handle's Wait finishes, so at most Depth images overlap. Every
 // successful Submit must be paired with exactly one Wait.
 func (p *Pipeline) Submit(ctx context.Context, x *tensor.Tensor) (*Inflight, error) {
+	if err := p.Reserve(ctx); err != nil {
+		return nil, err
+	}
+	return p.SubmitReserved(ctx, x)
+}
+
+// Reserve blocks until an admission slot frees and takes it without
+// dispatching anything yet, for a caller that must not pick its next
+// image until it can actually start one (see Cluster.dispatch). Every
+// successful Reserve must be followed by exactly one SubmitReserved.
+func (p *Pipeline) Reserve(ctx context.Context) error {
 	select {
 	case p.sem <- struct{}{}:
 	case <-ctx.Done():
-		return nil, ctx.Err()
+		return ctx.Err()
 	case <-p.C.ctx.Done():
-		return nil, p.C.ctx.Err()
+		return p.C.ctx.Err()
 	}
-	if m := p.C.metrics; m != nil {
-		m.PipelineDepth.Set(float64(len(p.sem)))
+	p.observeDepth()
+	return nil
+}
+
+// SubmitReserved is Submit for a caller already holding a slot from
+// Reserve: the slot travels with the returned handle, or is released
+// here when the dispatch fails.
+func (p *Pipeline) SubmitReserved(ctx context.Context, x *tensor.Tensor) (*Inflight, error) {
+	release := func() {
+		<-p.sem
+		p.observeDepth()
 	}
 	h, err := p.C.InferAsync(ctx, x)
 	if err != nil {
-		<-p.sem
+		release()
 		return nil, err
 	}
-	h.release = func() {
-		<-p.sem
-		if m := p.C.metrics; m != nil {
-			m.PipelineDepth.Set(float64(len(p.sem)))
-		}
-	}
+	h.release = release
 	return h, nil
+}
+
+func (p *Pipeline) observeDepth() {
+	if m := p.C.metrics; m != nil {
+		m.PipelineDepth.Set(float64(len(p.sem)))
+	}
 }
 
 // PipelineResult is one streamed inference's outcome, delivered in

@@ -107,8 +107,12 @@ type Central struct {
 	Model *models.Model
 	// TL is the wait deadline for intermediate results; missing tiles are
 	// zero-filled (paper Section 6.1).
-	TL    time.Duration
-	Stats *sched.Stats
+	TL time.Duration
+
+	// driver is the allocation policy (Algorithms 2 and 3, the cluster
+	// share, link-aware derating, probation revival): allocate asks it
+	// for a plan, updateStats settles the image with it.
+	driver *sched.Driver
 
 	grid fdsp.Grid  // the model's grid, or the config's in halo mode
 	halo *haloShape // nil in FDSP mode
@@ -124,33 +128,7 @@ type Central struct {
 
 	imageID  atomic.Uint32
 	inflight atomic.Int64 // images dispatched, Wait not finished
-	mu       sync.Mutex   // guards Stats, share, and allocation
 	backMu   sync.Mutex   // serializes the back-layer compute stage
-
-	// share scales each node's measured speed in the allocator: the
-	// cluster partitioner's per-replica capacity share (nil = this
-	// replica owns every node outright).
-	share []float64
-
-	// linkAware folds per-node transfer costs into the allocation (see
-	// sched.EffectiveSpeeds). Off by default: with no link estimates the
-	// effective speeds equal the measured ones anyway, but the gate keeps
-	// the historical allocation byte-identical for existing callers.
-	linkAware atomic.Bool
-	// Transfer-cost calibration, guarded by mu: EWMA per-tile payload
-	// bytes in each direction, and the EWMA image latency that converts
-	// link seconds into the allocator's 1/s_k units.
-	upBytesEWMA   float64
-	downBytesEWMA float64
-	latEWMA       float64 // seconds
-
-	// probation, guarded by mu, timestamps the last probation revival
-	// per node: an alive node whose Algorithm 2 estimate has starved to
-	// ~zero (it stopped receiving tiles, so its EWMA decayed and the
-	// allocator would never re-measure it) is periodically re-admitted
-	// at the cold-start weight. A handful of probe tiles then either
-	// restore its estimate or the telemetry pushes it back out.
-	probation []time.Time
 
 	// The membership view (membership.go) and the demux that routes
 	// results to per-image collectors. sessions is append-only: RemoveNode
@@ -212,7 +190,6 @@ func (cfg CentralConfig) Start() (*Central, error) {
 	c := &Central{
 		Model:     m,
 		TL:        cfg.TL,
-		Stats:     sched.NewStats(n, cfg.Gamma, float64(grid.Tiles())/float64(n)),
 		grid:      grid,
 		halo:      halo,
 		metrics:   cfg.Metrics,
@@ -222,12 +199,15 @@ func (cfg CentralConfig) Start() (*Central, error) {
 		ctx:       ctx,
 		cancel:    cancel,
 	}
-	c.linkAware.Store(cfg.LinkAware)
 	c.pending.init()
+	var mon *sched.Monitor
 	if met := cfg.Metrics; met != nil {
 		c.pending.stale = met.StaleResults
 		c.health = NewHealthTracker(n, met.NodeHealth)
+		mon = met.Sched
 	}
+	c.driver = sched.NewDriver(n, cfg.Gamma, float64(grid.Tiles())/float64(n), mon)
+	c.driver.SetLinkAware(cfg.LinkAware)
 	cfg.Trace.SetThreadName(0, "central")
 	for k, conn := range cfg.Conns {
 		var dial Dialer
@@ -259,26 +239,15 @@ func newHaloShape(cfg models.Config) *haloShape {
 }
 
 // SetShare installs the cluster partitioner's per-node capacity shares
-// for this replica: node k's measured speed is scaled by share[k] in
-// every subsequent allocation, so a replica granted 40% of a node
-// routes 40% of the tiles it would have routed owning the node alone.
-// A nil or short share leaves the remaining nodes unscaled. Safe to
-// call concurrently with Infer — shares take effect on the next
-// allocation.
-func (c *Central) SetShare(share []float64) {
-	c.mu.Lock()
-	c.share = append(c.share[:0], share...)
-	c.mu.Unlock()
-}
+// for this replica (see sched.Driver.SetShare). Safe to call
+// concurrently with Infer — shares take effect on the next allocation.
+func (c *Central) SetShare(share []float64) { c.driver.SetShare(share) }
 
-// SetLinkAware switches link-aware dispatch: when on, the per-node
-// transfer cost (EWMA tile bytes over the measured link rates) is
-// folded into every subsequent allocation; when off, allocations use
-// the pure-compute cost 1/s_k. Safe to call at any time — the chaos
+// SetLinkAware switches link-aware dispatch (see
+// sched.Driver.SetLinkAware). Safe to call at any time — the chaos
 // harness flips it mid-run to contrast speed-only and link-aware
-// dispatch under the same fault; nodes without converged link estimates
-// keep their pure-compute cost either way.
-func (c *Central) SetLinkAware(on bool) { c.linkAware.Store(on) }
+// dispatch under the same fault.
+func (c *Central) SetLinkAware(on bool) { c.driver.SetLinkAware(on) }
 
 // InFlight reports how many images have been dispatched whose Wait has
 // not finished — the replica's instantaneous load, used by the cluster
@@ -333,152 +302,4 @@ func (c *Central) Shutdown() {
 	for _, s := range c.snapshot() {
 		s.closeConn()
 	}
-}
-
-// calibEWMA folds one calibration sample (per-tile bytes, image
-// latency) into its running estimate; the first sample seeds it.
-const linkCalibAlpha = 0.2
-
-func calibEWMA(cur, sample float64) float64 {
-	if cur <= 0 {
-		return sample
-	}
-	return cur + linkCalibAlpha*(sample-cur)
-}
-
-// latRefEWMA folds an image-latency sample into the reference scale
-// that converts link seconds into allocator cost. Unlike the byte
-// calibration this reference must not chase a fault: a collapsed link
-// inflates image latency, and a reference that follows it makes the
-// collapsed link's transfer cost look proportionally cheap, neutering
-// the derating exactly when it is needed — the same reason the health
-// tracker freezes its baseline during an anomaly. Downward moves
-// attack at the calibration rate; upward moves creep.
-const latRefDecayAlpha = 0.02
-
-func latRefEWMA(cur, sample float64) float64 {
-	if cur <= 0 {
-		return sample
-	}
-	a := linkCalibAlpha
-	if sample > cur {
-		a = latRefDecayAlpha
-	}
-	return cur + a*(sample-cur)
-}
-
-// linkSecsLocked estimates each alive node's per-tile transfer time in
-// seconds: EWMA payload bytes over the node's measured link rates. A
-// direction without a converged, fresh estimate contributes nothing, so
-// a node the profiler knows nothing about keeps its pure-compute cost.
-// Callers hold c.mu.
-func (c *Central) linkSecsLocked(sessions []*nodeSession) []float64 {
-	if c.upBytesEWMA <= 0 && c.downBytesEWMA <= 0 {
-		return nil
-	}
-	out := make([]float64, len(sessions))
-	any := false
-	for k, s := range sessions {
-		up, down := s.link.rates()
-		if up > 0 && c.upBytesEWMA > 0 {
-			out[k] += c.upBytesEWMA / up
-			any = true
-		}
-		if down > 0 && c.downBytesEWMA > 0 {
-			out[k] += c.downBytesEWMA / down
-			any = true
-		}
-	}
-	if !any {
-		return nil
-	}
-	return out
-}
-
-// Probation revival: how often a starved-but-alive node is re-admitted,
-// and how far below the best alive estimate a node must have fallen to
-// count as starved. γ=0.9 drops a zero-tile node's estimate by 10× per
-// image, so "starved" is unambiguous within a handful of images. The
-// interval must comfortably exceed one re-measurement burst (the
-// linkMinSamples images a revived node serves before its fresh link
-// estimate can derate it again), or a still-faulty node would re-enter
-// back-to-back and the probe traffic itself would hold the SLO in
-// breach; at 2s the exploration cost is a few tiles per starved node
-// per interval.
-const (
-	probationInterval = 2 * time.Second
-	probationFrac     = 0.02
-)
-
-// probationRevivesLocked re-admits alive nodes whose speed estimate has
-// decayed to effectively zero. Algorithm 2 has a blind spot the chaos
-// bandwidth drill exposes: a node shed by link-aware dispatch (or any
-// transient stall) receives no tiles, its EWMA decays toward zero, and
-// Allocate skips zero-speed nodes forever — the node is starved even
-// after the fault heals. Reviving it to the cold-start weight every
-// probationInterval routes a few tiles through it, refreshing both the
-// speed estimate and the link telemetry. The link estimate is reset
-// alongside: it describes conditions from before the starvation and
-// would otherwise derate the node back out after a single probe tile,
-// throttling re-measurement to one sample per staleness cycle. Cleared,
-// the min-samples gate leaves the node underated for a few images —
-// exactly long enough to re-measure the link as it is now. Callers
-// hold c.mu.
-func (c *Central) probationRevivesLocked(sessions []*nodeSession, now time.Time) {
-	n := c.Stats.Nodes()
-	for len(c.probation) < n {
-		c.probation = append(c.probation, time.Time{})
-	}
-	best := 0.0
-	for k, s := range sessions {
-		if k < n && s.Alive() {
-			if v := c.Stats.Speed(k); v > best {
-				best = v
-			}
-		}
-	}
-	if best <= 0 {
-		return
-	}
-	for k, s := range sessions {
-		if k >= n || !s.Alive() || c.Stats.Speed(k) >= probationFrac*best {
-			continue
-		}
-		if now.Sub(c.probation[k]) < probationInterval {
-			continue
-		}
-		c.probation[k] = now
-		c.Stats.Revive(k)
-		s.link.reset()
-		if c.metrics != nil {
-			c.metrics.Revives.With(nodeLabel(k)).Inc()
-		}
-		if c.flight != nil {
-			c.flight.Record("probation-revive", 0, 0, k,
-				"starved speed estimate: re-admitting node at cold-start weight")
-		}
-	}
-}
-
-// aliveSpeedsLocked returns the allocator's speed vector for a session
-// snapshot: the Algorithm 2 estimates, zeroed for down sessions and
-// scaled by the cluster share. Callers hold c.mu.
-func (c *Central) aliveSpeedsLocked(sessions []*nodeSession) []float64 {
-	speeds := c.Stats.Speeds()
-	if len(speeds) > len(sessions) {
-		speeds = speeds[:len(sessions)]
-	}
-	for len(speeds) < len(sessions) {
-		speeds = append(speeds, 0)
-	}
-	for k, s := range sessions {
-		if !s.Alive() {
-			speeds[k] = 0
-			continue
-		}
-		if k < len(c.share) {
-			speeds[k] *= c.share[k]
-		}
-	}
-	return speeds
 }

@@ -24,7 +24,8 @@ func TestTensorWireRoundTrip(t *testing.T) {
 		shape := []int{1 + rng.Intn(3), 1 + rng.Intn(4), 1 + rng.Intn(5)}
 		x := tensor.New(shape...)
 		x.RandN(rng, 1)
-		y, err := DecodeTensor(EncodeTensor(x))
+		y := new(tensor.Tensor)
+		err := DecodeTensorInto(y, AppendTensor(nil, x))
 		return err == nil && y.Equal(x, 0)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
@@ -34,14 +35,15 @@ func TestTensorWireRoundTrip(t *testing.T) {
 
 func TestDecodeTensorRejectsCorrupt(t *testing.T) {
 	x := tensor.New(2, 3)
-	enc := EncodeTensor(x)
-	if _, err := DecodeTensor(nil); err == nil {
+	enc := AppendTensor(nil, x)
+	y := new(tensor.Tensor)
+	if err := DecodeTensorInto(y, nil); err == nil {
 		t.Fatal("nil payload must fail")
 	}
-	if _, err := DecodeTensor(enc[:5]); err == nil {
+	if err := DecodeTensorInto(y, enc[:5]); err == nil {
 		t.Fatal("truncated payload must fail")
 	}
-	if _, err := DecodeTensor(append(enc, 0)); err == nil {
+	if err := DecodeTensorInto(y, append(enc, 0)); err == nil {
 		t.Fatal("oversized payload must fail")
 	}
 }

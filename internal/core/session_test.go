@@ -123,8 +123,8 @@ func TestPipelineOrderedResults(t *testing.T) {
 	defer stop()
 
 	p := NewPipeline(c, 2)
-	if p.Depth() != 2 {
-		t.Fatalf("depth = %d, want 2", p.Depth())
+	if cap(p.sem) != 2 {
+		t.Fatalf("depth = %d, want 2", cap(p.sem))
 	}
 
 	rng := rand.New(rand.NewSource(33))
@@ -157,8 +157,8 @@ func TestPipelineOrderedResults(t *testing.T) {
 	if next != n {
 		t.Fatalf("got %d results, want %d", next, n)
 	}
-	if p.InFlight() != 0 {
-		t.Fatalf("pipeline still holds %d admission slots after drain", p.InFlight())
+	if len(p.sem) != 0 {
+		t.Fatalf("pipeline still holds %d admission slots after drain", len(p.sem))
 	}
 }
 
@@ -178,7 +178,7 @@ func TestInferContextCancellation(t *testing.T) {
 		a, b := Pipe()
 		conns[i] = a
 		w := NewWorker(i+1, m)
-		w.Delay = time.Second // results won't arrive before the cancel
+		w.SetDelay(time.Second) // results won't arrive before the cancel
 		wg.Add(1)
 		go func() {
 			defer wg.Done()

@@ -7,9 +7,13 @@
 //   - a virtual-time simulator (this file) that reproduces the paper's
 //     latency/energy/adaptation experiments on calibrated device models,
 //     deterministically and in microseconds of wall time;
-//   - a live runtime (runtime.go / transport.go / tcp.go) that runs the
-//     actual sim-scale networks across goroutines or TCP connections and
-//     verifies the distributed protocol end to end.
+//   - a live runtime (runtime.go / inflight.go / session.go / worker.go)
+//     that runs the actual networks across goroutines or TCP connections
+//     and verifies the distributed protocol end to end.
+//
+// Both ask the same sched.Driver for every allocation and settle every
+// image with it; the simulator passes its virtual clock where the live
+// runtime passes wall time.
 package core
 
 import (
@@ -94,8 +98,8 @@ type ImageResult struct {
 
 // Sim is the virtual-time ADCNN engine.
 type Sim struct {
-	cfg   SimConfig
-	stats *sched.Stats
+	cfg    SimConfig
+	driver *sched.Driver
 
 	tiles       int
 	tileInWire  int64
@@ -187,7 +191,7 @@ func NewSim(cfg SimConfig) (*Sim, error) {
 	if s.deadline == 0 {
 		s.deadline = 4 * s.window
 	}
-	s.stats = sched.NewStats(len(cfg.Nodes), cfg.Gamma, float64(s.tiles)/float64(len(cfg.Nodes)))
+	s.driver = sched.NewDriver(len(cfg.Nodes), cfg.Gamma, float64(s.tiles)/float64(len(cfg.Nodes)), nil)
 	s.rng = rand.New(rand.NewSource(cfg.Seed + 1))
 	return s, nil
 }
@@ -204,14 +208,18 @@ func (s *Sim) jitter(d time.Duration) time.Duration {
 	return time.Duration(float64(d) * f)
 }
 
-// Stats exposes the live Algorithm 2 tracker (for inspection in tests).
-func (s *Sim) Stats() *sched.Stats { return s.stats }
-
-// Window returns the effective stats window.
-func (s *Sim) Window() time.Duration { return s.window }
+// Stats exposes the scheduling driver, whose Speeds are the live
+// Algorithm 2 estimates (for inspection in tests).
+func (s *Sim) Stats() *sched.Driver { return s.driver }
 
 // Elapsed returns the virtual wall-clock time consumed so far.
 func (s *Sim) Elapsed() time.Duration { return s.elapsed }
+
+// simEpoch anchors the virtual clock for the scheduling driver. Any
+// fixed instant after the zero time.Time works: the driver's "never
+// revived" timestamp is the zero value, and a first probation revival
+// must be due at once, exactly as on the live runtime's wall clock.
+var simEpoch = time.Unix(0, 0)
 
 // RunImage simulates one inference and updates scheduler state and
 // device accounting.
@@ -226,16 +234,16 @@ func (s *Sim) RunImage() ImageResult {
 			caps[i] = int64(s.tiles) * s.tileInWire // effectively unlimited
 		}
 	}
-	speeds := s.stats.Speeds()
-	// Failed devices report zero speed immediately (link layer notices a
+	// Failed devices are reported dead immediately (link layer notices a
 	// dead peer) so the allocator can avoid them even before Algorithm 2
-	// decays their estimate.
+	// decays their estimate. The simulator has no link estimator, so the
+	// views carry no rates.
+	nodes := make([]sched.NodeView, len(s.cfg.Nodes))
 	for i, d := range s.cfg.Nodes {
-		if d.Failed() {
-			speeds[i] = 0
-		}
+		nodes[i].Alive = !d.Failed()
 	}
-	alloc, err := sched.Allocate(s.tiles, speeds, s.tileInWire, caps, nil)
+	plan, err := s.driver.Plan(simEpoch.Add(base), uint32(img), s.tiles, nodes, s.tileInWire, caps)
+	alloc := plan.Alloc
 	if err != nil {
 		// Nothing can run: all nodes failed. Model total loss: the image
 		// is processed with all-zero features after the drop deadline.
@@ -354,11 +362,10 @@ func (s *Sim) RunImage() ImageResult {
 	if missed > 0 {
 		lastNeeded = dropEnd
 	}
-	s.stats.Update(received)
-
 	back := s.cfg.Central.Model.Time(s.backFLOPs, s.backMemTraf)
 	s.cfg.Central.RecordBusy(back)
 	total := lastNeeded + back
+	s.driver.Settle(received, float64(s.tileInWire), float64(s.tileOutWire), total)
 
 	util := make([]float64, len(s.cfg.Nodes))
 	for k, d := range s.cfg.Nodes {

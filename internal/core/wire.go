@@ -320,8 +320,8 @@ func getFloat32s(dst []float32, src []byte) {
 	}
 }
 
-// TensorWireSize is the exact byte length EncodeTensor/AppendTensor
-// produce for t, so callers can pre-size a pooled buffer.
+// TensorWireSize is the exact byte length AppendTensor produces for t,
+// so callers can pre-size a pooled buffer.
 func TensorWireSize(t *tensor.Tensor) int { return 1 + 4*t.Rank() + 4*t.Len() }
 
 // AppendTensor serialises t (shape + raw float32 data) onto dst and
@@ -346,22 +346,37 @@ func AppendTensor(dst []byte, t *tensor.Tensor) []byte {
 	return dst
 }
 
-// EncodeTensor serialises a tensor as shape + raw float32 data.
-func EncodeTensor(t *tensor.Tensor) []byte {
-	return AppendTensor(make([]byte, 0, TensorWireSize(t)), t)
-}
-
-// DecodeTensor reverses EncodeTensor into a fresh tensor. Hot paths
-// should use DecodeTensorInto with a recycled destination instead.
-func DecodeTensor(data []byte) (*tensor.Tensor, error) {
-	t := &tensor.Tensor{}
-	if err := DecodeTensorInto(t, data); err != nil {
-		return nil, err
+// parseShape reads the rank | dims(4·rank, u32 LE) header every tensor
+// encoding opens with, appending the dims onto shape[:0]. It returns
+// the shape, its volume and the offset of the first byte after the
+// dims; trailer is how many more fixed header bytes the encoding
+// carries after them, maxVol the largest volume whose payload still
+// fits a frame, and kind names the encoding in errors.
+func parseShape(shape []int, data []byte, trailer, maxVol int, kind string) (_ []int, vol, off int, err error) {
+	if len(data) < 1 {
+		return nil, 0, 0, fmt.Errorf("core: empty %s payload", kind)
 	}
-	return t, nil
+	rank := int(data[0])
+	off = 1
+	if len(data) < off+4*rank+trailer {
+		return nil, 0, 0, fmt.Errorf("core: truncated %s header", kind)
+	}
+	shape, vol = shape[:0], 1
+	for i := 0; i < rank; i++ {
+		d := int(binary.LittleEndian.Uint32(data[off:]))
+		off += 4
+		shape = append(shape, d)
+		vol *= d
+		// Guard against integer overflow from corrupt shape headers: no
+		// legitimate payload exceeds the frame limit.
+		if vol < 0 || vol > maxVol {
+			return nil, 0, 0, fmt.Errorf("core: %s volume overflows frame limit", kind)
+		}
+	}
+	return shape, vol, off, nil
 }
 
-// DecodeTensorInto decodes an EncodeTensor payload into dst, reshaping
+// DecodeTensorInto decodes an AppendTensor payload into dst, reshaping
 // it in place. Like compress.DecodeInto, dst must own its storage: a
 // too-small backing array is swapped for one from the tensor buffer
 // pool, so a reused (or pool-released) destination decodes with zero
@@ -369,37 +384,37 @@ func DecodeTensor(data []byte) (*tensor.Tensor, error) {
 // dst never aliases data, so the caller may release the wire buffer
 // immediately after this returns.
 func DecodeTensorInto(dst *tensor.Tensor, data []byte) error {
-	if len(data) < 1 {
-		return errors.New("core: empty tensor payload")
-	}
-	rank := int(data[0])
-	off := 1
-	if len(data) < off+4*rank {
-		return errors.New("core: truncated tensor header")
-	}
-	dst.Shape = dst.Shape[:0]
-	vol := 1
-	for i := 0; i < rank; i++ {
-		d := int(binary.LittleEndian.Uint32(data[off:]))
-		off += 4
-		dst.Shape = append(dst.Shape, d)
-		vol *= d
-		// Guard against integer overflow from corrupt shape headers: no
-		// legitimate payload exceeds the frame limit.
-		if vol < 0 || vol > maxFrame/4 {
-			return fmt.Errorf("core: tensor volume overflows frame limit")
-		}
+	shape, vol, off, err := parseShape(dst.Shape, data, 0, maxFrame/4, "tensor")
+	if err != nil {
+		return err
 	}
 	if len(data) != off+4*vol {
 		return fmt.Errorf("core: tensor payload %d bytes, want %d", len(data), off+4*vol)
 	}
+	dst.Shape = shape
+	growData(dst, vol)
+	getFloat32s(dst.Data, data[off:])
+	return nil
+}
+
+// growData sizes dst.Data to vol elements, swapping a too-small backing
+// array for one from the tensor buffer pool.
+func growData(dst *tensor.Tensor, vol int) {
 	if cap(dst.Data) < vol {
 		tensor.PutBuf(dst.Data)
 		dst.Data = tensor.GetBuf(vol)
 	}
 	dst.Data = dst.Data[:vol]
-	getFloat32s(dst.Data, data[off:])
-	return nil
+}
+
+// growBytes returns buf if it can hold n bytes, else swaps it for a
+// pooled wire buffer that can.
+func growBytes(buf []byte, n int) []byte {
+	if cap(buf) < n {
+		tensor.PutBytes(buf)
+		buf = tensor.GetBytes(n)
+	}
+	return buf
 }
 
 // Conn is a bidirectional message channel between Central and one Conv

@@ -17,19 +17,21 @@ func benchTensor() *tensor.Tensor {
 
 func BenchmarkEncodeTensor(b *testing.B) {
 	x := benchTensor()
+	buf := make([]byte, 0, TensorWireSize(x))
 	b.SetBytes(int64(4 * len(x.Data)))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		EncodeTensor(x)
+		buf = AppendTensor(buf[:0], x)
 	}
 }
 
 func BenchmarkDecodeTensor(b *testing.B) {
-	enc := EncodeTensor(benchTensor())
+	enc := AppendTensor(nil, benchTensor())
+	dst := new(tensor.Tensor)
 	b.SetBytes(int64(len(enc)))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := DecodeTensor(enc); err != nil {
+		if err := DecodeTensorInto(dst, enc); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -11,7 +11,6 @@ package core
 
 import (
 	"encoding/binary"
-	"errors"
 	"fmt"
 	"math"
 
@@ -66,6 +65,26 @@ func AppendQuantTensor(dst []byte, t *tensor.Tensor, af quant.Affine) []byte {
 	return dst
 }
 
+// parseQuantTensor validates an AppendQuantTensor payload and splits it
+// into its parts: the shape (appended onto shape[:0]), the affine, and
+// the levels, which alias data.
+func parseQuantTensor(shape []int, data []byte) ([]int, quant.Affine, []byte, error) {
+	shape, vol, off, err := parseShape(shape, data, 5, maxFrame, "quantized tensor")
+	if err != nil {
+		return nil, quant.Affine{}, nil, err
+	}
+	scale := math.Float32frombits(binary.LittleEndian.Uint32(data[off:]))
+	zero := data[off+4]
+	off += 5
+	if scale <= 0 || math.IsInf(float64(scale), 0) || math.IsNaN(float64(scale)) {
+		return nil, quant.Affine{}, nil, fmt.Errorf("core: quantized tensor scale %g out of range", scale)
+	}
+	if len(data) != off+vol {
+		return nil, quant.Affine{}, nil, fmt.Errorf("core: quantized tensor payload %d bytes, want %d", len(data), off+vol)
+	}
+	return shape, quant.Affine{Scale: scale, Zero: zero}, data[off:], nil
+}
+
 // DecodeQuantTensorInto decodes an AppendQuantTensor payload into dst,
 // reusing the capacity of dst.Shape and dst.Levels (a too-small levels
 // buffer is swapped for one from the wire buffer pool), so a recycled
@@ -73,42 +92,13 @@ func AppendQuantTensor(dst []byte, t *tensor.Tensor, af quant.Affine) []byte {
 // bytes are fully copied out — the caller may release the wire buffer
 // immediately after this returns.
 func DecodeQuantTensorInto(dst *QuantTile, data []byte) error {
-	if len(data) < 1 {
-		return errors.New("core: empty quantized tensor payload")
+	shape, af, levels, err := parseQuantTensor(dst.Shape, data)
+	if err != nil {
+		return err
 	}
-	rank := int(data[0])
-	off := 1
-	if len(data) < off+4*rank+5 {
-		return errors.New("core: truncated quantized tensor header")
-	}
-	dst.Shape = dst.Shape[:0]
-	vol := 1
-	for i := 0; i < rank; i++ {
-		d := int(binary.LittleEndian.Uint32(data[off:]))
-		off += 4
-		dst.Shape = append(dst.Shape, d)
-		vol *= d
-		if vol < 0 || vol > maxFrame {
-			return fmt.Errorf("core: quantized tensor volume overflows frame limit")
-		}
-	}
-	scale := math.Float32frombits(binary.LittleEndian.Uint32(data[off:]))
-	off += 4
-	zero := data[off]
-	off++
-	if scale <= 0 || math.IsInf(float64(scale), 0) || math.IsNaN(float64(scale)) {
-		return fmt.Errorf("core: quantized tensor scale %g out of range", scale)
-	}
-	if len(data) != off+vol {
-		return fmt.Errorf("core: quantized tensor payload %d bytes, want %d", len(data), off+vol)
-	}
-	dst.Affine = quant.Affine{Scale: scale, Zero: zero}
-	if cap(dst.Levels) < vol {
-		tensor.PutBytes(dst.Levels)
-		dst.Levels = tensor.GetBytes(vol)
-	}
-	dst.Levels = dst.Levels[:vol]
-	copy(dst.Levels, data[off:])
+	dst.Shape, dst.Affine = shape, af
+	dst.Levels = growBytes(dst.Levels, len(levels))[:len(levels)]
+	copy(dst.Levels, levels)
 	return nil
 }
 
@@ -120,41 +110,13 @@ func DecodeQuantTensorInto(dst *QuantTile, data []byte) error {
 // may release the wire buffer immediately. Same validation as
 // DecodeQuantTensorInto.
 func DequantizeQuantTensorInto(dst *tensor.Tensor, data []byte) error {
-	if len(data) < 1 {
-		return errors.New("core: empty quantized tensor payload")
+	shape, af, levels, err := parseQuantTensor(dst.Shape, data)
+	if err != nil {
+		return err
 	}
-	rank := int(data[0])
-	off := 1
-	if len(data) < off+4*rank+5 {
-		return errors.New("core: truncated quantized tensor header")
-	}
-	dst.Shape = dst.Shape[:0]
-	vol := 1
-	for i := 0; i < rank; i++ {
-		d := int(binary.LittleEndian.Uint32(data[off:]))
-		off += 4
-		dst.Shape = append(dst.Shape, d)
-		vol *= d
-		if vol < 0 || vol > maxFrame {
-			return fmt.Errorf("core: quantized tensor volume overflows frame limit")
-		}
-	}
-	scale := math.Float32frombits(binary.LittleEndian.Uint32(data[off:]))
-	off += 4
-	zero := data[off]
-	off++
-	if scale <= 0 || math.IsInf(float64(scale), 0) || math.IsNaN(float64(scale)) {
-		return fmt.Errorf("core: quantized tensor scale %g out of range", scale)
-	}
-	if len(data) != off+vol {
-		return fmt.Errorf("core: quantized tensor payload %d bytes, want %d", len(data), off+vol)
-	}
-	if cap(dst.Data) < vol {
-		tensor.PutBuf(dst.Data)
-		dst.Data = tensor.GetBuf(vol)
-	}
-	dst.Data = dst.Data[:vol]
-	tensor.DequantizeAffineSlice(dst.Data, data[off:], scale, zero)
+	dst.Shape = shape
+	growData(dst, len(levels))
+	tensor.DequantizeAffineSlice(dst.Data, levels, af.Scale, af.Zero)
 	return nil
 }
 
@@ -162,12 +124,7 @@ func DequantizeQuantTensorInto(dst *tensor.Tensor, data []byte) error {
 // place with pooled storage like DecodeTensorInto — the fallback for a
 // worker whose model cannot consume levels directly.
 func (q *QuantTile) DequantizeInto(dst *tensor.Tensor) {
-	vol := len(q.Levels)
 	dst.Shape = append(dst.Shape[:0], q.Shape...)
-	if cap(dst.Data) < vol {
-		tensor.PutBuf(dst.Data)
-		dst.Data = tensor.GetBuf(vol)
-	}
-	dst.Data = dst.Data[:vol]
+	growData(dst, len(q.Levels))
 	tensor.DequantizeAffineSlice(dst.Data, q.Levels, q.Affine.Scale, q.Affine.Zero)
 }

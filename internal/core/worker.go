@@ -22,18 +22,12 @@ import (
 type Worker struct {
 	ID    int
 	Model *models.Model
-	// Delay adds artificial per-tile latency — the live-runtime
-	// equivalent of throttling a device with CPUlimit, used to exercise
-	// the adaptive scheduler against a genuinely slow node. Set before
-	// Serve starts; for mid-run changes use SetDelay.
-	Delay time.Duration
 	// Metrics, when set, records task counts, per-tile process time,
 	// wire traffic, and disconnect causes.
 	Metrics *Metrics
 
-	// dynDelay overrides Delay once SetDelay has been called (value is
-	// delay+1 so an explicit SetDelay(0) is distinguishable from unset).
-	dynDelay atomic.Int64
+	// delay is the artificial per-tile latency (see SetDelay).
+	delay atomic.Int64
 	// clockSkew offsets every timestamp this worker stamps into timing
 	// records — a fault-injection hook modelling a Conv node whose
 	// monotonic clock disagrees with the Central's (the offset estimator
@@ -53,23 +47,12 @@ func (w *Worker) now() int64 {
 	return monoNow() + w.clockSkew.Load()
 }
 
-// SetDelay changes the per-tile delay while Serve is running — the
-// race-safe path for injecting a mid-run slowdown (gray-failure and SLO
-// experiments).
-func (w *Worker) SetDelay(d time.Duration) {
-	if d < 0 {
-		d = 0
-	}
-	w.dynDelay.Store(int64(d) + 1)
-}
-
-// tileDelay returns the delay in effect for the next task.
-func (w *Worker) tileDelay() time.Duration {
-	if v := w.dynDelay.Load(); v > 0 {
-		return time.Duration(v - 1)
-	}
-	return w.Delay
-}
+// SetDelay sets the artificial per-tile latency — the live-runtime
+// equivalent of throttling a device with CPUlimit, used to exercise the
+// adaptive scheduler against a genuinely slow node. Race-safe at any
+// time, before Serve or mid-run (gray-failure and SLO experiments); it
+// takes effect from the next task.
+func (w *Worker) SetDelay(d time.Duration) { w.delay.Store(int64(d)) }
 
 // NewWorker creates a Conv-node worker around a model instance (the
 // worker uses only Front and Boundary).
@@ -325,58 +308,44 @@ func (s *workerSession) recvLoop(ctx context.Context) error {
 		switch m.Kind {
 		case KindShutdown:
 			return nil
-		case KindTask:
-			t := workerTaskPool.Get().(*workerTask)
-			t.start = time.Now()
-			t.probe = false
-			t.tm = ConvTiming{RecvNs: w.now()}
-			t.img, t.tile = m.ImageID, m.TileID
-			t.traceID, t.spanID = m.TraceID, m.SpanID
-			t.quantized = m.Quantized
-			if t.quantized {
-				err = DecodeQuantTensorInto(t.qt, m.Payload)
-			} else {
-				err = DecodeTensorInto(t.x, m.Payload)
-			}
-			m.ReleasePayload()
-			if err != nil {
-				putWorkerTask(t)
-				return fmt.Errorf("core: worker %d: %w", w.ID, err)
-			}
-			t.tm.DecodeNs = w.now()
-			select {
-			case s.tasks <- t:
-			case <-s.dead:
-				putWorkerTask(t)
-				return nil
-			case <-ctx.Done():
-				putWorkerTask(t)
-				return nil
-			}
-		case KindProbe:
-			// A probe rides the same bounded task queue as tiles (the
-			// compute loop owns conn.Send, and queue wait cancels out of
-			// the RTT estimate), but skips decode, pacing, and compute.
-			t := workerTaskPool.Get().(*workerTask)
-			t.start = time.Now()
-			t.probe = true
-			t.quantized = false
-			t.tm = ConvTiming{RecvNs: w.now()}
-			t.img, t.tile = m.ImageID, m.TileID
-			t.traceID, t.spanID = m.TraceID, m.SpanID
-			t.echo = append(t.echo[:0], m.Payload...)
-			m.ReleasePayload()
-			select {
-			case s.tasks <- t:
-			case <-s.dead:
-				putWorkerTask(t)
-				return nil
-			case <-ctx.Done():
-				putWorkerTask(t)
-				return nil
-			}
+		case KindTask, KindProbe:
 		default:
 			return fmt.Errorf("core: worker %d: unexpected message kind %d", w.ID, m.Kind)
+		}
+		// A probe rides the same bounded task queue as tiles (the compute
+		// loop owns conn.Send, and queue wait cancels out of the RTT
+		// estimate), but skips decode, pacing, and compute.
+		t := workerTaskPool.Get().(*workerTask)
+		t.start = time.Now()
+		t.tm = ConvTiming{RecvNs: w.now()}
+		t.img, t.tile = m.ImageID, m.TileID
+		t.traceID, t.spanID = m.TraceID, m.SpanID
+		t.probe = m.Kind == KindProbe
+		t.quantized = m.Quantized && !t.probe
+		switch {
+		case t.probe:
+			t.echo = append(t.echo[:0], m.Payload...)
+		case t.quantized:
+			err = DecodeQuantTensorInto(t.qt, m.Payload)
+		default:
+			err = DecodeTensorInto(t.x, m.Payload)
+		}
+		m.ReleasePayload()
+		if err != nil {
+			putWorkerTask(t)
+			return fmt.Errorf("core: worker %d: %w", w.ID, err)
+		}
+		if !t.probe {
+			t.tm.DecodeNs = w.now()
+		}
+		select {
+		case s.tasks <- t:
+		case <-s.dead:
+			putWorkerTask(t)
+			return nil
+		case <-ctx.Done():
+			putWorkerTask(t)
+			return nil
 		}
 	}
 }
@@ -393,76 +362,59 @@ func (s *workerSession) computeLoop(ctx context.Context) error {
 	var encBuf []byte
 	defer func() { tensor.PutBytes(encBuf) }()
 	for t := range s.tasks {
-		if t.probe {
-			// Echo the probe without charging the device pacer: RTT must
-			// measure the link, not the simulated compute rate. Only the
-			// receive/send stamps matter to the estimator; the rest of the
-			// timing record stays zero.
-			t.tm.SendNs = w.now()
-			*res = Message{
-				Kind: KindProbe, ImageID: t.img, TileID: t.tile,
-				NodeID: uint32(w.ID), Payload: t.echo,
-				TraceID: t.traceID, SpanID: t.spanID, Timing: &t.tm,
-			}
-			err := s.conn.Send(res)
-			putWorkerTask(t)
-			if err != nil {
-				if ctx.Err() != nil {
+		// A probe is echoed without charging the device pacer: RTT must
+		// measure the link, not the simulated compute rate. Only its
+		// receive/send stamps matter to the estimator; the rest of the
+		// timing record stays zero.
+		kind, out := KindProbe, t.echo
+		var compressed, quantized bool
+		if !t.probe {
+			// The delay models a device that serves tiles at a fixed rate:
+			// each task occupies the device for the delay of wall-clock
+			// time, and back-to-back tasks — across every attached session
+			// — chain off the previous release time rather than off this
+			// goroutine's (scheduler-jittered) wake-up. A plain
+			// sleep-per-task would model a device that speeds up when more
+			// Centrals attach, which no real device does. The wait sits
+			// between decode and compute, so it shows up in the timing
+			// record as queue time, like a busy real device — and so does
+			// any wait in the bounded task queue itself.
+			if delay := time.Duration(w.delay.Load()); delay > 0 {
+				if !s.ns.pace(ctx, delay, t.start) {
+					putWorkerTask(t)
 					return nil
 				}
-				if met != nil {
-					met.WorkerSendErrors.Inc()
-				}
-				return s.fail(fmt.Errorf("core: worker %d: probe send: %w", w.ID, err))
 			}
-			continue
-		}
-		// Delay models a device that serves tiles at a fixed rate: each
-		// task occupies the device for Delay of wall-clock time, and
-		// back-to-back tasks — across every attached session — chain off
-		// the previous release time rather than off this goroutine's
-		// (scheduler-jittered) wake-up. A plain sleep-per-task would model
-		// a device that speeds up when more Centrals attach, which no real
-		// device does. The wait sits between decode and compute, so it
-		// shows up in the timing record as queue time, like a busy real
-		// device — and so does any wait in the bounded task queue itself.
-		if delay := w.tileDelay(); delay > 0 {
-			if !s.ns.pace(ctx, delay, t.start) {
+			if ctx.Err() != nil {
 				putWorkerTask(t)
 				return nil
 			}
-		}
-		if ctx.Err() != nil {
-			putWorkerTask(t)
-			return nil
-		}
-		t.tm.ComputeStartNs = w.now()
-		var out []byte
-		var compressed, quantized bool
-		var err error
-		if t.quantized {
-			out, compressed, quantized, err = w.computeEncodeLevels(t.qt, t.x, &t.tm, encBuf)
-		} else {
-			out, compressed, quantized, err = w.computeEncode(t.x, &t.tm, encBuf)
-		}
-		if err != nil {
-			putWorkerTask(t)
-			return s.fail(fmt.Errorf("core: worker %d: %w", w.ID, err))
-		}
-		encBuf = out
-		s.tilesDone.Add(1)
-		if met != nil {
-			s.taskCtr.Inc()
-			met.WorkerProcess.ObserveDuration(time.Since(t.start).Nanoseconds())
+			t.tm.ComputeStartNs = w.now()
+			var err error
+			if t.quantized {
+				out, compressed, quantized, err = w.computeEncodeLevels(t.qt, t.x, &t.tm, encBuf)
+			} else {
+				out, compressed, quantized, err = w.computeEncode(t.x, &t.tm, encBuf)
+			}
+			if err != nil {
+				putWorkerTask(t)
+				return s.fail(fmt.Errorf("core: worker %d: %w", w.ID, err))
+			}
+			kind, encBuf = KindResult, out
+			s.tilesDone.Add(1)
+			if met != nil {
+				s.taskCtr.Inc()
+				met.WorkerProcess.ObserveDuration(time.Since(t.start).Nanoseconds())
+			}
 		}
 		t.tm.SendNs = w.now()
 		*res = Message{
-			Kind: KindResult, ImageID: t.img, TileID: t.tile,
+			Kind: kind, ImageID: t.img, TileID: t.tile,
 			NodeID: uint32(w.ID), Compressed: compressed, Quantized: quantized,
 			Payload: out,
 			TraceID: t.traceID, SpanID: t.spanID, Timing: &t.tm,
 		}
-		err = s.conn.Send(res)
+		err := s.conn.Send(res)
 		putWorkerTask(t)
 		if err != nil {
 			if ctx.Err() != nil {
@@ -535,10 +487,7 @@ func (w *Worker) boundaryEncode(y *tensor.Tensor, tm *ConvTiming, buf []byte) ([
 		p := compress.NewPipeline(opt.QuantBits, opt.ClipHi-opt.ClipLo)
 		// Pre-size to the worst case so the fused encoder never grows the
 		// buffer mid-scan; at steady state the same buffer serves every tile.
-		if n := p.MaxEncodedSize(y); cap(buf) < n {
-			tensor.PutBytes(buf)
-			buf = tensor.GetBytes(n)
-		}
+		buf = growBytes(buf, p.MaxEncodedSize(y))
 		out, err := p.EncodeInto(buf[:0], y)
 		tm.EncodeNs = w.now()
 		if err != nil {
@@ -549,19 +498,13 @@ func (w *Worker) boundaryEncode(y *tensor.Tensor, tm *ConvTiming, buf []byte) ([
 	if opt.Int8 {
 		mn, mx := tensor.MinMax(y.Data)
 		if af, aerr := quant.AffineFor(mn, mx); aerr == nil {
-			if n := QuantTensorWireSize(y); cap(buf) < n {
-				tensor.PutBytes(buf)
-				buf = tensor.GetBytes(n)
-			}
+			buf = growBytes(buf, QuantTensorWireSize(y))
 			out := AppendQuantTensor(buf[:0], y, af)
 			tm.EncodeNs = w.now()
 			return out, false, true, nil
 		}
 	}
-	if n := TensorWireSize(y); cap(buf) < n {
-		tensor.PutBytes(buf)
-		buf = tensor.GetBytes(n)
-	}
+	buf = growBytes(buf, TensorWireSize(y))
 	out := AppendTensor(buf[:0], y)
 	tm.EncodeNs = w.now()
 	return out, false, false, nil

@@ -246,7 +246,7 @@ func newDrillRig(cfg ChaosBenchConfig, central core.CentralConfig) (*drillRig, e
 	// One tile per node: a faulted node's slowdown lands on exactly its
 	// share of tiles, so the bad fraction is 1/Nodes by design.
 	c, live, stop, err := liveCentral(models.Options{Grid: fdsp.Grid{Rows: 2, Cols: 2}}, cfg.Nodes,
-		func(w *core.Worker) { w.Delay = cfg.BaseDelay }, central)
+		func(w *core.Worker) { w.SetDelay(cfg.BaseDelay) }, central)
 	if err != nil {
 		return nil, err
 	}

@@ -241,7 +241,7 @@ func ClusterBench(images int) (*ClusterBenchReport, error) {
 		Depth:       1,
 	}
 
-	pool, err := startLiveCluster(opt, nodes, func(w *core.Worker) { w.Delay = tileDelay })
+	pool, err := startLiveCluster(opt, nodes, func(w *core.Worker) { w.SetDelay(tileDelay) })
 	if err != nil {
 		return nil, err
 	}

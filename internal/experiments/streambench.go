@@ -139,7 +139,7 @@ func measurePipelined(c *core.Central, images, warmup, depth int) (StreamBenchRu
 // compute that the Central can overlap with its own back layers.
 func livePipelineComparison(opt models.Options, nodes, images, warmup, depth int, delay time.Duration) (seq, pipe StreamBenchRun, err error) {
 	run := func(measure func(*core.Central) (StreamBenchRun, error)) (StreamBenchRun, error) {
-		c, _, stop, err := liveCentral(opt, nodes, func(w *core.Worker) { w.Delay = delay }, core.CentralConfig{})
+		c, _, stop, err := liveCentral(opt, nodes, func(w *core.Worker) { w.SetDelay(delay) }, core.CentralConfig{})
 		if err != nil {
 			return StreamBenchRun{}, err
 		}

@@ -167,12 +167,6 @@ func tilesMoved(prev, next Allocation) int {
 	return d / 2
 }
 
-// attributeTrigger names the node whose s_k estimate moved most
-// (relatively) between two decisions. Equal-length inputs only.
-func attributeTrigger(prevSpeeds, speeds []float64) string {
-	return attributeTriggerLink(prevSpeeds, speeds, nil, nil)
-}
-
 // worstShift finds the largest relative shift between two estimate
 // vectors; floor bounds the denominator so a zero baseline still yields
 // a finite attribution.
@@ -199,9 +193,10 @@ func worstShift(prev, cur []float64, floor float64) (float64, int) {
 // nothing registers as a very large shift.
 const linkShiftFloor = 1e-4
 
-// attributeTriggerLink is attributeTrigger with the link dimension: when
-// the transfer-cost estimates shifted more (relatively) than any speed
-// estimate did, the move is attributed to the link, not the node's
+// attributeTriggerLink names the node whose s_k estimate moved most
+// (relatively) between two decisions — or, when the transfer-cost
+// estimates shifted more than any speed estimate did, the node whose
+// link did: the move is then attributed to the link, not the node's
 // compute rate. A decision whose predecessor carried no link costs
 // compares against zeros — the first link-aware reallocation after a
 // bandwidth collapse is exactly the move that must read "link node=K".

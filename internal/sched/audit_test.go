@@ -11,7 +11,7 @@ import (
 
 func TestAuditRecordsDecisions(t *testing.T) {
 	reg := telemetry.NewRegistry()
-	m := NewMonitor(reg)
+	m := NewMonitor(reg, "")
 	a := NewAudit(8, nil)
 	m.AttachAudit(a)
 	if m.Audit() != a {
@@ -19,11 +19,11 @@ func TestAuditRecordsDecisions(t *testing.T) {
 	}
 
 	// First allocation: audited as "initial", no predecessor.
-	m.ObserveAllocation(Allocation{8, 8}, []float64{4, 4}, 1)
+	m.ObserveAllocation(Allocation{8, 8}, []float64{4, 4}, nil, nil, 1)
 	// Identical split: a steady state, not a decision worth auditing.
-	m.ObserveAllocation(Allocation{8, 8}, []float64{4, 4}, 2)
+	m.ObserveAllocation(Allocation{8, 8}, []float64{4, 4}, nil, nil, 2)
 	// Node 1 slowed to half speed, scheduler shifted 4 tiles off it.
-	m.ObserveAllocation(Allocation{12, 4}, []float64{4, 2}, 3)
+	m.ObserveAllocation(Allocation{12, 4}, []float64{4, 2}, nil, nil, 3)
 
 	ds := a.Decisions()
 	if len(ds) != 2 {
@@ -56,10 +56,10 @@ func TestAuditRecordsDecisions(t *testing.T) {
 }
 
 func TestAuditServeHTTP(t *testing.T) {
-	m := NewMonitor(telemetry.NewRegistry())
+	m := NewMonitor(telemetry.NewRegistry(), "")
 	a := NewAudit(4, nil)
 	m.AttachAudit(a)
-	m.ObserveAllocation(Allocation{4}, []float64{2}, 7)
+	m.ObserveAllocation(Allocation{4}, []float64{2}, nil, nil, 7)
 
 	rr := httptest.NewRecorder()
 	a.ServeHTTP(rr, httptest.NewRequest("GET", "/debug/sched", nil))
@@ -83,13 +83,13 @@ func TestAuditServeHTTP(t *testing.T) {
 }
 
 func TestAuditRingWraps(t *testing.T) {
-	m := NewMonitor(telemetry.NewRegistry())
+	m := NewMonitor(telemetry.NewRegistry(), "")
 	a := NewAudit(3, nil)
 	m.AttachAudit(a)
 	// Alternate splits so every allocation is a fresh decision.
 	for i := 0; i < 7; i++ {
 		x := Allocation{10 + i, 6 - i%2}
-		m.ObserveAllocation(x, []float64{2, float64(1 + i)}, uint32(i))
+		m.ObserveAllocation(x, []float64{2, float64(1 + i)}, nil, nil, uint32(i))
 	}
 	ds := a.Decisions()
 	if len(ds) != 3 {
@@ -117,8 +117,8 @@ func TestAuditNilSafe(t *testing.T) {
 		t.Fatalf("nil audit body %q", rr.Body.String())
 	}
 	// Monitor without an attached audit must not record or panic.
-	m := NewMonitor(telemetry.NewRegistry())
-	m.ObserveAllocation(Allocation{1}, []float64{1}, 0)
+	m := NewMonitor(telemetry.NewRegistry(), "")
+	m.ObserveAllocation(Allocation{1}, []float64{1}, nil, nil, 0)
 	if m.Audit() != nil {
 		t.Fatal("unattached monitor reports an audit")
 	}
@@ -131,13 +131,13 @@ func TestTilesMovedAndTrigger(t *testing.T) {
 	if got := tilesMoved(Allocation{8}, Allocation{4, 4}); got != 8 {
 		t.Fatalf("length-mismatch tilesMoved = %d, want total 8", got)
 	}
-	if got := attributeTrigger([]float64{2, 2}, []float64{2, 2}); got != "speed-drift" {
+	if got := attributeTriggerLink([]float64{2, 2}, []float64{2, 2}, nil, nil); got != "speed-drift" {
 		t.Fatalf("no-drift trigger %q", got)
 	}
-	if got := attributeTrigger([]float64{2}, []float64{2, 2}); got != "node-set-changed" {
+	if got := attributeTriggerLink([]float64{2}, []float64{2, 2}, nil, nil); got != "node-set-changed" {
 		t.Fatalf("node-set trigger %q", got)
 	}
-	if got := attributeTrigger([]float64{2, 4}, []float64{2, 6}); !strings.Contains(got, "node=1 +50%") {
+	if got := attributeTriggerLink([]float64{2, 4}, []float64{2, 6}, nil, nil); !strings.Contains(got, "node=1 +50%") {
 		t.Fatalf("speed-up trigger %q", got)
 	}
 }

@@ -75,28 +75,28 @@ func TestAttributeTriggerLink(t *testing.T) {
 		t.Fatalf("link recovery attributed as %q", trig)
 	}
 	// Without link inputs the classic attribution is unchanged.
-	if got := attributeTrigger(steady, steady); got != "speed-drift" {
+	if got := attributeTriggerLink(steady, steady, nil, nil); got != "speed-drift" {
 		t.Fatalf("steady speeds attributed as %q", got)
 	}
-	if got := attributeTrigger([]float64{10}, steady); got != "node-set-changed" {
+	if got := attributeTriggerLink([]float64{10}, steady, nil, nil); got != "node-set-changed" {
 		t.Fatalf("length mismatch attributed as %q", got)
 	}
 }
 
-// TestMonitorObserveAllocationLink: a link-aware decision must land in
+// TestMonitorObserveAllocationLinkAware: a link-aware decision must land in
 // the audit ring with the effective speeds, the transfer costs, and a
 // link-attributed trigger.
-func TestMonitorObserveAllocationLink(t *testing.T) {
+func TestMonitorObserveAllocationLinkAware(t *testing.T) {
 	reg := telemetry.NewRegistry()
-	m := NewMonitor(reg)
+	m := NewMonitor(reg, "")
 	m.AttachAudit(NewAudit(0, nil))
 
 	speeds := []float64{10, 10}
-	m.ObserveAllocationLink(Allocation{8, 8}, speeds, nil, nil, 1)
+	m.ObserveAllocation(Allocation{8, 8}, speeds, nil, nil, 1)
 
 	linkSecs := []float64{0, 0.3}
 	eff := EffectiveSpeeds(speeds, linkSecs, 1)
-	m.ObserveAllocationLink(Allocation{12, 4}, speeds, eff, linkSecs, 2)
+	m.ObserveAllocation(Allocation{12, 4}, speeds, eff, linkSecs, 2)
 
 	ds := m.Audit().Decisions()
 	if len(ds) != 2 {

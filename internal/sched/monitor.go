@@ -35,30 +35,25 @@ type Monitor struct {
 	audit      *Audit
 }
 
-// NewMonitor registers the scheduler metrics on reg.
-func NewMonitor(reg *telemetry.Registry) *Monitor {
-	return &Monitor{
-		speed:      reg.GaugeVec("adcnn_sched_speed", "Algorithm 2 EWMA throughput estimate s_k per Conv node.", "node"),
-		bottleneck: reg.Gauge("adcnn_sched_bottleneck", "Allocation objective max_k x_k/s_k of the last allocation (Equation 1)."),
-		allocs:     reg.Counter("adcnn_sched_allocations_total", "Tile allocations computed."),
-		reallocs:   reg.Counter("adcnn_sched_realloc_total", "Allocations that moved tiles between nodes vs the previous image."),
+// NewMonitor registers the scheduler metrics on reg. A non-empty
+// replica gives every family a leading "replica" label bound to that
+// value, for processes hosting several Central replicas on one
+// registry; every monitor on a registry must use the same schema — the
+// registry rejects mixing the labeled and unlabeled one.
+func NewMonitor(reg *telemetry.Registry, replica string) *Monitor {
+	var labels, bound []string
+	if replica != "" {
+		labels, bound = []string{"replica"}, []string{replica}
 	}
-}
-
-// NewReplicaMonitor registers the scheduler metrics with a leading
-// "replica" label, for processes hosting several Central replicas on
-// one registry. Every replica's monitor must come through here — the
-// registry rejects mixing the labeled and unlabeled schemas.
-func NewReplicaMonitor(reg *telemetry.Registry, replica string) *Monitor {
 	return &Monitor{
 		speed: reg.GaugeVec("adcnn_sched_speed",
-			"Algorithm 2 EWMA throughput estimate s_k per Conv node.", "replica", "node").Curry(replica),
+			"Algorithm 2 EWMA throughput estimate s_k per Conv node.", append(labels, "node")...).Curry(bound...),
 		bottleneck: reg.GaugeVec("adcnn_sched_bottleneck",
-			"Allocation objective max_k x_k/s_k of the last allocation (Equation 1).", "replica").With(replica),
+			"Allocation objective max_k x_k/s_k of the last allocation (Equation 1).", labels...).With(bound...),
 		allocs: reg.CounterVec("adcnn_sched_allocations_total",
-			"Tile allocations computed.", "replica").With(replica),
+			"Tile allocations computed.", labels...).With(bound...),
 		reallocs: reg.CounterVec("adcnn_sched_realloc_total",
-			"Allocations that moved tiles between nodes vs the previous image.", "replica").With(replica),
+			"Allocations that moved tiles between nodes vs the previous image.", labels...).With(bound...),
 	}
 }
 
@@ -97,20 +92,15 @@ func (m *Monitor) Audit() *Audit {
 // reallocation event when the tile split changed since the last image,
 // and — when an Audit is attached — records the decision with its s_k
 // inputs, objective delta, and trigger attribution. image identifies
-// the inference the allocation was computed for.
-func (m *Monitor) ObserveAllocation(a Allocation, speeds []float64, image uint32) {
-	m.ObserveAllocationLink(a, speeds, nil, nil, image)
-}
-
-// ObserveAllocationLink is ObserveAllocation for link-aware decisions:
-// effSpeeds are the transfer-derated speeds the split was actually
-// computed from (nil when the mode is off or uncalibrated) and linkSecs
-// the per-node transfer costs behind them. Objectives are evaluated on
-// the effective speeds — the quantity the allocator minimized — and
-// trigger attribution weighs link-cost shifts against speed shifts, so
-// a move caused purely by a bandwidth collapse is named "link node=K"
-// even while the measured s_k held steady.
-func (m *Monitor) ObserveAllocationLink(a Allocation, speeds, effSpeeds, linkSecs []float64, image uint32) {
+// the inference the allocation was computed for. effSpeeds are the
+// transfer-derated speeds a link-aware split was actually computed from
+// (nil when the mode is off or uncalibrated) and linkSecs the per-node
+// transfer costs behind them. Objectives are evaluated on the effective
+// speeds — the quantity the allocator minimized — and trigger
+// attribution weighs link-cost shifts against speed shifts, so a move
+// caused purely by a bandwidth collapse is named "link node=K" even
+// while the measured s_k held steady.
+func (m *Monitor) ObserveAllocation(a Allocation, speeds, effSpeeds, linkSecs []float64, image uint32) {
 	if m == nil {
 		return
 	}

@@ -8,7 +8,7 @@ import (
 
 func TestMonitorPublishesSchedulerState(t *testing.T) {
 	reg := telemetry.NewRegistry()
-	m := NewMonitor(reg)
+	m := NewMonitor(reg, "")
 	speeds := []float64{2, 4}
 
 	m.ObserveSpeeds(speeds)
@@ -16,7 +16,7 @@ func TestMonitorPublishesSchedulerState(t *testing.T) {
 		t.Fatalf("s_1 = %v (ok=%v), want 4", v, ok)
 	}
 
-	m.ObserveAllocation(Allocation{4, 12}, speeds, 1)
+	m.ObserveAllocation(Allocation{4, 12}, speeds, nil, nil, 1)
 	if v, _ := reg.Value("adcnn_sched_bottleneck"); v != 3 {
 		t.Fatalf("bottleneck = %v, want 3 (12 tiles / speed 4)", v)
 	}
@@ -29,13 +29,13 @@ func TestMonitorPublishesSchedulerState(t *testing.T) {
 	}
 
 	// Identical split: still no reallocation.
-	m.ObserveAllocation(Allocation{4, 12}, speeds, 2)
+	m.ObserveAllocation(Allocation{4, 12}, speeds, nil, nil, 2)
 	if v, _ := reg.Value("adcnn_sched_realloc_total"); v != 0 {
 		t.Fatalf("realloc after identical split = %v, want 0", v)
 	}
 
 	// The split moved tiles: one reallocation event.
-	m.ObserveAllocation(Allocation{6, 10}, speeds, 3)
+	m.ObserveAllocation(Allocation{6, 10}, speeds, nil, nil, 3)
 	if v, _ := reg.Value("adcnn_sched_realloc_total"); v != 1 {
 		t.Fatalf("realloc after changed split = %v, want 1", v)
 	}
@@ -49,5 +49,5 @@ func TestMonitorPublishesSchedulerState(t *testing.T) {
 func TestMonitorNilIsInert(t *testing.T) {
 	var m *Monitor
 	m.ObserveSpeeds([]float64{1})
-	m.ObserveAllocation(Allocation{1}, []float64{1}, 0)
+	m.ObserveAllocation(Allocation{1}, []float64{1}, nil, nil, 0)
 }
