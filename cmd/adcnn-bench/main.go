@@ -29,14 +29,13 @@ import (
 
 // env is what an experiment runs against: the parsed flags and stdout.
 type env struct {
-	w        io.Writer
-	images   int
-	quick    bool
-	seed     int64
-	int8Gate float64
-	out      string // -out; empty selects the per-experiment default
-	opts     experiments.SimOptions
-	trace    *telemetry.Trace // nil without -trace
+	w      io.Writer
+	images int
+	quick  bool
+	seed   int64
+	out    string // -out; empty selects the per-experiment default
+	opts   experiments.SimOptions
+	trace  *telemetry.Trace // nil without -trace
 }
 
 // report writes an experiment's JSON report to -out, or to
@@ -89,17 +88,7 @@ var experimentTable = []struct {
 	{"kernels", true, func(e *env) error {
 		rep := kernelbench.Run()
 		rep.WriteText(e.w)
-		if err := e.report("kernels", rep); err != nil {
-			return err
-		}
-		if e.int8Gate > 0 {
-			ratio := rep.MinInt8WholeLayerRatio()
-			if ratio < e.int8Gate {
-				return fmt.Errorf("int8 whole-layer ratio %.3fx below gate %.3fx", ratio, e.int8Gate)
-			}
-			fmt.Fprintf(e.w, "int8 whole-layer gate: min ratio %.3fx >= %.3fx\n", ratio, e.int8Gate)
-		}
-		return nil
+		return e.report("kernels", rep)
 	}},
 	// Likewise for the boundary-codec suite: it measures the fused
 	// encoder/decoder against the retained scalar reference.
@@ -237,7 +226,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs.BoolVar(&e.quick, "quick", false, "small accuracy setup (fast, one model)")
 	fs.Int64Var(&e.seed, "seed", 1, "random seed")
 	fs.StringVar(&e.out, "out", "", "output path for the experiment's JSON report (default BENCH_<exp>.json; needs a single -exp)")
-	fs.Float64Var(&e.int8Gate, "int8-gate", 0, "fail if the minimum whole-layer int8/f32 forward ratio falls below this floor (-exp kernels; 0 disables)")
 	tracePath := fs.String("trace", "", "write a Chrome trace-event JSON timeline from the traced experiments (fig9, stream) to this file")
 	if err := fs.Parse(args); err != nil {
 		if errors.Is(err, flag.ErrHelp) {

@@ -1,6 +1,7 @@
 package nn
 
 import (
+	"math"
 	"math/rand"
 
 	"adcnn/internal/tensor"
@@ -18,18 +19,37 @@ func NewReLU(label string) *ReLU { return &ReLU{label: label} }
 // Forward computes max(0, x).
 func (r *ReLU) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	y := tensor.New(x.Shape...)
-	if train {
-		r.mask = make([]bool, len(x.Data))
+	if !train {
+		reluInto(y.Data, x.Data)
+		return y
 	}
+	r.mask = make([]bool, len(x.Data))
 	for i, v := range x.Data {
 		if v > 0 {
 			y.Data[i] = v
-			if train {
-				r.mask[i] = true
-			}
+			r.mask[i] = true
 		}
 	}
 	return y
+}
+
+func (r *ReLU) forwardInPlace(x *tensor.Tensor) { reluInto(x.Data, x.Data) }
+
+// reluInto writes v where v > 0 and +0 elsewhere (negatives, -0, NaN);
+// dst may be src. The sign of an activation is a coin toss, so the test
+// is done on the bit pattern, which compiles to a conditional move and
+// not to a branch that mispredicts every other element: a float32 is > 0
+// exactly when its bits lie in [1, +Inf's].
+func reluInto(dst, src []float32) {
+	dst = dst[:len(src)]
+	for i, v := range src {
+		u := math.Float32bits(v)
+		var keep uint32
+		if u-1 < 0x7F800000 {
+			keep = u
+		}
+		dst[i] = math.Float32frombits(keep)
+	}
 }
 
 // Backward zeroes the gradient where the forward input was non-positive.
@@ -86,18 +106,28 @@ func (c *ClippedReLU) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	if train {
 		c.mask = make([]bool, len(x.Data))
 	}
-	for i, v := range x.Data {
+	c.clipInto(y.Data, x.Data, train)
+	return y
+}
+
+func (c *ClippedReLU) forwardInPlace(x *tensor.Tensor) { c.clipInto(x.Data, x.Data, false) }
+
+// clipInto writes the rectifier of every element; dst may be src.
+func (c *ClippedReLU) clipInto(dst, src []float32, train bool) {
+	dst = dst[:len(src)]
+	for i, v := range src {
+		var y float32
 		switch {
 		case v > c.Hi:
-			y.Data[i] = c.Hi - c.Lo
+			y = c.Hi - c.Lo
 		case v >= c.Lo:
-			y.Data[i] = v - c.Lo
+			y = v - c.Lo
 			if train {
 				c.mask[i] = true
 			}
 		}
+		dst[i] = y
 	}
-	return y
 }
 
 // Backward passes gradient only through the linear region.

@@ -64,18 +64,7 @@ func (bn *BatchNorm2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	y := tensor.New(x.Shape...)
 
 	if !train {
-		for ch := 0; ch < bn.C; ch++ {
-			inv := float32(1.0 / math.Sqrt(float64(bn.RunningVar.Data[ch])+float64(bn.Eps)))
-			a := bn.Gamma.Value.Data[ch] * inv
-			b := bn.Beta.Value.Data[ch] - bn.RunningMean.Data[ch]*a
-			for i := 0; i < n; i++ {
-				src := x.Data[i*sample+ch*plane : i*sample+(ch+1)*plane]
-				dst := y.Data[i*sample+ch*plane : i*sample+(ch+1)*plane]
-				for j, v := range src {
-					dst[j] = a*v + b
-				}
-			}
-		}
+		bn.foldedInto(y.Data, x.Data, n, plane)
 		return y
 	}
 
@@ -141,6 +130,31 @@ func (bn *BatchNorm2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 		bn.RunningVar.Data[ch] = (1-bn.Momentum)*bn.RunningVar.Data[ch] + bn.Momentum*variance
 	}
 	return y
+}
+
+func (bn *BatchNorm2D) forwardInPlace(x *tensor.Tensor) {
+	if x.Rank() != 4 || x.Shape[1] != bn.C {
+		panic(fmt.Sprintf("nn: %s expects NCHW with C=%d, got %v", bn.label, bn.C, x.Shape))
+	}
+	bn.foldedInto(x.Data, x.Data, x.Shape[0], x.Shape[2]*x.Shape[3])
+}
+
+// foldedInto applies the inference transform y = a·x + b per channel with
+// the running statistics folded into a and b; dst may be src.
+func (bn *BatchNorm2D) foldedInto(dst, src []float32, n, plane int) {
+	sample := bn.C * plane
+	for ch := 0; ch < bn.C; ch++ {
+		inv := float32(1.0 / math.Sqrt(float64(bn.RunningVar.Data[ch])+float64(bn.Eps)))
+		a := bn.Gamma.Value.Data[ch] * inv
+		b := bn.Beta.Value.Data[ch] - bn.RunningMean.Data[ch]*a
+		for i := 0; i < n; i++ {
+			s := src[i*sample+ch*plane : i*sample+(ch+1)*plane]
+			d := dst[i*sample+ch*plane : i*sample+(ch+1)*plane]
+			for j, v := range s {
+				d[j] = a*v + b
+			}
+		}
+	}
 }
 
 // Backward computes gradients through the batch-normalisation transform.

@@ -122,8 +122,9 @@ func (c *Conv2D) ForwardInto(y, x *tensor.Tensor, train bool) {
 	})
 }
 
-// forwardSample computes one sample's output plane stack, including the
-// per-channel bias, so large batches never serialise on a post-pass.
+// forwardSample computes one sample's output plane stack. The bias seeds
+// the GEMM's accumulators, so the output is written once: no clearing
+// pass before the product and no bias pass after it.
 func (c *Conv2D) forwardSample(yd, xd []float32, i, h, w, oh, ow int, train bool) {
 	kdim := c.InC * c.Geom.KH * c.Geom.KW
 	plane := oh * ow
@@ -132,34 +133,28 @@ func (c *Conv2D) forwardSample(yd, xd []float32, i, h, w, oh, ow int, train bool
 	xs := xd[i*sample : (i+1)*sample]
 	ys := yd[i*outSample : (i+1)*outSample]
 	wd := c.Weight.Value.Data
+	var bias []float32
+	if c.UseBias {
+		bias = c.Bias.Value.Data
+	}
 	switch {
 	case c.oneByOne():
 		if train {
 			c.cols[i] = tensor.FromSlice(xs, c.InC, h*w)
 		}
-		tensor.GemmInto(ys, wd, xs, c.OutC, kdim, plane)
+		tensor.GemmBiasInto(ys, wd, xs, bias, c.OutC, kdim, plane)
 	case train:
 		// Training keeps the column matrix for Backward; its storage is
 		// pooled and recycled there.
 		cols := tensor.GetTensor(kdim, plane)
 		tensor.Im2ColSlice(cols.Data, xs, c.InC, h, w, c.Geom)
 		c.cols[i] = cols
-		tensor.GemmInto(ys, wd, cols.Data, c.OutC, kdim, plane)
+		tensor.GemmBiasInto(ys, wd, cols.Data, bias, c.OutC, kdim, plane)
 	default:
 		buf := tensor.GetBuf(kdim * plane)
 		tensor.Im2ColSlice(buf, xs, c.InC, h, w, c.Geom)
-		tensor.GemmInto(ys, wd, buf, c.OutC, kdim, plane)
+		tensor.GemmBiasInto(ys, wd, buf, bias, c.OutC, kdim, plane)
 		tensor.PutBuf(buf)
-	}
-	if c.UseBias {
-		bias := c.Bias.Value.Data
-		for oc := 0; oc < c.OutC; oc++ {
-			b := bias[oc]
-			row := ys[oc*plane : (oc+1)*plane]
-			for j := range row {
-				row[j] += b
-			}
-		}
 	}
 }
 

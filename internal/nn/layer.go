@@ -62,10 +62,38 @@ func (s *Sequential) Append(layers ...Layer) { s.Layers = append(s.Layers, layer
 
 // Forward runs every layer in order.
 func (s *Sequential) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
-	for _, l := range s.Layers {
-		x = l.Forward(x, train)
+	return forwardChain(s.Layers, x, train)
+}
+
+// inPlacer is an elementwise layer whose inference forward can overwrite
+// its input: forwardInPlace(x) leaves in x what Forward(x, false) returns.
+type inPlacer interface {
+	forwardInPlace(x *tensor.Tensor)
+}
+
+// forwardChain runs layers in order. At inference an inPlacer that
+// follows a layer of the same chain works in that layer's output instead
+// of allocating its own: the chain made that tensor and nothing else
+// holds it. The chain's input is never written — until some layer has
+// returned storage of its own (not a view of what it was given, as
+// Flatten and an empty Sequential do), inPlacers allocate like any layer.
+func forwardChain(layers []Layer, x *tensor.Tensor, train bool) *tensor.Tensor {
+	owned := false
+	for _, l := range layers {
+		if ip, ok := l.(inPlacer); ok && owned && !train {
+			ip.forwardInPlace(x)
+			continue
+		}
+		y := l.Forward(x, train)
+		owned = owned || !sameStorage(y, x)
+		x = y
 	}
 	return x
+}
+
+// sameStorage reports whether two tensors view the same backing array.
+func sameStorage(a, b *tensor.Tensor) bool {
+	return len(a.Data) > 0 && len(b.Data) > 0 && &a.Data[0] == &b.Data[0]
 }
 
 // Backward runs every layer's backward pass in reverse order.
@@ -94,10 +122,7 @@ func (s *Sequential) ForwardUpTo(x *tensor.Tensor, n int, train bool) *tensor.Te
 	if n < 0 || n > len(s.Layers) {
 		panic(fmt.Sprintf("nn: ForwardUpTo(%d) out of range for %d layers", n, len(s.Layers)))
 	}
-	for _, l := range s.Layers[:n] {
-		x = l.Forward(x, train)
-	}
-	return x
+	return forwardChain(s.Layers[:n], x, train)
 }
 
 // ForwardFrom runs layers [n, len) on x.
@@ -105,10 +130,7 @@ func (s *Sequential) ForwardFrom(x *tensor.Tensor, n int, train bool) *tensor.Te
 	if n < 0 || n > len(s.Layers) {
 		panic(fmt.Sprintf("nn: ForwardFrom(%d) out of range for %d layers", n, len(s.Layers)))
 	}
-	for _, l := range s.Layers[n:] {
-		x = l.Forward(x, train)
-	}
-	return x
+	return forwardChain(s.Layers[n:], x, train)
 }
 
 // ZeroGrad clears the gradients of every parameter in the chain.

@@ -31,7 +31,8 @@ func (p *MaxPool2D) OutShape(in []int) []int {
 	return []int{in[0], in[1], oh, ow}
 }
 
-// Forward computes the max over each window, caching argmax for Backward.
+// Forward computes the max over each window, caching argmax for Backward
+// when training.
 func (p *MaxPool2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	if x.Rank() != 4 {
 		panic(fmt.Sprintf("nn: %s expects NCHW input, got %v", p.label, x.Shape))
@@ -43,10 +44,14 @@ func (p *MaxPool2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 		panic(fmt.Sprintf("nn: %s window %d too large for input %v", p.label, p.K, x.Shape))
 	}
 	y := tensor.New(n, c, oh, ow)
-	if train {
-		p.inShape = []int{n, c, h, w}
-		p.argmax = make([]int, n*c*oh*ow)
+	if !train {
+		for i := 0; i < n*c; i++ {
+			p.maxInto(y.Data[i*oh*ow:][:oh*ow], x.Data[i*h*w:][:h*w], w, ow)
+		}
+		return y
 	}
+	p.inShape = []int{n, c, h, w}
+	p.argmax = make([]int, n*c*oh*ow)
 	for i := 0; i < n; i++ {
 		for ch := 0; ch < c; ch++ {
 			src := x.Data[(i*c+ch)*h*w:]
@@ -66,14 +71,37 @@ func (p *MaxPool2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 						}
 					}
 					y.Data[dstBase+oy*ow+ox] = best
-					if train {
-						p.argmax[dstBase+oy*ow+ox] = (i*c+ch)*h*w + bi
-					}
+					p.argmax[dstBase+oy*ow+ox] = (i*c+ch)*h*w + bi
 				}
 			}
 		}
 	}
 	return y
+}
+
+// maxInto pools one plane for inference: no argmax to remember, so each
+// output row is the running maximum of K·K strided passes over K input
+// rows — straight loops with nothing to mispredict, where the
+// window-at-a-time scan above branches on every comparison. A window
+// holding a NaN yields NaN (the builtin max); the training scan skips it.
+func (p *MaxPool2D) maxInto(dst, src []float32, w, ow int) {
+	for oy := 0; oy*ow < len(dst); oy++ {
+		d := dst[oy*ow:][:ow]
+		for ky := 0; ky < p.K; ky++ {
+			for kx := 0; kx < p.K; kx++ {
+				row := src[(oy*p.Stride+ky)*w+kx:]
+				if ky == 0 && kx == 0 {
+					for ox := range d {
+						d[ox] = row[ox*p.Stride]
+					}
+					continue
+				}
+				for ox := range d {
+					d[ox] = max(d[ox], row[ox*p.Stride])
+				}
+			}
+		}
+	}
 }
 
 // Backward scatters each output gradient to the input position that won

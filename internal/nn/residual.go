@@ -33,8 +33,13 @@ func (r *Residual) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	if !main.SameShape(skip) {
 		panic(fmt.Sprintf("nn: %s shape mismatch body %v vs shortcut %v", r.label, main.Shape, skip.Shape))
 	}
-	sum := main.Clone().Add(skip)
-	return r.relu.Forward(sum, train)
+	if train || sameStorage(main, x) {
+		return r.relu.Forward(main.Clone().Add(skip), train)
+	}
+	// Inference: the body made main and nothing else holds it, so the sum
+	// and the rectifier both happen there.
+	r.relu.forwardInPlace(main.Add(skip))
+	return main
 }
 
 // Backward propagates through the ReLU, the body, and the shortcut,

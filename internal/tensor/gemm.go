@@ -6,160 +6,137 @@ import (
 	"adcnn/internal/parallel"
 )
 
-// Blocked GEMM engine. All three matmul entry points (MatMulInto,
-// MatMulTransA, MatMulTransB) funnel into one row-major C = A·B kernel
-// that is cache-blocked and register-tiled:
+// GEMM engine. All three matmul entry points (MatMulInto, MatMulTransA,
+// MatMulTransB) funnel into one row-major C = A·B driver that cuts C into
+// MR×NR tiles and hands each to the tier's micro-kernel (gemmTile):
 //
-//   - the k dimension is blocked by gemmKC and the j dimension by gemmNC,
-//     so the active B panel (gemmKC×gemmNC floats) stays resident in L2
-//     while it is swept once per 4-row group of A;
-//   - the inner kernel processes a 4×4 (rows × k) register tile per
-//     j-sweep through the gemmAxpy2x4 micro-kernel — 4-wide SSE assembly
-//     on amd64 (gemm_kernel_amd64.s), an unrolled Go loop elsewhere — so
-//     each step retires 32 multiply-adds where the naive kernels issue one
-//     latency-bound chain;
+//   - the kernel holds its tile in registers over the whole of k, seeds
+//     row r with bias[r] and stores once, so C is never zeroed or re-read
+//     and a convolution's bias costs nothing;
+//   - every C element is accumulated in ascending k, one step per k,
+//     whichever tile it falls in: a block of C computed alone, on another
+//     thread, or as part of a wider product is bit-identical, which is
+//     what makes an FDSP tile computed on a node equal the same pixels of
+//     the whole-image forward;
+//   - both operands are read in place, A (the weights) by broadcast and B
+//     by rows — no packed copy of any model, no packing pass per call;
+//   - the kernel takes any tile width up to NR; only a bottom edge of
+//     fewer than MR rows is special: it is computed as the full tile that
+//     ends at A's last row, into a stack tile whose live rows are copied
+//     out (the rows it shares with the tile above come out identical and
+//     are dropped);
 //   - transposed operands are repacked into scratch from the buffer pool
 //     (GetBuf/PutBuf) so both GEMM inputs stream contiguously.
 //
-// Row ranges are scheduled over goroutines with parallel.ForChunked; a
-// flop threshold keeps small products inline. The pre-engine serial
-// kernels are retained verbatim as RefMatMulInto / RefMatMulTransA /
+// Tiles are scheduled over goroutines with parallel.ForChunked, by column
+// panels when there are enough of them and by tile rows otherwise; a flop
+// threshold keeps small products inline. The pre-engine serial kernels
+// are retained verbatim as RefMatMulInto / RefMatMulTransA /
 // RefMatMulTransB — they are the oracle for the property tests and the
 // baseline for the kernel benchmarks.
 
 const (
-	gemmKC            = 128     // k-block: B panel height
-	gemmNC            = 512     // j-block: B panel width
-	gemmMR            = 4       // register tile rows
-	gemmParallelFlops = 1 << 20 // 2·m·k·n below this runs inline
+	// 2·m·k·n below this runs inline: at ~130 GFLOP/s a thread that is about
+	// 60 µs of work, and waking a second worker costs some 20 µs of it.
+	gemmParallelFlops = 1 << 23
+
+	gemmMaxMR   = 6      // tallest tile of any tier
+	gemmMaxTile = 6 * 64 // most elements in a tile of any tier
 )
 
 // GemmInto computes C = A·B on raw row-major slices: c[m*n] is
 // overwritten with a[m*k]·b[k*n]. It is the slice-level core behind the
 // tensor matmul API; hot paths that must not allocate call it directly.
-func GemmInto(c, a, b []float32, m, k, n int) {
-	if len(c) < m*n || len(a) < m*k || len(b) < k*n {
+func GemmInto(c, a, b []float32, m, k, n int) { GemmBiasInto(c, a, b, nil, m, k, n) }
+
+// GemmBiasInto is GemmInto with row i of C seeded with bias[i] (a
+// convolution's per-output-channel bias): C = bias·1ᵀ + A·B. A nil bias
+// is zero.
+func GemmBiasInto(c, a, b, bias []float32, m, k, n int) {
+	if len(c) < m*n || len(a) < m*k || len(b) < k*n || (bias != nil && len(bias) < m) {
 		panic("tensor: GemmInto operand shorter than its shape")
 	}
-	c = c[:m*n]
-	for i := range c {
-		c[i] = 0
-	}
-	if m == 0 || n == 0 || k == 0 {
+	if m == 0 || n == 0 {
 		return
 	}
+	if k == 0 { // C = bias·1ᵀ; the kernels want a first row of A and B
+		for i := range c[:m*n] {
+			c[i] = 0
+			if bias != nil {
+				c[i] = bias[i/n]
+			}
+		}
+		return
+	}
+	g := gemmCall{c: c, a: a, b: b, bias: bias, m: m, k: k, n: n}
+	g.mr, g.nr = gemmTileShape()
+	if r := m % g.mr; r != 0 {
+		// The bottom edge is computed as a full tile whose last r rows are
+		// the live ones: the last mr rows of A, overlapping the tile above,
+		// or — when A is shorter than one tile — a copy padded on top.
+		if m >= g.mr {
+			g.edgeA = a[(m-g.mr)*k:]
+		} else {
+			g.edgeA = GetBuf(g.mr * k)
+			defer PutBuf(g.edgeA)
+			clear(g.edgeA[:(g.mr-r)*k])
+			copy(g.edgeA[(g.mr-r)*k:], a[:m*k])
+		}
+		if bias != nil {
+			copy(g.edgeBias[g.mr-r:], bias[m-r:m])
+		}
+	}
+	tm, tn := (m+g.mr-1)/g.mr, (n+g.nr-1)/g.nr
 	workers := runtime.GOMAXPROCS(0)
-	if 2*int64(m)*int64(k)*int64(n) < gemmParallelFlops || workers <= 1 || m < 2*gemmMR {
-		gemmRows(c, a, b, 0, m, k, n)
+	if 2*int64(m)*int64(k)*int64(n) < gemmParallelFlops || workers <= 1 || max(tm, tn) < 2 {
+		g.run(0, tm, 0, tn)
 		return
 	}
-	// Chunks are multiples of the register-tile height so only the last
-	// range per worker hits the remainder kernel.
-	chunk := (m + 4*workers - 1) / (4 * workers)
-	chunk = (chunk + gemmMR - 1) / gemmMR * gemmMR
-	parallel.ForChunked(m, chunk, func(lo, hi int) {
-		gemmRows(c, a, b, lo, hi, k, n)
-	})
+	// Four chunks per worker, so one whose core has slowed down takes fewer
+	// of them. Chunks of columns when there is a panel for each: they read
+	// B once between them, where every chunk of rows reads all of it. Only
+	// this branch lets the call record escape to the heap.
+	pg := g
+	if chunks := 4 * workers; tn >= chunks || tm < 2 {
+		parallel.ForChunked(tn, (tn+chunks-1)/chunks, func(lo, hi int) { pg.run(0, tm, lo, hi) })
+	} else {
+		parallel.ForChunked(tm, (tm+chunks-1)/chunks, func(lo, hi int) { pg.run(lo, hi, 0, tn) })
+	}
 }
 
-// gemmRows accumulates C[lo:hi] += A[lo:hi]·B with cache blocking. C rows
-// in the range must already hold the desired initial value (GemmInto
-// zeroes them).
-func gemmRows(c, a, b []float32, lo, hi, k, n int) {
-	for p0 := 0; p0 < k; p0 += gemmKC {
-		p1 := min(p0+gemmKC, k)
-		for j0 := 0; j0 < n; j0 += gemmNC {
-			j1 := min(j0+gemmNC, n)
-			i := lo
-			for ; i+gemmMR <= hi; i += gemmMR {
-				gemm4Rows(c, a, b, i, k, n, p0, p1, j0, j1)
+// gemmCall is one GemmBiasInto call as its tile loops see it.
+type gemmCall struct {
+	c, a, b, bias []float32
+	m, k, n       int
+	mr, nr        int                // the tier's tile
+	edgeA         []float32          // mr rows of A ending with its last m%mr
+	edgeBias      [gemmMaxMR]float32 // bias for those rows; the live ones are set
+}
+
+var gemmNoBias [gemmMaxMR]float32
+
+// run computes the tiles in rows [ti0,ti1) × columns [tj0,tj1) of the
+// tile grid, one column panel of B at a time: the panel is re-read once
+// per tile row, A once per panel, and a panel is the narrower of the two.
+func (g *gemmCall) run(ti0, ti1, tj0, tj1 int) {
+	var edge [gemmMaxTile]float32
+	for tj := tj0; tj < tj1; tj++ {
+		j := tj * g.nr
+		nr := min(g.nr, g.n-j)
+		for ti := ti0; ti < ti1; ti++ {
+			i := ti * g.mr
+			if skip := i + g.mr - g.m; skip > 0 {
+				gemmTile(edge[:], g.nr, g.edgeA, g.k, g.b[j:], g.n, g.k, nr, g.edgeBias[:])
+				for r := skip; r < g.mr; r++ {
+					copy(g.c[(i+r-skip)*g.n+j:][:nr], edge[r*g.nr:])
+				}
+				continue
 			}
-			for ; i < hi; i++ {
-				gemm1Row(c, a, b, i, k, n, p0, p1, j0, j1)
+			bias := gemmNoBias[:]
+			if g.bias != nil {
+				bias = g.bias[i:]
 			}
-		}
-	}
-}
-
-// gemm4Rows is the register-tiled micro-kernel: rows i..i+3 of C over
-// columns [j0,j1), accumulating A·B over the k range [p0,p1). Each pass of
-// the inner loop retires 16 multiply-adds against 4 B loads and 4 C
-// load/store pairs.
-func gemm4Rows(c, a, b []float32, i, k, n, p0, p1, j0, j1 int) {
-	jw := j1 - j0
-	a0 := a[(i+0)*k : (i+0)*k+k]
-	a1 := a[(i+1)*k : (i+1)*k+k]
-	a2 := a[(i+2)*k : (i+2)*k+k]
-	a3 := a[(i+3)*k : (i+3)*k+k]
-	c0 := c[(i+0)*n+j0 : (i+0)*n+j1]
-	c1 := c[(i+1)*n+j0 : (i+1)*n+j1]
-	c2 := c[(i+2)*n+j0 : (i+2)*n+j1]
-	c3 := c[(i+3)*n+j0 : (i+3)*n+j1]
-	p := p0
-	for ; p+4 <= p1; p += 4 {
-		aq0 := [8]float32{
-			a0[p], a0[p+1], a0[p+2], a0[p+3],
-			a1[p], a1[p+1], a1[p+2], a1[p+3],
-		}
-		aq1 := [8]float32{
-			a2[p], a2[p+1], a2[p+2], a2[p+3],
-			a3[p], a3[p+1], a3[p+2], a3[p+3],
-		}
-		b0 := b[(p+0)*n+j0 : (p+0)*n+j0+jw]
-		b1 := b[(p+1)*n+j0:][:jw]
-		b2 := b[(p+2)*n+j0:][:jw]
-		b3 := b[(p+3)*n+j0:][:jw]
-		// Vectorised body (SSE on amd64, unrolled Go elsewhere), then a
-		// scalar tail for the jw%4 columns.
-		jv := jw &^ 3
-		if jv > 0 {
-			gemmAxpy2x4(c0, c1, b0, b1, b2, b3, &aq0, jv)
-			gemmAxpy2x4(c2, c3, b0, b1, b2, b3, &aq1, jv)
-		}
-		for j := jv; j < jw; j++ {
-			bv0, bv1, bv2, bv3 := b0[j], b1[j], b2[j], b3[j]
-			c0[j] += aq0[0]*bv0 + aq0[1]*bv1 + aq0[2]*bv2 + aq0[3]*bv3
-			c1[j] += aq0[4]*bv0 + aq0[5]*bv1 + aq0[6]*bv2 + aq0[7]*bv3
-			c2[j] += aq1[0]*bv0 + aq1[1]*bv1 + aq1[2]*bv2 + aq1[3]*bv3
-			c3[j] += aq1[4]*bv0 + aq1[5]*bv1 + aq1[6]*bv2 + aq1[7]*bv3
-		}
-	}
-	for ; p < p1; p++ {
-		av0, av1, av2, av3 := a0[p], a1[p], a2[p], a3[p]
-		brow := b[p*n+j0 : p*n+j0+jw]
-		for j, bv := range brow {
-			c0[j] += av0 * bv
-			c1[j] += av1 * bv
-			c2[j] += av2 * bv
-			c3[j] += av3 * bv
-		}
-	}
-}
-
-// gemm1Row handles the m%4 remainder rows with a 4-way k unroll.
-func gemm1Row(c, a, b []float32, i, k, n, p0, p1, j0, j1 int) {
-	jw := j1 - j0
-	arow := a[i*k : i*k+k]
-	crow := c[i*n+j0 : i*n+j1]
-	p := p0
-	for ; p+4 <= p1; p += 4 {
-		av0, av1, av2, av3 := arow[p], arow[p+1], arow[p+2], arow[p+3]
-		b0 := b[(p+0)*n+j0 : (p+0)*n+j0+jw]
-		b1 := b[(p+1)*n+j0 : (p+1)*n+j0+jw]
-		b2 := b[(p+2)*n+j0 : (p+2)*n+j0+jw]
-		b3 := b[(p+3)*n+j0 : (p+3)*n+j0+jw]
-		for j := 0; j < jw; j++ {
-			crow[j] += av0*b0[j] + av1*b1[j] + av2*b2[j] + av3*b3[j]
-		}
-	}
-	for ; p < p1; p++ {
-		av := arow[p]
-		if av == 0 {
-			continue
-		}
-		brow := b[p*n+j0 : p*n+j0+jw]
-		for j, bv := range brow {
-			crow[j] += av * bv
+			gemmTile(g.c[i*g.n+j:], g.n, g.a[i*g.k:], g.k, g.b[j:], g.n, g.k, nr, bias)
 		}
 	}
 }
@@ -168,7 +145,7 @@ func gemm1Row(c, a, b []float32, i, k, n, p0, p1, j0, j1 int) {
 // b is [n,k] row-major, c receives [m,n]. Small m stays in a dot-product
 // kernel (both operands already stream contiguously and a transpose would
 // double the memory traffic); larger products repack Bᵀ into pooled
-// scratch and reuse the blocked engine.
+// scratch and reuse the engine.
 func GemmTransBInto(c, a, b []float32, m, k, n int) {
 	if len(c) < m*n || len(a) < m*k || len(b) < n*k {
 		panic("tensor: GemmTransBInto operand shorter than its shape")

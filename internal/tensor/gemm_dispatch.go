@@ -8,15 +8,16 @@ import "fmt"
 type KernelTier int
 
 const (
-	// TierGeneric is the portable pure-Go kernel (always available).
-	TierGeneric KernelTier = iota
-	// TierSSE is the amd64-baseline SSE kernel (4-wide f32).
-	TierSSE
-	// TierAVX2 is the AVX2+FMA kernel (8-wide f32, 16-byte int8 dot).
-	TierAVX2
-	// TierAVX512 is the AVX-512 F+BW+VL kernel (16-wide f32, 32-byte
+	// TierGeneric is the portable pure-Go kernel (always available, and
+	// what hosts older than AVX2 run).
+	TierGeneric KernelTier = 0
+	// TierAVX2 is the AVX2+FMA kernel (6×16 f32 tile, 16-byte int8 dot).
+	// Reports and the benchmark carry the numbers, so 1 — the retired
+	// SSE tier — stays unused.
+	TierAVX2 KernelTier = 2
+	// TierAVX512 is the AVX-512 F+BW+VL kernel (6×64 f32 tile, 32-byte
 	// int8 dot, with a VNNI fast path when the CPU has it).
-	TierAVX512
+	TierAVX512 KernelTier = 3
 )
 
 // String names the tier for logs and benchmark reports.
@@ -24,8 +25,6 @@ func (t KernelTier) String() string {
 	switch t {
 	case TierGeneric:
 		return "generic"
-	case TierSSE:
-		return "sse"
 	case TierAVX2:
 		return "avx2"
 	case TierAVX512:
@@ -50,12 +49,13 @@ func DetectedKernelTier() KernelTier { return detectedTier }
 func CurrentKernelTier() KernelTier { return kernelTier }
 
 // SetKernelTier forces dispatch to a lower (or equal) tier than detected,
-// so benchmarks can measure e.g. the SSE baseline on an AVX2 host and
+// so benchmarks can measure e.g. the AVX2 kernel on an AVX-512 host and
 // tests can exercise every reachable kernel. Requesting a tier above the
-// detected one is an error. Not safe to call concurrently with running
-// GEMMs; it is a measurement/testing knob, not a hot-path switch.
+// detected one, or one that does not exist, is an error. Not safe to call
+// concurrently with running GEMMs; it is a measurement/testing knob, not
+// a hot-path switch.
 func SetKernelTier(t KernelTier) error {
-	if t < TierGeneric || t > detectedTier {
+	if t > detectedTier || (t != TierGeneric && t != TierAVX2 && t != TierAVX512) {
 		return fmt.Errorf("tensor: kernel tier %v not available (detected %v)", t, detectedTier)
 	}
 	kernelTier = t

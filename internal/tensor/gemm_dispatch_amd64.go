@@ -6,7 +6,8 @@ import "adcnn/internal/cpufeat"
 
 // detectKernelTier maps the host feature set onto the widest usable
 // kernel tier: AVX-512 requires F+BW+VL and OS ZMM/opmask state, AVX2
-// requires FMA and OS YMM-state support, SSE is the amd64 baseline.
+// requires FMA and OS YMM-state support; anything older runs the
+// portable kernels.
 func detectKernelTier() KernelTier {
 	f := cpufeat.Detect()
 	if f.UsableAVX512() {
@@ -15,7 +16,7 @@ func detectKernelTier() KernelTier {
 	if f.UsableAVX2() {
 		return TierAVX2
 	}
-	return TierSSE
+	return TierGeneric
 }
 
 // hasVNNI gates the VPDPBUSD int8 fast path inside the AVX-512 tier.
@@ -36,17 +37,30 @@ func setVNNI(on bool) bool {
 	return prev
 }
 
-// gemmAxpy2x4 dispatches the vectorised inner sweep. n is a multiple of
-// 4 and at least 4; slices are at least n long.
-func gemmAxpy2x4(c0, c1, b0, b1, b2, b3 []float32, aq *[8]float32, n int) {
+// gemmTileShape is the MR×NR tile of the dispatched tier's kernel.
+func gemmTileShape() (mr, nr int) {
 	switch kernelTier {
 	case TierAVX512:
-		gemmKernel2x4AVX512(&c0[0], &c1[0], &b0[0], &b1[0], &b2[0], &b3[0], &aq[0], n)
+		return 6, 64
 	case TierAVX2:
-		gemmKernel2x4AVX2(&c0[0], &c1[0], &b0[0], &b1[0], &b2[0], &b3[0], &aq[0], n)
-	case TierSSE:
-		gemmKernel2x4SSE(&c0[0], &c1[0], &b0[0], &b1[0], &b2[0], &b3[0], &aq[0], n)
+		return 6, 16
+	}
+	return 4, 64
+}
+
+// laneMasks[16-nr:] is the AVX2 kernel's column mask for a tile nr wide.
+var laneMasks = [32]int32{-1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1}
+
+// gemmTile runs the dispatched tier's micro-kernel on one tile:
+// c[r*ldc+j] = bias[r] + Σp a[r*lda+p]·b[p*ldb+j] for r < MR, j < nr,
+// with k ≥ 1, nr ≤ NR and MR readable rows of a and bias.
+func gemmTile(c []float32, ldc int, a []float32, lda int, b []float32, ldb, k, nr int, bias []float32) {
+	switch kernelTier {
+	case TierAVX512:
+		gemmTileAVX512(&c[0], ldc, &a[0], lda, &b[0], ldb, k, uint64(1)<<nr-1, &bias[0])
+	case TierAVX2:
+		gemmTileAVX2(&c[0], ldc, &a[0], lda, &b[0], ldb, k, &laneMasks[16-nr], &bias[0])
 	default:
-		gemmAxpy2x4Generic(c0, c1, b0, b1, b2, b3, aq, n)
+		gemmTileGeneric(c, ldc, a, lda, b, ldb, k, nr, bias)
 	}
 }

@@ -9,7 +9,10 @@ func detectKernelTier() KernelTier { return TierGeneric }
 // setVNNI: no VNNI without assembly kernels; the knob is inert.
 func setVNNI(bool) bool { return false }
 
-// gemmAxpy2x4 routes to the portable kernel.
-func gemmAxpy2x4(c0, c1, b0, b1, b2, b3 []float32, aq *[8]float32, n int) {
-	gemmAxpy2x4Generic(c0, c1, b0, b1, b2, b3, aq, n)
+// gemmTileShape is the portable kernel's tile.
+func gemmTileShape() (mr, nr int) { return 4, 64 }
+
+// gemmTile routes to the portable kernel.
+func gemmTile(c []float32, ldc int, a []float32, lda int, b []float32, ldb, k, nr int, bias []float32) {
+	gemmTileGeneric(c, ldc, a, lda, b, ldb, k, nr, bias)
 }

@@ -70,7 +70,7 @@ func TestKernelTierParityInt8(t *testing.T) {
 	detected := DetectedKernelTier()
 	defer SetKernelTier(detected)
 	rng := rand.New(rand.NewSource(11))
-	for tier := TierGeneric; tier <= detected; tier++ {
+	for _, tier := range reachableTiers() {
 		if err := SetKernelTier(tier); err != nil {
 			t.Fatalf("SetKernelTier(%v): %v", tier, err)
 		}
@@ -92,50 +92,50 @@ func TestKernelTierParityInt8(t *testing.T) {
 	}
 }
 
-// TestKernelTierParityF32 extends the matrix to the f32 kernels: the SSE
-// kernel uses the same operation order as the generic one (bit-exact);
-// the AVX2 kernel fuses multiply-adds, so it is pinned within a
-// k-scaled tolerance instead.
+// TestKernelTierParityF32 extends the matrix to the f32 micro-kernel
+// entry point: one tile through gemmTile on every reachable tier against
+// the portable kernel. The FMA tiers round once per step where the
+// portable kernel rounds twice, so they are pinned within a k-scaled
+// bound; the portable tier is the oracle and must match itself exactly.
 func TestKernelTierParityF32(t *testing.T) {
-	detected := DetectedKernelTier()
-	defer SetKernelTier(detected)
-	rng := rand.New(rand.NewSource(13))
-	for tier := TierGeneric; tier <= detected; tier++ {
-		if err := SetKernelTier(tier); err != nil {
-			t.Fatalf("SetKernelTier(%v): %v", tier, err)
-		}
-		for trial := 0; trial < 20; trial++ {
-			n := 4 * (1 + rng.Intn(32))
-			mk := func() []float32 {
-				s := make([]float32, n)
-				for i := range s {
-					s[i] = rng.Float32()*2 - 1
-				}
-				return s
-			}
-			b0, b1, b2, b3 := mk(), mk(), mk(), mk()
-			var aq [8]float32
-			for i := range aq {
-				aq[i] = rng.Float32()*2 - 1
-			}
-			got := mk()
+	forEachTier(t, func(t *testing.T) {
+		rng := rand.New(rand.NewSource(13))
+		tier := CurrentKernelTier()
+		mr, nrMax := gemmTileShape()
+		for trial := 0; trial < 40; trial++ {
+			k := 1 + rng.Intn(300)
+			nr := 1 + rng.Intn(nrMax)
+			lda, ldb, ldc := k+rng.Intn(3), nrMax+rng.Intn(5), nrMax+rng.Intn(5)
+			a := randSlice(rng, mr*lda)
+			b := randSlice(rng, (k-1)*ldb+nr) // ends with the last live element
+			bias := randSlice(rng, mr)
+			got := randSlice(rng, mr*ldc)
 			want := append([]float32(nil), got...)
-			c1got := mk()
-			c1want := append([]float32(nil), c1got...)
-			gemmAxpy2x4(got, c1got, b0, b1, b2, b3, &aq, n)
-			gemmAxpy2x4Generic(want, c1want, b0, b1, b2, b3, &aq, n)
-			for j := 0; j < n; j++ {
-				d0 := math.Abs(float64(got[j] - want[j]))
-				d1 := math.Abs(float64(c1got[j] - c1want[j]))
-				if tier <= TierSSE && (d0 != 0 || d1 != 0) {
-					t.Fatalf("tier %v n=%d j=%d: not bit-exact (%g, %g)", tier, n, j, d0, d1)
+			gemmTile(got, ldc, a, lda, b, ldb, k, nr, bias)
+			for r := 0; r < mr; r += 4 { // the portable tile is 4 rows
+				rows := min(4, mr-r)
+				tile := make([]float32, 4*ldc)
+				ar := make([]float32, 4*lda)
+				copy(ar, a[r*lda:(r+rows)*lda])
+				var br [4]float32
+				copy(br[:], bias[r:r+rows])
+				gemmTileGeneric(tile, ldc, ar, lda, b, ldb, k, nr, br[:])
+				for q := 0; q < rows; q++ {
+					copy(want[(r+q)*ldc:][:nr], tile[q*ldc:])
 				}
-				if d0 > 1e-5 || d1 > 1e-5 {
-					t.Fatalf("tier %v n=%d j=%d: beyond tolerance (%g, %g)", tier, n, j, d0, d1)
+			}
+			tol := 2e-7 * float64(k+1) * 4
+			for i := range got {
+				d := math.Abs(float64(got[i] - want[i]))
+				if tier == TierGeneric && d != 0 {
+					t.Fatalf("k=%d nr=%d: element %d not bit-exact (%g)", k, nr, i, d)
+				}
+				if d > tol {
+					t.Fatalf("k=%d nr=%d: element %d off by %g > %g (columns past nr must stay untouched)", k, nr, i, d, tol)
 				}
 			}
 		}
-	}
+	})
 }
 
 func TestSetKernelTierRejectsAboveDetected(t *testing.T) {

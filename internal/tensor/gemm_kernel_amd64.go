@@ -2,28 +2,18 @@
 
 package tensor
 
-// gemmKernel2x4SSE is the SSE micro-kernel (gemm_kernel_amd64.s): for two
-// C rows and four packed A scalars per row it computes, 4 floats per step,
-//
-//	c0[j] += a[0]*b0[j] + a[1]*b1[j] + a[2]*b2[j] + a[3]*b3[j]
-//	c1[j] += a[4]*b0[j] + a[5]*b1[j] + a[6]*b2[j] + a[7]*b3[j]
-//
-// for j in [0, n). n must be a multiple of 4; callers handle the tail.
+// gemmTileAVX512 (gemm_kernel_amd64.s) computes one 6×nr tile,
+// nr ≤ 64, of C = bias + A·B with the k loop inside and the tile held
+// in 24 ZMM accumulators. Bits [0,nr) of mask are set; a addresses 6
+// readable rows lda apart, bias 6 floats; strides are in elements.
+// Requires AVX-512 F+BW+VL — dispatch only on TierAVX512.
 //
 //go:noescape
-func gemmKernel2x4SSE(c0, c1, b0, b1, b2, b3, a *float32, n int)
+func gemmTileAVX512(c *float32, ldc int, a *float32, lda int, b *float32, ldb, k int, mask uint64, bias *float32)
 
-// gemmKernel2x4AVX2 computes the same update 8 floats per step with
-// YMM FMA (one 4-wide VEX-128 step handles n≡4 mod 8). Requires
-// AVX2+FMA and OS YMM support — dispatch only on TierAVX2.
+// gemmTileAVX2 is the same kernel on a 6×nr tile, nr ≤ 16, in 12 YMM
+// accumulators. mask addresses 16 words, all-ones for the first nr.
+// Requires AVX2+FMA — dispatch only on TierAVX2.
 //
 //go:noescape
-func gemmKernel2x4AVX2(c0, c1, b0, b1, b2, b3, a *float32, n int)
-
-// gemmKernel2x4AVX512 computes the same update 16 floats per step with
-// ZMM FMA; 8- and 4-wide remainder steps reuse the low lanes of the
-// broadcast registers. Requires AVX-512 F+BW+VL and OS ZMM support —
-// dispatch only on TierAVX512.
-//
-//go:noescape
-func gemmKernel2x4AVX512(c0, c1, b0, b1, b2, b3, a *float32, n int)
+func gemmTileAVX2(c *float32, ldc int, a *float32, lda int, b *float32, ldb, k int, mask *int32, bias *float32)

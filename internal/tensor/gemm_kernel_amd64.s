@@ -2,282 +2,211 @@
 
 #include "textflag.h"
 
-// func gemmKernel2x4SSE(c0, c1, b0, b1, b2, b3, a *float32, n int)
+// f32 GEMM micro-kernels. Each computes one MR×nr tile of C = bias + A·B
+// with the whole k loop inside: the tile lives in vector registers from
+// the first multiply to the single store, row r seeded with bias[r].
+// A is read in place, one broadcast per (row, k); B rows are loaded nr
+// wide under a lane mask, so nr may be anything in [1, NR] and nothing
+// past column nr is read or written. Every C element is one chain of
+// fused multiply-adds in ascending k — the same chain whatever the
+// tile's position, so results do not depend on how C is cut into tiles.
+
+// The 6×64 AVX-512 tile: Z24..Z27 hold the B row, row r of C lives in
+// Z(4r)..Z(4r+3). Six broadcasts and four B loads feed 24 multiply-adds
+// (a 12×32 tile needs 14 loads for the same 24), which keeps the loop
+// on the FMA units when a neighbour on the core takes load slots
+// (DESIGN.md §5c has the measurement). ROWv is one row of a tile v
+// vectors wide, a is A[r][p]; a narrow last panel runs the loop for its
+// own width and spends nothing on dead vectors.
+#define ROW1(a, c0, c1, c2, c3) \
+	VBROADCASTSS a, Z28       \
+	VFMADD231PS  Z28, Z24, c0
+
+#define ROW2(a, c0, c1, c2, c3) \
+	ROW1(a, c0, c1, c2, c3)   \
+	VFMADD231PS Z28, Z25, c1
+
+#define ROW3(a, c0, c1, c2, c3) \
+	ROW2(a, c0, c1, c2, c3)   \
+	VFMADD231PS Z28, Z26, c2
+
+#define ROW4(a, c0, c1, c2, c3) \
+	ROW3(a, c0, c1, c2, c3)   \
+	VFMADD231PS Z28, Z27, c3
+
+// BROWv loads a B row v vectors wide and prefetches the row 9 ahead.
+#define BROW1 \
+	VMOVUPS.Z  (SI), K1, Z24 \
+	PREFETCHT0 (SI)(R13*1)
+
+#define BROW2 \
+	BROW1                       \
+	VMOVUPS.Z  64(SI), K2, Z25 \
+	PREFETCHT0 64(SI)(R13*1)
+
+#define BROW3 \
+	BROW2                        \
+	VMOVUPS.Z  128(SI), K3, Z26 \
+	PREFETCHT0 128(SI)(R13*1)
+
+#define BROW4 \
+	BROW3                        \
+	VMOVUPS.Z  192(SI), K4, Z27 \
+	PREFETCHT0 192(SI)(R13*1)
+
+#define KLOOP512(loop, BROW, ROW) \
+loop:                               \
+	BROW                             \
+	ADDQ R10, SI                     \
+	ROW((AX), Z0, Z1, Z2, Z3)        \
+	ROW((AX)(R8*1), Z4, Z5, Z6, Z7)  \
+	ROW((AX)(R8*2), Z8, Z9, Z10, Z11) \
+	ROW((BX), Z12, Z13, Z14, Z15)    \
+	ROW((BX)(R8*1), Z16, Z17, Z18, Z19) \
+	ROW((BX)(R8*2), Z20, Z21, Z22, Z23) \
+	ADDQ $4, AX                      \
+	ADDQ $4, BX                      \
+	DECQ DX                          \
+	JNZ  loop                        \
+	JMP  store512
+
+#define SEED512(off, c0, c1, c2, c3) \
+	VBROADCASTSS off(R11), c0 \
+	VMOVAPS      c0, c1       \
+	VMOVAPS      c0, c2       \
+	VMOVAPS      c0, c3
+
+#define STORE512(c0, c1, c2, c3) \
+	VMOVUPS c0, K1, (DI)    \
+	VMOVUPS c1, K2, 64(DI)  \
+	VMOVUPS c2, K3, 128(DI) \
+	VMOVUPS c3, K4, 192(DI) \
+	ADDQ    R12, DI
+
+// func gemmTileAVX512(c *float32, ldc int, a *float32, lda int, b *float32, ldb, k int, mask uint64, bias *float32)
 //
-// SSE (amd64 baseline) axpy micro-kernel over two C rows:
-//
-//	c0[j] += a[0]*b0[j] + a[1]*b1[j] + a[2]*b2[j] + a[3]*b3[j]
-//	c1[j] += a[4]*b0[j] + a[5]*b1[j] + a[6]*b2[j] + a[7]*b3[j]
-//
-// for j in [0, n), n a multiple of 4. The eight A scalars are broadcast
-// into X8..X15 once; each loop iteration retires 64 flops against six
-// 16-byte loads and two stores.
-TEXT ·gemmKernel2x4SSE(SB), NOSPLIT, $0-64
-	MOVQ c0+0(FP), DI
-	MOVQ c1+8(FP), SI
-	MOVQ b0+16(FP), R8
-	MOVQ b1+24(FP), R9
-	MOVQ b2+32(FP), R10
-	MOVQ b3+40(FP), R11
-	MOVQ a+48(FP), AX
-	MOVQ n+56(FP), CX
+// 6×64 tile: 24 ZMM accumulators. Bits [0,64) of mask select the live
+// columns; a must address 6 readable rows of k floats, bias 6 floats.
+// Strides are in elements.
+TEXT ·gemmTileAVX512(SB), NOSPLIT, $0-72
+	MOVQ     c+0(FP), DI
+	MOVQ     ldc+8(FP), R12
+	MOVQ     a+16(FP), AX
+	MOVQ     lda+24(FP), R8
+	MOVQ     b+32(FP), SI
+	MOVQ     ldb+40(FP), R10
+	MOVQ     k+48(FP), DX
+	KMOVQ    mask+56(FP), K1
+	MOVQ     bias+64(FP), R11
+	KSHIFTRQ $16, K1, K2
+	KSHIFTRQ $32, K1, K3
+	KSHIFTRQ $48, K1, K4
+	SHLQ     $2, R12
+	SHLQ     $2, R8
+	SHLQ     $2, R10
+	LEAQ     (R8)(R8*2), BX
+	ADDQ     AX, BX            // A rows 3..5
+	LEAQ     (R10)(R10*8), R13 // B prefetch distance: 9 rows
 
-	// Broadcast a[0..7] across the four lanes of X8..X15.
-	MOVSS  0(AX), X8
-	SHUFPS $0x00, X8, X8
-	MOVSS  4(AX), X9
-	SHUFPS $0x00, X9, X9
-	MOVSS  8(AX), X10
-	SHUFPS $0x00, X10, X10
-	MOVSS  12(AX), X11
-	SHUFPS $0x00, X11, X11
-	MOVSS  16(AX), X12
-	SHUFPS $0x00, X12, X12
-	MOVSS  20(AX), X13
-	SHUFPS $0x00, X13, X13
-	MOVSS  24(AX), X14
-	SHUFPS $0x00, X14, X14
-	MOVSS  28(AX), X15
-	SHUFPS $0x00, X15, X15
+	SEED512(0, Z0, Z1, Z2, Z3)
+	SEED512(4, Z4, Z5, Z6, Z7)
+	SEED512(8, Z8, Z9, Z10, Z11)
+	SEED512(12, Z12, Z13, Z14, Z15)
+	SEED512(16, Z16, Z17, Z18, Z19)
+	SEED512(20, Z20, Z21, Z22, Z23)
+	TESTQ   DX, DX
+	JZ      store512
+	KTESTQ  K4, K4
+	JNZ     loop512x4
+	KTESTQ  K3, K3
+	JNZ     loop512x3
+	KTESTQ  K2, K2
+	JNZ     loop512x2
+	KLOOP512(loop512x1, BROW1, ROW1)
+	KLOOP512(loop512x2, BROW2, ROW2)
+	KLOOP512(loop512x3, BROW3, ROW3)
+	KLOOP512(loop512x4, BROW4, ROW4)
 
-	XORQ DX, DX // byte offset into the rows
-	SHRQ $2, CX // iterations = n/4
-	JZ   done
-
-loop:
-	MOVUPS (R8)(DX*1), X0
-	MOVUPS (R9)(DX*1), X1
-	MOVUPS (R10)(DX*1), X2
-	MOVUPS (R11)(DX*1), X3
-	MOVUPS (DI)(DX*1), X4
-	MOVUPS (SI)(DX*1), X5
-
-	// Row 0: X4 += X0*a0 + X1*a1 + X2*a2 + X3*a3 (pairwise tree).
-	MOVAPS X0, X6
-	MULPS  X8, X6
-	MOVAPS X1, X7
-	MULPS  X9, X7
-	ADDPS  X7, X6
-	MOVAPS X2, X7
-	MULPS  X10, X7
-	ADDPS  X7, X6
-	MOVAPS X3, X7
-	MULPS  X11, X7
-	ADDPS  X7, X6
-	ADDPS  X6, X4
-	MOVUPS X4, (DI)(DX*1)
-
-	// Row 1: X5 += X0*a4 + X1*a5 + X2*a6 + X3*a7.
-	MOVAPS X0, X6
-	MULPS  X12, X6
-	MOVAPS X1, X7
-	MULPS  X13, X7
-	ADDPS  X7, X6
-	MOVAPS X2, X7
-	MULPS  X14, X7
-	ADDPS  X7, X6
-	MOVAPS X3, X7
-	MULPS  X15, X7
-	ADDPS  X7, X6
-	ADDPS  X6, X5
-	MOVUPS X5, (SI)(DX*1)
-
-	ADDQ $16, DX
-	DECQ CX
-	JNZ  loop
-
-done:
-	RET
-
-// func gemmKernel2x4AVX2(c0, c1, b0, b1, b2, b3, a *float32, n int)
-//
-// AVX2+FMA widening of the kernel above: the same two-row axpy update,
-// 8 floats per step with fused multiply-add (128 flops per iteration
-// against six 32-byte loads and two stores). n is a multiple of 4; the
-// possible 4-column remainder after the 8-wide loop runs one VEX-128
-// step, keeping everything VEX-encoded so there is no SSE/AVX
-// transition penalty before VZEROUPPER.
-TEXT ·gemmKernel2x4AVX2(SB), NOSPLIT, $0-64
-	MOVQ c0+0(FP), DI
-	MOVQ c1+8(FP), SI
-	MOVQ b0+16(FP), R8
-	MOVQ b1+24(FP), R9
-	MOVQ b2+32(FP), R10
-	MOVQ b3+40(FP), R11
-	MOVQ a+48(FP), AX
-	MOVQ n+56(FP), CX
-
-	// Broadcast a[0..7] across the eight lanes of Y8..Y15.
-	VBROADCASTSS 0(AX), Y8
-	VBROADCASTSS 4(AX), Y9
-	VBROADCASTSS 8(AX), Y10
-	VBROADCASTSS 12(AX), Y11
-	VBROADCASTSS 16(AX), Y12
-	VBROADCASTSS 20(AX), Y13
-	VBROADCASTSS 24(AX), Y14
-	VBROADCASTSS 28(AX), Y15
-
-	XORQ DX, DX // byte offset into the rows
-	MOVQ CX, BX
-	SHRQ $3, BX // 8-wide iterations = n/8
-	JZ   tail4
-
-loop8:
-	VMOVUPS (R8)(DX*1), Y0
-	VMOVUPS (R9)(DX*1), Y1
-	VMOVUPS (R10)(DX*1), Y2
-	VMOVUPS (R11)(DX*1), Y3
-	VMOVUPS (DI)(DX*1), Y4
-	VMOVUPS (SI)(DX*1), Y5
-
-	VFMADD231PS Y8, Y0, Y4  // Y4 += b0*a0
-	VFMADD231PS Y9, Y1, Y4  // Y4 += b1*a1
-	VFMADD231PS Y10, Y2, Y4 // Y4 += b2*a2
-	VFMADD231PS Y11, Y3, Y4 // Y4 += b3*a3
-	VFMADD231PS Y12, Y0, Y5 // Y5 += b0*a4
-	VFMADD231PS Y13, Y1, Y5 // Y5 += b1*a5
-	VFMADD231PS Y14, Y2, Y5 // Y5 += b2*a6
-	VFMADD231PS Y15, Y3, Y5 // Y5 += b3*a7
-
-	VMOVUPS Y4, (DI)(DX*1)
-	VMOVUPS Y5, (SI)(DX*1)
-
-	ADDQ $32, DX
-	DECQ BX
-	JNZ  loop8
-
-tail4:
-	ANDQ $7, CX // remainder columns: 0 or 4 (n is a multiple of 4)
-	JZ   done
-
-	VMOVUPS (R8)(DX*1), X0
-	VMOVUPS (R9)(DX*1), X1
-	VMOVUPS (R10)(DX*1), X2
-	VMOVUPS (R11)(DX*1), X3
-	VMOVUPS (DI)(DX*1), X4
-	VMOVUPS (SI)(DX*1), X5
-
-	VFMADD231PS X8, X0, X4
-	VFMADD231PS X9, X1, X4
-	VFMADD231PS X10, X2, X4
-	VFMADD231PS X11, X3, X4
-	VFMADD231PS X12, X0, X5
-	VFMADD231PS X13, X1, X5
-	VFMADD231PS X14, X2, X5
-	VFMADD231PS X15, X3, X5
-
-	VMOVUPS X4, (DI)(DX*1)
-	VMOVUPS X5, (SI)(DX*1)
-
-done:
+store512:
+	STORE512(Z0, Z1, Z2, Z3)
+	STORE512(Z4, Z5, Z6, Z7)
+	STORE512(Z8, Z9, Z10, Z11)
+	STORE512(Z12, Z13, Z14, Z15)
+	STORE512(Z16, Z17, Z18, Z19)
+	STORE512(Z20, Z21, Z22, Z23)
 	VZEROUPPER
 	RET
 
-// func gemmKernel2x4AVX512(c0, c1, b0, b1, b2, b3, a *float32, n int)
+// One row of the 6×16 AVX2 tile: Y12/Y13 hold the B row.
+#define ROW256(a, c0, c1) \
+	VBROADCASTSS a, Y14       \
+	VFMADD231PS  Y14, Y12, c0 \
+	VFMADD231PS  Y14, Y13, c1
+
+#define SEED256(off, c0, c1) \
+	VBROADCASTSS off(R11), c0 \
+	VMOVAPS      c0, c1
+
+#define STORE256(c0, c1) \
+	VMASKMOVPS c0, Y14, (DI)   \
+	VMASKMOVPS c1, Y15, 32(DI) \
+	ADDQ       R12, DI
+
+// func gemmTileAVX2(c *float32, ldc int, a *float32, lda int, b *float32, ldb, k int, mask *int32, bias *float32)
 //
-// AVX-512 widening of the same two-row axpy update: 16 floats per step
-// (256 flops per iteration against six 64-byte loads and two stores).
-// n is a multiple of 4; after the 16-wide loop the 8- and 4-column
-// remainders run one YMM and one XMM step against the low lanes of the
-// same broadcast registers (Y8 is the low half of Z8), so every path
-// stays VEX/EVEX-encoded until VZEROUPPER.
-TEXT ·gemmKernel2x4AVX512(SB), NOSPLIT, $0-64
-	MOVQ c0+0(FP), DI
-	MOVQ c1+8(FP), SI
-	MOVQ b0+16(FP), R8
-	MOVQ b1+24(FP), R9
-	MOVQ b2+32(FP), R10
-	MOVQ b3+40(FP), R11
-	MOVQ a+48(FP), AX
-	MOVQ n+56(FP), CX
+// 6×16 tile: 12 YMM accumulators, which leaves one register for the
+// broadcast and one for a lane mask, so the two masks (mask[0:8] and
+// mask[8:16], all-ones words for live columns) are reloaded per B row.
+TEXT ·gemmTileAVX2(SB), NOSPLIT, $0-72
+	MOVQ c+0(FP), DI
+	MOVQ ldc+8(FP), R12
+	MOVQ a+16(FP), AX
+	MOVQ lda+24(FP), R8
+	MOVQ b+32(FP), SI
+	MOVQ ldb+40(FP), R10
+	MOVQ k+48(FP), DX
+	MOVQ mask+56(FP), R13
+	MOVQ bias+64(FP), R11
+	SHLQ $2, R12
+	SHLQ $2, R8
+	SHLQ $2, R10
+	LEAQ (R8)(R8*2), BX
+	ADDQ AX, BX              // A rows 3..5
 
-	// Broadcast a[0..7] across the sixteen lanes of Z8..Z15.
-	VBROADCASTSS 0(AX), Z8
-	VBROADCASTSS 4(AX), Z9
-	VBROADCASTSS 8(AX), Z10
-	VBROADCASTSS 12(AX), Z11
-	VBROADCASTSS 16(AX), Z12
-	VBROADCASTSS 20(AX), Z13
-	VBROADCASTSS 24(AX), Z14
-	VBROADCASTSS 28(AX), Z15
+	SEED256(0, Y0, Y1)
+	SEED256(4, Y2, Y3)
+	SEED256(8, Y4, Y5)
+	SEED256(12, Y6, Y7)
+	SEED256(16, Y8, Y9)
+	SEED256(20, Y10, Y11)
+	TESTQ DX, DX
+	JZ    store256
 
-	XORQ DX, DX // byte offset into the rows
-	MOVQ CX, BX
-	SHRQ $4, BX // 16-wide iterations = n/16
-	JZ   tail8
+loop256:
+	VMOVDQU    (R13), Y14
+	VMOVDQU    32(R13), Y15
+	VMASKMOVPS (SI), Y14, Y12
+	VMASKMOVPS 32(SI), Y15, Y13
+	ADDQ       R10, SI
+	ROW256((AX), Y0, Y1)
+	ROW256((AX)(R8*1), Y2, Y3)
+	ROW256((AX)(R8*2), Y4, Y5)
+	ROW256((BX), Y6, Y7)
+	ROW256((BX)(R8*1), Y8, Y9)
+	ROW256((BX)(R8*2), Y10, Y11)
+	ADDQ $4, AX
+	ADDQ $4, BX
+	DECQ DX
+	JNZ  loop256
 
-loop16:
-	VMOVUPS (R8)(DX*1), Z0
-	VMOVUPS (R9)(DX*1), Z1
-	VMOVUPS (R10)(DX*1), Z2
-	VMOVUPS (R11)(DX*1), Z3
-	VMOVUPS (DI)(DX*1), Z4
-	VMOVUPS (SI)(DX*1), Z5
-
-	VFMADD231PS Z8, Z0, Z4  // Z4 += b0*a0
-	VFMADD231PS Z9, Z1, Z4  // Z4 += b1*a1
-	VFMADD231PS Z10, Z2, Z4 // Z4 += b2*a2
-	VFMADD231PS Z11, Z3, Z4 // Z4 += b3*a3
-	VFMADD231PS Z12, Z0, Z5 // Z5 += b0*a4
-	VFMADD231PS Z13, Z1, Z5 // Z5 += b1*a5
-	VFMADD231PS Z14, Z2, Z5 // Z5 += b2*a6
-	VFMADD231PS Z15, Z3, Z5 // Z5 += b3*a7
-
-	VMOVUPS Z4, (DI)(DX*1)
-	VMOVUPS Z5, (SI)(DX*1)
-
-	ADDQ $64, DX
-	DECQ BX
-	JNZ  loop16
-
-tail8:
-	TESTQ $8, CX // an 8-column remainder?
-	JZ    tail4
-
-	VMOVUPS (R8)(DX*1), Y0
-	VMOVUPS (R9)(DX*1), Y1
-	VMOVUPS (R10)(DX*1), Y2
-	VMOVUPS (R11)(DX*1), Y3
-	VMOVUPS (DI)(DX*1), Y4
-	VMOVUPS (SI)(DX*1), Y5
-
-	VFMADD231PS Y8, Y0, Y4
-	VFMADD231PS Y9, Y1, Y4
-	VFMADD231PS Y10, Y2, Y4
-	VFMADD231PS Y11, Y3, Y4
-	VFMADD231PS Y12, Y0, Y5
-	VFMADD231PS Y13, Y1, Y5
-	VFMADD231PS Y14, Y2, Y5
-	VFMADD231PS Y15, Y3, Y5
-
-	VMOVUPS Y4, (DI)(DX*1)
-	VMOVUPS Y5, (SI)(DX*1)
-
-	ADDQ $32, DX
-
-tail4:
-	TESTQ $4, CX // a 4-column remainder?
-	JZ    done512
-
-	VMOVUPS (R8)(DX*1), X0
-	VMOVUPS (R9)(DX*1), X1
-	VMOVUPS (R10)(DX*1), X2
-	VMOVUPS (R11)(DX*1), X3
-	VMOVUPS (DI)(DX*1), X4
-	VMOVUPS (SI)(DX*1), X5
-
-	VFMADD231PS X8, X0, X4
-	VFMADD231PS X9, X1, X4
-	VFMADD231PS X10, X2, X4
-	VFMADD231PS X11, X3, X4
-	VFMADD231PS X12, X0, X5
-	VFMADD231PS X13, X1, X5
-	VFMADD231PS X14, X2, X5
-	VFMADD231PS X15, X3, X5
-
-	VMOVUPS X4, (DI)(DX*1)
-	VMOVUPS X5, (SI)(DX*1)
-
-done512:
+store256:
+	VMOVDQU (R13), Y14
+	VMOVDQU 32(R13), Y15
+	STORE256(Y0, Y1)
+	STORE256(Y2, Y3)
+	STORE256(Y4, Y5)
+	STORE256(Y6, Y7)
+	STORE256(Y8, Y9)
+	STORE256(Y10, Y11)
 	VZEROUPPER
 	RET

@@ -35,11 +35,11 @@ func randMat(rng *rand.Rand, r, c int) *Tensor {
 	return t
 }
 
-// TestGemmMatchesReference is the blocked-vs-naive property test: the
-// blocked engine must agree with the retained reference kernels on
-// randomized shapes, including shapes not divisible by the register tile
-// (4) or the cache blocks (128/512), shapes with zero-size edges, and
-// shapes straddling the parallel threshold.
+// TestGemmMatchesReference is the engine-vs-naive property test: all
+// three matmul entry points must agree with the retained reference
+// kernels on randomized shapes, including shapes not divisible by any
+// tier's tile, shapes with zero-size edges, and shapes past the parallel
+// threshold. (gemm_prop_test.go sweeps the tile residues exhaustively.)
 func TestGemmMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	shapes := [][3]int{
@@ -49,14 +49,14 @@ func TestGemmMatchesReference(t *testing.T) {
 		{1, 1, 1}, {3, 3, 3}, {5, 6, 7}, {4, 4, 4}, {7, 9, 11},
 		// dot-path (m <= 8) and just past it for TransB
 		{8, 33, 17}, {9, 33, 17},
-		// register-tile remainders around multiples of 4
+		// tile remainders around multiples of 4
 		{13, 21, 19}, {16, 20, 24}, {17, 21, 25},
-		// cache-block boundaries (gemmKC=128, gemmNC=512)
+		// around powers of two in k and n
 		{6, 127, 30}, {6, 128, 30}, {6, 129, 30},
 		{5, 40, 511}, {5, 40, 512}, {5, 40, 513},
 		{12, 130, 515},
 		// large enough to cross the parallel threshold
-		{64, 80, 128}, {130, 64, 96},
+		{64, 512, 130}, {130, 256, 140},
 	}
 	for i := 0; i < 25; i++ {
 		shapes = append(shapes, [3]int{1 + rng.Intn(70), 1 + rng.Intn(150), 1 + rng.Intn(90)})
@@ -99,7 +99,7 @@ func TestGemmParallelMatchesSerial(t *testing.T) {
 	old := runtime.GOMAXPROCS(4)
 	defer runtime.GOMAXPROCS(old)
 	rng := rand.New(rand.NewSource(13))
-	for _, s := range [][3]int{{97, 120, 110}, {128, 128, 128}, {41, 300, 67}} {
+	for _, s := range [][3]int{{97, 300, 160}, {128, 256, 160}, {41, 900, 130}} {
 		m, k, n := s[0], s[1], s[2]
 		a := randMat(rng, m, k)
 		b := randMat(rng, k, n)

@@ -45,40 +45,75 @@ func Im2ColInto(cols, x *Tensor, g ConvGeom) {
 
 // Im2ColSlice is the raw-slice im2col kernel: src holds a C×H×W image and
 // dst receives the [C*KH*KW, OH*OW] column matrix. dst is fully defined on
-// return (padding positions are zeroed only when padding exists, every
-// other position is written), so pooled buffers with stale contents are
-// safe inputs.
+// return — every position is written exactly once, live pixels by copy and
+// padding by zero — so pooled buffers with stale contents are safe inputs.
+//
+// Row (ch,kh,kw) of the matrix is the image plane shifted by (kh,kw) and
+// sampled at the stride, so the work is clipping, not testing pixels: the
+// output rows and columns whose source falls inside the image form one
+// range each, outside of which the row is zero. At stride 1 a live output
+// row is one copy, and when the output is as wide as the input (the
+// "same" convolutions that make up most of a CNN) all live rows of a
+// matrix row are a single run of src.
 func Im2ColSlice(dst, src []float32, c, h, w int, g ConvGeom) {
 	oh, ow := g.OutSize(h, w)
-	dst = dst[:c*g.KH*g.KW*oh*ow]
-	if g.PadH != 0 || g.PadW != 0 {
-		for i := range dst {
-			dst[i] = 0
-		}
-	}
+	plane := oh * ow
+	dst = dst[:c*g.KH*g.KW*plane]
+	onePitch := g.StrideH == 1 && g.StrideW == 1 && ow == w
 	for ch := 0; ch < c; ch++ {
 		img := src[ch*h*w : (ch+1)*h*w]
 		for kh := 0; kh < g.KH; kh++ {
+			oy0, oy1 := clipRange(oh, h, g.StrideH, kh-g.PadH)
 			for kw := 0; kw < g.KW; kw++ {
-				row := ((ch*g.KH+kh)*g.KW + kw) * oh * ow
-				out := dst[row : row+oh*ow]
-				for oy := 0; oy < oh; oy++ {
-					iy := oy*g.StrideH - g.PadH + kh
-					if iy < 0 || iy >= h {
-						continue // stays zero
+				ox0, ox1 := clipRange(ow, w, g.StrideW, kw-g.PadW)
+				out := dst[((ch*g.KH+kh)*g.KW+kw)*plane:][:plane]
+				if oy0 == oy1 || ox0 == ox1 {
+					clear(out)
+					continue
+				}
+				clear(out[:oy0*ow])
+				clear(out[oy1*ow:])
+				if onePitch {
+					// The copy wraps neighbouring pixels into the padding
+					// columns; the loop below zeroes them.
+					lo, hi := oy0*ow+ox0, (oy1-1)*ow+ox1
+					copy(out[lo:hi], img[lo+(kh-g.PadH)*w+kw-g.PadW:])
+				}
+				for oy := oy0; oy < oy1; oy++ {
+					drow := out[oy*ow:][:ow]
+					for ox := 0; ox < ox0; ox++ {
+						drow[ox] = 0
 					}
-					srow := img[iy*w:]
-					drow := out[oy*ow:]
-					for ox := 0; ox < ow; ox++ {
-						ix := ox*g.StrideW - g.PadW + kw
-						if ix >= 0 && ix < w {
-							drow[ox] = srow[ix]
-						}
+					for ox := ox1; ox < ow; ox++ {
+						drow[ox] = 0
+					}
+					if onePitch {
+						continue
+					}
+					srow := img[(oy*g.StrideH+kh-g.PadH)*w:][:w]
+					if g.StrideW == 1 {
+						copy(drow[ox0:ox1], srow[ox0+kw-g.PadW:])
+						continue
+					}
+					for ox := ox0; ox < ox1; ox++ {
+						drow[ox] = srow[ox*g.StrideW+kw-g.PadW]
 					}
 				}
 			}
 		}
 	}
+}
+
+// clipRange returns the range [lo,hi) of outputs o in [0,n) whose source
+// index o*stride+off falls in [0,size); lo == hi when there are none.
+func clipRange(n, size, stride, off int) (lo, hi int) {
+	if off < 0 {
+		lo = (stride - 1 - off) / stride
+	}
+	if last := size - 1 - off; last >= 0 {
+		hi = min(last/stride+1, n)
+	}
+	return min(lo, hi), hi
 }
 
 // Col2Im folds a column matrix (as produced by Im2Col) back into an image

@@ -73,7 +73,7 @@ func TestQuantizeAffineSliceParity(t *testing.T) {
 	}{
 		{50, 100}, {1.0 / 0.02, 0}, {255, 255}, {0.004, 128}, {1e9, 7}, {1, 128},
 	}
-	for tier := TierGeneric; tier <= detected; tier++ {
+	for _, tier := range reachableTiers() {
 		if err := SetKernelTier(tier); err != nil {
 			t.Fatalf("SetKernelTier(%v): %v", tier, err)
 		}
@@ -112,7 +112,7 @@ func TestIm2ColQuantSliceMatchesRef(t *testing.T) {
 	detected := DetectedKernelTier()
 	defer SetKernelTier(detected)
 	rng := rand.New(rand.NewSource(37))
-	for tier := TierGeneric; tier <= detected; tier++ {
+	for _, tier := range reachableTiers() {
 		if err := SetKernelTier(tier); err != nil {
 			t.Fatalf("SetKernelTier(%v): %v", tier, err)
 		}

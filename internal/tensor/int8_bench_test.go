@@ -6,7 +6,7 @@ import (
 )
 
 // BenchmarkGemmInt8Dot256 measures the int8 engine on the acceptance
-// shape; compare against BenchmarkGemmTierSSE for the f32 SSE baseline.
+// shape; compare against BenchmarkGemmTierAVX512 for the f32 engine.
 func BenchmarkGemmInt8Dot256(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
 	const m, n, kp = 256, 256, 256

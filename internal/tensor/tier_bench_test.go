@@ -18,6 +18,6 @@ func benchTier(b *testing.B, t KernelTier) {
 	}
 }
 
-func BenchmarkGemmTierSSE(b *testing.B)    { benchTier(b, TierSSE) }
-func BenchmarkGemmTierAVX2(b *testing.B)   { benchTier(b, TierAVX2) }
-func BenchmarkGemmTierAVX512(b *testing.B) { benchTier(b, TierAVX512) }
+func BenchmarkGemmTierGeneric(b *testing.B) { benchTier(b, TierGeneric) }
+func BenchmarkGemmTierAVX2(b *testing.B)    { benchTier(b, TierAVX2) }
+func BenchmarkGemmTierAVX512(b *testing.B)  { benchTier(b, TierAVX512) }
