@@ -142,8 +142,7 @@ var experimentTable = []struct {
 			return err
 		}
 		res.WriteText(e.w)
-		// Live-runtime half: pin the telemetry instrumentation overhead
-		// on the real hot path and persist it for cross-PR tracking.
+		// Live-runtime half: sequential vs pipelined over loopback TCP.
 		rep, err := experiments.StreamBench(e.images, e.trace)
 		if err != nil {
 			return err
@@ -151,22 +150,11 @@ var experimentTable = []struct {
 		rep.WriteText(e.w)
 		return e.report("stream", rep)
 	}},
-	// Gray-failure drill: inject a slow node into a live cluster and
-	// measure how fast the burn-rate SLO engine detects it, whether the
-	// health scorer blames the right node, and how fast the breach
-	// clears after recovery.
-	{"slo", false, func(e *env) error {
-		rep, err := experiments.SLOBench(experiments.SLOBenchConfig{})
-		if err != nil {
-			return err
-		}
-		rep.WriteText(e.w)
-		return e.report("slo", rep)
-	}},
 	// Scripted fault schedule against the live TCP runtime: node
 	// crash/restart, bandwidth collapse, clock skew, and a slow-node
 	// gray failure, each asserting the telemetry stack saw what happened
-	// (link estimates, audit attribution, breach + blame, recovery).
+	// (link estimates, audit attribution, breach + blame, recovery); the
+	// slow-node drill also records how fast the SLO engine detected it.
 	{"chaos", false, func(e *env) error {
 		rep, err := experiments.ChaosBench(experiments.ChaosBenchConfig{})
 		if err != nil {

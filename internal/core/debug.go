@@ -32,10 +32,9 @@ type SessionDebug struct {
 
 // DebugSessions snapshots every node session's state.
 func (c *Central) DebugSessions() []SessionDebug {
-	sessions := c.snapshot()
-	out := make([]SessionDebug, 0, len(sessions))
+	out := make([]SessionDebug, 0, len(c.sessions))
 	perNode := c.pending.perNode()
-	for _, s := range sessions {
+	for _, s := range c.sessions {
 		info := s.debugInfo()
 		info.PendingTiles = perNode[s.id]
 		out = append(out, info)

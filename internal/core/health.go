@@ -67,28 +67,13 @@ func NewHealthTracker(n int, gauge *telemetry.GaugeVec) *HealthTracker {
 	return &HealthTracker{nodes: make([]nodeHealth, n), gauge: gauge}
 }
 
-// Grow adds n fresh slots for nodes that joined after construction
-// (Central.AddNode). Nil-receiver safe.
-func (t *HealthTracker) Grow(n int) {
-	if t == nil || n <= 0 {
-		return
-	}
-	t.mu.Lock()
-	t.nodes = append(t.nodes, make([]nodeHealth, n)...)
-	t.mu.Unlock()
-}
-
 // Observe folds one tile's phase decomposition into node's EWMAs and
 // refreshes its score.
 func (t *HealthTracker) Observe(node int, tb *TileBreakdown) {
-	if t == nil || node < 0 {
+	if t == nil || node < 0 || node >= len(t.nodes) {
 		return
 	}
 	t.mu.Lock()
-	if node >= len(t.nodes) {
-		t.mu.Unlock()
-		return
-	}
 	h := &t.nodes[node]
 	h.samples++
 	warm := h.samples > healthWarmup
@@ -125,19 +110,6 @@ func (t *HealthTracker) Observe(node int, tb *TileBreakdown) {
 	if gauge != nil {
 		gauge.With(nodeLabel(node)).Set(score)
 	}
-}
-
-// Score returns node's current anomaly score (0 = at baseline).
-func (t *HealthTracker) Score(node int) float64 {
-	if t == nil {
-		return 0
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if node < 0 || node >= len(t.nodes) {
-		return 0
-	}
-	return t.nodes[node].score
 }
 
 // Scores returns every node's current score.

@@ -32,8 +32,8 @@ func TestHealthTrackerScoresGrayFailure(t *testing.T) {
 		h.Observe(0, tileWithPhases(0.010, 0.002, 0.001))
 		h.Observe(1, tileWithPhases(0.010, 0.002, 0.001))
 	}
-	for k := 0; k < 2; k++ {
-		if s := h.Score(k); s > 0.1 {
+	for k, s := range h.Scores() {
+		if s > 0.1 {
 			t.Fatalf("steady node %d scored %.3f, want ~0", k, s)
 		}
 	}
@@ -43,10 +43,10 @@ func TestHealthTrackerScoresGrayFailure(t *testing.T) {
 		h.Observe(0, tileWithPhases(0.010, 0.002, 0.001))
 		h.Observe(1, tileWithPhases(0.050, 0.002, 0.001))
 	}
-	if s := h.Score(1); s < 1.0 {
+	if s := h.Scores()[1]; s < 1.0 {
 		t.Fatalf("5x compute slowdown scored only %.3f", s)
 	}
-	if s := h.Score(0); s > 0.1 {
+	if s := h.Scores()[0]; s > 0.1 {
 		t.Fatalf("healthy node contaminated: %.3f", s)
 	}
 	node, score, phase := h.Worst()
@@ -63,7 +63,7 @@ func TestHealthTrackerScoresGrayFailure(t *testing.T) {
 	for i := 0; i < 60; i++ {
 		h.Observe(1, tileWithPhases(0.010, 0.002, 0.001))
 	}
-	if s := h.Score(1); s > 0.25 {
+	if s := h.Scores()[1]; s > 0.25 {
 		t.Fatalf("recovered node still scores %.3f — baseline drifted during anomaly", s)
 	}
 
@@ -91,7 +91,7 @@ func TestHealthTrackerUplinkAnomaly(t *testing.T) {
 func TestHealthTrackerNilAndBounds(t *testing.T) {
 	var h *HealthTracker
 	h.Observe(0, tileWithPhases(1, 1, 1))
-	if h.Score(0) != 0 || h.Scores() != nil {
+	if h.Scores() != nil {
 		t.Fatal("nil tracker must be inert")
 	}
 	if n, _, _ := h.Worst(); n != -1 {
@@ -100,8 +100,8 @@ func TestHealthTrackerNilAndBounds(t *testing.T) {
 	real := NewHealthTracker(1, nil)
 	real.Observe(-1, tileWithPhases(1, 1, 1))
 	real.Observe(5, tileWithPhases(1, 1, 1)) // out of range: ignored
-	if s := real.Score(5); s != 0 {
-		t.Fatal("out-of-range node must score 0")
+	if s := real.Scores(); len(s) != 1 || s[0] != 0 {
+		t.Fatalf("out-of-range observations must be ignored, scores %v", s)
 	}
 }
 
@@ -117,7 +117,7 @@ func TestHealthTrackerRecoveryTimeline(t *testing.T) {
 	for i := 0; i < 20; i++ {
 		h.Observe(0, base())
 	}
-	if s := h.Score(0); s > 0.1 {
+	if s := h.Scores()[0]; s > 0.1 {
 		t.Fatalf("warm baseline scores %.3f, want ~0", s)
 	}
 
@@ -126,7 +126,7 @@ func TestHealthTrackerRecoveryTimeline(t *testing.T) {
 	for i := 0; i < 40; i++ {
 		h.Observe(0, tileWithPhases(0.030, 0.002, 0.001))
 	}
-	if s := h.Score(0); s < 1.7 {
+	if s := h.Scores()[0]; s < 1.7 {
 		t.Fatalf("sustained 3x anomaly scores %.3f — baseline not frozen", s)
 	}
 
@@ -136,13 +136,13 @@ func TestHealthTrackerRecoveryTimeline(t *testing.T) {
 	for i := 0; i < 4; i++ {
 		h.Observe(0, base())
 	}
-	if s := h.Score(0); s < 0.4 || s > 0.9 {
+	if s := h.Scores()[0]; s < 0.4 || s > 0.9 {
 		t.Fatalf("score after 4 healthy tiles = %.3f, want fast-α decay (~0.6)", s)
 	}
 	for i := 0; i < 6; i++ {
 		h.Observe(0, base())
 	}
-	if s := h.Score(0); s > 0.25 {
+	if s := h.Scores()[0]; s > 0.25 {
 		t.Fatalf("score after 10 healthy tiles = %.3f, want below warn threshold", s)
 	}
 
@@ -152,7 +152,7 @@ func TestHealthTrackerRecoveryTimeline(t *testing.T) {
 	for i := 0; i < 200; i++ {
 		h.Observe(0, tileWithPhases(0.013, 0.002, 0.001))
 	}
-	if s := h.Score(0); s > 0.1 {
+	if s := h.Scores()[0]; s > 0.1 {
 		t.Fatalf("baseline failed to track post-heal drift: score %.3f", s)
 	}
 }

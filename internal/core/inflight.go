@@ -74,10 +74,7 @@ func (c *Central) InferAsync(ctx context.Context, x *tensor.Tensor) (*Inflight, 
 	if err := h.layout(x); err != nil {
 		return nil, err
 	}
-	// The membership view is snapshotted once per image: a node joining
-	// mid-dispatch receives tiles from the next image onward.
-	sessions := c.snapshot()
-	assignment, err := h.allocate(sessions)
+	assignment, err := h.allocate()
 	if err != nil {
 		return nil, err
 	}
@@ -85,7 +82,7 @@ func (c *Central) InferAsync(ctx context.Context, x *tensor.Tensor) (*Inflight, 
 	// can never beat its pending-table entry.
 	h.col = newImageCollector(img, len(h.tiles))
 	c.pending.register(h.col, len(h.tiles))
-	if err := h.dispatch(ctx, x, sessions, assignment); err != nil {
+	if err := h.dispatch(ctx, x, assignment); err != nil {
 		c.pending.dropImage(img, len(h.tiles))
 		return nil, err
 	}
@@ -127,12 +124,12 @@ func (h *Inflight) layout(x *tensor.Tensor) error {
 
 // allocate is the input-partition block: the driver plans the split
 // (Algorithm 3 on the current stats, skipping nodes whose sessions are
-// down — see sched.Driver.Plan) from this image's view of the
-// membership and its links. Returns tile → node.
-func (h *Inflight) allocate(sessions []*nodeSession) ([]int, error) {
+// down — see sched.Driver.Plan) from this image's view of the nodes
+// and their links. Returns tile → node.
+func (h *Inflight) allocate() ([]int, error) {
 	c := h.c
-	nodes := make([]sched.NodeView, len(sessions))
-	for k, s := range sessions {
+	nodes := make([]sched.NodeView, len(c.sessions))
+	for k, s := range c.sessions {
 		nodes[k].Alive = s.Alive()
 		nodes[k].UpBps, nodes[k].DownBps = s.link.rates()
 	}
@@ -143,7 +140,7 @@ func (h *Inflight) allocate(sessions []*nodeSession) ([]int, error) {
 	// A node revived on probation is measured afresh: its link estimate
 	// predates the starvation (the plan already ignored it).
 	for _, k := range plan.Revived {
-		sessions[k].link.reset()
+		c.sessions[k].link.reset()
 		if c.metrics != nil {
 			c.metrics.Revives.With(nodeLabel(k)).Inc()
 		}
@@ -162,7 +159,7 @@ func (h *Inflight) allocate(sessions []*nodeSession) ([]int, error) {
 // dispatch encodes every tile and places it on a session, starting from
 // its assigned node. The first tile nobody accepts fails the image (the
 // tiles already placed come back as stale results).
-func (h *Inflight) dispatch(ctx context.Context, x *tensor.Tensor, sessions []*nodeSession, assignment []int) error {
+func (h *Inflight) dispatch(ctx context.Context, x *tensor.Tensor, assignment []int) error {
 	c := h.c
 	met, tr := c.metrics, c.trace
 	span := tr.Begin("dispatch", "central", 0)
@@ -174,10 +171,10 @@ func (h *Inflight) dispatch(ctx context.Context, x *tensor.Tensor, sessions []*n
 	// directly by the workers' int8 entry convolution. Gated on the model
 	// actually supporting the levels entry.
 	quantUplink := c.Model.Opt.Int8 && c.Model.Int8InputOK()
-	h.stats.Alloc = make(sched.Allocation, len(sessions))
+	h.stats.Alloc = make(sched.Allocation, len(c.sessions))
 	for ti := range h.tiles {
 		task := h.encodeTile(x, ti, quantUplink)
-		k, ok := h.place(ctx, task, sessions, assignment[ti])
+		k, ok := h.place(ctx, task, assignment[ti])
 		if !ok {
 			task.ReleasePayload()
 			if err := ctx.Err(); err != nil {
@@ -230,8 +227,9 @@ func (h *Inflight) encodeTile(x *tensor.Tensor, ti int, quantUplink bool) *Messa
 // alive node when the session is down — the runtime half of the paper's
 // failure tolerance; a task stranded deeper in a dying session's queue
 // comes back through redispatch. Reports the node that took it.
-func (h *Inflight) place(ctx context.Context, task *Message, sessions []*nodeSession, k int) (int, bool) {
+func (h *Inflight) place(ctx context.Context, task *Message, k int) (int, bool) {
 	key := pendingKey{task.ImageID, task.TileID}
+	sessions := h.c.sessions
 	for attempt := 0; attempt < len(sessions); attempt++ {
 		h.c.pending.markEnqueued(key, k, monoNow(), len(task.Payload))
 		if sessions[k].enqueue(ctx, task) {
@@ -309,7 +307,7 @@ func (h *Inflight) collect() (*tensor.Tensor, error) {
 // zero-filled answer late.
 func (h *Inflight) settle() error {
 	h.outTiles = make([]*tensor.Tensor, len(h.tiles))
-	h.stats.Received = make([]int, len(h.stats.Alloc)) // membership size at dispatch
+	h.stats.Received = make([]int, len(h.c.sessions))
 	h.stats.Breakdown = &Breakdown{Image: h.img, TraceID: h.stats.TraceID}
 	for h.got < len(h.tiles) {
 		select {
@@ -335,11 +333,6 @@ func (h *Inflight) settleTile(a arrival) {
 	met, tr := c.metrics, c.trace
 	collectNs := monoNow()
 	h.outTiles[a.tile] = a.t
-	// A redispatch can route a tile to a node that joined after
-	// this image was dispatched; grow the tally to fit.
-	for a.node >= len(h.stats.Received) {
-		h.stats.Received = append(h.stats.Received, 0)
-	}
 	h.stats.Received[a.node]++
 	h.stats.WireBytes += int64(a.wire)
 	h.taskWire += int64(a.taskWire)
@@ -355,10 +348,8 @@ func (h *Inflight) settleTile(a arrival) {
 		c.health.Observe(a.node, &tb)
 		// Feed the link profiler: uplink bytes over the uplink
 		// phase, downlink bytes over the downlink phase.
-		if s := c.session(a.node); s != nil {
-			s.link.observe(int64(a.taskWire), int64(a.wire),
-				int64(tb.Phase[PhaseUplink]), int64(tb.Phase[PhaseDownlink]))
-		}
+		c.sessions[a.node].link.observe(int64(a.taskWire), int64(a.wire),
+			int64(tb.Phase[PhaseUplink]), int64(tb.Phase[PhaseDownlink]))
 		h.tracePhases(&tb, a.sentNs)
 	}
 	if h.dispatchAt != nil {

@@ -108,6 +108,13 @@ func TestInferRecordsMetrics(t *testing.T) {
 	// the other way. Byte counters must cover at least the frame headers.
 	mustValue("adcnn_wire_frames_total", images*tiles, "task", "sent")
 	mustValue("adcnn_wire_frames_total", images*tiles, "task", "recv")
+	// A worker counts a result frame after its Send returns, which can be
+	// after the Central has already collected it.
+	for deadline := time.Now().Add(time.Second); time.Now().Before(deadline); time.Sleep(time.Millisecond) {
+		if v, _ := reg.Value("adcnn_wire_frames_total", "result", "sent"); v == images*tiles {
+			break
+		}
+	}
 	mustValue("adcnn_wire_frames_total", images*tiles, "result", "sent")
 	mustValue("adcnn_wire_frames_total", images*tiles, "result", "recv")
 	if v, _ := reg.Value("adcnn_wire_bytes_total", "task", "sent"); v < images*tiles*frameOverhead {

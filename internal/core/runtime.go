@@ -36,8 +36,9 @@ type Dialer = func(context.Context) (Conn, error)
 // CentralConfig is everything a Central is built from. It is fixed at
 // construction: Start validates it, wraps the connections and starts
 // the node sessions, so there is no window in which a Central exists
-// half-configured. What can change while the runtime is live is a
-// method on Central (SetShare, SetLinkAware, AddNode, RemoveNode).
+// half-configured. The Conv-node set is fixed here too; what can change
+// while the runtime is live is a method on Central (SetShare,
+// SetLinkAware).
 type CentralConfig struct {
 	// Model is this Central's model instance. A partitioned model runs
 	// ADCNN's FDSP execution over the model's own grid; an unpartitioned
@@ -130,10 +131,10 @@ type Central struct {
 	inflight atomic.Int64 // images dispatched, Wait not finished
 	backMu   sync.Mutex   // serializes the back-layer compute stage
 
-	// The membership view (membership.go) and the demux that routes
-	// results to per-image collectors. sessions is append-only: RemoveNode
-	// tombstones a session rather than shrinking the slice.
-	sessMu   sync.Mutex
+	// The membership view, one session per node index (membership.go),
+	// and the demux that routes results to per-image collectors. Start
+	// fills sessions before any session goroutine runs; it is never
+	// written again, so it is read without a lock.
 	sessions []*nodeSession
 	pending  demux
 	loopWG   sync.WaitGroup // session supervisors and the probe loop
@@ -209,12 +210,21 @@ func (cfg CentralConfig) Start() (*Central, error) {
 	c.driver = sched.NewDriver(n, cfg.Gamma, float64(grid.Tiles())/float64(n), mon)
 	c.driver.SetLinkAware(cfg.LinkAware)
 	cfg.Trace.SetThreadName(0, "central")
+	c.sessions = make([]*nodeSession, n)
 	for k, conn := range cfg.Conns {
+		if cfg.Metrics != nil {
+			conn = InstrumentConn(conn, cfg.Metrics.Wire)
+		}
 		var dial Dialer
 		if cfg.Dialers != nil {
 			dial = cfg.Dialers[k]
 		}
-		c.addSession(conn, dial)
+		c.sessions[k] = newNodeSession(k, c, conn, dial)
+		cfg.Trace.SetThreadName(k+1, fmt.Sprintf("conv-%d", k))
+	}
+	c.loopWG.Add(n)
+	for _, s := range c.sessions {
+		go s.run()
 	}
 	if cfg.ProbeEvery > 0 {
 		c.loopWG.Add(1)
@@ -254,9 +264,8 @@ func (c *Central) SetLinkAware(on bool) { c.driver.SetLinkAware(on) }
 // rebalancer as its demand signal.
 func (c *Central) InFlight() int { return int(c.inflight.Load()) }
 
-// NumNodes reports the current size of the membership view (including
-// tombstoned nodes that have left).
-func (c *Central) NumNodes() int { return len(c.snapshot()) }
+// NumNodes reports how many Conv nodes the Central was started with.
+func (c *Central) NumNodes() int { return len(c.sessions) }
 
 // probeLoop fans one link probe out to every session per tick.
 func (c *Central) probeLoop(every time.Duration) {
@@ -268,7 +277,7 @@ func (c *Central) probeLoop(every time.Duration) {
 		case <-c.ctx.Done():
 			return
 		case <-t.C:
-			for _, s := range c.snapshot() {
+			for _, s := range c.sessions {
 				s.sendProbe()
 			}
 		}
@@ -299,7 +308,7 @@ func (c *Central) InferContext(ctx context.Context, x *tensor.Tensor) (*tensor.T
 func (c *Central) Shutdown() {
 	c.cancel()
 	c.loopWG.Wait()
-	for _, s := range c.snapshot() {
+	for _, s := range c.sessions {
 		s.closeConn()
 	}
 }

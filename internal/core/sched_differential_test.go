@@ -38,7 +38,8 @@ func scriptedNode(conn Conn, result []byte, quota []int) {
 // sequence they make the same allocations. The sequence comes from a
 // simulated run with two mid-run slowdowns and a node failure; a live
 // Central over in-process pipes then replays it against scripted nodes
-// (a failure becomes RemoveNode) and must reproduce every split.
+// (a failure becomes closing the node's pipe) and must reproduce every
+// split.
 func TestSimAndCentralAllocateIdentically(t *testing.T) {
 	const nodes, images, failAt, failed = 4, 14, 9, 3
 	grid := fdsp.Grid{Rows: 4, Cols: 4}
@@ -91,7 +92,14 @@ func TestSimAndCentralAllocateIdentically(t *testing.T) {
 	x.RandN(rand.New(rand.NewSource(1)), 1)
 	for i, r := range simRuns {
 		if i == failAt {
-			c.RemoveNode(failed)
+			conns[failed].Close()
+			// The next plan must see the node down, as the Sim does.
+			for deadline := time.Now().Add(5 * time.Second); c.sessions[failed].Alive(); {
+				if time.Now().After(deadline) {
+					t.Fatal("session never noticed its closed pipe")
+				}
+				time.Sleep(time.Millisecond)
+			}
 		}
 		_, st, err := c.Infer(x)
 		if err != nil {

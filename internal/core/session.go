@@ -187,7 +187,6 @@ type nodeSession struct {
 	mu          sync.Mutex
 	conn        Conn
 	alive       bool
-	closed      bool          // RemoveNode tombstone: never reconnect
 	down        chan struct{} // closed when the session goes down
 	pendingSend *Message      // in-flight message a failed Send may strand
 	epochs      int           // connection epochs started (1 = original conn)
@@ -235,7 +234,7 @@ func newNodeSession(id int, c *Central, conn Conn, dial Dialer) *nodeSession {
 func (s *nodeSession) sendProbe() {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if !s.alive || s.closed {
+	if !s.alive {
 		return
 	}
 	m := &Message{Kind: KindProbe, NodeID: uint32(s.id), Payload: make([]byte, 8)}
@@ -249,31 +248,7 @@ func (s *nodeSession) sendProbe() {
 func (s *nodeSession) Alive() bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.alive && !s.closed
-}
-
-// retire tombstones the session (RemoveNode): closing the connection
-// ends the current epoch, and the supervisor — seeing the closed flag —
-// redispatches stranded work and exits instead of reconnecting.
-func (s *nodeSession) retire() {
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		return
-	}
-	s.closed = true
-	conn := s.conn
-	s.mu.Unlock()
-	if conn != nil {
-		_ = conn.Close()
-	}
-}
-
-// isClosed reports whether retire has tombstoned the session.
-func (s *nodeSession) isClosed() bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.closed
+	return s.alive
 }
 
 // closeConn closes the session's current connection (Shutdown path).
@@ -294,7 +269,7 @@ func (s *nodeSession) closeConn() {
 func (s *nodeSession) enqueue(ctx context.Context, m *Message) bool {
 	for {
 		s.mu.Lock()
-		if !s.alive || s.closed {
+		if !s.alive {
 			s.mu.Unlock()
 			return false
 		}
@@ -405,8 +380,7 @@ func (s *nodeSession) run() {
 			return
 		}
 
-		// Connection failure (or a RemoveNode tombstone closing the
-		// connection): the node is dead until proven otherwise.
+		// Connection failure: the node is dead until proven otherwise.
 		orphans := s.markDown()
 		if c.metrics != nil {
 			c.metrics.ConnDrops.With(nodeLabel(s.id)).Inc()
@@ -422,10 +396,7 @@ func (s *nodeSession) run() {
 			}
 		}
 		s.c.redispatch(orphans)
-		if s.isClosed() || s.dial == nil {
-			return
-		}
-		if !s.reconnect() {
+		if s.dial == nil || !s.reconnect() {
 			return
 		}
 	}
@@ -573,9 +544,6 @@ func (s *nodeSession) reconnect() bool {
 		case <-c.ctx.Done():
 			return false
 		case <-time.After(sleep):
-		}
-		if s.isClosed() {
-			return false
 		}
 		dctx, cancel := context.WithTimeout(c.ctx, dialTimeout)
 		conn, err := s.dial(dctx)

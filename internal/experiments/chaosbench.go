@@ -6,6 +6,7 @@ import (
 	"io"
 	"math"
 	"math/rand"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -31,6 +32,11 @@ import (
 
 // ChaosBenchConfig parameterizes the schedule; zero values take
 // defaults sized for a ~10s-per-drill run.
+//
+// SlowFactor scales the *measured* healthy tile p99, not BaseDelay: the
+// slow node's per-tile service time becomes SlowFactor×p99 while the
+// objective sits at 2.5×p99, so the slow node is unambiguously bad and
+// the healthy nodes unambiguously good however loaded the host is.
 type ChaosBenchConfig struct {
 	Nodes         int           // cluster size (default 4)
 	BaseDelay     time.Duration // healthy per-tile Conv service time (default 2ms)
@@ -76,8 +82,33 @@ func (c *ChaosBenchConfig) fill() {
 	if c.Skew <= 0 {
 		c.Skew = 30 * time.Millisecond
 	}
-	if len(c.Drills) == 0 {
-		c.Drills = []string{"bandwidth", "crash", "skew", "slownode"}
+}
+
+// chaosDrill is one row of the schedule: the Central the drill runs on
+// (the rig adds metrics and a flight recorder), the traffic pace after
+// calibration in multiples of the healthy tile p99 (0 = closed loop),
+// and the fault script.
+type chaosDrill struct {
+	name    string
+	central core.CentralConfig
+	pace    float64
+	run     func(*drillRig, *ChaosDrillResult)
+}
+
+// chaosDrills is the schedule, in run order. The link faults run under
+// link-aware dispatch with probes keeping the estimates fresh. The slow
+// node is a gray failure the SLO engine and the health scorer must
+// catch on their own, so it runs speed-only without probes, paced at
+// 1.5× the injected service time: a fault that slowed the image rate
+// would skew the good/bad tile mix inside the burn windows and stretch
+// detection for reasons that have nothing to do with the engine.
+func chaosDrills(cfg ChaosBenchConfig) []chaosDrill {
+	linkAware := core.CentralConfig{ProbeEvery: cfg.ProbeInterval, LinkAware: true}
+	return []chaosDrill{
+		{"bandwidth", linkAware, 0, drillBandwidth},
+		{"crash", linkAware, 0, drillCrash},
+		{"skew", linkAware, 0, drillSkew},
+		{"slownode", core.CentralConfig{}, 1.5 * cfg.SlowFactor, drillSlowNode},
 	}
 }
 
@@ -107,6 +138,15 @@ type ChaosDrillResult struct {
 	OffsetNs        int64   `json:"offset_ns,omitempty"`         // converged estimate under skew
 	Epochs          int     `json:"epochs,omitempty"`
 	DumpReason      string  `json:"dump_reason,omitempty"`
+	FlightDumps     int     `json:"flight_dumps"`
+
+	// The slow-node drill's detection timeline: the first ok→warn after
+	// the fault, breach − fault, whether that is within two fast windows,
+	// and every node's health score when the breach fired.
+	WarnAtMs         float64   `json:"warn_at_ms,omitempty"`
+	DetectionMs      float64   `json:"detection_ms,omitempty"`
+	WithinTwoFastWin bool      `json:"within_two_fast_windows"`
+	HealthAtBreach   []float64 `json:"health_at_breach,omitempty"`
 
 	Images       int64                `json:"images"`
 	FailedImages int64                `json:"failed_images"`
@@ -156,23 +196,22 @@ func ChaosBench(cfg ChaosBenchConfig) (*ChaosReport, error) {
 		ThrottleRateBps: cfg.ThrottleRate,
 		Pass:            true,
 	}
+	table := chaosDrills(cfg)
+	var drills []chaosDrill
 	for _, name := range cfg.Drills {
-		var fn func(*drillRig, *ChaosDrillResult)
-		switch name {
-		case "bandwidth":
-			fn = drillBandwidth
-		case "crash":
-			fn = drillCrash
-		case "skew":
-			fn = drillSkew
-		case "slownode":
-			fn = drillSlowNode
-		default:
+		i := slices.IndexFunc(table, func(d chaosDrill) bool { return d.name == name })
+		if i < 0 {
 			return nil, fmt.Errorf("experiments: unknown chaos drill %q", name)
 		}
-		res, err := runChaosDrill(cfg, name, fn)
+		drills = append(drills, table[i])
+	}
+	if len(cfg.Drills) == 0 {
+		drills = table
+	}
+	for _, d := range drills {
+		res, err := runChaosDrill(cfg, d)
 		if err != nil {
-			return nil, fmt.Errorf("experiments: chaos drill %s: %w", name, err)
+			return nil, fmt.Errorf("experiments: chaos drill %s: %w", d.name, err)
 		}
 		rep.Drills = append(rep.Drills, *res)
 		rep.Pass = rep.Pass && res.Pass
@@ -182,20 +221,21 @@ func ChaosBench(cfg ChaosBenchConfig) (*ChaosReport, error) {
 
 // runChaosDrill builds a fresh cluster, calibrates the SLO objective
 // off its healthy baseline, runs the drill, and tears everything down.
-func runChaosDrill(cfg ChaosBenchConfig, name string, fn func(*drillRig, *ChaosDrillResult)) (*ChaosDrillResult, error) {
-	cl, err := newDrillRig(cfg, core.CentralConfig{ProbeEvery: cfg.ProbeInterval, LinkAware: true})
+func runChaosDrill(cfg ChaosBenchConfig, d chaosDrill) (*ChaosDrillResult, error) {
+	cl, err := newDrillRig(cfg, d.central)
 	if err != nil {
 		return nil, err
 	}
 	defer cl.stop()
-	res := &ChaosDrillResult{Drill: name, Pass: true}
+	res := &ChaosDrillResult{Drill: d.name, Pass: true}
 	start := time.Now()
-	if err := cl.calibrate(res, 0); err != nil {
+	if err := cl.calibrate(res, d.pace); err != nil {
 		return nil, err
 	}
-	fn(cl, res)
+	d.run(cl, res)
 	res.Images = cl.images.Load()
 	res.FailedImages = cl.failed.Load()
+	res.FlightDumps = len(cl.flight.Dumps())
 	res.DurationMs = ms(time.Since(start))
 	cl.mu.Lock()
 	res.Transitions = append([]SLOTimedTransition(nil), cl.transitions...)
@@ -203,10 +243,10 @@ func runChaosDrill(cfg ChaosBenchConfig, name string, fn func(*drillRig, *ChaosD
 	return res, nil
 }
 
-// drillRig is the live runtime a fault drill runs on — the chaos drills
-// here and the SLO bench alike: the fixture's pool, one Central dialed
-// into it, continuous traffic, and (after calibrate) an SLO engine
-// whose latency objective is derived from the healthy baseline.
+// drillRig is the live runtime a fault drill runs on: the fixture's
+// pool, one Central dialed into it, continuous traffic, and (after
+// calibrate) an SLO engine whose latency objective is derived from the
+// healthy baseline.
 type drillRig struct {
 	cfg    ChaosBenchConfig
 	ctx    context.Context
@@ -286,10 +326,7 @@ func newDrillRig(cfg ChaosBenchConfig, central core.CentralConfig) (*drillRig, e
 // calibrate waits out the healthy baseline, derives the latency
 // objective (2.5× the observed tile p99), and starts the SLO engine.
 // paceP99, when >0, paces the traffic from here on at one image per
-// paceP99 × p99: a fault that slows the cluster down would otherwise
-// shift the image rate, skewing the good/bad tile mix inside the burn
-// windows and stretching detection latency for reasons that have
-// nothing to do with the SLO engine.
+// paceP99 × p99.
 func (cl *drillRig) calibrate(res *ChaosDrillResult, paceP99 float64) error {
 	cfg := cl.cfg
 	wait(cl.ctx, cfg.Baseline)
@@ -324,6 +361,34 @@ func (cl *drillRig) calibrate(res *ChaosDrillResult, paceP99 float64) error {
 }
 
 func (cl *drillRig) sinceMs(t time.Time) float64 { return ms(t.Sub(cl.start)) }
+
+// SLOTimedTransition is one engine transition stamped relative to the
+// drill's clock.
+type SLOTimedTransition struct {
+	AtMs float64 `json:"at_ms"` // since the rig started
+	telemetry.SLOTransition
+}
+
+// wait sleeps d or until ctx is done.
+func wait(ctx context.Context, d time.Duration) {
+	select {
+	case <-time.After(d):
+	case <-ctx.Done():
+	}
+}
+
+// waitFor polls cond (10ms cadence) until it reports found, the timeout
+// elapses, or ctx is done.
+func waitFor(ctx context.Context, timeout time.Duration, cond func() (float64, bool)) (float64, bool) {
+	deadline := time.Now().Add(timeout)
+	for time.Now().Before(deadline) && ctx.Err() == nil {
+		if v, ok := cond(); ok {
+			return v, true
+		}
+		wait(ctx, 10*time.Millisecond)
+	}
+	return cond()
+}
 
 // seen reports the first transition into state to at or after afterMs.
 func (cl *drillRig) seen(to telemetry.SLOState, afterMs float64) (float64, bool) {
@@ -389,7 +454,12 @@ func drillBandwidth(cl *drillRig, res *ChaosDrillResult) {
 	target := cl.nodes[len(cl.nodes)-1]
 	rate := float64(cfg.ThrottleRate)
 
-	healthyUp := cl.session(target.idx).UplinkBps
+	// The collapse is judged against a converged healthy estimate, not
+	// whatever the estimator reads at one instant.
+	healthyUp, _ := waitFor(cl.ctx, cfg.Timeout, func() (float64, bool) {
+		up := cl.session(target.idx).UplinkBps
+		return up, up > 0
+	})
 
 	// Act 1: speed-only dispatch under the collapse.
 	cl.c.SetLinkAware(false)
@@ -411,8 +481,11 @@ func drillBandwidth(cl *drillRig, res *ChaosDrillResult) {
 	res.LinkDownBps = est
 	res.check("link-estimate", ok,
 		"downlink estimate %.0f B/s within 25%% of the %.0f B/s throttle", est, rate)
-	res.LinkUpBps = cl.session(target.idx).UplinkBps
-	res.check("link-collapse", healthyUp > 0 && res.LinkUpBps < healthyUp/4,
+	res.LinkUpBps, ok = waitFor(cl.ctx, cfg.Timeout, func() (float64, bool) {
+		up := cl.session(target.idx).UplinkBps
+		return up, healthyUp > 0 && up > 0 && up < healthyUp/4
+	})
+	res.check("link-collapse", ok,
 		"uplink estimate fell %.0f -> %.0f B/s under the throttle", healthyUp, res.LinkUpBps)
 
 	breachAt, breached := waitFor(cl.ctx, cfg.Timeout, func() (float64, bool) {
@@ -573,7 +646,8 @@ func drillSkew(cl *drillRig, res *ChaosDrillResult) {
 
 // drillSlowNode is the gray-failure schedule: the last node serves
 // tiles SlowFactor× slower, the SLO must breach with the health
-// tracker blaming that node, and recover once it heals.
+// tracker blaming that node, and recover once it heals. How fast the
+// breach fired is recorded, not checked.
 func drillSlowNode(cl *drillRig, res *ChaosDrillResult) {
 	cfg := cl.cfg
 	target := cl.nodes[len(cl.nodes)-1]
@@ -587,6 +661,10 @@ func drillSlowNode(cl *drillRig, res *ChaosDrillResult) {
 	res.BreachAtMs = breachAt
 	res.check("slo-breach", breached, "SLO breached %.0fms after the slowdown", breachAt-res.FaultAtMs)
 	if breached {
+		res.HealthAtBreach = cl.c.Health().Scores()
+		res.DetectionMs = breachAt - res.FaultAtMs
+		res.WithinTwoFastWin = res.DetectionMs <= 2*ms(cfg.FastWindow)
+		res.WarnAtMs, _ = cl.seen(telemetry.SLOWarn, res.FaultAtMs)
 		node, score, phase := cl.c.Health().Worst()
 		res.check("health-blame", node == target.idx,
 			"health tracker blames node %d (score %.2f, phase %s)", node, score, phase)
@@ -615,6 +693,10 @@ func (r *ChaosReport) WriteText(w io.Writer) {
 		}
 		fprintf(w, "  [%s] %-9s p99 %.2fms -> objective %.2fms, %d images (%d failed), %.1fs\n",
 			verdict, d.Drill, d.BaselineP99Ms, d.ThresholdMs, d.Images, d.FailedImages, d.DurationMs/1e3)
+		if d.DetectionMs > 0 {
+			fprintf(w, "      warn at %.0fms, detection %.0fms (within 2 fast windows: %v), health at breach %.2f\n",
+				d.WarnAtMs, d.DetectionMs, d.WithinTwoFastWin, d.HealthAtBreach)
+		}
 		for _, c := range d.Checks {
 			mark := "ok  "
 			if !c.OK {

@@ -81,55 +81,15 @@ func (cl *liveCluster) replicas(n int) (*core.Cluster, error) {
 // the measured images. warmup images per origin run first so Algorithm
 // 2's estimates settle on each replica's node subset.
 func clusterClosedLoop(cl *core.Cluster, images, warmup int) (ClusterBenchRun, error) {
-	x := tensor.New(1, 3, 32, 32)
-	x.RandN(rand.New(rand.NewSource(7)), 1)
-	reps := cl.Replicas()
-	pass := func(count int) ([]float64, time.Duration, error) {
-		per := count / reps
-		lats := make([][]float64, reps)
-		errs := make(chan error, reps)
-		var wg sync.WaitGroup
-		start := time.Now()
-		for o := 0; o < reps; o++ {
-			wg.Add(1)
-			go func(o int) {
-				defer wg.Done()
-				for i := 0; i < per; i++ {
-					ch, err := cl.Submit(context.Background(), o, x)
-					if err != nil {
-						errs <- err
-						return
-					}
-					r := <-ch
-					if r.Err != nil {
-						errs <- r.Err
-						return
-					}
-					lats[o] = append(lats[o], ms(r.Stats.Latency))
-				}
-			}(o)
+	run, err := closedLoop(cl.Replicas(), images, warmup, func(o int, x *tensor.Tensor) (time.Duration, error) {
+		ch, err := cl.Submit(context.Background(), o, x)
+		if err != nil {
+			return 0, err
 		}
-		wg.Wait()
-		wall := time.Since(start)
-		select {
-		case err := <-errs:
-			return nil, 0, err
-		default:
-		}
-		var all []float64
-		for _, l := range lats {
-			all = append(all, l...)
-		}
-		return all, wall, nil
-	}
-	if _, _, err := pass(warmup * reps); err != nil {
-		return ClusterBenchRun{}, err
-	}
-	lat, wall, err := pass(images)
-	if err != nil {
-		return ClusterBenchRun{}, err
-	}
-	return ClusterBenchRun{Replicas: reps, StreamBenchRun: summarize(len(lat), lat, wall), Steals: cl.Steals()}, nil
+		r := <-ch
+		return r.Stats.Latency, r.Err
+	})
+	return ClusterBenchRun{Replicas: cl.Replicas(), StreamBenchRun: run, Steals: cl.Steals()}, err
 }
 
 // clusterImbalance offers an open-loop stream at offered images/sec,

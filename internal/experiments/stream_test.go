@@ -35,7 +35,7 @@ func TestThroughputBeatsInverseLatency(t *testing.T) {
 // overlap that hold with the Central's dispatch and back-layer work.
 func TestLivePipelinedBeatsSequential(t *testing.T) {
 	opt := models.Options{Grid: fdsp.Grid{Rows: 2, Cols: 2}}
-	seq, pipe, err := livePipelineComparison(opt, 4, 24, 4, 3, 4*time.Millisecond)
+	seq, pipe, err := livePipelineComparison(opt, 4, 24, 4, 3, 4*time.Millisecond, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -95,35 +95,6 @@ func ExtractTile(x *tensor.Tensor, t Tile) *tensor.Tensor {
 	return out
 }
 
-// ExtractTileWithHalo copies tile t extended by margin pixels on every
-// side. Pixels outside the source image are zero-filled, which matches
-// what same-padding convolution would have produced at the true image
-// border.
-func ExtractTileWithHalo(x *tensor.Tensor, t Tile, margin int) *tensor.Tensor {
-	if margin < 0 {
-		panic("fdsp: negative halo margin")
-	}
-	c, h, w := x.Shape[1], x.Shape[2], x.Shape[3]
-	eh, ew := t.H+2*margin, t.W+2*margin
-	out := tensor.New(1, c, eh, ew)
-	for ch := 0; ch < c; ch++ {
-		for ey := 0; ey < eh; ey++ {
-			sy := t.Y0 - margin + ey
-			if sy < 0 || sy >= h {
-				continue
-			}
-			for ex := 0; ex < ew; ex++ {
-				sx := t.X0 - margin + ex
-				if sx < 0 || sx >= w {
-					continue
-				}
-				out.Data[ch*eh*ew+ey*ew+ex] = x.Data[ch*h*w+sy*w+sx]
-			}
-		}
-	}
-	return out
-}
-
 // Crop copies the h×w rectangle at (top, left) out of a [1,C,H,W] map.
 func Crop(x *tensor.Tensor, top, left, h, w int) *tensor.Tensor {
 	c, sh, sw := x.Shape[1], x.Shape[2], x.Shape[3]
@@ -136,24 +107,6 @@ func Crop(x *tensor.Tensor, top, left, h, w int) *tensor.Tensor {
 			srcOff := ch*sh*sw + (y+top)*sw + left
 			dstOff := ch*h*w + y*w
 			copy(out.Data[dstOff:dstOff+w], x.Data[srcOff:srcOff+w])
-		}
-	}
-	return out
-}
-
-// CropCenter removes margin pixels from every side of a [1,C,H,W] map.
-func CropCenter(x *tensor.Tensor, margin int) *tensor.Tensor {
-	c, h, w := x.Shape[1], x.Shape[2], x.Shape[3]
-	nh, nw := h-2*margin, w-2*margin
-	if nh <= 0 || nw <= 0 {
-		panic(fmt.Sprintf("fdsp: crop margin %d too large for %dx%d", margin, h, w))
-	}
-	out := tensor.New(1, c, nh, nw)
-	for ch := 0; ch < c; ch++ {
-		for y := 0; y < nh; y++ {
-			srcOff := ch*h*w + (y+margin)*w + margin
-			dstOff := ch*nh*nw + y*nw
-			copy(out.Data[dstOff:dstOff+nw], x.Data[srcOff:srcOff+nw])
 		}
 	}
 	return out

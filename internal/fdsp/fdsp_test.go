@@ -281,30 +281,3 @@ func TestFDSPTrivialGridIsExact(t *testing.T) {
 		t.Fatal("1x1 FDSP must be bit-identical to the full run")
 	}
 }
-
-func TestExtractTileWithHaloZeroFill(t *testing.T) {
-	x := tensor.New(1, 1, 4, 4)
-	x.Fill(1)
-	tl := Tile{Index: 0, Row: 0, Col: 0, Y0: 0, X0: 0, H: 2, W: 2}
-	ext := ExtractTileWithHalo(x, tl, 1)
-	if ext.Shape[2] != 4 || ext.Shape[3] != 4 {
-		t.Fatalf("extended shape %v", ext.Shape)
-	}
-	// Top-left corner lies outside the image → zero.
-	if ext.At(0, 0, 0, 0) != 0 {
-		t.Fatal("outside pixels must be zero-filled")
-	}
-	// Bottom-right of extension lies inside → one.
-	if ext.At(0, 0, 3, 3) != 1 {
-		t.Fatal("inside pixels must be copied")
-	}
-}
-
-func TestCropCenterPanicsWhenTooLarge(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	CropCenter(tensor.New(1, 1, 4, 4), 2)
-}

@@ -2,7 +2,6 @@ package nn
 
 import (
 	"math"
-	"math/rand"
 
 	"adcnn/internal/tensor"
 )
@@ -150,54 +149,3 @@ func (c *ClippedReLU) Params() []*Param { return nil }
 
 // Name returns the layer label.
 func (c *ClippedReLU) Name() string { return c.label }
-
-// Dropout randomly zeroes activations during training (inverted dropout,
-// so inference is the identity).
-type Dropout struct {
-	label string
-	P     float32
-	rng   *rand.Rand
-	mask  []float32
-}
-
-// NewDropout creates a dropout layer with drop probability p.
-func NewDropout(label string, p float32, rng *rand.Rand) *Dropout {
-	return &Dropout{label: label, P: p, rng: rng}
-}
-
-// Forward applies the dropout mask in training mode; identity otherwise.
-func (d *Dropout) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
-	if !train || d.P == 0 {
-		return x.Clone()
-	}
-	y := tensor.New(x.Shape...)
-	d.mask = make([]float32, len(x.Data))
-	scale := 1 / (1 - d.P)
-	for i, v := range x.Data {
-		if d.rng.Float32() >= d.P {
-			d.mask[i] = scale
-			y.Data[i] = v * scale
-		}
-	}
-	return y
-}
-
-// Backward applies the same mask to the gradient.
-func (d *Dropout) Backward(grad *tensor.Tensor) *tensor.Tensor {
-	if d.mask == nil {
-		// Dropout was a no-op (P==0); pass gradient through.
-		return grad.Clone()
-	}
-	dx := tensor.New(grad.Shape...)
-	for i, v := range grad.Data {
-		dx.Data[i] = v * d.mask[i]
-	}
-	d.mask = nil
-	return dx
-}
-
-// Params returns nil; dropout has no parameters.
-func (d *Dropout) Params() []*Param { return nil }
-
-// Name returns the layer label.
-func (d *Dropout) Name() string { return d.label }

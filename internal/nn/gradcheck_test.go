@@ -307,12 +307,6 @@ func TestMaxPoolForwardKnown(t *testing.T) {
 	}
 }
 
-func TestAvgPoolGradients(t *testing.T) {
-	p := NewAvgPool2D("ap", 2, 2)
-	x := randInput(1, 2, 4, 4)
-	checkInputGrad(t, p, x, 1e-2)
-}
-
 func TestGlobalAvgPoolGradients(t *testing.T) {
 	p := NewGlobalAvgPool2D("gap")
 	x := randInput(2, 3, 3, 3)
@@ -382,30 +376,4 @@ func TestSequentialGradients(t *testing.T) {
 		}
 	}
 	checkInputGrad(t, seq, x, 5e-2)
-}
-
-func TestDropoutTrainEval(t *testing.T) {
-	rng := rand.New(rand.NewSource(41))
-	d := NewDropout("do", 0.5, rng)
-	x := randInput(1, 100)
-	ev := d.Forward(x, false)
-	if !ev.Equal(x, 0) {
-		t.Fatal("eval-mode dropout must be the identity")
-	}
-	tr := d.Forward(x, true)
-	zeros := 0
-	for _, v := range tr.Data {
-		if v == 0 {
-			zeros++
-		}
-	}
-	if zeros < 20 || zeros > 80 {
-		t.Fatalf("p=0.5 dropout zeroed %d/100 values", zeros)
-	}
-	g := d.Backward(tr.Clone())
-	for i := range tr.Data {
-		if (tr.Data[i] == 0) != (g.Data[i] == 0) && x.Data[i] != 0 {
-			t.Fatal("dropout backward must use the same mask")
-		}
-	}
 }

@@ -124,88 +124,6 @@ func (p *MaxPool2D) Params() []*Param { return nil }
 // Name returns the layer label.
 func (p *MaxPool2D) Name() string { return p.label }
 
-// AvgPool2D applies average pooling with a square window.
-type AvgPool2D struct {
-	label  string
-	K      int
-	Stride int
-
-	inShape []int
-}
-
-// NewAvgPool2D creates an average-pooling layer (window k, stride s).
-func NewAvgPool2D(label string, k, s int) *AvgPool2D {
-	return &AvgPool2D{label: label, K: k, Stride: s}
-}
-
-// Forward computes the mean over each window.
-func (p *AvgPool2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
-	n, c, h, w := x.Shape[0], x.Shape[1], x.Shape[2], x.Shape[3]
-	oh := (h-p.K)/p.Stride + 1
-	ow := (w-p.K)/p.Stride + 1
-	y := tensor.New(n, c, oh, ow)
-	if train {
-		p.inShape = []int{n, c, h, w}
-	}
-	inv := 1 / float32(p.K*p.K)
-	for i := 0; i < n; i++ {
-		for ch := 0; ch < c; ch++ {
-			src := x.Data[(i*c+ch)*h*w:]
-			dstBase := (i*c + ch) * oh * ow
-			for oy := 0; oy < oh; oy++ {
-				for ox := 0; ox < ow; ox++ {
-					var s float32
-					for ky := 0; ky < p.K; ky++ {
-						iy := oy*p.Stride + ky
-						for kx := 0; kx < p.K; kx++ {
-							s += src[iy*w+ox*p.Stride+kx]
-						}
-					}
-					y.Data[dstBase+oy*ow+ox] = s * inv
-				}
-			}
-		}
-	}
-	return y
-}
-
-// Backward spreads each output gradient uniformly over its window.
-func (p *AvgPool2D) Backward(grad *tensor.Tensor) *tensor.Tensor {
-	if p.inShape == nil {
-		panic("nn: AvgPool2D.Backward before Forward(train=true)")
-	}
-	n, c, h, w := p.inShape[0], p.inShape[1], p.inShape[2], p.inShape[3]
-	oh := (h-p.K)/p.Stride + 1
-	ow := (w-p.K)/p.Stride + 1
-	dx := tensor.New(p.inShape...)
-	inv := 1 / float32(p.K*p.K)
-	for i := 0; i < n; i++ {
-		for ch := 0; ch < c; ch++ {
-			dst := dx.Data[(i*c+ch)*h*w:]
-			srcBase := (i*c + ch) * oh * ow
-			for oy := 0; oy < oh; oy++ {
-				for ox := 0; ox < ow; ox++ {
-					g := grad.Data[srcBase+oy*ow+ox] * inv
-					for ky := 0; ky < p.K; ky++ {
-						iy := oy*p.Stride + ky
-						for kx := 0; kx < p.K; kx++ {
-							dst[iy*w+ox*p.Stride+kx] += g
-						}
-					}
-				}
-			}
-		}
-	}
-	p.inShape = nil
-	return dx
-}
-
-// Params returns nil.
-func (p *AvgPool2D) Params() []*Param { return nil }
-
-// Name returns the layer label.
-func (p *AvgPool2D) Name() string { return p.label }
-
 // GlobalAvgPool2D averages each channel's full spatial plane, producing a
 // [N, C] activation (used by ResNet-style heads).
 type GlobalAvgPool2D struct {

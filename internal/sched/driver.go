@@ -1,6 +1,7 @@
 package sched
 
 import (
+	"fmt"
 	"sync"
 	"time"
 )
@@ -64,20 +65,12 @@ type Driver struct {
 	probation []time.Time
 }
 
-// NewDriver creates the policy for nodes Conv nodes. gamma is Algorithm
-// 2's decay and initial the cold-start estimate (see NewStats). mon,
-// when non-nil, is told about every plan and every statistics update.
+// NewDriver creates the policy for a fixed set of nodes Conv nodes.
+// gamma is Algorithm 2's decay and initial the cold-start estimate (see
+// NewStats). mon, when non-nil, is told about every plan and every
+// statistics update.
 func NewDriver(nodes int, gamma, initial float64, mon *Monitor) *Driver {
-	return &Driver{stats: NewStats(nodes, gamma, initial), mon: mon}
-}
-
-// Add appends a fresh node at the cold-start estimate (live membership
-// growth) and returns its index. Callers grow the driver before they
-// show the node to Plan, so a plan never sees a node without a speed.
-func (d *Driver) Add() int {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.stats.Add()
+	return &Driver{stats: NewStats(nodes, gamma, initial), mon: mon, probation: make([]time.Time, nodes)}
 }
 
 // Revive restores node k's estimate to at least the cold-start value: a
@@ -121,11 +114,12 @@ func (d *Driver) Speeds() []float64 {
 }
 
 // Plan is the input-partition decision for one image of tiles tiles at
-// time now: nodes that are not alive get nothing, the rest share the
-// tiles by Algorithm 3 on their share-scaled Algorithm 2 speeds. In
-// link-aware mode the speeds are first derated by each node's measured
-// transfer cost, so a node behind a collapsed link sheds tiles even
-// while its compute-rate estimate still looks healthy. tileBytes and
+// time now, given one view per node: nodes that are not alive get
+// nothing, the rest share the tiles by Algorithm 3 on their
+// share-scaled Algorithm 2 speeds. In link-aware mode the speeds are
+// first derated by each node's measured transfer cost, so a node behind
+// a collapsed link sheds tiles even while its compute-rate estimate
+// still looks healthy. tileBytes and
 // caps are Algorithm 3's storage constraint (nil caps = unlimited);
 // image labels the decision in the audit trail.
 //
@@ -142,6 +136,9 @@ func (d *Driver) Speeds() []float64 {
 // underated for a few images, exactly long enough to re-measure the
 // link as it is now.
 func (d *Driver) Plan(now time.Time, image uint32, tiles int, nodes []NodeView, tileBytes int64, caps []int64) (Plan, error) {
+	if len(nodes) != d.stats.Nodes() {
+		return Plan{}, fmt.Errorf("sched: %d node views for %d nodes", len(nodes), d.stats.Nodes())
+	}
 	d.mu.Lock()
 	p := Plan{Revived: d.probationRevives(now, nodes)}
 	p.Speeds = d.aliveSpeeds(nodes)
@@ -221,13 +218,13 @@ func latRefEWMA(cur, sample float64) float64 {
 	return cur + a*(sample-cur)
 }
 
-// aliveSpeeds returns the allocator's speed vector for a membership
-// view: the Algorithm 2 estimates, zeroed for nodes that are not alive
-// and scaled by the cluster share. Callers hold d.mu.
+// aliveSpeeds returns the allocator's speed vector: the Algorithm 2
+// estimates, zeroed for nodes that are not alive and scaled by the
+// cluster share. Callers hold d.mu.
 func (d *Driver) aliveSpeeds(nodes []NodeView) []float64 {
 	speeds := make([]float64, len(nodes))
 	for k, v := range nodes {
-		if !v.Alive || k >= d.stats.Nodes() {
+		if !v.Alive {
 			continue
 		}
 		speeds[k] = d.stats.Speed(k)
@@ -291,25 +288,18 @@ const (
 // it, which either restore its speed estimate and link telemetry or let
 // the telemetry push it back out. Callers hold d.mu.
 func (d *Driver) probationRevives(now time.Time, nodes []NodeView) []int {
-	n := d.stats.Nodes()
-	if len(nodes) < n {
-		n = len(nodes)
-	}
-	for len(d.probation) < n {
-		d.probation = append(d.probation, time.Time{})
-	}
 	best := 0.0
-	for k := 0; k < n; k++ {
-		if v := d.stats.Speed(k); nodes[k].Alive && v > best {
-			best = v
+	for k, v := range nodes {
+		if s := d.stats.Speed(k); v.Alive && s > best {
+			best = s
 		}
 	}
 	if best <= 0 {
 		return nil
 	}
 	var revived []int
-	for k := 0; k < n; k++ {
-		if !nodes[k].Alive || d.stats.Speed(k) >= probationFrac*best {
+	for k, v := range nodes {
+		if !v.Alive || d.stats.Speed(k) >= probationFrac*best {
 			continue
 		}
 		if now.Sub(d.probation[k]) < probationInterval {

@@ -11,7 +11,7 @@ import (
 // schedule is one seeded run of the Driver against a model cluster the
 // test mutates: nodes die and rejoin, stall (alive but returning
 // nothing, so Algorithm 2 starves them), lose and regain their links,
-// shares move, nodes join live. The clock is a variable.
+// shares move. The clock is a variable.
 type schedule struct {
 	t     *testing.T
 	rng   *rand.Rand
@@ -69,13 +69,6 @@ func (s *schedule) mutate() {
 		s.d.SetShare(s.share)
 	case 7:
 		s.d.SetLinkAware(s.rng.Intn(2) == 0)
-	case 8:
-		if len(s.views) < 10 {
-			s.d.Add()
-			s.views = append(s.views, NodeView{Alive: true})
-			s.stalled = append(s.stalled, false)
-			s.revived = append(s.revived, time.Time{})
-		}
 	}
 }
 
@@ -159,8 +152,7 @@ func (s *schedule) step(image uint32) {
 		}
 	}
 
-	// A node may join between an image's plan and its settle; the tally
-	// is then shorter than the node set.
+	// A fault may land between an image's plan and its settle.
 	if s.rng.Intn(20) == 0 {
 		s.mutate()
 	}
@@ -233,6 +225,17 @@ func TestDriverLinkCollapseShedsAndProbationReadmits(t *testing.T) {
 	}
 	if !readmitted {
 		t.Fatal("healed node not re-admitted within one probation interval")
+	}
+}
+
+// TestDriverPlanNeedsOneViewPerNode: the node set is fixed at
+// construction, so a plan over more or fewer views is a caller bug.
+func TestDriverPlanNeedsOneViewPerNode(t *testing.T) {
+	d := NewDriver(2, 0.9, 4, nil)
+	for _, views := range [][]NodeView{{{Alive: true}}, {{Alive: true}, {Alive: true}, {Alive: true}}} {
+		if _, err := d.Plan(time.Unix(0, 0), 1, 4, views, 0, nil); err == nil {
+			t.Fatalf("plan over %d views for 2 nodes succeeded", len(views))
+		}
 	}
 }
 

@@ -49,20 +49,10 @@ func (st *Stats) Revive(k int) {
 // Nodes returns the node count.
 func (st *Stats) Nodes() int { return len(st.s) }
 
-// Add appends a fresh node at the cold-start estimate (runtime
-// membership growth) and returns its index.
-func (st *Stats) Add() int {
-	st.s = append(st.s, st.initial)
-	return len(st.s) - 1
-}
-
 // Update folds one image's per-node result counts n_k into the running
-// means (Algorithm 2 line 6). counts may be shorter than the node set —
-// an image dispatched before a node joined carries no verdict on the new
-// node, whose estimate is left untouched. More counts than nodes is
-// still a caller bug.
+// means (Algorithm 2 line 6). counts holds one entry per node.
 func (st *Stats) Update(counts []int) {
-	if len(counts) > len(st.s) {
+	if len(counts) != len(st.s) {
 		panic(fmt.Sprintf("sched: %d counts for %d nodes", len(counts), len(st.s)))
 	}
 	for k, n := range counts {

@@ -33,30 +33,13 @@ func TestStatsDecayTracksChange(t *testing.T) {
 	}
 }
 
-func TestStatsAddAndShortUpdate(t *testing.T) {
-	st := NewStats(2, 0.5, 4)
-	if k := st.Add(); k != 2 {
-		t.Fatalf("Add returned index %d, want 2", k)
-	}
-	if st.Nodes() != 3 || st.Speed(2) != 4 {
-		t.Fatalf("added node: nodes=%d speed=%v, want 3 nodes at the initial estimate", st.Nodes(), st.Speed(2))
-	}
-	// An image dispatched before the join updates only the old nodes.
-	st.Update([]int{8, 8})
-	if st.Speed(0) != 6 || st.Speed(1) != 6 {
-		t.Fatalf("old nodes = %v,%v, want 6", st.Speed(0), st.Speed(1))
-	}
-	if st.Speed(2) != 4 {
-		t.Fatalf("new node decayed to %v on a pre-join image", st.Speed(2))
-	}
-}
-
 func TestStatsValidation(t *testing.T) {
 	for _, f := range []func(){
 		func() { NewStats(0, 0.5, 1) },
 		func() { NewStats(2, 0, 1) },
 		func() { NewStats(2, 1.5, 1) },
 		func() { NewStats(2, 0.5, 1).Update([]int{1, 2, 3}) },
+		func() { NewStats(2, 0.5, 1).Update([]int{1}) },
 	} {
 		func() {
 			defer func() {

@@ -53,26 +53,3 @@ func Durations(ds []time.Duration) []float64 {
 	}
 	return out
 }
-
-// MeanDuration returns the mean of a duration slice.
-func MeanDuration(ds []time.Duration) time.Duration {
-	if len(ds) == 0 {
-		return 0
-	}
-	var s time.Duration
-	for _, d := range ds {
-		s += d
-	}
-	return s / time.Duration(len(ds))
-}
-
-// MaxDuration returns the maximum (0 for empty input).
-func MaxDuration(ds []time.Duration) time.Duration {
-	var m time.Duration
-	for _, d := range ds {
-		if d > m {
-			m = d
-		}
-	}
-	return m
-}

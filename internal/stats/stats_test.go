@@ -43,16 +43,3 @@ func TestDurations(t *testing.T) {
 		t.Fatalf("Durations = %v", ds)
 	}
 }
-
-func TestMeanMaxDuration(t *testing.T) {
-	if MeanDuration(nil) != 0 || MaxDuration(nil) != 0 {
-		t.Fatal("empty inputs must yield zero")
-	}
-	ds := []time.Duration{time.Millisecond, 3 * time.Millisecond}
-	if MeanDuration(ds) != 2*time.Millisecond {
-		t.Fatal("mean duration wrong")
-	}
-	if MaxDuration(ds) != 3*time.Millisecond {
-		t.Fatal("max duration wrong")
-	}
-}

@@ -101,16 +101,6 @@ func (e *OffsetEstimator) RTT() int64 {
 	return int64(e.rtt)
 }
 
-// MinRTT returns the smallest RTT observed so far.
-func (e *OffsetEstimator) MinRTT() int64 {
-	if e == nil {
-		return 0
-	}
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.minRTT
-}
-
 // Samples returns how many exchanges have been folded in.
 func (e *OffsetEstimator) Samples() int64 {
 	if e == nil {

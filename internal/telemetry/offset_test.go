@@ -34,8 +34,8 @@ func TestOffsetConvergesUnderConstantSkew(t *testing.T) {
 	if e.Samples() != 200 {
 		t.Fatalf("samples %d, want 200", e.Samples())
 	}
-	if e.MinRTT() != 100_000 {
-		t.Fatalf("min RTT %d, want 100000 (excludes remote processing)", e.MinRTT())
+	if e.RTT() != 100_000 {
+		t.Fatalf("RTT %d, want 100000 (excludes remote processing)", e.RTT())
 	}
 }
 
@@ -131,7 +131,7 @@ func TestOffsetRejectsNegativeRTT(t *testing.T) {
 func TestOffsetNilSafe(t *testing.T) {
 	var e *OffsetEstimator
 	e.Update(0, 1, 2, 3)
-	if e.Offset() != 0 || e.RTT() != 0 || e.MinRTT() != 0 || e.Samples() != 0 {
+	if e.Offset() != 0 || e.RTT() != 0 || e.Samples() != 0 {
 		t.Fatal("nil estimator accessors must return zero")
 	}
 }

@@ -340,33 +340,6 @@ var DefBuckets = []float64{
 	0.1, 0.25, 0.5, 1, 2.5, 5, 10,
 }
 
-// ExpBuckets returns n exponentially spaced upper bounds starting at
-// start and growing by factor.
-func ExpBuckets(start, factor float64, n int) []float64 {
-	if start <= 0 || factor <= 1 || n < 1 {
-		panic("telemetry: bad exponential bucket spec")
-	}
-	out := make([]float64, n)
-	for i := range out {
-		out[i] = start
-		start *= factor
-	}
-	return out
-}
-
-// LinearBuckets returns n linearly spaced upper bounds starting at start
-// with the given width.
-func LinearBuckets(start, width float64, n int) []float64 {
-	if width <= 0 || n < 1 {
-		panic("telemetry: bad linear bucket spec")
-	}
-	out := make([]float64, n)
-	for i := range out {
-		out[i] = start + float64(i)*width
-	}
-	return out
-}
-
 // Histogram returns the unlabelled histogram named name. nil buckets use
 // DefBuckets.
 func (r *Registry) Histogram(name, help string, buckets []float64) *Histogram {

@@ -277,11 +277,3 @@ func (c *WindowedCounter) Total(window time.Duration) float64 {
 	}
 	return sum
 }
-
-// Rate returns the per-second rate over the last window duration.
-func (c *WindowedCounter) Rate(window time.Duration) float64 {
-	if window <= 0 {
-		return 0
-	}
-	return c.Total(window) / window.Seconds()
-}

@@ -54,15 +54,6 @@ func GetBuf(n int) []float32 {
 	return make([]float32, n, 1<<b)
 }
 
-// GetBufZeroed returns a zero-filled scratch slice of length n.
-func GetBufZeroed(n int) []float32 {
-	s := GetBuf(n)
-	for i := range s {
-		s[i] = 0
-	}
-	return s
-}
-
 // PutBuf recycles a buffer obtained from GetBuf. Only exact power-of-two
 // capacities are accepted (anything else came from somewhere other than
 // GetBuf and is silently dropped). The caller must not use buf afterwards.

@@ -47,21 +47,6 @@ func TestPutBufRejectsForeignBuffers(t *testing.T) {
 	}
 }
 
-func TestGetBufZeroed(t *testing.T) {
-	b := GetBuf(64)
-	for i := range b {
-		b[i] = 3
-	}
-	PutBuf(b)
-	z := GetBufZeroed(64)
-	for i, v := range z {
-		if v != 0 {
-			t.Fatalf("GetBufZeroed[%d] = %g", i, v)
-		}
-	}
-	PutBuf(z)
-}
-
 func TestGetPutTensor(t *testing.T) {
 	x := GetTensor(3, 4)
 	if x.Len() != 12 || x.Shape[0] != 3 || x.Shape[1] != 4 {
