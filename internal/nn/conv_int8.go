@@ -38,10 +38,10 @@ func (c *Conv2D) ClearInt8() { c.int8w = nil }
 func (c *Conv2D) Int8() bool { return c.int8w != nil }
 
 // forwardSampleInt8 is the int8 counterpart of forwardSample: quantizing
-// im2col into pooled uint8 scratch, int8 GEMM into pooled int32
-// accumulators, fused requantize+bias into ys. Zero allocations. If the
-// sample's activation range is non-finite (NaN/Inf input) it falls back
-// to the f32 path, which propagates the values faithfully.
+// im2col into pooled uint8 scratch, then the int8 GEMM with its fused
+// requantize+bias into ys. Zero allocations. If the sample's activation
+// range is non-finite (NaN/Inf input) it falls back to the f32 path,
+// which propagates the values faithfully.
 func (c *Conv2D) forwardSampleInt8(yd, xd []float32, i, h, w, oh, ow int) {
 	plane := oh * ow
 	sample := c.InC * h * w
@@ -62,21 +62,15 @@ func (c *Conv2D) forwardSampleInt8(yd, xd []float32, i, h, w, oh, ow int) {
 }
 
 // int8Gemm multiplies the packed activation columns against the int8
-// weight snapshot and requantizes each output channel row (with bias)
-// into ys[OutC][plane].
+// weight snapshot, requantizing each output channel row (with bias)
+// into ys[OutC][plane] as the kernel finishes it.
 func (c *Conv2D) int8Gemm(ys []float32, bq []uint8, plane int, af quant.Affine) {
-	acc := tensor.GetI32(c.OutC * plane)
-	tensor.GemmInt8DotInto(acc, c.int8w.Data, bq, c.OutC, plane, c.int8w.KP)
-	z := int32(af.Zero)
-	for oc := 0; oc < c.OutC; oc++ {
-		var b float32
-		if c.UseBias {
-			b = c.Bias.Value.Data[oc]
-		}
-		tensor.RequantizeI32Row(ys[oc*plane:(oc+1)*plane], acc[oc*plane:(oc+1)*plane],
-			c.int8w.Scales[oc]*af.Scale, z*c.int8w.RowSum[oc], b)
+	var bias []float32
+	if c.UseBias {
+		bias = c.Bias.Value.Data
 	}
-	tensor.PutI32(acc)
+	tensor.GemmInt8RequantInto(ys, plane, c.int8w.Data, bq, c.OutC, plane, c.int8w.KP, tensor.Int8Requant{
+		WScale: c.int8w.Scales, RowSum: c.int8w.RowSum, Bias: bias, XScale: af.Scale, XZero: int32(af.Zero)})
 }
 
 // ForwardLevelsInto runs the int8 forward on a single sample whose

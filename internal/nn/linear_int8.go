@@ -48,20 +48,12 @@ func (l *Linear) forwardInt8(y, x *tensor.Tensor) bool {
 			row[k] = 0
 		}
 	}
-	acc := tensor.GetI32(l.Out * n)
-	tensor.GemmInt8DotInto(acc, l.int8w.Data, bq, l.Out, n, kp)
-	// acc is [Out][n]; y is [n][Out] — transpose during requantization.
-	z := int32(af.Zero)
-	bias := l.Bias.Value.Data
-	for oc := 0; oc < l.Out; oc++ {
-		scale := l.int8w.Scales[oc] * af.Scale
-		corr := z * l.int8w.RowSum[oc]
-		b := bias[oc]
-		for i := 0; i < n; i++ {
-			y.Data[i*l.Out+oc] = scale*float32(acc[oc*n+i]-corr) + b
-		}
+	// y is [n][Out]: one single-column product per sample writes its row.
+	rq := tensor.Int8Requant{WScale: l.int8w.Scales, RowSum: l.int8w.RowSum,
+		Bias: l.Bias.Value.Data, XScale: af.Scale, XZero: int32(af.Zero)}
+	for i := 0; i < n; i++ {
+		tensor.GemmInt8RequantInto(y.Data[i*l.Out:], 1, l.int8w.Data, bq[i*kp:], l.Out, 1, kp, rq)
 	}
-	tensor.PutI32(acc)
 	tensor.PutBytes(bq)
 	return true
 }

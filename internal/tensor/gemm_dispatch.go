@@ -11,12 +11,13 @@ const (
 	// TierGeneric is the portable pure-Go kernel (always available, and
 	// what hosts older than AVX2 run).
 	TierGeneric KernelTier = 0
-	// TierAVX2 is the AVX2+FMA kernel (6×16 f32 tile, 16-byte int8 dot).
+	// TierAVX2 is the AVX2+FMA kernel (6×16 f32 tile; int8 runs the
+	// portable kernel).
 	// Reports and the benchmark carry the numbers, so 1 — the retired
 	// SSE tier — stays unused.
 	TierAVX2 KernelTier = 2
-	// TierAVX512 is the AVX-512 F+BW+VL kernel (6×64 f32 tile, 32-byte
-	// int8 dot, with a VNNI fast path when the CPU has it).
+	// TierAVX512 is the AVX-512 F+BW+VL kernel (6×64 f32 tile; int8
+	// runs the VPDPBUSD kernel when the CPU has VNNI).
 	TierAVX512 KernelTier = 3
 )
 

@@ -19,24 +19,6 @@ func detectKernelTier() KernelTier {
 	return TierGeneric
 }
 
-// hasVNNI gates the VPDPBUSD int8 fast path inside the AVX-512 tier.
-// It is a separate flag rather than a tier because VNNI changes no
-// numeric behaviour (the int8 dot is exact either way) — only the
-// instruction mix. Tests flip it through setVNNI to exercise both
-// kernels on VNNI hosts.
-var hasVNNI = cpufeat.Detect().UsableVNNI()
-
-// setVNNI forces the VNNI fast path on or off for parity tests and
-// baseline benchmarks; returns the previous value. Enabling it on a
-// host without VNNI would fault, so callers must only restore a value
-// previously returned by setVNNI. Same caveat as SetKernelTier: not
-// safe concurrently with running GEMMs.
-func setVNNI(on bool) bool {
-	prev := hasVNNI
-	hasVNNI = on && cpufeat.Detect().UsableVNNI()
-	return prev
-}
-
 // gemmTileShape is the MR×NR tile of the dispatched tier's kernel.
 func gemmTileShape() (mr, nr int) {
 	switch kernelTier {

@@ -6,9 +6,6 @@ package tensor
 // kernel is the only tier.
 func detectKernelTier() KernelTier { return TierGeneric }
 
-// setVNNI: no VNNI without assembly kernels; the knob is inert.
-func setVNNI(bool) bool { return false }
-
 // gemmTileShape is the portable kernel's tile.
 func gemmTileShape() (mr, nr int) { return 4, 64 }
 

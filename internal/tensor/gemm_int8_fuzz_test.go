@@ -54,16 +54,18 @@ func FuzzInt8PackRequant(f *testing.F) {
 		for i := range b {
 			b[i] = data[(i*7+3)%len(data)]
 		}
-		acc := make([]int32, m*n)
-		GemmInt8DotInto(acc, a, b, m, n, kp)
+		rowSum := make([]int32, m)
+		for i := range rowSum {
+			for k := 0; k < kp; k++ {
+				rowSum[i] += int32(a[i*kp+k])
+			}
+		}
+		y := make([]float32, m*n)
+		GemmInt8RequantInto(y, n, a, b, m, n, kp,
+			Int8Requant{WScale: []float32{1, 1}, RowSum: rowSum, XScale: scale, XZero: int32(zp)})
 		// Exactness vs float64.
 		for i := 0; i < m; i++ {
-			var rowSum int32
-			for k := 0; k < kp; k++ {
-				rowSum += int32(a[i*kp+k])
-			}
-			out := make([]float32, n)
-			RequantizeI32Row(out, acc[i*n:(i+1)*n], scale, int32(zp)*rowSum, 0)
+			out := y[i*n : (i+1)*n]
 			for j := 0; j < n; j++ {
 				var want float64
 				for k := 0; k < kp; k++ {

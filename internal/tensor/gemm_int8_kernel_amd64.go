@@ -2,44 +2,25 @@
 
 package tensor
 
-// int8DotKernel2x4AVX2 (gemm_int8_kernel_amd64.s) computes the eight dot
-// products of the 2×4 int8 register tile with AVX2: 16 k-bytes per step,
-// widened to 16-bit words (sign-extend for weights, zero-extend for
-// activations) and multiply-accumulated exactly with VPMADDWD — every
-// intermediate fits: |s8·u8| ≤ 128·255 and the pairwise sums stay far
-// inside int32 for kp ≤ int8MaxKP. kp must be a multiple of 16.
+import "adcnn/internal/cpufeat"
+
+// int8PanelVNNI (gemm_int8_kernel_amd64.s) is int8PanelGeneric on
+// AVX-512 VNNI: one VPDPBUSD per (row, column) pair and 64-byte k step.
+// Requires AVX-512 F+BW+VL and VNNI.
 //
 //go:noescape
-func int8DotKernel2x4AVX2(dst *[8]int32, a0, a1 *int8, b0, b1, b2, b3 *uint8, kp int)
+func int8PanelVNNI(p *int8Panel)
 
-// int8DotKernel2x4AVX512 is the same widen+VPMADDWD scheme at ZMM width:
-// 32 k-bytes per step, one 16-byte YMM remainder step. Requires
-// AVX-512 F+BW+VL — dispatch only on TierAVX512.
-//
-//go:noescape
-func int8DotKernel2x4AVX512(dst *[8]int32, a0, a1 *int8, b0, b1, b2, b3 *uint8, kp int)
+// hostVNNI reports whether the CPU and OS support AVX-512 VNNI.
+var hostVNNI = cpufeat.Detect().UsableVNNI()
 
-// int8DotKernel2x4VNNI replaces widen+VPMADDWD+VPADDD with one
-// VPDPBUSD per accumulator: 64 k-bytes per step, 16-byte XMM remainder
-// steps. Same exact int32 result. Requires AVX512-VNNI on top of the
-// AVX-512 tier — dispatch only when hasVNNI.
-//
-//go:noescape
-func int8DotKernel2x4VNNI(dst *[8]int32, a0, a1 *int8, b0, b1, b2, b3 *uint8, kp int)
-
-// int8Dot2x4 dispatches the int8 micro-kernel by tier: VNNI or ZMM
-// widen on AVX-512, AVX2 widen below that, the portable kernel
-// otherwise (there is no SSE int8 kernel — the baseline tier for int8
-// is pure Go).
-func int8Dot2x4(dst *[8]int32, a0, a1 []int8, b0, b1, b2, b3 []uint8, kp int) {
-	switch {
-	case kernelTier >= TierAVX512 && hasVNNI:
-		int8DotKernel2x4VNNI(dst, &a0[0], &a1[0], &b0[0], &b1[0], &b2[0], &b3[0], kp)
-	case kernelTier >= TierAVX512:
-		int8DotKernel2x4AVX512(dst, &a0[0], &a1[0], &b0[0], &b1[0], &b2[0], &b3[0], kp)
-	case kernelTier >= TierAVX2:
-		int8DotKernel2x4AVX2(dst, &a0[0], &a1[0], &b0[0], &b1[0], &b2[0], &b3[0], kp)
-	default:
-		int8Dot2x4Generic(dst, a0, a1, b0, b1, b2, b3, kp)
+// int8Kernel runs the VNNI kernel on the AVX-512 tier of a VNNI host
+// and the portable kernel everywhere else: without VPDPBUSD the f32
+// engine is the fast mode, so there is no other int8 assembly.
+func int8Kernel(p *int8Panel) {
+	if kernelTier == TierAVX512 && hostVNNI {
+		int8PanelVNNI(p)
+		return
 	}
+	int8PanelGeneric(p)
 }

@@ -1,488 +1,255 @@
 //go:build amd64 && !noasm
 
 #include "textflag.h"
+#include "go_asm.h"
 
-// func int8DotKernel2x4AVX2(dst *[8]int32, a0, a1 *int8, b0, b1, b2, b3 *uint8, kp int)
+// func int8PanelVNNI(p *int8Panel)
 //
-// Eight dot products between two int8 weight rows and four uint8
-// activation columns, kp a multiple of 16. Per iteration: 16 bytes of
-// each operand row are widened to 16-bit words (VPMOVSXBW for the
-// signed weights, VPMOVZXBW for the unsigned activations), then
-// VPMADDWD multiplies word pairs and adds them into 8 int32 lanes —
-// exact, since |s8·u8| ≤ 32640 and a pair sum ≤ 65280 fits int32.
-// That retires 128 multiply-adds per iteration against six 16-byte
-// loads. The eight YMM accumulators are horizontally reduced at the
-// end.
-TEXT ·int8DotKernel2x4AVX2(SB), NOSPLIT, $0-64
-	MOVQ dst+0(FP), DI
-	MOVQ a0+8(FP), AX
-	MOVQ a1+16(FP), BX
-	MOVQ b0+24(FP), R8
-	MOVQ b1+32(FP), R9
-	MOVQ b2+40(FP), R10
-	MOVQ b3+48(FP), R11
-	MOVQ kp+56(FP), CX
+// int8PanelGeneric in AVX-512 VNNI. Each 4×4 tile of the panel keeps
+// acc(r, c) in Z(4r+c) over the whole of kp: per 64-byte k step four
+// A rows and four B columns are loaded and VPDPBUSD multiplies unsigned
+// activation bytes against signed weight bytes, adding quads into the
+// 16 int32 lanes — exact, since each quad is at most 4·32640 and kp ≤
+// int8MaxKP keeps a lane inside int32 (this is the non-saturating
+// VPDPBUSD). A kp%64 of 16, 32 or 48 is one more step with byte-masked,
+// zeroing loads. The 16 accumulators are then summed horizontally in
+// one shuffle tree that leaves 128-bit lane r holding row r's four
+// columns, and the tile is requantized (or not, when raw) and stored
+// under a column mask. The k loop counts DX up from -kfull to 0, so
+// the row and column pointers carry kfull and the tail step reads at
+// offset 0.
+//
+// Registers: R8-R11 A rows, R12 R13 BX SI the tile's B columns, AX the
+// tile's first column, CX b+kfull, DI p; Z24 the lane index, Z25-Z27
+// corr, scale and bias spread to their rows' lanes; K1 the k-tail mask,
+// K2 the live columns.
 
-	VPXOR Y0, Y0, Y0 // row0·b0
-	VPXOR Y1, Y1, Y1 // row0·b1
-	VPXOR Y2, Y2, Y2 // row0·b2
-	VPXOR Y3, Y3, Y3 // row0·b3
-	VPXOR Y4, Y4, Y4 // row1·b0
-	VPXOR Y5, Y5, Y5 // row1·b1
-	VPXOR Y6, Y6, Y6 // row1·b2
-	VPXOR Y7, Y7, Y7 // row1·b3
+// HALVES: x = [x.Q0+x.Q2, x.Q1+x.Q3, y.Q0+y.Q2, y.Q1+y.Q3].
+#define HALVES(x, y, t) \
+	VSHUFI64X2 $0x44, y, x, t \
+	VSHUFI64X2 $0xEE, y, x, x \
+	VPADDD     t, x, x
 
-	XORQ DX, DX // byte offset into the packed rows
-	SHRQ $4, CX // iterations = kp/16
-	JZ   reduce
+// QUARTERS: given two HALVES results, each 256-bit half one
+// accumulator, p = four 128-bit partial sums, one accumulator each.
+#define QUARTERS(p, r, t) \
+	VSHUFI64X2 $0x88, r, p, t \
+	VSHUFI64X2 $0xDD, r, p, p \
+	VPADDD     t, p, p
 
-loop:
-	VPMOVSXBW (AX)(DX*1), Y8   // a0: 16×s8 → 16×s16
-	VPMOVSXBW (BX)(DX*1), Y9   // a1
-	VPMOVZXBW (R8)(DX*1), Y10  // b0: 16×u8 → 16×s16 (0..255)
-	VPMOVZXBW (R9)(DX*1), Y11  // b1
-	VPMOVZXBW (R10)(DX*1), Y12 // b2
-	VPMOVZXBW (R11)(DX*1), Y13 // b3
+// PAIRS: per 128-bit lane, s = [two partials of s, two partials of s1].
+#define PAIRS(s, s1, t) \
+	VPUNPCKLQDQ s1, s, t \
+	VPUNPCKHQDQ s1, s, s \
+	VPADDD      t, s, s
 
-	VPMADDWD Y10, Y8, Y14
-	VPADDD   Y14, Y0, Y0
-	VPMADDWD Y11, Y8, Y14
-	VPADDD   Y14, Y1, Y1
-	VPMADDWD Y12, Y8, Y14
-	VPADDD   Y14, Y2, Y2
-	VPMADDWD Y13, Y8, Y14
-	VPADDD   Y14, Y3, Y3
-	VPMADDWD Y10, Y9, Y14
-	VPADDD   Y14, Y4, Y4
-	VPMADDWD Y11, Y9, Y14
-	VPADDD   Y14, Y5, Y5
-	VPMADDWD Y12, Y9, Y14
-	VPADDD   Y14, Y6, Y6
-	VPMADDWD Y13, Y9, Y14
-	VPADDD   Y14, Y7, Y7
+#define DOT4(b) \
+	VPDPBUSD Z16, b, Z0 \
+	VPDPBUSD Z17, b, Z4 \
+	VPDPBUSD Z18, b, Z8 \
+	VPDPBUSD Z19, b, Z12
 
-	ADDQ $16, DX
-	DECQ CX
-	JNZ  loop
+TEXT ·int8PanelVNNI(SB), NOSPLIT, $0-8
+	MOVQ p+0(FP), DI
+	MOVQ int8Panel_kp(DI), DX
+	MOVQ DX, CX
+	ANDQ $63, CX
+	MOVQ $1, AX
+	SHLQ CX, AX
+	DECQ AX
+	KMOVQ AX, K1 // kp%64 low bytes; zero when there is no tail
+	ANDQ $-64, DX // kfull
+
+	MOVQ int8Panel_a+0(DI), R8
+	MOVQ int8Panel_a+8(DI), R9
+	MOVQ int8Panel_a+16(DI), R10
+	MOVQ int8Panel_a+24(DI), R11
+	ADDQ DX, R8
+	ADDQ DX, R9
+	ADDQ DX, R10
+	ADDQ DX, R11
+	MOVQ int8Panel_b(DI), CX
+	ADDQ DX, CX
+
+	CMPB int8Panel_raw(DI), $0
+	JNE  cols
+	VMOVDQU32 rowLanes<>(SB), Z24
+	VMOVDQU32 int8Panel_corr(DI), X25
+	VPERMD    Z25, Z24, Z25
+	VMOVDQU32 int8Panel_scale(DI), X26
+	VPERMD    Z26, Z24, Z26
+	VMOVDQU32 int8Panel_bias(DI), X27
+	VPERMD    Z27, Z24, Z27
+
+cols:
+	XORQ AX, AX
+
+tile:
+	// Column c of the tile is min(j+c, n-1): past n it aliases the
+	// last live column, whose duplicate sums the store mask drops.
+	MOVQ    int8Panel_n(DI), SI
+	DECQ    SI
+	LEAQ    1(AX), R13
+	CMPQ    R13, SI
+	CMOVQGT SI, R13
+	LEAQ    2(AX), BX
+	CMPQ    BX, SI
+	CMOVQGT SI, BX
+	LEAQ    3(AX), R12
+	CMPQ    R12, SI
+	CMOVQLT R12, SI
+	MOVQ    AX, R12
+	IMULQ   int8Panel_kp(DI), R12
+	IMULQ   int8Panel_kp(DI), R13
+	IMULQ   int8Panel_kp(DI), BX
+	IMULQ   int8Panel_kp(DI), SI
+	ADDQ    CX, R12
+	ADDQ    CX, R13
+	ADDQ    CX, BX
+	ADDQ    CX, SI
+
+	VPXORD Z0, Z0, Z0
+	VPXORD Z1, Z1, Z1
+	VPXORD Z2, Z2, Z2
+	VPXORD Z3, Z3, Z3
+	VPXORD Z4, Z4, Z4
+	VPXORD Z5, Z5, Z5
+	VPXORD Z6, Z6, Z6
+	VPXORD Z7, Z7, Z7
+	VPXORD Z8, Z8, Z8
+	VPXORD Z9, Z9, Z9
+	VPXORD Z10, Z10, Z10
+	VPXORD Z11, Z11, Z11
+	VPXORD Z12, Z12, Z12
+	VPXORD Z13, Z13, Z13
+	VPXORD Z14, Z14, Z14
+	VPXORD Z15, Z15, Z15
+
+	MOVQ int8Panel_b(DI), DX
+	SUBQ CX, DX // -kfull
+	JZ   ktail
+
+kloop:
+	VMOVDQU8 (R8)(DX*1), Z16
+	VMOVDQU8 (R9)(DX*1), Z17
+	VMOVDQU8 (R10)(DX*1), Z18
+	VMOVDQU8 (R11)(DX*1), Z19
+	VMOVDQU8 (R12)(DX*1), Z20
+	VMOVDQU8 (R13)(DX*1), Z21
+	VMOVDQU8 (BX)(DX*1), Z22
+	VMOVDQU8 (SI)(DX*1), Z23
+	DOT4(Z20)
+	VPDPBUSD Z16, Z21, Z1
+	VPDPBUSD Z17, Z21, Z5
+	VPDPBUSD Z18, Z21, Z9
+	VPDPBUSD Z19, Z21, Z13
+	VPDPBUSD Z16, Z22, Z2
+	VPDPBUSD Z17, Z22, Z6
+	VPDPBUSD Z18, Z22, Z10
+	VPDPBUSD Z19, Z22, Z14
+	VPDPBUSD Z16, Z23, Z3
+	VPDPBUSD Z17, Z23, Z7
+	VPDPBUSD Z18, Z23, Z11
+	VPDPBUSD Z19, Z23, Z15
+	ADDQ     $64, DX
+	JNZ      kloop
+
+ktail:
+	KORTESTQ K1, K1
+	JZ       reduce
+	VMOVDQU8.Z (R8), K1, Z16
+	VMOVDQU8.Z (R9), K1, Z17
+	VMOVDQU8.Z (R10), K1, Z18
+	VMOVDQU8.Z (R11), K1, Z19
+	VMOVDQU8.Z (R12), K1, Z20
+	VMOVDQU8.Z (R13), K1, Z21
+	VMOVDQU8.Z (BX), K1, Z22
+	VMOVDQU8.Z (SI), K1, Z23
+	DOT4(Z20)
+	VPDPBUSD   Z16, Z21, Z1
+	VPDPBUSD   Z17, Z21, Z5
+	VPDPBUSD   Z18, Z21, Z9
+	VPDPBUSD   Z19, Z21, Z13
+	VPDPBUSD   Z16, Z22, Z2
+	VPDPBUSD   Z17, Z22, Z6
+	VPDPBUSD   Z18, Z22, Z10
+	VPDPBUSD   Z19, Z22, Z14
+	VPDPBUSD   Z16, Z23, Z3
+	VPDPBUSD   Z17, Z23, Z7
+	VPDPBUSD   Z18, Z23, Z11
+	VPDPBUSD   Z19, Z23, Z15
 
 reduce:
-	// Horizontal sum of each YMM accumulator: fold the upper 128-bit
-	// lane, then the 64-bit halves, then the 32-bit pair.
-	VEXTRACTI128 $1, Y0, X14
-	VPADDD       X14, X0, X0
-	VPSHUFD      $0x4E, X0, X14
-	VPADDD       X14, X0, X0
-	VPSHUFD      $0xB1, X0, X14
-	VPADDD       X14, X0, X0
-	VMOVD        X0, 0(DI)
+	HALVES(Z0, Z4, Z16)
+	HALVES(Z8, Z12, Z17)
+	HALVES(Z1, Z5, Z18)
+	HALVES(Z9, Z13, Z19)
+	HALVES(Z2, Z6, Z20)
+	HALVES(Z10, Z14, Z21)
+	HALVES(Z3, Z7, Z22)
+	HALVES(Z11, Z15, Z23)
+	QUARTERS(Z0, Z8, Z16) // lane r: column 0 of row r
+	QUARTERS(Z1, Z9, Z17)
+	QUARTERS(Z2, Z10, Z18)
+	QUARTERS(Z3, Z11, Z19)
+	PAIRS(Z0, Z1, Z20)
+	PAIRS(Z2, Z3, Z21)
+	VSHUFPS $0x88, Z2, Z0, Z16
+	VSHUFPS $0xDD, Z2, Z0, Z0
+	VPADDD  Z16, Z0, Z0 // lane r, dword c: acc(r, c)
 
-	VEXTRACTI128 $1, Y1, X14
-	VPADDD       X14, X1, X1
-	VPSHUFD      $0x4E, X1, X14
-	VPADDD       X14, X1, X1
-	VPSHUFD      $0xB1, X1, X14
-	VPADDD       X14, X1, X1
-	VMOVD        X1, 4(DI)
+	CMPB int8Panel_raw(DI), $0
+	JNE  store
+	VPSUBD    Z25, Z0, Z0
+	VCVTDQ2PS Z0, Z0
+	VMULPS    Z26, Z0, Z0 // rounded on its own: no FMA
+	VADDPS    Z27, Z0, Z0
 
-	VEXTRACTI128 $1, Y2, X14
-	VPADDD       X14, X2, X2
-	VPSHUFD      $0x4E, X2, X14
-	VPADDD       X14, X2, X2
-	VPSHUFD      $0xB1, X2, X14
-	VPADDD       X14, X2, X2
-	VMOVD        X2, 8(DI)
+store:
+	MOVQ    CX, R13 // b+kfull, while CL holds the shift
+	MOVQ    int8Panel_n(DI), CX
+	SUBQ    AX, CX
+	MOVQ    $4, BX
+	CMPQ    CX, BX
+	CMOVQGT BX, CX
+	MOVQ    $1, BX
+	SHLQ    CX, BX
+	DECQ    BX
+	KMOVW   BX, K2
+	MOVQ    R13, CX
 
-	VEXTRACTI128 $1, Y3, X14
-	VPADDD       X14, X3, X3
-	VPSHUFD      $0x4E, X3, X14
-	VPADDD       X14, X3, X3
-	VPSHUFD      $0xB1, X3, X14
-	VPADDD       X14, X3, X3
-	VMOVD        X3, 12(DI)
+	MOVQ          int8Panel_c+0(DI), BX
+	VMOVDQU32     X0, K2, (BX)(AX*4)
+	MOVQ          int8Panel_c+8(DI), BX
+	VEXTRACTI32X4 $1, Z0, K2, (BX)(AX*4)
+	MOVQ          int8Panel_c+16(DI), BX
+	VEXTRACTI32X4 $2, Z0, K2, (BX)(AX*4)
+	MOVQ          int8Panel_c+24(DI), BX
+	VEXTRACTI32X4 $3, Z0, K2, (BX)(AX*4)
 
-	VEXTRACTI128 $1, Y4, X14
-	VPADDD       X14, X4, X4
-	VPSHUFD      $0x4E, X4, X14
-	VPADDD       X14, X4, X4
-	VPSHUFD      $0xB1, X4, X14
-	VPADDD       X14, X4, X4
-	VMOVD        X4, 16(DI)
-
-	VEXTRACTI128 $1, Y5, X14
-	VPADDD       X14, X5, X5
-	VPSHUFD      $0x4E, X5, X14
-	VPADDD       X14, X5, X5
-	VPSHUFD      $0xB1, X5, X14
-	VPADDD       X14, X5, X5
-	VMOVD        X5, 20(DI)
-
-	VEXTRACTI128 $1, Y6, X14
-	VPADDD       X14, X6, X6
-	VPSHUFD      $0x4E, X6, X14
-	VPADDD       X14, X6, X6
-	VPSHUFD      $0xB1, X6, X14
-	VPADDD       X14, X6, X6
-	VMOVD        X6, 24(DI)
-
-	VEXTRACTI128 $1, Y7, X14
-	VPADDD       X14, X7, X7
-	VPSHUFD      $0x4E, X7, X14
-	VPADDD       X14, X7, X7
-	VPSHUFD      $0xB1, X7, X14
-	VPADDD       X14, X7, X7
-	VMOVD        X7, 28(DI)
+	ADDQ $4, AX
+	CMPQ AX, int8Panel_n(DI)
+	JLT  tile
 
 	VZEROUPPER
 	RET
 
-// func int8DotKernel2x4AVX512(dst *[8]int32, a0, a1 *int8, b0, b1, b2, b3 *uint8, kp int)
-//
-// The AVX2 kernel above widened to ZMM: 32 bytes of each operand row
-// per step (VPMOVSXBW/VPMOVZXBW widen a 32-byte load into 32 words,
-// VPMADDWD pairs them into 16 int32 lanes — still exact), retiring 256
-// multiply-adds per iteration. kp is a multiple of 16; the ZMM
-// accumulators are folded to YMM *before* a kp≡16 (mod 32) remainder
-// runs its YMM step, because an AVX-512 write to a YMM register zeroes
-// the upper half of the corresponding ZMM — adding the tail into Y0
-// first would silently discard the main loop's upper lanes.
-TEXT ·int8DotKernel2x4AVX512(SB), NOSPLIT, $0-64
-	MOVQ dst+0(FP), DI
-	MOVQ a0+8(FP), AX
-	MOVQ a1+16(FP), BX
-	MOVQ b0+24(FP), R8
-	MOVQ b1+32(FP), R9
-	MOVQ b2+40(FP), R10
-	MOVQ b3+48(FP), R11
-	MOVQ kp+56(FP), CX
-
-	VPXORQ Z0, Z0, Z0 // row0·b0
-	VPXORQ Z1, Z1, Z1 // row0·b1
-	VPXORQ Z2, Z2, Z2 // row0·b2
-	VPXORQ Z3, Z3, Z3 // row0·b3
-	VPXORQ Z4, Z4, Z4 // row1·b0
-	VPXORQ Z5, Z5, Z5 // row1·b1
-	VPXORQ Z6, Z6, Z6 // row1·b2
-	VPXORQ Z7, Z7, Z7 // row1·b3
-
-	XORQ DX, DX // byte offset into the packed rows
-	MOVQ CX, R12
-	SHRQ $5, R12 // 32-byte iterations = kp/32
-	JZ   fold256
-
-loop32:
-	VPMOVSXBW (AX)(DX*1), Z8   // a0: 32×s8 → 32×s16
-	VPMOVSXBW (BX)(DX*1), Z9   // a1
-	VPMOVZXBW (R8)(DX*1), Z10  // b0: 32×u8 → 32×s16 (0..255)
-	VPMOVZXBW (R9)(DX*1), Z11  // b1
-	VPMOVZXBW (R10)(DX*1), Z12 // b2
-	VPMOVZXBW (R11)(DX*1), Z13 // b3
-
-	VPMADDWD Z10, Z8, Z14
-	VPADDD   Z14, Z0, Z0
-	VPMADDWD Z11, Z8, Z14
-	VPADDD   Z14, Z1, Z1
-	VPMADDWD Z12, Z8, Z14
-	VPADDD   Z14, Z2, Z2
-	VPMADDWD Z13, Z8, Z14
-	VPADDD   Z14, Z3, Z3
-	VPMADDWD Z10, Z9, Z14
-	VPADDD   Z14, Z4, Z4
-	VPMADDWD Z11, Z9, Z14
-	VPADDD   Z14, Z5, Z5
-	VPMADDWD Z12, Z9, Z14
-	VPADDD   Z14, Z6, Z6
-	VPMADDWD Z13, Z9, Z14
-	VPADDD   Z14, Z7, Z7
-
-	ADDQ $32, DX
-	DECQ R12
-	JNZ  loop32
-
-fold256:
-	// Fold each ZMM accumulator's upper 256-bit half onto the lower.
-	// From here on only the YMM halves are live, so the tail step's
-	// upper-zeroing YMM writes are harmless.
-	VEXTRACTI64X4 $1, Z0, Y14
-	VPADDD        Y14, Y0, Y0
-	VEXTRACTI64X4 $1, Z1, Y14
-	VPADDD        Y14, Y1, Y1
-	VEXTRACTI64X4 $1, Z2, Y14
-	VPADDD        Y14, Y2, Y2
-	VEXTRACTI64X4 $1, Z3, Y14
-	VPADDD        Y14, Y3, Y3
-	VEXTRACTI64X4 $1, Z4, Y14
-	VPADDD        Y14, Y4, Y4
-	VEXTRACTI64X4 $1, Z5, Y14
-	VPADDD        Y14, Y5, Y5
-	VEXTRACTI64X4 $1, Z6, Y14
-	VPADDD        Y14, Y6, Y6
-	VEXTRACTI64X4 $1, Z7, Y14
-	VPADDD        Y14, Y7, Y7
-
-	TESTQ $16, CX // a 16-byte remainder?
-	JZ    reduce512
-
-	VPMOVSXBW (AX)(DX*1), Y8
-	VPMOVSXBW (BX)(DX*1), Y9
-	VPMOVZXBW (R8)(DX*1), Y10
-	VPMOVZXBW (R9)(DX*1), Y11
-	VPMOVZXBW (R10)(DX*1), Y12
-	VPMOVZXBW (R11)(DX*1), Y13
-
-	VPMADDWD Y10, Y8, Y14
-	VPADDD   Y14, Y0, Y0
-	VPMADDWD Y11, Y8, Y14
-	VPADDD   Y14, Y1, Y1
-	VPMADDWD Y12, Y8, Y14
-	VPADDD   Y14, Y2, Y2
-	VPMADDWD Y13, Y8, Y14
-	VPADDD   Y14, Y3, Y3
-	VPMADDWD Y10, Y9, Y14
-	VPADDD   Y14, Y4, Y4
-	VPMADDWD Y11, Y9, Y14
-	VPADDD   Y14, Y5, Y5
-	VPMADDWD Y12, Y9, Y14
-	VPADDD   Y14, Y6, Y6
-	VPMADDWD Y13, Y9, Y14
-	VPADDD   Y14, Y7, Y7
-
-reduce512:
-	// Reduce the YMM halves exactly like the AVX2 kernel.
-	VEXTRACTI128 $1, Y0, X14
-	VPADDD       X14, X0, X0
-	VPSHUFD      $0x4E, X0, X14
-	VPADDD       X14, X0, X0
-	VPSHUFD      $0xB1, X0, X14
-	VPADDD       X14, X0, X0
-	VMOVD        X0, 0(DI)
-
-	VEXTRACTI128 $1, Y1, X14
-	VPADDD       X14, X1, X1
-	VPSHUFD      $0x4E, X1, X14
-	VPADDD       X14, X1, X1
-	VPSHUFD      $0xB1, X1, X14
-	VPADDD       X14, X1, X1
-	VMOVD        X1, 4(DI)
-
-	VEXTRACTI128 $1, Y2, X14
-	VPADDD       X14, X2, X2
-	VPSHUFD      $0x4E, X2, X14
-	VPADDD       X14, X2, X2
-	VPSHUFD      $0xB1, X2, X14
-	VPADDD       X14, X2, X2
-	VMOVD        X2, 8(DI)
-
-	VEXTRACTI128 $1, Y3, X14
-	VPADDD       X14, X3, X3
-	VPSHUFD      $0x4E, X3, X14
-	VPADDD       X14, X3, X3
-	VPSHUFD      $0xB1, X3, X14
-	VPADDD       X14, X3, X3
-	VMOVD        X3, 12(DI)
-
-	VEXTRACTI128 $1, Y4, X14
-	VPADDD       X14, X4, X4
-	VPSHUFD      $0x4E, X4, X14
-	VPADDD       X14, X4, X4
-	VPSHUFD      $0xB1, X4, X14
-	VPADDD       X14, X4, X4
-	VMOVD        X4, 16(DI)
-
-	VEXTRACTI128 $1, Y5, X14
-	VPADDD       X14, X5, X5
-	VPSHUFD      $0x4E, X5, X14
-	VPADDD       X14, X5, X5
-	VPSHUFD      $0xB1, X5, X14
-	VPADDD       X14, X5, X5
-	VMOVD        X5, 20(DI)
-
-	VEXTRACTI128 $1, Y6, X14
-	VPADDD       X14, X6, X6
-	VPSHUFD      $0x4E, X6, X14
-	VPADDD       X14, X6, X6
-	VPSHUFD      $0xB1, X6, X14
-	VPADDD       X14, X6, X6
-	VMOVD        X6, 24(DI)
-
-	VEXTRACTI128 $1, Y7, X14
-	VPADDD       X14, X7, X7
-	VPSHUFD      $0x4E, X7, X14
-	VPADDD       X14, X7, X7
-	VPSHUFD      $0xB1, X7, X14
-	VPADDD       X14, X7, X7
-	VMOVD        X7, 28(DI)
-
-	VZEROUPPER
-	RET
-
-// func int8DotKernel2x4VNNI(dst *[8]int32, a0, a1 *int8, b0, b1, b2, b3 *uint8, kp int)
-//
-// The VNNI variant: VPDPBUSD multiplies 64 unsigned activation bytes
-// against 64 signed weight bytes and accumulates quads directly into
-// the 16 int32 lanes — one instruction where the widening kernel needs
-// three, 512 multiply-adds per iteration, and still exact (each quad
-// sum ≤ 4·32640 and the lane totals stay inside int32 for kp ≤
-// int8MaxKP; this is the non-saturating VPDPBUSD, not VPDPBUSDS). kp
-// is a multiple of 16; the ZMM accumulators are folded down to XMM
-// before the ≤48-byte remainder runs its 16-byte XMM steps — an XMM
-// write zeroes the rest of the ZMM, so folding must come first.
-TEXT ·int8DotKernel2x4VNNI(SB), NOSPLIT, $0-64
-	MOVQ dst+0(FP), DI
-	MOVQ a0+8(FP), AX
-	MOVQ a1+16(FP), BX
-	MOVQ b0+24(FP), R8
-	MOVQ b1+32(FP), R9
-	MOVQ b2+40(FP), R10
-	MOVQ b3+48(FP), R11
-	MOVQ kp+56(FP), CX
-
-	VPXORQ Z0, Z0, Z0 // row0·b0
-	VPXORQ Z1, Z1, Z1 // row0·b1
-	VPXORQ Z2, Z2, Z2 // row0·b2
-	VPXORQ Z3, Z3, Z3 // row0·b3
-	VPXORQ Z4, Z4, Z4 // row1·b0
-	VPXORQ Z5, Z5, Z5 // row1·b1
-	VPXORQ Z6, Z6, Z6 // row1·b2
-	VPXORQ Z7, Z7, Z7 // row1·b3
-
-	XORQ DX, DX // byte offset into the packed rows
-	MOVQ CX, R12
-	SHRQ $6, R12 // 64-byte iterations = kp/64
-	JZ   vfold
-
-loop64:
-	VMOVDQU8 (AX)(DX*1), Z8   // a0: 64×s8
-	VMOVDQU8 (BX)(DX*1), Z9   // a1
-	VMOVDQU8 (R8)(DX*1), Z10  // b0: 64×u8
-	VMOVDQU8 (R9)(DX*1), Z11  // b1
-	VMOVDQU8 (R10)(DX*1), Z12 // b2
-	VMOVDQU8 (R11)(DX*1), Z13 // b3
-
-	VPDPBUSD Z8, Z10, Z0 // acc += u8(b)·s8(a), quads per lane
-	VPDPBUSD Z8, Z11, Z1
-	VPDPBUSD Z8, Z12, Z2
-	VPDPBUSD Z8, Z13, Z3
-	VPDPBUSD Z9, Z10, Z4
-	VPDPBUSD Z9, Z11, Z5
-	VPDPBUSD Z9, Z12, Z6
-	VPDPBUSD Z9, Z13, Z7
-
-	ADDQ $64, DX
-	DECQ R12
-	JNZ  loop64
-
-vfold:
-	// Fold each ZMM accumulator down to its XMM quarter (upper 256,
-	// then upper 128) so the XMM tail steps can add in place.
-	VEXTRACTI64X4 $1, Z0, Y14
-	VPADDD        Y14, Y0, Y0
-	VEXTRACTI128  $1, Y0, X14
-	VPADDD        X14, X0, X0
-	VEXTRACTI64X4 $1, Z1, Y14
-	VPADDD        Y14, Y1, Y1
-	VEXTRACTI128  $1, Y1, X14
-	VPADDD        X14, X1, X1
-	VEXTRACTI64X4 $1, Z2, Y14
-	VPADDD        Y14, Y2, Y2
-	VEXTRACTI128  $1, Y2, X14
-	VPADDD        X14, X2, X2
-	VEXTRACTI64X4 $1, Z3, Y14
-	VPADDD        Y14, Y3, Y3
-	VEXTRACTI128  $1, Y3, X14
-	VPADDD        X14, X3, X3
-	VEXTRACTI64X4 $1, Z4, Y14
-	VPADDD        Y14, Y4, Y4
-	VEXTRACTI128  $1, Y4, X14
-	VPADDD        X14, X4, X4
-	VEXTRACTI64X4 $1, Z5, Y14
-	VPADDD        Y14, Y5, Y5
-	VEXTRACTI128  $1, Y5, X14
-	VPADDD        X14, X5, X5
-	VEXTRACTI64X4 $1, Z6, Y14
-	VPADDD        Y14, Y6, Y6
-	VEXTRACTI128  $1, Y6, X14
-	VPADDD        X14, X6, X6
-	VEXTRACTI64X4 $1, Z7, Y14
-	VPADDD        Y14, Y7, Y7
-	VEXTRACTI128  $1, Y7, X14
-	VPADDD        X14, X7, X7
-
-	MOVQ CX, R12
-	ANDQ $63, R12 // remainder bytes: 0, 16, 32, or 48
-	JZ   reducev
-	SHRQ $4, R12  // 16-byte remainder steps
-
-vtailloop:
-	VMOVDQU (AX)(DX*1), X8
-	VMOVDQU (BX)(DX*1), X9
-	VMOVDQU (R8)(DX*1), X10
-	VMOVDQU (R9)(DX*1), X11
-	VMOVDQU (R10)(DX*1), X12
-	VMOVDQU (R11)(DX*1), X13
-
-	VPDPBUSD X8, X10, X0
-	VPDPBUSD X8, X11, X1
-	VPDPBUSD X8, X12, X2
-	VPDPBUSD X8, X13, X3
-	VPDPBUSD X9, X10, X4
-	VPDPBUSD X9, X11, X5
-	VPDPBUSD X9, X12, X6
-	VPDPBUSD X9, X13, X7
-
-	ADDQ $16, DX
-	DECQ R12
-	JNZ  vtailloop
-
-reducev:
-	// 128-bit horizontal sum of each accumulator: 64-bit halves, then
-	// the 32-bit pair.
-	VPSHUFD $0x4E, X0, X14
-	VPADDD  X14, X0, X0
-	VPSHUFD $0xB1, X0, X14
-	VPADDD  X14, X0, X0
-	VMOVD   X0, 0(DI)
-
-	VPSHUFD $0x4E, X1, X14
-	VPADDD  X14, X1, X1
-	VPSHUFD $0xB1, X1, X14
-	VPADDD  X14, X1, X1
-	VMOVD   X1, 4(DI)
-
-	VPSHUFD $0x4E, X2, X14
-	VPADDD  X14, X2, X2
-	VPSHUFD $0xB1, X2, X14
-	VPADDD  X14, X2, X2
-	VMOVD   X2, 8(DI)
-
-	VPSHUFD $0x4E, X3, X14
-	VPADDD  X14, X3, X3
-	VPSHUFD $0xB1, X3, X14
-	VPADDD  X14, X3, X3
-	VMOVD   X3, 12(DI)
-
-	VPSHUFD $0x4E, X4, X14
-	VPADDD  X14, X4, X4
-	VPSHUFD $0xB1, X4, X14
-	VPADDD  X14, X4, X4
-	VMOVD   X4, 16(DI)
-
-	VPSHUFD $0x4E, X5, X14
-	VPADDD  X14, X5, X5
-	VPSHUFD $0xB1, X5, X14
-	VPADDD  X14, X5, X5
-	VMOVD   X5, 20(DI)
-
-	VPSHUFD $0x4E, X6, X14
-	VPADDD  X14, X6, X6
-	VPSHUFD $0xB1, X6, X14
-	VPADDD  X14, X6, X6
-	VMOVD   X6, 24(DI)
-
-	VPSHUFD $0x4E, X7, X14
-	VPADDD  X14, X7, X7
-	VPSHUFD $0xB1, X7, X14
-	VPADDD  X14, X7, X7
-	VMOVD   X7, 28(DI)
-
-	VZEROUPPER
-	RET
+// rowLanes spreads four per-row values to the four dwords of their
+// row's 128-bit lane.
+DATA  rowLanes<>+0(SB)/4, $0
+DATA  rowLanes<>+4(SB)/4, $0
+DATA  rowLanes<>+8(SB)/4, $0
+DATA  rowLanes<>+12(SB)/4, $0
+DATA  rowLanes<>+16(SB)/4, $1
+DATA  rowLanes<>+20(SB)/4, $1
+DATA  rowLanes<>+24(SB)/4, $1
+DATA  rowLanes<>+28(SB)/4, $1
+DATA  rowLanes<>+32(SB)/4, $2
+DATA  rowLanes<>+36(SB)/4, $2
+DATA  rowLanes<>+40(SB)/4, $2
+DATA  rowLanes<>+44(SB)/4, $2
+DATA  rowLanes<>+48(SB)/4, $3
+DATA  rowLanes<>+52(SB)/4, $3
+DATA  rowLanes<>+56(SB)/4, $3
+DATA  rowLanes<>+60(SB)/4, $3
+GLOBL rowLanes<>(SB), RODATA|NOPTR, $64

@@ -2,7 +2,5 @@
 
 package tensor
 
-// int8Dot2x4 routes to the portable kernel.
-func int8Dot2x4(dst *[8]int32, a0, a1 []int8, b0, b1, b2, b3 []uint8, kp int) {
-	int8Dot2x4Generic(dst, a0, a1, b0, b1, b2, b3, kp)
-}
+// int8Kernel routes to the portable kernel.
+func int8Kernel(p *int8Panel) { int8PanelGeneric(p) }

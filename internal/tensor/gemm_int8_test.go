@@ -61,32 +61,107 @@ func TestGemmInt8RejectsBadKP(t *testing.T) {
 	}
 }
 
-// TestKernelTierParityInt8 is the build-tag matrix parity test: for every
-// kernel tier reachable on this host, the dispatched int8 micro-kernel
-// must produce accumulations identical to the always-compiled pure-Go
-// kernel — int8×uint8→int32 is exact arithmetic, so any deviation is a
-// kernel bug, not rounding.
+// requantRef is the requantize expression the int8 layers have always
+// applied to an exact sum, each operation rounded on its own: the oracle
+// the fused kernel epilogues must match bit for bit.
+func requantRef(acc int32, scale float32, corr int32, bias float32) float32 {
+	return float32(scale*float32(acc-corr)) + bias
+}
+
+// TestKernelTierParityInt8 pins every int8 kernel reachable on this host
+// (the VNNI kernel on the AVX-512 tier of a VNNI host, the portable
+// kernel on the others) against the naive oracle, exactly, over the
+// shapes that exercise each edge: every row count up to two panels and
+// one more, every column count up to two tiles and one more plus
+// ResNet18's 49, and kp with each k-tail residue. Both epilogues run:
+// the int32 store and the requantize, the latter into a strided output
+// whose gaps must stay untouched.
 func TestKernelTierParityInt8(t *testing.T) {
-	detected := DetectedKernelTier()
-	defer SetKernelTier(detected)
-	rng := rand.New(rand.NewSource(11))
-	for _, tier := range reachableTiers() {
-		if err := SetKernelTier(tier); err != nil {
-			t.Fatalf("SetKernelTier(%v): %v", tier, err)
+	forEachTier(t, func(t *testing.T) {
+		rng := rand.New(rand.NewSource(11))
+		ns := []int{49}
+		for n := 1; n <= 2*int8NR+1; n++ {
+			ns = append(ns, n)
 		}
-		for trial := 0; trial < 20; trial++ {
-			kp := int8KStep * (1 + rng.Intn(40))
-			a0 := randInt8(rng, kp)
-			a1 := randInt8(rng, kp)
-			b0 := randUint8(rng, kp)
-			b1 := randUint8(rng, kp)
-			b2 := randUint8(rng, kp)
-			b3 := randUint8(rng, kp)
-			var got, want [8]int32
-			int8Dot2x4(&got, a0, a1, b0, b1, b2, b3, kp)
-			int8Dot2x4Generic(&want, a0, a1, b0, b1, b2, b3, kp)
-			if got != want {
-				t.Fatalf("tier %v kp=%d: kernel %v, generic %v", tier, kp, got, want)
+		for _, kp := range []int{16, 32, 48, 64, 80, 4608} {
+			for m := 1; m <= 2*int8MR+1; m++ {
+				for _, n := range ns {
+					a := randInt8(rng, m*kp)
+					b := randUint8(rng, n*kp)
+					checkInt8Shape(t, rng, a, b, m, n, kp)
+				}
+			}
+		}
+	})
+}
+
+// TestGemmInt8OverflowBound runs the largest kp the engine accepts with
+// every product at its extreme, -127·255: the sums sit just inside
+// int32 and must come out exact on every tier.
+func TestGemmInt8OverflowBound(t *testing.T) {
+	forEachTier(t, func(t *testing.T) {
+		const m, n, kp = 5, 5, int8MaxKP
+		a := make([]int8, m*kp)
+		b := make([]uint8, n*kp)
+		for i := range a {
+			a[i] = -127
+		}
+		for i := range b {
+			b[i] = 255
+		}
+		checkInt8Shape(t, rand.New(rand.NewSource(1)), a, b, m, n, kp)
+		c := make([]int32, m*n)
+		GemmInt8DotInto(c, a, b, m, n, kp)
+		if want := int32(-127 * 255 * kp); c[0] != want {
+			t.Fatalf("c[0] = %d, want %d", c[0], want)
+		}
+	})
+}
+
+// checkInt8Shape compares both GEMM entry points on one operand pair
+// with the oracle.
+func checkInt8Shape(t *testing.T, rng *rand.Rand, a []int8, b []uint8, m, n, kp int) {
+	t.Helper()
+	want := make([]int32, m*n)
+	RefGemmInt8DotInto(want, a, b, m, n, kp)
+	const guard = 8
+	got := make([]int32, m*n+guard)
+	for i := range got {
+		got[i] = -7
+	}
+	GemmInt8DotInto(got, a, b, m, n, kp)
+	for i, v := range want {
+		if got[i] != v {
+			t.Fatalf("m=%d n=%d kp=%d: c[%d] = %d, want %d", m, n, kp, i, got[i], v)
+		}
+	}
+	for i := m * n; i < len(got); i++ {
+		if got[i] != -7 {
+			t.Fatalf("m=%d n=%d kp=%d: wrote past the output at %d", m, n, kp, i)
+		}
+	}
+
+	ldy := n + 3
+	rq := Int8Requant{
+		WScale: randSlice(rng, m), RowSum: make([]int32, m), Bias: randSlice(rng, m),
+		XScale: rng.Float32(), XZero: int32(rng.Intn(256)),
+	}
+	for i := range rq.RowSum {
+		rq.RowSum[i] = rng.Int31n(1<<16) - 1<<15
+	}
+	y := make([]float32, m*ldy)
+	for i := range y {
+		y[i] = 42
+	}
+	GemmInt8RequantInto(y, ldy, a, b, m, n, kp, rq)
+	for i := 0; i < m; i++ {
+		for j := 0; j < ldy; j++ {
+			v := float32(42)
+			if j < n {
+				v = requantRef(want[i*n+j], rq.WScale[i]*rq.XScale, rq.XZero*rq.RowSum[i], rq.Bias[i])
+			}
+			if g := y[i*ldy+j]; math.Float32bits(g) != math.Float32bits(v) {
+				t.Fatalf("m=%d n=%d kp=%d: y[%d][%d] = %g, want %g", m, n, kp, i, j, g, v)
 			}
 		}
 	}
@@ -147,25 +222,6 @@ func TestSetKernelTierRejectsAboveDetected(t *testing.T) {
 	}
 	if got := CurrentKernelTier(); got != DetectedKernelTier() {
 		t.Fatalf("rejected SetKernelTier changed the tier to %v", got)
-	}
-}
-
-// TestRequantizeI32Row checks the requantization identity against a
-// float64 evaluation.
-func TestRequantizeI32Row(t *testing.T) {
-	rng := rand.New(rand.NewSource(17))
-	acc := make([]int32, 33)
-	for i := range acc {
-		acc[i] = rng.Int31n(1<<20) - 1<<19
-	}
-	dst := make([]float32, len(acc))
-	scale, corr, bias := float32(0.003), int32(1234), float32(-0.5)
-	RequantizeI32Row(dst, acc, scale, corr, bias)
-	for i := range dst {
-		want := float64(scale)*float64(acc[i]-corr) + float64(bias)
-		if math.Abs(float64(dst[i])-want) > 1e-4 {
-			t.Fatalf("dst[%d] = %g, want %g", i, dst[i], want)
-		}
 	}
 }
 
@@ -239,11 +295,11 @@ func TestGemmInt8VsF32Oracle(t *testing.T) {
 			bq[j*kp+kk] = QuantizeAffine(x[kk*n+j], 1/aScale, float32(zp))
 		}
 	}
-	acc := make([]int32, m*n)
-	GemmInt8DotInto(acc, wq, bq, m, n, kp)
+	y := make([]float32, m*n)
+	GemmInt8RequantInto(y, n, wq, bq, m, n, kp,
+		Int8Requant{WScale: wScale, RowSum: rowSum, XScale: aScale, XZero: int32(zp)})
 	for i := 0; i < m; i++ {
-		row := make([]float32, n)
-		RequantizeI32Row(row, acc[i*n:(i+1)*n], wScale[i]*aScale, int32(zp)*rowSum[i], 0)
+		row := y[i*n : (i+1)*n]
 		for j := 0; j < n; j++ {
 			// Analytic bound for this output element.
 			var sumAbsW, sumAbsXhat float64

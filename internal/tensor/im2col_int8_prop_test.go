@@ -36,6 +36,59 @@ func TestMinMaxNaNTable(t *testing.T) {
 	}
 }
 
+// TestMinMaxMatchesScalar pins MinMax bitwise to the in-order scalar
+// scan on every tier: lengths around the vector step, inputs dense in
+// +0, −0 and infinities, and a NaN at every position — first element,
+// inside a vector step, in each lane of each chain, in the tail.
+func TestMinMaxMatchesScalar(t *testing.T) {
+	forEachTier(t, func(t *testing.T) {
+		rng := rand.New(rand.NewSource(71))
+		negZero := float32(math.Copysign(0, -1))
+		inf := float32(math.Inf(1))
+		same := func(xs []float32, what string) {
+			t.Helper()
+			mn, mx := MinMax(xs)
+			wmn, wmx := minMaxScalar(xs)
+			if math.Float32bits(mn) != math.Float32bits(wmn) || math.Float32bits(mx) != math.Float32bits(wmx) {
+				t.Fatalf("%s n=%d: MinMax = (%g, %g), scalar (%g, %g)", what, len(xs), mn, mx, wmn, wmx)
+			}
+		}
+		for _, n := range []int{0, 1, 31, 32, 33, 63, 64, 100, 129, 300} {
+			xs := make([]float32, n)
+			for trial := 0; trial < 20; trial++ {
+				for i := range xs {
+					switch rng.Intn(8) {
+					case 0:
+						xs[i] = 0
+					case 1:
+						xs[i] = negZero
+					case 2:
+						if trial%4 == 0 {
+							xs[i] = inf * float32(rng.Intn(2)*2-1)
+						}
+					default:
+						if trial%2 == 0 {
+							xs[i] = rng.Float32() - 0.5
+						} else {
+							xs[i] = rng.Float32() // non-negative: zero is the minimum
+						}
+					}
+				}
+				same(xs, "random")
+			}
+			for p := range xs {
+				saved := xs[p]
+				xs[p] = float32(math.NaN())
+				same(xs, "NaN")
+				if mn, _ := MinMax(xs); mn == mn {
+					t.Fatalf("n=%d: NaN at %d not reported", n, p)
+				}
+				xs[p] = saved
+			}
+		}
+	})
+}
+
 // quantTestValues builds inputs that stress every quantizer branch:
 // deep negative and positive saturation (including values whose
 // unclamped CVTTPS2DQ would overflow int32), both clamp boundaries,
@@ -154,17 +207,25 @@ func TestIm2ColQuantSliceMatchesRef(t *testing.T) {
 // TestIm2ColU8SliceMatchesRef pins the levels-native run-copy gather
 // against its per-element reference across random shapes, strides,
 // padding, and pad levels — including kernels wider than the 8-byte
-// word-move fast path.
+// word-move fast path and 1×1 kernels over many channels.
 func TestIm2ColU8SliceMatchesRef(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
 	for trial := 0; trial < 80; trial++ {
 		g := randGeom(rng)
-		if trial%7 == 0 {
-			g.KW = 9 + rng.Intn(4) // force the copy path past the word move
-		}
 		c := 1 + rng.Intn(5)
 		h := g.KH + rng.Intn(12)
 		w := g.KW + rng.Intn(12)
+		switch trial % 7 {
+		case 0:
+			g.KW = 9 + rng.Intn(4) // force the copy path past the word move
+			w = g.KW + rng.Intn(12)
+		case 1, 2:
+			// 1×1: eight-pixel transposes, partial channel groups and
+			// the per-pixel tail, at every stride.
+			g.KH, g.KW = 1, 1
+			c = 1 + rng.Intn(20)
+			w = 1 + rng.Intn(40)
+		}
 		oh, ow := g.OutSize(h, w)
 		if oh <= 0 || ow <= 0 {
 			continue
@@ -187,40 +248,6 @@ func TestIm2ColU8SliceMatchesRef(t *testing.T) {
 				t.Fatalf("geom %+v c=%d h=%d w=%d pad=%d: dst[%d] = %d, want %d",
 					g, c, h, w, pad, i, got[i], want[i])
 			}
-		}
-	}
-}
-
-// TestInt8KernelVNNIParity exercises both AVX-512 int8 kernels on VNNI
-// hosts: with the fast path forced off the widen+VPMADDWD kernel must
-// produce the same exact accumulations as with VPDPBUSD on.
-func TestInt8KernelVNNIParity(t *testing.T) {
-	if DetectedKernelTier() < TierAVX512 {
-		t.Skip("host has no AVX-512 tier")
-	}
-	prev := setVNNI(true)
-	defer setVNNI(prev)
-	if !prev {
-		t.Skip("host has no VNNI")
-	}
-	rng := rand.New(rand.NewSource(43))
-	for trial := 0; trial < 40; trial++ {
-		kp := int8KStep * (1 + rng.Intn(40))
-		a0 := randInt8(rng, kp)
-		a1 := randInt8(rng, kp)
-		b0 := randUint8(rng, kp)
-		b1 := randUint8(rng, kp)
-		b2 := randUint8(rng, kp)
-		b3 := randUint8(rng, kp)
-		var withVNNI, without, want [8]int32
-		setVNNI(true)
-		int8Dot2x4(&withVNNI, a0, a1, b0, b1, b2, b3, kp)
-		setVNNI(false)
-		int8Dot2x4(&without, a0, a1, b0, b1, b2, b3, kp)
-		setVNNI(true)
-		int8Dot2x4Generic(&want, a0, a1, b0, b1, b2, b3, kp)
-		if withVNNI != want || without != want {
-			t.Fatalf("kp=%d: vnni %v, widen %v, want %v", kp, withVNNI, without, want)
 		}
 	}
 }

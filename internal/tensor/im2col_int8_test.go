@@ -112,16 +112,3 @@ func TestMinMax(t *testing.T) {
 		t.Fatalf("MinMax with NaN = (%g, %g), want NaN propagation", mn, mx)
 	}
 }
-
-func TestGetI32Pool(t *testing.T) {
-	b := GetI32(100)
-	if len(b) != 100 {
-		t.Fatalf("GetI32(100) length %d", len(b))
-	}
-	PutI32(b)
-	b2 := GetI32(70)
-	if len(b2) != 70 {
-		t.Fatalf("GetI32(70) length %d", len(b2))
-	}
-	PutI32(b2)
-}

@@ -255,6 +255,9 @@ func Run() Report {
 		fNs, _ := benchGemmSlices(cs.M, cs.K, cs.N)
 		benchInt8("gemm_int8_"+cs.Name, cs.M, cs.K, cs.N, fNs)
 	}
+	// A classifier head on one image: a single activation column.
+	fcNs, _ := benchGemmSlices(1000, 512, 1)
+	benchInt8("gemm_int8_fc_1000x512x1", 1000, 512, 1, fcNs)
 	runtime.GOMAXPROCS(maxProcs)
 
 	// Model-zoo conv GEMM shapes at full parallelism.

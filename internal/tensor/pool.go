@@ -111,46 +111,6 @@ func PutBytes(buf []byte) {
 	bytePools[bits.Len(uint(c))-1].Put(p)
 }
 
-// Int32 arena for the int8 GEMM accumulators, recycled through the same
-// size-bucketed scheme as the float32 and byte pools.
-
-var (
-	i32Pools  [maxBucket + 1]sync.Pool
-	i32Shells = sync.Pool{New: func() any { return new([]int32) }}
-)
-
-// GetI32 returns an int32 scratch slice of length n with unspecified
-// contents. Pair it with PutI32 when done.
-func GetI32(n int) []int32 {
-	if n < 0 {
-		panic("tensor: GetI32 negative size")
-	}
-	b := bucketFor(n)
-	if b > maxBucket {
-		return make([]int32, n)
-	}
-	if v := i32Pools[b].Get(); v != nil {
-		p := v.(*[]int32)
-		s := *p
-		*p = nil
-		i32Shells.Put(p)
-		return s[:n]
-	}
-	return make([]int32, n, 1<<b)
-}
-
-// PutI32 recycles a buffer obtained from GetI32. Only exact power-of-two
-// capacities are accepted. The caller must not use buf afterwards.
-func PutI32(buf []int32) {
-	c := cap(buf)
-	if c == 0 || c&(c-1) != 0 || bits.Len(uint(c))-1 > maxBucket {
-		return
-	}
-	p := i32Shells.Get().(*[]int32)
-	*p = buf[:0:c]
-	i32Pools[bits.Len(uint(c))-1].Put(p)
-}
-
 // GetTensor returns a tensor with pooled backing storage and unspecified
 // contents. Release it with PutTensor. The Tensor header itself is a fresh
 // allocation; callers on a zero-alloc path should hold raw slices instead.
