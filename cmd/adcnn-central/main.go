@@ -241,7 +241,6 @@ func main() {
 	sloMiss := flag.Float64("slo-miss-budget", core.DefaultMissBudget, "SLO: tolerated zero-fill fraction (0 disables)")
 	sloFast := flag.Duration("slo-fast", core.DefaultSLOWindows[0], "SLO: fast burn-rate window")
 	sloSlow := flag.Duration("slo-slow", core.DefaultSLOWindows[1], "SLO: slow burn-rate window")
-	probeInterval := flag.Duration("probe-interval", time.Second, "link probe period per node session, keeping RTT estimates fresh through idle periods (0 disables)")
 	linkAware := flag.Bool("link-aware", false, "fold measured link transfer costs into the tile allocation (sched.EffectiveSpeeds)")
 	lf := cliutil.RegisterLogFlags(flag.CommandLine)
 	flag.Parse()
@@ -308,7 +307,7 @@ func main() {
 	b := &centralBuilder{
 		logger: logger, replicas: *replicas, model: buildModel,
 		base: core.CentralConfig{
-			TL: *tl, Gamma: *gamma, ProbeEvery: *probeInterval, LinkAware: *linkAware,
+			TL: *tl, Gamma: *gamma, LinkAware: *linkAware,
 			// The flight recorder is cheap (a mutex-guarded ring) and is
 			// what explains a missed deadline after the fact, so it is
 			// always on; the metrics address only decides whether it is

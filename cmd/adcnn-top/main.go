@@ -44,11 +44,9 @@ type sessionRow struct {
 	QueueDepth   int     `json:"queue_depth"`
 	PendingTiles int     `json:"pending_tiles"`
 	BackoffMs    float64 `json:"reconnect_backoff_ms"`
-	RTTNs        int64   `json:"rtt_ns"`
 	UplinkBps    float64 `json:"uplink_bytes_per_sec"`
 	DownlinkBps  float64 `json:"downlink_bytes_per_sec"`
 	LinkSamples  int     `json:"link_samples"`
-	LinkProbes   uint64  `json:"link_probes"`
 }
 
 // schedPage mirrors sched.Audit's /debug/sched JSON.
@@ -295,15 +293,16 @@ func (d *dash) render() string {
 		fmt.Fprintf(&b, "\n  %s\n   %s\n", d.bold("tile phases (mean, last interval)"), line)
 	}
 
-	// ---- link telemetry: probe-refreshed RTT + passive rate estimates.
+	// ---- link telemetry: RTT and passive rate estimates, all from tile
+	// exchanges.
 	linkNodes := m.LabelValues("adcnn_central_link_rtt_seconds", "node")
 	if len(linkNodes) == 0 {
 		linkNodes = m.LabelValues("adcnn_central_link_up_bytes_per_second", "node")
 	}
 	if len(linkNodes) > 0 {
 		fmt.Fprintf(&b, "\n  %s\n", d.bold("links"))
-		fmt.Fprintf(&b, "   %-4s %-8s %-10s %-10s %-8s %s\n",
-			"node", "rtt", "uplink", "downlink", "samples", "probes")
+		fmt.Fprintf(&b, "   %-4s %-8s %-10s %-10s %s\n",
+			"node", "rtt", "uplink", "downlink", "samples")
 		sess := map[int]sessionRow{}
 		for _, r := range cur.sessions {
 			sess[r.Node] = r
@@ -312,7 +311,6 @@ func (d *dash) render() string {
 			rtt, _ := m.Value("adcnn_central_link_rtt_seconds", "node", n)
 			up, _ := m.Value("adcnn_central_link_up_bytes_per_second", "node", n)
 			down, _ := m.Value("adcnn_central_link_down_bytes_per_second", "node", n)
-			probes, _ := m.Value("adcnn_central_link_probes_total", "node", n)
 			rttStr := "-"
 			if rtt > 0 {
 				rttStr = fmtSec(rtt)
@@ -321,8 +319,8 @@ func (d *dash) render() string {
 			if k, err := strconv.Atoi(n); err == nil {
 				samples = sess[k].LinkSamples
 			}
-			fmt.Fprintf(&b, "   %-4s %-8s %-10s %-10s %-8d %.0f\n",
-				n, rttStr, fmtBps(up), fmtBps(down), samples, probes)
+			fmt.Fprintf(&b, "   %-4s %-8s %-10s %-10s %d\n",
+				n, rttStr, fmtBps(up), fmtBps(down), samples)
 		}
 	}
 

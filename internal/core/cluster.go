@@ -25,9 +25,9 @@ import (
 //     node's real capacity instead of all assuming they own it;
 //
 //   - work stealing: submissions enter per-replica queues, and an idle
-//     replica whose queue is dry steals the head of the deepest queue
-//     once it exceeds StealThreshold — covering the imbalance that
-//     builds *between* rebalances, which share scaling alone cannot.
+//     replica whose queue is dry steals the head of the deepest queue —
+//     covering the imbalance that builds *between* rebalances, which
+//     share scaling alone cannot.
 //
 // Shutdown drains: everything queued or in flight completes and is
 // delivered before the replicas are torn down.
@@ -42,7 +42,7 @@ type Cluster struct {
 	closed   bool
 	entitled []float64 // scalar per-replica entitlement from the last rebalance
 
-	admit []chan struct{} // per-origin admission tokens, cap QueueCap
+	admit []chan struct{} // per-origin admission tokens, cap clusterQueueCap
 
 	steals []atomic.Int64
 
@@ -56,26 +56,18 @@ type Cluster struct {
 	lastShares [][]float64 // audit: previous rebalance's shares
 }
 
+// clusterQueueCap bounds each replica's submission queue: Submit blocks
+// once the origin replica has this many undispatched images.
+const clusterQueueCap = 64
+
 // ClusterOptions configures NewCluster. Zero values take defaults.
 type ClusterOptions struct {
 	// Replicas is the number of Central replicas (default 2).
 	Replicas int
-	// QueueCap bounds each replica's submission queue (default 64):
-	// Submit blocks once the origin replica has QueueCap undispatched
-	// images.
-	QueueCap int
-	// StealThreshold is the queue depth at which an idle replica starts
-	// stealing from a victim (default 1). A dispatcher only reaches the
-	// steal check when it has nothing of its own to run, so taking even
-	// a single queued image is a pure latency win; raise the threshold
-	// to keep short bursts on their origin replica (warmer statistics)
-	// at the cost of them waiting out its in-service image.
-	StealThreshold int
 	// Depth is each replica's pipeline admission depth (default
 	// StreamDepth).
 	Depth int
-	// RebalanceEvery is the share-rebalance interval (default 250ms);
-	// negative disables rebalancing (static fair shares forever).
+	// RebalanceEvery is the share-rebalance interval (default 250ms).
 	RebalanceEvery time.Duration
 	// Registry, when set, receives the cluster-level metric families
 	// (queue depth, steals, shares, per-replica images and latency).
@@ -89,13 +81,7 @@ func (o *ClusterOptions) defaults() {
 	if o.Replicas <= 0 {
 		o.Replicas = 2
 	}
-	if o.QueueCap <= 0 {
-		o.QueueCap = 64
-	}
-	if o.StealThreshold <= 0 {
-		o.StealThreshold = 1
-	}
-	if o.RebalanceEvery == 0 {
+	if o.RebalanceEvery <= 0 {
 		o.RebalanceEvery = 250 * time.Millisecond
 	}
 }
@@ -173,16 +159,14 @@ func NewCluster(build func(r int) (*Central, error), opts ClusterOptions) (*Clus
 		}
 		c.replicas[r] = cen
 		c.pipes[r] = NewPipeline(cen, opts.Depth)
-		c.admit[r] = make(chan struct{}, opts.QueueCap)
+		c.admit[r] = make(chan struct{}, clusterQueueCap)
 	}
 	c.applyShares(sched.FairShares(c.replicas[0].NumNodes(), opts.Replicas), nil)
 	for r := 0; r < opts.Replicas; r++ {
 		c.dispWG.Add(1)
 		go c.dispatch(r)
 	}
-	if opts.RebalanceEvery > 0 {
-		go c.rebalanceLoop()
-	}
+	go c.rebalanceLoop()
 	return c, nil
 }
 
@@ -203,8 +187,8 @@ func (c *Cluster) Steals() []int64 {
 
 // Submit hands an image to replica origin's queue and returns a channel
 // that delivers its result exactly once. Submit blocks while origin
-// already has QueueCap undispatched images (admission control); the
-// image may ultimately execute on a different replica if stolen.
+// already has clusterQueueCap undispatched images (admission control);
+// the image may ultimately execute on a different replica if stolen.
 func (c *Cluster) Submit(ctx context.Context, origin int, x *tensor.Tensor) (<-chan ClusterResult, error) {
 	if origin < 0 || origin >= len(c.replicas) {
 		return nil, fmt.Errorf("core: cluster has no replica %d", origin)
@@ -225,10 +209,8 @@ func (c *Cluster) Submit(ctx context.Context, origin int, x *tensor.Tensor) (<-c
 	}
 	c.queues[origin] = append(c.queues[origin], it)
 	depth := len(c.queues[origin])
-	// Broadcast, not Signal: a single wakeup can land on a dispatcher
-	// whose own queue is empty and for whom this queue is still below
-	// the steal threshold — it re-checks, sleeps again, and the one
-	// dispatcher that would run this item never wakes.
+	// Wake every idle dispatcher: the origin and any would-be thief
+	// race for the item.
 	c.cond.Broadcast()
 	c.qmu.Unlock()
 	if c.met != nil {
@@ -238,9 +220,10 @@ func (c *Cluster) Submit(ctx context.Context, origin int, x *tensor.Tensor) (<-c
 }
 
 // take blocks until replica r has an image to run: its own queue's
-// head, or — when its queue is dry and a victim's depth has reached
-// StealThreshold — the deepest victim's head. After close it drains
-// whatever remains anywhere, then returns nil.
+// head, or — when its queue is dry — the deepest victim's head. A
+// dispatcher only gets here with nothing of its own to run, so stealing
+// even a single queued image is a pure latency win. After close it
+// drains whatever remains anywhere, then returns nil.
 func (c *Cluster) take(r int) *clusterItem {
 	c.qmu.Lock()
 	defer c.qmu.Unlock()
@@ -250,11 +233,11 @@ func (c *Cluster) take(r int) *clusterItem {
 		}
 		victim, depth := -1, 0
 		for o := range c.queues {
-			if o != r && len(c.queues[o]) > depth {
+			if len(c.queues[o]) > depth {
 				victim, depth = o, len(c.queues[o])
 			}
 		}
-		if victim >= 0 && (depth >= c.opts.StealThreshold || c.closed) {
+		if victim >= 0 {
 			return c.popLocked(victim, r)
 		}
 		if c.closed {

@@ -22,12 +22,10 @@ type SessionDebug struct {
 	OffsetSamples int64 `json:"offset_samples"`
 	// UplinkBps/DownlinkBps are the passive link-rate estimates in
 	// bytes/sec (0 = unknown, unconverged, or stale); LinkSamples counts
-	// the transfer samples behind them, LinkProbes the probe echoes
-	// folded into the RTT estimate.
+	// the transfer samples behind them.
 	UplinkBps   float64 `json:"uplink_bytes_per_sec"`
 	DownlinkBps float64 `json:"downlink_bytes_per_sec"`
 	LinkSamples int     `json:"link_samples"`
-	LinkProbes  uint64  `json:"link_probes"`
 }
 
 // DebugSessions snapshots every node session's state.

@@ -12,11 +12,11 @@ import (
 // must survive a write/read round trip.
 func FuzzReadMessage(f *testing.F) {
 	var buf bytes.Buffer
-	_ = WriteMessage(&buf, &Message{Kind: KindTask, ImageID: 1, TileID: 2, NodeID: 3,
+	_ = WriteMessage(&buf, &Message{Kind: KindTask, ImageID: 1, TileID: 2,
 		TraceID: 0x1122334455667788, SpanID: 0x99, Payload: []byte("abc")})
 	f.Add(buf.Bytes())
 	var timed bytes.Buffer
-	_ = WriteMessage(&timed, &Message{Kind: KindResult, ImageID: 4, TileID: 5, NodeID: 6,
+	_ = WriteMessage(&timed, &Message{Kind: KindResult, ImageID: 4, TileID: 5,
 		TraceID: 7, SpanID: 8,
 		Timing:  &ConvTiming{RecvNs: 10, DecodeNs: 20, ComputeStartNs: 30, ComputeEndNs: 40, EncodeNs: 50, SendNs: 60},
 		Payload: []byte("xyz")})
@@ -36,10 +36,10 @@ func FuzzReadMessage(f *testing.F) {
 	f.Add(append([]byte{0x00, ProtoVersion, bodyHeader, 0, 0, 0, 1}, make([]byte, bodyHeader-1)...))
 	f.Add(append([]byte{protoMagic, ProtoVersion + 1, bodyHeader, 0, 0, 0, 1}, make([]byte, bodyHeader-1)...))
 	f.Add([]byte{protoMagic, 1, 14, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0})
-	// Timing flag set (bit 1 of flags at body offset 13) but truncated
+	// Timing flag set (bit 1 of flags at body offset 9) but truncated
 	// record: must error, never misparse.
 	liar := append([]byte{protoMagic, ProtoVersion, bodyHeader + 8, 0, 0, 0, 2}, make([]byte, bodyHeader+8-1)...)
-	liar[6+13] = flagTiming
+	liar[6+9] = flagTiming
 	f.Add(liar)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		m, err := ReadMessage(bytes.NewReader(data))
@@ -55,8 +55,7 @@ func FuzzReadMessage(f *testing.F) {
 			t.Fatalf("re-framed message failed to parse: %v", err)
 		}
 		if m2.Kind != m.Kind || m2.ImageID != m.ImageID || m2.TileID != m.TileID ||
-			m2.NodeID != m.NodeID || m2.Compressed != m.Compressed ||
-			m2.Quantized != m.Quantized ||
+			m2.Compressed != m.Compressed || m2.Quantized != m.Quantized ||
 			m2.TraceID != m.TraceID || m2.SpanID != m.SpanID ||
 			!bytes.Equal(m2.Payload, m.Payload) {
 			t.Fatal("frame round trip changed the message")

@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"adcnn/internal/fdsp"
-	"adcnn/internal/quant"
 	"adcnn/internal/sched"
 	"adcnn/internal/tensor"
 )
@@ -198,23 +197,10 @@ func (h *Inflight) dispatch(ctx context.Context, x *tensor.Tensor, assignment []
 // encodeTile serialises tile ti's source region into a pooled wire
 // buffer; the session's send loop releases it once the frame is safely
 // on the wire (a failed send keeps it intact for redispatch). The tile
-// tensor itself is dead after serialisation. A quantized-uplink tile
-// whose value range defies a finite affine (NaN/Inf input) falls back
-// to float32.
+// tensor itself is dead after serialisation.
 func (h *Inflight) encodeTile(x *tensor.Tensor, ti int, quantUplink bool) *Message {
 	tile := fdsp.ExtractTile(x, h.src[ti])
-	var payload []byte
-	sentQuant := false
-	if quantUplink {
-		mn, mx := tensor.MinMax(tile.Data)
-		if af, aerr := quant.AffineFor(mn, mx); aerr == nil {
-			payload = AppendQuantTensor(tensor.GetBytes(QuantTensorWireSize(tile))[:0], tile, af)
-			sentQuant = true
-		}
-	}
-	if !sentQuant {
-		payload = AppendTensor(tensor.GetBytes(TensorWireSize(tile))[:0], tile)
-	}
+	payload, sentQuant := encodeLevelsOrRaw(nil, tile, quantUplink)
 	tensor.PutTensor(tile)
 	return &Message{
 		Kind: KindTask, ImageID: h.img, TileID: uint32(ti),

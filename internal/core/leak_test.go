@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"runtime"
 	"runtime/pprof"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -154,6 +155,30 @@ func TestNoGoroutineLeakAfterNodeLeaves(t *testing.T) {
 	stop()
 	wwg.Wait()
 	check()
+}
+
+// TestNodeServerRejectsNonTaskFrames: tasks are the only frames a Conv
+// node reads. A session fed kind 3 or 4 (shutdown and probe in earlier
+// revisions) must end with a protocol error and shed every goroutine it
+// spawned, before any model is touched.
+func TestNodeServerRejectsNonTaskFrames(t *testing.T) {
+	for _, kind := range []MsgKind{3, 4} {
+		check := leakCheck(t)
+		a, b := Pipe()
+		ns := NewNodeServer(NewWorker(1, nil), 0)
+		if err := a.Send(&Message{Kind: kind, Payload: make([]byte, 8)}); err != nil {
+			t.Fatal(err)
+		}
+		err := ns.ServeConn(context.Background(), b)
+		if err == nil || !strings.Contains(err.Error(), "unexpected message kind") {
+			t.Fatalf("kind %d: session ended with %v, want an unexpected-kind error", kind, err)
+		}
+		if n := ns.ActiveSessions(); n != 0 {
+			t.Fatalf("kind %d: %d sessions still attached", kind, n)
+		}
+		a.Close()
+		check()
+	}
 }
 
 // TestNoGoroutineLeakAfterConnFailure kills a connection mid-stream:

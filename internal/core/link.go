@@ -25,9 +25,7 @@ const (
 
 // linkState is one session's view of the network path to its Conv node:
 // EWMA'd uplink/downlink transfer rates estimated passively from tile
-// phase timings, plus the probe counter for the active RTT exchange
-// (the RTT estimate itself lives in the session's OffsetEstimator — the
-// probe frames exist to keep it fresh when no tiles are flowing).
+// phase timings (the RTT lives in the session's OffsetEstimator).
 type linkState struct {
 	mu      sync.Mutex
 	upSpb   float64 // uplink seconds-per-byte EWMA (0 = no estimate)
@@ -36,12 +34,9 @@ type linkState struct {
 	downAt  int64
 	upN     int // samples folded in since the last reset
 	downN   int
-	probes  uint64 // probe echoes received this session
 
-	rttGauge  *telemetry.Gauge   // nil disables
-	upGauge   *telemetry.Gauge   // nil disables
-	downGauge *telemetry.Gauge   // nil disables
-	probeCt   *telemetry.Counter // nil disables
+	upGauge   *telemetry.Gauge // nil disables
+	downGauge *telemetry.Gauge // nil disables
 }
 
 // ewmaSpb folds one seconds-per-byte sample into the running estimate
@@ -93,19 +88,6 @@ func (l *linkState) observe(upBytes, downBytes, upNs, downNs int64) {
 	}
 }
 
-// observeProbe counts a probe echo and publishes the estimator's RTT.
-func (l *linkState) observeProbe(rttNs int64) {
-	l.mu.Lock()
-	l.probes++
-	l.mu.Unlock()
-	if l.rttGauge != nil && rttNs > 0 {
-		l.rttGauge.Set(float64(rttNs) / 1e9)
-	}
-	if l.probeCt != nil {
-		l.probeCt.Inc()
-	}
-}
-
 // ratesLocked converts the estimates to bytes/sec, returning 0 for a
 // direction whose estimate is missing, unconverged, or stale. Staleness
 // matters for recovery: after a throttle lifts, the collapsed estimate
@@ -130,17 +112,17 @@ func (l *linkState) rates() (upBps, downBps float64) {
 	return l.ratesLocked(now)
 }
 
-// snapshot reports the debug view: rates plus sample/probe counts.
-func (l *linkState) snapshot() (upBps, downBps float64, samples int, probes uint64) {
+// snapshot reports the debug view: rates plus the sample count.
+func (l *linkState) snapshot() (upBps, downBps float64, samples int) {
 	now := monoNow()
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	upBps, downBps = l.ratesLocked(now)
-	return upBps, downBps, l.upN + l.downN, l.probes
+	return upBps, downBps, l.upN + l.downN
 }
 
 // reset discards the transfer estimates (a reconnected node may be on a
-// different path); the cumulative probe count survives.
+// different path).
 func (l *linkState) reset() {
 	l.mu.Lock()
 	l.upSpb, l.downSpb = 0, 0

@@ -63,7 +63,7 @@ func TestLinkStateMinSamplesAndReset(t *testing.T) {
 	}
 }
 
-func TestLinkStateDurationFloorAndProbes(t *testing.T) {
+func TestLinkStateDurationFloor(t *testing.T) {
 	var l linkState
 	for i := 0; i < linkMinSamples; i++ {
 		l.observe(1<<20, 0, 1, 0) // 1ns transfer: clamped by the floor, not ∞
@@ -73,9 +73,7 @@ func TestLinkStateDurationFloorAndProbes(t *testing.T) {
 	if up <= 0 || up > ceil+1 {
 		t.Fatalf("floored estimate %.0f B/s, want in (0, %.0f]", up, ceil)
 	}
-	l.observeProbe(int64(200 * time.Microsecond))
-	l.observeProbe(int64(250 * time.Microsecond))
-	if _, _, _, probes := l.snapshot(); probes != 2 {
-		t.Fatalf("probe count = %d, want 2", probes)
+	if _, _, samples := l.snapshot(); samples != linkMinSamples {
+		t.Fatalf("sample count = %d, want %d", samples, linkMinSamples)
 	}
 }

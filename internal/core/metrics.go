@@ -34,10 +34,9 @@ type Metrics struct {
 	TilePhase       [NumPhases]*telemetry.Histogram // seconds, per-tile latency decomposition by phase
 	ClockOffset     *telemetry.GaugeVec             // node, estimated Conv-clock offset (seconds to add to map onto Central's clock)
 	NodeHealth      *telemetry.GaugeVec             // node, gray-failure anomaly score (0 = at baseline)
-	LinkRTT         *telemetry.GaugeVec             // node, probe-refreshed round-trip time (hold time subtracted)
+	LinkRTT         *telemetry.GaugeVec             // node, smoothed tile-exchange round-trip time (hold time subtracted)
 	LinkUp          *telemetry.GaugeVec             // node, EWMA uplink bytes/sec (0 = unknown/stale)
 	LinkDown        *telemetry.GaugeVec             // node, EWMA downlink bytes/sec (0 = unknown/stale)
-	LinkProbes      *telemetry.CounterVec           // node, link probe echoes received
 	Sched           *sched.Monitor
 
 	// Sliding-window views of the live path, feeding the SLO engine and
@@ -140,10 +139,9 @@ func newMetrics(reg *telemetry.Registry, replica string) *Metrics {
 		PipelineDepth:   gauge("adcnn_pipeline_inflight", "Admission slots currently held in a streaming Pipeline."),
 		ClockOffset:     gaugeVec("adcnn_central_clock_offset_seconds", "Estimated Conv-node clock offset (added to Conv timestamps to map onto Central's clock).", "node"),
 		NodeHealth:      gaugeVec("adcnn_central_node_health", "Gray-failure anomaly score per Conv node: worst relative deviation of the fast phase-time EWMA over the node's slow baseline (0 = at baseline).", "node"),
-		LinkRTT:         gaugeVec("adcnn_central_link_rtt_seconds", "Per-node link round-trip time from probe exchanges (remote hold time subtracted).", "node"),
+		LinkRTT:         gaugeVec("adcnn_central_link_rtt_seconds", "Per-node link round-trip time from task-to-result exchanges (remote hold time subtracted).", "node"),
 		LinkUp:          gaugeVec("adcnn_central_link_up_bytes_per_second", "EWMA uplink transfer rate to each Conv node, estimated from tile phase timings (0 = unknown or stale).", "node"),
 		LinkDown:        gaugeVec("adcnn_central_link_down_bytes_per_second", "EWMA downlink transfer rate from each Conv node, estimated from tile phase timings (0 = unknown or stale).", "node"),
-		LinkProbes:      counterVec("adcnn_central_link_probes_total", "Link probe echoes received per Conv node.", "node"),
 		Sched:           sched.NewMonitor(reg, replica),
 
 		TileLatencyWindow: telemetry.NewWindowedHistogram(windowSpan, windowSlots, nil),
@@ -166,26 +164,23 @@ func newMetrics(reg *telemetry.Registry, replica string) *Metrics {
 
 // kindLabel names a message kind for the wire metric labels.
 func kindLabel(k MsgKind) int {
-	if k >= KindTask && k <= KindProbe {
+	if k == KindTask || k == KindResult {
 		return int(k)
 	}
 	return 0
 }
 
-var kindNames = [5]string{"other", "task", "result", "shutdown", "probe"}
+var kindNames = [3]string{"other", "task", "result"}
 
 // WireMetrics counts transport traffic per message kind and direction:
 //
-//	adcnn_wire_frames_total{kind,dir}       frames sent/received
-//	adcnn_wire_bytes_total{kind,dir}        frame bytes (payload + header)
-//	adcnn_wire_compressed_frames_total{dir} frames carrying compressed payloads
-//	adcnn_wire_compressed_bytes_total{dir}  their payload bytes
+//	adcnn_wire_frames_total{kind,dir}  frames sent/received
+//	adcnn_wire_bytes_total{kind,dir}   frame bytes (payload + header)
 //
 // The counters are resolved per kind up front so metering a message is
-// two atomic adds.
+// two atomic adds; the meter never looks inside a payload.
 type WireMetrics struct {
-	frames, bytes         [2][5]*telemetry.Counter // [dir][kind]
-	compFrames, compBytes [2]*telemetry.Counter    // [dir]
+	frames, bytes [2][len(kindNames)]*telemetry.Counter // [dir][kind]
 }
 
 const (
@@ -205,21 +200,17 @@ func newWireMetrics(reg *telemetry.Registry, replica string) *WireMetrics {
 	wm := &WireMetrics{}
 	frames := vec("adcnn_wire_frames_total", "Protocol frames by message kind and direction.", "kind", "dir")
 	bytes := vec("adcnn_wire_bytes_total", "Protocol frame bytes (payload plus header) by message kind and direction.", "kind", "dir")
-	compFrames := vec("adcnn_wire_compressed_frames_total", "Frames carrying compress-pipeline payloads.", "dir")
-	compBytes := vec("adcnn_wire_compressed_bytes_total", "Payload bytes of compressed frames.", "dir")
 	for d := 0; d < 2; d++ {
 		for k := 0; k < len(kindNames); k++ {
 			wm.frames[d][k] = frames.With(kindNames[k], dirNames[d])
 			wm.bytes[d][k] = bytes.With(kindNames[k], dirNames[d])
 		}
-		wm.compFrames[d] = compFrames.With(dirNames[d])
-		wm.compBytes[d] = compBytes.With(dirNames[d])
 	}
 	return wm
 }
 
 // frameOverhead is the wire framing cost per message (magic + version +
-// 4-byte length prefix + 30-byte header), kept in sync with
+// 4-byte length prefix + 26-byte header), kept in sync with
 // WriteMessage. Result frames carrying a ConvTiming record cost
 // timingSize more.
 const frameOverhead = 6 + bodyHeader
@@ -232,10 +223,6 @@ func (wm *WireMetrics) record(dir int, m *Message) {
 	}
 	wm.frames[dir][k].Inc()
 	wm.bytes[dir][k].Add(float64(n))
-	if m.Compressed {
-		wm.compFrames[dir].Inc()
-		wm.compBytes[dir].Add(float64(len(m.Payload)))
-	}
 }
 
 // meteredConn wraps a Conn and counts traffic on both directions.

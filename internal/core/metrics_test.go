@@ -48,6 +48,28 @@ func buildInstrumentedRuntime(t *testing.T, n int) (*Central, *Metrics, *telemet
 	return c, met, trace, func() { c.Shutdown(); wg.Wait() }
 }
 
+// TestLinkRTTGaugeFromTileExchanges: the RTT gauge is published from the
+// same task→result exchanges that feed /debug/sessions, so after traffic
+// every node exports the estimator's round trip rather than 0.
+func TestLinkRTTGaugeFromTileExchanges(t *testing.T) {
+	const nodes = 2
+	c, met, _, stop := buildInstrumentedRuntime(t, nodes)
+	defer stop()
+	x := tensor.New(1, 3, 32, 32)
+	x.RandN(rand.New(rand.NewSource(4)), 1)
+	for i := 0; i < 20; i++ {
+		if _, _, err := c.Infer(x); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for k, s := range c.DebugSessions() {
+		v, ok := met.Registry.Value("adcnn_central_link_rtt_seconds", nodeLabel(k))
+		if !ok || v <= 0 || v != float64(s.RTTNs)/1e9 {
+			t.Fatalf("node %d: rtt gauge %v (ok=%v), want %v > 0 from the session's estimator", k, v, ok, float64(s.RTTNs)/1e9)
+		}
+	}
+}
+
 // TestInferRecordsMetrics runs real inferences over Pipe transports and
 // checks the whole metric chain: image counters, per-node tile counters,
 // latency histograms, worker-side task counts, and wire frame/byte

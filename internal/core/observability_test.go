@@ -284,7 +284,7 @@ func TestResultEchoesTraceContext(t *testing.T) {
 	x := tensor.New(1, 3, 32, 32)
 	x.RandN(rand.New(rand.NewSource(15)), 1)
 	tls := m.Opt.Grid.Layout(32, 32)
-	task := &Message{Kind: KindTask, ImageID: 5, TileID: 2, NodeID: 0,
+	task := &Message{Kind: KindTask, ImageID: 5, TileID: 2,
 		TraceID: 0xabc, SpanID: 0xdef, Payload: AppendTensor(nil, fdsp.ExtractTile(x, tls[2]))}
 	if err := a.Send(task); err != nil {
 		t.Fatal(err)
@@ -308,7 +308,6 @@ func TestResultEchoesTraceContext(t *testing.T) {
 		tm.EncodeNs <= tm.SendNs) {
 		t.Fatalf("timing record not monotone: %+v", tm)
 	}
-	a.Send(&Message{Kind: KindShutdown})
 	a.Close()
 	<-done
 }

@@ -76,10 +76,6 @@ type CentralConfig struct {
 	// dumps the affected image's recent events whenever a tile misses
 	// T_L or a session fails over.
 	Flight *telemetry.FlightRecorder
-	// ProbeEvery, when >0, sends every node session a link probe each
-	// interval: the probes keep the RTT/offset estimate fresh through
-	// idle periods and cost 8 payload bytes each way.
-	ProbeEvery time.Duration
 	// LinkAware is the initial state of link-aware dispatch (see
 	// Central.SetLinkAware).
 	LinkAware bool
@@ -137,7 +133,7 @@ type Central struct {
 	// written again, so it is read without a lock.
 	sessions []*nodeSession
 	pending  demux
-	loopWG   sync.WaitGroup // session supervisors and the probe loop
+	loopWG   sync.WaitGroup // session supervisors
 
 	ctx    context.Context
 	cancel context.CancelFunc
@@ -156,8 +152,8 @@ func NewCentral(m *models.Model, conns []Conn, tl time.Duration, gamma float64) 
 }
 
 // Start validates the configuration and returns a running Central: the
-// connections are metered (when Metrics is set), one session per node
-// is up, and the link-probe loop is ticking (when ProbeEvery is set).
+// connections are metered (when Metrics is set) and one session per
+// node is up.
 func (cfg CentralConfig) Start() (*Central, error) {
 	m := cfg.Model
 	if m == nil {
@@ -226,10 +222,6 @@ func (cfg CentralConfig) Start() (*Central, error) {
 	for _, s := range c.sessions {
 		go s.run()
 	}
-	if cfg.ProbeEvery > 0 {
-		c.loopWG.Add(1)
-		go c.probeLoop(cfg.ProbeEvery)
-	}
 	return c, nil
 }
 
@@ -266,23 +258,6 @@ func (c *Central) InFlight() int { return int(c.inflight.Load()) }
 
 // NumNodes reports how many Conv nodes the Central was started with.
 func (c *Central) NumNodes() int { return len(c.sessions) }
-
-// probeLoop fans one link probe out to every session per tick.
-func (c *Central) probeLoop(every time.Duration) {
-	defer c.loopWG.Done()
-	t := time.NewTicker(every)
-	defer t.Stop()
-	for {
-		select {
-		case <-c.ctx.Done():
-			return
-		case <-t.C:
-			for _, s := range c.sessions {
-				s.sendProbe()
-			}
-		}
-	}
-}
 
 // Infer runs one distributed inference for a [1,C,H,W] input and returns
 // the model output.

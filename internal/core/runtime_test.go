@@ -50,17 +50,20 @@ func TestDecodeTensorRejectsCorrupt(t *testing.T) {
 
 func TestMessageFramingRoundTrip(t *testing.T) {
 	var buf bytes.Buffer
-	in := &Message{Kind: KindResult, ImageID: 7, TileID: 42, NodeID: 3,
+	in := &Message{Kind: KindResult, ImageID: 7, TileID: 42,
 		Compressed: true, Payload: []byte{1, 2, 3, 4, 5}}
 	if err := WriteMessage(&buf, in); err != nil {
 		t.Fatal(err)
+	}
+	if n := buf.Len(); n != 6+bodyHeader+len(in.Payload) || bodyHeader != 26 {
+		t.Fatalf("frame is %d bytes with a %d-byte header, want 6+26+%d", n, bodyHeader, len(in.Payload))
 	}
 	out, err := ReadMessage(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if out.Kind != in.Kind || out.ImageID != 7 || out.TileID != 42 ||
-		out.NodeID != 3 || !out.Compressed || !bytes.Equal(out.Payload, in.Payload) {
+		!out.Compressed || !bytes.Equal(out.Payload, in.Payload) {
 		t.Fatalf("round trip mismatch: %+v", out)
 	}
 }
@@ -116,10 +119,23 @@ func TestCentralRejectsV1Peer(t *testing.T) {
 	}
 }
 
+func TestCentralRejectsV5Peer(t *testing.T) {
+	// A v5 frame: magic, version 5, then the old 30-byte body header
+	// that still carried a node ID.
+	v5 := append([]byte{protoMagic, 5, 30, 0, 0, 0, byte(KindTask)}, make([]byte, 29)...)
+	_, err := ReadMessage(bytes.NewReader(v5))
+	if !errors.Is(err, ErrProtoVersion) {
+		t.Fatalf("v5 peer must fail with ErrProtoVersion, got %v", err)
+	}
+	if ProtoVersion != 6 || !strings.Contains(err.Error(), "v5") || !strings.Contains(err.Error(), "v6") {
+		t.Fatalf("error must name both v5 and v6: %v", err)
+	}
+}
+
 func TestMessageTraceContextAndTimingRoundTrip(t *testing.T) {
 	var buf bytes.Buffer
 	in := &Message{
-		Kind: KindResult, ImageID: 3, TileID: 9, NodeID: 1, Compressed: true,
+		Kind: KindResult, ImageID: 3, TileID: 9, Compressed: true,
 		TraceID: 0xdeadbeefcafe0001, SpanID: 0x42,
 		Timing: &ConvTiming{
 			RecvNs: 100, DecodeNs: 150, ComputeStartNs: 200,

@@ -2,7 +2,6 @@ package core
 
 import (
 	"context"
-	"encoding/binary"
 	"math/rand"
 	"sync"
 	"time"
@@ -182,7 +181,7 @@ type nodeSession struct {
 	// with exponential backoff instead of staying dead forever.
 	dial Dialer
 
-	sendq chan *Message
+	sendq chan *Message // task frames awaiting the send loop
 
 	mu          sync.Mutex
 	conn        Conn
@@ -196,12 +195,13 @@ type nodeSession struct {
 	// refreshed from every task→result exchange (RTT-midpoint EWMA).
 	offset *telemetry.OffsetEstimator
 
-	// link profiles the network path: probe-refreshed RTT plus passive
-	// uplink/downlink rate estimates from tile phase timings.
+	// link holds the passive uplink/downlink rate estimates from tile
+	// phase timings.
 	link linkState
 
 	queueDepth  *telemetry.Gauge // nil disables
 	offsetGauge *telemetry.Gauge // nil disables
+	rttGauge    *telemetry.Gauge // nil disables
 }
 
 func newNodeSession(id int, c *Central, conn Conn, dial Dialer) *nodeSession {
@@ -218,30 +218,11 @@ func newNodeSession(id int, c *Central, conn Conn, dial Dialer) *nodeSession {
 	if m := c.metrics; m != nil {
 		s.queueDepth = m.SendQueueDepth.With(nodeLabel(id))
 		s.offsetGauge = m.ClockOffset.With(nodeLabel(id))
-		s.link.rttGauge = m.LinkRTT.With(nodeLabel(id))
+		s.rttGauge = m.LinkRTT.With(nodeLabel(id))
 		s.link.upGauge = m.LinkUp.With(nodeLabel(id))
 		s.link.downGauge = m.LinkDown.With(nodeLabel(id))
-		s.link.probeCt = m.LinkProbes.With(nodeLabel(id))
 	}
 	return s
-}
-
-// sendProbe enqueues one link probe, best-effort: a full send queue
-// means tiles are flowing (and already feeding the estimators), so the
-// probe is simply skipped rather than adding queue pressure. The 8-byte
-// payload is patched with the send timestamp by the send loop just
-// before the socket write, so queue wait does not inflate the RTT.
-func (s *nodeSession) sendProbe() {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if !s.alive {
-		return
-	}
-	m := &Message{Kind: KindProbe, NodeID: uint32(s.id), Payload: make([]byte, 8)}
-	select {
-	case s.sendq <- m:
-	default:
-	}
 }
 
 // Alive reports whether the session currently has a usable connection.
@@ -390,7 +371,7 @@ func (s *nodeSession) run() {
 		// every image that had tasks queued on this session.
 		seen := map[uint32]bool{}
 		for _, m := range orphans {
-			if m.Kind == KindTask && !seen[m.ImageID] {
+			if !seen[m.ImageID] {
 				seen[m.ImageID] = true
 				c.flight.Dump("session-failover", m.ImageID)
 			}
@@ -413,17 +394,6 @@ func (s *nodeSession) sendLoop(conn Conn, stop chan struct{}) error {
 			return nil
 		case m := <-s.sendq:
 			s.observeQueue()
-			if m.Kind == KindProbe {
-				// Stamp t0 directly into the payload at the last moment:
-				// the probe measures the socket round trip, not the time
-				// it queued behind tiles. A probe is never redispatched,
-				// so it skips the pendingSend handoff.
-				binary.LittleEndian.PutUint64(m.Payload, uint64(monoNow()))
-				if err := conn.Send(m); err != nil {
-					return err
-				}
-				continue
-			}
 			s.mu.Lock()
 			s.pendingSend = m
 			s.mu.Unlock()
@@ -459,23 +429,8 @@ func (s *nodeSession) recvLoop(conn Conn) error {
 			return err
 		}
 		recvNs := monoNow()
-		if m.Kind == KindProbe {
-			// Probe echo: the payload still holds our send timestamp, the
-			// timing record stamps the node-side hold, so the exchange
-			// feeds the offset/RTT estimator exactly like a task→result
-			// pair — but with no compute time inside the window.
-			if m.Timing != nil && len(m.Payload) == 8 {
-				t0 := int64(binary.LittleEndian.Uint64(m.Payload))
-				offsetNs, _ := s.offset.Update(t0, m.Timing.RecvNs, m.Timing.SendNs, recvNs)
-				if s.offsetGauge != nil {
-					s.offsetGauge.Set(float64(offsetNs) / 1e9)
-				}
-				s.link.observeProbe(s.offset.RTT())
-			}
-			m.ReleasePayload()
-			continue
-		}
 		if m.Kind != KindResult {
+			m.ReleasePayload()
 			continue
 		}
 		e, ok := s.c.pending.claim(pendingKey{m.ImageID, m.TileID})
@@ -489,6 +444,7 @@ func (s *nodeSession) recvLoop(conn Conn) error {
 			offsetNs, _ = s.offset.Update(e.sentNs, m.Timing.RecvNs, m.Timing.SendNs, recvNs)
 			if s.offsetGauge != nil {
 				s.offsetGauge.Set(float64(offsetNs) / 1e9)
+				s.rttGauge.Set(float64(s.offset.RTT()) / 1e9)
 			}
 		} else {
 			offsetNs = s.offset.Offset()
@@ -584,6 +540,6 @@ func (s *nodeSession) debugInfo() SessionDebug {
 	info.ClockOffsetNs = s.offset.Offset()
 	info.RTTNs = s.offset.RTT()
 	info.OffsetSamples = s.offset.Samples()
-	info.UplinkBps, info.DownlinkBps, info.LinkSamples, info.LinkProbes = s.link.snapshot()
+	info.UplinkBps, info.DownlinkBps, info.LinkSamples = s.link.snapshot()
 	return info
 }

@@ -15,18 +15,11 @@ import (
 // MsgKind tags protocol messages.
 type MsgKind uint8
 
-// Message kinds.
+// Message kinds. A session ends on EOF or cancellation, so tiles and
+// results are the only frames.
 const (
-	KindTask     MsgKind = 1 // Central → Conv: one input tile
-	KindResult   MsgKind = 2 // Conv → Central: one intermediate result
-	KindShutdown MsgKind = 3 // Central → Conv: stop serving
-	// KindProbe is a link-profiling ping: the Central sends an 8-byte
-	// payload holding its send timestamp, the Conv node echoes the
-	// payload verbatim with a ConvTiming record stamping when the probe
-	// was read and when the echo left. The four timestamps feed the
-	// session's clock-offset/RTT estimator exactly like a task→result
-	// exchange, but without charging the simulated device.
-	KindProbe MsgKind = 4
+	KindTask   MsgKind = 1 // Central → Conv: one input tile
+	KindResult MsgKind = 2 // Conv → Central: one intermediate result
 )
 
 // Message is one protocol frame. Tiles carry the image ID and tile ID of
@@ -36,7 +29,6 @@ type Message struct {
 	Kind    MsgKind
 	ImageID uint32
 	TileID  uint32
-	NodeID  uint32
 	// Compressed marks Payload as a compress-pipeline payload rather
 	// than a raw tensor encoding.
 	Compressed bool
@@ -118,20 +110,9 @@ func decodeTiming(tm *ConvTiming, src []byte) {
 // of misparsing a length.
 const (
 	protoMagic = 0xAD // "ADcnn"
-	// ProtoVersion is the wire protocol revision. Bump on any frame
-	// layout change. v2 added the trace context (traceID + parent
-	// spanID) to every frame and the optional ConvTiming record to
-	// results. v3 added the quantized-payload flag (int8 operating
-	// mode); the frame layout is unchanged, but a v2 peer would
-	// misread a quantized payload as float32 words, so the version
-	// gate rejects the pairing outright. v4 added the probe frame
-	// kind (link profiling); again no layout change, but a v3 worker
-	// treats the unknown kind as a protocol error and drops the
-	// session, so the pairing is rejected up front. v5 extended the
-	// quantized-payload flag to result frames (levels-native downlink
-	// in the int8 operating mode); a v4 Central would misread a
-	// quantized result as float32 words, so the pairing is rejected.
-	ProtoVersion = 5
+	// ProtoVersion is the wire protocol revision: bump it on any change
+	// an older peer would misread — layout, flags or message kinds.
+	ProtoVersion = 6
 )
 
 // ErrProtoVersion reports a peer speaking a different frame revision.
@@ -143,9 +124,8 @@ var ErrBadMagic = errors.New("core: bad frame magic (not an ADCNN peer?)")
 const maxFrame = 256 << 20 // 256 MiB guard against corrupt lengths
 
 // bodyHeader is the fixed-size message header inside the frame body:
-// kind(1) + imageID(4) + tileID(4) + nodeID(4) + flags(1) +
-// traceID(8) + spanID(8).
-const bodyHeader = 30
+// kind(1) + imageID(4) + tileID(4) + flags(1) + traceID(8) + spanID(8).
+const bodyHeader = 26
 
 // Header flag bits.
 const (
@@ -175,7 +155,6 @@ func WriteMessage(w io.Writer, m *Message) error {
 	hdr[6] = byte(m.Kind)
 	binary.LittleEndian.PutUint32(hdr[7:], m.ImageID)
 	binary.LittleEndian.PutUint32(hdr[11:], m.TileID)
-	binary.LittleEndian.PutUint32(hdr[15:], m.NodeID)
 	var flags byte
 	if m.Compressed {
 		flags |= flagCompressed
@@ -186,9 +165,9 @@ func WriteMessage(w io.Writer, m *Message) error {
 	if m.Quantized {
 		flags |= flagQuantized
 	}
-	hdr[19] = flags
-	binary.LittleEndian.PutUint64(hdr[20:], m.TraceID)
-	binary.LittleEndian.PutUint64(hdr[28:], m.SpanID)
+	hdr[15] = flags
+	binary.LittleEndian.PutUint64(hdr[16:], m.TraceID)
+	binary.LittleEndian.PutUint64(hdr[24:], m.SpanID)
 	n := 6 + bodyHeader
 	if m.Timing != nil {
 		m.Timing.encode(hdr[n:])
@@ -247,15 +226,14 @@ func ReadMessageInto(r io.Reader, m *Message) error {
 	if _, err := io.ReadFull(r, hdr); err != nil {
 		return err
 	}
-	flags := hdr[13]
+	flags := hdr[9]
 	m.Kind = MsgKind(hdr[0])
 	m.ImageID = binary.LittleEndian.Uint32(hdr[1:])
 	m.TileID = binary.LittleEndian.Uint32(hdr[5:])
-	m.NodeID = binary.LittleEndian.Uint32(hdr[9:])
 	m.Compressed = flags&flagCompressed != 0
 	m.Quantized = flags&flagQuantized != 0
-	m.TraceID = binary.LittleEndian.Uint64(hdr[14:])
-	m.SpanID = binary.LittleEndian.Uint64(hdr[22:])
+	m.TraceID = binary.LittleEndian.Uint64(hdr[10:])
+	m.SpanID = binary.LittleEndian.Uint64(hdr[18:])
 	rest := int(n) - bodyHeader
 	if flags&flagTiming != 0 {
 		if rest < timingSize {

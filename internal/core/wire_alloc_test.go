@@ -28,7 +28,7 @@ func TestTileRoundTripZeroAlloc(t *testing.T) {
 	p := compress.NewPipeline(4, 6)
 	encBuf := tensor.GetBytes(p.MaxEncodedSize(y))
 	m := &Message{
-		Kind: KindResult, ImageID: 1, TileID: 2, NodeID: 3, Compressed: true,
+		Kind: KindResult, ImageID: 1, TileID: 2, Compressed: true,
 		TraceID: 7, SpanID: 8, Timing: &ConvTiming{RecvNs: 1, SendNs: 6},
 	}
 	var frame bytes.Buffer

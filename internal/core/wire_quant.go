@@ -65,6 +65,21 @@ func AppendQuantTensor(dst []byte, t *tensor.Tensor, af quant.Affine) []byte {
 	return dst
 }
 
+// encodeLevelsOrRaw encodes t into buf (swapped for a pooled wire buffer
+// when too small) as uint8 affine levels when levels is set and t's value
+// range admits a finite affine, and as raw float32 words otherwise — the
+// fallback for NaN/Inf tensors. It returns the payload and whether it is
+// levels.
+func encodeLevelsOrRaw(buf []byte, t *tensor.Tensor, levels bool) ([]byte, bool) {
+	if levels {
+		mn, mx := tensor.MinMax(t.Data)
+		if af, err := quant.AffineFor(mn, mx); err == nil {
+			return AppendQuantTensor(growBytes(buf, QuantTensorWireSize(t))[:0], t, af), true
+		}
+	}
+	return AppendTensor(growBytes(buf, TensorWireSize(t))[:0], t), false
+}
+
 // parseQuantTensor validates an AppendQuantTensor payload and splits it
 // into its parts: the shape (appended onto shape[:0]), the affine, and
 // the levels, which alias data.

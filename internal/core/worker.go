@@ -11,7 +11,6 @@ import (
 
 	"adcnn/internal/compress"
 	"adcnn/internal/models"
-	"adcnn/internal/quant"
 	"adcnn/internal/telemetry"
 	"adcnn/internal/tensor"
 )
@@ -60,11 +59,11 @@ func NewWorker(id int, m *models.Model) *Worker {
 	return &Worker{ID: id, Model: m}
 }
 
-// Serve processes tasks from conn until the context is cancelled, a
-// shutdown message arrives, or the peer disconnects cleanly (all return
-// nil). A mid-stream transport failure is returned to the caller — and
-// counted separately from clean disconnects — so operators can tell a
-// Central that hung up from a network that broke.
+// Serve processes tasks from conn until the context is cancelled or the
+// peer disconnects cleanly (both return nil). A mid-stream transport
+// failure is returned to the caller — and counted separately from clean
+// disconnects — so operators can tell a Central that hung up from a
+// network that broke.
 //
 // Serve is the single-session convenience wrapper: it runs one
 // NodeServer session over conn. A node serving several Centrals at once
@@ -180,8 +179,6 @@ type workerTask struct {
 	img, tile       uint32
 	traceID, spanID uint64
 	quantized       bool
-	probe           bool   // link probe: echo the payload, skip pace/compute
-	echo            []byte // probe payload to return verbatim (reused capacity)
 	x               *tensor.Tensor
 	qt              *QuantTile
 	tm              ConvTiming
@@ -209,8 +206,8 @@ type workerSession struct {
 }
 
 // ServeConn runs one Central session over conn until the context is
-// cancelled, a shutdown message arrives, or the peer disconnects
-// cleanly (all return nil); a mid-stream transport failure is returned.
+// cancelled or the peer disconnects cleanly (both return nil); a
+// mid-stream transport failure or a frame that is not a task is returned.
 // Safe for concurrent use: each call is an independent session.
 func (ns *NodeServer) ServeConn(ctx context.Context, conn Conn) error {
 	if ctx == nil {
@@ -278,9 +275,8 @@ func putWorkerTask(t *workerTask) {
 
 // recvLoop reads task frames off the connection, decodes each into a
 // pooled task, and queues it for the compute loop. It returns nil on a
-// clean end (EOF, shutdown message, cancellation, or a compute-loop
-// failure that already owns the error) and the transport error
-// otherwise.
+// clean end (EOF, cancellation, or a compute-loop failure that already
+// owns the error) and the transport or protocol error otherwise.
 func (s *workerSession) recvLoop(ctx context.Context) error {
 	w := s.ns.w
 	met := w.Metrics
@@ -305,29 +301,19 @@ func (s *workerSession) recvLoop(ctx context.Context) error {
 			}
 			return fmt.Errorf("core: worker %d: recv: %w", w.ID, err)
 		}
-		switch m.Kind {
-		case KindShutdown:
-			return nil
-		case KindTask, KindProbe:
-		default:
+		if m.Kind != KindTask {
+			m.ReleasePayload()
 			return fmt.Errorf("core: worker %d: unexpected message kind %d", w.ID, m.Kind)
 		}
-		// A probe rides the same bounded task queue as tiles (the compute
-		// loop owns conn.Send, and queue wait cancels out of the RTT
-		// estimate), but skips decode, pacing, and compute.
 		t := workerTaskPool.Get().(*workerTask)
 		t.start = time.Now()
 		t.tm = ConvTiming{RecvNs: w.now()}
 		t.img, t.tile = m.ImageID, m.TileID
 		t.traceID, t.spanID = m.TraceID, m.SpanID
-		t.probe = m.Kind == KindProbe
-		t.quantized = m.Quantized && !t.probe
-		switch {
-		case t.probe:
-			t.echo = append(t.echo[:0], m.Payload...)
-		case t.quantized:
+		t.quantized = m.Quantized
+		if t.quantized {
 			err = DecodeQuantTensorInto(t.qt, m.Payload)
-		default:
+		} else {
 			err = DecodeTensorInto(t.x, m.Payload)
 		}
 		m.ReleasePayload()
@@ -335,9 +321,7 @@ func (s *workerSession) recvLoop(ctx context.Context) error {
 			putWorkerTask(t)
 			return fmt.Errorf("core: worker %d: %w", w.ID, err)
 		}
-		if !t.probe {
-			t.tm.DecodeNs = w.now()
-		}
+		t.tm.DecodeNs = w.now()
 		select {
 		case s.tasks <- t:
 		case <-s.dead:
@@ -362,59 +346,53 @@ func (s *workerSession) computeLoop(ctx context.Context) error {
 	var encBuf []byte
 	defer func() { tensor.PutBytes(encBuf) }()
 	for t := range s.tasks {
-		// A probe is echoed without charging the device pacer: RTT must
-		// measure the link, not the simulated compute rate. Only its
-		// receive/send stamps matter to the estimator; the rest of the
-		// timing record stays zero.
-		kind, out := KindProbe, t.echo
-		var compressed, quantized bool
-		if !t.probe {
-			// The delay models a device that serves tiles at a fixed rate:
-			// each task occupies the device for the delay of wall-clock
-			// time, and back-to-back tasks — across every attached session
-			// — chain off the previous release time rather than off this
-			// goroutine's (scheduler-jittered) wake-up. A plain
-			// sleep-per-task would model a device that speeds up when more
-			// Centrals attach, which no real device does. The wait sits
-			// between decode and compute, so it shows up in the timing
-			// record as queue time, like a busy real device — and so does
-			// any wait in the bounded task queue itself.
-			if delay := time.Duration(w.delay.Load()); delay > 0 {
-				if !s.ns.pace(ctx, delay, t.start) {
-					putWorkerTask(t)
-					return nil
-				}
-			}
-			if ctx.Err() != nil {
+		// The delay models a device that serves tiles at a fixed rate:
+		// each task occupies the device for the delay of wall-clock time,
+		// and back-to-back tasks — across every attached session — chain
+		// off the previous release time rather than off this goroutine's
+		// (scheduler-jittered) wake-up. A plain sleep-per-task would model
+		// a device that speeds up when more Centrals attach, which no real
+		// device does. The wait sits between decode and compute, so it
+		// shows up in the timing record as queue time, like a busy real
+		// device — and so does any wait in the bounded task queue itself.
+		if delay := time.Duration(w.delay.Load()); delay > 0 {
+			if !s.ns.pace(ctx, delay, t.start) {
 				putWorkerTask(t)
 				return nil
 			}
-			t.tm.ComputeStartNs = w.now()
-			var err error
-			if t.quantized {
-				out, compressed, quantized, err = w.computeEncodeLevels(t.qt, t.x, &t.tm, encBuf)
-			} else {
-				out, compressed, quantized, err = w.computeEncode(t.x, &t.tm, encBuf)
-			}
-			if err != nil {
-				putWorkerTask(t)
-				return s.fail(fmt.Errorf("core: worker %d: %w", w.ID, err))
-			}
-			kind, encBuf = KindResult, out
-			s.tilesDone.Add(1)
-			if met != nil {
-				s.taskCtr.Inc()
-				met.WorkerProcess.ObserveDuration(time.Since(t.start).Nanoseconds())
-			}
+		}
+		if ctx.Err() != nil {
+			putWorkerTask(t)
+			return nil
+		}
+		t.tm.ComputeStartNs = w.now()
+		var (
+			out                   []byte
+			compressed, quantized bool
+			err                   error
+		)
+		if t.quantized {
+			out, compressed, quantized, err = w.computeEncodeLevels(t.qt, t.x, &t.tm, encBuf)
+		} else {
+			out, compressed, quantized, err = w.computeEncode(t.x, &t.tm, encBuf)
+		}
+		if err != nil {
+			putWorkerTask(t)
+			return s.fail(fmt.Errorf("core: worker %d: %w", w.ID, err))
+		}
+		encBuf = out
+		s.tilesDone.Add(1)
+		if met != nil {
+			s.taskCtr.Inc()
+			met.WorkerProcess.ObserveDuration(time.Since(t.start).Nanoseconds())
 		}
 		t.tm.SendNs = w.now()
 		*res = Message{
-			Kind: kind, ImageID: t.img, TileID: t.tile,
-			NodeID: uint32(w.ID), Compressed: compressed, Quantized: quantized,
-			Payload: out,
+			Kind: KindResult, ImageID: t.img, TileID: t.tile,
+			Compressed: compressed, Quantized: quantized, Payload: out,
 			TraceID: t.traceID, SpanID: t.spanID, Timing: &t.tm,
 		}
-		err := s.conn.Send(res)
+		err = s.conn.Send(res)
 		putWorkerTask(t)
 		if err != nil {
 			if ctx.Err() != nil {
@@ -495,17 +473,7 @@ func (w *Worker) boundaryEncode(y *tensor.Tensor, tm *ConvTiming, buf []byte) ([
 		}
 		return out, true, false, nil
 	}
-	if opt.Int8 {
-		mn, mx := tensor.MinMax(y.Data)
-		if af, aerr := quant.AffineFor(mn, mx); aerr == nil {
-			buf = growBytes(buf, QuantTensorWireSize(y))
-			out := AppendQuantTensor(buf[:0], y, af)
-			tm.EncodeNs = w.now()
-			return out, false, true, nil
-		}
-	}
-	buf = growBytes(buf, TensorWireSize(y))
-	out := AppendTensor(buf[:0], y)
+	out, levels := encodeLevelsOrRaw(buf, y, opt.Int8)
 	tm.EncodeNs = w.now()
-	return out, false, false, nil
+	return out, false, levels, nil
 }

@@ -38,17 +38,16 @@ import (
 // objective sits at 2.5×p99, so the slow node is unambiguously bad and
 // the healthy nodes unambiguously good however loaded the host is.
 type ChaosBenchConfig struct {
-	Nodes         int           // cluster size (default 4)
-	BaseDelay     time.Duration // healthy per-tile Conv service time (default 2ms)
-	FastWindow    time.Duration // SLO fast burn window (default 500ms)
-	SlowWindow    time.Duration // SLO slow burn window (default 2s)
-	Baseline      time.Duration // healthy traffic before calibration (default 1.5×slow)
-	Timeout       time.Duration // per-assertion wait bound (default 6×slow)
-	ProbeInterval time.Duration // link probe cadence (default 25ms)
-	ThrottleRate  int64         // bandwidth drill cap, bytes/sec (default 96 KiB/s)
-	SlowFactor    float64       // slow-node drill service time, ×(baseline p99) (default 5)
-	Skew          time.Duration // clock-skew drill injection (default 30ms)
-	Drills        []string      // subset of bandwidth|crash|skew|slownode (default all)
+	Nodes        int           // cluster size (default 4)
+	BaseDelay    time.Duration // healthy per-tile Conv service time (default 2ms)
+	FastWindow   time.Duration // SLO fast burn window (default 500ms)
+	SlowWindow   time.Duration // SLO slow burn window (default 2s)
+	Baseline     time.Duration // healthy traffic before calibration (default 1.5×slow)
+	Timeout      time.Duration // per-assertion wait bound (default 6×slow)
+	ThrottleRate int64         // bandwidth drill cap, bytes/sec (default 96 KiB/s)
+	SlowFactor   float64       // slow-node drill service time, ×(baseline p99) (default 5)
+	Skew         time.Duration // clock-skew drill injection (default 30ms)
+	Drills       []string      // subset of bandwidth|crash|skew|slownode (default all)
 }
 
 func (c *ChaosBenchConfig) fill() {
@@ -69,9 +68,6 @@ func (c *ChaosBenchConfig) fill() {
 	}
 	if c.Timeout <= 0 {
 		c.Timeout = 6 * c.SlowWindow
-	}
-	if c.ProbeInterval <= 0 {
-		c.ProbeInterval = 25 * time.Millisecond
 	}
 	if c.ThrottleRate <= 0 {
 		c.ThrottleRate = 96 << 10
@@ -96,14 +92,14 @@ type chaosDrill struct {
 }
 
 // chaosDrills is the schedule, in run order. The link faults run under
-// link-aware dispatch with probes keeping the estimates fresh. The slow
-// node is a gray failure the SLO engine and the health scorer must
-// catch on their own, so it runs speed-only without probes, paced at
-// 1.5× the injected service time: a fault that slowed the image rate
+// link-aware dispatch, the estimates fed by the closed-loop tile
+// traffic. The slow node is a gray failure the SLO engine and the
+// health scorer must catch on their own, so it runs speed-only, paced
+// at 1.5× the injected service time: a fault that slowed the image rate
 // would skew the good/bad tile mix inside the burn windows and stretch
 // detection for reasons that have nothing to do with the engine.
 func chaosDrills(cfg ChaosBenchConfig) []chaosDrill {
-	linkAware := core.CentralConfig{ProbeEvery: cfg.ProbeInterval, LinkAware: true}
+	linkAware := core.CentralConfig{LinkAware: true}
 	return []chaosDrill{
 		{"bandwidth", linkAware, 0, drillBandwidth},
 		{"crash", linkAware, 0, drillCrash},
@@ -172,7 +168,6 @@ type ChaosReport struct {
 
 	FastWindowMs    float64 `json:"fast_window_ms"`
 	SlowWindowMs    float64 `json:"slow_window_ms"`
-	ProbeIntervalMs float64 `json:"probe_interval_ms"`
 	ThrottleRateBps int64   `json:"throttle_rate_bps"`
 
 	Pass   bool               `json:"pass"`
@@ -192,7 +187,6 @@ func ChaosBench(cfg ChaosBenchConfig) (*ChaosReport, error) {
 		Nodes:           cfg.Nodes,
 		FastWindowMs:    ms(cfg.FastWindow),
 		SlowWindowMs:    ms(cfg.SlowWindow),
-		ProbeIntervalMs: ms(cfg.ProbeInterval),
 		ThrottleRateBps: cfg.ThrottleRate,
 		Pass:            true,
 	}
@@ -470,8 +464,9 @@ func drillBandwidth(cl *drillRig, res *ChaosDrillResult) {
 	// itself paces the throttled writes, so it is the direction where
 	// the estimate must land inside the 25% band; the uplink estimate
 	// is judged on detecting the collapse (order of magnitude down from
-	// healthy), since probe echoes queued behind throttled transfers
-	// bias its one-way delays.
+	// healthy), since the throttle makes the two directions' delays
+	// asymmetric, which biases the RTT-midpoint clock offset its one-way
+	// delays are mapped with.
 	est, ok := waitFor(cl.ctx, cfg.Timeout, func() (float64, bool) {
 		if s := cl.session(target.idx); s.DownlinkBps > 0 && math.Abs(s.DownlinkBps-rate)/rate <= 0.25 {
 			return s.DownlinkBps, true
@@ -602,7 +597,7 @@ func drillCrash(cl *drillRig, res *ChaosDrillResult) {
 }
 
 // drillSkew shifts the last node's monotonic clock and asserts the
-// probe-fed offset estimator absorbs it in both directions without an
+// offset estimator absorbs it in both directions without an
 // SLO breach — skew must corrupt the phase decomposition only until
 // the estimator catches up, never the Central-side latency SLO.
 func drillSkew(cl *drillRig, res *ChaosDrillResult) {
@@ -616,7 +611,7 @@ func drillSkew(cl *drillRig, res *ChaosDrillResult) {
 		}
 		return 0, false
 	})
-	res.check("probe-warmup", warm, "offset estimator warmed on probe echoes")
+	res.check("offset-warmup", warm, "offset estimator warmed on tile exchanges")
 
 	res.FaultAtMs = cl.sinceMs(time.Now())
 	target.w.SetClockSkew(cfg.Skew)
@@ -684,8 +679,8 @@ func drillSlowNode(cl *drillRig, res *ChaosDrillResult) {
 
 // WriteText renders the drill-by-drill verdicts.
 func (r *ChaosReport) WriteText(w io.Writer) {
-	fprintf(w, "Chaos drill schedule (%s %s, %d nodes, windows %.0fms/%.0fms, probes %.0fms, %d CPUs)\n",
-		r.Model, r.Grid, r.Nodes, r.FastWindowMs, r.SlowWindowMs, r.ProbeIntervalMs, r.NumCPU)
+	fprintf(w, "Chaos drill schedule (%s %s, %d nodes, windows %.0fms/%.0fms, %d CPUs)\n",
+		r.Model, r.Grid, r.Nodes, r.FastWindowMs, r.SlowWindowMs, r.NumCPU)
 	for _, d := range r.Drills {
 		verdict := "PASS"
 		if !d.Pass {

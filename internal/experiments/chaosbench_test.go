@@ -9,7 +9,7 @@ import (
 // TestChaosBenchReducedSchedule runs the crash and clock-skew drills at
 // reduced window sizes — the two schedules that exercise the most
 // concurrency-sensitive machinery (session teardown/reconnect and the
-// probe-fed offset estimator), which is what a race-enabled CI pass is
+// offset estimator), which is what a race-enabled CI pass is
 // for. The full four-drill schedule, including the three-act bandwidth
 // collapse, runs un-instrumented in the chaos CI job via
 // `adcnn-bench -exp chaos`.
