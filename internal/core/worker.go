@@ -11,6 +11,7 @@ import (
 
 	"adcnn/internal/compress"
 	"adcnn/internal/models"
+	"adcnn/internal/nn"
 	"adcnn/internal/telemetry"
 	"adcnn/internal/tensor"
 )
@@ -457,8 +458,10 @@ func (w *Worker) boundaryEncode(y *tensor.Tensor, tm *ConvTiming, buf []byte) ([
 	clipped := opt.Clipped()
 	if clipped {
 		// The boundary's clipped ReLU runs on the Conv node so the result
-		// is sparse before encoding.
-		y = w.Model.Boundary.Layers[0].Forward(y, false)
+		// is sparse before encoding. It clips in place: y is the worker's
+		// own — a fresh front output, or its decode scratch when the front
+		// is empty.
+		w.Model.Boundary.Layers[0].(*nn.ClippedReLU).ForwardInPlace(y)
 	}
 	tm.ComputeEndNs = w.now()
 	if clipped && opt.QuantBits > 0 {

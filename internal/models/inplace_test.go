@@ -1,6 +1,7 @@
 package models
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 
@@ -35,44 +36,62 @@ func allocatingForward(l nn.Layer, x *tensor.Tensor) *tensor.Tensor {
 }
 
 // TestZooInferenceInPlaceIsBitIdentical: for every zoo model, whole and
-// partitioned with a clipped boundary, the inference forward that runs
-// BatchNorm/ReLU in place and adds residual skips into the body's output
-// equals the allocating forward bit for bit, leaves its input alone, and
-// gives the same answer twice.
+// partitioned with a clipped boundary, in f32 and after QuantizeInt8, the
+// inference forward — which fuses each Conv2D → BatchNorm2D [→ ReLU] and
+// each residual block's last conv, sum and ReLU into one GEMM epilogue
+// and runs the other elementwise layers in place — equals the allocating
+// forward bit for bit, leaves its input alone, and gives the same answer
+// twice — on every kernel tier the host reaches.
 func TestZooInferenceInPlaceIsBitIdentical(t *testing.T) {
+	defer tensor.SetKernelTier(tensor.DetectedKernelTier())
+	for _, tier := range []tensor.KernelTier{tensor.TierGeneric, tensor.TierAVX2, tensor.TierAVX512} {
+		if tensor.SetKernelTier(tier) == nil {
+			t.Run(tier.String(), testZooInferenceInPlace)
+		}
+	}
+}
+
+func testZooInferenceInPlace(t *testing.T) {
 	grid := fdsp.Grid{Rows: 2, Cols: 2}
 	cfgs := append(SimScale(), ResNet18())
-	for _, cfg := range cfgs {
-		for _, opt := range []Options{{}, {Grid: grid, ClipLo: 0.1, ClipHi: 2}} {
-			if cfg.Name == "ResNet18" && !opt.Partitioned() {
-				continue // one full-scale build is enough
-			}
-			if opt.Partitioned() && cfg.InputW%grid.Cols != 0 {
-				opt.Grid = fdsp.Grid{Rows: 2, Cols: 1} // the 1-D text model
-			}
-			m, err := Build(cfg, opt, 3)
-			if err != nil {
-				t.Fatalf("%s %+v: %v", cfg.Name, opt, err)
-			}
-			rng := rand.New(rand.NewSource(4))
-			x := tensor.New(1, cfg.InputC, cfg.InputH, cfg.InputW)
-			x.RandN(rng, 1)
-			x0 := x.Clone()
-			want := allocatingForward(m.Net, x)
-			got := m.Net.Forward(x, false)
-			if !got.SameShape(want) {
-				t.Fatalf("%s: shape %v, want %v", cfg.Name, got.Shape, want.Shape)
-			}
-			for i, v := range want.Data {
-				if got.Data[i] != v {
-					t.Fatalf("%s partitioned=%v: output[%d] = %g in place, %g allocating", cfg.Name, opt.Partitioned(), i, got.Data[i], v)
+	for _, mode := range []string{"f32", "int8"} {
+		for _, cfg := range cfgs {
+			for _, opt := range []Options{{}, {Grid: grid, ClipLo: 0.1, ClipHi: 2}} {
+				if cfg.Name == "ResNet18" && !opt.Partitioned() {
+					continue // one full-scale build is enough
 				}
-			}
-			if !x.Equal(x0, 0) {
-				t.Fatalf("%s: forward wrote its input", cfg.Name)
-			}
-			if again := m.Net.Forward(x, false); !again.Equal(got, 0) {
-				t.Fatalf("%s: two forwards on one input differ", cfg.Name)
+				if opt.Partitioned() && cfg.InputW%grid.Cols != 0 {
+					opt.Grid = fdsp.Grid{Rows: 2, Cols: 1} // the 1-D text model
+				}
+				m, err := Build(cfg, opt, 3)
+				if err != nil {
+					t.Fatalf("%s %+v: %v", cfg.Name, opt, err)
+				}
+				if mode == "int8" {
+					if _, err := m.QuantizeInt8(); err != nil {
+						t.Fatalf("%s: %v", cfg.Name, err)
+					}
+				}
+				rng := rand.New(rand.NewSource(4))
+				x := tensor.New(1, cfg.InputC, cfg.InputH, cfg.InputW)
+				x.RandN(rng, 1)
+				x0 := x.Clone()
+				want := allocatingForward(m.Net, x)
+				got := m.Net.Forward(x, false)
+				if !got.SameShape(want) {
+					t.Fatalf("%s %s: shape %v, want %v", mode, cfg.Name, got.Shape, want.Shape)
+				}
+				for i, v := range want.Data {
+					if math.Float32bits(got.Data[i]) != math.Float32bits(v) {
+						t.Fatalf("%s %s partitioned=%v: output[%d] = %g fused, %g allocating", mode, cfg.Name, opt.Partitioned(), i, got.Data[i], v)
+					}
+				}
+				if !x.Equal(x0, 0) {
+					t.Fatalf("%s %s: forward wrote its input", mode, cfg.Name)
+				}
+				if again := m.Net.Forward(x, false); !again.Equal(got, 0) {
+					t.Fatalf("%s %s: two forwards on one input differ", mode, cfg.Name)
+				}
 			}
 		}
 	}

@@ -32,7 +32,8 @@ func (r *ReLU) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	return y
 }
 
-func (r *ReLU) forwardInPlace(x *tensor.Tensor) { reluInto(x.Data, x.Data) }
+// ForwardInPlace overwrites x with Forward(x, false).
+func (r *ReLU) ForwardInPlace(x *tensor.Tensor) { reluInto(x.Data, x.Data) }
 
 // reluInto writes v where v > 0 and +0 elsewhere (negatives, -0, NaN);
 // dst may be src. The sign of an activation is a coin toss, so the test
@@ -109,7 +110,8 @@ func (c *ClippedReLU) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	return y
 }
 
-func (c *ClippedReLU) forwardInPlace(x *tensor.Tensor) { c.clipInto(x.Data, x.Data, false) }
+// ForwardInPlace overwrites x with Forward(x, false).
+func (c *ClippedReLU) ForwardInPlace(x *tensor.Tensor) { c.clipInto(x.Data, x.Data, false) }
 
 // clipInto writes the rectifier of every element; dst may be src.
 func (c *ClippedReLU) clipInto(dst, src []float32, train bool) {

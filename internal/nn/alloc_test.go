@@ -1,6 +1,7 @@
 package nn
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 
@@ -24,6 +25,48 @@ func TestConv2DForwardIntoInferenceAllocFree(t *testing.T) {
 	// Tolerate sub-1 noise from a GC sweep emptying the sync.Pool mid-run.
 	if allocs >= 0.5 {
 		t.Fatalf("Conv2D.ForwardInto(train=false) allocates %v per call, want 0", allocs)
+	}
+}
+
+// TestFusedConvAllocatesOnlyItsOutput: at inference a Conv2D → BatchNorm2D
+// → ReLU chain, and a residual block whose body ends in Conv2D →
+// BatchNorm2D, allocate their conv outputs and nothing else — the same
+// count as Conv2D.Forward per conv — in f32 and in int8.
+func TestFusedConvAllocatesOnlyItsOutput(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race detector makes sync.Pool drop puts; alloc counts are meaningless")
+	}
+	rng := rand.New(rand.NewSource(6))
+	conv := NewConv2D("c", 8, 8, 3, 3, 1, 1, rng).NoBias()
+	chain := NewSequential("chain", conv, randBN(rng, "bn", 8), NewReLU("r"))
+	res := NewResidual("res", NewSequential("body",
+		NewConv2D("c1", 8, 8, 3, 3, 1, 1, rng).NoBias(), randBN(rng, "bn1", 8), NewReLU("r1"),
+		NewConv2D("c2", 8, 8, 3, 3, 1, 1, rng).NoBias(), randBN(rng, "bn2", 8)), nil)
+	x := tensor.New(1, 8, 12, 12)
+	x.RandU(rng, -1, 1)
+	allocs := func(l Layer) float64 {
+		l.Forward(x, false) // prime the pools
+		return testing.AllocsPerRun(50, func() { l.Forward(x, false) })
+	}
+	for _, mode := range []string{"f32", "int8"} {
+		if mode == "int8" {
+			for _, root := range []Layer{chain, res} {
+				if _, err := QuantizeInt8(root); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := conv.QuantizeInt8(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		// Within 0.5: a GC emptying a sync.Pool mid-run costs a fraction.
+		one := allocs(conv)
+		if got := allocs(chain); math.Abs(got-one) >= 0.5 {
+			t.Errorf("%s: conv → bn → relu allocates %v per forward, Conv2D.Forward %v", mode, got, one)
+		}
+		if got := allocs(res); math.Abs(got-2*one) >= 0.5 {
+			t.Errorf("%s: residual block allocates %v per forward, two Conv2D.Forward %v", mode, got, 2*one)
+		}
 	}
 }
 

@@ -132,26 +132,36 @@ func (bn *BatchNorm2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	return y
 }
 
-func (bn *BatchNorm2D) forwardInPlace(x *tensor.Tensor) {
-	if x.Rank() != 4 || x.Shape[1] != bn.C {
-		panic(fmt.Sprintf("nn: %s expects NCHW with C=%d, got %v", bn.label, bn.C, x.Shape))
-	}
-	bn.foldedInto(x.Data, x.Data, x.Shape[0], x.Shape[2]*x.Shape[3])
+// fold returns channel ch's inference transform y = a·x + b, the
+// running statistics folded into a and b. It is computed per call and
+// never cached, so it cannot go stale after training; foldedInto and a
+// conv fused with this layer (convPost) both take it from here.
+func (bn *BatchNorm2D) fold(ch int) (a, b float32) {
+	inv := float32(1.0 / math.Sqrt(float64(bn.RunningVar.Data[ch])+float64(bn.Eps)))
+	a = bn.Gamma.Value.Data[ch] * inv
+	return a, bn.Beta.Value.Data[ch] - float32(bn.RunningMean.Data[ch]*a)
 }
 
-// foldedInto applies the inference transform y = a·x + b per channel with
-// the running statistics folded into a and b; dst may be src.
+// foldInto sets ep's Scale and Shift to the layer's inference
+// transform, written into the first 2·C floats of scratch.
+func (bn *BatchNorm2D) foldInto(ep *tensor.Epilogue, scratch []float32) {
+	ep.Scale, ep.Shift = scratch[:bn.C], scratch[bn.C:2*bn.C]
+	for ch := range ep.Scale {
+		ep.Scale[ch], ep.Shift[ch] = bn.fold(ch)
+	}
+}
+
+// foldedInto applies the inference transform per channel, the multiply
+// and the add each rounded on its own (as the GEMM epilogue does them).
 func (bn *BatchNorm2D) foldedInto(dst, src []float32, n, plane int) {
 	sample := bn.C * plane
 	for ch := 0; ch < bn.C; ch++ {
-		inv := float32(1.0 / math.Sqrt(float64(bn.RunningVar.Data[ch])+float64(bn.Eps)))
-		a := bn.Gamma.Value.Data[ch] * inv
-		b := bn.Beta.Value.Data[ch] - bn.RunningMean.Data[ch]*a
+		a, b := bn.fold(ch)
 		for i := 0; i < n; i++ {
 			s := src[i*sample+ch*plane : i*sample+(ch+1)*plane]
 			d := dst[i*sample+ch*plane : i*sample+(ch+1)*plane]
 			for j, v := range s {
-				d[j] = a*v + b
+				d[j] = float32(a*v) + b
 			}
 		}
 	}

@@ -68,10 +68,26 @@ func (c *Conv2D) oneByOne() bool {
 
 // Forward computes y[n] = W·im2col(x[n]) + b for each sample n.
 func (c *Conv2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
+	return c.forward(x, train, convPost{})
+}
+
+// convPost is what an inference conv fused with the layers after it
+// applies to its output in the GEMM epilogue: a BatchNorm over its
+// channels (nil: none), a residual skip shaped like its output (nil:
+// none), and a ReLU — in that order, each giving bit for bit what the
+// layer's own pass over the output would store.
+type convPost struct {
+	bn   *BatchNorm2D
+	skip *tensor.Tensor
+	relu bool
+}
+
+// forward is Forward with post applied, allocating only the output.
+func (c *Conv2D) forward(x *tensor.Tensor, train bool, post convPost) *tensor.Tensor {
 	n, h, w := x.Shape[0], x.Shape[2], x.Shape[3]
 	oh, ow := c.Geom.OutSize(h, w)
 	y := tensor.New(n, c.OutC, oh, ow)
-	c.ForwardInto(y, x, train)
+	c.forwardInto(y, x, train, post)
 	return y
 }
 
@@ -80,6 +96,10 @@ func (c *Conv2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 // comes from the tensor buffer pool, so the call is allocation-free — the
 // hot path for FDSP tile serving.
 func (c *Conv2D) ForwardInto(y, x *tensor.Tensor, train bool) {
+	c.forwardInto(y, x, train, convPost{})
+}
+
+func (c *Conv2D) forwardInto(y, x *tensor.Tensor, train bool, post convPost) {
 	if x.Rank() != 4 {
 		panic(fmt.Sprintf("nn: %s expects NCHW input, got %v", c.label, x.Shape))
 	}
@@ -91,6 +111,9 @@ func (c *Conv2D) ForwardInto(y, x *tensor.Tensor, train bool) {
 	if y.Rank() != 4 || y.Shape[0] != n || y.Shape[1] != c.OutC || y.Shape[2] != oh || y.Shape[3] != ow {
 		panic(fmt.Sprintf("nn: %s output shape %v, want [%d %d %d %d]", c.label, y.Shape, n, c.OutC, oh, ow))
 	}
+	if post.skip != nil && !post.skip.SameShape(y) {
+		panic(fmt.Sprintf("nn: %s output %v, residual skip %v", c.label, y.Shape, post.skip.Shape))
+	}
 	if train {
 		c.inShape = []int{n, c.InC, h, w}
 		c.cols = make([]*tensor.Tensor, n)
@@ -99,33 +122,56 @@ func (c *Conv2D) ForwardInto(y, x *tensor.Tensor, train bool) {
 	// parallelises cleanly across the batch. Single-sample (and
 	// single-proc) calls take the direct loop: no closure, no goroutines,
 	// no allocations.
-	if !train && c.int8w != nil {
-		if n == 1 || runtime.GOMAXPROCS(0) == 1 {
-			for i := 0; i < n; i++ {
-				c.forwardSampleInt8(y.Data, x.Data, i, h, w, oh, ow)
-			}
-			return
-		}
-		parallel.For(n, func(i int) {
-			c.forwardSampleInt8(y.Data, x.Data, i, h, w, oh, ow)
-		})
-		return
-	}
 	if n == 1 || runtime.GOMAXPROCS(0) == 1 {
 		for i := 0; i < n; i++ {
-			c.forwardSample(y.Data, x.Data, i, h, w, oh, ow, train)
+			c.forwardOne(y.Data, x.Data, i, h, w, oh, ow, train, post)
 		}
 		return
 	}
 	parallel.For(n, func(i int) {
-		c.forwardSample(y.Data, x.Data, i, h, w, oh, ow, train)
+		c.forwardOne(y.Data, x.Data, i, h, w, oh, ow, train, post)
 	})
 }
 
+// forwardOne computes sample i in the mode the layer runs in, with
+// post's ReLU and the same sample of its skip; the BatchNorm is folded
+// where the sample takes its scratch.
+func (c *Conv2D) forwardOne(yd, xd []float32, i, h, w, oh, ow int, train bool, post convPost) {
+	ep := tensor.Epilogue{Bias: c.bias(), ReLU: post.relu}
+	if post.skip != nil {
+		outSample := c.OutC * oh * ow
+		ep.Skip = post.skip.Data[i*outSample : (i+1)*outSample]
+	}
+	if !train && c.int8w != nil {
+		c.forwardSampleInt8(yd, xd, i, h, w, oh, ow, ep, post.bn)
+		return
+	}
+	c.forwardSample(yd, xd, i, h, w, oh, ow, train, ep, post.bn)
+}
+
+// bias is the layer's additive bias, nil when it has none.
+func (c *Conv2D) bias() []float32 {
+	if c.UseBias {
+		return c.Bias.Value.Data
+	}
+	return nil
+}
+
+// foldLen is how many floats of scratch bn's fold takes: 2·OutC, or 0
+// without a BatchNorm.
+func (c *Conv2D) foldLen(bn *BatchNorm2D) int {
+	if bn == nil {
+		return 0
+	}
+	return 2 * c.OutC
+}
+
 // forwardSample computes one sample's output plane stack. The bias seeds
-// the GEMM's accumulators, so the output is written once: no clearing
-// pass before the product and no bias pass after it.
-func (c *Conv2D) forwardSample(yd, xd []float32, i, h, w, oh, ow int, train bool) {
+// the GEMM's accumulators and ep's post-ops — with bn, when not nil,
+// folded into its scale and shift — run before its store, so the output
+// is written once: no clearing pass before the product and no pass after
+// it.
+func (c *Conv2D) forwardSample(yd, xd []float32, i, h, w, oh, ow int, train bool, ep tensor.Epilogue, bn *BatchNorm2D) {
 	kdim := c.InC * c.Geom.KH * c.Geom.KW
 	plane := oh * ow
 	sample := c.InC * h * w
@@ -133,27 +179,34 @@ func (c *Conv2D) forwardSample(yd, xd []float32, i, h, w, oh, ow int, train bool
 	xs := xd[i*sample : (i+1)*sample]
 	ys := yd[i*outSample : (i+1)*outSample]
 	wd := c.Weight.Value.Data
-	var bias []float32
-	if c.UseBias {
-		bias = c.Bias.Value.Data
-	}
 	switch {
 	case c.oneByOne():
 		if train {
 			c.cols[i] = tensor.FromSlice(xs, c.InC, h*w)
 		}
-		tensor.GemmBiasInto(ys, wd, xs, bias, c.OutC, kdim, plane)
+		if bn != nil {
+			ab := tensor.GetBuf(c.foldLen(bn))
+			defer tensor.PutBuf(ab)
+			bn.foldInto(&ep, ab)
+		}
+		tensor.GemmEpilogueInto(ys, wd, xs, c.OutC, kdim, plane, ep)
 	case train:
 		// Training keeps the column matrix for Backward; its storage is
 		// pooled and recycled there.
 		cols := tensor.GetTensor(kdim, plane)
 		tensor.Im2ColSlice(cols.Data, xs, c.InC, h, w, c.Geom)
 		c.cols[i] = cols
-		tensor.GemmBiasInto(ys, wd, cols.Data, bias, c.OutC, kdim, plane)
+		tensor.GemmEpilogueInto(ys, wd, cols.Data, c.OutC, kdim, plane, ep)
 	default:
-		buf := tensor.GetBuf(kdim * plane)
-		tensor.Im2ColSlice(buf, xs, c.InC, h, w, c.Geom)
-		tensor.GemmBiasInto(ys, wd, buf, bias, c.OutC, kdim, plane)
+		// The fold rides at the end of the column scratch: a pool bucket
+		// of its own would be one more to refill after every GC.
+		buf := tensor.GetBuf(kdim*plane + c.foldLen(bn))
+		if bn != nil {
+			bn.foldInto(&ep, buf[kdim*plane:])
+		}
+		cols := buf[:kdim*plane]
+		tensor.Im2ColSlice(cols, xs, c.InC, h, w, c.Geom)
+		tensor.GemmEpilogueInto(ys, wd, cols, c.OutC, kdim, plane, ep)
 		tensor.PutBuf(buf)
 	}
 }

@@ -2,6 +2,7 @@ package nn
 
 import (
 	"fmt"
+	"unsafe"
 
 	"adcnn/internal/quant"
 	"adcnn/internal/tensor"
@@ -39,10 +40,11 @@ func (c *Conv2D) Int8() bool { return c.int8w != nil }
 
 // forwardSampleInt8 is the int8 counterpart of forwardSample: quantizing
 // im2col into pooled uint8 scratch, then the int8 GEMM with its fused
-// requantize+bias into ys. Zero allocations. If the sample's activation
-// range is non-finite (NaN/Inf input) it falls back to the f32 path,
-// which propagates the values faithfully.
-func (c *Conv2D) forwardSampleInt8(yd, xd []float32, i, h, w, oh, ow int) {
+// requantize, bias and ep's post-ops (bn folded in when not nil) into ys.
+// Zero allocations. If the sample's activation range is non-finite
+// (NaN/Inf input) it falls back to the f32 path, with the same
+// epilogue, which propagates the values faithfully.
+func (c *Conv2D) forwardSampleInt8(yd, xd []float32, i, h, w, oh, ow int, ep tensor.Epilogue, bn *BatchNorm2D) {
 	plane := oh * ow
 	sample := c.InC * h * w
 	outSample := c.OutC * plane
@@ -51,26 +53,27 @@ func (c *Conv2D) forwardSampleInt8(yd, xd []float32, i, h, w, oh, ow int) {
 	mn, mx := tensor.MinMax(xs)
 	af, err := quant.AffineFor(mn, mx)
 	if err != nil {
-		c.forwardSample(yd, xd, i, h, w, oh, ow, false)
+		c.forwardSample(yd, xd, i, h, w, oh, ow, false, ep, bn)
 		return
 	}
-	kp := c.int8w.KP
-	bq := tensor.GetBytes(plane * kp)
-	tensor.Im2ColQuantSlice(bq, xs, c.InC, h, w, c.Geom, af.InvScale(), af.Zero, kp)
-	c.int8Gemm(ys, bq, plane, af)
+	// The fold rides at the end of the column scratch, as in forwardSample;
+	// the columns are kp-byte rows, so it starts 16-byte aligned.
+	cols := plane * c.int8w.KP
+	bq := tensor.GetBytes(cols + 4*c.foldLen(bn))
+	if bn != nil {
+		bn.foldInto(&ep, unsafe.Slice((*float32)(unsafe.Pointer(&bq[cols])), c.foldLen(bn)))
+	}
+	tensor.Im2ColQuantSlice(bq[:cols], xs, c.InC, h, w, c.Geom, af.InvScale(), af.Zero, c.int8w.KP)
+	c.int8Gemm(ys, bq[:cols], plane, af, ep)
 	tensor.PutBytes(bq)
 }
 
 // int8Gemm multiplies the packed activation columns against the int8
-// weight snapshot, requantizing each output channel row (with bias)
-// into ys[OutC][plane] as the kernel finishes it.
-func (c *Conv2D) int8Gemm(ys []float32, bq []uint8, plane int, af quant.Affine) {
-	var bias []float32
-	if c.UseBias {
-		bias = c.Bias.Value.Data
-	}
+// weight snapshot, requantizing each output channel row (with ep's bias
+// and post-ops) into ys[OutC][plane] as the kernel finishes it.
+func (c *Conv2D) int8Gemm(ys []float32, bq []uint8, plane int, af quant.Affine, ep tensor.Epilogue) {
 	tensor.GemmInt8RequantInto(ys, plane, c.int8w.Data, bq, c.OutC, plane, c.int8w.KP, tensor.Int8Requant{
-		WScale: c.int8w.Scales, RowSum: c.int8w.RowSum, Bias: bias, XScale: af.Scale, XZero: int32(af.Zero)})
+		WScale: c.int8w.Scales, RowSum: c.int8w.RowSum, XScale: af.Scale, XZero: int32(af.Zero), Epilogue: ep})
 }
 
 // ForwardLevelsInto runs the int8 forward on a single sample whose
@@ -95,6 +98,6 @@ func (c *Conv2D) ForwardLevelsInto(y *tensor.Tensor, levels []uint8, h, w int, a
 	kp := c.int8w.KP
 	bq := tensor.GetBytes(plane * kp)
 	tensor.Im2ColU8Slice(bq, levels, c.InC, h, w, c.Geom, af.Zero, kp)
-	c.int8Gemm(y.Data, bq, plane, af)
+	c.int8Gemm(y.Data, bq, plane, af, tensor.Epilogue{Bias: c.bias()})
 	tensor.PutBytes(bq)
 }

@@ -123,10 +123,13 @@ func TestInt8LayersBitIdenticalToUnfused(t *testing.T) {
 // sample — the first element, inside each vector step, in every lane of
 // the min/max chains and in the scalar tail — and requires the int8
 // conv and linear forwards to hand the sample to the f32 path, whose
-// output they must then match bit for bit.
+// output they must then match bit for bit. The conv also runs fused with
+// a BatchNorm and a ReLU, whose fallback keeps the epilogue: the int8
+// chain must equal the f32 layers run one pass each.
 func TestInt8ForwardNaNTakesF32Fallback(t *testing.T) {
 	rng := rand.New(rand.NewSource(67))
 	conv := NewConv2D("t", 8, 4, 3, 3, 1, 1, rng)
+	chain := NewSequential("fused", conv, randBN(rng, "bn", 4), NewReLU("r"))
 	lin := NewLinear("t", 200, 6, rng)
 	x := tensor.New(1, 8, 5, 5) // 200 elements: six 32-wide steps and a tail of 8
 	x.RandU(rng, -1, 1)
@@ -144,6 +147,7 @@ func TestInt8ForwardNaNTakesF32Fallback(t *testing.T) {
 		lin.ClearInt8()
 		conv.ForwardInto(yf, x, false)
 		lin.ForwardInto(ylf, xl, false)
+		passes := eachDirectly(chain.Layers, x)
 		if err := conv.QuantizeInt8(); err != nil {
 			t.Fatal(err)
 		}
@@ -154,6 +158,7 @@ func TestInt8ForwardNaNTakesF32Fallback(t *testing.T) {
 		lin.ForwardInto(ylq, xl, false)
 		sameBits(t, "conv with NaN", yq.Data, yf.Data)
 		sameBits(t, "linear with NaN", ylq.Data, ylf.Data)
+		sameBits(t, "fused conv → bn → relu with NaN", chain.Forward(x, false).Data, passes.Data)
 		x.Data[p] = saved
 	}
 }

@@ -66,29 +66,62 @@ func (s *Sequential) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 }
 
 // inPlacer is an elementwise layer whose inference forward can overwrite
-// its input: forwardInPlace(x) leaves in x what Forward(x, false) returns.
+// its input: ForwardInPlace(x) leaves in x what Forward(x, false) returns.
 type inPlacer interface {
-	forwardInPlace(x *tensor.Tensor)
+	ForwardInPlace(x *tensor.Tensor)
 }
 
-// forwardChain runs layers in order. At inference an inPlacer that
-// follows a layer of the same chain works in that layer's output instead
-// of allocating its own: the chain made that tensor and nothing else
-// holds it. The chain's input is never written — until some layer has
-// returned storage of its own (not a view of what it was given, as
-// Flatten and an empty Sequential do), inPlacers allocate like any layer.
+// forwardChain runs layers in order. At inference it fuses: a Conv2D
+// followed by a BatchNorm2D over its channels, and by a ReLU if one comes
+// next, runs as one conv call whose GEMM applies the BatchNorm and the
+// ReLU before its store (bit for bit what their passes would leave). An
+// inPlacer that follows a layer of the same chain works in that layer's
+// output instead of allocating its own: the chain made that tensor and
+// nothing else holds it. The chain's input is never written — until some
+// layer has returned storage of its own (not a view of what it was
+// given, as Flatten and an empty Sequential do), inPlacers allocate like
+// any layer.
 func forwardChain(layers []Layer, x *tensor.Tensor, train bool) *tensor.Tensor {
 	owned := false
-	for _, l := range layers {
-		if ip, ok := l.(inPlacer); ok && owned && !train {
-			ip.forwardInPlace(x)
-			continue
+	for i := 0; i < len(layers); i++ {
+		if !train {
+			if conv, post, span := convBN(layers[i:]); span > 0 {
+				x = conv.forward(x, false, post)
+				owned = true
+				i += span - 1
+				continue
+			}
+			if ip, ok := layers[i].(inPlacer); ok && owned {
+				ip.ForwardInPlace(x)
+				continue
+			}
 		}
-		y := l.Forward(x, train)
+		y := layers[i].Forward(x, train)
 		owned = owned || !sameStorage(y, x)
 		x = y
 	}
 	return x
+}
+
+// convBN matches the fusable pattern at the head of layers — a Conv2D,
+// a BatchNorm2D over its output channels, then a ReLU or not — and
+// returns the conv, the post-ops of the layers after it, and how many
+// layers the match spans (0: none).
+func convBN(layers []Layer) (*Conv2D, convPost, int) {
+	if len(layers) < 2 {
+		return nil, convPost{}, 0
+	}
+	conv, ok := layers[0].(*Conv2D)
+	bn, isBN := layers[1].(*BatchNorm2D)
+	if !ok || !isBN || bn.C != conv.OutC {
+		return nil, convPost{}, 0
+	}
+	if len(layers) > 2 {
+		if _, ok := layers[2].(*ReLU); ok {
+			return conv, convPost{bn: bn, relu: true}, 3
+		}
+	}
+	return conv, convPost{bn: bn}, 2
 }
 
 // sameStorage reports whether two tensors view the same backing array.

@@ -23,6 +23,11 @@ func NewResidual(label string, body *Sequential, shortcut *Sequential) *Residual
 
 // Forward computes ReLU(body(x) + shortcut(x)).
 func (r *Residual) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
+	if !train {
+		if y := r.forwardFused(x); y != nil {
+			return y
+		}
+	}
 	main := r.Body.Forward(x, train)
 	var skip *tensor.Tensor
 	if r.Shortcut != nil {
@@ -38,8 +43,25 @@ func (r *Residual) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	}
 	// Inference: the body made main and nothing else holds it, so the sum
 	// and the rectifier both happen there.
-	r.relu.forwardInPlace(main.Add(skip))
+	r.relu.ForwardInPlace(main.Add(skip))
 	return main
+}
+
+// forwardFused is the inference forward of a body that ends with
+// Conv2D → BatchNorm2D: the shortcut runs first and that conv takes it
+// as its residual skip, so the BatchNorm, the sum and the ReLU all
+// happen in its GEMM epilogue. It returns nil for any other body.
+func (r *Residual) forwardFused(x *tensor.Tensor) *tensor.Tensor {
+	n := len(r.Body.Layers)
+	conv, post, span := convBN(r.Body.Layers[max(n-2, 0):])
+	if span != 2 {
+		return nil
+	}
+	post.skip, post.relu = x, true
+	if r.Shortcut != nil {
+		post.skip = r.Shortcut.Forward(x, false)
+	}
+	return conv.forward(forwardChain(r.Body.Layers[:n-2], x, false), false, post)
 }
 
 // Backward propagates through the ReLU, the body, and the shortcut,

@@ -11,8 +11,10 @@ import (
 // MR×NR tiles and hands each to the tier's micro-kernel (gemmTile):
 //
 //   - the kernel holds its tile in registers over the whole of k, seeds
-//     row r with bias[r] and stores once, so C is never zeroed or re-read
-//     and a convolution's bias costs nothing;
+//     row r with bias[r], applies the epilogue's post-ops (folded
+//     BatchNorm, residual add, ReLU) and stores once, so C is never
+//     zeroed or re-read and a convolution's bias, BatchNorm, shortcut and
+//     rectifier cost no pass over memory;
 //   - every C element is accumulated in ascending k, one step per k,
 //     whichever tile it falls in: a block of C computed alone, on another
 //     thread, or as part of a wider product is bit-identical, which is
@@ -44,46 +46,112 @@ const (
 	gemmMaxTile = 6 * 64 // most elements in a tile of any tier
 )
 
+// Epilogue is what a GEMM does to row i of its output besides the
+// product, in the register tile before the single store. Bias[i] joins
+// the sum (the f32 engine seeds the accumulators with it, the int8
+// engine adds it after requantizing); then, in this order, each op
+// rounded on its own (never fused):
+//
+//	y = float32(Scale[i]·y) + Shift[i]   a folded BatchNorm, when Scale != nil
+//	y = y + Skip[i·ld + j]               a residual add, when Skip != nil
+//	y = max(y, +0)                       a ReLU, when ReLU; NaN and −0 give +0
+//
+// — bit for bit what a separate pass of each would store. Skip is laid
+// out like the output (the same row stride ld). Nil slices skip their
+// op; the zero Epilogue is a plain product.
+type Epilogue struct {
+	Bias         []float32
+	Scale, Shift []float32
+	Skip         []float32
+	ReLU         bool
+}
+
+// fits reports whether every slice the epilogue uses covers m rows of
+// an output n wide with row stride ld.
+func (ep *Epilogue) fits(m, n, ld int) bool {
+	return (ep.Bias == nil || len(ep.Bias) >= m) &&
+		(ep.Scale == nil || len(ep.Scale) >= m && len(ep.Shift) >= m) &&
+		(ep.Skip == nil || m == 0 || len(ep.Skip) >= (m-1)*ld+n)
+}
+
+// rowPost is an epilogue's post-ops on one output row in scalar Go: the
+// portable kernels' epilogue, and the op order the assembly keeps.
+type rowPost struct {
+	affine       bool
+	scale, shift float32
+	skip         []float32
+	relu         bool
+}
+
+func (p rowPost) apply(y []float32) {
+	for j, v := range y {
+		if p.affine {
+			v = float32(p.scale*v) + p.shift
+		}
+		if p.skip != nil {
+			v += p.skip[j]
+		}
+		if p.relu && !(v > 0) {
+			v = 0
+		}
+		y[j] = v
+	}
+}
+
 // GemmInto computes C = A·B on raw row-major slices: c[m*n] is
 // overwritten with a[m*k]·b[k*n]. It is the slice-level core behind the
 // tensor matmul API; hot paths that must not allocate call it directly.
-func GemmInto(c, a, b []float32, m, k, n int) { GemmBiasInto(c, a, b, nil, m, k, n) }
+func GemmInto(c, a, b []float32, m, k, n int) { GemmEpilogueInto(c, a, b, m, k, n, Epilogue{}) }
 
-// GemmBiasInto is GemmInto with row i of C seeded with bias[i] (a
-// convolution's per-output-channel bias): C = bias·1ᵀ + A·B. A nil bias
-// is zero.
-func GemmBiasInto(c, a, b, bias []float32, m, k, n int) {
-	if len(c) < m*n || len(a) < m*k || len(b) < k*n || (bias != nil && len(bias) < m) {
+// GemmEpilogueInto is GemmInto with ep applied to every row of C as its
+// tile finishes: C = post(bias·1ᵀ + A·B), a convolution layer and what
+// follows it at inference in one pass. Skip rows are n apart, like C's.
+func GemmEpilogueInto(c, a, b []float32, m, k, n int, ep Epilogue) {
+	if len(c) < m*n || len(a) < m*k || len(b) < k*n || !ep.fits(m, n, n) {
 		panic("tensor: GemmInto operand shorter than its shape")
 	}
 	if m == 0 || n == 0 {
 		return
 	}
-	if k == 0 { // C = bias·1ᵀ; the kernels want a first row of A and B
-		for i := range c[:m*n] {
-			c[i] = 0
-			if bias != nil {
-				c[i] = bias[i/n]
+	if k == 0 { // C = post(bias·1ᵀ); the kernels want a first row of A and B
+		post := gemmPost{scale: ep.Scale, shift: ep.Shift, skip: ep.Skip, ldskip: n, relu: ep.ReLU}
+		for i := 0; i < m; i++ {
+			row := c[i*n : (i+1)*n]
+			clear(row)
+			if ep.Bias != nil {
+				for j := range row {
+					row[j] = ep.Bias[i]
+				}
 			}
+			post.row(i, n).apply(row)
 		}
 		return
 	}
-	g := gemmCall{c: c, a: a, b: b, bias: bias, m: m, k: k, n: n}
+	g := gemmCall{c: c, a: a, b: b, m: m, k: k, n: n, ep: ep}
 	g.mr, g.nr = gemmTileShape()
 	if r := m % g.mr; r != 0 {
 		// The bottom edge is computed as a full tile whose last r rows are
-		// the live ones: the last mr rows of A, overlapping the tile above,
-		// or — when A is shorter than one tile — a copy padded on top.
+		// the live ones: the last mr rows of every operand, overlapping the
+		// tile above, or — when C is shorter than one tile — copies padded
+		// on top.
 		if m >= g.mr {
-			g.edgeA = a[(m-g.mr)*k:]
+			g.edgeA, g.edge = a[(m-g.mr)*k:], ep.from(m-g.mr, n)
 		} else {
-			g.edgeA = GetBuf(g.mr * k)
-			defer PutBuf(g.edgeA)
-			clear(g.edgeA[:(g.mr-r)*k])
-			copy(g.edgeA[(g.mr-r)*k:], a[:m*k])
-		}
-		if bias != nil {
-			copy(g.edgeBias[g.mr-r:], bias[m-r:m])
+			buf := GetBuf(g.mr * (k + 3 + n))
+			defer PutBuf(buf)
+			g.edgeA = padTop(buf, a, g.mr, m, k)
+			buf = buf[g.mr*k:]
+			g.edge = Epilogue{ReLU: ep.ReLU}
+			if ep.Bias != nil {
+				g.edge.Bias = padTop(buf, ep.Bias, g.mr, m, 1)
+			}
+			if ep.Scale != nil {
+				g.edge.Scale = padTop(buf[g.mr:], ep.Scale, g.mr, m, 1)
+				g.edge.Shift = padTop(buf[2*g.mr:], ep.Shift, g.mr, m, 1)
+			}
+			if ep.Skip != nil {
+				g.edge.Skip = padTop(buf[3*g.mr:], ep.Skip, g.mr, m, n)
+			}
 		}
 	}
 	tm, tn := (m+g.mr-1)/g.mr, (n+g.nr-1)/g.nr
@@ -104,13 +172,38 @@ func GemmBiasInto(c, a, b, bias []float32, m, k, n int) {
 	}
 }
 
-// gemmCall is one GemmBiasInto call as its tile loops see it.
+// from re-bases ep on row i0 of an output n wide: row r of the result
+// is row i0+r of ep's.
+func (ep Epilogue) from(i0, n int) Epilogue {
+	if ep.Bias != nil {
+		ep.Bias = ep.Bias[i0:]
+	}
+	if ep.Scale != nil {
+		ep.Scale, ep.Shift = ep.Scale[i0:], ep.Shift[i0:]
+	}
+	if ep.Skip != nil {
+		ep.Skip = ep.Skip[i0*n:]
+	}
+	return ep
+}
+
+// padTop writes into dst mr rows of ld elements whose last m are src's
+// and whose others are zero, and returns them.
+func padTop(dst, src []float32, mr, m, ld int) []float32 {
+	dst = dst[:mr*ld]
+	clear(dst[:(mr-m)*ld])
+	copy(dst[(mr-m)*ld:], src[:m*ld])
+	return dst
+}
+
+// gemmCall is one GemmEpilogueInto call as its tile loops see it.
 type gemmCall struct {
-	c, a, b, bias []float32
-	m, k, n       int
-	mr, nr        int                // the tier's tile
-	edgeA         []float32          // mr rows of A ending with its last m%mr
-	edgeBias      [gemmMaxMR]float32 // bias for those rows; the live ones are set
+	c, a, b []float32
+	m, k, n int
+	ep      Epilogue
+	mr, nr  int       // the tier's tile
+	edgeA   []float32 // mr rows of A ending with its last m%mr
+	edge    Epilogue  // ep for those rows
 }
 
 var gemmNoBias [gemmMaxMR]float32
@@ -126,19 +219,55 @@ func (g *gemmCall) run(ti0, ti1, tj0, tj1 int) {
 		for ti := ti0; ti < ti1; ti++ {
 			i := ti * g.mr
 			if skip := i + g.mr - g.m; skip > 0 {
-				gemmTile(edge[:], g.nr, g.edgeA, g.k, g.b[j:], g.n, g.k, nr, g.edgeBias[:])
+				g.tile(edge[:], g.nr, g.edgeA, &g.edge, 0, j, nr)
 				for r := skip; r < g.mr; r++ {
 					copy(g.c[(i+r-skip)*g.n+j:][:nr], edge[r*g.nr:])
 				}
 				continue
 			}
-			bias := gemmNoBias[:]
-			if g.bias != nil {
-				bias = g.bias[i:]
-			}
-			gemmTile(g.c[i*g.n+j:], g.n, g.a[i*g.k:], g.k, g.b[j:], g.n, g.k, nr, bias)
+			g.tile(g.c[i*g.n+j:], g.n, g.a[i*g.k:], &g.ep, i, j, nr)
 		}
 	}
+}
+
+// tile runs the kernel on the tile at row i, column j of ep's rows,
+// nr wide, with A's rows at a and C's at c.
+func (g *gemmCall) tile(c []float32, ldc int, a []float32, ep *Epilogue, i, j, nr int) {
+	bias := gemmNoBias[:]
+	if ep.Bias != nil {
+		bias = ep.Bias[i:]
+	}
+	post := gemmPost{ldskip: g.n, relu: ep.ReLU}
+	if ep.Scale != nil {
+		post.scale, post.shift = ep.Scale[i:], ep.Shift[i:]
+	}
+	if ep.Skip != nil {
+		post.skip = ep.Skip[i*g.n+j:]
+	}
+	gemmTile(c, ldc, a, g.k, g.b[j:], g.n, g.k, nr, bias, &post)
+}
+
+// gemmPost is one tile's post-ops as the kernels read them (the assembly
+// through go_asm.h offsets, a slice by its data pointer): MR readable
+// floats of scale and shift from the tile's first row, or nil; the
+// tile's first skip element, rows ldskip apart, or nil; the ReLU.
+type gemmPost struct {
+	scale, shift []float32
+	skip         []float32
+	ldskip       int
+	relu         bool
+}
+
+// row is tile row r's post-ops for the portable kernel, nr wide.
+func (p *gemmPost) row(r, nr int) rowPost {
+	q := rowPost{affine: p.scale != nil, relu: p.relu}
+	if q.affine {
+		q.scale, q.shift = p.scale[r], p.shift[r]
+	}
+	if p.skip != nil {
+		q.skip = p.skip[r*p.ldskip:][:nr]
+	}
+	return q
 }
 
 // GemmTransBInto computes C = A·Bᵀ on raw slices: a is [m,k] row-major,

@@ -27,10 +27,11 @@ import (
 // over every column of B inside, so a call handles an int8MR-row panel.
 // It finishes each tile while it is still in registers, either storing
 // the int32 sums (GemmInt8DotInto) or requantizing them straight into
-// the f32 output (GemmInt8RequantInto), so no m×n int32 matrix is ever
-// written. Edges are never a scalar loop: rows past m alias the last
-// live row (same inputs, same output address, same value), columns past
-// n alias the last live column and are masked off at the store.
+// the f32 output and running the Epilogue's post-ops on them
+// (GemmInt8RequantInto), so no m×n int32 matrix is ever written. Edges
+// are never a scalar loop: rows past m alias the last live row (same
+// inputs, same output address, same value), columns past n alias the
+// last live column and are masked off at the store.
 
 const (
 	// int8KStep is the k granularity of the packed operands.
@@ -59,15 +60,16 @@ func Int8KP(k int) int { return (k + int8KStep - 1) &^ (int8KStep - 1) }
 //	y = (WScale[i]·XScale)·float32(acc − XZero·RowSum[i]) + Bias[i]
 //
 // — the weight channel scale times the activation scale, and the
-// zero-point correction unfolded through the weight row sums. Each
-// multiply and add is rounded on its own (never fused), so the result
-// does not depend on the kernel that computed it.
+// zero-point correction unfolded through the weight row sums — and then
+// the Epilogue's post-ops on y, its Skip rows ldy apart like the
+// output's. Each multiply and add is rounded on its own (never fused),
+// so the result does not depend on the kernel that computed it.
 type Int8Requant struct {
 	WScale []float32 // per output row
 	RowSum []int32   // per output row: Σ_k of the int8 weights
-	Bias   []float32 // per output row; nil adds 0
 	XScale float32
 	XZero  int32
+	Epilogue
 }
 
 // GemmInt8DotInto computes C = A·Bᵀ over the packed int8 layout above:
@@ -88,7 +90,7 @@ func GemmInt8DotInto(c []int32, a []int8, b []uint8, m, n, kp int) {
 // ldy ≥ n.
 func GemmInt8RequantInto(y []float32, ldy int, a []int8, b []uint8, m, n, kp int, rq Int8Requant) {
 	if m > 0 && n > 0 && (ldy < n || len(y) < (m-1)*ldy+n) ||
-		len(rq.WScale) < m || len(rq.RowSum) < m || (rq.Bias != nil && len(rq.Bias) < m) {
+		len(rq.WScale) < m || len(rq.RowSum) < m || !rq.fits(m, n, ldy) {
 		panic("tensor: GemmInt8RequantInto operand shorter than its shape")
 	}
 	g := int8Call{a: a, b: b, m: m, n: n, kp: kp, ldc: ldy, rq: rq,
@@ -145,6 +147,8 @@ func (g int8Call) panels(p0, p1 int) {
 	p.raw = g.raw
 	esz := uintptr(4) // int32 and float32 alike
 	block := max(int8NR, int8BlockBytes/g.kp&^(int8NR-1))
+	p.affine = g.rq.Scale != nil
+	p.relu = g.rq.ReLU
 	for j0 := 0; j0 < g.n; j0 += block {
 		p.n = min(block, g.n-j0)
 		p.b = &g.b[j0*g.kp]
@@ -154,12 +158,7 @@ func (g int8Call) panels(p0, p1 int) {
 				p.a[r] = &g.a[i*g.kp]
 				p.c[r] = unsafe.Add(g.c, uintptr(i*g.ldc+j0)*esz)
 				if !g.raw {
-					p.scale[r] = g.rq.WScale[i] * g.rq.XScale
-					p.corr[r] = g.rq.XZero * g.rq.RowSum[i]
-					p.bias[r] = 0
-					if g.rq.Bias != nil {
-						p.bias[r] = g.rq.Bias[i]
-					}
+					p.setRow(r, i, j0, g.ldc, &g.rq)
 				}
 			}
 			int8Kernel(&p)
@@ -170,18 +169,43 @@ func (g int8Call) panels(p0, p1 int) {
 // int8Panel is one micro-kernel call: int8MR weight rows against n
 // activation columns starting at b, the columns kp bytes apart. Output
 // row r starts at c[r] (int32 when raw, float32 otherwise); a
-// requantized element is scale[r]·float32(acc − corr[r]) + bias[r]. The
-// assembly kernel reads this struct through go_asm.h offsets.
+// requantized element is scale[r]·float32(acc − corr[r]) + bias[r], then
+// float32(postScale[r]·y) + postShift[r] when affine, y + the element at
+// skip[r] (the same column; all nil when there is no skip), and
+// max(y, +0) when relu. The assembly kernel reads this struct through
+// go_asm.h offsets.
 type int8Panel struct {
-	a     [int8MR]*int8
-	c     [int8MR]unsafe.Pointer
-	corr  [int8MR]int32
-	scale [int8MR]float32
-	bias  [int8MR]float32
-	b     *uint8
-	n     int
-	kp    int
-	raw   bool
+	a         [int8MR]*int8
+	c         [int8MR]unsafe.Pointer
+	skip      [int8MR]unsafe.Pointer
+	corr      [int8MR]int32
+	scale     [int8MR]float32
+	bias      [int8MR]float32
+	postScale [int8MR]float32
+	postShift [int8MR]float32
+	b         *uint8
+	n         int
+	kp        int
+	raw       bool
+	affine    bool
+	relu      bool
+}
+
+// setRow loads panel row r with output row i's requantize and post-ops
+// for the block of columns from j0, in an output ld wide.
+func (p *int8Panel) setRow(r, i, j0, ld int, rq *Int8Requant) {
+	p.scale[r] = rq.WScale[i] * rq.XScale
+	p.corr[r] = rq.XZero * rq.RowSum[i]
+	p.bias[r] = 0
+	if rq.Bias != nil {
+		p.bias[r] = rq.Bias[i]
+	}
+	if rq.Scale != nil {
+		p.postScale[r], p.postShift[r] = rq.Scale[i], rq.Shift[i]
+	}
+	if rq.Skip != nil {
+		p.skip[r] = unsafe.Pointer(&rq.Skip[i*ld+j0])
+	}
 }
 
 // int8PanelGeneric is the portable micro-kernel, compiled on every
@@ -221,6 +245,11 @@ func int8PanelGeneric(p *int8Panel) {
 			for c := range y {
 				y[c] = float32(p.scale[r]*float32(acc[r][c]-p.corr[r])) + p.bias[r]
 			}
+			post := rowPost{affine: p.affine, scale: p.postScale[r], shift: p.postShift[r], relu: p.relu}
+			if p.skip[r] != nil {
+				post.skip = unsafe.Slice((*float32)(p.skip[r]), p.n)[j : j+live]
+			}
+			post.apply(y)
 		}
 	}
 }

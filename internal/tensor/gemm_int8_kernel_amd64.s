@@ -14,15 +14,15 @@
 // VPDPBUSD). A kp%64 of 16, 32 or 48 is one more step with byte-masked,
 // zeroing loads. The 16 accumulators are then summed horizontally in
 // one shuffle tree that leaves 128-bit lane r holding row r's four
-// columns, and the tile is requantized (or not, when raw) and stored
-// under a column mask. The k loop counts DX up from -kfull to 0, so
+// columns, and the tile is requantized and run through the post-ops (or
+// not, when raw) and stored under a column mask. The k loop counts DX up from -kfull to 0, so
 // the row and column pointers carry kfull and the tail step reads at
 // offset 0.
 //
 // Registers: R8-R11 A rows, R12 R13 BX SI the tile's B columns, AX the
-// tile's first column, CX b+kfull, DI p; Z24 the lane index, Z25-Z27
-// corr, scale and bias spread to their rows' lanes; K1 the k-tail mask,
-// K2 the live columns.
+// tile's first column, CX b+kfull, DI p; Z24 the lane index, Z25-Z29
+// corr, scale, bias, postScale and postShift spread to their rows'
+// lanes, Z30 +0; K1 the k-tail mask, K2 the live columns.
 
 // HALVES: x = [x.Q0+x.Q2, x.Q1+x.Q3, y.Q0+y.Q2, y.Q1+y.Q3].
 #define HALVES(x, y, t) \
@@ -80,6 +80,11 @@ TEXT ·int8PanelVNNI(SB), NOSPLIT, $0-8
 	VPERMD    Z26, Z24, Z26
 	VMOVDQU32 int8Panel_bias(DI), X27
 	VPERMD    Z27, Z24, Z27
+	VMOVDQU32 int8Panel_postScale(DI), X28
+	VPERMD    Z28, Z24, Z28
+	VMOVDQU32 int8Panel_postShift(DI), X29
+	VPERMD    Z29, Z24, Z29
+	VPXORD    Z30, Z30, Z30
 
 cols:
 	XORQ AX, AX
@@ -198,14 +203,6 @@ reduce:
 	VSHUFPS $0xDD, Z2, Z0, Z0
 	VPADDD  Z16, Z0, Z0 // lane r, dword c: acc(r, c)
 
-	CMPB int8Panel_raw(DI), $0
-	JNE  store
-	VPSUBD    Z25, Z0, Z0
-	VCVTDQ2PS Z0, Z0
-	VMULPS    Z26, Z0, Z0 // rounded on its own: no FMA
-	VADDPS    Z27, Z0, Z0
-
-store:
 	MOVQ    CX, R13 // b+kfull, while CL holds the shift
 	MOVQ    int8Panel_n(DI), CX
 	SUBQ    AX, CX
@@ -218,6 +215,43 @@ store:
 	KMOVW   BX, K2
 	MOVQ    R13, CX
 
+	CMPB int8Panel_raw(DI), $0
+	JNE  store
+	VPSUBD    Z25, Z0, Z0
+	VCVTDQ2PS Z0, Z0
+	VMULPS    Z26, Z0, Z0 // rounded on its own: no FMA
+	VADDPS    Z27, Z0, Z0
+
+	// The post-ops, in Epilogue order, each rounded on its own.
+	CMPB   int8Panel_affine(DI), $0
+	JEQ    skip
+	VMULPS Z28, Z0, Z0
+	VADDPS Z29, Z0, Z0
+
+skip:
+	// Row r's four skip floats into lane r, loaded under the column mask.
+	MOVQ         int8Panel_skip+0(DI), BX
+	TESTQ        BX, BX
+	JZ           relu
+	VMOVUPS.Z    (BX)(AX*4), K2, X16
+	MOVQ         int8Panel_skip+8(DI), BX
+	VMOVUPS.Z    (BX)(AX*4), K2, X17
+	MOVQ         int8Panel_skip+16(DI), BX
+	VMOVUPS.Z    (BX)(AX*4), K2, X18
+	MOVQ         int8Panel_skip+24(DI), BX
+	VMOVUPS.Z    (BX)(AX*4), K2, X19
+	VINSERTF32X4 $1, X17, Z16, Z16
+	VINSERTF32X4 $2, X18, Z16, Z16
+	VINSERTF32X4 $3, X19, Z16, Z16
+	VADDPS       Z16, Z0, Z0
+
+relu:
+	// +0 is the second source: what VMAXPS returns for NaN and for −0.
+	CMPB   int8Panel_relu(DI), $0
+	JEQ    store
+	VMAXPS Z30, Z0, Z0
+
+store:
 	MOVQ          int8Panel_c+0(DI), BX
 	VMOVDQU32     X0, K2, (BX)(AX*4)
 	MOVQ          int8Panel_c+8(DI), BX

@@ -143,8 +143,8 @@ func checkInt8Shape(t *testing.T, rng *rand.Rand, a []int8, b []uint8, m, n, kp 
 
 	ldy := n + 3
 	rq := Int8Requant{
-		WScale: randSlice(rng, m), RowSum: make([]int32, m), Bias: randSlice(rng, m),
-		XScale: rng.Float32(), XZero: int32(rng.Intn(256)),
+		WScale: randSlice(rng, m), RowSum: make([]int32, m),
+		XScale: rng.Float32(), XZero: int32(rng.Intn(256)), Epilogue: Epilogue{Bias: randSlice(rng, m)},
 	}
 	for i := range rq.RowSum {
 		rq.RowSum[i] = rng.Int31n(1<<16) - 1<<15
@@ -186,7 +186,7 @@ func TestKernelTierParityF32(t *testing.T) {
 			bias := randSlice(rng, mr)
 			got := randSlice(rng, mr*ldc)
 			want := append([]float32(nil), got...)
-			gemmTile(got, ldc, a, lda, b, ldb, k, nr, bias)
+			gemmTile(got, ldc, a, lda, b, ldb, k, nr, bias, &gemmPost{})
 			for r := 0; r < mr; r += 4 { // the portable tile is 4 rows
 				rows := min(4, mr-r)
 				tile := make([]float32, 4*ldc)
@@ -194,7 +194,7 @@ func TestKernelTierParityF32(t *testing.T) {
 				copy(ar, a[r*lda:(r+rows)*lda])
 				var br [4]float32
 				copy(br[:], bias[r:r+rows])
-				gemmTileGeneric(tile, ldc, ar, lda, b, ldb, k, nr, br[:])
+				gemmTileGeneric(tile, ldc, ar, lda, b, ldb, k, nr, br[:], &gemmPost{})
 				for q := 0; q < rows; q++ {
 					copy(want[(r+q)*ldc:][:nr], tile[q*ldc:])
 				}

@@ -1,10 +1,17 @@
 //go:build amd64 && !noasm
 
 #include "textflag.h"
+#include "go_asm.h"
 
-// f32 GEMM micro-kernels. Each computes one MR×nr tile of C = bias + A·B
-// with the whole k loop inside: the tile lives in vector registers from
-// the first multiply to the single store, row r seeded with bias[r].
+// f32 GEMM micro-kernels. Each computes one MR×nr tile of
+// C = post(bias + A·B) with the whole k loop inside: the tile lives in
+// vector registers from the first multiply to the single store, row r
+// seeded with bias[r]. After the k loop the post-ops of *gemmPost run on
+// the registers in Epilogue order — the folded BatchNorm (multiply, then
+// add: two roundings, no FMA), the residual add (loaded under the lane
+// mask), the ReLU (VMAXPS with +0 as the second source, which is what it
+// returns for NaN and for −0) — each pass over all six rows skipped when
+// its op is off.
 // A is read in place, one broadcast per (row, k); B rows are loaded nr
 // wide under a lane mask, so nr may be anything in [1, NR] and nothing
 // past column nr is read or written. Every C element is one chain of
@@ -76,6 +83,37 @@ loop:                               \
 	VMOVAPS      c0, c2       \
 	VMOVAPS      c0, c3
 
+// AFFINE512: row r's y = float32(scale·y) + shift, scale at off(R10),
+// shift at off(R11).
+#define AFFINE512(off, c0, c1, c2, c3) \
+	VBROADCASTSS off(R10), Z28 \
+	VBROADCASTSS off(R11), Z29 \
+	VMULPS       Z28, c0, c0   \
+	VMULPS       Z28, c1, c1   \
+	VMULPS       Z28, c2, c2   \
+	VMULPS       Z28, c3, c3   \
+	VADDPS       Z29, c0, c0   \
+	VADDPS       Z29, c1, c1   \
+	VADDPS       Z29, c2, c2   \
+	VADDPS       Z29, c3, c3
+
+// SKIP512 adds the skip row at R10 under the column masks and steps R10
+// to the next row.
+#define SKIP512(c0, c1, c2, c3) \
+	VADDPS (R10), c0, K1, c0    \
+	VADDPS 64(R10), c1, K2, c1  \
+	VADDPS 128(R10), c2, K3, c2 \
+	VADDPS 192(R10), c3, K4, c3 \
+	ADDQ   R8, R10
+
+// RELU512: y = max(y, +0) with Z28 = +0 as the source returned for NaN
+// and for a zero of either sign.
+#define RELU512(c0, c1, c2, c3) \
+	VMAXPS Z28, c0, c0 \
+	VMAXPS Z28, c1, c1 \
+	VMAXPS Z28, c2, c2 \
+	VMAXPS Z28, c3, c3
+
 #define STORE512(c0, c1, c2, c3) \
 	VMOVUPS c0, K1, (DI)    \
 	VMOVUPS c1, K2, 64(DI)  \
@@ -83,12 +121,12 @@ loop:                               \
 	VMOVUPS c3, K4, 192(DI) \
 	ADDQ    R12, DI
 
-// func gemmTileAVX512(c *float32, ldc int, a *float32, lda int, b *float32, ldb, k int, mask uint64, bias *float32)
+// func gemmTileAVX512(c *float32, ldc int, a *float32, lda int, b *float32, ldb, k int, mask uint64, bias *float32, post *gemmPost)
 //
 // 6×64 tile: 24 ZMM accumulators. Bits [0,64) of mask select the live
 // columns; a must address 6 readable rows of k floats, bias 6 floats.
 // Strides are in elements.
-TEXT ·gemmTileAVX512(SB), NOSPLIT, $0-72
+TEXT ·gemmTileAVX512(SB), NOSPLIT, $0-80
 	MOVQ     c+0(FP), DI
 	MOVQ     ldc+8(FP), R12
 	MOVQ     a+16(FP), AX
@@ -128,6 +166,43 @@ TEXT ·gemmTileAVX512(SB), NOSPLIT, $0-72
 	KLOOP512(loop512x4, BROW4, ROW4)
 
 store512:
+	MOVQ  post+72(FP), R9
+	MOVQ  gemmPost_scale(R9), R10
+	TESTQ R10, R10
+	JZ    skip512
+	MOVQ  gemmPost_shift(R9), R11
+	AFFINE512(0, Z0, Z1, Z2, Z3)
+	AFFINE512(4, Z4, Z5, Z6, Z7)
+	AFFINE512(8, Z8, Z9, Z10, Z11)
+	AFFINE512(12, Z12, Z13, Z14, Z15)
+	AFFINE512(16, Z16, Z17, Z18, Z19)
+	AFFINE512(20, Z20, Z21, Z22, Z23)
+
+skip512:
+	MOVQ  gemmPost_skip(R9), R10
+	TESTQ R10, R10
+	JZ    relu512
+	MOVQ  gemmPost_ldskip(R9), R8
+	SHLQ  $2, R8
+	SKIP512(Z0, Z1, Z2, Z3)
+	SKIP512(Z4, Z5, Z6, Z7)
+	SKIP512(Z8, Z9, Z10, Z11)
+	SKIP512(Z12, Z13, Z14, Z15)
+	SKIP512(Z16, Z17, Z18, Z19)
+	SKIP512(Z20, Z21, Z22, Z23)
+
+relu512:
+	CMPB   gemmPost_relu(R9), $0
+	JEQ    out512
+	VPXORD Z28, Z28, Z28
+	RELU512(Z0, Z1, Z2, Z3)
+	RELU512(Z4, Z5, Z6, Z7)
+	RELU512(Z8, Z9, Z10, Z11)
+	RELU512(Z12, Z13, Z14, Z15)
+	RELU512(Z16, Z17, Z18, Z19)
+	RELU512(Z20, Z21, Z22, Z23)
+
+out512:
 	STORE512(Z0, Z1, Z2, Z3)
 	STORE512(Z4, Z5, Z6, Z7)
 	STORE512(Z8, Z9, Z10, Z11)
@@ -147,17 +222,38 @@ store512:
 	VBROADCASTSS off(R11), c0 \
 	VMOVAPS      c0, c1
 
+// AFFINE256, SKIP256 and RELU256 are the 512 macros on a row of two YMM
+// vectors; Y12/Y13 are free after the k loop, Y14/Y15 hold the masks.
+#define AFFINE256(off, c0, c1) \
+	VBROADCASTSS off(R10), Y12 \
+	VBROADCASTSS off(R11), Y13 \
+	VMULPS       Y12, c0, c0   \
+	VMULPS       Y12, c1, c1   \
+	VADDPS       Y13, c0, c0   \
+	VADDPS       Y13, c1, c1
+
+#define SKIP256(c0, c1) \
+	VMASKMOVPS (R10), Y14, Y12   \
+	VMASKMOVPS 32(R10), Y15, Y13 \
+	VADDPS     Y12, c0, c0       \
+	VADDPS     Y13, c1, c1       \
+	ADDQ       R8, R10
+
+#define RELU256(c0, c1) \
+	VMAXPS Y12, c0, c0 \
+	VMAXPS Y12, c1, c1
+
 #define STORE256(c0, c1) \
 	VMASKMOVPS c0, Y14, (DI)   \
 	VMASKMOVPS c1, Y15, 32(DI) \
 	ADDQ       R12, DI
 
-// func gemmTileAVX2(c *float32, ldc int, a *float32, lda int, b *float32, ldb, k int, mask *int32, bias *float32)
+// func gemmTileAVX2(c *float32, ldc int, a *float32, lda int, b *float32, ldb, k int, mask *int32, bias *float32, post *gemmPost)
 //
 // 6×16 tile: 12 YMM accumulators, which leaves one register for the
 // broadcast and one for a lane mask, so the two masks (mask[0:8] and
 // mask[8:16], all-ones words for live columns) are reloaded per B row.
-TEXT ·gemmTileAVX2(SB), NOSPLIT, $0-72
+TEXT ·gemmTileAVX2(SB), NOSPLIT, $0-80
 	MOVQ c+0(FP), DI
 	MOVQ ldc+8(FP), R12
 	MOVQ a+16(FP), AX
@@ -202,6 +298,43 @@ loop256:
 store256:
 	VMOVDQU (R13), Y14
 	VMOVDQU 32(R13), Y15
+	MOVQ    post+72(FP), R9
+	MOVQ    gemmPost_scale(R9), R10
+	TESTQ   R10, R10
+	JZ      skip256
+	MOVQ    gemmPost_shift(R9), R11
+	AFFINE256(0, Y0, Y1)
+	AFFINE256(4, Y2, Y3)
+	AFFINE256(8, Y4, Y5)
+	AFFINE256(12, Y6, Y7)
+	AFFINE256(16, Y8, Y9)
+	AFFINE256(20, Y10, Y11)
+
+skip256:
+	MOVQ  gemmPost_skip(R9), R10
+	TESTQ R10, R10
+	JZ    relu256
+	MOVQ  gemmPost_ldskip(R9), R8
+	SHLQ  $2, R8
+	SKIP256(Y0, Y1)
+	SKIP256(Y2, Y3)
+	SKIP256(Y4, Y5)
+	SKIP256(Y6, Y7)
+	SKIP256(Y8, Y9)
+	SKIP256(Y10, Y11)
+
+relu256:
+	CMPB   gemmPost_relu(R9), $0
+	JEQ    out256
+	VXORPS Y12, Y12, Y12
+	RELU256(Y0, Y1)
+	RELU256(Y2, Y3)
+	RELU256(Y4, Y5)
+	RELU256(Y6, Y7)
+	RELU256(Y8, Y9)
+	RELU256(Y10, Y11)
+
+out256:
 	STORE256(Y0, Y1)
 	STORE256(Y2, Y3)
 	STORE256(Y4, Y5)

@@ -1,12 +1,12 @@
 package tensor
 
 // gemmTileGeneric is the portable micro-kernel, compiled on every
-// platform: one 4×nr tile of C = bias + A·B, nr ≤ 64, accumulated in
-// place in c. It has the shape of the assembly kernels — whole k loop
+// platform: one 4×nr tile of C = post(bias + A·B), nr ≤ 64, accumulated
+// in place in c. It has the shape of the assembly kernels — whole k loop
 // inside, every element one chain in ascending k — but rounds the
 // product and the sum separately (the conversions forbid fusing), so it
 // is the oracle the FMA tiers are held against, not their bit-equal.
-func gemmTileGeneric(c []float32, ldc int, a []float32, lda int, b []float32, ldb, k, nr int, bias []float32) {
+func gemmTileGeneric(c []float32, ldc int, a []float32, lda int, b []float32, ldb, k, nr int, bias []float32, post *gemmPost) {
 	for r := 0; r < 4; r += 2 {
 		c0, c1 := c[r*ldc:][:nr], c[(r+1)*ldc:][:nr]
 		a0, a1 := a[r*lda:][:k], a[(r+1)*lda:][:k]
@@ -32,5 +32,7 @@ func gemmTileGeneric(c []float32, ldc int, a []float32, lda int, b []float32, ld
 				c1[j] += float32(t * v)
 			}
 		}
+		post.row(r, nr).apply(c0)
+		post.row(r+1, nr).apply(c1)
 	}
 }

@@ -37,7 +37,7 @@ func forEachTier(t *testing.T, f func(t *testing.T)) {
 	}
 }
 
-// refGemmBias is the oracle for GemmBiasInto: RefMatMulInto plus the bias.
+// refGemmBias is the oracle for a GemmEpilogueInto with only a bias: RefMatMulInto plus the bias.
 func refGemmBias(a, b, bias []float32, m, k, n int) []float32 {
 	want := New(m, n)
 	RefMatMulInto(want, FromSlice(a, m, k), FromSlice(b, k, n))
@@ -69,7 +69,7 @@ func TestGemmTileClassesMatchReference(t *testing.T) {
 			}
 			got := randSlice(rng, m*n+3) // stale contents, and a tail that must survive
 			tail := append([]float32(nil), got[m*n:]...)
-			GemmBiasInto(got, a, b, bias, m, k, n)
+			GemmEpilogueInto(got, a, b, m, k, n, Epilogue{Bias: bias})
 			want := refGemmBias(a, b, bias, m, k, n)
 			for i, w := range want {
 				if d := float64(got[i] - w); d > gemmTol(k) || -d > gemmTol(k) {
@@ -111,7 +111,7 @@ func TestGemmPositionIndependence(t *testing.T) {
 			m, k, n := 1+rng.Intn(60), 1+rng.Intn(200), 1+rng.Intn(150)
 			a, b, bias := randSlice(rng, m*k), randSlice(rng, k*n), randSlice(rng, m)
 			whole := make([]float32, m*n)
-			GemmBiasInto(whole, a, b, bias, m, k, n)
+			GemmEpilogueInto(whole, a, b, m, k, n, Epilogue{Bias: bias})
 
 			i0, j0 := rng.Intn(m), rng.Intn(n)
 			i1, j1 := i0+1+rng.Intn(m-i0), j0+1+rng.Intn(n-j0)
@@ -121,7 +121,7 @@ func TestGemmPositionIndependence(t *testing.T) {
 				copy(bsub[p*bn:(p+1)*bn], b[p*n+j0:p*n+j1])
 			}
 			block := make([]float32, bm*bn)
-			GemmBiasInto(block, a[i0*k:i1*k], bsub, bias[i0:i1], bm, k, bn)
+			GemmEpilogueInto(block, a[i0*k:i1*k], bsub, bm, k, bn, Epilogue{Bias: bias[i0:i1]})
 			for r := 0; r < bm; r++ {
 				for q := 0; q < bn; q++ {
 					if got, want := block[r*bn+q], whole[(i0+r)*n+j0+q]; got != want {

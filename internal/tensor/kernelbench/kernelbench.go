@@ -408,6 +408,51 @@ func Run() Report {
 			SpeedupVsRef: float64(fr.NsPerOp()) / float64(qr.NsPerOp())})
 	}
 
+	// Conv → BatchNorm → ReLU at inference, f32 and int8, on ResNet18's L1
+	// and L6 shapes: the fused chain (one conv call that applies the
+	// BatchNorm and the ReLU in its GEMM epilogue) against the three
+	// layers' own Forwards, which allocate an output each. speedup_vs_ref
+	// is the unfused time over the fused.
+	for _, cs := range []ConvShape{
+		{"r18_L1_64x64_28sq", 64, 64 * 9, 28 * 28, 64, 28, 28, 3, 3, 1},
+		{"r18_L6_256x256_14sq", 256, 256 * 9, 14 * 14, 256, 14, 14, 3, 3, 1},
+	} {
+		for _, mode := range []string{"f32", "int8"} {
+			crng := rand.New(rand.NewSource(5))
+			conv := nn.NewConv2D(cs.Name, cs.InC, cs.M, cs.KH, cs.KW, 1, cs.Pad, crng).NoBias()
+			bn := nn.NewBatchNorm2D(cs.Name+".bn", cs.M)
+			bn.Gamma.Value.RandU(crng, 0.5, 1.5)
+			bn.Beta.Value.RandU(crng, -0.5, 0.5)
+			relu := nn.NewReLU(cs.Name + ".relu")
+			if mode == "int8" && conv.QuantizeInt8() != nil {
+				continue
+			}
+			chain := nn.NewSequential(cs.Name, conv, bn, relu)
+			cx := tensor.New(1, cs.InC, cs.H, cs.W)
+			cx.RandU(crng, -1, 1)
+			run := func(f func()) testing.BenchmarkResult {
+				f() // prime the pools
+				return testing.Benchmark(func(tb *testing.B) {
+					tb.ReportAllocs()
+					for i := 0; i < tb.N; i++ {
+						f()
+					}
+				})
+			}
+			unfused := run(func() { relu.Forward(bn.Forward(conv.Forward(cx, false), false), false) })
+			fused := run(func() { chain.Forward(cx, false) })
+			name, shape := "conv_bn_relu_"+mode+"_"+cs.Name, fmt.Sprintf("1x%dx%dx%d", cs.InC, cs.H, cs.W)
+			flops := 2 * float64(cs.M) * float64(cs.K) * float64(cs.N)
+			add(Result{Name: name + "_unfused", Shape: shape, Threads: maxProcs,
+				NsPerOp: float64(unfused.NsPerOp()), GFlops: flops / float64(unfused.NsPerOp()),
+				AllocsPerOp: unfused.AllocsPerOp()})
+			add(Result{Name: name, Shape: shape, Threads: maxProcs,
+				NsPerOp: float64(fused.NsPerOp()), GFlops: flops / float64(fused.NsPerOp()),
+				AllocsPerOp:  fused.AllocsPerOp(),
+				SpeedupVsRef: float64(unfused.NsPerOp()) / float64(fused.NsPerOp())})
+		}
+	}
+
 	return rep
 }
 
@@ -415,7 +460,7 @@ func Run() Report {
 func (r Report) WriteText(w io.Writer) {
 	fmt.Fprintf(w, "kernel benchmarks (%s, %s, GOMAXPROCS=%d, tier=%s)\n",
 		r.GoVersion, r.GOARCH, r.GOMAXPROCS, r.KernelTier)
-	fmt.Fprintf(w, "%-36s %-16s %8s %12s %9s %7s %7s %9s %7s\n",
+	fmt.Fprintf(w, "%-46s %-16s %8s %12s %9s %7s %7s %9s %7s\n",
 		"name", "shape", "threads", "ns/op", "GFLOP/s", "GB/s", "allocs", "vs-ref", "of-peak")
 	for _, res := range r.Results {
 		speed := ""
@@ -434,7 +479,7 @@ func (r Report) WriteText(w io.Writer) {
 		if res.ShareOfPeak > 0 {
 			peak = fmt.Sprintf("%.0f%%", 100*res.ShareOfPeak)
 		}
-		fmt.Fprintf(w, "%-36s %-16s %8d %12.0f %9s %7s %7d %9s %7s\n",
+		fmt.Fprintf(w, "%-46s %-16s %8d %12.0f %9s %7s %7d %9s %7s\n",
 			res.Name, res.Shape, res.Threads, res.NsPerOp, gf, gb, res.AllocsPerOp, speed, peak)
 	}
 }
