@@ -27,6 +27,11 @@ type Features struct {
 	// instruction, halving the instruction count of the widen+VPMADDWD
 	// int8 kernel.
 	AVX512VNNI bool
+	// AMXTile and AMXInt8 are the matrix engine: eight 1 KiB tile
+	// registers and TDPBUSD, a 16×16 int32 tile += 16×64 u8 · 64×16 s8
+	// in one instruction.
+	AMXTile bool
+	AMXInt8 bool
 	// OSYMM reports that the OS saves the full YMM register state
 	// (XGETBV XCR0 bits 1-2); without it AVX/AVX2 must not be used even
 	// when the CPU advertises them.
@@ -37,6 +42,10 @@ type Features struct {
 	// it — the kernel would silently corrupt ZMM state across context
 	// switches.
 	OSZMM bool
+	// OSAMX reports that the OS manages the tile state (XCR0 bits 17-18,
+	// XTILECFG and XTILEDATA). Linux additionally makes each process ask
+	// for the tile data before its first use (see tensor's AMX engine).
+	OSAMX bool
 }
 
 var (
@@ -66,6 +75,13 @@ func (f Features) UsableAVX512() bool {
 // top of the AVX-512 kernels.
 func (f Features) UsableVNNI() bool { return f.UsableAVX512() && f.AVX512VNNI }
 
+// UsableAMXInt8 reports whether the CPU has the AMX int8 engine, the OS
+// enables its state, and the AVX-512 kernels that finish its tiles may
+// run.
+func (f Features) UsableAMXInt8() bool {
+	return f.UsableAVX512() && f.AMXTile && f.AMXInt8 && f.OSAMX
+}
+
 // String renders the enabled features as a comma-separated list
 // ("sse2,sse4.1,avx,fma,avx2,..."), empty when nothing was detected.
 func (f Features) String() string {
@@ -85,5 +101,7 @@ func (f Features) String() string {
 	add(f.AVX512BW, "avx512bw")
 	add(f.AVX512VL, "avx512vl")
 	add(f.AVX512VNNI, "avx512vnni")
+	add(f.AMXTile, "amx-tile")
+	add(f.AMXInt8, "amx-int8")
 	return strings.Join(names, ",")
 }

@@ -27,6 +27,9 @@ func TestBaseline(t *testing.T) {
 	if f.UsableAVX512() && !f.AVX512F {
 		t.Fatal("UsableAVX512 true without AVX512F")
 	}
+	if f.UsableAMXInt8() && !(f.UsableAVX512() && f.AMXInt8 && f.OSAMX) {
+		t.Fatal("UsableAMXInt8 true without AVX-512, AMX-INT8 or OS tile state")
+	}
 }
 
 func TestStringNames(t *testing.T) {
@@ -40,7 +43,8 @@ func TestStringNames(t *testing.T) {
 	}
 	all := Features{SSE2: true, SSE41: true, SSE42: true, AVX: true, FMA: true,
 		AVX2: true, AVX512F: true, AVX512BW: true, AVX512VL: true, OSYMM: true}
-	for _, want := range []string{"sse2", "sse4.2", "fma", "avx512bw", "avx512vl"} {
+	all.AMXTile, all.AMXInt8 = true, true
+	for _, want := range []string{"sse2", "sse4.2", "fma", "avx512bw", "avx512vl", "amx-tile", "amx-int8"} {
 		if !strings.Contains(all.String(), want) {
 			t.Fatalf("String() missing %q: %q", want, all.String())
 		}

@@ -22,6 +22,9 @@ const (
 	bitAVX512VL = 1 << 31
 	// leaf 7 ECX bits
 	bitAVX512VNNI = 1 << 11
+	// leaf 7 EDX bits
+	bitAMXTile = 1 << 24
+	bitAMXInt8 = 1 << 25
 	// XCR0 bits: SSE (XMM) and AVX (YMM) register state, then the
 	// AVX-512 triple — opmask (k0-k7), ZMM0-15 upper halves, ZMM16-31.
 	xcr0SSE       = 1 << 1
@@ -30,6 +33,8 @@ const (
 	xcr0ZMMHi256  = 1 << 6
 	xcr0Hi16ZMM   = 1 << 7
 	xcr0AVX512All = xcr0Opmask | xcr0ZMMHi256 | xcr0Hi16ZMM
+	// The AMX pair: the tile configuration and the tile data.
+	xcr0AMX = 1<<17 | 1<<18
 )
 
 func detect() Features {
@@ -48,14 +53,17 @@ func detect() Features {
 		lo, _ := xgetbv()
 		f.OSYMM = lo&(xcr0SSE|xcr0AVX) == (xcr0SSE | xcr0AVX)
 		f.OSZMM = f.OSYMM && lo&xcr0AVX512All == xcr0AVX512All
+		f.OSAMX = lo&xcr0AMX == xcr0AMX
 	}
 	if maxLeaf >= 7 {
-		_, ebx7, ecx7, _ := cpuid(7, 0)
+		_, ebx7, ecx7, edx7 := cpuid(7, 0)
 		f.AVX2 = ebx7&bitAVX2 != 0
 		f.AVX512F = ebx7&bitAVX512F != 0
 		f.AVX512BW = ebx7&bitAVX512BW != 0
 		f.AVX512VL = ebx7&bitAVX512VL != 0
 		f.AVX512VNNI = ecx7&bitAVX512VNNI != 0
+		f.AMXTile = edx7&bitAMXTile != 0
+		f.AMXInt8 = edx7&bitAMXInt8 != 0
 	}
 	return f
 }

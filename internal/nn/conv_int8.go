@@ -72,7 +72,7 @@ func (c *Conv2D) forwardSampleInt8(yd, xd []float32, i, h, w, oh, ow int, ep ten
 // weight snapshot, requantizing each output channel row (with ep's bias
 // and post-ops) into ys[OutC][plane] as the kernel finishes it.
 func (c *Conv2D) int8Gemm(ys []float32, bq []uint8, plane int, af quant.Affine, ep tensor.Epilogue) {
-	tensor.GemmInt8RequantInto(ys, plane, c.int8w.Data, bq, c.OutC, plane, c.int8w.KP, tensor.Int8Requant{
+	tensor.GemmInt8RequantInto(ys, plane, &c.int8w.Data, bq, plane, tensor.Int8Requant{
 		WScale: c.int8w.Scales, RowSum: c.int8w.RowSum, XScale: af.Scale, XZero: int32(af.Zero), Epilogue: ep})
 }
 

@@ -9,22 +9,26 @@ import (
 	"adcnn/internal/tensor"
 )
 
-// requantRows is the unfused int8 epilogue: the exact int32 product from
-// the naive oracle, then each output row requantized as
+// requantRows is the unfused int8 epilogue: the exact int32 product as
+// a naive loop, then each output row requantized as
 // scale·float32(acc − corr) + bias with every operation rounded on its
 // own. The fused kernels must reproduce it bit for bit.
 func requantRows(y []float32, ldy int, w *quant.PerChannel, bq []uint8, m, n int, af quant.Affine, bias []float32) {
-	acc := make([]int32, m*n)
-	tensor.RefGemmInt8DotInto(acc, w.Data, bq, m, n, w.KP)
 	z := int32(af.Zero)
+	row := make([]int8, w.KP)
 	for i := 0; i < m; i++ {
+		w.Data.Row(i, row)
 		scale, corr := w.Scales[i]*af.Scale, z*w.RowSum[i]
 		var b float32
 		if bias != nil {
 			b = bias[i]
 		}
 		for j := 0; j < n; j++ {
-			y[i*ldy+j] = float32(scale*float32(acc[i*n+j]-corr)) + b
+			var acc int32
+			for k, q := range row {
+				acc += int32(q) * int32(bq[j*w.KP+k])
+			}
+			y[i*ldy+j] = float32(scale*float32(acc-corr)) + b
 		}
 	}
 }
@@ -51,11 +55,28 @@ func withSignedZeros(xs []float32) {
 	}
 }
 
+// forEachInt8Engine runs f once per int8 GEMM engine the host can run.
+func forEachInt8Engine(t *testing.T, f func(t *testing.T)) {
+	t.Helper()
+	defer tensor.SetInt8Engine(tensor.Int8Engines()[0])
+	for _, e := range tensor.Int8Engines() {
+		if err := tensor.SetInt8Engine(e); err != nil {
+			t.Fatal(err)
+		}
+		t.Run(e, f)
+	}
+}
+
 // TestInt8LayersBitIdenticalToUnfused runs the int8 Conv2D forward, its
 // levels entry point and the int8 Linear forward at the ResNet18 shapes
-// and compares them bit for bit with the unfused formula: reference
-// gather, naive int32 product, per-row requantize.
+// on every int8 engine and compares them bit for bit with the unfused
+// formula: the column packers (held to their per-element oracles in
+// tensor), a naive int32 product, per-row requantize.
 func TestInt8LayersBitIdenticalToUnfused(t *testing.T) {
+	forEachInt8Engine(t, testInt8LayersBitIdenticalToUnfused)
+}
+
+func testInt8LayersBitIdenticalToUnfused(t *testing.T) {
 	rng := rand.New(rand.NewSource(61))
 	for _, c := range []struct {
 		name                     string
@@ -85,14 +106,14 @@ func TestInt8LayersBitIdenticalToUnfused(t *testing.T) {
 		}
 		kp := conv.int8w.KP
 		bq := make([]uint8, plane*kp)
-		tensor.RefIm2ColQuantSlice(bq, x.Data, c.inC, c.hw, c.hw, conv.Geom, af.InvScale(), af.Zero, kp)
+		tensor.Im2ColQuantSlice(bq, x.Data, c.inC, c.hw, c.hw, conv.Geom, af.InvScale(), af.Zero, kp)
 		want := make([]float32, c.outC*plane)
 		requantRows(want, plane, conv.int8w, bq, c.outC, plane, af, conv.Bias.Value.Data)
 		sameBits(t, c.name+" forward", got.Data, want)
 
 		levels := make([]uint8, len(x.Data))
 		tensor.QuantizeAffineSlice(levels, x.Data, af.InvScale(), af.Zero)
-		tensor.RefIm2ColU8Slice(bq, levels, c.inC, c.hw, c.hw, conv.Geom, af.Zero, kp)
+		tensor.Im2ColU8Slice(bq, levels, c.inC, c.hw, c.hw, conv.Geom, af.Zero, kp)
 		requantRows(want, plane, conv.int8w, bq, c.outC, plane, af, conv.Bias.Value.Data)
 		conv.ForwardLevelsInto(got, levels, c.hw, c.hw, af)
 		sameBits(t, c.name+" levels", got.Data, want)
@@ -127,6 +148,10 @@ func TestInt8LayersBitIdenticalToUnfused(t *testing.T) {
 // a BatchNorm and a ReLU, whose fallback keeps the epilogue: the int8
 // chain must equal the f32 layers run one pass each.
 func TestInt8ForwardNaNTakesF32Fallback(t *testing.T) {
+	forEachInt8Engine(t, testInt8ForwardNaNTakesF32Fallback)
+}
+
+func testInt8ForwardNaNTakesF32Fallback(t *testing.T) {
 	rng := rand.New(rand.NewSource(67))
 	conv := NewConv2D("t", 8, 4, 3, 3, 1, 1, rng)
 	chain := NewSequential("fused", conv, randBN(rng, "bn", 4), NewReLU("r"))

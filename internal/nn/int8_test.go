@@ -159,11 +159,15 @@ func TestForwardLevelsMatchesInt8Forward(t *testing.T) {
 }
 
 // TestInt8ForwardAllocFree: the int8 conv and linear forwards must not
-// allocate on the steady-state inference path.
+// allocate on the steady-state inference path, on any int8 engine.
 func TestInt8ForwardAllocFree(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race detector makes sync.Pool drop puts; alloc counts are meaningless")
 	}
+	forEachInt8Engine(t, testInt8ForwardAllocFree)
+}
+
+func testInt8ForwardAllocFree(t *testing.T) {
 	rng := rand.New(rand.NewSource(43))
 	conv := NewConv2D("t", 8, 16, 3, 3, 1, 1, rng)
 	if err := conv.QuantizeInt8(); err != nil {

@@ -52,7 +52,7 @@ func (l *Linear) forwardInt8(y, x *tensor.Tensor) bool {
 	rq := tensor.Int8Requant{WScale: l.int8w.Scales, RowSum: l.int8w.RowSum,
 		XScale: af.Scale, XZero: int32(af.Zero), Epilogue: tensor.Epilogue{Bias: l.Bias.Value.Data}}
 	for i := 0; i < n; i++ {
-		tensor.GemmInt8RequantInto(y.Data[i*l.Out:], 1, l.int8w.Data, bq[i*kp:], l.Out, 1, kp, rq)
+		tensor.GemmInt8RequantInto(y.Data[i*l.Out:], 1, &l.int8w.Data, bq[i*kp:], 1, rq)
 	}
 	tensor.PutBytes(bq)
 	return true

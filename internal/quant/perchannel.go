@@ -3,6 +3,8 @@ package quant
 import (
 	"fmt"
 	"math"
+
+	"adcnn/internal/tensor"
 )
 
 // Per-channel weight quantization for the int8 compute path. The global
@@ -20,9 +22,9 @@ import (
 // weights in the packed layout the int8 GEMM consumes.
 type PerChannel struct {
 	OutC, K, KP int
-	Data        []int8    // [OutC][KP], zero-padded beyond K
-	Scales      []float32 // per-channel step, len OutC
-	RowSum      []int32   // Σ_k Data[oc][k], len OutC
+	Data        tensor.Int8Weights // OutC rows of KP codes, zero-padded beyond K
+	Scales      []float32          // per-channel step, len OutC
+	RowSum      []int32            // Σ_k Data[oc][k], len OutC
 }
 
 // QuantizePerChannel quantizes w (row-major [outC][k]) to int8 with one
@@ -45,10 +47,11 @@ func QuantizePerChannel(w []float32, outC, k, kp int) (*PerChannel, error) {
 		OutC:   outC,
 		K:      k,
 		KP:     kp,
-		Data:   make([]int8, outC*kp),
 		Scales: make([]float32, outC),
 		RowSum: make([]int32, outC),
+		Data:   tensor.NewInt8Weights(outC, kp),
 	}
+	dst := make([]int8, kp) // one row at a time: the tail past k stays 0
 	for oc := 0; oc < outC; oc++ {
 		row := w[oc*k : (oc+1)*k]
 		var maxAbs float32
@@ -68,7 +71,6 @@ func QuantizePerChannel(w []float32, outC, k, kp int) (*PerChannel, error) {
 			return nil, fmt.Errorf("quant: channel %d scale %g not finite-positive", oc, scale)
 		}
 		pc.Scales[oc] = scale
-		dst := pc.Data[oc*kp : (oc+1)*kp]
 		var sum int32
 		for i, v := range row {
 			q := int8(math.Round(float64(v / scale)))
@@ -76,6 +78,7 @@ func QuantizePerChannel(w []float32, outC, k, kp int) (*PerChannel, error) {
 			sum += int32(q)
 		}
 		pc.RowSum[oc] = sum
+		pc.Data.SetRow(oc, dst)
 	}
 	return pc, nil
 }
@@ -83,9 +86,10 @@ func QuantizePerChannel(w []float32, outC, k, kp int) (*PerChannel, error) {
 // Dequantize reconstructs channel oc's weights (K values, unpadded) into
 // dst; used by tests and accuracy analysis.
 func (pc *PerChannel) Dequantize(oc int, dst []float32) {
-	row := pc.Data[oc*pc.KP : oc*pc.KP+pc.K]
+	row := make([]int8, pc.KP)
+	pc.Data.Row(oc, row)
 	s := pc.Scales[oc]
-	for i, q := range row {
+	for i, q := range row[:pc.K] {
 		dst[i] = s * float32(q)
 	}
 }

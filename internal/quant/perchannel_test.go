@@ -18,6 +18,7 @@ func TestQuantizePerChannelRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	buf := make([]float32, k)
+	codes := make([]int8, kp)
 	for oc := 0; oc < outC; oc++ {
 		pc.Dequantize(oc, buf)
 		maxErr := float64(pc.MaxError(oc))
@@ -27,8 +28,8 @@ func TestQuantizePerChannelRoundTrip(t *testing.T) {
 				t.Fatalf("channel %d weight %d: |Δ|=%g > half-scale %g", oc, i, d, maxErr)
 			}
 		}
-		for i := 0; i < kp; i++ {
-			q := pc.Data[oc*kp+i]
+		pc.Data.Row(oc, codes)
+		for i, q := range codes {
 			if i >= k && q != 0 {
 				t.Fatalf("channel %d: pad position %d not zero", oc, i)
 			}

@@ -120,7 +120,7 @@ func checkEpilogue(t *testing.T, what string, got, plain []float32, m, n, ld int
 // threshold.
 func TestGemmEpilogueMatchesUnfused(t *testing.T) {
 	ns := []int{1, 3, 15, 16, 17, 63, 64, 65}
-	forEachTier(t, func(t *testing.T) {
+	forEachInt8Engine(t, func(t *testing.T) {
 		rng := rand.New(rand.NewSource(71))
 		f32 := func(m, k, n int) {
 			t.Helper()
@@ -170,7 +170,7 @@ func TestGemmEpilogueMatchesUnfused(t *testing.T) {
 				rq.Bias[i] = specialOr(rng, i+6, 1)
 			}
 			plain := randSlice(rng, m*ld+5)
-			GemmInt8RequantInto(plain, ld, a, b, m, n, kp, rq)
+			gemmInt8Requant(plain, ld, a, b, m, n, kp, rq)
 			scale, shift, skip := epilogueOperands(rng, m, n, ld)
 			for _, c := range epilogueCases {
 				q := rq
@@ -182,7 +182,7 @@ func TestGemmEpilogueMatchesUnfused(t *testing.T) {
 					q.Skip = skip
 				}
 				got := append([]float32(nil), plain...)
-				GemmInt8RequantInto(got, ld, a, b, m, n, kp, q)
+				gemmInt8Requant(got, ld, a, b, m, n, kp, q)
 				checkEpilogue(t, "int8 "+c.name, got, plain, m, n, ld, q.Epilogue)
 			}
 		}
@@ -191,7 +191,7 @@ func TestGemmEpilogueMatchesUnfused(t *testing.T) {
 				for _, k := range []int{0, 1, 5, 37} {
 					f32(m, k, n)
 				}
-				for _, kp := range []int{16, 80} {
+				for _, kp := range []int{64, 128} {
 					int8(m, n, kp)
 				}
 			}

@@ -6,11 +6,12 @@ import (
 )
 
 // FuzzInt8PackRequant fuzzes the int8 pack → GEMM → requantize round
-// trip: arbitrary bytes become activation levels and weight codes, the
+// trip: arbitrary bytes become activation levels and weight codes, every
 // engine's requantized output must match a float64 evaluation of the
 // dequantized operands (the int32 stage is exact, so only f32
-// requantization rounding may separate them), and the affine
-// quantize/dequantize round trip must stay within the analytic bound.
+// requantization rounding may separate them) and every other engine's
+// bit for bit, and the affine quantize/dequantize round trip must stay
+// within the analytic bound.
 func FuzzInt8PackRequant(f *testing.F) {
 	f.Add([]byte{0, 1, 2, 3, 250, 130, 9, 200}, float32(0.05), uint8(128))
 	f.Add([]byte{255, 255, 0, 0, 7, 7, 7, 7}, float32(2), uint8(0))
@@ -60,9 +61,25 @@ func FuzzInt8PackRequant(f *testing.F) {
 				rowSum[i] += int32(a[i*kp+k])
 			}
 		}
-		y := make([]float32, m*n)
-		GemmInt8RequantInto(y, n, a, b, m, n, kp,
-			Int8Requant{WScale: []float32{1, 1}, RowSum: rowSum, XScale: scale, XZero: int32(zp)})
+		defer SetInt8Engine(Int8Engines()[0])
+		var first []float32
+		for _, e := range Int8Engines() {
+			if err := SetInt8Engine(e); err != nil {
+				t.Fatal(err)
+			}
+			y := make([]float32, m*n)
+			gemmInt8Requant(y, n, a, b, m, n, kp,
+				Int8Requant{WScale: []float32{1, 1}, RowSum: rowSum, XScale: scale, XZero: int32(zp)})
+			if first == nil {
+				first = y
+			}
+			for i := range y {
+				if math.Float32bits(y[i]) != math.Float32bits(first[i]) {
+					t.Fatalf("%s: y[%d] = %g, %s gave %g", e, i, y[i], Int8Engines()[0], first[i])
+				}
+			}
+		}
+		y := first
 		// Exactness vs float64.
 		for i := 0; i < m; i++ {
 			out := y[i*n : (i+1)*n]

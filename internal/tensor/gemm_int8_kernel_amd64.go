@@ -11,14 +11,45 @@ import "adcnn/internal/cpufeat"
 //go:noescape
 func int8PanelVNNI(p *int8Panel)
 
-// hostVNNI reports whether the CPU and OS support AVX-512 VNNI.
-var hostVNNI = cpufeat.Detect().UsableVNNI()
+// int8TilesAMX (gemm_int8_amx_amd64.s) runs one amxKernel. Requires
+// AMX-TILE, AMX-INT8, AVX-512 and the process's tile-data permission.
+//
+//go:noescape
+func int8TilesAMX(k *amxKernel)
 
-// int8Kernel runs the VNNI kernel on the AVX-512 tier of a VNNI host
-// and the portable kernel everywhere else: without VPDPBUSD the f32
-// engine is the fast mode, so there is no other int8 assembly.
+var (
+	hostVNNI = cpufeat.Detect().UsableVNNI()
+	// hostAMX asks the OS for the tile data once, on a host whose CPU
+	// and OS support it.
+	hostAMX = cpufeat.Detect().UsableAMXInt8() && requestAMX()
+)
+
+// hostInt8Engine is the fastest int8 engine the host can run.
+var hostInt8Engine = func() int8Engine {
+	switch {
+	case hostAMX:
+		return engineAMX
+	case hostVNNI:
+		return engineVNNI
+	}
+	return engineGeneric
+}()
+
+func int8EngineUsable(e int8Engine) bool {
+	switch e {
+	case engineAMX:
+		return hostAMX
+	case engineVNNI:
+		return hostVNNI
+	}
+	return e == engineGeneric
+}
+
+// int8Kernel runs a row panel on the VNNI kernel when that engine is
+// selected and the portable kernel otherwise: without VPDPBUSD the f32
+// engine is the fast mode, so there is no other int8 panel assembly.
 func int8Kernel(p *int8Panel) {
-	if kernelTier == TierAVX512 && hostVNNI {
+	if currentInt8Engine() == engineVNNI {
 		int8PanelVNNI(p)
 		return
 	}

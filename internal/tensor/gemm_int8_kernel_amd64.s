@@ -11,18 +11,17 @@
 // activation bytes against signed weight bytes, adding quads into the
 // 16 int32 lanes — exact, since each quad is at most 4·32640 and kp ≤
 // int8MaxKP keeps a lane inside int32 (this is the non-saturating
-// VPDPBUSD). A kp%64 of 16, 32 or 48 is one more step with byte-masked,
-// zeroing loads. The 16 accumulators are then summed horizontally in
-// one shuffle tree that leaves 128-bit lane r holding row r's four
-// columns, and the tile is requantized and run through the post-ops (or
-// not, when raw) and stored under a column mask. The k loop counts DX up from -kfull to 0, so
-// the row and column pointers carry kfull and the tail step reads at
-// offset 0.
+// VPDPBUSD). kp is a whole number of steps. The 16 accumulators are
+// then summed horizontally in one shuffle tree that leaves 128-bit lane
+// r holding row r's four columns, and the tile is requantized and run
+// through the post-ops (or not, when raw) and stored under a column
+// mask. The k loop counts DX up from -kp to 0, so the row and column
+// pointers carry kp.
 //
 // Registers: R8-R11 A rows, R12 R13 BX SI the tile's B columns, AX the
-// tile's first column, CX b+kfull, DI p; Z24 the lane index, Z25-Z29
+// tile's first column, CX b+kp, DI p; Z24 the lane index, Z25-Z29
 // corr, scale, bias, postScale and postShift spread to their rows'
-// lanes, Z30 +0; K1 the k-tail mask, K2 the live columns.
+// lanes, Z30 +0; K2 the live columns.
 
 // HALVES: x = [x.Q0+x.Q2, x.Q1+x.Q3, y.Q0+y.Q2, y.Q1+y.Q3].
 #define HALVES(x, y, t) \
@@ -43,22 +42,9 @@
 	VPUNPCKHQDQ s1, s, s \
 	VPADDD      t, s, s
 
-#define DOT4(b) \
-	VPDPBUSD Z16, b, Z0 \
-	VPDPBUSD Z17, b, Z4 \
-	VPDPBUSD Z18, b, Z8 \
-	VPDPBUSD Z19, b, Z12
-
 TEXT ·int8PanelVNNI(SB), NOSPLIT, $0-8
 	MOVQ p+0(FP), DI
 	MOVQ int8Panel_kp(DI), DX
-	MOVQ DX, CX
-	ANDQ $63, CX
-	MOVQ $1, AX
-	SHLQ CX, AX
-	DECQ AX
-	KMOVQ AX, K1 // kp%64 low bytes; zero when there is no tail
-	ANDQ $-64, DX // kfull
 
 	MOVQ int8Panel_a+0(DI), R8
 	MOVQ int8Panel_a+8(DI), R9
@@ -131,8 +117,7 @@ tile:
 	VPXORD Z15, Z15, Z15
 
 	MOVQ int8Panel_b(DI), DX
-	SUBQ CX, DX // -kfull
-	JZ   ktail
+	SUBQ CX, DX // -kp
 
 kloop:
 	VMOVDQU8 (R8)(DX*1), Z16
@@ -143,7 +128,10 @@ kloop:
 	VMOVDQU8 (R13)(DX*1), Z21
 	VMOVDQU8 (BX)(DX*1), Z22
 	VMOVDQU8 (SI)(DX*1), Z23
-	DOT4(Z20)
+	VPDPBUSD Z16, Z20, Z0
+	VPDPBUSD Z17, Z20, Z4
+	VPDPBUSD Z18, Z20, Z8
+	VPDPBUSD Z19, Z20, Z12
 	VPDPBUSD Z16, Z21, Z1
 	VPDPBUSD Z17, Z21, Z5
 	VPDPBUSD Z18, Z21, Z9
@@ -159,32 +147,7 @@ kloop:
 	ADDQ     $64, DX
 	JNZ      kloop
 
-ktail:
-	KORTESTQ K1, K1
-	JZ       reduce
-	VMOVDQU8.Z (R8), K1, Z16
-	VMOVDQU8.Z (R9), K1, Z17
-	VMOVDQU8.Z (R10), K1, Z18
-	VMOVDQU8.Z (R11), K1, Z19
-	VMOVDQU8.Z (R12), K1, Z20
-	VMOVDQU8.Z (R13), K1, Z21
-	VMOVDQU8.Z (BX), K1, Z22
-	VMOVDQU8.Z (SI), K1, Z23
-	DOT4(Z20)
-	VPDPBUSD   Z16, Z21, Z1
-	VPDPBUSD   Z17, Z21, Z5
-	VPDPBUSD   Z18, Z21, Z9
-	VPDPBUSD   Z19, Z21, Z13
-	VPDPBUSD   Z16, Z22, Z2
-	VPDPBUSD   Z17, Z22, Z6
-	VPDPBUSD   Z18, Z22, Z10
-	VPDPBUSD   Z19, Z22, Z14
-	VPDPBUSD   Z16, Z23, Z3
-	VPDPBUSD   Z17, Z23, Z7
-	VPDPBUSD   Z18, Z23, Z11
-	VPDPBUSD   Z19, Z23, Z15
-
-reduce:
+	// The horizontal sums.
 	HALVES(Z0, Z4, Z16)
 	HALVES(Z8, Z12, Z17)
 	HALVES(Z1, Z5, Z18)
@@ -203,7 +166,7 @@ reduce:
 	VSHUFPS $0xDD, Z2, Z0, Z0
 	VPADDD  Z16, Z0, Z0 // lane r, dword c: acc(r, c)
 
-	MOVQ    CX, R13 // b+kfull, while CL holds the shift
+	MOVQ    CX, R13 // b+kp, while CL holds the shift
 	MOVQ    int8Panel_n(DI), CX
 	SUBQ    AX, CX
 	MOVQ    $4, BX

@@ -22,14 +22,37 @@ func randUint8(rng *rand.Rand, n int) []uint8 {
 	return s
 }
 
-// TestGemmInt8MatchesRef pins the tiled engine against the naive oracle
-// over shapes that exercise the 2×4 tile, the odd-row and odd-column
-// tails, and (on multi-core hosts) the parallel row chunking.
+// refGemmInt8DotInto is the naive oracle for GemmInt8DotInto: same
+// contract, scalar triple loop.
+func refGemmInt8DotInto(c []int32, a []int8, b []uint8, m, n, kp int) {
+	for i := 0; i < m; i++ {
+		ar := a[i*kp : (i+1)*kp]
+		for j := 0; j < n; j++ {
+			br := b[j*kp : (j+1)*kp]
+			var s int32
+			for k := range ar {
+				s += int32(ar[k]) * int32(br[k])
+			}
+			c[i*n+j] = s
+		}
+	}
+}
+
+// gemmInt8Requant is GemmInt8RequantInto on [m][kp] weight rows, packed
+// for the selected engine.
+func gemmInt8Requant(y []float32, ldy int, a []int8, b []uint8, m, n, kp int, rq Int8Requant) {
+	w := PackInt8Weights(a, m, kp)
+	GemmInt8RequantInto(y, ldy, &w, b, n, rq)
+}
+
+// TestGemmInt8MatchesRef pins the selected engine against the naive
+// oracle over shapes that exercise its tiles, the odd-row and
+// odd-column edges, and (on multi-core hosts) the parallel split.
 func TestGemmInt8MatchesRef(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	shapes := [][3]int{
-		{1, 1, 16}, {2, 4, 16}, {3, 5, 32}, {4, 4, 48},
-		{7, 9, 16}, {8, 31, 64}, {16, 16, 160}, {5, 2, 4592},
+		{1, 1, 64}, {2, 4, 64}, {3, 5, 128}, {4, 4, 192},
+		{7, 9, 64}, {8, 31, 64}, {16, 16, 192}, {5, 2, 4608},
 		{64, 256, 128}, // crosses the parallel threshold
 	}
 	for _, s := range shapes {
@@ -39,7 +62,7 @@ func TestGemmInt8MatchesRef(t *testing.T) {
 		got := make([]int32, m*n)
 		want := make([]int32, m*n)
 		GemmInt8DotInto(got, a, b, m, n, kp)
-		RefGemmInt8DotInto(want, a, b, m, n, kp)
+		refGemmInt8DotInto(want, a, b, m, n, kp)
 		for i := range want {
 			if got[i] != want[i] {
 				t.Fatalf("shape %v: c[%d] = %d, want %d", s, i, got[i], want[i])
@@ -49,7 +72,7 @@ func TestGemmInt8MatchesRef(t *testing.T) {
 }
 
 func TestGemmInt8RejectsBadKP(t *testing.T) {
-	for _, kp := range []int{0, 8, 17, int8MaxKP + 16} {
+	for _, kp := range []int{0, 8, 16, 17, 48, int8MaxKP + 64} {
 		func() {
 			defer func() {
 				if recover() == nil {
@@ -68,22 +91,21 @@ func requantRef(acc int32, scale float32, corr int32, bias float32) float32 {
 	return float32(scale*float32(acc-corr)) + bias
 }
 
-// TestKernelTierParityInt8 pins every int8 kernel reachable on this host
-// (the VNNI kernel on the AVX-512 tier of a VNNI host, the portable
-// kernel on the others) against the naive oracle, exactly, over the
-// shapes that exercise each edge: every row count up to two panels and
+// TestKernelTierParityInt8 pins every int8 engine reachable on this
+// host on every tier against the naive oracle, exactly, over the shapes
+// that exercise each panel edge: every row count up to two panels and
 // one more, every column count up to two tiles and one more plus
-// ResNet18's 49, and kp with each k-tail residue. Both epilogues run:
-// the int32 store and the requantize, the latter into a strided output
+// ResNet18's 49, and one, two and 72 k steps. Both epilogues run: the
+// int32 store and the requantize, the latter into a strided output
 // whose gaps must stay untouched.
 func TestKernelTierParityInt8(t *testing.T) {
-	forEachTier(t, func(t *testing.T) {
+	forEachInt8Engine(t, func(t *testing.T) {
 		rng := rand.New(rand.NewSource(11))
 		ns := []int{49}
 		for n := 1; n <= 2*int8NR+1; n++ {
 			ns = append(ns, n)
 		}
-		for _, kp := range []int{16, 32, 48, 64, 80, 4608} {
+		for _, kp := range []int{64, 128, 4608} {
 			for m := 1; m <= 2*int8MR+1; m++ {
 				for _, n := range ns {
 					a := randInt8(rng, m*kp)
@@ -97,9 +119,9 @@ func TestKernelTierParityInt8(t *testing.T) {
 
 // TestGemmInt8OverflowBound runs the largest kp the engine accepts with
 // every product at its extreme, -127·255: the sums sit just inside
-// int32 and must come out exact on every tier.
+// int32 and must come out exact on every tier and engine.
 func TestGemmInt8OverflowBound(t *testing.T) {
-	forEachTier(t, func(t *testing.T) {
+	forEachInt8Engine(t, func(t *testing.T) {
 		const m, n, kp = 5, 5, int8MaxKP
 		a := make([]int8, m*kp)
 		b := make([]uint8, n*kp)
@@ -123,7 +145,7 @@ func TestGemmInt8OverflowBound(t *testing.T) {
 func checkInt8Shape(t *testing.T, rng *rand.Rand, a []int8, b []uint8, m, n, kp int) {
 	t.Helper()
 	want := make([]int32, m*n)
-	RefGemmInt8DotInto(want, a, b, m, n, kp)
+	refGemmInt8DotInto(want, a, b, m, n, kp)
 	const guard = 8
 	got := make([]int32, m*n+guard)
 	for i := range got {
@@ -153,7 +175,7 @@ func checkInt8Shape(t *testing.T, rng *rand.Rand, a []int8, b []uint8, m, n, kp 
 	for i := range y {
 		y[i] = 42
 	}
-	GemmInt8RequantInto(y, ldy, a, b, m, n, kp, rq)
+	gemmInt8Requant(y, ldy, a, b, m, n, kp, rq)
 	for i := 0; i < m; i++ {
 		for j := 0; j < ldy; j++ {
 			v := float32(42)
@@ -296,7 +318,7 @@ func TestGemmInt8VsF32Oracle(t *testing.T) {
 		}
 	}
 	y := make([]float32, m*n)
-	GemmInt8RequantInto(y, n, wq, bq, m, n, kp,
+	gemmInt8Requant(y, n, wq, bq, m, n, kp,
 		Int8Requant{WScale: wScale, RowSum: rowSum, XScale: aScale, XZero: int32(zp)})
 	for i := 0; i < m; i++ {
 		row := y[i*n : (i+1)*n]

@@ -127,9 +127,9 @@ func minMaxScalar(xs []float32) (mn, mx float32) {
 //
 // The image is quantized once, row by row with the SIMD quantizer,
 // straight into a bordered plane (see borderedU8) and then gathered —
-// bit-exact with the retained per-element reference
-// (RefIm2ColQuantSlice) because the quantizer is deterministic per
-// element. Zero allocations at pool steady state.
+// bit-exact with a per-element gather (the property tests' oracle)
+// because the quantizer is deterministic per element. Zero allocations
+// at pool steady state.
 func Im2ColQuantSlice(dst []uint8, src []float32, c, h, w int, g ConvGeom, invScale float32, zp uint8, kp int) {
 	if kp < c*g.KH*g.KW {
 		panic("tensor: Im2ColQuantSlice kp below C·KH·KW")
@@ -363,52 +363,5 @@ func evenBytes(w uint64) uint64 {
 func fillU8(s []uint8, v uint8) {
 	for i := range s {
 		s[i] = v
-	}
-}
-
-// RefIm2ColQuantSlice is the retained per-element reference for
-// Im2ColQuantSlice: same contract, scalar gather with one QuantizeAffine
-// per destination element. The property tests pin the fused packer
-// against it bit-exactly, and kernelbench uses it as the speedup
-// baseline.
-func RefIm2ColQuantSlice(dst []uint8, src []float32, c, h, w int, g ConvGeom, invScale float32, zp uint8, kp int) {
-	zpF := float32(zp)
-	refIm2Col(dst, src, c, h, w, g, zp, kp, func(x float32) uint8 { return QuantizeAffine(x, invScale, zpF) })
-}
-
-// RefIm2ColU8Slice is the retained per-element reference for
-// Im2ColU8Slice.
-func RefIm2ColU8Slice(dst, src []uint8, c, h, w int, g ConvGeom, pad uint8, kp int) {
-	refIm2Col(dst, src, c, h, w, g, pad, kp, func(q uint8) uint8 { return q })
-}
-
-// refIm2Col is the per-element gather both references share: level
-// maps an in-image source element to its byte, and padding positions
-// take pad.
-func refIm2Col[T any](dst []uint8, src []T, c, h, w int, g ConvGeom, pad uint8, kp int, level func(T) uint8) {
-	oh, ow := g.OutSize(h, w)
-	if kp < c*g.KH*g.KW {
-		panic("tensor: RefIm2Col kp below C·KH·KW")
-	}
-	dst = dst[:oh*ow*kp]
-	for oy := 0; oy < oh; oy++ {
-		for ox := 0; ox < ow; ox++ {
-			row := dst[(oy*ow+ox)*kp:][:kp]
-			ki := 0
-			for ch := 0; ch < c; ch++ {
-				for kh := 0; kh < g.KH; kh++ {
-					iy := oy*g.StrideH - g.PadH + kh
-					for kw := 0; kw < g.KW; kw++ {
-						ix := ox*g.StrideW - g.PadW + kw
-						row[ki] = pad
-						if iy >= 0 && iy < h && ix >= 0 && ix < w {
-							row[ki] = level(src[(ch*h+iy)*w+ix])
-						}
-						ki++
-					}
-				}
-			}
-			clear(row[ki:])
-		}
 	}
 }

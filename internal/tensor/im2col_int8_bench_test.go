@@ -22,7 +22,7 @@ func benchIm2ColU8(b *testing.B, c, h, w int, g ConvGeom, ref bool) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if ref {
-			RefIm2ColU8Slice(dst, src, c, h, w, g, 128, kp)
+			refIm2ColU8Slice(dst, src, c, h, w, g, 128, kp)
 		} else {
 			Im2ColU8Slice(dst, src, c, h, w, g, 128, kp)
 		}
@@ -42,7 +42,7 @@ func benchIm2ColQuant(b *testing.B, c, h, w int, g ConvGeom, ref bool) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if ref {
-			RefIm2ColQuantSlice(dst, src, c, h, w, g, 127.5, 128, kp)
+			refIm2ColQuantSlice(dst, src, c, h, w, g, 127.5, 128, kp)
 		} else {
 			Im2ColQuantSlice(dst, src, c, h, w, g, 127.5, 128, kp)
 		}

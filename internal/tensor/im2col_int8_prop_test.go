@@ -193,7 +193,7 @@ func TestIm2ColQuantSliceMatchesRef(t *testing.T) {
 				want[i] = 0xCD
 			}
 			Im2ColQuantSlice(got, src, c, h, w, g, invScale, zp, kp)
-			RefIm2ColQuantSlice(want, src, c, h, w, g, invScale, zp, kp)
+			refIm2ColQuantSlice(want, src, c, h, w, g, invScale, zp, kp)
 			for i := range got {
 				if got[i] != want[i] {
 					t.Fatalf("tier %v geom %+v c=%d h=%d w=%d zp=%d: dst[%d] = %d, want %d",
@@ -242,12 +242,57 @@ func TestIm2ColU8SliceMatchesRef(t *testing.T) {
 			want[i] = 0xCD
 		}
 		Im2ColU8Slice(got, src, c, h, w, g, pad, kp)
-		RefIm2ColU8Slice(want, src, c, h, w, g, pad, kp)
+		refIm2ColU8Slice(want, src, c, h, w, g, pad, kp)
 		for i := range got {
 			if got[i] != want[i] {
 				t.Fatalf("geom %+v c=%d h=%d w=%d pad=%d: dst[%d] = %d, want %d",
 					g, c, h, w, pad, i, got[i], want[i])
 			}
+		}
+	}
+}
+
+// refIm2ColQuantSlice is the per-element oracle for Im2ColQuantSlice:
+// same contract, scalar gather with one QuantizeAffine per destination
+// element. The property tests pin the fused packer against it
+// bit-exactly.
+func refIm2ColQuantSlice(dst []uint8, src []float32, c, h, w int, g ConvGeom, invScale float32, zp uint8, kp int) {
+	zpF := float32(zp)
+	refIm2Col(dst, src, c, h, w, g, zp, kp, func(x float32) uint8 { return QuantizeAffine(x, invScale, zpF) })
+}
+
+// refIm2ColU8Slice is the per-element oracle for Im2ColU8Slice.
+func refIm2ColU8Slice(dst, src []uint8, c, h, w int, g ConvGeom, pad uint8, kp int) {
+	refIm2Col(dst, src, c, h, w, g, pad, kp, func(q uint8) uint8 { return q })
+}
+
+// refIm2Col is the per-element gather both references share: level
+// maps an in-image source element to its byte, and padding positions
+// take pad.
+func refIm2Col[T any](dst []uint8, src []T, c, h, w int, g ConvGeom, pad uint8, kp int, level func(T) uint8) {
+	oh, ow := g.OutSize(h, w)
+	if kp < c*g.KH*g.KW {
+		panic("tensor: refIm2Col kp below C·KH·KW")
+	}
+	dst = dst[:oh*ow*kp]
+	for oy := 0; oy < oh; oy++ {
+		for ox := 0; ox < ow; ox++ {
+			row := dst[(oy*ow+ox)*kp:][:kp]
+			ki := 0
+			for ch := 0; ch < c; ch++ {
+				for kh := 0; kh < g.KH; kh++ {
+					iy := oy*g.StrideH - g.PadH + kh
+					for kw := 0; kw < g.KW; kw++ {
+						ix := ox*g.StrideW - g.PadW + kw
+						row[ki] = pad
+						if iy >= 0 && iy < h && ix >= 0 && ix < w {
+							row[ki] = level(src[(ch*h+iy)*w+ix])
+						}
+						ki++
+					}
+				}
+			}
+			clear(row[ki:])
 		}
 	}
 }

@@ -28,6 +28,7 @@ type Result struct {
 	NsPerOp      float64 `json:"ns_per_op"`
 	GFlops       float64 `json:"gflops,omitempty"`
 	GBPerSec     float64 `json:"gb_per_sec,omitempty"`
+	GMACPerSec   float64 `json:"gmac_per_sec,omitempty"`
 	AllocsPerOp  int64   `json:"allocs_per_op"`
 	SpeedupVsRef float64 `json:"speedup_vs_ref,omitempty"`
 	ScalingVs1T  float64 `json:"scaling_vs_1_thread,omitempty"`
@@ -46,7 +47,10 @@ type Report struct {
 	// KernelTier is the SIMD dispatch tier the host CPU selected
 	// (generic / avx2 / avx512) — the tier every non-forced
 	// result ran at.
-	KernelTier string   `json:"kernel_tier"`
+	KernelTier string `json:"kernel_tier"`
+	// Int8Engine is the int8 GEMM engine the host selected (amx / vnni /
+	// generic) — the engine every non-forced int8 result ran on.
+	Int8Engine string   `json:"int8_engine"`
 	Results    []Result `json:"results"`
 }
 
@@ -133,6 +137,7 @@ func Run() Report {
 		Host:       telemetry.HostInfo(),
 		GOMAXPROCS: maxProcs,
 		KernelTier: tensor.DetectedKernelTier().String(),
+		Int8Engine: tensor.Int8Engine(),
 	}
 	add := func(r Result) { rep.Results = append(rep.Results, r) }
 
@@ -258,6 +263,18 @@ func Run() Report {
 	// A classifier head on one image: a single activation column.
 	fcNs, _ := benchGemmSlices(1000, 512, 1)
 	benchInt8("gemm_int8_fc_1000x512x1", 1000, 512, 1, fcNs)
+
+	// The entry every int8 conv calls, once per engine the host runs, on
+	// the zoo shapes and ResNet18's stem: requantize, BatchNorm and ReLU
+	// in the epilogue, weights packed for the engine beforehand.
+	int8Shapes := append([]ConvShape{{Name: "r18_stem_7x7s2_56sq", M: 64, K: 147, N: 56 * 56}}, ZooConvShapes...)
+	for _, e := range tensor.Int8Engines() {
+		_ = tensor.SetInt8Engine(e)
+		for _, cs := range int8Shapes {
+			add(benchInt8Requant("gemm_int8_requant_"+e, cs.M, cs.K, cs.N))
+		}
+	}
+	_ = tensor.SetInt8Engine(tensor.Int8Engines()[0])
 	runtime.GOMAXPROCS(maxProcs)
 
 	// Model-zoo conv GEMM shapes at full parallelism.
@@ -326,19 +343,16 @@ func Run() Report {
 	add(Result{Name: "im2col_64ch_3x3_56sq", Shape: "64x56x56",
 		Threads: 1, NsPerOp: float64(ir.NsPerOp()), AllocsPerOp: ir.AllocsPerOp()})
 
-	// Quantized im2col: the fused SIMD quantize-while-pack path against
-	// the retained per-element reference, in both directions the int8
-	// operating mode runs — f32 activations → packed levels (local
-	// compute) and decoded wire levels → packed levels (the levels-native
-	// quantized uplink). GB/s counts the source image read once plus the
-	// packed column matrix written — the fixed data movement both
-	// implementations share — so the reference's overlap-window re-reads
-	// and re-quantization count against it, not for it.
+	// Quantized im2col in both directions the int8 operating mode runs —
+	// f32 activations → packed levels (local compute) and decoded wire
+	// levels → packed levels (the levels-native quantized uplink). GB/s
+	// counts the source image read once plus the packed column matrix
+	// written.
 	mn, mx := tensor.MinMax(src)
 	af, _ := quant.AffineFor(mn, mx)
 	qkp := tensor.Int8KP(64 * 9)
 	qbuf := tensor.GetBytes(oh * ow * qkp)
-	benchQuantIm2Col := func(name string, bytes float64, f func()) float64 {
+	benchQuantIm2Col := func(name string, bytes float64, f func()) {
 		qr := testing.Benchmark(func(tb *testing.B) {
 			tb.ReportAllocs()
 			for i := 0; i < tb.N; i++ {
@@ -348,26 +362,15 @@ func Run() Report {
 		ns := float64(qr.NsPerOp())
 		add(Result{Name: name, Shape: "64x56x56", Threads: 1, NsPerOp: ns,
 			GBPerSec: bytes / ns, AllocsPerOp: qr.AllocsPerOp()})
-		return ns
 	}
-	qf32Bytes := float64(4*64*56*56 + oh*ow*qkp)
-	refQNs := benchQuantIm2Col("quantized_im2col_f32_ref", qf32Bytes, func() {
-		tensor.RefIm2ColQuantSlice(qbuf, src, 64, 56, 56, g, af.InvScale(), af.Zero, qkp)
-	})
-	fusedQNs := benchQuantIm2Col("quantized_im2col_f32_fused", qf32Bytes, func() {
+	benchQuantIm2Col("quantized_im2col_f32_fused", float64(4*64*56*56+oh*ow*qkp), func() {
 		tensor.Im2ColQuantSlice(qbuf, src, 64, 56, 56, g, af.InvScale(), af.Zero, qkp)
 	})
-	rep.Results[len(rep.Results)-1].SpeedupVsRef = refQNs / fusedQNs
 	lv := tensor.GetBytes(64 * 56 * 56)
 	tensor.QuantizeAffineSlice(lv, src, af.InvScale(), af.Zero)
-	qu8Bytes := float64(64*56*56 + oh*ow*qkp)
-	refUNs := benchQuantIm2Col("quantized_im2col_u8_ref", qu8Bytes, func() {
-		tensor.RefIm2ColU8Slice(qbuf, lv, 64, 56, 56, g, af.Zero, qkp)
-	})
-	fusedUNs := benchQuantIm2Col("quantized_im2col_u8_fused", qu8Bytes, func() {
+	benchQuantIm2Col("quantized_im2col_u8_fused", float64(64*56*56+oh*ow*qkp), func() {
 		tensor.Im2ColU8Slice(qbuf, lv, 64, 56, 56, g, af.Zero, qkp)
 	})
-	rep.Results[len(rep.Results)-1].SpeedupVsRef = refUNs / fusedUNs
 	tensor.PutBytes(lv)
 	tensor.PutBytes(qbuf)
 
@@ -456,10 +459,45 @@ func Run() Report {
 	return rep
 }
 
+// benchInt8Requant measures GemmInt8RequantInto on m×Int8KP(k)×n under
+// the selected int8 engine and GOMAXPROCS.
+func benchInt8Requant(name string, m, k, n int) Result {
+	kp := tensor.Int8KP(k)
+	rng := rand.New(rand.NewSource(3))
+	a8 := make([]int8, m*kp)
+	b8 := make([]uint8, n*kp)
+	for i := range a8 {
+		a8[i] = int8(rng.Intn(255) - 127)
+	}
+	for i := range b8 {
+		b8[i] = uint8(rng.Intn(256))
+	}
+	perRow := func() []float32 {
+		v := make([]float32, m)
+		for i := range v {
+			v[i] = rng.Float32()
+		}
+		return v
+	}
+	rq := tensor.Int8Requant{WScale: perRow(), RowSum: make([]int32, m), XScale: 0.02, XZero: 7,
+		Epilogue: tensor.Epilogue{Bias: perRow(), Scale: perRow(), Shift: perRow(), ReLU: true}}
+	w := tensor.PackInt8Weights(a8, m, kp)
+	y := make([]float32, m*n)
+	br := testing.Benchmark(func(tb *testing.B) {
+		tb.ReportAllocs()
+		for i := 0; i < tb.N; i++ {
+			tensor.GemmInt8RequantInto(y, n, &w, b8, n, rq)
+		}
+	})
+	ns := float64(br.NsPerOp())
+	return Result{Name: name, Shape: fmt.Sprintf("%dx%dx%d", m, kp, n), Threads: runtime.GOMAXPROCS(0),
+		NsPerOp: ns, GMACPerSec: float64(m) * float64(kp) * float64(n) / ns, AllocsPerOp: br.AllocsPerOp()}
+}
+
 // WriteText renders a human-readable table.
 func (r Report) WriteText(w io.Writer) {
-	fmt.Fprintf(w, "kernel benchmarks (%s, %s, GOMAXPROCS=%d, tier=%s)\n",
-		r.GoVersion, r.GOARCH, r.GOMAXPROCS, r.KernelTier)
+	fmt.Fprintf(w, "kernel benchmarks (%s, %s, GOMAXPROCS=%d, tier=%s, int8=%s)\n",
+		r.GoVersion, r.GOARCH, r.GOMAXPROCS, r.KernelTier, r.Int8Engine)
 	fmt.Fprintf(w, "%-46s %-16s %8s %12s %9s %7s %7s %9s %7s\n",
 		"name", "shape", "threads", "ns/op", "GFLOP/s", "GB/s", "allocs", "vs-ref", "of-peak")
 	for _, res := range r.Results {
@@ -470,6 +508,9 @@ func (r Report) WriteText(w io.Writer) {
 		gf := ""
 		if res.GFlops > 0 {
 			gf = fmt.Sprintf("%.2f", res.GFlops)
+		}
+		if res.GMACPerSec > 0 {
+			gf = fmt.Sprintf("%.2f", 2*res.GMACPerSec) // two flops a MAC
 		}
 		gb := ""
 		if res.GBPerSec > 0 {

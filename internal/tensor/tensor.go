@@ -22,7 +22,9 @@ func New(shape ...int) *Tensor {
 	n := 1
 	for _, d := range shape {
 		if d < 0 {
-			panic(fmt.Sprintf("tensor: negative dimension %v", shape))
+			// Scalars only: formatting shape would make every caller
+			// heap-allocate its argument array.
+			panic(fmt.Sprintf("tensor: negative dimension %d in a rank-%d shape", d, len(shape)))
 		}
 		n *= d
 	}
@@ -39,7 +41,7 @@ func FromSlice(data []float32, shape ...int) *Tensor {
 		n *= d
 	}
 	if len(data) != n {
-		panic(fmt.Sprintf("tensor: data length %d does not match shape %v (%d)", len(data), shape, n))
+		panic(fmt.Sprintf("tensor: data length %d does not match the rank-%d shape's volume %d", len(data), len(shape), n))
 	}
 	s := make([]int, len(shape))
 	copy(s, shape)
