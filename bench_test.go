@@ -1,17 +1,15 @@
-// Package adcnn's repository-level benchmarks regenerate every table and
-// figure of the paper's evaluation (run with `go test -bench=. -benchmem`).
-// Each benchmark reports the paper's headline quantity as a custom metric
-// so the shape comparison is visible in the bench output:
+// Package adcnn's repository-level benchmarks are the ablations of the
+// design choices DESIGN.md calls out (pipelining, EWMA decay, allocation
+// policy, halo reuse, quantization width, progressive retraining), which
+// no other runner covers (run with `go test -bench=. -benchmem`). Each
+// reports its quantity as a custom metric:
 //
-//	BenchmarkFigure11   ... speedup-vs-single=6.6 speedup-vs-cloud=2.6
+//	BenchmarkAblationPipelining   ... pipelined-ms=... sequential-ms=...
 //
-// Ablation benchmarks at the bottom cover the design choices DESIGN.md
-// calls out (pipelining, EWMA decay, allocation policy, halo reuse,
-// quantization width).
+// The paper's tables and figures regenerate with `adcnn-bench -exp <name>`.
 package adcnn
 
 import (
-	"context"
 	"testing"
 	"time"
 
@@ -25,140 +23,6 @@ import (
 	"adcnn/internal/sched"
 	"adcnn/internal/tensor"
 )
-
-// ---- Paper artifacts ----------------------------------------------------
-
-// BenchmarkFigure3 regenerates the per-layer-block workload profile.
-func BenchmarkFigure3(b *testing.B) {
-	var share float64
-	for i := 0; i < b.N; i++ {
-		r := experiments.Figure3()
-		share = r.EarlyShare("VGG16", 4)
-	}
-	b.ReportMetric(share, "vgg16-first4-share")
-}
-
-// BenchmarkFigure10 runs the (quick) accuracy experiment: original
-// training plus full progressive retraining for one partition.
-func BenchmarkFigure10(b *testing.B) {
-	var drop float64
-	for i := 0; i < b.N; i++ {
-		res, err := experiments.RunAccuracy(experiments.QuickAccuracySetup())
-		if err != nil {
-			b.Fatal(err)
-		}
-		row := res.Rows[0]
-		drop = row.OrigMetric - row.FinalMetric
-	}
-	b.ReportMetric(drop, "accuracy-drop")
-}
-
-// BenchmarkTable1 measures the retraining cost (epochs per stage).
-func BenchmarkTable1(b *testing.B) {
-	var epochs float64
-	for i := 0; i < b.N; i++ {
-		res, err := experiments.RunAccuracy(experiments.QuickAccuracySetup())
-		if err != nil {
-			b.Fatal(err)
-		}
-		epochs = float64(res.Rows[0].TotalEpochs())
-	}
-	b.ReportMetric(epochs, "total-epochs")
-}
-
-// BenchmarkTable2 measures the Conv-node output compression ratio.
-func BenchmarkTable2(b *testing.B) {
-	var ratio float64
-	for i := 0; i < b.N; i++ {
-		res, err := experiments.RunAccuracy(experiments.QuickAccuracySetup())
-		if err != nil {
-			b.Fatal(err)
-		}
-		ratio = res.Rows[0].CompressionRatio
-	}
-	b.ReportMetric(ratio, "compressed/raw")
-}
-
-// BenchmarkFigure11 compares ADCNN with single-device and remote-cloud.
-func BenchmarkFigure11(b *testing.B) {
-	var vsSingle, vsCloud float64
-	for i := 0; i < b.N; i++ {
-		r, err := experiments.Figure11(20, experiments.DefaultSimOptions())
-		if err != nil {
-			b.Fatal(err)
-		}
-		vsSingle, vsCloud = r.MeanSpeedups()
-	}
-	b.ReportMetric(vsSingle, "speedup-vs-single")
-	b.ReportMetric(vsCloud, "speedup-vs-cloud")
-}
-
-// BenchmarkTable3 regenerates the VGG16 latency breakdown.
-func BenchmarkTable3(b *testing.B) {
-	var adcnnMs float64
-	for i := 0; i < b.N; i++ {
-		r, err := experiments.Table3(experiments.DefaultSimOptions())
-		if err != nil {
-			b.Fatal(err)
-		}
-		adcnnMs = float64(r.Rows[0].Total()) / float64(time.Millisecond)
-	}
-	b.ReportMetric(adcnnMs, "adcnn-vgg16-ms")
-}
-
-// BenchmarkFigure12 measures the pruning effect at two link rates.
-func BenchmarkFigure12(b *testing.B) {
-	var fast, slow float64
-	for i := 0; i < b.N; i++ {
-		r, err := experiments.Figure12(10, 1)
-		if err != nil {
-			b.Fatal(err)
-		}
-		fast, slow = r.MeanReduction(87.72), r.MeanReduction(12.66)
-	}
-	b.ReportMetric(fast, "saving%@87.72")
-	b.ReportMetric(slow, "saving%@12.66")
-}
-
-// BenchmarkFigure13 sweeps the cluster size.
-func BenchmarkFigure13(b *testing.B) {
-	var s8 float64
-	for i := 0; i < b.N; i++ {
-		r, err := experiments.Figure13(10, experiments.DefaultSimOptions())
-		if err != nil {
-			b.Fatal(err)
-		}
-		s8 = r.Rows[len(r.Rows)-1].Speedup
-	}
-	b.ReportMetric(s8, "speedup@8nodes")
-}
-
-// BenchmarkFigure14 compares ADCNN with Neurosurgeon and AOFL.
-func BenchmarkFigure14(b *testing.B) {
-	var vsNS, vsAOFL float64
-	for i := 0; i < b.N; i++ {
-		r, err := experiments.Figure14(20, experiments.DefaultSimOptions())
-		if err != nil {
-			b.Fatal(err)
-		}
-		vsNS, vsAOFL = r.MeanFactors()
-	}
-	b.ReportMetric(vsNS, "vs-neurosurgeon")
-	b.ReportMetric(vsAOFL, "vs-aofl")
-}
-
-// BenchmarkFigure15 runs the dynamic-adaptation scenario.
-func BenchmarkFigure15(b *testing.B) {
-	var recovery float64
-	for i := 0; i < b.N; i++ {
-		r, err := experiments.Figure15(50, experiments.DefaultSimOptions())
-		if err != nil {
-			b.Fatal(err)
-		}
-		recovery = (r.PeakMs - r.SettledMs) / (r.PeakMs - r.BeforeMs)
-	}
-	b.ReportMetric(recovery, "latency-recovery-frac")
-}
 
 // ---- Ablations (DESIGN.md Section 5) -------------------------------------
 
@@ -308,30 +172,6 @@ func BenchmarkAblationProgressive(b *testing.B) {
 	b.ReportMetric(oneShot, "oneshot-metric")
 }
 
-// BenchmarkFailureResilience measures graceful degradation: the metric
-// retained when 1 of 4 tiles is zero-filled (extension experiment).
-func BenchmarkFailureResilience(b *testing.B) {
-	var retained float64
-	for i := 0; i < b.N; i++ {
-		res, err := experiments.FailureSweep(experiments.QuickAccuracySetup(), 1)
-		if err != nil {
-			b.Fatal(err)
-		}
-		retained = res.Points[1].Metric / res.Points[0].Metric
-	}
-	b.ReportMetric(retained, "metric-retained@1tile")
-}
-
-// BenchmarkStreamThroughput measures pipelined images/second for VGG16.
-func BenchmarkStreamThroughput(b *testing.B) {
-	var ips float64
-	for i := 0; i < b.N; i++ {
-		s := newVGGSim(b, nil)
-		ips = s.RunStream(50, nil).Throughput
-	}
-	b.ReportMetric(ips, "images/sec")
-}
-
 // BenchmarkHaloExchangeTraffic measures the naive spatial partition's
 // halo bytes on a real model (Section 3.1's overhead, which FDSP
 // eliminates).
@@ -363,35 +203,6 @@ func BenchmarkSimThroughput(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		s.RunImage()
-	}
-}
-
-// BenchmarkDistributedInference measures the live in-process runtime on
-// the sim-scale VGG model (real tensors over the wire).
-func BenchmarkDistributedInference(b *testing.B) {
-	m, err := models.Build(models.VGGSim(), models.Options{
-		Grid: fdsp.Grid{Rows: 4, Cols: 4}, ClipLo: 0.05, ClipHi: 2.5, QuantBits: 4,
-	}, 1)
-	if err != nil {
-		b.Fatal(err)
-	}
-	conns := make([]core.Conn, 4)
-	for i := range conns {
-		a, bb := core.Pipe()
-		conns[i] = a
-		go func() { _ = core.NewWorker(i+1, m).Serve(context.Background(), bb) }()
-	}
-	central, err := core.NewCentral(m, conns, 10*time.Second, 0.9)
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer central.Shutdown()
-	x := testInput()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, _, err := central.Infer(x); err != nil {
-			b.Fatal(err)
-		}
 	}
 }
 

@@ -330,7 +330,6 @@ func main() {
 	}
 	if *metricsAddr != "" {
 		b.reg = telemetry.NewRegistry()
-		compress.Instrument(b.reg)
 		telemetry.RegisterBuildInfo(b.reg, "central", tensor.DetectedKernelTier().String())
 	}
 

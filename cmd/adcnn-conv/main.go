@@ -102,7 +102,6 @@ func main() {
 	if *metricsAddr != "" {
 		reg := telemetry.NewRegistry()
 		w.Metrics = core.NewMetrics(reg)
-		compress.Instrument(reg)
 		telemetry.RegisterBuildInfo(reg, "conv", tensor.DetectedKernelTier().String())
 		ready := func() error {
 			if ns.ActiveSessions() == 0 {

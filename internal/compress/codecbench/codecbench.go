@@ -1,8 +1,7 @@
 // Package codecbench measures the boundary codec — the fused single-pass
-// clip→quant→RLE encoder and LUT decoder against the retained scalar
-// reference pipeline — across the sparsity levels the clipped ReLU
-// actually produces, and renders the results as a machine-readable
-// report. adcnn-bench (-exp compress) writes the report to
+// clip→quant→RLE encoder and LUT decoder — across the sparsity levels
+// the clipped ReLU actually produces, and renders the results as a
+// machine-readable report. adcnn-bench (-exp compress) writes the report to
 // BENCH_compress.json so the codec perf trajectory is tracked across PRs.
 package codecbench
 
@@ -21,15 +20,14 @@ import (
 
 // Result is one benchmark measurement.
 type Result struct {
-	Name         string  `json:"name"`
-	Sparsity     float64 `json:"sparsity"`
-	Bits         int     `json:"bits"`
-	Elements     int     `json:"elements"`
-	NsPerOp      float64 `json:"ns_per_op"`
-	MBPerSec     float64 `json:"mb_per_sec"` // raw float32 bytes through the codec
-	AllocsPerOp  int64   `json:"allocs_per_op"`
-	SpeedupVsRef float64 `json:"speedup_vs_ref,omitempty"`
-	Ratio        float64 `json:"compression_ratio,omitempty"`
+	Name        string  `json:"name"`
+	Sparsity    float64 `json:"sparsity"`
+	Bits        int     `json:"bits"`
+	Elements    int     `json:"elements"`
+	NsPerOp     float64 `json:"ns_per_op"`
+	MBPerSec    float64 `json:"mb_per_sec"` // raw float32 bytes through the codec
+	AllocsPerOp int64   `json:"allocs_per_op"`
+	Ratio       float64 `json:"compression_ratio,omitempty"`
 }
 
 // Report is the full codec benchmark suite output, with host metadata so
@@ -76,8 +74,8 @@ func bench(f func()) (float64, int64) {
 	return float64(r.NsPerOp()), r.AllocsPerOp()
 }
 
-// Run executes the codec suite: fused vs reference encode and decode at
-// each sparsity point, 4-bit quantization (the paper's setting).
+// Run executes the codec suite: fused encode and decode at each sparsity
+// point, 4-bit quantization (the paper's setting).
 func Run() Report {
 	rep := Report{
 		Timestamp:  time.Now().UTC().Format(time.RFC3339),
@@ -95,17 +93,6 @@ func Run() Report {
 		x := sparse(int64(i+1), tileElements, sp, rng)
 		ratio := p.Ratio(x)
 
-		refEncNs, refEncAl := bench(func() {
-			if _, err := compress.RefEncodeForBench(p, x); err != nil {
-				panic(err)
-			}
-		})
-		rep.Results = append(rep.Results, Result{
-			Name: "encode_ref", Sparsity: sp, Bits: bits, Elements: tileElements,
-			NsPerOp: refEncNs, MBPerSec: mbps(refEncNs), AllocsPerOp: refEncAl,
-			Ratio: ratio,
-		})
-
 		buf := tensor.GetBytes(p.MaxEncodedSize(x))
 		var encErr error
 		fusedEncNs, fusedEncAl := bench(func() {
@@ -117,23 +104,13 @@ func Run() Report {
 		rep.Results = append(rep.Results, Result{
 			Name: "encode_fused", Sparsity: sp, Bits: bits, Elements: tileElements,
 			NsPerOp: fusedEncNs, MBPerSec: mbps(fusedEncNs), AllocsPerOp: fusedEncAl,
-			SpeedupVsRef: refEncNs / fusedEncNs, Ratio: ratio,
+			Ratio: ratio,
 		})
 
 		payload, err := p.Encode(x)
 		if err != nil {
 			panic(err)
 		}
-		refDecNs, refDecAl := bench(func() {
-			if _, err := compress.RefDecodeForBench(payload); err != nil {
-				panic(err)
-			}
-		})
-		rep.Results = append(rep.Results, Result{
-			Name: "decode_ref", Sparsity: sp, Bits: bits, Elements: tileElements,
-			NsPerOp: refDecNs, MBPerSec: mbps(refDecNs), AllocsPerOp: refDecAl,
-		})
-
 		var dst tensor.Tensor
 		if err := compress.DecodeInto(&dst, payload); err != nil { // warm storage + LUT
 			panic(err)
@@ -146,7 +123,6 @@ func Run() Report {
 		rep.Results = append(rep.Results, Result{
 			Name: "decode_fused", Sparsity: sp, Bits: bits, Elements: tileElements,
 			NsPerOp: fusedDecNs, MBPerSec: mbps(fusedDecNs), AllocsPerOp: fusedDecAl,
-			SpeedupVsRef: refDecNs / fusedDecNs,
 		})
 		tensor.PutBytes(buf)
 	}
@@ -157,19 +133,15 @@ func Run() Report {
 func (r Report) WriteText(w io.Writer) {
 	fmt.Fprintf(w, "boundary codec benchmarks (%s, %s, GOMAXPROCS=%d)\n",
 		r.GoVersion, r.GOARCH, r.GOMAXPROCS)
-	fmt.Fprintf(w, "%-14s %9s %5s %9s %12s %9s %7s %8s %7s\n",
-		"name", "sparsity", "bits", "elems", "ns/op", "MB/s", "allocs", "vs-ref", "ratio")
+	fmt.Fprintf(w, "%-14s %9s %5s %9s %12s %9s %7s %7s\n",
+		"name", "sparsity", "bits", "elems", "ns/op", "MB/s", "allocs", "ratio")
 	for _, res := range r.Results {
-		speed := ""
-		if res.SpeedupVsRef > 0 {
-			speed = fmt.Sprintf("%.2fx", res.SpeedupVsRef)
-		}
 		ratio := ""
 		if res.Ratio > 0 {
 			ratio = fmt.Sprintf("%.3f", res.Ratio)
 		}
-		fmt.Fprintf(w, "%-14s %9.2f %5d %9d %12.0f %9.1f %7d %8s %7s\n",
+		fmt.Fprintf(w, "%-14s %9.2f %5d %9d %12.0f %9.1f %7d %7s\n",
 			res.Name, res.Sparsity, res.Bits, res.Elements, res.NsPerOp,
-			res.MBPerSec, res.AllocsPerOp, speed, ratio)
+			res.MBPerSec, res.AllocsPerOp, ratio)
 	}
 }

@@ -8,51 +8,9 @@
 package compress
 
 import (
-	"sync/atomic"
-
 	"adcnn/internal/quant"
-	"adcnn/internal/telemetry"
 	"adcnn/internal/tensor"
 )
-
-// instruments is the package-wide (optional) telemetry hook. Pipelines
-// are constructed transiently per tile on the worker hot path, so the
-// instruments live at package level rather than on the Pipeline value;
-// an atomic pointer keeps Encode race-free against Instrument.
-type instruments struct {
-	rawBytes     *telemetry.Counter
-	encodedBytes *telemetry.Counter
-	tensors      *telemetry.Counter
-	zeroLevels   *telemetry.Counter
-	levels       *telemetry.Counter
-}
-
-var instr atomic.Pointer[instruments]
-
-// Instrument publishes compression statistics on reg:
-//
-//	adcnn_compress_raw_bytes_total      float32 bytes before compression
-//	adcnn_compress_encoded_bytes_total  payload bytes after quantize+RLE
-//	adcnn_compress_tensors_total        tensors encoded
-//	adcnn_compress_zero_levels_total    zero quantization levels (sparsity
-//	                                    numerator; divide by levels_total)
-//	adcnn_compress_levels_total         total quantization levels
-//
-// Pass nil to disable. The encoded/raw ratio is the paper's Table 2
-// compression ratio; zero/total levels is the clipped-ReLU sparsity.
-func Instrument(reg *telemetry.Registry) {
-	if reg == nil {
-		instr.Store(nil)
-		return
-	}
-	instr.Store(&instruments{
-		rawBytes:     reg.Counter("adcnn_compress_raw_bytes_total", "Tensor bytes before boundary compression."),
-		encodedBytes: reg.Counter("adcnn_compress_encoded_bytes_total", "Payload bytes after quantize+RLE."),
-		tensors:      reg.Counter("adcnn_compress_tensors_total", "Tensors encoded by the boundary pipeline."),
-		zeroLevels:   reg.Counter("adcnn_compress_zero_levels_total", "Zero quantization levels observed (sparsity numerator)."),
-		levels:       reg.Counter("adcnn_compress_levels_total", "Quantization levels observed (sparsity denominator)."),
-	})
-}
 
 // Pipeline bundles the quantizer configuration used at the Front/Back
 // boundary. Range must equal the clipped ReLU's b-a so the quantizer
@@ -74,8 +32,8 @@ func (p Pipeline) Quantizer() quant.Quantizer { return quant.New(p.Bits, p.Range
 // Encode compresses a clipped-ReLU output tensor into a self-describing
 // payload: header (shape, range, bits) followed by the RLE stream of
 // quantization levels. It runs the fused single-pass codec (see
-// EncodeInto); the scalar quantize-then-RLE original is retained as
-// refEncode for property tests and benchmarks.
+// EncodeInto); the scalar quantize-then-RLE original is the property
+// tests' reference.
 func (p Pipeline) Encode(t *tensor.Tensor) ([]byte, error) {
 	return p.EncodeInto(nil, t)
 }

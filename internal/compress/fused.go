@@ -8,29 +8,37 @@ import (
 	"sync/atomic"
 
 	"adcnn/internal/quant"
-	"adcnn/internal/rle"
 	"adcnn/internal/tensor"
 )
 
 // Fused boundary codec: the clip → quantize → RLE pipeline collapsed into
 // a single pass over the float32 data, producing byte-identical payloads
-// to the retained scalar reference (refEncode / refDecode) without ever
-// materialising the intermediate []uint16 level stream.
+// to the scalar reference in the package tests without ever materialising
+// the intermediate []uint16 level stream.
 //
 // Encode runs are classified at the float level: a value quantizes to
 // level 0 exactly when it lies below the quantizer's ZeroThreshold, so a
 // zero run costs one compare per element and the divide+round only runs
 // for the (sparse) literals, whose bits are packed as they are scanned.
-// The sparsity and raw-vs-encoded telemetry counters fall out of the same
-// scan. Decode dequantizes literals through a 2^bits lookup table and
+// Decode dequantizes literals through a 2^bits lookup table and
 // zero-fills runs with memclr-shaped loops straight into the destination
 // tensor's (pooled) storage.
+//
+// The RLE body (little-endian) is a u32 symbol count, a u8 bits-per-level
+// byte, then a token stream; each token is a control byte and a uvarint
+// run length:
+//
+//	tokZeroRun — that many zero levels
+//	tokLiteral — that many non-zero levels follow, bit-packed LSB first
+const (
+	tokZeroRun = 0x00
+	tokLiteral = 0x01
+)
 
-// maxDecodeVolume bounds the tensor volume a payload may declare —
-// aligned with rle.MaxSymbols so the fused and reference decoders accept
-// the same streams. A few token bytes can otherwise declare a
-// multi-gigabyte zero fill.
-const maxDecodeVolume = rle.MaxSymbols
+// maxDecodeVolume bounds the tensor volume a payload may declare (2^26
+// levels = a 256 MiB float32 tensor, the wire frame limit). A few token
+// bytes can otherwise declare a multi-gigabyte zero fill.
+const maxDecodeVolume = 1 << 26
 
 // EncodeInto appends the fused encoding of t to dst and returns the
 // extended slice (append semantics: dst may be nil, and the result may
@@ -71,7 +79,7 @@ func (p Pipeline) EncodeInto(dst []byte, t *tensor.Tensor) ([]byte, error) {
 	buf := dst[:len(dst)+need]
 	o := len(dst)
 
-	// RLE stream header (see package rle): symbol count + bits byte.
+	// RLE body header: symbol count + bits byte.
 	binary.LittleEndian.PutUint32(buf[o:], uint32(len(data)))
 	buf[o+4] = byte(p.Bits)
 	o += 5
@@ -96,7 +104,6 @@ func (p Pipeline) EncodeInto(dst []byte, t *tensor.Tensor) ([]byte, error) {
 	// the tensor each loop iteration handles one literal run followed by
 	// one zero run with no re-classification branch: the compare that
 	// terminated the previous scan already proved the next run's type.
-	zeros := 0
 	i := 0
 	if len(data) > 0 && data[0] < zt {
 		j := 1
@@ -106,8 +113,7 @@ func (p Pipeline) EncodeInto(dst []byte, t *tensor.Tensor) ([]byte, error) {
 		for j < len(data) && data[j] < zt {
 			j++
 		}
-		o = putToken(o, rle.TokZeroRun, j)
-		zeros = j
+		o = putToken(o, tokZeroRun, j)
 		i = j
 	}
 	for i < len(data) {
@@ -116,7 +122,7 @@ func (p Pipeline) EncodeInto(dst []byte, t *tensor.Tensor) ([]byte, error) {
 		for j < len(data) && data[j] >= zt {
 			j++
 		}
-		o = putToken(o, rle.TokLiteral, j-i)
+		o = putToken(o, tokLiteral, j-i)
 		// Quantize and bit-pack the literal run in place, LSB first — the
 		// same accumulator discipline (and bytes) as the reference packer.
 		// quantize reproduces uint16(math.Round(float64(v/step))) exactly:
@@ -176,19 +182,10 @@ func (p Pipeline) EncodeInto(dst []byte, t *tensor.Tensor) ([]byte, error) {
 		for j < len(data) && data[j] < zt {
 			j++
 		}
-		o = putToken(o, rle.TokZeroRun, j-i)
-		zeros += j - i
+		o = putToken(o, tokZeroRun, j-i)
 		i = j
 	}
-	dst = buf[:o]
-	if in := instr.Load(); in != nil {
-		in.rawBytes.Add(float64(RawSize(t)))
-		in.encodedBytes.Add(float64(len(dst)))
-		in.tensors.Inc()
-		in.zeroLevels.Add(float64(zeros))
-		in.levels.Add(float64(len(data)))
-	}
-	return dst, nil
+	return buf[:o], nil
 }
 
 // MaxEncodedSize bounds len of the payload EncodeInto can append for t:
@@ -363,9 +360,9 @@ func decodeBody(out []float32, body []byte, bits int, rng float32) error {
 		}
 		c := int(count)
 		switch tok {
-		case rle.TokZeroRun:
+		case tokZeroRun:
 			w += c // already cleared by the bulk memclr
-		case rle.TokLiteral:
+		case tokLiteral:
 			needB := (c*bits + 7) / 8
 			if pos+needB > len(body) {
 				return errors.New("compress: truncated literal run")

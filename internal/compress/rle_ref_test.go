@@ -1,4 +1,4 @@
-package rle
+package compress
 
 import (
 	"math/rand"
@@ -6,13 +6,17 @@ import (
 	"testing/quick"
 )
 
+// Tests of the reference run-length coder (reference_test.go) on its own,
+// so a fault in the oracle shows here rather than as a fused-vs-reference
+// mismatch.
+
 func TestRoundTripSimple(t *testing.T) {
 	in := []uint16{0, 0, 0, 5, 7, 0, 0, 1, 0}
-	enc, err := Encode(in, 4)
+	enc, err := rleEncode(in, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, err := Decode(enc)
+	out, err := rleDecode(enc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -27,11 +31,11 @@ func TestRoundTripSimple(t *testing.T) {
 }
 
 func TestEmptyStream(t *testing.T) {
-	enc, err := Encode(nil, 4)
+	enc, err := rleEncode(nil, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, err := Decode(enc)
+	out, err := rleDecode(enc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -42,7 +46,7 @@ func TestEmptyStream(t *testing.T) {
 
 func TestAllZeros(t *testing.T) {
 	in := make([]uint16, 10000)
-	enc, err := Encode(in, 4)
+	enc, err := rleEncode(in, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -50,7 +54,7 @@ func TestAllZeros(t *testing.T) {
 	if len(enc) > 12 {
 		t.Fatalf("all-zero stream encoded to %d bytes", len(enc))
 	}
-	out, err := Decode(enc)
+	out, err := rleDecode(enc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,11 +73,11 @@ func TestAllNonZero(t *testing.T) {
 	for i := range in {
 		in[i] = uint16(1 + i%15)
 	}
-	enc, err := Encode(in, 4)
+	enc, err := rleEncode(in, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, err := Decode(enc)
+	out, err := rleDecode(enc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,45 +89,46 @@ func TestAllNonZero(t *testing.T) {
 }
 
 func TestLevelTooWideRejected(t *testing.T) {
-	if _, err := Encode([]uint16{16}, 4); err == nil {
+	if _, err := rleEncode([]uint16{16}, 4); err == nil {
 		t.Fatal("level 16 must not fit in 4 bits")
 	}
 }
 
 func TestBadBits(t *testing.T) {
-	if _, err := Encode([]uint16{1}, 0); err == nil {
+	if _, err := rleEncode([]uint16{1}, 0); err == nil {
 		t.Fatal("bits=0 must be rejected")
 	}
-	if _, err := Encode([]uint16{1}, 17); err == nil {
+	if _, err := rleEncode([]uint16{1}, 17); err == nil {
 		t.Fatal("bits=17 must be rejected")
 	}
 }
 
 func TestDecodeTruncated(t *testing.T) {
 	in := []uint16{0, 0, 3, 3, 3, 0, 9}
-	enc, err := Encode(in, 4)
+	enc, err := rleEncode(in, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for cut := 0; cut < len(enc); cut++ {
-		if _, err := Decode(enc[:cut]); err == nil {
+		if _, err := rleDecode(enc[:cut]); err == nil {
 			t.Fatalf("truncation at %d not detected", cut)
 		}
 	}
 }
 
 func TestDecodeGarbage(t *testing.T) {
-	if _, err := Decode([]byte{1, 2}); err == nil {
+	if _, err := rleDecode([]byte{1, 2}); err == nil {
 		t.Fatal("short garbage must fail")
 	}
 	// Valid header claiming 4 symbols, then an unknown token.
 	bad := []byte{4, 0, 0, 0, 4, 0xFF, 1}
-	if _, err := Decode(bad); err == nil {
+	if _, err := rleDecode(bad); err == nil {
 		t.Fatal("unknown token must fail")
 	}
 }
 
-// Property: Decode(Encode(x)) == x for random sparse streams at any width.
+// Property: rleDecode(rleEncode(x)) == x for random sparse streams at any
+// width.
 func TestRoundTripProperty(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -141,11 +146,11 @@ func TestRoundTripProperty(t *testing.T) {
 				}
 			}
 		}
-		enc, err := Encode(in, bits)
+		enc, err := rleEncode(in, bits)
 		if err != nil {
 			return false
 		}
-		out, err := Decode(enc)
+		out, err := rleDecode(enc)
 		if err != nil || len(out) != len(in) {
 			return false
 		}
@@ -161,7 +166,7 @@ func TestRoundTripProperty(t *testing.T) {
 	}
 }
 
-// Property: CompressedSize matches the actual encoded length.
+// Property: rleCompressedSize matches the actual encoded length.
 func TestCompressedSizeMatchesProperty(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -173,11 +178,11 @@ func TestCompressedSizeMatchesProperty(t *testing.T) {
 				in[i] = uint16(rng.Intn(1<<bits-1)) + 1
 			}
 		}
-		enc, err := Encode(in, bits)
+		enc, err := rleEncode(in, bits)
 		if err != nil {
 			return false
 		}
-		return CompressedSize(in, bits) == len(enc)
+		return rleCompressedSize(in, bits) == len(enc)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
@@ -192,7 +197,7 @@ func TestSparseStreamCompresses(t *testing.T) {
 			in[i] = uint16(rng.Intn(15)) + 1
 		}
 	}
-	enc, err := Encode(in, 4)
+	enc, err := rleEncode(in, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -200,4 +205,74 @@ func TestSparseStreamCompresses(t *testing.T) {
 	if len(enc) >= 5000 {
 		t.Fatalf("sparse stream encoded to %d bytes, expected < 5000", len(enc))
 	}
+}
+
+// FuzzRefDecode: arbitrary bytes must never panic the reference decoder,
+// and any accepted stream must re-encode losslessly.
+func FuzzRefDecode(f *testing.F) {
+	good, _ := rleEncode([]uint16{0, 0, 5, 7, 0, 1}, 4)
+	f.Add(good)
+	f.Add([]byte{})
+	f.Add([]byte{0, 0, 0, 0, 4})
+	f.Add([]byte{255, 255, 255, 255, 4, 0, 1})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		levels, err := rleDecode(data)
+		if err != nil {
+			return
+		}
+		// Round-trip what was accepted.
+		bits := int(data[4])
+		re, err := rleEncode(levels, bits)
+		if err != nil {
+			t.Fatalf("accepted stream failed to re-encode: %v", err)
+		}
+		back, err := rleDecode(re)
+		if err != nil {
+			t.Fatalf("re-encoded stream failed to decode: %v", err)
+		}
+		if len(back) != len(levels) {
+			t.Fatal("length changed across round trip")
+		}
+		for i := range levels {
+			if back[i] != levels[i] {
+				t.Fatal("value changed across round trip")
+			}
+		}
+	})
+}
+
+// FuzzRefEncode: any level stream within the bit width must round-trip
+// through the reference coder, at the size rleCompressedSize predicts.
+func FuzzRefEncode(f *testing.F) {
+	f.Add([]byte{0, 1, 2, 0, 0, 15}, 4)
+	f.Add([]byte{}, 1)
+	f.Fuzz(func(t *testing.T, raw []byte, bits int) {
+		if bits < 1 || bits > 16 {
+			return
+		}
+		mask := uint16(1<<bits - 1)
+		levels := make([]uint16, len(raw))
+		for i, b := range raw {
+			levels[i] = uint16(b) & mask
+		}
+		enc, err := rleEncode(levels, bits)
+		if err != nil {
+			t.Fatalf("in-range levels rejected: %v", err)
+		}
+		back, err := rleDecode(enc)
+		if err != nil {
+			t.Fatalf("decode: %v", err)
+		}
+		if len(back) != len(levels) {
+			t.Fatal("length mismatch")
+		}
+		for i := range levels {
+			if back[i] != levels[i] {
+				t.Fatal("mismatch")
+			}
+		}
+		if rleCompressedSize(levels, bits) != len(enc) {
+			t.Fatal("rleCompressedSize disagrees with rleEncode")
+		}
+	})
 }

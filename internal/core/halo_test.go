@@ -12,7 +12,6 @@ import (
 
 	"adcnn/internal/fdsp"
 	"adcnn/internal/models"
-	"adcnn/internal/telemetry"
 	"adcnn/internal/tensor"
 )
 
@@ -24,22 +23,37 @@ func haloRuntime(t *testing.T, tl time.Duration, with ...func(*CentralConfig)) (
 	return buildRuntime(t, models.Options{}, 4, tl, append([]func(*CentralConfig){grid}, with...)...)
 }
 
-// taskBytesSent reads the uplink volume off the wire meters.
-func taskBytesSent(t *testing.T, met *Metrics) float64 {
-	t.Helper()
-	v, ok := met.Registry.Value("adcnn_wire_bytes_total", "task", "sent")
-	if !ok {
-		t.Fatal("no task-frame byte counter")
+// taskCounter sums the payload bytes of the task frames sent through it.
+type taskCounter struct {
+	Conn
+	n *atomic.Int64
+}
+
+func (c taskCounter) Send(m *Message) error {
+	n := len(m.Payload)
+	err := c.Conn.Send(m)
+	if err == nil && m.Kind == KindTask {
+		c.n.Add(int64(n))
 	}
-	return v
+	return err
+}
+
+// countTaskBytes wraps each of the Central's Conns so the uplink volume
+// is summed into n.
+func countTaskBytes(n *atomic.Int64) func(*CentralConfig) {
+	return func(cfg *CentralConfig) {
+		for k, conn := range cfg.Conns {
+			cfg.Conns[k] = taskCounter{Conn: conn, n: n}
+		}
+	}
 }
 
 // TestHaloModeIsExact: halo-extended tiles through the one engine equal
 // local execution, and pay for it by shipping more than the raw image.
 func TestHaloModeIsExact(t *testing.T) {
 	check := leakCheck(t)
-	met := NewMetrics(telemetry.NewRegistry())
-	c, m, stop := haloRuntime(t, 5*time.Second, func(cfg *CentralConfig) { cfg.Metrics = met })
+	var sent atomic.Int64
+	c, m, stop := haloRuntime(t, 5*time.Second, countTaskBytes(&sent))
 	if c.halo == nil || c.halo.margin <= 0 {
 		t.Fatal("a multi-conv front must need a positive halo margin")
 	}
@@ -57,7 +71,7 @@ func TestHaloModeIsExact(t *testing.T) {
 			t.Fatal("halo-mode distributed inference must be exact")
 		}
 	}
-	if sent := taskBytesSent(t, met); sent <= trials*4*3*32*32 {
+	if sent := sent.Load(); sent <= trials*4*3*32*32 {
 		t.Fatalf("halo uplink %v bytes must exceed the raw images (overlap overhead)", sent)
 	}
 	stop()
@@ -72,20 +86,18 @@ func TestHaloModeThroughPipeline(t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
 	const n = 8
 	xs := make([]*tensor.Tensor, n)
-	in := make(chan *tensor.Tensor, n)
 	for i := range xs {
 		xs[i] = tensor.New(1, 3, 32, 32)
 		xs[i].RandN(rng, 1)
-		in <- xs[i]
 	}
-	close(in)
 	seen := 0
-	for r := range NewPipeline(c, 4).Run(context.Background(), in) {
-		if r.Err != nil {
-			t.Fatalf("image %d: %v", r.Index, r.Err)
+	for h := range submitAll(t, NewPipeline(c, 4), xs) {
+		out, _, err := h.Wait()
+		if err != nil {
+			t.Fatalf("image %d: %v", seen, err)
 		}
-		if !r.Out.Equal(m.Net.Forward(xs[r.Index], false), 1e-4) {
-			t.Fatalf("image %d: pipelined halo inference must be exact", r.Index)
+		if !out.Equal(m.Net.Forward(xs[seen], false), 1e-4) {
+			t.Fatalf("image %d: pipelined halo inference must be exact", seen)
 		}
 		seen++
 	}
@@ -180,15 +192,15 @@ func TestHaloModeDeadlineMissIsAnError(t *testing.T) {
 func TestHaloModeCostsMoreWireThanFDSP(t *testing.T) {
 	x := tensor.New(1, 3, 32, 32)
 	x.RandN(rand.New(rand.NewSource(5)), 1)
-	wire := func(build func(...func(*CentralConfig)) (*Central, func())) float64 {
-		met := NewMetrics(telemetry.NewRegistry())
-		c, stop := build(func(cfg *CentralConfig) { cfg.Metrics = met })
+	wire := func(build func(...func(*CentralConfig)) (*Central, func())) int64 {
+		var sent atomic.Int64
+		c, stop := build(countTaskBytes(&sent))
 		defer stop()
 		_, st, err := c.Infer(x)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return taskBytesSent(t, met) + float64(st.WireBytes)
+		return sent.Load() + st.WireBytes
 	}
 	haloWire := wire(func(with ...func(*CentralConfig)) (*Central, func()) {
 		c, _, stop := haloRuntime(t, 5*time.Second, with...)

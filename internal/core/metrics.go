@@ -52,9 +52,6 @@ type Metrics struct {
 	WorkerRecvEOF    *telemetry.Counter    // clean peer disconnects
 	WorkerRecvErrors *telemetry.Counter    // mid-stream receive failures
 	WorkerSendErrors *telemetry.Counter    // result send failures
-
-	// Transport.
-	Wire *WireMetrics
 }
 
 // windowSpan/windowSlots size the sliding-window instruments: 60s of
@@ -152,7 +149,6 @@ func newMetrics(reg *telemetry.Registry, replica string) *Metrics {
 		WorkerRecvEOF:     counter("adcnn_worker_recv_eof_total", "Clean peer disconnects observed by workers."),
 		WorkerRecvErrors:  counter("adcnn_worker_recv_errors_total", "Mid-stream receive failures observed by workers."),
 		WorkerSendErrors:  counter("adcnn_worker_send_errors_total", "Result send failures observed by workers."),
-		Wire:              newWireMetrics(reg, replica),
 	}
 	phases := histVec("adcnn_central_tile_phase_seconds",
 		"Per-tile latency decomposition: time spent in each phase of the tile's journey.", "phase")
@@ -160,100 +156,6 @@ func newMetrics(reg *telemetry.Registry, replica string) *Metrics {
 		m.TilePhase[p] = phases.With(PhaseNames[p])
 	}
 	return m
-}
-
-// kindLabel names a message kind for the wire metric labels.
-func kindLabel(k MsgKind) int {
-	if k == KindTask || k == KindResult {
-		return int(k)
-	}
-	return 0
-}
-
-var kindNames = [3]string{"other", "task", "result"}
-
-// WireMetrics counts transport traffic per message kind and direction:
-//
-//	adcnn_wire_frames_total{kind,dir}  frames sent/received
-//	adcnn_wire_bytes_total{kind,dir}   frame bytes (payload + header)
-//
-// The counters are resolved per kind up front so metering a message is
-// two atomic adds; the meter never looks inside a payload.
-type WireMetrics struct {
-	frames, bytes [2][len(kindNames)]*telemetry.Counter // [dir][kind]
-}
-
-const (
-	dirSent = 0
-	dirRecv = 1
-)
-
-var dirNames = [2]string{"sent", "recv"}
-
-func newWireMetrics(reg *telemetry.Registry, replica string) *WireMetrics {
-	vec := func(name, help string, labels ...string) *telemetry.CounterVec {
-		if replica == "" {
-			return reg.CounterVec(name, help, labels...)
-		}
-		return reg.CounterVec(name, help, append([]string{"replica"}, labels...)...).Curry(replica)
-	}
-	wm := &WireMetrics{}
-	frames := vec("adcnn_wire_frames_total", "Protocol frames by message kind and direction.", "kind", "dir")
-	bytes := vec("adcnn_wire_bytes_total", "Protocol frame bytes (payload plus header) by message kind and direction.", "kind", "dir")
-	for d := 0; d < 2; d++ {
-		for k := 0; k < len(kindNames); k++ {
-			wm.frames[d][k] = frames.With(kindNames[k], dirNames[d])
-			wm.bytes[d][k] = bytes.With(kindNames[k], dirNames[d])
-		}
-	}
-	return wm
-}
-
-// frameOverhead is the wire framing cost per message (magic + version +
-// 4-byte length prefix + 26-byte header), kept in sync with
-// WriteMessage. Result frames carrying a ConvTiming record cost
-// timingSize more.
-const frameOverhead = 6 + bodyHeader
-
-func (wm *WireMetrics) record(dir int, m *Message) {
-	k := kindLabel(m.Kind)
-	n := len(m.Payload) + frameOverhead
-	if m.Timing != nil {
-		n += timingSize
-	}
-	wm.frames[dir][k].Inc()
-	wm.bytes[dir][k].Add(float64(n))
-}
-
-// meteredConn wraps a Conn and counts traffic on both directions.
-type meteredConn struct {
-	Conn
-	wm *WireMetrics
-}
-
-// InstrumentConn wraps conn so every frame is counted in wm. A nil wm
-// returns conn unchanged.
-func InstrumentConn(conn Conn, wm *WireMetrics) Conn {
-	if wm == nil {
-		return conn
-	}
-	return &meteredConn{Conn: conn, wm: wm}
-}
-
-func (c *meteredConn) Send(m *Message) error {
-	err := c.Conn.Send(m)
-	if err == nil {
-		c.wm.record(dirSent, m)
-	}
-	return err
-}
-
-func (c *meteredConn) Recv() (*Message, error) {
-	m, err := c.Conn.Recv()
-	if err == nil {
-		c.wm.record(dirRecv, m)
-	}
-	return m, err
 }
 
 // node returns the label value for a node index.

@@ -208,9 +208,6 @@ func (cfg CentralConfig) Start() (*Central, error) {
 	cfg.Trace.SetThreadName(0, "central")
 	c.sessions = make([]*nodeSession, n)
 	for k, conn := range cfg.Conns {
-		if cfg.Metrics != nil {
-			conn = InstrumentConn(conn, cfg.Metrics.Wire)
-		}
 		var dial Dialer
 		if cfg.Dialers != nil {
 			dial = cfg.Dialers[k]

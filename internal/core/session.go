@@ -505,9 +505,6 @@ func (s *nodeSession) reconnect() bool {
 		conn, err := s.dial(dctx)
 		cancel()
 		if err == nil && conn != nil {
-			if c.metrics != nil {
-				conn = InstrumentConn(conn, c.metrics.Wire)
-			}
 			s.mu.Lock()
 			s.backoff = 0
 			s.mu.Unlock()

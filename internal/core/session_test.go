@@ -115,8 +115,9 @@ func TestInferAsyncOverlap(t *testing.T) {
 	}
 }
 
-// TestPipelineOrderedResults streams images through a bounded Pipeline
-// and checks results come back in submission order with correct outputs.
+// TestPipelineOrderedResults streams images through a bounded Pipeline,
+// waits on them in submission order and checks every output and that the
+// admission slots drain.
 func TestPipelineOrderedResults(t *testing.T) {
 	opt := models.Options{Grid: fdsp.Grid{Rows: 2, Cols: 2}}
 	c, m, stop := buildRuntime(t, opt, 2, 5*time.Second)
@@ -130,27 +131,19 @@ func TestPipelineOrderedResults(t *testing.T) {
 	rng := rand.New(rand.NewSource(33))
 	const n = 6
 	inputs := make([]*tensor.Tensor, n)
-	in := make(chan *tensor.Tensor)
-	go func() {
-		defer close(in)
-		for i := 0; i < n; i++ {
-			inputs[i] = tensor.New(1, 3, 32, 32)
-			inputs[i].RandN(rng, 1)
-			in <- inputs[i]
-		}
-	}()
-
+	for i := range inputs {
+		inputs[i] = tensor.New(1, 3, 32, 32)
+		inputs[i].RandN(rng, 1)
+	}
 	next := 0
-	for r := range p.Run(context.Background(), in) {
-		if r.Err != nil {
-			t.Fatal(r.Err)
+	for h := range submitAll(t, p, inputs) {
+		out, _, err := h.Wait()
+		if err != nil {
+			t.Fatal(err)
 		}
-		if r.Index != next {
-			t.Fatalf("result index %d, want %d (results must preserve submission order)", r.Index, next)
-		}
-		want := m.Net.Forward(inputs[r.Index], false)
-		if !r.Out.Equal(want, 1e-4) {
-			t.Fatalf("image %d: pipelined inference diverged from local execution", r.Index)
+		want := m.Net.Forward(inputs[next], false)
+		if !out.Equal(want, 1e-4) {
+			t.Fatalf("image %d: pipelined inference diverged from local execution", next)
 		}
 		next++
 	}
@@ -160,6 +153,25 @@ func TestPipelineOrderedResults(t *testing.T) {
 	if len(p.sem) != 0 {
 		t.Fatalf("pipeline still holds %d admission slots after drain", len(p.sem))
 	}
+}
+
+// submitAll feeds xs through p from its own goroutine, so it submits as
+// admission slots free up while the caller Waits on the handles in
+// submission order; at most p's depth images overlap.
+func submitAll(t *testing.T, p *Pipeline, xs []*tensor.Tensor) <-chan *Inflight {
+	handles := make(chan *Inflight, len(xs))
+	go func() {
+		defer close(handles)
+		for _, x := range xs {
+			h, err := p.Submit(context.Background(), x)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			handles <- h
+		}
+	}()
+	return handles
 }
 
 // TestInferContextCancellation: cancelling the caller's context while

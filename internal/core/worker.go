@@ -216,9 +216,6 @@ func (ns *NodeServer) ServeConn(ctx context.Context, conn Conn) error {
 	}
 	w := ns.w
 	met := w.Metrics
-	if met != nil {
-		conn = InstrumentConn(conn, met.Wire)
-	}
 	s := &workerSession{
 		ns: ns, conn: conn,
 		tasks:   make(chan *workerTask, ns.queue),

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"io"
+	"strconv"
 	"time"
 
 	"adcnn/internal/baseline"
@@ -217,7 +218,6 @@ func Figure13(n int, o SimOptions) (*Figure13Result, error) {
 		}
 		mean, _, _ := MeasureLatency(sim, n)
 		elapsed := sim.Elapsed()
-		perImage := elapsed / time.Duration(n)
 		row := Fig13Row{
 			Nodes:     k,
 			LatencyMs: mean,
@@ -227,7 +227,6 @@ func Figure13(n int, o SimOptions) (*Figure13Result, error) {
 		d := nodes[0]
 		row.EnergyJ = d.Energy(energyModel, elapsed) / float64(n)
 		row.PeakMemMB = float64(d.PeakMem()+cfg.Systemized().FrontWeightBytes()) / 1e6
-		_ = perImage
 		res.Rows = append(res.Rows, row)
 	}
 	return res, nil
@@ -255,25 +254,11 @@ func (r *Figure13Result) WriteText(w io.Writer) {
 	for _, row := range r.Rows {
 		label := "S"
 		if row.Nodes > 0 {
-			label = itoa(row.Nodes)
+			label = strconv.Itoa(row.Nodes)
 		}
 		fprintf(w, "  %-6s %12.1f %9.2f %12.2f %12.1f\n",
 			label, row.LatencyMs, row.Speedup, row.EnergyJ, row.PeakMemMB)
 	}
-}
-
-func itoa(n int) string {
-	if n == 0 {
-		return "0"
-	}
-	var buf [8]byte
-	i := len(buf)
-	for n > 0 {
-		i--
-		buf[i] = byte('0' + n%10)
-		n /= 10
-	}
-	return string(buf[i:])
 }
 
 // Fig14Row is one model of Figure 14.
@@ -355,7 +340,7 @@ type Figure15Result struct {
 // nodes 5-6 by 55% and 7-8 by 76% at the midpoint, exactly the paper's
 // CPUlimit scenario.
 func Figure15(images int, o SimOptions) (*Figure15Result, error) {
-	sim, nodes, _, err := NewADCNNSim(models.VGG16(), o)
+	sim, _, _, err := NewADCNNSim(models.VGG16(), o)
 	if err != nil {
 		return nil, err
 	}
@@ -366,7 +351,6 @@ func Figure15(images int, o SimOptions) (*Figure15Result, error) {
 		{Image: mid, DeviceID: 7, Fraction: 0.24},
 		{Image: mid, DeviceID: 8, Fraction: 0.24},
 	}
-	_ = nodes
 	results := sim.RunImages(images, events)
 	res := &Figure15Result{DegradeAt: mid}
 	for i, r := range results {
@@ -391,7 +375,7 @@ func fmtUtil(us []float64) string {
 		if i > 0 {
 			out += " "
 		}
-		out += itoa(int(u*100+0.5)) + "%"
+		out += strconv.Itoa(int(u*100+0.5)) + "%"
 	}
 	return out + "]"
 }

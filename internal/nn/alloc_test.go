@@ -100,6 +100,21 @@ func TestLinearForwardIntoInferenceAllocFree(t *testing.T) {
 	}
 }
 
+// naiveMatMul is the reference C = A·B: a serial triple loop, independent
+// of the blocked engine the layers call.
+func naiveMatMul(c, a, b *tensor.Tensor) {
+	m, k, n := a.Shape[0], a.Shape[1], b.Shape[1]
+	for i := 0; i < m; i++ {
+		for j := 0; j < n; j++ {
+			var s float32
+			for p := 0; p < k; p++ {
+				s += a.Data[i*k+p] * b.Data[p*n+j]
+			}
+			c.Data[i*n+j] = s
+		}
+	}
+}
+
 // TestConv2DOneByOnePropertyVsReference is the 1×1-conv leg of the GEMM
 // property test: the no-im2col fast path must agree with the reference
 // matmul of the flattened filters against the input planes.
@@ -124,7 +139,7 @@ func TestConv2DOneByOnePropertyVsReference(t *testing.T) {
 		for i := 0; i < n; i++ {
 			xi := tensor.FromSlice(x.Data[i*inC*plane:(i+1)*inC*plane], inC, plane)
 			yi := tensor.New(outC, plane)
-			tensor.RefMatMulInto(yi, w2, xi)
+			naiveMatMul(yi, w2, xi)
 			for oc := 0; oc < outC; oc++ {
 				b := conv.Bias.Value.Data[oc]
 				for j := 0; j < plane; j++ {
@@ -165,7 +180,7 @@ func TestConv2DGeneralPropertyVsReference(t *testing.T) {
 			xi := tensor.FromSlice(x.Data[i*inC*h*w:(i+1)*inC*h*w], inC, h, w)
 			cols := tensor.Im2Col(xi, conv.Geom)
 			yi := tensor.New(outC, plane)
-			tensor.RefMatMulInto(yi, w2, cols)
+			naiveMatMul(yi, w2, cols)
 			for oc := 0; oc < outC; oc++ {
 				b := conv.Bias.Value.Data[oc]
 				for j := 0; j < plane; j++ {

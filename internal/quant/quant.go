@@ -85,24 +85,6 @@ func (q Quantizer) Apply(xs []float32) {
 	}
 }
 
-// EncodeSlice quantizes every element of xs into level indices.
-func (q Quantizer) EncodeSlice(xs []float32) []uint16 {
-	out := make([]uint16, len(xs))
-	for i, v := range xs {
-		out[i] = q.Encode(v)
-	}
-	return out
-}
-
-// DecodeSlice reverses EncodeSlice.
-func (q Quantizer) DecodeSlice(levels []uint16) []float32 {
-	out := make([]float32, len(levels))
-	for i, l := range levels {
-		out[i] = q.Decode(l)
-	}
-	return out
-}
-
 // MaxError returns the worst-case absolute rounding error for inputs in
 // [0, Range]: half a step.
 func (q Quantizer) MaxError() float32 { return q.Step() / 2 }

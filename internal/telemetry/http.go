@@ -11,7 +11,7 @@ import (
 // is rendered into the 503 body so the operator sees *why* from curl.
 type Check func() error
 
-// Handler returns an http.Handler exposing the registry:
+// MuxChecks returns a mux exposing the registry:
 //
 //	/metrics       Prometheus text format
 //	/healthz       liveness probe ("ok", or 503 with the failing check's error)
@@ -21,22 +21,14 @@ type Check func() error
 // Daemons mount additional debug endpoints on the mux before serving:
 // the Central adds /debug/flight (flight-recorder ring + dumps),
 // /debug/sessions (per-node session state) and /debug/sched (scheduler
-// decision audit); see Mux.
-func Handler(r *Registry) http.Handler { return Mux(r) }
-
-// Mux is Handler returning the concrete mux, so daemons can mount
-// extra debug endpoints (/debug/flight, /debug/sessions, /debug/sched)
-// beside the standard set before serving. Probes always pass; use
-// MuxChecks to wire real liveness/readiness.
-func Mux(r *Registry) *http.ServeMux { return MuxChecks(r, nil, nil) }
-
-// MuxChecks is Mux with explicit probes: /healthz serves live and
-// /readyz serves ready (a nil Check always passes). The split follows
-// the usual load-balancer contract — liveness says "don't restart me",
-// readiness says "send me traffic": a Conv node is live from startup
-// but not ready until it holds weights and a Central session; a
-// Central flips /healthz to 503 while any SLO objective is in breach
-// so a balancer drains it.
+// decision audit).
+//
+// /healthz serves live and /readyz serves ready (a nil Check always
+// passes). The split follows the usual load-balancer contract —
+// liveness says "don't restart me", readiness says "send me traffic": a
+// Conv node is live from startup but not ready until it holds weights
+// and a Central session; a Central flips /healthz to 503 while any SLO
+// objective is in breach so a balancer drains it.
 func MuxChecks(r *Registry, live, ready Check) *http.ServeMux {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/metrics", func(w http.ResponseWriter, _ *http.Request) {
@@ -68,16 +60,11 @@ func probeHandler(check Check) http.HandlerFunc {
 	}
 }
 
-// Serve starts the metrics endpoint on addr in a background goroutine
-// and returns the bound listener address (useful with ":0") and the
-// server for shutdown. The server's terminal error is ignored: metrics
-// are best-effort and must never take the inference path down.
-func Serve(addr string, r *Registry) (*http.Server, net.Addr, error) {
-	return ServeMux(addr, Mux(r))
-}
-
-// ServeMux is Serve for a caller-built handler (typically Mux(r) plus
-// extra debug endpoints).
+// ServeMux serves h (typically MuxChecks plus extra debug endpoints) on
+// addr in a background goroutine and returns the server for shutdown and
+// the bound listener address (useful with ":0"). The server's terminal
+// error is ignored: metrics are best-effort and must never take the
+// inference path down.
 func ServeMux(addr string, h http.Handler) (*http.Server, net.Addr, error) {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {

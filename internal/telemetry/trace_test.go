@@ -105,7 +105,7 @@ func (failWriter) Write([]byte) (int, error) { return 0, os.ErrClosed }
 func TestHTTPEndpoints(t *testing.T) {
 	reg := NewRegistry()
 	reg.Counter("up_total", "Requests.").Inc()
-	srv := httptest.NewServer(Handler(reg))
+	srv := httptest.NewServer(MuxChecks(reg, nil, nil))
 	defer srv.Close()
 
 	get := func(path string) (int, string) {

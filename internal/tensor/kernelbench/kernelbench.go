@@ -1,5 +1,5 @@
 // Package kernelbench measures the tensor compute kernels — the blocked
-// GEMM engine, the retained naive references, im2col, and whole Conv2D
+// GEMM engine per kernel tier, im2col, and whole Conv2D
 // forward passes over the GEMM shapes the model zoo actually produces —
 // and renders the results as a machine-readable report. adcnn-bench
 // (-exp kernels) writes the report to BENCH_kernels.json so the kernel
@@ -141,28 +141,16 @@ func Run() Report {
 	}
 	add := func(r Result) { rep.Results = append(rep.Results, r) }
 
-	// Acceptance shape: 256×256×256 MatMulTransB, single thread, blocked
-	// engine vs retained naive reference.
+	// Acceptance shape: 256×256×256 MatMulTransB, single thread.
 	runtime.GOMAXPROCS(1)
 	const s = 256
-	refNs, refAllocs := benchGemm(s, s, s, func(c, a, b *tensor.Tensor) {
-		tensor.RefMatMulTransB(a, b)
-	})
-	add(Result{Name: "matmul_transb_ref", Shape: "256x256x256", Threads: 1,
-		NsPerOp: refNs, GFlops: gflops(s, s, s, refNs), AllocsPerOp: refAllocs})
 	newNs, newAllocs := benchGemm(s, s, s, func(c, a, b *tensor.Tensor) {
 		tensor.MatMulTransBInto(c, a, b)
 	})
 	add(Result{Name: "matmul_transb_blocked", Shape: "256x256x256", Threads: 1,
-		NsPerOp: newNs, GFlops: gflops(s, s, s, newNs), AllocsPerOp: newAllocs,
-		SpeedupVsRef: refNs / newNs})
+		NsPerOp: newNs, GFlops: gflops(s, s, s, newNs), AllocsPerOp: newAllocs})
 
-	// MatMulInto single-thread baseline + scaling up to GOMAXPROCS.
-	refMMNs, _ := benchGemm(s, s, s, func(c, a, b *tensor.Tensor) {
-		tensor.RefMatMulInto(c, a, b)
-	})
-	add(Result{Name: "matmul_ref", Shape: "256x256x256", Threads: 1,
-		NsPerOp: refMMNs, GFlops: gflops(s, s, s, refMMNs), AllocsPerOp: 0})
+	// MatMulInto scaling up to GOMAXPROCS.
 	var oneThreadNs float64
 	for threads := 1; ; threads *= 2 {
 		if threads > maxProcs {
@@ -177,7 +165,7 @@ func Run() Report {
 		}
 		add(Result{Name: "matmul_blocked", Shape: "256x256x256", Threads: threads,
 			NsPerOp: ns, GFlops: gflops(s, s, s, ns), AllocsPerOp: al,
-			SpeedupVsRef: refMMNs / ns, ScalingVs1T: oneThreadNs / ns})
+			ScalingVs1T: oneThreadNs / ns})
 		if threads == maxProcs {
 			break
 		}
@@ -196,8 +184,7 @@ func Run() Report {
 			tensor.MatMulTransBInto(c, a, b)
 		})
 		add(Result{Name: "matmul_blocked_" + tier.String(), Shape: "256x256x256",
-			Threads: 1, NsPerOp: ns, GFlops: gflops(s, s, s, ns), AllocsPerOp: al,
-			SpeedupVsRef: refNs / ns})
+			Threads: 1, NsPerOp: ns, GFlops: gflops(s, s, s, ns), AllocsPerOp: al})
 	}
 	_ = tensor.SetKernelTier(detected)
 
