@@ -167,7 +167,7 @@ func (b *centralBuilder) buildCentral(r int) (*core.Central, error) {
 		return nil, err
 	}
 	if obs.engine != nil {
-		// SLO engine over the windowed instruments: a breach dumps the
+		// SLO engine over the tile instruments: a breach dumps the
 		// flight ring (naming the objective and the worst-health node)
 		// and fails /healthz so a load balancer drains us.
 		cen.WireSLO(obs.engine)

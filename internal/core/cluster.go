@@ -70,7 +70,7 @@ type ClusterOptions struct {
 	// RebalanceEvery is the share-rebalance interval (default 250ms).
 	RebalanceEvery time.Duration
 	// Registry, when set, receives the cluster-level metric families
-	// (queue depth, steals, shares, per-replica images and latency).
+	// (queue depth, steals, shares, per-replica images).
 	Registry *telemetry.Registry
 	// Audit, when set, records every material share rebalance as a
 	// scheduler decision.
@@ -110,7 +110,6 @@ type clusterMetrics struct {
 	steals     *telemetry.CounterVec // replica (executing side)
 	share      *telemetry.GaugeVec   // replica, node
 	images     *telemetry.CounterVec // replica (executing side)
-	latency    *telemetry.HistogramVec
 }
 
 func newClusterMetrics(reg *telemetry.Registry) *clusterMetrics {
@@ -122,7 +121,6 @@ func newClusterMetrics(reg *telemetry.Registry) *clusterMetrics {
 		steals:     reg.CounterVec("adcnn_cluster_steals_total", "Queued images stolen by each replica from another replica's queue.", "replica"),
 		share:      reg.GaugeVec("adcnn_cluster_share", "Fraction of each Conv node's capacity assigned to each replica.", "replica", "node"),
 		images:     reg.CounterVec("adcnn_cluster_images_total", "Images executed per replica (including stolen ones).", "replica"),
-		latency:    reg.HistogramVec("adcnn_cluster_image_latency_seconds", "Submit-to-result latency per executing replica.", nil, "replica"),
 	}
 }
 
@@ -290,7 +288,6 @@ func (c *Cluster) dispatch(r int) {
 		if it == nil {
 			return
 		}
-		start := time.Now()
 		var h *Inflight
 		if err == nil {
 			h, err = c.pipes[r].SubmitReserved(context.Background(), it.x)
@@ -305,7 +302,6 @@ func (c *Cluster) dispatch(r int) {
 			out, stats, werr := h.Wait()
 			if c.met != nil {
 				c.met.images.With(replicaLabel(r)).Inc()
-				c.met.latency.With(replicaLabel(r)).ObserveDuration(time.Since(start).Nanoseconds())
 			}
 			it.ch <- ClusterResult{Out: out, Stats: stats, Origin: it.origin, Replica: r, Err: werr}
 		}(it)

@@ -9,7 +9,7 @@ import (
 )
 
 // Gray-failure health scoring. A node that dies outright is caught by
-// the session layer (ConnDrops, reconnects); a node that silently
+// the session layer (session-down, reconnects); a node that silently
 // degrades — thermal throttling, a congested uplink, a co-tenant
 // stealing cycles — keeps answering but slower, and Algorithm 2's s_k
 // folds the slowdown into one number without saying *why*. The tracker
@@ -179,8 +179,9 @@ const (
 	SLOZeroFill    = "zero_fill_ratio"
 )
 
-// NewSLOEngine builds an engine over m's windowed instruments with the
-// standard ADCNN objectives: p99 tile latency and zero-fill ratio. Over
+// NewSLOEngine builds an engine over m's cumulative tile instruments
+// with the standard ADCNN objectives: p99 of TileRoundTrip, and the
+// zero-fill ratio of TilesMissed over the tiles TileRoundTrip settled. Over
 // a replica-labeled bundle (NewReplicaMetrics) the objective names carry
 // an "@replica" suffix, so the engines of several replicas sharing one
 // registry export separate adcnn_slo_* series instead of overwriting
@@ -204,11 +205,11 @@ func NewSLOEngine(m *Metrics, cfg SLOConfig) *telemetry.SLOEngine {
 	}
 	e := telemetry.NewSLOEngine(m.Registry)
 	if cfg.TileP99 > 0 {
-		e.Register(telemetry.NewLatencySLO(SLOTileLatency+suffix, m.TileLatencyWindow,
+		e.Register(telemetry.NewLatencySLO(SLOTileLatency+suffix, m.TileRoundTrip,
 			0.99, cfg.TileP99, cfg.FastWindow, cfg.SlowWindow))
 	}
 	if cfg.MissBudget > 0 {
-		e.Register(telemetry.NewRatioSLO(SLOZeroFill+suffix, m.TilesOKWindow, m.TilesMissWindow,
+		e.Register(telemetry.NewRatioSLO(SLOZeroFill+suffix, m.TileRoundTrip, m.TilesMissed,
 			cfg.MissBudget, cfg.FastWindow, cfg.SlowWindow))
 	}
 	return e

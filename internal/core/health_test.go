@@ -178,7 +178,7 @@ func TestSLOBreachDumpsFlightRecorder(t *testing.T) {
 	})
 	c.WireSLO(engine)
 
-	// Run real traffic so the windowed histogram fills.
+	// Run real traffic so the tile round-trip histogram fills.
 	rng := rand.New(rand.NewSource(21))
 	for i := 0; i < 4; i++ {
 		x := tensor.New(1, 3, 32, 32)
@@ -196,10 +196,10 @@ func TestSLOBreachDumpsFlightRecorder(t *testing.T) {
 		c.health.Observe(1, tileWithPhases(0.080, 0.002, 0.001))
 	}
 	// Real tiles can all finish inside 1ms on a fast machine, so slow
-	// round trips go into the window too: the breach must not depend on
-	// how fast the host convolves.
+	// round trips go into the histogram too: the breach must not depend
+	// on how fast the host convolves.
 	for i := 0; i < 200; i++ {
-		met.TileLatencyWindow.Observe(0.080)
+		met.TileRoundTrip.Observe(0.080)
 	}
 	trs := engine.Tick(time.Now())
 	if !engine.Breached() {
@@ -233,9 +233,9 @@ func TestSLOBreachDumpsFlightRecorder(t *testing.T) {
 	}
 }
 
-// TestCentralFeedsWindowsAndHealth: after live traffic the windowed
-// instruments and the health tracker must hold data — the SLO engine
-// and ops console read from them.
+// TestCentralFeedsWindowsAndHealth: after live traffic the instruments
+// the SLO engine windows and the health tracker must hold data — the
+// SLO engine and ops console read from them.
 func TestCentralFeedsWindowsAndHealth(t *testing.T) {
 	opt := models.Options{Grid: fdsp.Grid{Rows: 2, Cols: 2}}
 	met := NewMetrics(telemetry.NewRegistry())
@@ -249,14 +249,11 @@ func TestCentralFeedsWindowsAndHealth(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	if n := met.TileLatencyWindow.Snapshot(time.Minute).Count; n != 4 {
-		t.Fatalf("latency window holds %d tiles, want 4", n)
+	if n := met.TileRoundTrip.Snapshot().Count; n != 4 {
+		t.Fatalf("tile round-trip histogram holds %d tiles, want 4", n)
 	}
-	if got := met.TilesOKWindow.Total(time.Minute); got != 4 {
-		t.Fatalf("ok window = %v, want 4", got)
-	}
-	if got := met.TilesMissWindow.Total(time.Minute); got != 0 {
-		t.Fatalf("miss window = %v, want 0", got)
+	if got := met.TilesMissed.Value(); got != 0 {
+		t.Fatalf("missed tiles = %v, want 0", got)
 	}
 	if c.Health() == nil {
 		t.Fatal("a Central with Metrics must have a health tracker")
@@ -264,5 +261,31 @@ func TestCentralFeedsWindowsAndHealth(t *testing.T) {
 	// One image through two nodes: both observed at least one tile.
 	if n, _, _ := c.Health().Worst(); n < 0 {
 		t.Fatal("health tracker saw no tiles")
+	}
+}
+
+// TestSLOHonoursLongSlowWindow: the Central's objectives keep bad events
+// for the whole configured slow window, however long — a 120s window
+// forgets the zero-fills exactly 120s after the tick that saw them.
+func TestSLOHonoursLongSlowWindow(t *testing.T) {
+	const tick, slow = time.Second, 120 * time.Second
+	met := NewMetrics(telemetry.NewRegistry())
+	e := NewSLOEngine(met, SLOConfig{TileP99: -1, FastWindow: 10 * time.Second, SlowWindow: slow})
+	t0 := time.Unix(1_000_000, 0)
+	e.Tick(t0)
+	for i := 0; i < 99; i++ {
+		met.TileRoundTrip.Observe(0.001)
+	}
+	met.TilesMissed.Inc()
+	seen := t0.Add(tick)
+	for now := seen; !now.After(seen.Add(slow)); now = now.Add(tick) {
+		e.Tick(now)
+		st := e.Status()[0]
+		if st.Objective != SLOZeroFill {
+			t.Fatalf("objective %q, want %q", st.Objective, SLOZeroFill)
+		}
+		if inSlow := now.Before(seen.Add(slow)); (st.SlowBurn > 0) != inSlow {
+			t.Fatalf("%v after the zero-fill: slow burn %v, want in window = %v", now.Sub(seen), st.SlowBurn, inSlow)
+		}
 	}
 }

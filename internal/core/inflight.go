@@ -140,9 +140,6 @@ func (h *Inflight) allocate() ([]int, error) {
 	// predates the starvation (the plan already ignored it).
 	for _, k := range plan.Revived {
 		c.sessions[k].link.reset()
-		if c.metrics != nil {
-			c.metrics.Revives.With(nodeLabel(k)).Inc()
-		}
 		c.flight.Record("probation-revive", 0, 0, k,
 			"starved speed estimate: re-admitting node at cold-start weight")
 	}
@@ -185,9 +182,6 @@ func (h *Inflight) dispatch(ctx context.Context, x *tensor.Tensor, assignment []
 		c.flight.Record("enqueue", h.img, ti, k, "")
 		if h.dispatchAt != nil {
 			h.dispatchAt[ti] = time.Now()
-		}
-		if met != nil {
-			met.TilesDispatched.With(nodeLabel(k)).Inc()
 		}
 	}
 	span.End(map[string]any{"image": h.img, "tiles": len(h.tiles), "trace_id": TraceIDString(h.stats.TraceID)})
@@ -275,9 +269,6 @@ func (h *Inflight) collect() (*tensor.Tensor, error) {
 	latency := time.Since(h.start)
 	h.stats.Latency = latency
 	h.updateStats(latency)
-	if c.metrics != nil {
-		c.metrics.ImageLatency.ObserveDuration(latency.Nanoseconds())
-	}
 	c.trace.Span(fmt.Sprintf("image %d", h.img), "image", 0, c.trace.Offset(h.start), latency,
 		map[string]any{"missed": h.stats.TilesMissed, "wire_bytes": h.stats.WireBytes, "trace_id": TraceIDString(h.stats.TraceID)})
 	if len(h.stats.Breakdown.Tiles) == 0 {
@@ -341,10 +332,7 @@ func (h *Inflight) settleTile(a arrival) {
 	if h.dispatchAt != nil {
 		rt := time.Since(h.dispatchAt[a.tile])
 		if met != nil {
-			met.TilesReceived.With(nodeLabel(a.node)).Inc()
 			met.TileRoundTrip.ObserveDuration(rt.Nanoseconds())
-			met.TileLatencyWindow.ObserveDuration(rt.Nanoseconds())
-			met.TilesOKWindow.Inc()
 		}
 		tr.Span(fmt.Sprintf("tile %d", a.tile), "tile", a.node+1,
 			tr.Offset(h.dispatchAt[a.tile]), rt,
@@ -385,7 +373,6 @@ func (h *Inflight) assemble() (*tensor.Tensor, error) {
 		}
 		if c.metrics != nil {
 			c.metrics.TilesMissed.Add(float64(missed))
-			c.metrics.TilesMissWindow.Add(float64(missed))
 		}
 		c.flight.Dump("deadline-miss", h.img)
 	}

@@ -12,9 +12,6 @@ import "fmt"
 // and would otherwise never assign it work again).
 func (c *Central) reviveNode(k int) {
 	c.driver.Revive(k)
-	if c.metrics != nil {
-		c.metrics.Reconnects.With(nodeLabel(k)).Inc()
-	}
 }
 
 // redispatch re-routes tasks stranded by a connection failure to
@@ -32,9 +29,6 @@ func (c *Central) redispatch(orphans []*Message) {
 				c.pending.markEnqueued(pendingKey{m.ImageID, m.TileID}, s.id, monoNow(), len(m.Payload))
 				if !s.enqueue(c.ctx, m) {
 					continue
-				}
-				if c.metrics != nil {
-					c.metrics.TilesDispatched.With(nodeLabel(s.id)).Inc()
 				}
 				c.flight.Record("redispatch", m.ImageID, int(m.TileID), s.id, "")
 				placed = true

@@ -2,7 +2,6 @@ package core
 
 import (
 	"strconv"
-	"time"
 
 	"adcnn/internal/sched"
 	"adcnn/internal/telemetry"
@@ -18,49 +17,22 @@ type Metrics struct {
 	replica  string // the replica label every family carries; "" = unlabeled schema
 
 	// Central side.
-	Images          *telemetry.Counter
-	ImageLatency    *telemetry.Histogram            // seconds, full Infer round trip
-	TileRoundTrip   *telemetry.Histogram            // seconds, tile dispatch → result arrival
-	TilesDispatched *telemetry.CounterVec           // node
-	TilesReceived   *telemetry.CounterVec           // node, within the drop deadline
-	TilesMissed     *telemetry.Counter              // zero-filled at T_L
-	ConnDrops       *telemetry.CounterVec           // node, transport failures → session down
-	InflightImages  *telemetry.Gauge                // images dispatched, Wait not finished
-	SendQueueDepth  *telemetry.GaugeVec             // node, tasks queued in the session send loop
-	Reconnects      *telemetry.CounterVec           // node, successful session reconnects
-	Revives         *telemetry.CounterVec           // node, probation revivals of starved-but-alive nodes
-	StaleResults    *telemetry.Counter              // results for already-settled tiles
-	PipelineDepth   *telemetry.Gauge                // admission slots held in a Pipeline
-	TilePhase       [NumPhases]*telemetry.Histogram // seconds, per-tile latency decomposition by phase
-	ClockOffset     *telemetry.GaugeVec             // node, estimated Conv-clock offset (seconds to add to map onto Central's clock)
-	NodeHealth      *telemetry.GaugeVec             // node, gray-failure anomaly score (0 = at baseline)
-	LinkRTT         *telemetry.GaugeVec             // node, smoothed tile-exchange round-trip time (hold time subtracted)
-	LinkUp          *telemetry.GaugeVec             // node, EWMA uplink bytes/sec (0 = unknown/stale)
-	LinkDown        *telemetry.GaugeVec             // node, EWMA downlink bytes/sec (0 = unknown/stale)
-	Sched           *sched.Monitor
-
-	// Sliding-window views of the live path, feeding the SLO engine and
-	// the ops console: the cumulative instruments answer "ever", these
-	// answer "the last few seconds".
-	TileLatencyWindow *telemetry.WindowedHistogram // seconds, tile round trip
-	TilesOKWindow     *telemetry.WindowedCounter   // tiles received in time
-	TilesMissWindow   *telemetry.WindowedCounter   // tiles zero-filled at T_L
+	Images         *telemetry.Counter
+	TileRoundTrip  *telemetry.Histogram            // seconds, tile dispatch → result arrival
+	TilesMissed    *telemetry.Counter              // zero-filled at T_L
+	InflightImages *telemetry.Gauge                // images dispatched, Wait not finished
+	SendQueueDepth *telemetry.GaugeVec             // node, tasks queued in the session send loop
+	TilePhase      [NumPhases]*telemetry.Histogram // seconds, per-tile latency decomposition by phase
+	NodeHealth     *telemetry.GaugeVec             // node, gray-failure anomaly score (0 = at baseline)
+	LinkRTT        *telemetry.GaugeVec             // node, smoothed tile-exchange round-trip time (hold time subtracted)
+	LinkUp         *telemetry.GaugeVec             // node, EWMA uplink bytes/sec (0 = unknown/stale)
+	LinkDown       *telemetry.GaugeVec             // node, EWMA downlink bytes/sec (0 = unknown/stale)
+	Sched          *sched.Monitor
 
 	// Worker side.
-	WorkerTasks      *telemetry.CounterVec // node
-	WorkerProcess    *telemetry.Histogram  // seconds, Front+Boundary+encode per tile
-	WorkerRecvEOF    *telemetry.Counter    // clean peer disconnects
-	WorkerRecvErrors *telemetry.Counter    // mid-stream receive failures
-	WorkerSendErrors *telemetry.Counter    // result send failures
+	WorkerTasks   *telemetry.CounterVec // node
+	WorkerProcess *telemetry.Histogram  // seconds, Front+Boundary+encode per tile
 }
-
-// windowSpan/windowSlots size the sliding-window instruments: 60s of
-// history at 250ms granularity, enough to serve any burn window the SLO
-// engine is configured with (up to the span) from one ring.
-const (
-	windowSpan  = 60 * time.Second
-	windowSlots = 240
-)
 
 // NewMetrics registers the runtime metric catalog on reg (see DESIGN.md
 // "Observability" for the name catalog).
@@ -119,36 +91,21 @@ func newMetrics(reg *telemetry.Registry, replica string) *Metrics {
 		return reg.HistogramVec(name, help, nil, append([]string{"replica"}, labels...)...).Curry(replica)
 	}
 	m := &Metrics{
-		Registry:        reg,
-		replica:         replica,
-		Images:          counter("adcnn_central_images_total", "Distributed inferences started."),
-		ImageLatency:    hist("adcnn_central_image_latency_seconds", "End-to-end latency of one distributed inference."),
-		TileRoundTrip:   hist("adcnn_central_tile_roundtrip_seconds", "Tile dispatch to intermediate-result arrival."),
-		TilesDispatched: counterVec("adcnn_central_tiles_dispatched_total", "Tiles sent to each Conv node.", "node"),
-		TilesReceived:   counterVec("adcnn_central_tiles_received_total", "Tile results received within the drop deadline.", "node"),
-		TilesMissed:     counter("adcnn_central_tiles_missed_total", "Tiles zero-filled at the deadline T_L."),
-		ConnDrops:       counterVec("adcnn_central_conn_drops_total", "Conv-node connections marked dead after a transport failure.", "node"),
-		InflightImages:  gauge("adcnn_central_inflight_images", "Images dispatched whose results are still being collected."),
-		SendQueueDepth:  gaugeVec("adcnn_central_send_queue_depth", "Tile tasks queued in each node session's send loop.", "node"),
-		Reconnects:      counterVec("adcnn_central_reconnects_total", "Successful Conv-node session reconnects.", "node"),
-		Revives:         counterVec("adcnn_central_probation_revives_total", "Starved-but-alive Conv nodes re-admitted to the allocation on probation.", "node"),
-		StaleResults:    counter("adcnn_central_stale_results_total", "Results that arrived after their tile was already settled (duplicate or past T_L)."),
-		PipelineDepth:   gauge("adcnn_pipeline_inflight", "Admission slots currently held in a streaming Pipeline."),
-		ClockOffset:     gaugeVec("adcnn_central_clock_offset_seconds", "Estimated Conv-node clock offset (added to Conv timestamps to map onto Central's clock).", "node"),
-		NodeHealth:      gaugeVec("adcnn_central_node_health", "Gray-failure anomaly score per Conv node: worst relative deviation of the fast phase-time EWMA over the node's slow baseline (0 = at baseline).", "node"),
-		LinkRTT:         gaugeVec("adcnn_central_link_rtt_seconds", "Per-node link round-trip time from task-to-result exchanges (remote hold time subtracted).", "node"),
-		LinkUp:          gaugeVec("adcnn_central_link_up_bytes_per_second", "EWMA uplink transfer rate to each Conv node, estimated from tile phase timings (0 = unknown or stale).", "node"),
-		LinkDown:        gaugeVec("adcnn_central_link_down_bytes_per_second", "EWMA downlink transfer rate from each Conv node, estimated from tile phase timings (0 = unknown or stale).", "node"),
-		Sched:           sched.NewMonitor(reg, replica),
+		Registry:       reg,
+		replica:        replica,
+		Images:         counter("adcnn_central_images_total", "Distributed inferences started."),
+		TileRoundTrip:  hist("adcnn_central_tile_roundtrip_seconds", "Tile dispatch to intermediate-result arrival."),
+		TilesMissed:    counter("adcnn_central_tiles_missed_total", "Tiles zero-filled at the deadline T_L."),
+		InflightImages: gauge("adcnn_central_inflight_images", "Images dispatched whose results are still being collected."),
+		SendQueueDepth: gaugeVec("adcnn_central_send_queue_depth", "Tile tasks queued in each node session's send loop.", "node"),
+		NodeHealth:     gaugeVec("adcnn_central_node_health", "Gray-failure anomaly score per Conv node: worst relative deviation of the fast phase-time EWMA over the node's slow baseline (0 = at baseline).", "node"),
+		LinkRTT:        gaugeVec("adcnn_central_link_rtt_seconds", "Per-node link round-trip time from task-to-result exchanges (remote hold time subtracted).", "node"),
+		LinkUp:         gaugeVec("adcnn_central_link_up_bytes_per_second", "EWMA uplink transfer rate to each Conv node, estimated from tile phase timings (0 = unknown or stale).", "node"),
+		LinkDown:       gaugeVec("adcnn_central_link_down_bytes_per_second", "EWMA downlink transfer rate from each Conv node, estimated from tile phase timings (0 = unknown or stale).", "node"),
+		Sched:          sched.NewMonitor(reg, replica),
 
-		TileLatencyWindow: telemetry.NewWindowedHistogram(windowSpan, windowSlots, nil),
-		TilesOKWindow:     telemetry.NewWindowedCounter(windowSpan, windowSlots),
-		TilesMissWindow:   telemetry.NewWindowedCounter(windowSpan, windowSlots),
-		WorkerTasks:       counterVec("adcnn_worker_tasks_total", "Tile tasks processed by this worker.", "node"),
-		WorkerProcess:     hist("adcnn_worker_process_seconds", "Per-tile Front+Boundary compute and encode time."),
-		WorkerRecvEOF:     counter("adcnn_worker_recv_eof_total", "Clean peer disconnects observed by workers."),
-		WorkerRecvErrors:  counter("adcnn_worker_recv_errors_total", "Mid-stream receive failures observed by workers."),
-		WorkerSendErrors:  counter("adcnn_worker_send_errors_total", "Result send failures observed by workers."),
+		WorkerTasks:   counterVec("adcnn_worker_tasks_total", "Tile tasks processed by this worker.", "node"),
+		WorkerProcess: hist("adcnn_worker_process_seconds", "Per-tile Front+Boundary compute and encode time."),
 	}
 	phases := histVec("adcnn_central_tile_phase_seconds",
 		"Per-tile latency decomposition: time spent in each phase of the tile's journey.", "phase")

@@ -71,20 +71,29 @@ func TestLinkRTTGaugeFromTileExchanges(t *testing.T) {
 }
 
 // TestInferRecordsMetrics runs real inferences over Pipe transports and
-// checks the whole metric chain: image counters, per-node tile counters,
-// latency histograms and worker-side task counts — all through the
-// public registry Value/Snapshot API.
+// checks the whole metric chain: image counters, latency histograms and
+// worker-side task counts against the per-node tile tallies of
+// InferStats — all through the public registry Value/Snapshot API.
 func TestInferRecordsMetrics(t *testing.T) {
 	const nodes, images, tiles = 4, 3, 16
 	c, met, trace, stop := buildInstrumentedRuntime(t, nodes)
 	defer stop()
 
 	rng := rand.New(rand.NewSource(2))
+	alloc, received := make([]int, nodes), make([]int, nodes)
 	for i := 0; i < images; i++ {
 		x := tensor.New(1, 3, 32, 32)
 		x.RandN(rng, 1)
-		if _, _, err := c.Infer(x); err != nil {
+		_, st, err := c.Infer(x)
+		if err != nil {
 			t.Fatal(err)
+		}
+		if st.Latency <= 0 {
+			t.Fatalf("image %d latency %v", i, st.Latency)
+		}
+		for k := 0; k < nodes; k++ {
+			alloc[k] += st.Alloc[k]
+			received[k] += st.Received[k]
 		}
 	}
 
@@ -99,24 +108,16 @@ func TestInferRecordsMetrics(t *testing.T) {
 	mustValue("adcnn_central_images_total", images)
 	mustValue("adcnn_central_tiles_missed_total", 0)
 
-	var dispatched, received, tasks float64
+	dispatched := 0
 	for k := 0; k < nodes; k++ {
-		d, _ := reg.Value("adcnn_central_tiles_dispatched_total", nodeLabel(k))
-		r, _ := reg.Value("adcnn_central_tiles_received_total", nodeLabel(k))
 		w, _ := reg.Value("adcnn_worker_tasks_total", nodeLabel(k+1))
-		if d == 0 || r != d || w != d {
-			t.Fatalf("node %d: dispatched=%v received=%v tasks=%v", k, d, r, w)
+		if alloc[k] == 0 || received[k] != alloc[k] || w != float64(alloc[k]) {
+			t.Fatalf("node %d: dispatched=%d received=%d tasks=%v", k, alloc[k], received[k], w)
 		}
-		dispatched += d
-		received += r
-		tasks += w
+		dispatched += alloc[k]
 	}
 	if dispatched != images*tiles {
-		t.Fatalf("dispatched %v tiles, want %d", dispatched, images*tiles)
-	}
-
-	if h := c.metrics.ImageLatency.Snapshot(); h.Count != images || h.Sum <= 0 {
-		t.Fatalf("image latency count=%d sum=%v", h.Count, h.Sum)
+		t.Fatalf("dispatched %d tiles, want %d", dispatched, images*tiles)
 	}
 	if h := c.metrics.TileRoundTrip.Snapshot(); h.Count != images*tiles {
 		t.Fatalf("tile roundtrip count=%d, want %d", h.Count, images*tiles)
@@ -130,9 +131,6 @@ func TestInferRecordsMetrics(t *testing.T) {
 		if v, ok := reg.Value("adcnn_sched_speed", nodeLabel(k)); !ok || v <= 0 {
 			t.Fatalf("s_%d gauge = %v (ok=%v)", k, v, ok)
 		}
-	}
-	if v, ok := reg.Value("adcnn_sched_allocations_total"); !ok || v != images {
-		t.Fatalf("allocations = %v (ok=%v), want %d", v, ok, images)
 	}
 
 	// The trace must carry per-tile spans on worker rows and one span
@@ -166,22 +164,18 @@ func (c errConn) Send(*Message) error     { return nil }
 func (c errConn) Recv() (*Message, error) { return nil, c.err }
 func (c errConn) Close() error            { return nil }
 
-// TestWorkerServeDisconnectSemantics pins satellite 1: clean EOF returns
-// nil and bumps the eof counter; a mid-stream error is returned to the
-// caller and bumps the error counter.
+// TestWorkerServeDisconnectSemantics: clean EOF returns nil; a
+// mid-stream error is returned to the caller.
 func TestWorkerServeDisconnectSemantics(t *testing.T) {
 	cfg := models.VGGSim()
 	m, err := models.Build(cfg, models.Options{Grid: fdsp.Grid{Rows: 4, Cols: 4}}, 42)
 	if err != nil {
 		t.Fatal(err)
 	}
-	reg := telemetry.NewRegistry()
-	met := NewMetrics(reg)
-
 	// Clean EOF: close the central side of a pipe.
 	a, b := Pipe()
 	w := NewWorker(1, m)
-	w.Metrics = met
+	w.Metrics = NewMetrics(telemetry.NewRegistry())
 	done := make(chan error, 1)
 	go func() { done <- w.Serve(context.Background(), b) }()
 	if err := a.Close(); err != nil {
@@ -190,23 +184,14 @@ func TestWorkerServeDisconnectSemantics(t *testing.T) {
 	if err := <-done; err != nil {
 		t.Fatalf("clean EOF must return nil, got %v", err)
 	}
-	if v, _ := reg.Value("adcnn_worker_recv_eof_total"); v != 1 {
-		t.Fatalf("eof counter = %v, want 1", v)
-	}
 
 	// Mid-stream failure: a Conn whose Recv breaks.
 	broken := errors.New("wire torn")
 	if err := w.Serve(context.Background(), errConn{err: broken}); !errors.Is(err, broken) {
 		t.Fatalf("mid-stream failure must be returned, got %v", err)
 	}
-	if v, _ := reg.Value("adcnn_worker_recv_errors_total"); v != 1 {
-		t.Fatalf("error counter = %v, want 1", v)
-	}
 	// io.EOF through a custom Conn is still a clean disconnect.
 	if err := w.Serve(context.Background(), errConn{err: io.EOF}); err != nil {
 		t.Fatalf("EOF from any transport must return nil, got %v", err)
-	}
-	if v, _ := reg.Value("adcnn_worker_recv_eof_total"); v != 2 {
-		t.Fatalf("eof counter = %v, want 2", v)
 	}
 }

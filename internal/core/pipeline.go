@@ -49,7 +49,6 @@ func (p *Pipeline) Reserve(ctx context.Context) error {
 	case <-p.C.ctx.Done():
 		return p.C.ctx.Err()
 	}
-	p.observeDepth()
 	return nil
 }
 
@@ -57,10 +56,7 @@ func (p *Pipeline) Reserve(ctx context.Context) error {
 // Reserve: the slot travels with the returned handle, or is released
 // here when the dispatch fails.
 func (p *Pipeline) SubmitReserved(ctx context.Context, x *tensor.Tensor) (*Inflight, error) {
-	release := func() {
-		<-p.sem
-		p.observeDepth()
-	}
+	release := func() { <-p.sem }
 	h, err := p.C.InferAsync(ctx, x)
 	if err != nil {
 		release()
@@ -68,10 +64,4 @@ func (p *Pipeline) SubmitReserved(ctx context.Context, x *tensor.Tensor) (*Infli
 	}
 	h.release = release
 	return h, nil
-}
-
-func (p *Pipeline) observeDepth() {
-	if m := p.C.metrics; m != nil {
-		m.PipelineDepth.Set(float64(len(p.sem)))
-	}
 }

@@ -65,8 +65,8 @@ type CentralConfig struct {
 	// the contract, so a tile that misses T_L fails the image instead of
 	// being zero-filled.
 	Grid fdsp.Grid
-	// Metrics, when set, meters every connection and records the full
-	// metric catalog, the windowed SLO instruments and per-node health.
+	// Metrics, when set, records the metric catalog the SLO engine and
+	// adcnn-top read, and per-node health.
 	Metrics *Metrics
 	// Trace, when set, receives per-image phase spans on tid 0 and
 	// per-tile spans (both sides of the wire) on tid node+1.
@@ -199,7 +199,6 @@ func (cfg CentralConfig) Start() (*Central, error) {
 	c.pending.init()
 	var mon *sched.Monitor
 	if met := cfg.Metrics; met != nil {
-		c.pending.stale = met.StaleResults
 		c.health = NewHealthTracker(n, met.NodeHealth)
 		mon = met.Sched
 	}

@@ -80,9 +80,8 @@ type pendingEntry struct {
 
 // demux is the pending table shared by every node session.
 type demux struct {
-	mu    sync.Mutex
-	m     map[pendingKey]*pendingEntry
-	stale *telemetry.Counter // nil disables
+	mu sync.Mutex
+	m  map[pendingKey]*pendingEntry
 }
 
 func (d *demux) init() { d.m = make(map[pendingKey]*pendingEntry) }
@@ -143,20 +142,13 @@ func (d *demux) perNode() map[int]int {
 }
 
 // dropImage removes an image's remaining entries (deadline hit or the
-// image finished); later results for it count as stale.
+// image finished); later results for it are stale.
 func (d *demux) dropImage(img uint32, tiles int) {
 	d.mu.Lock()
 	for t := 0; t < tiles; t++ {
 		delete(d.m, pendingKey{img, uint32(t)})
 	}
 	d.mu.Unlock()
-}
-
-// markStale counts a result that arrived for an already-settled tile.
-func (d *demux) markStale() {
-	if d.stale != nil {
-		d.stale.Inc()
-	}
 }
 
 // Reconnect backoff bounds for node sessions.
@@ -199,9 +191,8 @@ type nodeSession struct {
 	// phase timings.
 	link linkState
 
-	queueDepth  *telemetry.Gauge // nil disables
-	offsetGauge *telemetry.Gauge // nil disables
-	rttGauge    *telemetry.Gauge // nil disables
+	queueDepth *telemetry.Gauge // nil disables
+	rttGauge   *telemetry.Gauge // nil disables
 }
 
 func newNodeSession(id int, c *Central, conn Conn, dial Dialer) *nodeSession {
@@ -217,7 +208,6 @@ func newNodeSession(id int, c *Central, conn Conn, dial Dialer) *nodeSession {
 	}
 	if m := c.metrics; m != nil {
 		s.queueDepth = m.SendQueueDepth.With(nodeLabel(id))
-		s.offsetGauge = m.ClockOffset.With(nodeLabel(id))
 		s.rttGauge = m.LinkRTT.With(nodeLabel(id))
 		s.link.upGauge = m.LinkUp.With(nodeLabel(id))
 		s.link.downGauge = m.LinkDown.With(nodeLabel(id))
@@ -363,9 +353,6 @@ func (s *nodeSession) run() {
 
 		// Connection failure: the node is dead until proven otherwise.
 		orphans := s.markDown()
-		if c.metrics != nil {
-			c.metrics.ConnDrops.With(nodeLabel(s.id)).Inc()
-		}
 		c.flight.Record("session-down", 0, -1, s.id, "transport failure")
 		// A failover strands in-flight work: dump the flight ring for
 		// every image that had tasks queued on this session.
@@ -435,15 +422,13 @@ func (s *nodeSession) recvLoop(conn Conn) error {
 		}
 		e, ok := s.c.pending.claim(pendingKey{m.ImageID, m.TileID})
 		if !ok {
-			s.c.pending.markStale()
 			s.c.flight.Record("stale", m.ImageID, int(m.TileID), s.id, "")
 			continue
 		}
 		var offsetNs int64
 		if m.Timing != nil && e.sentNs > 0 {
 			offsetNs, _ = s.offset.Update(e.sentNs, m.Timing.RecvNs, m.Timing.SendNs, recvNs)
-			if s.offsetGauge != nil {
-				s.offsetGauge.Set(float64(offsetNs) / 1e9)
+			if s.rttGauge != nil {
 				s.rttGauge.Set(float64(s.offset.RTT()) / 1e9)
 			}
 		} else {

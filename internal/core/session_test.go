@@ -54,7 +54,7 @@ func TestSessionReconnectRevivesNode(t *testing.T) {
 	// The supervisor notices the dead conn, drains, and redials with
 	// backoff; wait for the reconnect to land before probing allocation.
 	deadline := time.Now().Add(5 * time.Second)
-	for met.Reconnects.With(nodeLabel(0)).Value() == 0 {
+	for c.DebugSessions()[0].Epochs < 2 {
 		if time.Now().After(deadline) {
 			t.Fatal("session never reconnected through the dialer")
 		}
@@ -223,11 +223,14 @@ func TestInferContextCancellation(t *testing.T) {
 }
 
 // TestStaleResultsCounted: results landing after T_L settled their tiles
-// must be dropped and counted, not delivered to a dead collector.
+// must be dropped and recorded as stale flight events, not delivered to
+// a dead collector.
 func TestStaleResultsCounted(t *testing.T) {
 	opt := models.Options{Grid: fdsp.Grid{Rows: 2, Cols: 2}}
-	met := NewMetrics(telemetry.NewRegistry())
-	c, _, stop := buildRuntime(t, opt, 2, time.Nanosecond, func(cfg *CentralConfig) { cfg.Metrics = met })
+	flight := telemetry.NewFlightRecorder(0)
+	c, _, stop := buildRuntime(t, opt, 2, time.Nanosecond, func(cfg *CentralConfig) {
+		cfg.Metrics, cfg.Flight = NewMetrics(telemetry.NewRegistry()), flight
+	})
 	defer stop()
 
 	rng := rand.New(rand.NewSource(35))
@@ -240,10 +243,18 @@ func TestStaleResultsCounted(t *testing.T) {
 	if st.TilesMissed == 0 {
 		t.Skip("scheduler beat a 1ns deadline — cannot force stale results")
 	}
+	stale := func() bool {
+		for _, ev := range flight.Events() {
+			if ev.Kind == "stale" {
+				return true
+			}
+		}
+		return false
+	}
 	deadline := time.Now().Add(2 * time.Second)
-	for met.StaleResults.Value() == 0 {
+	for !stale() {
 		if time.Now().After(deadline) {
-			t.Fatal("overdue results never hit the stale counter")
+			t.Fatal("overdue results never produced a stale flight event")
 		}
 		time.Sleep(5 * time.Millisecond)
 	}

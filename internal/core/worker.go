@@ -62,9 +62,8 @@ func NewWorker(id int, m *models.Model) *Worker {
 
 // Serve processes tasks from conn until the context is cancelled or the
 // peer disconnects cleanly (both return nil). A mid-stream transport
-// failure is returned to the caller — and counted separately from clean
-// disconnects — so operators can tell a Central that hung up from a
-// network that broke.
+// failure is returned to the caller, so operators can tell a Central
+// that hung up from a network that broke.
 //
 // Serve is the single-session convenience wrapper: it runs one
 // NodeServer session over conn. A node serving several Centrals at once
@@ -277,7 +276,6 @@ func putWorkerTask(t *workerTask) {
 // owns the error) and the transport or protocol error otherwise.
 func (s *workerSession) recvLoop(ctx context.Context) error {
 	w := s.ns.w
-	met := w.Metrics
 	for {
 		m, err := s.conn.Recv()
 		if err != nil {
@@ -289,13 +287,7 @@ func (s *workerSession) recvLoop(ctx context.Context) error {
 			default:
 			}
 			if errors.Is(err, io.EOF) || ctx.Err() != nil {
-				if met != nil {
-					met.WorkerRecvEOF.Inc()
-				}
 				return nil // peer closed cleanly or we were cancelled
-			}
-			if met != nil {
-				met.WorkerRecvErrors.Inc()
 			}
 			return fmt.Errorf("core: worker %d: recv: %w", w.ID, err)
 		}
@@ -395,9 +387,6 @@ func (s *workerSession) computeLoop(ctx context.Context) error {
 		if err != nil {
 			if ctx.Err() != nil {
 				return nil
-			}
-			if met != nil {
-				met.WorkerSendErrors.Inc()
 			}
 			return s.fail(fmt.Errorf("core: worker %d: send: %w", w.ID, err))
 		}

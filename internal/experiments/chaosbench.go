@@ -323,8 +323,11 @@ func newDrillRig(cfg ChaosBenchConfig, central core.CentralConfig) (*drillRig, e
 // paceP99 × p99.
 func (cl *drillRig) calibrate(res *ChaosDrillResult, paceP99 float64) error {
 	cfg := cl.cfg
+	before := cl.met.TileRoundTrip.Snapshot()
 	wait(cl.ctx, cfg.Baseline)
-	p99 := cl.met.TileLatencyWindow.Quantile(cfg.SlowWindow, 0.99)
+	after := cl.met.TileRoundTrip.Snapshot()
+	p99 := telemetry.QuantileFromBuckets(after.Upper,
+		telemetry.DeltaBuckets(after.Cumulative(), before.Cumulative()), 0.99)
 	if p99 <= 0 || p99 != p99 {
 		return fmt.Errorf("no baseline traffic (p99=%v)", p99)
 	}

@@ -1,6 +1,7 @@
 package sched
 
 import (
+	"slices"
 	"strconv"
 	"sync"
 	"time"
@@ -8,24 +9,14 @@ import (
 	"adcnn/internal/telemetry"
 )
 
-// Monitor publishes the scheduler's internal state — the quantities
-// Algorithm 2 and 3 are driven by — as metrics:
-//
-//	adcnn_sched_speed{node}        EWMA throughput estimate s_k
-//	adcnn_sched_bottleneck         allocation objective max_k x_k/s_k
-//	adcnn_sched_allocations_total  allocations computed
-//	adcnn_sched_realloc_total      allocations that shifted tiles between
-//	                               nodes relative to the previous one
-//
-// When an Audit ring is attached the Monitor also appends a structured
-// Decision record for the first allocation and for every reallocation,
-// with trigger attribution from the speed drift since the previous one.
-// All methods are nil-receiver safe so call sites need no guards.
+// Monitor publishes Algorithm 2's EWMA throughput estimates s_k as
+// adcnn_sched_speed{node}. When an Audit ring is attached it also
+// appends a structured Decision record for the first allocation and for
+// every reallocation, with its objective before and after, the tiles it
+// moved and trigger attribution from the speed drift since the previous
+// one. All methods are nil-receiver safe so call sites need no guards.
 type Monitor struct {
-	speed      *telemetry.GaugeVec
-	bottleneck *telemetry.Gauge
-	allocs     *telemetry.Counter
-	reallocs   *telemetry.Counter
+	speed *telemetry.GaugeVec
 
 	mu         sync.Mutex
 	last       Allocation
@@ -35,9 +26,8 @@ type Monitor struct {
 	audit      *Audit
 }
 
-// NewMonitor registers the scheduler metrics on reg. A non-empty
-// replica gives every family a leading "replica" label bound to that
-// value, for processes hosting several Central replicas on one
+// NewMonitor registers the speed gauge on reg. A non-empty replica
+// gives it a leading "replica" label bound to that value, for processes hosting several Central replicas on one
 // registry; every monitor on a registry must use the same schema — the
 // registry rejects mixing the labeled and unlabeled one.
 func NewMonitor(reg *telemetry.Registry, replica string) *Monitor {
@@ -48,12 +38,6 @@ func NewMonitor(reg *telemetry.Registry, replica string) *Monitor {
 	return &Monitor{
 		speed: reg.GaugeVec("adcnn_sched_speed",
 			"Algorithm 2 EWMA throughput estimate s_k per Conv node.", append(labels, "node")...).Curry(bound...),
-		bottleneck: reg.GaugeVec("adcnn_sched_bottleneck",
-			"Allocation objective max_k x_k/s_k of the last allocation (Equation 1).", labels...).With(bound...),
-		allocs: reg.CounterVec("adcnn_sched_allocations_total",
-			"Tile allocations computed.", labels...).With(bound...),
-		reallocs: reg.CounterVec("adcnn_sched_realloc_total",
-			"Allocations that moved tiles between nodes vs the previous image.", labels...).With(bound...),
 	}
 }
 
@@ -88,57 +72,44 @@ func (m *Monitor) Audit() *Audit {
 	return m.audit
 }
 
-// ObserveAllocation publishes one allocation's objective, counts a
-// reallocation event when the tile split changed since the last image,
-// and — when an Audit is attached — records the decision with its s_k
-// inputs, objective delta, and trigger attribution. image identifies
-// the inference the allocation was computed for. effSpeeds are the
-// transfer-derated speeds a link-aware split was actually computed from
-// (nil when the mode is off or uncalibrated) and linkSecs the per-node
-// transfer costs behind them. Objectives are evaluated on the effective
-// speeds — the quantity the allocator minimized — and trigger
-// attribution weighs link-cost shifts against speed shifts, so a move
-// caused purely by a bandwidth collapse is named "link node=K" even
-// while the measured s_k held steady.
+// ObserveAllocation remembers one allocation and — when an Audit is
+// attached and the allocation is the first or changed the tile split
+// since the last image — records the decision with its s_k inputs,
+// objective delta, tiles moved and trigger attribution. image
+// identifies the inference the allocation was computed for. effSpeeds
+// are the transfer-derated speeds a link-aware split was actually
+// computed from (nil when the mode is off or uncalibrated) and linkSecs
+// the per-node transfer costs behind them. Objectives are evaluated on
+// the effective speeds — the quantity the allocator minimized — and
+// trigger attribution weighs link-cost shifts against speed shifts, so
+// a move caused purely by a bandwidth collapse is named "link node=K"
+// even while the measured s_k held steady.
 func (m *Monitor) ObserveAllocation(a Allocation, speeds, effSpeeds, linkSecs []float64, image uint32) {
 	if m == nil {
 		return
 	}
-	objSpeeds := speeds
-	if effSpeeds != nil {
-		objSpeeds = effSpeeds
-	}
-	objAfter := a.Bottleneck(objSpeeds)
-	m.bottleneck.Set(objAfter)
-	m.allocs.Inc()
 	m.mu.Lock()
 	first := !m.seen
-	changed := len(m.last) == len(a)
-	if changed {
-		same := true
-		for k, x := range a {
-			if m.last[k] != x {
-				same = false
-				break
-			}
-		}
-		changed = !same
-	}
+	changed := len(m.last) == len(a) && !slices.Equal(m.last, a)
 	var d *Decision
 	if m.audit != nil && (first || changed) {
+		objSpeeds := speeds
+		if effSpeeds != nil {
+			objSpeeds = effSpeeds
+		}
 		d = &Decision{
 			At:       time.Now(),
 			Image:    image,
 			Speeds:   append([]float64(nil), speeds...),
 			Next:     append(Allocation(nil), a...),
-			ObjAfter: objAfter,
+			ObjAfter: a.Bottleneck(objSpeeds),
 		}
 		if effSpeeds != nil {
 			d.EffSpeeds = append([]float64(nil), effSpeeds...)
 			d.LinkSecs = append([]float64(nil), linkSecs...)
 		}
 		if first {
-			d.ObjBefore = objAfter
+			d.ObjBefore = d.ObjAfter
 			d.Trigger = "initial"
 		} else {
 			d.Prev = append(Allocation(nil), m.last...)
@@ -153,9 +124,6 @@ func (m *Monitor) ObserveAllocation(a Allocation, speeds, effSpeeds, linkSecs []
 	m.lastLink = append(m.lastLink[:0], linkSecs...)
 	m.seen = true
 	m.mu.Unlock()
-	if changed {
-		m.reallocs.Inc()
-	}
 	if d != nil {
 		audit.record(*d)
 	}

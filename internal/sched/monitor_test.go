@@ -16,31 +16,25 @@ func TestMonitorPublishesSchedulerState(t *testing.T) {
 		t.Fatalf("s_1 = %v (ok=%v), want 4", v, ok)
 	}
 
+	a := NewAudit(8, nil)
+	m.AttachAudit(a)
 	m.ObserveAllocation(Allocation{4, 12}, speeds, nil, nil, 1)
-	if v, _ := reg.Value("adcnn_sched_bottleneck"); v != 3 {
-		t.Fatalf("bottleneck = %v, want 3 (12 tiles / speed 4)", v)
-	}
-	if v, _ := reg.Value("adcnn_sched_allocations_total"); v != 1 {
-		t.Fatalf("allocations = %v, want 1", v)
-	}
-	// The very first allocation has no predecessor: not a reallocation.
-	if v, _ := reg.Value("adcnn_sched_realloc_total"); v != 0 {
-		t.Fatalf("realloc after first allocation = %v, want 0", v)
+	ds := a.Decisions()
+	if len(ds) != 1 || ds[0].ObjAfter != 3 || ds[0].TilesMoved != 0 {
+		t.Fatalf("first allocation %+v, want one decision with objective 3 (12 tiles / speed 4), nothing moved", ds)
 	}
 
-	// Identical split: still no reallocation.
+	// Identical split: no reallocation, nothing recorded.
 	m.ObserveAllocation(Allocation{4, 12}, speeds, nil, nil, 2)
-	if v, _ := reg.Value("adcnn_sched_realloc_total"); v != 0 {
-		t.Fatalf("realloc after identical split = %v, want 0", v)
+	if n := len(a.Decisions()); n != 1 {
+		t.Fatalf("identical split recorded: %d decisions, want 1", n)
 	}
 
-	// The split moved tiles: one reallocation event.
+	// The split moved tiles: one reallocation with the tiles it moved.
 	m.ObserveAllocation(Allocation{6, 10}, speeds, nil, nil, 3)
-	if v, _ := reg.Value("adcnn_sched_realloc_total"); v != 1 {
-		t.Fatalf("realloc after changed split = %v, want 1", v)
-	}
-	if v, _ := reg.Value("adcnn_sched_allocations_total"); v != 3 {
-		t.Fatalf("allocations = %v, want 3", v)
+	ds = a.Decisions()
+	if len(ds) != 2 || ds[1].TilesMoved != 2 || ds[1].Image != 3 {
+		t.Fatalf("changed split %+v, want a second decision moving 2 tiles", ds)
 	}
 }
 

@@ -295,6 +295,31 @@ func QuantileFromBuckets(upper []float64, cum []uint64, q float64) float64 {
 	return math.NaN()
 }
 
+// FractionAboveFromBuckets estimates the fraction of observations above
+// v from cumulative bucket counts, by the interpolation
+// QuantileFromBuckets uses (the first bucket spans from 0, the overflow
+// bucket sits at the last finite bound), so the two agree:
+// FractionAboveFromBuckets(QuantileFromBuckets(q)) = 1−q. Returns 0
+// when the histogram is empty.
+func FractionAboveFromBuckets(upper []float64, cum []uint64, v float64) float64 {
+	if len(cum) == 0 || len(cum) != len(upper)+1 || cum[len(cum)-1] == 0 {
+		return 0
+	}
+	total := float64(cum[len(cum)-1])
+	lo, below := 0.0, 0.0
+	for i, hi := range upper {
+		c := float64(cum[i])
+		if v < hi {
+			if v > lo {
+				below += (c - below) * (v - lo) / (hi - lo)
+			}
+			return 1 - below/total
+		}
+		lo, below = hi, c
+	}
+	return 0
+}
+
 // DeltaBuckets subtracts an earlier scrape's cumulative counts from a
 // later one's, for windowed quantiles between two polls. Mismatched
 // layouts return nil.

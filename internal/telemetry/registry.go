@@ -413,85 +413,15 @@ type HistogramSnapshot struct {
 	Max    float64   `json:"max"`
 }
 
-// Quantile estimates the q-quantile (0 < q <= 1) by linear interpolation
-// inside the bucket containing the target rank, clamped to the observed
-// [min, max]. Returns NaN for an empty histogram.
-func (s HistogramSnapshot) Quantile(q float64) float64 {
-	if s.Count == 0 {
-		return math.NaN()
+// Cumulative returns the bucket counts as running totals, the +Inf
+// total last: the layout a /metrics scrape carries and QuantileFromBuckets,
+// FractionAboveFromBuckets and DeltaBuckets read.
+func (s HistogramSnapshot) Cumulative() []uint64 {
+	out := append([]uint64(nil), s.Counts...)
+	for i := 1; i < len(out); i++ {
+		out[i] += out[i-1]
 	}
-	rank := q * float64(s.Count)
-	var cum uint64
-	for i, c := range s.Counts {
-		if c == 0 {
-			cum += c
-			continue
-		}
-		if float64(cum+c) >= rank {
-			lo := s.Min
-			if i > 0 {
-				lo = s.Upper[i-1]
-			}
-			hi := s.Max
-			if i < len(s.Upper) && s.Upper[i] < hi {
-				hi = s.Upper[i]
-			}
-			if lo > hi {
-				lo = hi
-			}
-			frac := (rank - float64(cum)) / float64(c)
-			v := lo + (hi-lo)*frac
-			return math.Max(s.Min, math.Min(s.Max, v))
-		}
-		cum += c
-	}
-	return s.Max
-}
-
-// FractionAbove estimates the fraction of observations strictly above v
-// by linear interpolation inside the bucket containing v (the same
-// interpolation Quantile uses, so the two agree: FractionAbove(Quantile(q))
-// ≈ 1−q). Returns 0 for an empty histogram.
-func (s HistogramSnapshot) FractionAbove(v float64) float64 {
-	if s.Count == 0 {
-		return 0
-	}
-	if v < s.Min {
-		return 1
-	}
-	if v >= s.Max {
-		return 0
-	}
-	var below, cum uint64
-	for i, c := range s.Counts {
-		lo := s.Min
-		if i > 0 {
-			lo = s.Upper[i-1]
-		}
-		hi := s.Max
-		if i < len(s.Upper) && s.Upper[i] < hi {
-			hi = s.Upper[i]
-		}
-		if i < len(s.Upper) && s.Upper[i] < v {
-			cum += c
-			continue
-		}
-		// v falls in this bucket (or past the last finite bound).
-		below = cum
-		if c > 0 && hi > lo {
-			frac := (v - lo) / (hi - lo)
-			if frac < 0 {
-				frac = 0
-			}
-			if frac > 1 {
-				frac = 1
-			}
-			below += uint64(frac * float64(c))
-		}
-		break
-	}
-	above := float64(s.Count-below) / float64(s.Count)
-	return math.Max(0, math.Min(1, above))
+	return out
 }
 
 // Snapshot captures every family, sorted by metric name and label tuple.

@@ -80,14 +80,69 @@ func TestHistogramQuantiles(t *testing.T) {
 		{0.99, 990, 2},
 		{1.00, 1000, 0},
 	} {
-		got := s.Quantile(tc.q)
+		got := QuantileFromBuckets(s.Upper, s.Cumulative(), tc.q)
 		if math.Abs(got-tc.want) > tc.tol {
 			t.Fatalf("q%.2f = %v, want %v ± %v", tc.q, got, tc.want, tc.tol)
 		}
 	}
 	var empty HistogramSnapshot
-	if !math.IsNaN(empty.Quantile(0.5)) {
+	if !math.IsNaN(QuantileFromBuckets(empty.Upper, empty.Cumulative(), 0.5)) {
 		t.Fatal("empty histogram quantile must be NaN")
+	}
+}
+
+func TestCumulativeHistogramDropsNonFinite(t *testing.T) {
+	reg := NewRegistry()
+	h := reg.Histogram("nan_guard_seconds", "", nil)
+	h.Observe(math.NaN())
+	h.Observe(math.Inf(1))
+	h.Observe(0.5)
+	snap := h.Snapshot()
+	if snap.Count != 1 {
+		t.Fatalf("count %d, want 1 (non-finite dropped)", snap.Count)
+	}
+	if math.IsNaN(snap.Sum) || math.IsInf(snap.Sum, 0) {
+		t.Fatalf("sum poisoned: %v", snap.Sum)
+	}
+	if q := QuantileFromBuckets(snap.Upper, snap.Cumulative(), 0.99); math.IsNaN(q) || math.IsInf(q, 0) {
+		t.Fatalf("quantile poisoned: %v", q)
+	}
+}
+
+// TestFractionAbove holds FractionAboveFromBuckets to the interpolation
+// of QuantileFromBuckets on a cumulative histogram's buckets.
+func TestFractionAbove(t *testing.T) {
+	reg := NewRegistry()
+	h := reg.Histogram("frac_seconds", "", []float64{0.01, 0.1, 1})
+	for i := 0; i < 90; i++ {
+		h.Observe(0.005)
+	}
+	for i := 0; i < 10; i++ {
+		h.Observe(0.5)
+	}
+	snap := h.Snapshot()
+	upper, cum := snap.Upper, snap.Cumulative()
+	for _, tc := range []struct{ v, want float64 }{
+		{0.01, 0.10},    // a bucket bound: everything past the first bucket
+		{0.0001, 0.991}, // 1% into the first bucket, which spans from 0
+		{0, 1},
+		{0.55, 0.05}, // halfway through (0.1, 1], which holds 10
+		{1.0, 0},     // the last finite bound: the overflow bucket sits there
+	} {
+		if got := FractionAboveFromBuckets(upper, cum, tc.v); math.Abs(got-tc.want) > 1e-9 {
+			t.Fatalf("FractionAboveFromBuckets(%v) = %v, want %v", tc.v, got, tc.want)
+		}
+	}
+	// Agreement with QuantileFromBuckets: the fraction above the
+	// q-quantile estimate is 1−q.
+	for _, q := range []float64{0.5, 0.9, 0.95, 0.99} {
+		p := QuantileFromBuckets(upper, cum, q)
+		if got := FractionAboveFromBuckets(upper, cum, p); math.Abs(got-(1-q)) > 1e-9 {
+			t.Fatalf("FractionAboveFromBuckets(p%g=%v) = %v, want %v", q*100, p, got, 1-q)
+		}
+	}
+	if got := FractionAboveFromBuckets(nil, nil, 1); got != 0 {
+		t.Fatalf("empty FractionAboveFromBuckets = %v", got)
 	}
 }
 

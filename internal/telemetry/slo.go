@@ -4,18 +4,19 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"slices"
 	"sync"
 	"time"
 )
 
-// SLO evaluation: declarative objectives over the sliding-window
-// instruments, judged with the multi-window burn-rate method. Each
-// objective defines an error budget (the tolerated fraction of bad
-// events) and the engine compares the observed bad fraction against
-// that budget over two windows at once: a fast window for detection
-// latency and a slow window so a single hiccup cannot trip the alarm.
-// burn = badFraction / budget, so burn 1 means "spending budget exactly
-// as fast as allowed". The state machine is ok → warn → breach:
+// SLO evaluation: declarative objectives over cumulative instruments,
+// judged with the multi-window burn-rate method. Each objective defines
+// an error budget (the tolerated fraction of bad events) and the engine
+// compares the observed bad fraction against that budget over two
+// windows at once: a fast window for detection latency and a slow
+// window so a single hiccup cannot trip the alarm. burn = badFraction /
+// budget, so burn 1 means "spending budget exactly as fast as allowed".
+// The state machine is ok → warn → breach:
 //
 //	breach  when fast AND slow burn ≥ BreachBurn (sustained, severe)
 //	warn    when fast OR slow burn ≥ WarnBurn
@@ -23,6 +24,13 @@ import (
 //
 // Recovery is symmetric — the slow window's memory is the hysteresis,
 // so a breach clears only once the bad events age out of it.
+//
+// Windows come from the engine's own samples, the way adcnn-top diffs
+// two scrapes: every Tick(now) reads each objective's cumulative totals,
+// and a window's events are the newest sample minus the newest one at or
+// before now − window. Time enters only through Tick, and a sample older
+// than the slow window is dropped once a newer one also reaches back
+// that far, so an objective holds SlowWindow/tick + 1 samples.
 
 // SLOState is an objective's current judgment.
 type SLOState uint8
@@ -48,23 +56,24 @@ func (s SLOState) String() string {
 }
 
 // SLO is one declarative objective. Exactly one of the two sources is
-// set: a windowed histogram judged against a latency threshold at a
-// quantile (budget = 1−Quantile, a bad event is an observation above
-// Threshold), or a good/bad windowed counter pair judged against an
-// explicit Budget ratio.
+// set: a histogram judged against a latency threshold at a quantile
+// (budget = 1−Quantile, a bad event is an observation above Threshold),
+// or a good/bad pair judged against an explicit Budget ratio.
 type SLO struct {
 	Name string
 
 	// Latency-quantile objective: "Quantile of Hist must stay below
 	// Threshold", e.g. p99 tile latency < 25ms.
-	Hist      *WindowedHistogram
+	Hist      *Histogram
 	Quantile  float64
 	Threshold float64 // same unit as the histogram's observations
 
-	// Ratio objective: Bad/(Good+Bad) must stay within Budget,
-	// e.g. zero-filled tiles < 1% of dispatched.
-	Good, Bad *WindowedCounter
-	Budget    float64
+	// Ratio objective: Bad/(Good+Bad) must stay within Budget, e.g.
+	// zero-filled tiles < 1% of settled ones. Every observation of Good
+	// is one good event; Bad counts the bad ones.
+	Good   *Histogram
+	Bad    *Counter
+	Budget float64
 
 	FastWindow time.Duration
 	SlowWindow time.Duration
@@ -90,7 +99,7 @@ const (
 // NewLatencySLO declares a latency objective: quantile q of h over the
 // fast/slow windows must stay below threshold (seconds, matching the
 // *_seconds histogram convention).
-func NewLatencySLO(name string, h *WindowedHistogram, q, threshold float64, fast, slow time.Duration) *SLO {
+func NewLatencySLO(name string, h *Histogram, q, threshold float64, fast, slow time.Duration) *SLO {
 	if q <= 0 || q >= 1 {
 		panic("telemetry: SLO quantile out of (0,1)")
 	}
@@ -99,8 +108,9 @@ func NewLatencySLO(name string, h *WindowedHistogram, q, threshold float64, fast
 }
 
 // NewRatioSLO declares an error-ratio objective: bad/(good+bad) over
-// the fast/slow windows must stay within budget.
-func NewRatioSLO(name string, good, bad *WindowedCounter, budget float64, fast, slow time.Duration) *SLO {
+// the fast/slow windows must stay within budget, good counting the
+// observations of a histogram.
+func NewRatioSLO(name string, good *Histogram, bad *Counter, budget float64, fast, slow time.Duration) *SLO {
 	if budget <= 0 || budget >= 1 {
 		panic("telemetry: SLO budget out of (0,1)")
 	}
@@ -108,23 +118,19 @@ func NewRatioSLO(name string, good, bad *WindowedCounter, budget float64, fast, 
 		FastWindow: fast, SlowWindow: slow}
 }
 
-// burn returns the burn rate and event count over one window.
-func (s *SLO) burn(window time.Duration) (burn float64, events uint64) {
+// read returns the objective's cumulative totals: Hist's cumulative
+// bucket counts (+Inf total last), or the good and bad event counts.
+func (s *SLO) read() []uint64 {
 	if s.Hist != nil {
-		snap := s.Hist.Snapshot(window)
-		if snap.Count == 0 {
-			return 0, 0
-		}
-		budget := 1 - s.Quantile
-		return snap.FractionAbove(s.Threshold) / budget, snap.Count
+		return s.Hist.Snapshot().Cumulative()
 	}
-	good := s.Good.Total(window)
-	bad := s.Bad.Total(window)
-	total := good + bad
-	if total <= 0 {
-		return 0, 0
-	}
-	return (bad / total) / s.Budget, uint64(total)
+	return []uint64{s.Good.Snapshot().Count, uint64(s.Bad.Value())}
+}
+
+// sloSample is one reading of an objective's cumulative totals.
+type sloSample struct {
+	at time.Time
+	v  []uint64
 }
 
 // SLOTransition is one state change, delivered to subscribers.
@@ -152,15 +158,65 @@ type SLOStatus struct {
 
 // objectiveState is the engine's per-objective bookkeeping.
 type objectiveState struct {
-	slo   *SLO
-	state SLOState
-	since time.Time
+	slo     *SLO
+	samples []sloSample // oldest first
+	state   SLOState
+	since   time.Time
 
 	fastBurn, slowBurn float64
 
 	stateGauge *Gauge // nil when the engine has no registry
 	fastGauge  *Gauge
 	slowGauge  *Gauge
+}
+
+// record appends the reading at now and drops every sample a slow
+// window no longer reaches back to, keeping the newest one at or before
+// now − SlowWindow as the slow window's base.
+func (st *objectiveState) record(now time.Time) {
+	st.samples = append(st.samples, sloSample{at: now, v: st.slo.read()})
+	cut := now.Add(-st.slo.SlowWindow)
+	i := 0
+	for i+1 < len(st.samples) && !st.samples[i+1].at.After(cut) {
+		i++
+	}
+	st.samples = slices.Delete(st.samples, 0, i)
+}
+
+// delta returns the events of the window d ending at the newest sample:
+// that sample minus the newest one at or before its time − d, or minus
+// the first while the history is shorter than d.
+func (st *objectiveState) delta(d time.Duration) []uint64 {
+	last := st.samples[len(st.samples)-1]
+	cut := last.at.Add(-d)
+	base := st.samples[0]
+	for _, smp := range st.samples[1:] {
+		if smp.at.After(cut) {
+			break
+		}
+		base = smp
+	}
+	return DeltaBuckets(last.v, base.v)
+}
+
+// burn returns the burn rate and event count over one window.
+func (st *objectiveState) burn(d time.Duration) (burn float64, events uint64) {
+	s, delta := st.slo, st.delta(d)
+	if len(delta) == 0 {
+		return 0, 0
+	}
+	if s.Hist != nil {
+		events = delta[len(delta)-1]
+		if events == 0 {
+			return 0, 0
+		}
+		return FractionAboveFromBuckets(s.Hist.upper, delta, s.Threshold) / (1 - s.Quantile), events
+	}
+	good, bad := delta[0], delta[1]
+	if good+bad == 0 {
+		return 0, 0
+	}
+	return float64(bad) / float64(good+bad) / s.Budget, good + bad
 }
 
 // SLOEngine evaluates registered objectives on Tick and fans state
@@ -212,7 +268,10 @@ func (e *SLOEngine) Register(s *SLO) {
 	if s.MinEvents == 0 {
 		s.MinEvents = DefaultMinEvents
 	}
-	st := &objectiveState{slo: s, since: time.Now()}
+	// The reading at registration is the first sample, older than any
+	// tick: until the history reaches back a full window, the window
+	// counts everything since registration.
+	st := &objectiveState{slo: s, samples: []sloSample{{v: s.read()}}}
 	if e.stateVec != nil {
 		st.stateGauge = e.stateVec.With(s.Name)
 		st.fastGauge = e.burnVec.With(s.Name, "fast")
@@ -234,8 +293,9 @@ func (e *SLOEngine) Subscribe(fn func(SLOTransition)) {
 	e.mu.Unlock()
 }
 
-// Tick evaluates every objective once and returns the transitions that
-// fired. Subscribers run before Tick returns.
+// Tick samples and evaluates every objective once and returns the
+// transitions that fired. now must not go backwards between calls.
+// Subscribers run before Tick returns.
 func (e *SLOEngine) Tick(now time.Time) []SLOTransition {
 	if e == nil {
 		return nil
@@ -245,8 +305,12 @@ func (e *SLOEngine) Tick(now time.Time) []SLOTransition {
 	subs := e.subs
 	for _, st := range e.objs {
 		s := st.slo
-		fastBurn, fastN := s.burn(s.FastWindow)
-		slowBurn, _ := s.burn(s.SlowWindow)
+		st.record(now)
+		if st.since.IsZero() {
+			st.since = now
+		}
+		fastBurn, fastN := st.burn(s.FastWindow)
+		slowBurn, _ := st.burn(s.SlowWindow)
 		st.fastBurn, st.slowBurn = fastBurn, slowBurn
 		if st.fastGauge != nil {
 			st.fastGauge.Set(fastBurn)
@@ -271,7 +335,7 @@ func (e *SLOEngine) Tick(now time.Time) []SLOTransition {
 				From:      st.state, To: next,
 				FromName: st.state.String(), ToName: next.String(),
 				At: now, FastBurn: fastBurn, SlowBurn: slowBurn,
-				Detail: s.detail(fastBurn, slowBurn),
+				Detail: st.detail(fastBurn, slowBurn),
 			}
 			if next == SLOBreach {
 				e.breached++
@@ -297,9 +361,10 @@ func (e *SLOEngine) Tick(now time.Time) []SLOTransition {
 }
 
 // detail renders the objective's current numbers for transition logs.
-func (s *SLO) detail(fastBurn, slowBurn float64) string {
+func (st *objectiveState) detail(fastBurn, slowBurn float64) string {
+	s := st.slo
 	if s.Hist != nil {
-		q := s.Hist.Quantile(s.FastWindow, s.Quantile)
+		q := QuantileFromBuckets(s.Hist.upper, st.delta(s.FastWindow), s.Quantile)
 		if math.IsNaN(q) {
 			q = 0
 		}

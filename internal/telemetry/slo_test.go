@@ -7,21 +7,41 @@ import (
 	"time"
 )
 
-// sloFixture builds a latency SLO over a fake-clocked windowed histogram
+// t0 is an arbitrary start for the engine's clock: every test drives
+// time only through Tick(now).
+var t0 = time.Unix(1_000_000, 0)
+
+// sloFixture builds a latency SLO over a fresh cumulative histogram
 // registered into an engine, returning the pieces the tests drive.
-func sloFixture(t *testing.T, reg *Registry) (*SLOEngine, *WindowedHistogram, *fakeClock) {
-	t.Helper()
-	w, clk := newTestWindowHist(8*time.Second, 16, []float64{0.005, 0.01, 0.05, 0.1})
+func sloFixture(reg *Registry) (*SLOEngine, *Histogram) {
+	h := NewRegistry().Histogram("tile_seconds", "", []float64{0.005, 0.01, 0.05, 0.1})
 	e := NewSLOEngine(reg)
 	// p90 < 10ms, fast 1s / slow 4s. Budget 10%: breach needs a bad
 	// fraction ≥ 80% sustained across both windows.
-	e.Register(NewLatencySLO("tile_latency_p90", w, 0.90, 0.010, time.Second, 4*time.Second))
-	return e, w, clk
+	e.Register(NewLatencySLO("tile_latency_p90", h, 0.90, 0.010, time.Second, 4*time.Second))
+	return e, h
+}
+
+// ratioFixture builds a zero-fill style objective: good events are the
+// histogram's observations, bad ones the counter.
+func ratioFixture(budget float64, fast, slow time.Duration) (*SLOEngine, *Histogram, *Counter) {
+	reg := NewRegistry()
+	good := reg.Histogram("tile_seconds", "", nil)
+	bad := reg.Counter("missed_total", "")
+	e := NewSLOEngine(nil)
+	e.Register(NewRatioSLO("zero_fill", good, bad, budget, fast, slow))
+	return e, good, bad
+}
+
+func observeN(h *Histogram, n int, v float64) {
+	for i := 0; i < n; i++ {
+		h.Observe(v)
+	}
 }
 
 func TestSLOLatencyBreachAndRecovery(t *testing.T) {
 	reg := NewRegistry()
-	e, w, clk := sloFixture(t, reg)
+	e, h := sloFixture(reg)
 
 	var mu sync.Mutex
 	var seen []SLOTransition
@@ -32,22 +52,20 @@ func TestSLOLatencyBreachAndRecovery(t *testing.T) {
 	})
 
 	// Healthy traffic: everything under threshold, state stays ok.
-	for i := 0; i < 100; i++ {
-		w.Observe(0.002)
-	}
-	if trs := e.Tick(time.Now()); len(trs) != 0 {
+	observeN(h, 100, 0.002)
+	now := t0
+	if trs := e.Tick(now); len(trs) != 0 {
 		t.Fatalf("healthy traffic fired transitions: %+v", trs)
 	}
 
 	// Gray failure: all observations blow the threshold. Fill both the
 	// fast and slow windows so both burns saturate.
+	var trs []SLOTransition
 	for step := 0; step < 10; step++ {
-		for i := 0; i < 50; i++ {
-			w.Observe(0.08)
-		}
-		clk.advance(500 * time.Millisecond)
+		observeN(h, 50, 0.08)
+		now = now.Add(500 * time.Millisecond)
+		trs = append(trs, e.Tick(now)...)
 	}
-	trs := e.Tick(time.Now())
 	if len(trs) == 0 {
 		t.Fatal("sustained badness fired no transition")
 	}
@@ -63,16 +81,14 @@ func TestSLOLatencyBreachAndRecovery(t *testing.T) {
 	}
 
 	// Recovery: the bad observations age out of both windows.
-	clk.advance(10 * time.Second)
-	for i := 0; i < 100; i++ {
-		w.Observe(0.002)
-	}
-	e.Tick(time.Now())
+	now = now.Add(10 * time.Second)
+	observeN(h, 100, 0.002)
+	e.Tick(now)
 	if e.Breached() {
 		t.Fatalf("breach did not clear after windows drained: %+v", e.Status())
 	}
 	st := e.Status()
-	if len(st) != 1 || st[0].State != "ok" {
+	if len(st) != 1 || st[0].State != "ok" || !st[0].Since.Equal(now) {
 		t.Fatalf("status after recovery: %+v", st)
 	}
 
@@ -87,35 +103,33 @@ func TestSLOLatencyBreachAndRecovery(t *testing.T) {
 }
 
 func TestSLOMinEventsAbstains(t *testing.T) {
-	e, w, _ := sloFixture(t, nil)
+	e, h := sloFixture(nil)
 	// Three terrible observations: fewer than MinEvents, so the
 	// objective must hold ok rather than indict a p90 on 3 samples.
-	for i := 0; i < 3; i++ {
-		w.Observe(0.08)
-	}
-	if trs := e.Tick(time.Now()); len(trs) != 0 {
+	observeN(h, 3, 0.08)
+	if trs := e.Tick(t0); len(trs) != 0 {
 		t.Fatalf("abstention floor ignored: %+v", trs)
 	}
-	if got := e.Status()[0].State; got != "ok" {
-		t.Fatalf("state %s, want ok under MinEvents", got)
+	if got := e.Status()[0]; got.State != "ok" || got.FastBurn < DefaultBreachBurn {
+		t.Fatalf("status %+v, want ok held over a breach-level burn under MinEvents", got)
 	}
 }
 
 func TestSLOWarnBeforeBreach(t *testing.T) {
-	e, w, clk := sloFixture(t, nil)
+	e, h := sloFixture(nil)
 	// Warm the slow window with healthy traffic, then push a bad burst
 	// into only the fast window: fast burn spikes but slow burn stays
 	// below BreachBurn → warn, not breach.
+	now := t0
+	e.Tick(now)
 	for step := 0; step < 6; step++ {
-		for i := 0; i < 200; i++ {
-			w.Observe(0.002)
-		}
-		clk.advance(500 * time.Millisecond)
+		observeN(h, 200, 0.002)
+		now = now.Add(500 * time.Millisecond)
+		e.Tick(now)
 	}
-	for i := 0; i < 200; i++ {
-		w.Observe(0.08)
-	}
-	trs := e.Tick(time.Now())
+	observeN(h, 200, 0.08)
+	now = now.Add(500 * time.Millisecond)
+	trs := e.Tick(now)
 	if len(trs) != 1 || trs[0].To != SLOWarn {
 		t.Fatalf("want single ok→warn transition, got %+v", trs)
 	}
@@ -125,30 +139,93 @@ func TestSLOWarnBeforeBreach(t *testing.T) {
 }
 
 func TestSLORatioObjective(t *testing.T) {
-	good, clk := newTestWindowCounter(8*time.Second, 16)
-	bad := NewWindowedCounter(8*time.Second, 16)
-	bad.ring.nowNs = clk.now
-	e := NewSLOEngine(nil)
 	// Zero-fill budget 5%: breach at bad fraction ≥ 40% on both windows.
-	e.Register(NewRatioSLO("zero_fill", good, bad, 0.05, time.Second, 4*time.Second))
-
+	e, good, bad := ratioFixture(0.05, time.Second, 4*time.Second)
+	now := t0
 	for step := 0; step < 10; step++ {
-		good.Add(10)
+		observeN(good, 10, 0.001)
 		bad.Add(10) // 50% bad — 10× the budget
-		clk.advance(500 * time.Millisecond)
+		now = now.Add(500 * time.Millisecond)
+		e.Tick(now)
 	}
-	e.Tick(time.Now())
 	if !e.Breached() {
 		t.Fatalf("50%% zero-fill on a 5%% budget must breach: %+v", e.Status())
 	}
 
-	clk.advance(10 * time.Second)
-	for i := 0; i < 20; i++ {
-		good.Add(10)
-	}
-	e.Tick(time.Now())
+	now = now.Add(10 * time.Second)
+	observeN(good, 200, 0.001)
+	e.Tick(now)
 	if e.Breached() {
 		t.Fatal("ratio breach did not recover")
+	}
+}
+
+// TestSLOWindowsForgetOnTime: bad events observed between two ticks
+// count in the fast window until exactly FastWindow after the tick that
+// first saw them, and in the slow window until exactly SlowWindow after.
+func TestSLOWindowsForgetOnTime(t *testing.T) {
+	const tick, fast, slow = 100 * time.Millisecond, time.Second, 4 * time.Second
+	e, good, bad := ratioFixture(0.01, fast, slow)
+	e.Tick(t0)
+	observeN(good, 100, 0.001)
+	bad.Add(100)
+	seen := t0.Add(tick)
+	e.Tick(seen)
+	if st := e.Status()[0]; st.FastBurn != 50 || st.SlowBurn != 50 {
+		t.Fatalf("burns %+v, want 50 (50%% bad on a 1%% budget) in both windows", st)
+	}
+	for now := seen.Add(tick); !now.After(seen.Add(slow)); now = now.Add(tick) {
+		e.Tick(now)
+		st := e.Status()[0]
+		if inFast := now.Before(seen.Add(fast)); (st.FastBurn > 0) != inFast {
+			t.Fatalf("%v after the events: fast burn %v, want in window = %v", now.Sub(seen), st.FastBurn, inFast)
+		}
+		if inSlow := now.Before(seen.Add(slow)); (st.SlowBurn > 0) != inSlow {
+			t.Fatalf("%v after the events: slow burn %v, want in window = %v", now.Sub(seen), st.SlowBurn, inSlow)
+		}
+	}
+}
+
+// TestSLOHistoryBounded: the engine keeps SlowWindow/tick + 1 samples
+// per objective however long it runs.
+func TestSLOHistoryBounded(t *testing.T) {
+	const tick, slow = 100 * time.Millisecond, 4 * time.Second
+	e, good, _ := ratioFixture(0.01, time.Second, slow)
+	const want = int(slow/tick) + 1
+	now := t0
+	for i := 0; i < 500; i++ {
+		good.Observe(0.001)
+		e.Tick(now)
+		n := len(e.objs[0].samples)
+		if n > want || (i >= want && n != want) {
+			t.Fatalf("tick %d holds %d samples, want %d once the slow window is full", i, n, want)
+		}
+		now = now.Add(tick)
+	}
+}
+
+// TestSLOBurnMath checks both objective kinds against
+// burns worked out by hand from the bucket interpolation.
+func TestSLOBurnMath(t *testing.T) {
+	reg := NewRegistry()
+	h := reg.Histogram("lat_seconds", "", []float64{0.01, 0.1})
+	miss := reg.Counter("missed_total", "")
+	e := NewSLOEngine(nil)
+	e.Register(NewLatencySLO("latency", h, 0.99, 0.055, time.Second, time.Second))
+	e.Register(NewRatioSLO("zero_fill", h, miss, 0.01, time.Second, time.Second))
+	observeN(h, 90, 0.005)
+	observeN(h, 10, 0.05)
+	miss.Add(25)
+	e.Tick(t0)
+	st := e.Status()
+	// 0.055 sits halfway through the (0.01, 0.1] bucket: 90 + 10/2 = 95
+	// observations below it, 5% above, on a 1% budget → burn 5.
+	if math.Abs(st[0].FastBurn-5) > 1e-9 || st[0].SlowBurn != st[0].FastBurn {
+		t.Fatalf("latency burn %+v, want 5", st[0])
+	}
+	// 25 missed of 125 settled = 20% on a 1% budget → burn 20.
+	if math.Abs(st[1].FastBurn-20) > 1e-9 || st[1].SlowBurn != st[1].FastBurn {
+		t.Fatalf("zero-fill burn %+v, want 20", st[1])
 	}
 }
 
@@ -163,12 +240,13 @@ func TestSLORegisterValidation(t *testing.T) {
 		}()
 		e.Register(s)
 	}
-	w := NewWindowedHistogram(time.Second, 4, nil)
-	c := NewWindowedCounter(time.Second, 4)
+	reg := NewRegistry()
+	h := reg.Histogram("h_seconds", "", nil)
+	c := reg.Counter("c_total", "")
 	mustPanic("no source", &SLO{Name: "x", FastWindow: time.Second, SlowWindow: time.Second})
-	mustPanic("both sources", &SLO{Name: "x", Hist: w, Good: c, Bad: c,
+	mustPanic("both sources", &SLO{Name: "x", Hist: h, Good: h, Bad: c,
 		Quantile: 0.9, Threshold: 1, Budget: 0.1, FastWindow: time.Second, SlowWindow: time.Second})
-	mustPanic("fast > slow", &SLO{Name: "x", Hist: w, Quantile: 0.9, Threshold: 1,
+	mustPanic("fast > slow", &SLO{Name: "x", Hist: h, Quantile: 0.9, Threshold: 1,
 		FastWindow: 2 * time.Second, SlowWindow: time.Second})
 }
 
@@ -176,26 +254,7 @@ func TestSLONilEngine(t *testing.T) {
 	var e *SLOEngine
 	e.Register(&SLO{})
 	e.Subscribe(func(SLOTransition) {})
-	if e.Tick(time.Now()) != nil || e.Breached() || e.Status() != nil {
+	if e.Tick(t0) != nil || e.Breached() || e.Status() != nil {
 		t.Fatal("nil engine must be inert")
-	}
-}
-
-func TestSLOBurnMath(t *testing.T) {
-	// 10% of observations above threshold on a 1% budget → burn 10.
-	w, _ := newTestWindowHist(time.Second, 1, []float64{0.01, 0.1})
-	for i := 0; i < 90; i++ {
-		w.Observe(0.005)
-	}
-	for i := 0; i < 10; i++ {
-		w.Observe(0.05)
-	}
-	s := NewLatencySLO("x", w, 0.99, 0.01, time.Second, time.Second)
-	burn, n := s.burn(time.Second)
-	if n != 100 {
-		t.Fatalf("events %d, want 100", n)
-	}
-	if math.Abs(burn-10) > 1.5 {
-		t.Fatalf("burn %.2f, want ~10 (10%% bad / 1%% budget)", burn)
 	}
 }
