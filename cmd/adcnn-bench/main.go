@@ -170,8 +170,7 @@ var experimentTable = []struct {
 		return nil
 	}},
 	// Control-plane sharding: single vs dual Central replica throughput
-	// over one shared live-TCP Conv pool, plus the 3:1 origin-imbalance
-	// work-stealing pass.
+	// over one shared live-TCP Conv pool.
 	{"cluster", false, func(e *env) error {
 		rep, err := experiments.ClusterBench(e.images * 4)
 		if err != nil {

@@ -24,7 +24,6 @@ import (
 	"time"
 
 	"adcnn/internal/cliutil"
-	"adcnn/internal/compress"
 	"adcnn/internal/core"
 	"adcnn/internal/dataset"
 	"adcnn/internal/models"
@@ -115,8 +114,8 @@ type centralBuilder struct {
 	// reg is nil without -metrics-addr: no metrics, no SLO engines.
 	reg *telemetry.Registry
 	// One audit ring (like the one flight ring) for the whole process:
-	// replica reallocations and cluster rebalances interleave in the
-	// same decision history, which is the view a postmortem wants.
+	// every replica's reallocations interleave in the same decision
+	// history, which is the view a postmortem wants.
 	audit *sched.Audit
 
 	obs []replicaObs // indexed by replica, filled by buildCentral
@@ -218,17 +217,10 @@ func sessionsHandler(cl *core.Cluster) http.Handler {
 
 func main() {
 	nodeList := flag.String("nodes", "127.0.0.1:9001", "comma-separated Conv node addresses")
-	model := flag.String("model", "vgg-sim", "model short name")
-	grid := flag.String("grid", "4x4", "FDSP partition")
-	seed := flag.Int64("seed", 42, "weight seed shared with conv nodes")
+	mf := cliutil.RegisterModelFlags(flag.CommandLine)
 	images := flag.Int("images", 10, "number of synthetic images to run")
 	tl := flag.Duration("tl", 5*time.Second, "result wait deadline T_L")
 	gamma := flag.Float64("gamma", 0.9, "statistics decay γ")
-	weights := flag.String("weights", "", "optional weight snapshot for the full net")
-	clipLo := flag.Float64("clip-lo", 0, "clipped ReLU lower bound")
-	clipHi := flag.Float64("clip-hi", 0, "clipped ReLU upper bound")
-	quant := flag.Int("quant", 0, "quantization bits (0 = off)")
-	quantized := flag.Bool("quantized", false, "int8 operating mode: quantize weights per channel, send quantized tiles, run the back layers through the int8 path")
 	verify := flag.Bool("verify", true, "check outputs against local execution")
 	metricsAddr := flag.String("metrics-addr", "", "serve /metrics, /healthz, /debug/pprof, /debug/flight, /debug/sessions and /debug/sched on this address (e.g. :9090)")
 	tracePath := flag.String("trace", "", "write a Chrome trace-event JSON timeline (central + conv-side spans) to this file; with -replicas N, one file per replica (out.r0.json, ...)")
@@ -250,62 +242,23 @@ func main() {
 		os.Exit(1)
 	}
 
-	cfg, err := cliutil.SimConfigByName(*model)
+	cfg, err := cliutil.SimConfigByName(mf.Name)
 	if err != nil {
 		die("bad -model", "err", err)
-	}
-	g, err := cliutil.ParseGrid(*grid)
-	if err != nil {
-		die("bad -grid", "err", err)
 	}
 	if *replicas < 1 {
 		die("bad -replicas", "replicas", *replicas)
 	}
-	buildModel := func() (*models.Model, error) {
-		m, err := models.Build(cfg, models.Options{
-			Grid: g, ClipLo: float32(*clipLo), ClipHi: float32(*clipHi), QuantBits: *quant,
-			Int8: *quantized,
-		}, *seed)
-		if err != nil {
-			return nil, err
-		}
-		if *weights != "" {
-			f, err := os.Open(*weights)
-			if err != nil {
-				return nil, err
-			}
-			defer f.Close()
-			if err := m.Net.LoadParams(f); err != nil {
-				return nil, err
-			}
-		}
-		if *quantized {
-			if _, err := m.QuantizeInt8(); err != nil {
-				return nil, err
-			}
-		}
-		return m, nil
-	}
 	// The oracle instance -verify runs locally; every replica builds its
 	// own from the same recipe.
-	oracle, err := buildModel()
+	oracle, err := mf.Build()
 	if err != nil {
 		die("build model", "err", err)
 	}
-	if *quantized {
-		logger.Info("int8 inference enabled", "quantized_uplink", oracle.Int8InputOK())
-	}
-	if oracle.Opt.Clipped() && *quant > 0 {
-		// Same line the conv nodes emit, so mismatched clip/quant flags
-		// between the two ends show up immediately in the logs.
-		q := compress.NewPipeline(*quant, oracle.Opt.ClipHi-oracle.Opt.ClipLo).Quantizer()
-		logger.Info("boundary codec",
-			"bits", *quant, "range", oracle.Opt.ClipHi-oracle.Opt.ClipLo,
-			"step", q.Step(), "zero_threshold", q.ZeroThreshold())
-	}
+	mf.Log(logger, oracle)
 
 	b := &centralBuilder{
-		logger: logger, replicas: *replicas, model: buildModel,
+		logger: logger, replicas: *replicas, model: mf.Build,
 		base: core.CentralConfig{
 			TL: *tl, Gamma: *gamma, LinkAware: *linkAware,
 			// The flight recorder is cheap (a mutex-guarded ring) and is
@@ -335,15 +288,15 @@ func main() {
 
 	// One run path for every replica count: N full Centrals — each with
 	// its own connections, statistics and pending table — drive the Conv
-	// pool through core.Cluster, which partitions node capacity by demand
-	// and steals queued images between replicas. With one replica that
-	// reduces to a bounded pipeline over a single Central.
+	// pool through core.Cluster, whose one queue every replica drains.
+	// With one replica that reduces to a bounded pipeline over a single
+	// Central.
 	depth := *pipeline
 	if depth < 1 {
 		depth = 1
 	}
 	cl, err := core.NewCluster(b.buildCentral, core.ClusterOptions{
-		Replicas: *replicas, Depth: depth, Registry: b.reg, Audit: b.audit,
+		Replicas: *replicas, Depth: depth, Registry: b.reg,
 	})
 	if err != nil {
 		die("start central", "err", err)
@@ -363,7 +316,7 @@ func main() {
 			"paths", "/metrics /healthz /readyz /debug/pprof /debug/flight /debug/sessions /debug/sched")
 	}
 
-	set, err := synthSet(cfg, *images, *seed+100)
+	set, err := synthSet(cfg, *images, mf.Seed+100)
 	if err != nil {
 		die("build dataset", "err", err)
 	}
@@ -372,22 +325,21 @@ func main() {
 	// image, so outputs agree only to within accumulated quantization
 	// error — the verify tolerance widens accordingly.
 	verifyTol := float32(1e-4)
-	if *quantized {
+	if mf.Quantized {
 		verifyTol = 5e-2
 	}
 
-	// Submit round-robin across replica origins from a feeder goroutine
-	// (Submit blocks on admission once a replica's queue is full) and
-	// collect in submission order here.
+	// Submit from a feeder goroutine (Submit blocks on admission once
+	// the queue is full) and collect in submission order here.
 	pend := make(chan (<-chan core.ClusterResult), *replicas*4)
 	go func() {
 		defer close(pend)
 		for i := 0; i < *images; i++ {
 			x, _ := set.Batch(i, 1)
-			ch, err := cl.Submit(context.Background(), i%*replicas, x)
+			ch, err := cl.Submit(context.Background(), x)
 			if err != nil {
 				ec := make(chan core.ClusterResult, 1)
-				ec <- core.ClusterResult{Origin: i % *replicas, Err: err}
+				ec <- core.ClusterResult{Err: err}
 				ch = ec
 			}
 			pend <- ch
@@ -406,9 +358,6 @@ func main() {
 		executed[r.Replica]++
 		total += r.Stats.Latency
 		status := ""
-		if r.Replica != r.Origin {
-			status = fmt.Sprintf(" (stolen %d<-%d)", r.Replica, r.Origin)
-		}
 		if *verify {
 			x, _ := set.Batch(i, 1)
 			if !r.Out.Equal(oracle.Net.Forward(x, false), verifyTol) {
@@ -431,7 +380,7 @@ func main() {
 	fmt.Printf("mean latency: %v over %d images; throughput %.2f imgs/s; %d mismatches\n",
 		(total / time.Duration(*images)).Round(time.Microsecond), *images,
 		float64(*images)/wall.Seconds(), mismatches)
-	fmt.Printf("executed per replica %v; steals %v\n", executed, cl.Steals())
+	fmt.Printf("executed per replica %v\n", executed)
 
 	cl.Shutdown()
 	for r, o := range b.obs {

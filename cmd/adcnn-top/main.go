@@ -228,24 +228,14 @@ func (d *dash) render() string {
 		}
 	}
 
-	// ---- cluster replicas (only present in -replicas N mode).
+	// ---- cluster replicas (the Central's; a Conv node has none).
 	if reps := m.LabelValues("adcnn_cluster_images_total", "replica"); len(reps) > 0 {
-		fmt.Fprintf(&b, "\n  %s\n", d.bold("replicas"))
-		fmt.Fprintf(&b, "   %-7s %-8s %-6s %-7s %s\n",
-			"replica", "imgs/s", "queue", "steals", "node shares")
-		shareNodes := m.LabelValues("adcnn_cluster_share", "node")
+		queue, _ := m.Value("adcnn_cluster_queue_depth")
+		fmt.Fprintf(&b, "\n  %s   queued %.0f\n", d.bold("replicas"), queue)
+		fmt.Fprintf(&b, "   %-7s %s\n", "replica", "imgs/s")
 		for _, r := range reps {
 			tput := d.rateWith(m, prev.metrics, "adcnn_cluster_images_total", dt, "replica", r)
-			queue, _ := m.Value("adcnn_cluster_queue_depth", "replica", r)
-			steals, _ := m.Value("adcnn_cluster_steals_total", "replica", r)
-			var shares []string
-			for _, n := range shareNodes {
-				if v, ok := m.Value("adcnn_cluster_share", "replica", r, "node", n); ok {
-					shares = append(shares, fmt.Sprintf("n%s:%.2f", n, v))
-				}
-			}
-			fmt.Fprintf(&b, "   %-7s %-8.1f %-6.0f %-7.0f %s\n",
-				r, tput, queue, steals, strings.Join(shares, " "))
+			fmt.Fprintf(&b, "   %-7s %.1f\n", r, tput)
 		}
 	}
 

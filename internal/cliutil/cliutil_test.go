@@ -1,6 +1,10 @@
 package cliutil
 
-import "testing"
+import (
+	"flag"
+	"path/filepath"
+	"testing"
+)
 
 func TestSimConfigByName(t *testing.T) {
 	for short, want := range map[string]string{
@@ -39,5 +43,27 @@ func TestParseGrid(t *testing.T) {
 		if _, err := ParseGrid(bad); err == nil {
 			t.Fatalf("%q must fail", bad)
 		}
+	}
+}
+
+func TestModelFlagsBuild(t *testing.T) {
+	fs := flag.NewFlagSet("t", flag.ContinueOnError)
+	mf := RegisterModelFlags(fs)
+	if err := fs.Parse([]string{"-grid", "2x2", "-clip-hi", "4", "-quant", "4", "-quantized"}); err != nil {
+		t.Fatal(err)
+	}
+	if mf.Name != "vgg-sim" || mf.Seed != 42 || mf.Weights != "" {
+		t.Fatalf("defaults changed: %+v", mf)
+	}
+	m, err := mf.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m.Opt.Grid.Rows != 2 || !m.Opt.Clipped() || m.Opt.QuantBits != 4 || !m.Int8InputOK() {
+		t.Fatalf("model built without the recipe: %+v int8 input %v", m.Opt, m.Int8InputOK())
+	}
+	mf.Weights = filepath.Join(t.TempDir(), "missing.bin")
+	if _, err := mf.Build(); err == nil {
+		t.Fatal("a missing weight snapshot must fail the build")
 	}
 }

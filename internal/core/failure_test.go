@@ -115,8 +115,8 @@ func TestRuntimeAllWorkersDead(t *testing.T) {
 	if n := met.Images.Value(); n != 0 {
 		t.Fatalf("images_total = %v after a failed dispatch, want 0", n)
 	}
-	if n := c.InFlight(); n != 0 {
-		t.Fatalf("InFlight = %d after a failed dispatch, want 0", n)
+	if n := met.InflightImages.Value(); n != 0 {
+		t.Fatalf("inflight_images = %v after a failed dispatch, want 0", n)
 	}
 }
 

@@ -87,7 +87,6 @@ func (c *Central) InferAsync(ctx context.Context, x *tensor.Tensor) (*Inflight, 
 	}
 	// The image exists from here on: it is counted, and Wait owes the
 	// matching decrement.
-	c.inflight.Add(1)
 	if met := c.metrics; met != nil {
 		met.Images.Inc()
 		met.InflightImages.Add(1)
@@ -247,7 +246,6 @@ func (h *Inflight) collect() (*tensor.Tensor, error) {
 	// from here on, and the admission slot and load count are returned.
 	c.pending.dropImage(h.img, len(h.tiles))
 	h.cancelTL()
-	c.inflight.Add(-1)
 	if c.metrics != nil {
 		c.metrics.InflightImages.Add(-1)
 	}

@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"errors"
 	"math/rand"
 	"net"
 	"sync"
@@ -151,13 +152,14 @@ func TestNodeServerConcurrentSessionsTCP(t *testing.T) {
 	check()
 }
 
-// TestClusterStealsDrainsAndRejectsAfterShutdown drives a 2-replica
-// Cluster over a shared NodeServer pool with every submission aimed at
-// one origin: the idle replica must steal, every image must deliver its
-// result exactly once and exactly right, Shutdown must drain, and a
-// Submit after Shutdown must fail cleanly — all without leaking a
-// goroutine.
-func TestClusterStealsDrainsAndRejectsAfterShutdown(t *testing.T) {
+// TestClusterSharedQueueDrainsAndRejectsAfterShutdown drives a
+// 2-replica Cluster over a shared NodeServer pool. Every image is
+// queued before the pool serves a single tile, so each replica's
+// dispatcher takes one image and both must execute; every image must
+// deliver its result exactly once and exactly right, Shutdown must
+// drain, and a Submit after Shutdown must fail cleanly — all without
+// leaking a goroutine.
+func TestClusterSharedQueueDrainsAndRejectsAfterShutdown(t *testing.T) {
 	check := leakCheck(t)
 	cfg := models.VGGSim()
 	opt := models.Options{Grid: fdsp.Grid{Rows: 2, Cols: 2}}
@@ -169,24 +171,23 @@ func TestClusterStealsDrainsAndRejectsAfterShutdown(t *testing.T) {
 	const nodes, replicas, images = 2, 2, 10
 	servers := make([]*NodeServer, nodes)
 	for i := range servers {
-		w := NewWorker(i+1, m)
-		w.SetDelay(2 * time.Millisecond) // make images slow enough to queue
-		servers[i] = NewNodeServer(w, 0)
+		servers[i] = NewNodeServer(NewWorker(i+1, m), 0)
 	}
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	var wg sync.WaitGroup
+	type peer struct {
+		ns   *NodeServer
+		conn Conn
+	}
+	var peers []peer // served only once every image is queued
 	build := func(r int) (*Central, error) {
 		conns := make([]Conn, nodes)
 		for i, ns := range servers {
 			a, b := Pipe()
 			conns[i] = a
-			wg.Add(1)
-			go func(ns *NodeServer, b Conn) { defer wg.Done(); _ = ns.ServeConn(ctx, b) }(ns, b)
+			peers = append(peers, peer{ns, b})
 		}
 		return NewCentral(m, conns, 5*time.Second, 0.9)
 	}
-	cl, err := NewCluster(build, ClusterOptions{Replicas: replicas, Depth: 1, RebalanceEvery: 50 * time.Millisecond})
+	cl, err := NewCluster(build, ClusterOptions{Replicas: replicas, Depth: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -198,45 +199,106 @@ func TestClusterStealsDrainsAndRejectsAfterShutdown(t *testing.T) {
 
 	chans := make([]<-chan ClusterResult, images)
 	for i := range chans {
-		ch, err := cl.Submit(context.Background(), 0, x)
+		ch, err := cl.Submit(context.Background(), x)
 		if err != nil {
 			t.Fatalf("submit %d: %v", i, err)
 		}
 		chans[i] = ch
 	}
-	stolen := 0
+	// Each dispatcher takes one image, then waits for its pipeline slot.
+	for deadline := time.Now().Add(5 * time.Second); len(cl.queue) > images-replicas; {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d images still queued, want %d taken", len(cl.queue), replicas)
+		}
+		time.Sleep(time.Millisecond)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	var wg sync.WaitGroup
+	for _, p := range peers {
+		wg.Add(1)
+		go func(p peer) { defer wg.Done(); _ = p.ns.ServeConn(ctx, p.conn) }(p)
+	}
+	executed := make([]int, replicas)
 	for i, ch := range chans {
 		r := <-ch
 		if r.Err != nil {
 			t.Fatalf("image %d: %v", i, r.Err)
 		}
-		if r.Origin != 0 {
-			t.Fatalf("image %d reports origin %d, want 0", i, r.Origin)
-		}
 		if !r.Out.Equal(want, 1e-4) {
 			t.Fatalf("image %d diverged from local execution", i)
 		}
-		if r.Replica != r.Origin {
-			stolen++
-		}
+		executed[r.Replica]++
 		select {
 		case extra := <-ch:
 			t.Fatalf("image %d delivered twice: %+v", i, extra)
 		default: // exactly once
 		}
 	}
-	if stolen == 0 {
-		t.Fatal("the idle replica never stole from the loaded origin")
-	}
-	if steals := cl.Steals(); steals[1] == 0 {
-		t.Fatalf("steal counters %v disagree with observed steals %d", steals, stolen)
+	for r, n := range executed {
+		if n == 0 {
+			t.Fatalf("replica %d executed no image: %v", r, executed)
+		}
 	}
 
 	cl.Shutdown()
-	if _, err := cl.Submit(context.Background(), 0, x); err == nil {
+	if _, err := cl.Submit(context.Background(), x); err == nil {
 		t.Fatal("submit after shutdown must fail")
 	}
 	cancel()
+	wg.Wait()
+	check()
+}
+
+// TestClusterSubmitOnFullQueueHonoursContext: a Submit blocked on a
+// full queue returns ctx.Err() when its context ends, and the images
+// already queued still complete.
+func TestClusterSubmitOnFullQueueHonoursContext(t *testing.T) {
+	check := leakCheck(t)
+	m, err := models.Build(models.VGGSim(), models.Options{Grid: fdsp.Grid{Rows: 2, Cols: 2}}, 42)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var peer Conn // served only once the queue has been full
+	build := func(int) (*Central, error) {
+		a, b := Pipe()
+		peer = b
+		return NewCentral(m, []Conn{a}, 10*time.Second, 0.9)
+	}
+	cl, err := NewCluster(build, ClusterOptions{Replicas: 1, Depth: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// No tile is served yet: the replica's one pipeline slot holds the
+	// first image and the queue fills behind it.
+	x := tensor.New(1, 3, 32, 32)
+	chans := make([]<-chan ClusterResult, clusterQueueCap+1)
+	for i := range chans {
+		ch, err := cl.Submit(context.Background(), x)
+		if err != nil {
+			t.Fatalf("submit %d: %v", i, err)
+		}
+		chans[i] = ch
+	}
+	ctx, cancelSubmit := context.WithTimeout(context.Background(), 20*time.Millisecond)
+	defer cancelSubmit()
+	if _, err := cl.Submit(ctx, x); !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("submit on a full queue returned %v, want %v", err, context.DeadlineExceeded)
+	}
+
+	srv, stop := context.WithCancel(context.Background())
+	defer stop()
+	ns := NewNodeServer(NewWorker(1, m), 0)
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() { defer wg.Done(); _ = ns.ServeConn(srv, peer) }()
+	for i, ch := range chans {
+		if r := <-ch; r.Err != nil || r.Stats.TilesMissed != 0 {
+			t.Fatalf("image %d: err %v, %d tiles missed", i, r.Err, r.Stats.TilesMissed)
+		}
+	}
+	cl.Shutdown()
+	stop()
 	wg.Wait()
 	check()
 }

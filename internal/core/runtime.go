@@ -95,11 +95,10 @@ type CentralConfig struct {
 // clock-offset estimators, the pending table, the Algorithm 2 statistics
 // — is private to one Central, so a Central is also one replica of the
 // control plane: several can drive the same Conv pool concurrently (the
-// Conv side serves each an independent session; see NodeServer), with
-// the pool-wide state (capacity shares, steal queues) above them in
-// Cluster. SetShare tells a replica what fraction of each node's
-// capacity the cluster partitioner has assigned it, so co-resident
-// replicas split a node rather than both assuming they own it.
+// Conv side serves each an independent session; see NodeServer), fed
+// from the one queue in Cluster. SetShare tilts a replica toward some
+// nodes of the pool and away from others, so co-resident replicas
+// spread over the pool instead of herding onto the same nodes.
 type Central struct {
 	Model *models.Model
 	// TL is the wait deadline for intermediate results; missing tiles are
@@ -123,9 +122,8 @@ type Central struct {
 	// don't collide when merged; the image ID is folded in per image.
 	traceBase uint64
 
-	imageID  atomic.Uint32
-	inflight atomic.Int64 // images dispatched, Wait not finished
-	backMu   sync.Mutex   // serializes the back-layer compute stage
+	imageID atomic.Uint32
+	backMu  sync.Mutex // serializes the back-layer compute stage
 
 	// The membership view, one session per node index (membership.go),
 	// and the demux that routes results to per-image collectors. Start
@@ -236,9 +234,10 @@ func newHaloShape(cfg models.Config) *haloShape {
 	return &haloShape{margin: margin, down: down}
 }
 
-// SetShare installs the cluster partitioner's per-node capacity shares
-// for this replica (see sched.Driver.SetShare). Safe to call
-// concurrently with Infer — shares take effect on the next allocation.
+// SetShare installs per-node capacity shares for this replica (see
+// sched.Driver.SetShare: only their ratios across nodes change a
+// split). Safe to call concurrently with Infer — shares take effect on
+// the next allocation.
 func (c *Central) SetShare(share []float64) { c.driver.SetShare(share) }
 
 // SetLinkAware switches link-aware dispatch (see
@@ -246,11 +245,6 @@ func (c *Central) SetShare(share []float64) { c.driver.SetShare(share) }
 // harness flips it mid-run to contrast speed-only and link-aware
 // dispatch under the same fault.
 func (c *Central) SetLinkAware(on bool) { c.driver.SetLinkAware(on) }
-
-// InFlight reports how many images have been dispatched whose Wait has
-// not finished — the replica's instantaneous load, used by the cluster
-// rebalancer as its demand signal.
-func (c *Central) InFlight() int { return int(c.inflight.Load()) }
 
 // NumNodes reports how many Conv nodes the Central was started with.
 func (c *Central) NumNodes() int { return len(c.sessions) }

@@ -43,25 +43,25 @@ type StreamBenchReport struct {
 	PipelineGain   float64        `json:"pipeline_gain"` // pipelined / sequential throughput
 }
 
-// closedLoop drives origins concurrent closed loops, each submitting its
+// closedLoop drives clients concurrent closed loops, each submitting its
 // next image only once infer returned the previous one's latency:
-// warmup unmeasured images per origin, then images in total split
-// across the origins. It reports wall-clock throughput and per-image
+// warmup unmeasured images per client, then images in total split
+// across the clients. It reports wall-clock throughput and per-image
 // latency over the measured images.
-func closedLoop(origins, images, warmup int, infer func(origin int, x *tensor.Tensor) (time.Duration, error)) (StreamBenchRun, error) {
+func closedLoop(clients, images, warmup int, infer func(x *tensor.Tensor) (time.Duration, error)) (StreamBenchRun, error) {
 	x := tensor.New(1, 3, 32, 32)
 	x.RandN(rand.New(rand.NewSource(7)), 1)
-	pass := func(count func(origin int) int) ([]float64, time.Duration, error) {
-		lats := make([][]float64, origins)
-		errs := make(chan error, origins)
+	pass := func(count func(client int) int) ([]float64, time.Duration, error) {
+		lats := make([][]float64, clients)
+		errs := make(chan error, clients)
 		var wg sync.WaitGroup
 		start := time.Now()
-		for o := 0; o < origins; o++ {
+		for o := 0; o < clients; o++ {
 			wg.Add(1)
 			go func(o int) {
 				defer wg.Done()
 				for i := 0; i < count(o); i++ {
-					lat, err := infer(o, x)
+					lat, err := infer(x)
 					if err != nil {
 						errs <- err
 						return
@@ -87,10 +87,10 @@ func closedLoop(origins, images, warmup int, infer func(origin int, x *tensor.Te
 		return StreamBenchRun{}, err
 	}
 	lat, wall, err := pass(func(o int) int {
-		if o < images%origins {
-			return images/origins + 1
+		if o < images%clients {
+			return images/clients + 1
 		}
-		return images / origins
+		return images / clients
 	})
 	if err != nil {
 		return StreamBenchRun{}, err
@@ -121,7 +121,7 @@ func livePipelineComparison(opt models.Options, nodes, images, warmup, depth int
 	if err != nil {
 		return seq, pipe, err
 	}
-	seq, err = closedLoop(1, images, warmup, func(_ int, x *tensor.Tensor) (time.Duration, error) {
+	seq, err = closedLoop(1, images, warmup, func(x *tensor.Tensor) (time.Duration, error) {
 		_, st, err := c.Infer(x)
 		return st.Latency, err
 	})
@@ -134,7 +134,7 @@ func livePipelineComparison(opt models.Options, nodes, images, warmup, depth int
 	}
 	defer stop()
 	p := core.NewPipeline(c, depth)
-	pipe, err = closedLoop(depth, images, warmup, func(_ int, x *tensor.Tensor) (time.Duration, error) {
+	pipe, err = closedLoop(depth, images, warmup, func(x *tensor.Tensor) (time.Duration, error) {
 		h, err := p.Submit(context.Background(), x)
 		if err != nil {
 			return 0, err

@@ -76,13 +76,6 @@ func NewAudit(size int, logger *slog.Logger) *Audit {
 	return &Audit{buf: make([]Decision, size), log: logger}
 }
 
-// Record appends one decision, stamping its sequence number. The
-// Monitor feeds per-image allocation decisions through here; the
-// cluster layer records its share rebalances the same way, so one ring
-// answers both "why did tiles move between nodes" and "why did capacity
-// move between replicas".
-func (a *Audit) Record(d Decision) { a.record(d) }
-
 // record appends one decision, stamping its sequence number.
 func (a *Audit) record(d Decision) {
 	if a == nil {

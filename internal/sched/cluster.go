@@ -1,21 +1,13 @@
 package sched
 
-// Cluster capacity partitioning. With N Central replicas driving one
-// Conv pool, each node's measured capacity s_k is one resource the
-// replicas must split: every replica runs Algorithm 3 against
-// share[k]·s_k instead of s_k, so the pool-wide allocation stays a
-// min-max over the true capacities even though no replica sees the
-// others' tiles. The partitioner produces those shares — equal splits
-// when nothing is known, demand-weighted splits once the replicas'
-// queue depths diverge — and the cluster layer in internal/core applies
-// them via Central.SetShare plus work-stealing for the residual
-// imbalance between rebalances.
-
-// ShareFloor is the minimum share a live replica keeps of every node.
-// A replica squeezed to exactly zero could never route a tile anywhere
-// — including the probe traffic the demand estimate needs to recover —
-// so rebalancing pins each replica above this floor and renormalizes.
-const ShareFloor = 0.05
+// Cluster shares. With N Central replicas driving one Conv pool, every
+// replica runs Algorithm 3 against share[k]·s_k instead of s_k. Only
+// the shares' ratios across one replica's nodes matter: Algorithm 3's
+// split is unchanged when every speed is multiplied by one factor
+// (TestAllocateScaleInvariant), so a share that is the same on every
+// node routes nothing differently. What the shares carry is the
+// affinity tilt below; internal/core installs them once per replica
+// when it builds a Cluster.
 
 // AffinityTilt skews each node's split slightly toward one replica
 // (node k leans to replica k mod N). Without it the replicas are
@@ -23,44 +15,18 @@ const ShareFloor = 0.05
 // resolves its argmin ties to the same nodes, they herd onto one
 // subset of the pool, and the shared per-node device serializes them
 // while the rest of the pool idles — and because Algorithm 2 folds in
-// received-tile *counts*, the idle nodes' estimates decay to zero and
-// the herd can never discover them. A deterministic ±10% tilt breaks
+// received-tile *counts*, the idle nodes' estimates decay toward zero
+// and the herd finds them again only through probation revival (see
+// Driver.Plan), a few tiles per interval. A deterministic ±10% tilt breaks
 // the tie from the first image, spreading replicas across disjoint
 // node subsets when tiles-per-image < nodes, while perturbing the
 // actual capacity split too little to matter when they must overlap.
 const AffinityTilt = 0.10
 
-// applyAffinity tilts a share matrix toward the rotated affinity
-// pattern and renormalizes each node's column to sum to 1. A single
-// replica owns everything; tilting is a no-op.
-func applyAffinity(shares [][]float64) [][]float64 {
-	replicas := len(shares)
-	if replicas <= 1 {
-		return shares
-	}
-	nodes := len(shares[0])
-	for k := 0; k < nodes; k++ {
-		sum := 0.0
-		for r := 0; r < replicas; r++ {
-			if k%replicas == r {
-				shares[r][k] *= 1 + AffinityTilt
-			} else {
-				shares[r][k] *= 1 - AffinityTilt
-			}
-			sum += shares[r][k]
-		}
-		if sum > 0 {
-			for r := 0; r < replicas; r++ {
-				shares[r][k] /= sum
-			}
-		}
-	}
-	return shares
-}
-
-// FairShares splits every node evenly across replicas (modulo the
-// affinity tilt): the static partition used before any demand has been
-// observed. The result is indexed [replica][node].
+// FairShares splits every node evenly across replicas, tilted by
+// AffinityTilt toward replica k mod N and renormalized so each node's
+// column sums to 1. A single replica owns every node outright. The
+// result is indexed [replica][node].
 func FairShares(nodes, replicas int) [][]float64 {
 	if nodes <= 0 || replicas <= 0 {
 		return nil
@@ -72,66 +38,22 @@ func FairShares(nodes, replicas int) [][]float64 {
 			out[r][k] = 1 / float64(replicas)
 		}
 	}
-	return applyAffinity(out)
-}
-
-// DemandShares splits every node across replicas in proportion to each
-// replica's observed demand (queued plus in-flight images), with every
-// replica floored at ShareFloor so it can keep serving — and keep
-// generating the demand signal — even when idle. Zero total demand
-// falls back to fair shares. The result is indexed [replica][node].
-func DemandShares(nodes int, demand []float64) [][]float64 {
-	replicas := len(demand)
-	if nodes <= 0 || replicas <= 0 {
-		return nil
+	if replicas == 1 {
+		return out
 	}
-	total := 0.0
-	for _, d := range demand {
-		if d > 0 {
-			total += d
+	for k := 0; k < nodes; k++ {
+		sum := 0.0
+		for r := 0; r < replicas; r++ {
+			if k%replicas == r {
+				out[r][k] *= 1 + AffinityTilt
+			} else {
+				out[r][k] *= 1 - AffinityTilt
+			}
+			sum += out[r][k]
 		}
-	}
-	if total <= 0 {
-		return FairShares(nodes, replicas)
-	}
-	frac := make([]float64, replicas)
-	sum := 0.0
-	for r, d := range demand {
-		f := 0.0
-		if d > 0 {
-			f = d / total
+		for r := 0; r < replicas; r++ {
+			out[r][k] /= sum
 		}
-		if f < ShareFloor {
-			f = ShareFloor
-		}
-		frac[r] = f
-		sum += f
-	}
-	out := make([][]float64, replicas)
-	for r := range out {
-		frac[r] /= sum
-		out[r] = make([]float64, nodes)
-		for k := range out[r] {
-			out[r][k] = frac[r]
-		}
-	}
-	return applyAffinity(out)
-}
-
-// ShareTotals sums a share matrix per replica (mean share across
-// nodes), the scalar entitlement the work-stealing threshold compares
-// queue depths against.
-func ShareTotals(shares [][]float64) []float64 {
-	out := make([]float64, len(shares))
-	for r, row := range shares {
-		if len(row) == 0 {
-			continue
-		}
-		s := 0.0
-		for _, v := range row {
-			s += v
-		}
-		out[r] = s / float64(len(row))
 	}
 	return out
 }

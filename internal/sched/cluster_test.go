@@ -55,57 +55,3 @@ func TestFairSharesAffinityDisjoint(t *testing.T) {
 		}
 	}
 }
-
-func TestDemandSharesProportional(t *testing.T) {
-	s := DemandShares(3, []float64{3, 1})
-	for k := 0; k < 3; k++ {
-		// Demand-proportional within the affinity tilt, columns sum to 1.
-		if math.Abs(s[0][k]-0.75) > AffinityTilt || math.Abs(s[1][k]-0.25) > AffinityTilt {
-			t.Fatalf("node %d shares = %v/%v, want 0.75/0.25 within tilt", k, s[0][k], s[1][k])
-		}
-		if sum := s[0][k] + s[1][k]; math.Abs(sum-1) > 1e-12 {
-			t.Fatalf("node %d shares sum to %v, want 1", k, sum)
-		}
-		if s[0][k] <= s[1][k] {
-			t.Fatalf("node %d: demand 3:1 must dominate the tilt: %v vs %v", k, s[0][k], s[1][k])
-		}
-	}
-}
-
-func TestDemandSharesFloor(t *testing.T) {
-	s := DemandShares(2, []float64{100, 0})
-	// The idle replica keeps the floor; the node splits must still sum to 1.
-	if s[1][0] < ShareFloor/2 {
-		t.Fatalf("idle replica share %v collapsed below the floor", s[1][0])
-	}
-	for k := 0; k < 2; k++ {
-		sum := s[0][k] + s[1][k]
-		if math.Abs(sum-1) > 1e-12 {
-			t.Fatalf("node %d shares sum to %v, want 1", k, sum)
-		}
-	}
-}
-
-func TestDemandSharesZeroDemand(t *testing.T) {
-	s := DemandShares(3, []float64{0, 0, 0})
-	for r := range s {
-		for k := range s[r] {
-			if math.Abs(s[r][k]-1.0/3) > AffinityTilt {
-				t.Fatalf("share[%d][%d] = %v, want fair third within tilt", r, k, s[r][k])
-			}
-		}
-		for k := 0; k < 3; k++ {
-			sum := s[0][k] + s[1][k] + s[2][k]
-			if math.Abs(sum-1) > 1e-12 {
-				t.Fatalf("node %d shares sum to %v, want 1", k, sum)
-			}
-		}
-	}
-}
-
-func TestShareTotals(t *testing.T) {
-	tot := ShareTotals([][]float64{{0.6, 0.8}, {0.4, 0.2}})
-	if math.Abs(tot[0]-0.7) > 1e-12 || math.Abs(tot[1]-0.3) > 1e-12 {
-		t.Fatalf("totals = %v, want [0.7 0.3]", tot)
-	}
-}

@@ -83,11 +83,13 @@ func (d *Driver) Revive(k int) {
 	d.mu.Unlock()
 }
 
-// SetShare installs the cluster partitioner's per-node capacity shares:
-// node k's measured speed is scaled by share[k] in every subsequent
-// plan, so a replica granted 40% of a node routes 40% of the tiles it
-// would have routed owning the node alone. A nil or short share leaves
-// the remaining nodes unscaled.
+// SetShare installs the cluster's per-node capacity shares: node k's
+// measured speed is scaled by share[k] in every subsequent plan. Only
+// the ratios between nodes change a split — a share that is the same
+// on every node routes exactly the tiles no share would (Algorithm 3
+// is scale-invariant) — so the shares steer a replica toward some
+// nodes and away from others (see AffinityTilt). A nil or short share
+// leaves the remaining nodes unscaled.
 func (d *Driver) SetShare(share []float64) {
 	d.mu.Lock()
 	d.share = append(d.share[:0], share...)

@@ -190,6 +190,74 @@ func TestAllocateMonotoneProperty(t *testing.T) {
 	}
 }
 
+// Property: Algorithm 3 is scale-invariant — multiplying every speed by
+// one positive factor leaves the split unchanged, tie-breaking draws
+// included. A cluster share that is the same on every node of a replica
+// therefore routes nothing differently (Driver.SetShare).
+func TestAllocateScaleInvariant(t *testing.T) {
+	// same allocates tiles over speeds and over factor·speeds with
+	// identically seeded tie-breaking and compares the two splits.
+	same := func(tiles int, speeds []float64, factor float64, seed int64) bool {
+		scaled := make([]float64, len(speeds))
+		for k, s := range speeds {
+			scaled[k] = s * factor
+		}
+		a, errA := Allocate(tiles, speeds, 0, nil, rand.New(rand.NewSource(seed)))
+		b, errB := Allocate(tiles, scaled, 0, nil, rand.New(rand.NewSource(seed)))
+		if errA != nil || errB != nil {
+			return false
+		}
+		for k := range a {
+			if a[k] != b[k] {
+				return false
+			}
+		}
+		return true
+	}
+	cases := map[string]func(rng *rand.Rand) ([]float64, float64){
+		// Arbitrary speeds and factors: exact ties have measure zero.
+		"arbitrary": func(rng *rand.Rand) ([]float64, float64) {
+			speeds := make([]float64, 2+rng.Intn(7))
+			for k := range speeds {
+				speeds[k] = 0.01 + rng.Float64()*20
+			}
+			return speeds, math.Exp(rng.Float64()*14 - 7)
+		},
+		// Exact ties under an arbitrary factor: speeds drawn from one
+		// value times a power of two (equal speeds and 1:2:4 ratios) tie
+		// exactly before scaling and after, so the same ties reach rng.
+		"ties": func(rng *rand.Rand) ([]float64, float64) {
+			base := 0.01 + rng.Float64()*20
+			speeds := make([]float64, 2+rng.Intn(7))
+			for k := range speeds {
+				speeds[k] = math.Ldexp(base, rng.Intn(3))
+			}
+			return speeds, math.Exp(rng.Float64()*14 - 7)
+		},
+		// Power-of-two factors scale exactly, so any speeds — small
+		// integers that tie at many ratios, and dead nodes — keep their
+		// split.
+		"pow2": func(rng *rand.Rand) ([]float64, float64) {
+			speeds := make([]float64, 2+rng.Intn(7))
+			for k := range speeds {
+				speeds[k] = float64(rng.Intn(6))
+			}
+			speeds[rng.Intn(len(speeds))] = 1 + float64(rng.Intn(5))
+			return speeds, math.Ldexp(1, rng.Intn(41)-20)
+		},
+	}
+	for name, gen := range cases {
+		f := func(seed int64) bool {
+			rng := rand.New(rand.NewSource(seed))
+			speeds, factor := gen(rng)
+			return same(1+rng.Intn(128), speeds, factor, seed)
+		}
+		if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+	}
+}
+
 func TestBottleneckInfiniteForZeroSpeed(t *testing.T) {
 	a := Allocation{1, 0}
 	if a.Bottleneck([]float64{0, 1}) < 1e299 {
