@@ -96,16 +96,16 @@ type replicaObs struct {
 
 // centralBuilder holds what every replica is built from. One closure,
 // buildCentral, turns it into a configured, running Central — whatever
-// the replica count, every replica gets the same dialers, link
-// settings, flight ring, metrics, SLO engine and tracer.
+// the replica count, every replica gets the same dialers, flight ring,
+// metrics, SLO engine and tracer.
 type centralBuilder struct {
 	logger   *slog.Logger
 	addrs    []string
 	replicas int
 	model    func() (*models.Model, error) // a fresh instance per call
-	// base is the configuration the replicas share as is: T_L, γ, the
-	// link settings and the process-wide flight ring. buildCentral adds
-	// what is per replica — model, connections, metrics, tracer.
+	// base is the configuration the replicas share as is: T_L, γ and
+	// the process-wide flight ring. buildCentral adds what is per
+	// replica — model, connections, metrics, tracer.
 	base           core.CentralConfig
 	connectTimeout time.Duration
 	slo            core.SLOConfig
@@ -233,7 +233,6 @@ func main() {
 	sloMiss := flag.Float64("slo-miss-budget", core.DefaultMissBudget, "SLO: tolerated zero-fill fraction (0 disables)")
 	sloFast := flag.Duration("slo-fast", core.DefaultSLOWindows[0], "SLO: fast burn-rate window")
 	sloSlow := flag.Duration("slo-slow", core.DefaultSLOWindows[1], "SLO: slow burn-rate window")
-	linkAware := flag.Bool("link-aware", false, "fold measured link transfer costs into the tile allocation (sched.EffectiveSpeeds)")
 	lf := cliutil.RegisterLogFlags(flag.CommandLine)
 	flag.Parse()
 	logger := cliutil.MustLogger(lf, "adcnn-central")
@@ -260,7 +259,7 @@ func main() {
 	b := &centralBuilder{
 		logger: logger, replicas: *replicas, model: mf.Build,
 		base: core.CentralConfig{
-			TL: *tl, Gamma: *gamma, LinkAware: *linkAware,
+			TL: *tl, Gamma: *gamma,
 			// The flight recorder is cheap (a mutex-guarded ring) and is
 			// what explains a missed deadline after the fact, so it is
 			// always on; the metrics address only decides whether it is

@@ -4,6 +4,7 @@ import (
 	"context"
 	"math/rand"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -12,61 +13,122 @@ import (
 	"adcnn/internal/tensor"
 )
 
+// slowLink holds every message the Central receives over Conn for the
+// current delay before handing it on: the results of the node behind it
+// reach the Central late, as over a slow link, while the node itself
+// computes at full speed.
+type slowLink struct {
+	Conn
+	delay atomic.Int64 // ns
+}
+
+func (l *slowLink) Recv() (*Message, error) {
+	m, err := l.Conn.Recv()
+	if d := time.Duration(l.delay.Load()); err == nil && d > 0 {
+		time.Sleep(d)
+	}
+	return m, err
+}
+
+// probationCadence is sched's probation interval: how often a starved
+// node is re-admitted.
+const probationCadence = 2 * time.Second
+
 // TestLiveRuntimeAdaptsToSlowWorker runs the real distributed protocol
-// with one artificially slowed Conv node. Algorithm 2's EWMA (driven by
-// results received within T_L) must shift tiles toward the fast nodes —
-// the live-runtime version of Figure 15.
+// with one Conv node made slow — in its compute, or on the link that
+// carries its results back. Either way its results miss T_L, and
+// Algorithm 2's EWMA (driven by results received within T_L) alone must
+// shift tiles toward the fast nodes — the live-runtime version of
+// Figure 15. Once the fault lifts, the node must be back in the
+// allocation within one probation interval plus a few images.
 func TestLiveRuntimeAdaptsToSlowWorker(t *testing.T) {
 	cfg := models.VGGSim()
 	m, err := models.Build(cfg, models.Options{Grid: fdsp.Grid{Rows: 4, Cols: 4}}, 42)
 	if err != nil {
 		t.Fatal(err)
 	}
-	const workers = 4
-	conns := make([]Conn, workers)
-	var wg sync.WaitGroup
-	for i := 0; i < workers; i++ {
-		a, b := Pipe()
-		conns[i] = a
-		w := NewWorker(i+1, m)
-		if i == workers-1 {
-			w.SetDelay(80 * time.Millisecond) // last node is far slower per tile
-		}
-		wg.Add(1)
-		go func() { defer wg.Done(); _ = w.Serve(context.Background(), b) }()
-	}
-	// T_L chosen so the fast nodes always make it and the slow node's
-	// later tiles miss the window (its tiles are zero-filled — accuracy
-	// cost — but the scheduler learns).
-	c, err := NewCentral(m, conns, 250*time.Millisecond, 0.9)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer func() { c.Shutdown(); wg.Wait() }()
+	const workers, slow = 4, 3
+	for _, tc := range []struct {
+		name string
+		// tl is T_L; compute and link slow the last node's compute per
+		// tile and the delivery of each of its results.
+		tl, compute, link time.Duration
+		// shed: the slow node must end the fault with no tiles at all.
+		shed bool
+	}{
+		// The fast nodes always make T_L and the slow node's later
+		// tiles miss it (zero-filled — accuracy cost — but the
+		// scheduler learns). A node slow enough to keep missing may
+		// legitimately decay to zero work, so it need not.
+		{name: "slow-compute", tl: 250 * time.Millisecond, compute: 80 * time.Millisecond},
+		// Every result of the node behind the slow link misses the
+		// tight T_L, so Algorithm 2 credits it nothing and sheds it.
+		{name: "slow-link", tl: 100 * time.Millisecond, link: 300 * time.Millisecond, shed: true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			conns := make([]Conn, workers)
+			ws := make([]*Worker, workers)
+			var wg sync.WaitGroup
+			for i := range ws {
+				a, b := Pipe()
+				conns[i], ws[i] = a, NewWorker(i+1, m)
+				wg.Add(1)
+				go func() { defer wg.Done(); _ = ws[i].Serve(context.Background(), b) }()
+			}
+			ws[slow].SetDelay(tc.compute)
+			link := &slowLink{Conn: conns[slow]}
+			link.delay.Store(int64(tc.link))
+			conns[slow] = link
+			c, err := NewCentral(m, conns, tc.tl, 0.9)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer func() { c.Shutdown(); wg.Wait() }()
 
-	rng := rand.New(rand.NewSource(11))
-	x := tensor.New(1, 3, 32, 32)
-	x.RandN(rng, 1)
+			rng := rand.New(rand.NewSource(11))
+			x := tensor.New(1, 3, 32, 32)
+			x.RandN(rng, 1)
+			infer := func() InferStats {
+				_, st, err := c.Infer(x)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if st.Alloc.Total() != 16 {
+					t.Fatalf("tiles lost: %v", st.Alloc)
+				}
+				return st
+			}
 
-	var last InferStats
-	for i := 0; i < 8; i++ {
-		_, st, err := c.Infer(x)
-		if err != nil {
-			t.Fatal(err)
-		}
-		last = st
-	}
-	slow := last.Alloc[workers-1]
-	for k := 0; k < workers-1; k++ {
-		if last.Alloc[k] <= slow {
-			t.Fatalf("fast node %d got %d tiles, not more than slow node's %d: %v",
-				k+1, last.Alloc[k], slow, last.Alloc)
-		}
-	}
-	// A node slow enough to keep missing the window may legitimately decay
-	// to zero work (the paper's failure semantics), so we only require the
-	// allocation to remain complete.
-	if last.Alloc.Total() != 16 {
-		t.Fatalf("tiles lost: %v", last.Alloc)
+			var last InferStats
+			for i := 0; i < 8; i++ {
+				last = infer()
+			}
+			for k := 0; k < slow; k++ {
+				if last.Alloc[k] <= last.Alloc[slow] {
+					t.Fatalf("fast node %d got %d tiles, not more than slow node's %d: %v",
+						k+1, last.Alloc[k], last.Alloc[slow], last.Alloc)
+				}
+			}
+			if tc.shed && last.Alloc[slow] != 0 {
+				t.Fatalf("slow node still holds %d tiles after 8 images: %v", last.Alloc[slow], last.Alloc)
+			}
+
+			// Lift the fault. A shed node has starved by now, so only
+			// probation can give it tiles again.
+			ws[slow].SetDelay(0)
+			link.delay.Store(0)
+			due := time.Now().Add(probationCadence)
+			for late := 0; ; {
+				if infer().Alloc[slow] > 0 {
+					break
+				}
+				if time.Now().After(due) {
+					if late++; late > 5 {
+						t.Fatalf("healed node not re-admitted within %v plus %d images", probationCadence, late-1)
+					}
+				}
+				time.Sleep(10 * time.Millisecond)
+			}
+		})
 	}
 }

@@ -43,7 +43,6 @@ type Inflight struct {
 	// What settle has gathered so far; the rest of the tally (results
 	// per node, result bytes, the breakdown) accumulates in stats.
 	outTiles []*tensor.Tensor // per tile, nil until its result arrives
-	taskWire int64            // task payload bytes of the settled tiles
 	got      int
 
 	// stats fills in as the image moves through the lifecycle: Alloc at
@@ -122,23 +121,18 @@ func (h *Inflight) layout(x *tensor.Tensor) error {
 
 // allocate is the input-partition block: the driver plans the split
 // (Algorithm 3 on the current stats, skipping nodes whose sessions are
-// down — see sched.Driver.Plan) from this image's view of the nodes
-// and their links. Returns tile → node.
+// down — see sched.Driver.Plan). Returns tile → node.
 func (h *Inflight) allocate() ([]int, error) {
 	c := h.c
-	nodes := make([]sched.NodeView, len(c.sessions))
+	alive := make([]bool, len(c.sessions))
 	for k, s := range c.sessions {
-		nodes[k].Alive = s.Alive()
-		nodes[k].UpBps, nodes[k].DownBps = s.link.rates()
+		alive[k] = s.Alive()
 	}
-	plan, err := c.driver.Plan(h.start, h.img, len(h.tiles), nodes, 0, nil)
+	plan, err := c.driver.Plan(h.start, h.img, len(h.tiles), alive, 0, nil)
 	if err != nil {
 		return nil, fmt.Errorf("core: allocation: %w", err)
 	}
-	// A node revived on probation is measured afresh: its link estimate
-	// predates the starvation (the plan already ignored it).
 	for _, k := range plan.Revived {
-		c.sessions[k].link.reset()
 		c.flight.Record("probation-revive", 0, 0, k,
 			"starved speed estimate: re-admitting node at cold-start weight")
 	}
@@ -255,7 +249,7 @@ func (h *Inflight) collect() (*tensor.Tensor, error) {
 	var merged *tensor.Tensor
 	if err == nil {
 		if merged, err = h.assemble(); err != nil {
-			h.updateStats(0) // a failed image is no latency reference
+			h.updateStats()
 		}
 	}
 	if err != nil {
@@ -266,7 +260,7 @@ func (h *Inflight) collect() (*tensor.Tensor, error) {
 
 	latency := time.Since(h.start)
 	h.stats.Latency = latency
-	h.updateStats(latency)
+	h.updateStats()
 	c.trace.Span(fmt.Sprintf("image %d", h.img), "image", 0, c.trace.Offset(h.start), latency,
 		map[string]any{"missed": h.stats.TilesMissed, "wire_bytes": h.stats.WireBytes, "trace_id": TraceIDString(h.stats.TraceID)})
 	if len(h.stats.Breakdown.Tiles) == 0 {
@@ -310,7 +304,6 @@ func (h *Inflight) settleTile(a arrival) {
 	h.outTiles[a.tile] = a.t
 	h.stats.Received[a.node]++
 	h.stats.WireBytes += int64(a.wire)
-	h.taskWire += int64(a.taskWire)
 	h.got++
 	if a.enqNs > 0 {
 		tb := newTileBreakdown(a.tile, a.node, a.enqNs, a.sentNs, a.recvNs, collectNs, a.timing, a.offsetNs)
@@ -340,16 +333,8 @@ func (h *Inflight) settleTile(a arrival) {
 }
 
 // updateStats is the statistics-collection block: the image's per-node
-// tally goes to Algorithm 2, and its average payload bytes per tile in
-// each direction and its latency calibrate the transfer cost the
-// link-aware allocator reads (see sched.Driver.Settle).
-func (h *Inflight) updateStats(latency time.Duration) {
-	var up, down float64
-	if h.got > 0 {
-		up, down = float64(h.taskWire)/float64(h.got), float64(h.stats.WireBytes)/float64(h.got)
-	}
-	h.c.driver.Settle(h.stats.Received, up, down, latency)
-}
+// tally goes to Algorithm 2 (see sched.Driver.Settle).
+func (h *Inflight) updateStats() { h.c.driver.Settle(h.stats.Received) }
 
 // assemble turns the settled tiles into the back layers' input. Under
 // FDSP a missing tile is zero-filled (paper: "start executing the later

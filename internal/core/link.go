@@ -18,8 +18,8 @@ import (
 const (
 	linkAttackAlpha = 0.5                  // sample says the link got slower
 	linkDecayAlpha  = 0.2                  // sample says the link got faster
-	linkStale       = 3 * time.Second      // no sample this long → estimate unknown
-	linkMinSamples  = 3                    // samples before an estimate feeds dispatch
+	linkStale       = 3 * time.Second      // no sample this long → reported as 0
+	linkMinSamples  = 3                    // samples before a rate is reported
 	linkMinDur      = 2 * time.Microsecond // duration floor, avoids loopback ∞ bps
 )
 
@@ -88,11 +88,12 @@ func (l *linkState) observe(upBytes, downBytes, upNs, downNs int64) {
 	}
 }
 
-// ratesLocked converts the estimates to bytes/sec, returning 0 for a
-// direction whose estimate is missing, unconverged, or stale. Staleness
-// matters for recovery: after a throttle lifts, the collapsed estimate
-// would otherwise pin the node's dispatch cost high forever — expiring
-// it lets tiles return, which produces fresh samples at the true rate.
+// ratesLocked converts the estimates to bytes/sec for the gauges and
+// /debug/sessions, returning 0 ("unknown or stale") for a direction
+// whose estimate is missing, rests on fewer than linkMinSamples
+// samples, or has had no sample for linkStale — a node that stopped
+// receiving tiles shows no rate rather than the last one it was
+// measured at.
 func (l *linkState) ratesLocked(now int64) (upBps, downBps float64) {
 	if l.upSpb > 0 && l.upN >= linkMinSamples && now-l.upAt <= int64(linkStale) {
 		upBps = 1 / l.upSpb
@@ -101,15 +102,6 @@ func (l *linkState) ratesLocked(now int64) (upBps, downBps float64) {
 		downBps = 1 / l.downSpb
 	}
 	return upBps, downBps
-}
-
-// rates is the exported view: current uplink/downlink bytes-per-second
-// estimates, 0 when unknown.
-func (l *linkState) rates() (upBps, downBps float64) {
-	now := monoNow()
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.ratesLocked(now)
 }
 
 // snapshot reports the debug view: rates plus the sample count.

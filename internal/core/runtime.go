@@ -37,8 +37,7 @@ type Dialer = func(context.Context) (Conn, error)
 // construction: Start validates it, wraps the connections and starts
 // the node sessions, so there is no window in which a Central exists
 // half-configured. The Conv-node set is fixed here too; what can change
-// while the runtime is live is a method on Central (SetShare,
-// SetLinkAware).
+// while the runtime is live is a method on Central (SetShare).
 type CentralConfig struct {
 	// Model is this Central's model instance. A partitioned model runs
 	// ADCNN's FDSP execution over the model's own grid; an unpartitioned
@@ -76,9 +75,6 @@ type CentralConfig struct {
 	// dumps the affected image's recent events whenever a tile misses
 	// T_L or a session fails over.
 	Flight *telemetry.FlightRecorder
-	// LinkAware is the initial state of link-aware dispatch (see
-	// Central.SetLinkAware).
-	LinkAware bool
 }
 
 // Central is the ADCNN Central node: input-partition block, statistics
@@ -106,8 +102,8 @@ type Central struct {
 	TL time.Duration
 
 	// driver is the allocation policy (Algorithms 2 and 3, the cluster
-	// share, link-aware derating, probation revival): allocate asks it
-	// for a plan, updateStats settles the image with it.
+	// share, probation revival): allocate asks it for a plan,
+	// updateStats settles the image with it.
 	driver *sched.Driver
 
 	grid fdsp.Grid  // the model's grid, or the config's in halo mode
@@ -201,7 +197,6 @@ func (cfg CentralConfig) Start() (*Central, error) {
 		mon = met.Sched
 	}
 	c.driver = sched.NewDriver(n, cfg.Gamma, float64(grid.Tiles())/float64(n), mon)
-	c.driver.SetLinkAware(cfg.LinkAware)
 	cfg.Trace.SetThreadName(0, "central")
 	c.sessions = make([]*nodeSession, n)
 	for k, conn := range cfg.Conns {
@@ -239,12 +234,6 @@ func newHaloShape(cfg models.Config) *haloShape {
 // split). Safe to call concurrently with Infer — shares take effect on
 // the next allocation.
 func (c *Central) SetShare(share []float64) { c.driver.SetShare(share) }
-
-// SetLinkAware switches link-aware dispatch (see
-// sched.Driver.SetLinkAware). Safe to call at any time — the chaos
-// harness flips it mid-run to contrast speed-only and link-aware
-// dispatch under the same fault.
-func (c *Central) SetLinkAware(on bool) { c.driver.SetLinkAware(on) }
 
 // NumNodes reports how many Conv nodes the Central was started with.
 func (c *Central) NumNodes() int { return len(c.sessions) }

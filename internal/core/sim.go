@@ -236,13 +236,12 @@ func (s *Sim) RunImage() ImageResult {
 	}
 	// Failed devices are reported dead immediately (link layer notices a
 	// dead peer) so the allocator can avoid them even before Algorithm 2
-	// decays their estimate. The simulator has no link estimator, so the
-	// views carry no rates.
-	nodes := make([]sched.NodeView, len(s.cfg.Nodes))
+	// decays their estimate.
+	alive := make([]bool, len(s.cfg.Nodes))
 	for i, d := range s.cfg.Nodes {
-		nodes[i].Alive = !d.Failed()
+		alive[i] = !d.Failed()
 	}
-	plan, err := s.driver.Plan(simEpoch.Add(base), uint32(img), s.tiles, nodes, s.tileInWire, caps)
+	plan, err := s.driver.Plan(simEpoch.Add(base), uint32(img), s.tiles, alive, s.tileInWire, caps)
 	alloc := plan.Alloc
 	if err != nil {
 		// Nothing can run: all nodes failed. Model total loss: the image
@@ -365,7 +364,7 @@ func (s *Sim) RunImage() ImageResult {
 	back := s.cfg.Central.Model.Time(s.backFLOPs, s.backMemTraf)
 	s.cfg.Central.RecordBusy(back)
 	total := lastNeeded + back
-	s.driver.Settle(received, float64(s.tileInWire), float64(s.tileOutWire), total)
+	s.driver.Settle(received)
 
 	util := make([]float64, len(s.cfg.Nodes))
 	for k, d := range s.cfg.Nodes {

@@ -15,7 +15,6 @@ import (
 	"adcnn/internal/core"
 	"adcnn/internal/fdsp"
 	"adcnn/internal/models"
-	"adcnn/internal/sched"
 	"adcnn/internal/telemetry"
 	"adcnn/internal/tensor"
 )
@@ -23,10 +22,9 @@ import (
 // ChaosBench drives the live TCP runtime through a scripted fault
 // schedule and asserts, per drill, that the observability stack saw
 // what actually happened: the link profiler's estimates track an
-// injected bandwidth collapse, the dispatch audit attributes the
-// resulting reallocation to the link, the SLO engine breaches and the
-// flight dump blames the faulted node, and everything recovers after
-// the heal. Each drill runs on a fresh cluster — real TCP listeners,
+// injected bandwidth collapse, the SLO engine breaches and the flight
+// dump blames the faulted node, and everything recovers after the
+// heal. Each drill runs on a fresh cluster — real TCP listeners,
 // one NodeServer per node — so crashing a node is closing its socket,
 // not flipping a flag.
 
@@ -80,31 +78,28 @@ func (c *ChaosBenchConfig) fill() {
 	}
 }
 
-// chaosDrill is one row of the schedule: the Central the drill runs on
-// (the rig adds metrics and a flight recorder), the traffic pace after
-// calibration in multiples of the healthy tile p99 (0 = closed loop),
+// chaosDrill is one row of the schedule: the traffic pace after
+// calibration in multiples of the healthy tile p99 (0 = closed loop)
 // and the fault script.
 type chaosDrill struct {
-	name    string
-	central core.CentralConfig
-	pace    float64
-	run     func(*drillRig, *ChaosDrillResult)
+	name string
+	pace float64
+	run  func(*drillRig, *ChaosDrillResult)
 }
 
-// chaosDrills is the schedule, in run order. The link faults run under
-// link-aware dispatch, the estimates fed by the closed-loop tile
-// traffic. The slow node is a gray failure the SLO engine and the
-// health scorer must catch on their own, so it runs speed-only, paced
-// at 1.5× the injected service time: a fault that slowed the image rate
-// would skew the good/bad tile mix inside the burn windows and stretch
-// detection for reasons that have nothing to do with the engine.
+// chaosDrills is the schedule, in run order. The link faults run on
+// closed-loop traffic, which keeps the link estimates fed. The slow
+// node is a gray failure the SLO engine and the health scorer must
+// catch on their own, paced at 1.5× the injected service time: a fault
+// that slowed the image rate would skew the good/bad tile mix inside
+// the burn windows and stretch detection for reasons that have nothing
+// to do with the engine.
 func chaosDrills(cfg ChaosBenchConfig) []chaosDrill {
-	linkAware := core.CentralConfig{LinkAware: true}
 	return []chaosDrill{
-		{"bandwidth", linkAware, 0, drillBandwidth},
-		{"crash", linkAware, 0, drillCrash},
-		{"skew", linkAware, 0, drillSkew},
-		{"slownode", core.CentralConfig{}, 1.5 * cfg.SlowFactor, drillSlowNode},
+		{"bandwidth", 0, drillBandwidth},
+		{"crash", 0, drillCrash},
+		{"skew", 0, drillSkew},
+		{"slownode", 1.5 * cfg.SlowFactor, drillSlowNode},
 	}
 }
 
@@ -216,7 +211,7 @@ func ChaosBench(cfg ChaosBenchConfig) (*ChaosReport, error) {
 // runChaosDrill builds a fresh cluster, calibrates the SLO objective
 // off its healthy baseline, runs the drill, and tears everything down.
 func runChaosDrill(cfg ChaosBenchConfig, d chaosDrill) (*ChaosDrillResult, error) {
-	cl, err := newDrillRig(cfg, d.central)
+	cl, err := newDrillRig(cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -267,20 +262,18 @@ type drillRig struct {
 	p99 float64 // calibrated healthy tile p99, seconds
 }
 
-// newDrillRig boots the rig. central carries the link settings under
-// test; the rig adds its own metrics and flight recorder.
-func newDrillRig(cfg ChaosBenchConfig, central core.CentralConfig) (*drillRig, error) {
+// newDrillRig boots the rig: a default Central with its own metrics and
+// flight recorder.
+func newDrillRig(cfg ChaosBenchConfig) (*drillRig, error) {
 	met := core.NewMetrics(telemetry.NewRegistry())
-	met.Sched.AttachAudit(sched.NewAudit(0, nil))
 	// A deep ring: closed-loop traffic emits thousands of tile events
 	// per second, and the crash drill inspects markers recorded a
 	// reconnect-backoff (~1-2s) before the check runs.
 	flight := telemetry.NewFlightRecorder(1 << 15)
-	central.Metrics, central.Flight = met, flight
 	// One tile per node: a faulted node's slowdown lands on exactly its
 	// share of tiles, so the bad fraction is 1/Nodes by design.
 	c, live, stop, err := liveCentral(models.Options{Grid: fdsp.Grid{Rows: 2, Cols: 2}}, cfg.Nodes,
-		func(w *core.Worker) { w.SetDelay(cfg.BaseDelay) }, central)
+		func(w *core.Worker) { w.SetDelay(cfg.BaseDelay) }, core.CentralConfig{Metrics: met, Flight: flight})
 	if err != nil {
 		return nil, err
 	}
@@ -437,15 +430,12 @@ func (cl *drillRig) stop() {
 }
 
 // drillBandwidth collapses the last node's link to ThrottleRate and
-// walks the observability chain in three acts. Act 1 runs speed-only
-// dispatch (link-aware off), so every image keeps routing a tile over
-// the collapsed link: the profiler's estimates converge onto the
-// throttle rate, the SLO breaches, and the flight dump blames the
-// node. Act 2 enables link-aware dispatch mid-breach: the audit must
-// log a link-attributed reallocation that routes around the node and
-// the breach must clear while the fault is still active. Act 3 heals
-// the link: probation revival re-admits the starved node and the
-// estimates recover.
+// walks the observability chain in two acts. Act 1 is the collapse:
+// the collapsed link still delivers within T_L, so Algorithm 2 keeps
+// crediting the node and every image keeps routing a tile over it; the
+// profiler's estimates converge onto the throttle rate, the SLO
+// breaches, and the flight dump blames the node. Act 2 heals the link:
+// the estimates recover and the SLO settles.
 func drillBandwidth(cl *drillRig, res *ChaosDrillResult) {
 	cfg := cl.cfg
 	target := cl.nodes[len(cl.nodes)-1]
@@ -458,8 +448,7 @@ func drillBandwidth(cl *drillRig, res *ChaosDrillResult) {
 		return up, up > 0
 	})
 
-	// Act 1: speed-only dispatch under the collapse.
-	cl.c.SetLinkAware(false)
+	// Act 1: the collapse.
 	res.FaultAtMs = cl.sinceMs(time.Now())
 	target.rate.Store(cfg.ThrottleRate)
 
@@ -495,34 +484,8 @@ func drillBandwidth(cl *drillRig, res *ChaosDrillResult) {
 		cl.checkBlame(res, target)
 	}
 
-	// Act 2: link-aware dispatch reroutes while the fault is live.
-	enableWall := time.Now()
-	cl.c.SetLinkAware(true)
-	wantTrig := fmt.Sprintf("link node=%d", target.idx)
-	trig := ""
-	_, ok = waitFor(cl.ctx, cfg.Timeout, func() (float64, bool) {
-		for _, d := range cl.met.Sched.Audit().Decisions() {
-			if d.At.After(enableWall) && strings.HasPrefix(d.Trigger, wantTrig) {
-				trig = d.Trigger
-				return 1, true
-			}
-		}
-		return 0, false
-	})
-	res.check("audit-link-realloc", ok,
-		"audit ring holds a link-attributed reallocation %q", trig)
-	if breached {
-		at, ok := waitFor(cl.ctx, cfg.Timeout, func() (float64, bool) {
-			return cl.seen(telemetry.SLOOK, breachAt)
-		})
-		res.RecoverAtMs = at
-		res.check("slo-reroute", ok && cl.settleOK(),
-			"rerouting cleared the breach at %.0fms with the throttle still on", at)
-	}
-
-	// Act 3: heal; probation revival re-admits the starved node.
-	healWall := time.Now()
-	res.HealAtMs = cl.sinceMs(healWall)
+	// Act 2: the heal.
+	res.HealAtMs = cl.sinceMs(time.Now())
 	target.rate.Store(0)
 	rec, ok := waitFor(cl.ctx, cfg.Timeout, func() (float64, bool) {
 		if s := cl.session(target.idx); s.UplinkBps > 3*rate && s.DownlinkBps > 3*rate {
@@ -532,15 +495,6 @@ func drillBandwidth(cl *drillRig, res *ChaosDrillResult) {
 	})
 	res.LinkRecoveryBps = rec
 	res.check("link-recovery", ok, "post-heal uplink estimate %.0f B/s (>3x the throttle)", rec)
-	_, ok = waitFor(cl.ctx, cfg.Timeout, func() (float64, bool) {
-		for _, d := range cl.met.Sched.Audit().Decisions() {
-			if d.At.After(healWall) && target.idx < len(d.Next) && d.Next[target.idx] >= 1 {
-				return float64(d.Next[target.idx]), true
-			}
-		}
-		return 0, false
-	})
-	res.check("readmission", ok, "healed node re-entered the allocation (probation revival)")
 	res.check("slo-settled", cl.settleOK(), "SLO engine settled after the heal")
 }
 

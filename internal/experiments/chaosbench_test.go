@@ -6,12 +6,12 @@ import (
 	"time"
 )
 
-// TestChaosBenchReducedSchedule runs the crash and clock-skew drills at
-// reduced window sizes — the two schedules that exercise the most
-// concurrency-sensitive machinery (session teardown/reconnect and the
-// offset estimator), which is what a race-enabled CI pass is
-// for. The full four-drill schedule, including the three-act bandwidth
-// collapse, runs un-instrumented in the chaos CI job via
+// TestChaosBenchReducedSchedule runs the crash, clock-skew and
+// bandwidth drills at reduced window sizes — the schedules that
+// exercise the most concurrency-sensitive machinery (session
+// teardown/reconnect, the offset estimator, the link estimator under a
+// throttled socket), which is what a race-enabled CI pass is for. The
+// full four-drill schedule runs un-instrumented in the chaos CI job via
 // `adcnn-bench -exp chaos`.
 func TestChaosBenchReducedSchedule(t *testing.T) {
 	if testing.Short() {
@@ -23,7 +23,7 @@ func TestChaosBenchReducedSchedule(t *testing.T) {
 		// Race instrumentation plus a contended CI host stretch every
 		// timeline; the drills assert behavior, not wall-clock budgets.
 		Timeout: 20 * time.Second,
-		Drills:  []string{"crash", "skew"},
+		Drills:  []string{"crash", "skew", "bandwidth"},
 	})
 	if err != nil {
 		t.Fatalf("ChaosBench: %v", err)

@@ -25,13 +25,6 @@ type Decision struct {
 	// Speeds are the s_k estimates the allocation was computed from.
 	Speeds []float64 `json:"speeds"`
 
-	// LinkSecs is the per-node transfer-cost estimate (seconds per
-	// tile) a link-aware allocation folded in, and EffSpeeds the
-	// derated speeds the split was actually computed from. Both are
-	// omitted when link-aware dispatch was off or uncalibrated.
-	LinkSecs  []float64 `json:"link_secs,omitempty"`
-	EffSpeeds []float64 `json:"eff_speeds,omitempty"`
-
 	// Prev is the split this one replaced; nil for the first allocation.
 	Prev Allocation `json:"prev,omitempty"`
 	Next Allocation `json:"next"`
@@ -48,8 +41,7 @@ type Decision struct {
 
 	// Trigger names what prompted the move: "initial" for the first
 	// allocation, otherwise "speed node=K ±P%" for the node whose
-	// estimate shifted most since the previous decision, or
-	// "link node=K ±P%" when a transfer-cost shift dominated it.
+	// estimate shifted most since the previous decision.
 	Trigger string `json:"trigger"`
 }
 
@@ -160,17 +152,20 @@ func tilesMoved(prev, next Allocation) int {
 	return d / 2
 }
 
-// worstShift finds the largest relative shift between two estimate
-// vectors; floor bounds the denominator so a zero baseline still yields
-// a finite attribution.
-func worstShift(prev, cur []float64, floor float64) (float64, int) {
+// attributeTrigger names the node whose s_k estimate moved most
+// (relatively) between two decisions; a zero baseline counts as 1 so a
+// node rising from nothing still yields a finite attribution.
+func attributeTrigger(prevSpeeds, speeds []float64) string {
+	if len(prevSpeeds) != len(speeds) {
+		return "node-set-changed"
+	}
 	worst, worstK := 0.0, -1
-	for k := range cur {
-		base := prev[k]
+	for k := range speeds {
+		base := prevSpeeds[k]
 		if base <= 0 {
-			base = floor
+			base = 1
 		}
-		rel := (cur[k] - prev[k]) / base
+		rel := (speeds[k] - prevSpeeds[k]) / base
 		if rel < 0 {
 			rel = -rel
 		}
@@ -178,47 +173,12 @@ func worstShift(prev, cur []float64, floor float64) (float64, int) {
 			worst, worstK = rel, k
 		}
 	}
-	return worst, worstK
-}
-
-// linkShiftFloor bounds the relative-shift denominator for transfer
-// costs: a fraction of a millisecond, so a link cost appearing from
-// nothing registers as a very large shift.
-const linkShiftFloor = 1e-4
-
-// attributeTriggerLink names the node whose s_k estimate moved most
-// (relatively) between two decisions — or, when the transfer-cost
-// estimates shifted more than any speed estimate did, the node whose
-// link did: the move is then attributed to the link, not the node's
-// compute rate. A decision whose predecessor carried no link costs
-// compares against zeros — the first link-aware reallocation after a
-// bandwidth collapse is exactly the move that must read "link node=K".
-func attributeTriggerLink(prevSpeeds, speeds, prevLink, link []float64) string {
-	if len(prevSpeeds) != len(speeds) {
-		return "node-set-changed"
-	}
-	sWorst, sK := worstShift(prevSpeeds, speeds, 1)
-	lWorst, lK := 0.0, -1
-	if len(link) > 0 {
-		pl := prevLink
-		if len(pl) != len(link) {
-			pl = make([]float64, len(link))
-		}
-		lWorst, lK = worstShift(pl, link, linkShiftFloor)
-	}
-	if lK >= 0 && lWorst >= 1e-9 && lWorst > sWorst {
-		sign := "+"
-		if lK < len(prevLink) && link[lK] < prevLink[lK] {
-			sign = "-"
-		}
-		return fmt.Sprintf("link node=%d %s%.0f%%", lK, sign, lWorst*100)
-	}
-	if sK < 0 || sWorst < 1e-9 {
+	if worstK < 0 || worst < 1e-9 {
 		return "speed-drift"
 	}
 	sign := "+"
-	if speeds[sK] < prevSpeeds[sK] {
+	if speeds[worstK] < prevSpeeds[worstK] {
 		sign = "-"
 	}
-	return fmt.Sprintf("speed node=%d %s%.0f%%", sK, sign, sWorst*100)
+	return fmt.Sprintf("speed node=%d %s%.0f%%", worstK, sign, worst*100)
 }

@@ -21,7 +21,6 @@ type Monitor struct {
 	mu         sync.Mutex
 	last       Allocation
 	lastSpeeds []float64
-	lastLink   []float64
 	seen       bool
 	audit      *Audit
 }
@@ -76,15 +75,8 @@ func (m *Monitor) Audit() *Audit {
 // attached and the allocation is the first or changed the tile split
 // since the last image — records the decision with its s_k inputs,
 // objective delta, tiles moved and trigger attribution. image
-// identifies the inference the allocation was computed for. effSpeeds
-// are the transfer-derated speeds a link-aware split was actually
-// computed from (nil when the mode is off or uncalibrated) and linkSecs
-// the per-node transfer costs behind them. Objectives are evaluated on
-// the effective speeds — the quantity the allocator minimized — and
-// trigger attribution weighs link-cost shifts against speed shifts, so
-// a move caused purely by a bandwidth collapse is named "link node=K"
-// even while the measured s_k held steady.
-func (m *Monitor) ObserveAllocation(a Allocation, speeds, effSpeeds, linkSecs []float64, image uint32) {
+// identifies the inference the allocation was computed for.
+func (m *Monitor) ObserveAllocation(a Allocation, speeds []float64, image uint32) {
 	if m == nil {
 		return
 	}
@@ -93,35 +85,26 @@ func (m *Monitor) ObserveAllocation(a Allocation, speeds, effSpeeds, linkSecs []
 	changed := len(m.last) == len(a) && !slices.Equal(m.last, a)
 	var d *Decision
 	if m.audit != nil && (first || changed) {
-		objSpeeds := speeds
-		if effSpeeds != nil {
-			objSpeeds = effSpeeds
-		}
 		d = &Decision{
 			At:       time.Now(),
 			Image:    image,
 			Speeds:   append([]float64(nil), speeds...),
 			Next:     append(Allocation(nil), a...),
-			ObjAfter: a.Bottleneck(objSpeeds),
-		}
-		if effSpeeds != nil {
-			d.EffSpeeds = append([]float64(nil), effSpeeds...)
-			d.LinkSecs = append([]float64(nil), linkSecs...)
+			ObjAfter: a.Bottleneck(speeds),
 		}
 		if first {
 			d.ObjBefore = d.ObjAfter
 			d.Trigger = "initial"
 		} else {
 			d.Prev = append(Allocation(nil), m.last...)
-			d.ObjBefore = d.Prev.Bottleneck(objSpeeds)
+			d.ObjBefore = d.Prev.Bottleneck(speeds)
 			d.TilesMoved = tilesMoved(d.Prev, a)
-			d.Trigger = attributeTriggerLink(m.lastSpeeds, speeds, m.lastLink, linkSecs)
+			d.Trigger = attributeTrigger(m.lastSpeeds, speeds)
 		}
 	}
 	audit := m.audit
 	m.last = append(m.last[:0], a...)
 	m.lastSpeeds = append(m.lastSpeeds[:0], speeds...)
-	m.lastLink = append(m.lastLink[:0], linkSecs...)
 	m.seen = true
 	m.mu.Unlock()
 	if d != nil {

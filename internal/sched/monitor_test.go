@@ -18,20 +18,20 @@ func TestMonitorPublishesSchedulerState(t *testing.T) {
 
 	a := NewAudit(8, nil)
 	m.AttachAudit(a)
-	m.ObserveAllocation(Allocation{4, 12}, speeds, nil, nil, 1)
+	m.ObserveAllocation(Allocation{4, 12}, speeds, 1)
 	ds := a.Decisions()
 	if len(ds) != 1 || ds[0].ObjAfter != 3 || ds[0].TilesMoved != 0 {
 		t.Fatalf("first allocation %+v, want one decision with objective 3 (12 tiles / speed 4), nothing moved", ds)
 	}
 
 	// Identical split: no reallocation, nothing recorded.
-	m.ObserveAllocation(Allocation{4, 12}, speeds, nil, nil, 2)
+	m.ObserveAllocation(Allocation{4, 12}, speeds, 2)
 	if n := len(a.Decisions()); n != 1 {
 		t.Fatalf("identical split recorded: %d decisions, want 1", n)
 	}
 
 	// The split moved tiles: one reallocation with the tiles it moved.
-	m.ObserveAllocation(Allocation{6, 10}, speeds, nil, nil, 3)
+	m.ObserveAllocation(Allocation{6, 10}, speeds, 3)
 	ds = a.Decisions()
 	if len(ds) != 2 || ds[1].TilesMoved != 2 || ds[1].Image != 3 {
 		t.Fatalf("changed split %+v, want a second decision moving 2 tiles", ds)
@@ -43,5 +43,5 @@ func TestMonitorPublishesSchedulerState(t *testing.T) {
 func TestMonitorNilIsInert(t *testing.T) {
 	var m *Monitor
 	m.ObserveSpeeds([]float64{1})
-	m.ObserveAllocation(Allocation{1}, []float64{1}, nil, nil, 0)
+	m.ObserveAllocation(Allocation{1}, []float64{1}, 0)
 }
