@@ -145,16 +145,10 @@ func (b *centralBuilder) buildCentral(r int) (*core.Central, error) {
 	}
 	obs := &b.obs[r]
 	if b.reg != nil {
-		// A lone Central keeps the unlabeled metric schema; replicas
-		// sharing the registry each get the replica-labeled one.
-		if b.replicas == 1 {
-			cfg.Metrics = core.NewMetrics(b.reg)
-		} else {
-			cfg.Metrics = core.NewReplicaMetrics(b.reg, strconv.Itoa(r))
-		}
+		cfg.Metrics = core.NewMetrics(b.reg, r)
 		// Scheduler decision audit: every Algorithm 3 reallocation lands
 		// in the ring served at /debug/sched and logged at Debug level.
-		cfg.Metrics.Sched.AttachAudit(b.audit)
+		cfg.Metrics.Audit = b.audit
 		obs.engine = core.NewSLOEngine(cfg.Metrics, b.slo)
 	}
 	if b.tracing {

@@ -30,7 +30,6 @@ func main() {
 	listen := flag.String("listen", ":9001", "TCP listen address")
 	mf := cliutil.RegisterModelFlags(flag.CommandLine)
 	id := flag.Int("id", 1, "node ID")
-	queue := flag.Int("session-queue", 0, "per-session bounded compute queue depth (0 = default)")
 	metricsAddr := flag.String("metrics-addr", "", "serve /metrics, /healthz and /debug/pprof on this address (e.g. :9091)")
 	lf := cliutil.RegisterLogFlags(flag.CommandLine)
 	flag.Parse()
@@ -51,7 +50,7 @@ func main() {
 	// queue) while sharing the node's one simulated device, so N
 	// replicas see the node's real capacity split between them.
 	w := core.NewWorker(*id, m)
-	ns := core.NewNodeServer(w, *queue)
+	ns := core.NewNodeServer(w, 0)
 
 	// Probe semantics: /healthz is pure liveness ("the process is up and
 	// its model built") and always passes once we are serving — a Conv
@@ -63,7 +62,7 @@ func main() {
 	// actually doing work.
 	if *metricsAddr != "" {
 		reg := telemetry.NewRegistry()
-		w.Metrics = core.NewMetrics(reg)
+		w.Metrics = core.NewWorkerMetrics(reg)
 		telemetry.RegisterBuildInfo(reg, "conv", tensor.DetectedKernelTier().String())
 		ready := func() error {
 			if ns.ActiveSessions() == 0 {

@@ -136,20 +136,17 @@ func (d *dash) poll(addr string) *scrapeSet {
 	}
 	s.metrics, s.err = telemetry.ParsePrometheus(strings.NewReader(string(raw)))
 	if body, err := d.fetch(addr, "/debug/sessions"); err == nil {
-		// Single-Central mode serves an array; cluster mode serves a map
-		// of replica id -> sessions. In cluster mode the node table shows
-		// the lowest replica's view (states rarely diverge — every replica
+		// A map of replica id -> sessions. The node table shows the
+		// lowest replica's view (states rarely diverge — every replica
 		// talks to the same nodes).
-		if json.Unmarshal(body, &s.sessions) != nil || len(s.sessions) == 0 {
-			var byRep map[string][]sessionRow
-			if json.Unmarshal(body, &byRep) == nil && len(byRep) > 0 {
-				keys := make([]string, 0, len(byRep))
-				for k := range byRep {
-					keys = append(keys, k)
-				}
-				sort.Strings(keys)
-				s.sessions = byRep[keys[0]]
+		var byRep map[string][]sessionRow
+		if json.Unmarshal(body, &byRep) == nil && len(byRep) > 0 {
+			keys := make([]string, 0, len(byRep))
+			for k := range byRep {
+				keys = append(keys, k)
 			}
+			sort.Strings(keys)
+			s.sessions = byRep[keys[0]]
 		}
 	}
 	if body, err := d.fetch(addr, "/debug/sched"); err == nil {
@@ -193,8 +190,9 @@ func (d *dash) render() string {
 	fmt.Fprintf(&b, "\n  images %6.1f/s   inflight %2.0f   zero-fill %5.2f/s",
 		imgRate, inflight, missRate)
 
-	// Tile round-trip quantiles from the bucket delta between polls
-	// (falls back to since-start when the delta is empty).
+	// Tile round-trip quantiles over every replica's buckets, from the
+	// delta between polls (falls back to since-start when the delta is
+	// empty).
 	upper, cum := m.Buckets("adcnn_central_tile_roundtrip_seconds")
 	if prev.metrics != nil {
 		pu, pc := prev.metrics.Buckets("adcnn_central_tile_roundtrip_seconds")
@@ -356,9 +354,9 @@ func (d *dash) render() string {
 }
 
 // rate computes a counter's per-second delta between two scrapes,
-// summed over all of the family's samples — so in cluster mode, where
-// every family carries a replica label, the headline rates aggregate
-// across replicas instead of picking an arbitrary one.
+// summed over all of the family's samples — every Central family
+// carries a replica label, so the headline rates aggregate across
+// replicas instead of picking an arbitrary one.
 func (d *dash) rate(cur, prev *telemetry.PromScrape, name string, dt float64) float64 {
 	cv, ok := sumName(cur, name)
 	if !ok || prev == nil {
@@ -384,15 +382,23 @@ func (d *dash) rateWith(cur, prev *telemetry.PromScrape, name string, dt float64
 	return (cv - pv) / dt
 }
 
-// sumName sums every sample of a family regardless of labels.
-func sumName(s *telemetry.PromScrape, name string) (float64, bool) {
+// sumName sums every sample of a family whose labels include the given
+// key=value pairs, whatever its other labels (e.g. replica).
+func sumName(s *telemetry.PromScrape, name string, labels ...string) (float64, bool) {
 	if s == nil {
 		return 0, false
 	}
 	var v float64
 	found := false
 	for _, smp := range s.Samples {
-		if smp.Name == name {
+		if smp.Name != name {
+			continue
+		}
+		match := true
+		for j := 0; j+1 < len(labels); j += 2 {
+			match = match && smp.Labels[labels[j]] == labels[j+1]
+		}
+		if match {
 			v += smp.Value
 			found = true
 		}
@@ -401,15 +407,15 @@ func sumName(s *telemetry.PromScrape, name string) (float64, bool) {
 }
 
 // phaseLine renders mean per-phase time from the histogram sum/count
-// deltas of adcnn_central_tile_phase_seconds.
+// deltas of adcnn_central_tile_phase_seconds, summed over replicas.
 func (d *dash) phaseLine(cur, prev *telemetry.PromScrape) string {
 	var parts []string
 	for _, phase := range cur.LabelValues("adcnn_central_tile_phase_seconds_count", "phase") {
-		cc, _ := cur.Value("adcnn_central_tile_phase_seconds_count", "phase", phase)
-		cs, _ := cur.Value("adcnn_central_tile_phase_seconds_sum", "phase", phase)
+		cc, _ := sumName(cur, "adcnn_central_tile_phase_seconds_count", "phase", phase)
+		cs, _ := sumName(cur, "adcnn_central_tile_phase_seconds_sum", "phase", phase)
 		if prev != nil {
-			pc, _ := prev.Value("adcnn_central_tile_phase_seconds_count", "phase", phase)
-			ps, _ := prev.Value("adcnn_central_tile_phase_seconds_sum", "phase", phase)
+			pc, _ := sumName(prev, "adcnn_central_tile_phase_seconds_count", "phase", phase)
+			ps, _ := sumName(prev, "adcnn_central_tile_phase_seconds_sum", "phase", phase)
 			if cc >= pc {
 				cc -= pc
 				cs -= ps

@@ -93,7 +93,7 @@ func TestRuntimeAllWorkersDead(t *testing.T) {
 		t.Fatal(err)
 	}
 	a, _ := Pipe()
-	met := NewMetrics(telemetry.NewRegistry())
+	met := NewMetrics(telemetry.NewRegistry(), 0)
 	c, err := CentralConfig{Model: m, Conns: []Conn{a}, TL: 100 * time.Millisecond, Gamma: 0.9, Metrics: met}.Start()
 	if err != nil {
 		t.Fatal(err)

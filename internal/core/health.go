@@ -181,11 +181,10 @@ const (
 
 // NewSLOEngine builds an engine over m's cumulative tile instruments
 // with the standard ADCNN objectives: p99 of TileRoundTrip, and the
-// zero-fill ratio of TilesMissed over the tiles TileRoundTrip settled. Over
-// a replica-labeled bundle (NewReplicaMetrics) the objective names carry
-// an "@replica" suffix, so the engines of several replicas sharing one
-// registry export separate adcnn_slo_* series instead of overwriting
-// each other's.
+// zero-fill ratio of TilesMissed over the tiles TileRoundTrip settled.
+// The objective names carry m's "@replica" suffix, so the engines of
+// several replicas sharing one registry export separate adcnn_slo_*
+// series instead of overwriting each other's.
 func NewSLOEngine(m *Metrics, cfg SLOConfig) *telemetry.SLOEngine {
 	if cfg.TileP99 == 0 {
 		cfg.TileP99 = DefaultTileP99
@@ -199,10 +198,7 @@ func NewSLOEngine(m *Metrics, cfg SLOConfig) *telemetry.SLOEngine {
 	if cfg.SlowWindow <= 0 {
 		cfg.SlowWindow = DefaultSLOWindows[1]
 	}
-	suffix := ""
-	if m.replica != "" {
-		suffix = "@" + m.replica
-	}
+	suffix := "@" + m.replica
 	e := telemetry.NewSLOEngine(m.Registry)
 	if cfg.TileP99 > 0 {
 		e.Register(telemetry.NewLatencySLO(SLOTileLatency+suffix, m.TileRoundTrip,

@@ -163,7 +163,7 @@ func TestHealthTrackerRecoveryTimeline(t *testing.T) {
 // node.
 func TestSLOBreachDumpsFlightRecorder(t *testing.T) {
 	opt := models.Options{Grid: fdsp.Grid{Rows: 2, Cols: 2}}
-	met := NewMetrics(telemetry.NewRegistry())
+	met := NewMetrics(telemetry.NewRegistry(), 0)
 	flight := telemetry.NewFlightRecorder(0)
 	c, _, stop := buildRuntime(t, opt, 2, 10*time.Second, func(cfg *CentralConfig) {
 		cfg.Metrics, cfg.Flight = met, flight
@@ -238,7 +238,7 @@ func TestSLOBreachDumpsFlightRecorder(t *testing.T) {
 // SLO engine and ops console read from them.
 func TestCentralFeedsWindowsAndHealth(t *testing.T) {
 	opt := models.Options{Grid: fdsp.Grid{Rows: 2, Cols: 2}}
-	met := NewMetrics(telemetry.NewRegistry())
+	met := NewMetrics(telemetry.NewRegistry(), 0)
 	c, _, stop := buildRuntime(t, opt, 2, 10*time.Second, func(cfg *CentralConfig) { cfg.Metrics = met })
 	defer stop()
 
@@ -269,7 +269,7 @@ func TestCentralFeedsWindowsAndHealth(t *testing.T) {
 // forgets the zero-fills exactly 120s after the tick that saw them.
 func TestSLOHonoursLongSlowWindow(t *testing.T) {
 	const tick, slow = time.Second, 120 * time.Second
-	met := NewMetrics(telemetry.NewRegistry())
+	met := NewMetrics(telemetry.NewRegistry(), 0)
 	e := NewSLOEngine(met, SLOConfig{TileP99: -1, FastWindow: 10 * time.Second, SlowWindow: slow})
 	t0 := time.Unix(1_000_000, 0)
 	e.Tick(t0)
@@ -281,8 +281,8 @@ func TestSLOHonoursLongSlowWindow(t *testing.T) {
 	for now := seen; !now.After(seen.Add(slow)); now = now.Add(tick) {
 		e.Tick(now)
 		st := e.Status()[0]
-		if st.Objective != SLOZeroFill {
-			t.Fatalf("objective %q, want %q", st.Objective, SLOZeroFill)
+		if st.Objective != SLOZeroFill+"@0" {
+			t.Fatalf("objective %q, want %q", st.Objective, SLOZeroFill+"@0")
 		}
 		if inSlow := now.Before(seen.Add(slow)); (st.SlowBurn > 0) != inSlow {
 			t.Fatalf("%v after the zero-fill: slow burn %v, want in window = %v", now.Sub(seen), st.SlowBurn, inSlow)

@@ -333,8 +333,17 @@ func (h *Inflight) settleTile(a arrival) {
 }
 
 // updateStats is the statistics-collection block: the image's per-node
-// tally goes to Algorithm 2 (see sched.Driver.Settle).
-func (h *Inflight) updateStats() { h.c.driver.Settle(h.stats.Received) }
+// tally goes to Algorithm 2 (see sched.Driver.Settle), whose updated
+// estimates are published as adcnn_sched_speed.
+func (h *Inflight) updateStats() {
+	c := h.c
+	c.driver.Settle(h.stats.Received)
+	if c.metrics != nil {
+		for k, s := range c.driver.Speeds() {
+			c.metrics.SchedSpeed.With(nodeLabel(k)).Set(s)
+		}
+	}
+}
 
 // assemble turns the settled tiles into the back layers' input. Under
 // FDSP a missing tile is zero-filled (paper: "start executing the later

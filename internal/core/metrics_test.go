@@ -5,6 +5,7 @@ import (
 	"errors"
 	"io"
 	"math/rand"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -12,13 +13,15 @@ import (
 
 	"adcnn/internal/fdsp"
 	"adcnn/internal/models"
+	"adcnn/internal/sched"
 	"adcnn/internal/telemetry"
 	"adcnn/internal/tensor"
 )
 
-// buildInstrumentedRuntime mirrors buildRuntime but shares one Metrics
-// bundle between the Central and every Worker, plus a Trace.
-func buildInstrumentedRuntime(t *testing.T, n int) (*Central, *Metrics, *telemetry.Trace, func()) {
+// buildInstrumentedRuntime mirrors buildRuntime with the Central's
+// Metrics, an audit ring and a Trace, and the Workers' WorkerMetrics,
+// both bundles on one registry.
+func buildInstrumentedRuntime(t *testing.T, n int) (*Central, *Metrics, *WorkerMetrics, *telemetry.Trace, func()) {
 	t.Helper()
 	cfg := models.VGGSim()
 	m, err := models.Build(cfg, models.Options{Grid: fdsp.Grid{Rows: 4, Cols: 4}}, 42)
@@ -26,7 +29,8 @@ func buildInstrumentedRuntime(t *testing.T, n int) (*Central, *Metrics, *telemet
 		t.Fatal(err)
 	}
 	reg := telemetry.NewRegistry()
-	met := NewMetrics(reg)
+	met, wm := NewMetrics(reg, 0), NewWorkerMetrics(reg)
+	met.Audit = sched.NewAudit(0, nil)
 	trace := telemetry.NewTrace()
 	conns := make([]Conn, n)
 	var wg sync.WaitGroup
@@ -34,7 +38,7 @@ func buildInstrumentedRuntime(t *testing.T, n int) (*Central, *Metrics, *telemet
 		a, b := Pipe()
 		conns[i] = a
 		w := NewWorker(i+1, m)
-		w.Metrics = met
+		w.Metrics = wm
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
@@ -45,7 +49,7 @@ func buildInstrumentedRuntime(t *testing.T, n int) (*Central, *Metrics, *telemet
 	if err != nil {
 		t.Fatal(err)
 	}
-	return c, met, trace, func() { c.Shutdown(); wg.Wait() }
+	return c, met, wm, trace, func() { c.Shutdown(); wg.Wait() }
 }
 
 // TestLinkRTTGaugeFromTileExchanges: the RTT gauge is published from the
@@ -53,7 +57,7 @@ func buildInstrumentedRuntime(t *testing.T, n int) (*Central, *Metrics, *telemet
 // every node exports the estimator's round trip rather than 0.
 func TestLinkRTTGaugeFromTileExchanges(t *testing.T) {
 	const nodes = 2
-	c, met, _, stop := buildInstrumentedRuntime(t, nodes)
+	c, met, _, _, stop := buildInstrumentedRuntime(t, nodes)
 	defer stop()
 	x := tensor.New(1, 3, 32, 32)
 	x.RandN(rand.New(rand.NewSource(4)), 1)
@@ -63,7 +67,7 @@ func TestLinkRTTGaugeFromTileExchanges(t *testing.T) {
 		}
 	}
 	for k, s := range c.DebugSessions() {
-		v, ok := met.Registry.Value("adcnn_central_link_rtt_seconds", nodeLabel(k))
+		v, ok := met.Registry.Value("adcnn_central_link_rtt_seconds", "0", nodeLabel(k))
 		if !ok || v <= 0 || v != float64(s.RTTNs)/1e9 {
 			t.Fatalf("node %d: rtt gauge %v (ok=%v), want %v > 0 from the session's estimator", k, v, ok, float64(s.RTTNs)/1e9)
 		}
@@ -76,7 +80,7 @@ func TestLinkRTTGaugeFromTileExchanges(t *testing.T) {
 // InferStats — all through the public registry Value/Snapshot API.
 func TestInferRecordsMetrics(t *testing.T) {
 	const nodes, images, tiles = 4, 3, 16
-	c, met, trace, stop := buildInstrumentedRuntime(t, nodes)
+	c, met, wm, trace, stop := buildInstrumentedRuntime(t, nodes)
 	defer stop()
 
 	rng := rand.New(rand.NewSource(2))
@@ -105,8 +109,8 @@ func TestInferRecordsMetrics(t *testing.T) {
 			t.Fatalf("%s%v = %v (ok=%v), want %v", name, lv, v, ok, want)
 		}
 	}
-	mustValue("adcnn_central_images_total", images)
-	mustValue("adcnn_central_tiles_missed_total", 0)
+	mustValue("adcnn_central_images_total", images, "0")
+	mustValue("adcnn_central_tiles_missed_total", 0, "0")
 
 	dispatched := 0
 	for k := 0; k < nodes; k++ {
@@ -119,16 +123,16 @@ func TestInferRecordsMetrics(t *testing.T) {
 	if dispatched != images*tiles {
 		t.Fatalf("dispatched %d tiles, want %d", dispatched, images*tiles)
 	}
-	if h := c.metrics.TileRoundTrip.Snapshot(); h.Count != images*tiles {
+	if h := met.TileRoundTrip.Snapshot(); h.Count != images*tiles {
 		t.Fatalf("tile roundtrip count=%d, want %d", h.Count, images*tiles)
 	}
-	if h := c.metrics.WorkerProcess.Snapshot(); h.Count != images*tiles {
+	if h := wm.Process.Snapshot(); h.Count != images*tiles {
 		t.Fatalf("worker process count=%d, want %d", h.Count, images*tiles)
 	}
 
 	// Algorithm 2's speed estimates must be published per node.
 	for k := 0; k < nodes; k++ {
-		if v, ok := reg.Value("adcnn_sched_speed", nodeLabel(k)); !ok || v <= 0 {
+		if v, ok := reg.Value("adcnn_sched_speed", "0", nodeLabel(k)); !ok || v <= 0 {
 			t.Fatalf("s_%d gauge = %v (ok=%v)", k, v, ok)
 		}
 	}
@@ -156,6 +160,36 @@ func TestInferRecordsMetrics(t *testing.T) {
 	}
 }
 
+// TestCentralPublishesSchedulerState: after every image settles, the
+// speed gauge holds the driver's Algorithm 2 estimates, and the audit
+// ring handed in through Metrics holds the driver's first decision.
+func TestCentralPublishesSchedulerState(t *testing.T) {
+	const nodes = 2
+	c, met, _, _, stop := buildInstrumentedRuntime(t, nodes)
+	defer stop()
+	x := tensor.New(1, 3, 32, 32)
+	x.RandN(rand.New(rand.NewSource(5)), 1)
+	var first sched.Allocation
+	for i := 0; i < 3; i++ {
+		_, st, err := c.Infer(x)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if i == 0 {
+			first = st.Alloc
+		}
+		for k, s := range c.driver.Speeds() {
+			if v, ok := met.Registry.Value("adcnn_sched_speed", "0", nodeLabel(k)); !ok || v != s {
+				t.Fatalf("image %d: s_%d gauge = %v (ok=%v), want the driver's %v", i, k, v, ok, s)
+			}
+		}
+	}
+	ds := met.Audit.Decisions()
+	if len(ds) == 0 || ds[0].Trigger != "initial" || !slices.Equal(ds[0].Next, first) {
+		t.Fatalf("audit %+v, want an initial decision for split %v first", ds, first)
+	}
+}
+
 // errConn fails Recv with a non-EOF error, simulating a mid-stream
 // transport failure.
 type errConn struct{ err error }
@@ -175,7 +209,7 @@ func TestWorkerServeDisconnectSemantics(t *testing.T) {
 	// Clean EOF: close the central side of a pipe.
 	a, b := Pipe()
 	w := NewWorker(1, m)
-	w.Metrics = NewMetrics(telemetry.NewRegistry())
+	w.Metrics = NewWorkerMetrics(telemetry.NewRegistry())
 	done := make(chan error, 1)
 	go func() { done <- w.Serve(context.Background(), b) }()
 	if err := a.Close(); err != nil {

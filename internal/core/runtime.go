@@ -191,12 +191,12 @@ func (cfg CentralConfig) Start() (*Central, error) {
 		cancel:    cancel,
 	}
 	c.pending.init()
-	var mon *sched.Monitor
+	var audit *sched.Audit
 	if met := cfg.Metrics; met != nil {
 		c.health = NewHealthTracker(n, met.NodeHealth)
-		mon = met.Sched
+		audit = met.Audit
 	}
-	c.driver = sched.NewDriver(n, cfg.Gamma, float64(grid.Tiles())/float64(n), mon)
+	c.driver = sched.NewDriver(n, cfg.Gamma, float64(grid.Tiles())/float64(n), audit)
 	cfg.Trace.SetThreadName(0, "central")
 	c.sessions = make([]*nodeSession, n)
 	for k, conn := range cfg.Conns {

@@ -33,7 +33,7 @@ func TestSessionReconnectRevivesNode(t *testing.T) {
 		}()
 		return a, nil
 	}
-	met := NewMetrics(telemetry.NewRegistry())
+	met := NewMetrics(telemetry.NewRegistry(), 0)
 	c, conns, stop := buildRuntimeConns(t, m, 2, 5*time.Second, func(cfg *CentralConfig) {
 		cfg.Metrics, cfg.Dialers = met, []Dialer{redial, nil}
 	})
@@ -229,7 +229,7 @@ func TestStaleResultsCounted(t *testing.T) {
 	opt := models.Options{Grid: fdsp.Grid{Rows: 2, Cols: 2}}
 	flight := telemetry.NewFlightRecorder(0)
 	c, _, stop := buildRuntime(t, opt, 2, time.Nanosecond, func(cfg *CentralConfig) {
-		cfg.Metrics, cfg.Flight = NewMetrics(telemetry.NewRegistry()), flight
+		cfg.Metrics, cfg.Flight = NewMetrics(telemetry.NewRegistry(), 0), flight
 	})
 	defer stop()
 

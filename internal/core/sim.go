@@ -54,10 +54,6 @@ type SimConfig struct {
 	// 0 = auto: 1.25× the expected per-node compute time under an equal
 	// split at full speed.
 	StatsWindow time.Duration
-	// DropDeadline is the hard deadline after which missing tiles are
-	// zero-filled so a failed node cannot stall the system. 0 = auto
-	// (4× StatsWindow).
-	DropDeadline time.Duration
 
 	// Gamma is Algorithm 2's decay (paper: 0.9).
 	Gamma float64
@@ -110,7 +106,9 @@ type Sim struct {
 	backMemTraf int64
 	tileMem     int64
 
-	window   time.Duration
+	window time.Duration
+	// deadline zero-fills missing tiles so a failed node cannot stall
+	// the system: 4× window.
 	deadline time.Duration
 
 	rng *rand.Rand
@@ -187,10 +185,7 @@ func NewSim(cfg SimConfig) (*Sim, error) {
 		perNode := cfg.Nodes[0].Model.Time(s.tileFLOPs*int64(equal), s.tileMemTraf*int64(equal))
 		s.window = perNode * 5 / 4
 	}
-	s.deadline = cfg.DropDeadline
-	if s.deadline == 0 {
-		s.deadline = 4 * s.window
-	}
+	s.deadline = 4 * s.window
 	s.driver = sched.NewDriver(len(cfg.Nodes), cfg.Gamma, float64(s.tiles)/float64(len(cfg.Nodes)), nil)
 	s.rng = rand.New(rand.NewSource(cfg.Seed + 1))
 	return s, nil

@@ -22,9 +22,8 @@ import (
 type Worker struct {
 	ID    int
 	Model *models.Model
-	// Metrics, when set, records task counts, per-tile process time,
-	// wire traffic, and disconnect causes.
-	Metrics *Metrics
+	// Metrics, when set, records task counts and per-tile process time.
+	Metrics *WorkerMetrics
 
 	// delay is the artificial per-tile latency (see SetDelay).
 	delay atomic.Int64
@@ -222,7 +221,7 @@ func (ns *NodeServer) ServeConn(ctx context.Context, conn Conn) error {
 		started: time.Now(),
 	}
 	if met != nil {
-		s.taskCtr = met.WorkerTasks.With(nodeLabel(w.ID))
+		s.taskCtr = met.Tasks.With(nodeLabel(w.ID))
 	}
 	ns.mu.Lock()
 	ns.seq++
@@ -374,7 +373,7 @@ func (s *workerSession) computeLoop(ctx context.Context) error {
 		s.tilesDone.Add(1)
 		if met != nil {
 			s.taskCtr.Inc()
-			met.WorkerProcess.ObserveDuration(time.Since(t.start).Nanoseconds())
+			met.Process.ObserveDuration(time.Since(t.start).Nanoseconds())
 		}
 		t.tm.SendNs = w.now()
 		*res = Message{

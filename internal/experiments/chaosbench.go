@@ -29,29 +29,31 @@ import (
 // not flipping a flag.
 
 // ChaosBenchConfig parameterizes the schedule; zero values take
-// defaults sized for a ~10s-per-drill run.
-//
-// SlowFactor scales the *measured* healthy tile p99, not BaseDelay: the
-// slow node's per-tile service time becomes SlowFactor×p99 while the
-// objective sits at 2.5×p99, so the slow node is unambiguously bad and
-// the healthy nodes unambiguously good however loaded the host is.
+// defaults sized for a ~10s-per-drill run. The healthy traffic before
+// calibration lasts 1.5× SlowWindow.
 type ChaosBenchConfig struct {
-	Nodes        int           // cluster size (default 4)
-	BaseDelay    time.Duration // healthy per-tile Conv service time (default 2ms)
-	FastWindow   time.Duration // SLO fast burn window (default 500ms)
-	SlowWindow   time.Duration // SLO slow burn window (default 2s)
-	Baseline     time.Duration // healthy traffic before calibration (default 1.5×slow)
-	Timeout      time.Duration // per-assertion wait bound (default 6×slow)
-	ThrottleRate int64         // bandwidth drill cap, bytes/sec (default 96 KiB/s)
-	SlowFactor   float64       // slow-node drill service time, ×(baseline p99) (default 5)
-	Skew         time.Duration // clock-skew drill injection (default 30ms)
-	Drills       []string      // subset of bandwidth|crash|skew|slownode (default all)
+	BaseDelay  time.Duration // healthy per-tile Conv service time (default 2ms)
+	FastWindow time.Duration // SLO fast burn window (default 500ms)
+	SlowWindow time.Duration // SLO slow burn window (default 2s)
+	Timeout    time.Duration // per-assertion wait bound (default 6×slow)
+	Drills     []string      // subset of bandwidth|crash|skew|slownode (default all)
 }
 
+// The drills' fixed fault sizes.
+//
+// chaosSlowFactor scales the *measured* healthy tile p99, not
+// BaseDelay: the slow node's per-tile service time becomes
+// chaosSlowFactor×p99 while the objective sits at 2.5×p99, so the slow
+// node is unambiguously bad and the healthy nodes unambiguously good
+// however loaded the host is.
+const (
+	chaosNodes        = 4                     // cluster size
+	chaosThrottleRate = 96 << 10              // bandwidth drill cap, bytes/sec
+	chaosSlowFactor   = 5                     // slow-node drill service time, ×(baseline p99)
+	chaosSkew         = 30 * time.Millisecond // clock-skew drill injection
+)
+
 func (c *ChaosBenchConfig) fill() {
-	if c.Nodes <= 0 {
-		c.Nodes = 4
-	}
 	if c.BaseDelay <= 0 {
 		c.BaseDelay = 2 * time.Millisecond
 	}
@@ -61,20 +63,8 @@ func (c *ChaosBenchConfig) fill() {
 	if c.SlowWindow <= 0 {
 		c.SlowWindow = 2 * time.Second
 	}
-	if c.Baseline <= 0 {
-		c.Baseline = c.SlowWindow + c.SlowWindow/2
-	}
 	if c.Timeout <= 0 {
 		c.Timeout = 6 * c.SlowWindow
-	}
-	if c.ThrottleRate <= 0 {
-		c.ThrottleRate = 96 << 10
-	}
-	if c.SlowFactor <= 1 {
-		c.SlowFactor = 5
-	}
-	if c.Skew <= 0 {
-		c.Skew = 30 * time.Millisecond
 	}
 }
 
@@ -94,13 +84,11 @@ type chaosDrill struct {
 // that slowed the image rate would skew the good/bad tile mix inside
 // the burn windows and stretch detection for reasons that have nothing
 // to do with the engine.
-func chaosDrills(cfg ChaosBenchConfig) []chaosDrill {
-	return []chaosDrill{
-		{"bandwidth", 0, drillBandwidth},
-		{"crash", 0, drillCrash},
-		{"skew", 0, drillSkew},
-		{"slownode", 1.5 * cfg.SlowFactor, drillSlowNode},
-	}
+var chaosDrills = []chaosDrill{
+	{"bandwidth", 0, drillBandwidth},
+	{"crash", 0, drillCrash},
+	{"skew", 0, drillSkew},
+	{"slownode", 1.5 * chaosSlowFactor, drillSlowNode},
 }
 
 // ChaosCheck is one drill assertion: what was checked, whether it
@@ -179,13 +167,13 @@ func ChaosBench(cfg ChaosBenchConfig) (*ChaosReport, error) {
 		Host:            telemetry.HostInfo(),
 		Model:           models.VGGSim().Name,
 		Grid:            "2x2",
-		Nodes:           cfg.Nodes,
+		Nodes:           chaosNodes,
 		FastWindowMs:    ms(cfg.FastWindow),
 		SlowWindowMs:    ms(cfg.SlowWindow),
-		ThrottleRateBps: cfg.ThrottleRate,
+		ThrottleRateBps: chaosThrottleRate,
 		Pass:            true,
 	}
-	table := chaosDrills(cfg)
+	table := chaosDrills
 	var drills []chaosDrill
 	for _, name := range cfg.Drills {
 		i := slices.IndexFunc(table, func(d chaosDrill) bool { return d.name == name })
@@ -265,14 +253,14 @@ type drillRig struct {
 // newDrillRig boots the rig: a default Central with its own metrics and
 // flight recorder.
 func newDrillRig(cfg ChaosBenchConfig) (*drillRig, error) {
-	met := core.NewMetrics(telemetry.NewRegistry())
+	met := core.NewMetrics(telemetry.NewRegistry(), 0)
 	// A deep ring: closed-loop traffic emits thousands of tile events
 	// per second, and the crash drill inspects markers recorded a
 	// reconnect-backoff (~1-2s) before the check runs.
 	flight := telemetry.NewFlightRecorder(1 << 15)
 	// One tile per node: a faulted node's slowdown lands on exactly its
 	// share of tiles, so the bad fraction is 1/Nodes by design.
-	c, live, stop, err := liveCentral(models.Options{Grid: fdsp.Grid{Rows: 2, Cols: 2}}, cfg.Nodes,
+	c, live, stop, err := liveCentral(models.Options{Grid: fdsp.Grid{Rows: 2, Cols: 2}}, chaosNodes,
 		func(w *core.Worker) { w.SetDelay(cfg.BaseDelay) }, core.CentralConfig{Metrics: met, Flight: flight})
 	if err != nil {
 		return nil, err
@@ -317,7 +305,7 @@ func newDrillRig(cfg ChaosBenchConfig) (*drillRig, error) {
 func (cl *drillRig) calibrate(res *ChaosDrillResult, paceP99 float64) error {
 	cfg := cl.cfg
 	before := cl.met.TileRoundTrip.Snapshot()
-	wait(cl.ctx, cfg.Baseline)
+	wait(cl.ctx, cfg.SlowWindow+cfg.SlowWindow/2)
 	after := cl.met.TileRoundTrip.Snapshot()
 	p99 := telemetry.QuantileFromBuckets(after.Upper,
 		telemetry.DeltaBuckets(after.Cumulative(), before.Cumulative()), 0.99)
@@ -429,7 +417,7 @@ func (cl *drillRig) stop() {
 	cl.stopLive()
 }
 
-// drillBandwidth collapses the last node's link to ThrottleRate and
+// drillBandwidth collapses the last node's link to chaosThrottleRate and
 // walks the observability chain in two acts. Act 1 is the collapse:
 // the collapsed link still delivers within T_L, so Algorithm 2 keeps
 // crediting the node and every image keeps routing a tile over it; the
@@ -439,7 +427,7 @@ func (cl *drillRig) stop() {
 func drillBandwidth(cl *drillRig, res *ChaosDrillResult) {
 	cfg := cl.cfg
 	target := cl.nodes[len(cl.nodes)-1]
-	rate := float64(cfg.ThrottleRate)
+	rate := float64(chaosThrottleRate)
 
 	// The collapse is judged against a converged healthy estimate, not
 	// whatever the estimator reads at one instant.
@@ -450,7 +438,7 @@ func drillBandwidth(cl *drillRig, res *ChaosDrillResult) {
 
 	// Act 1: the collapse.
 	res.FaultAtMs = cl.sinceMs(time.Now())
-	target.rate.Store(cfg.ThrottleRate)
+	target.rate.Store(chaosThrottleRate)
 
 	// The downlink carries the 3.3×-larger result tensors and the node
 	// itself paces the throttled writes, so it is the direction where
@@ -560,7 +548,7 @@ func drillCrash(cl *drillRig, res *ChaosDrillResult) {
 func drillSkew(cl *drillRig, res *ChaosDrillResult) {
 	cfg := cl.cfg
 	target := cl.nodes[len(cl.nodes)-1]
-	skew := float64(cfg.Skew.Nanoseconds())
+	skew := float64(chaosSkew.Nanoseconds())
 
 	_, warm := waitFor(cl.ctx, cfg.Timeout, func() (float64, bool) {
 		if s := cl.session(target.idx); s.OffsetSamples >= 5 {
@@ -571,7 +559,7 @@ func drillSkew(cl *drillRig, res *ChaosDrillResult) {
 	res.check("offset-warmup", warm, "offset estimator warmed on tile exchanges")
 
 	res.FaultAtMs = cl.sinceMs(time.Now())
-	target.w.SetClockSkew(cfg.Skew)
+	target.w.SetClockSkew(chaosSkew)
 	// The node's stamps now read +skew, so the mapping back onto the
 	// Central's clock must converge to −skew.
 	off, ok := waitFor(cl.ctx, cfg.Timeout, func() (float64, bool) {
@@ -597,13 +585,13 @@ func drillSkew(cl *drillRig, res *ChaosDrillResult) {
 }
 
 // drillSlowNode is the gray-failure schedule: the last node serves
-// tiles SlowFactor× slower, the SLO must breach with the health
+// tiles chaosSlowFactor× slower, the SLO must breach with the health
 // tracker blaming that node, and recover once it heals. How fast the
 // breach fired is recorded, not checked.
 func drillSlowNode(cl *drillRig, res *ChaosDrillResult) {
 	cfg := cl.cfg
 	target := cl.nodes[len(cl.nodes)-1]
-	inject := time.Duration(cfg.SlowFactor * cl.p99 * float64(time.Second))
+	inject := time.Duration(chaosSlowFactor * cl.p99 * float64(time.Second))
 	res.FaultAtMs = cl.sinceMs(time.Now())
 	target.w.SetDelay(inject)
 

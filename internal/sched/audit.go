@@ -9,10 +9,11 @@ import (
 	"time"
 )
 
-// Decision audit: every allocation Algorithm 3 computes is appended to a
-// bounded ring as a structured record — the s_k inputs it saw, the split
-// it replaced, the objective before and after, and a best-effort
-// attribution of *why* it moved (which node's estimate shifted most).
+// Decision audit: the Driver appends its first allocation and every
+// reallocation Algorithm 3 computes to a bounded ring as a structured
+// record — the s_k inputs it saw, the split it replaced, the objective
+// before and after, and a best-effort attribution of *why* it moved
+// (which node's estimate shifted most).
 // The ring answers the operator question "why did the scheduler just
 // move 4 tiles off node 2" without reconstructing it from metrics.
 
@@ -41,7 +42,7 @@ type Decision struct {
 
 	// Trigger names what prompted the move: "initial" for the first
 	// allocation, otherwise "speed node=K ±P%" for the node whose
-	// estimate shifted most since the previous decision.
+	// estimate shifted most since the previous plan.
 	Trigger string `json:"trigger"`
 }
 
@@ -131,16 +132,9 @@ func (a *Audit) ServeHTTP(w http.ResponseWriter, _ *http.Request) {
 	_ = enc.Encode(page)
 }
 
-// tilesMoved is half the L1 distance between two splits — the number of
-// tiles that changed nodes. Length mismatch (node set changed) counts
-// every tile of the larger split as moved.
+// tilesMoved is half the L1 distance between two splits over the same
+// nodes — the number of tiles that changed nodes.
 func tilesMoved(prev, next Allocation) int {
-	if len(prev) != len(next) {
-		if t := next.Total(); t > 0 {
-			return t
-		}
-		return prev.Total()
-	}
 	d := 0
 	for k := range next {
 		if diff := next[k] - prev[k]; diff > 0 {
@@ -153,12 +147,10 @@ func tilesMoved(prev, next Allocation) int {
 }
 
 // attributeTrigger names the node whose s_k estimate moved most
-// (relatively) between two decisions; a zero baseline counts as 1 so a
-// node rising from nothing still yields a finite attribution.
+// (relatively) between two plans; a zero baseline counts as 1 so a
+// node rising from nothing still yields a finite attribution. A
+// Driver's node set is fixed, so both vectors have one entry per node.
 func attributeTrigger(prevSpeeds, speeds []float64) string {
-	if len(prevSpeeds) != len(speeds) {
-		return "node-set-changed"
-	}
 	worst, worstK := 0.0, -1
 	for k := range speeds {
 		base := prevSpeeds[k]

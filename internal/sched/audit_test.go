@@ -3,27 +3,36 @@ package sched
 import (
 	"encoding/json"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"testing"
-
-	"adcnn/internal/telemetry"
+	"time"
 )
 
+// TestAuditRecordsDecisions drives a Driver through a first plan, a
+// repeat and a reallocation, and reads the decisions it audited.
 func TestAuditRecordsDecisions(t *testing.T) {
-	reg := telemetry.NewRegistry()
-	m := NewMonitor(reg, "")
 	a := NewAudit(8, nil)
-	m.AttachAudit(a)
-	if m.Audit() != a {
-		t.Fatal("Audit accessor lost the attached ring")
+	// γ = 1 makes each s_k the last image's n_k, so the test sets the
+	// speeds outright.
+	d := NewDriver(2, 1, 4, a)
+	both := []bool{true, true}
+	t0 := time.Unix(1000, 0)
+	plan := func(sec int, image uint32) {
+		t.Helper()
+		if _, err := d.Plan(t0.Add(time.Duration(sec)*time.Second), image, 12, both, 0, nil); err != nil {
+			t.Fatal(err)
+		}
 	}
 
 	// First allocation: audited as "initial", no predecessor.
-	m.ObserveAllocation(Allocation{8, 8}, []float64{4, 4}, 1)
+	plan(0, 1)
 	// Identical split: a steady state, not a decision worth auditing.
-	m.ObserveAllocation(Allocation{8, 8}, []float64{4, 4}, 2)
-	// Node 1 slowed to half speed, scheduler shifted 4 tiles off it.
-	m.ObserveAllocation(Allocation{12, 4}, []float64{4, 2}, 3)
+	d.Settle([]int{4, 4})
+	plan(1, 2)
+	// Node 1 slowed to half speed, the split shifts 2 tiles off it.
+	d.Settle([]int{4, 2})
+	plan(2, 3)
 
 	ds := a.Decisions()
 	if len(ds) != 2 {
@@ -31,35 +40,36 @@ func TestAuditRecordsDecisions(t *testing.T) {
 	}
 
 	first := ds[0]
-	if first.Trigger != "initial" || first.Prev != nil || first.Image != 1 {
+	if first.Trigger != "initial" || first.Prev != nil || first.Image != 1 || !first.At.Equal(t0) {
 		t.Fatalf("initial decision wrong: %+v", first)
 	}
-	if first.Seq != 1 {
-		t.Fatalf("seq %d, want 1", first.Seq)
+	if first.Seq != 1 || !slices.Equal(first.Next, Allocation{6, 6}) || first.ObjBefore != 1.5 || first.ObjAfter != 1.5 {
+		t.Fatalf("initial decision %+v, want seq 1, split [6 6], objective 1.5", first)
 	}
 
 	re := ds[1]
-	if re.Image != 3 || re.TilesMoved != 4 {
+	if re.Image != 3 || re.TilesMoved != 2 || !re.At.Equal(t0.Add(2*time.Second)) {
 		t.Fatalf("reallocation record wrong: %+v", re)
 	}
-	if !strings.Contains(re.Trigger, "node=1") || !strings.Contains(re.Trigger, "-50%") {
+	if !slices.Equal(re.Prev, Allocation{6, 6}) || !slices.Equal(re.Next, Allocation{8, 4}) {
+		t.Fatalf("reallocation %v → %v, want [6 6] → [8 4]", re.Prev, re.Next)
+	}
+	if re.Trigger != "speed node=1 -50%" {
 		t.Fatalf("trigger attribution %q, want node=1 -50%%", re.Trigger)
 	}
-	// Old split {8,8} under new speeds {4,2}: bottleneck 8/2 = 4.
-	// New split {12,4}: bottleneck 12/4 = 3. The audit shows the payoff.
-	if re.ObjBefore != 4 || re.ObjAfter != 3 {
-		t.Fatalf("objective delta %v → %v, want 4 → 3", re.ObjBefore, re.ObjAfter)
+	// Old split {6,6} under new speeds {4,2}: bottleneck 6/2 = 3.
+	// New split {8,4}: bottleneck 8/4 = 4/2 = 2. The audit shows the payoff.
+	if re.ObjBefore != 3 || re.ObjAfter != 2 {
+		t.Fatalf("objective delta %v → %v, want 3 → 2", re.ObjBefore, re.ObjAfter)
 	}
-	if len(re.Speeds) != 2 || re.Speeds[1] != 2 {
+	if !slices.Equal(re.Speeds, []float64{4, 2}) {
 		t.Fatalf("speeds not captured: %v", re.Speeds)
 	}
 }
 
 func TestAuditServeHTTP(t *testing.T) {
-	m := NewMonitor(telemetry.NewRegistry(), "")
 	a := NewAudit(4, nil)
-	m.AttachAudit(a)
-	m.ObserveAllocation(Allocation{4}, []float64{2}, 7)
+	a.record(Decision{Image: 7, Next: Allocation{4}})
 
 	rr := httptest.NewRecorder()
 	a.ServeHTTP(rr, httptest.NewRequest("GET", "/debug/sched", nil))
@@ -83,13 +93,9 @@ func TestAuditServeHTTP(t *testing.T) {
 }
 
 func TestAuditRingWraps(t *testing.T) {
-	m := NewMonitor(telemetry.NewRegistry(), "")
 	a := NewAudit(3, nil)
-	m.AttachAudit(a)
-	// Alternate splits so every allocation is a fresh decision.
 	for i := 0; i < 7; i++ {
-		x := Allocation{10 + i, 6 - i%2}
-		m.ObserveAllocation(x, []float64{2, float64(1 + i)}, uint32(i))
+		a.record(Decision{Image: uint32(i)})
 	}
 	ds := a.Decisions()
 	if len(ds) != 3 {
@@ -100,8 +106,8 @@ func TestAuditRingWraps(t *testing.T) {
 			t.Fatalf("sequence gap: %+v", ds)
 		}
 	}
-	if ds[len(ds)-1].Seq != 7 {
-		t.Fatalf("latest seq %d, want 7", ds[len(ds)-1].Seq)
+	if ds[len(ds)-1].Seq != 7 || ds[len(ds)-1].Image != 6 {
+		t.Fatalf("latest %+v, want seq 7 for image 6", ds[len(ds)-1])
 	}
 }
 
@@ -116,26 +122,14 @@ func TestAuditNilSafe(t *testing.T) {
 	if rr.Body.String() != "{}\n" {
 		t.Fatalf("nil audit body %q", rr.Body.String())
 	}
-	// Monitor without an attached audit must not record or panic.
-	m := NewMonitor(telemetry.NewRegistry(), "")
-	m.ObserveAllocation(Allocation{1}, []float64{1}, 0)
-	if m.Audit() != nil {
-		t.Fatal("unattached monitor reports an audit")
-	}
 }
 
 func TestTilesMovedAndTrigger(t *testing.T) {
 	if got := tilesMoved(Allocation{8, 8}, Allocation{12, 4}); got != 4 {
 		t.Fatalf("tilesMoved = %d, want 4", got)
 	}
-	if got := tilesMoved(Allocation{8}, Allocation{4, 4}); got != 8 {
-		t.Fatalf("length-mismatch tilesMoved = %d, want total 8", got)
-	}
 	if got := attributeTrigger([]float64{2, 2}, []float64{2, 2}); got != "speed-drift" {
 		t.Fatalf("no-drift trigger %q", got)
-	}
-	if got := attributeTrigger([]float64{2}, []float64{2, 2}); got != "node-set-changed" {
-		t.Fatalf("node-set trigger %q", got)
 	}
 	if got := attributeTrigger([]float64{2, 4}, []float64{2, 6}); !strings.Contains(got, "node=1 +50%") {
 		t.Fatalf("speed-up trigger %q", got)

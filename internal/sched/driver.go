@@ -2,6 +2,7 @@ package sched
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"time"
 )
@@ -31,7 +32,13 @@ type Plan struct {
 type Driver struct {
 	mu    sync.Mutex
 	stats *Stats
-	mon   *Monitor // nil-safe
+
+	// audit, when non-nil, receives every plan whose split is the first
+	// or differs from the previous plan's; last and lastSpeeds are that
+	// previous plan's split and speeds.
+	audit      *Audit
+	last       Allocation
+	lastSpeeds []float64
 
 	share []float64 // see SetShare; nil = this replica owns every node outright
 
@@ -42,10 +49,10 @@ type Driver struct {
 
 // NewDriver creates the policy for a fixed set of nodes Conv nodes.
 // gamma is Algorithm 2's decay and initial the cold-start estimate (see
-// NewStats). mon, when non-nil, is told about every plan and every
-// statistics update.
-func NewDriver(nodes int, gamma, initial float64, mon *Monitor) *Driver {
-	return &Driver{stats: NewStats(nodes, gamma, initial), mon: mon, probation: make([]time.Time, nodes)}
+// NewStats). audit, when non-nil, records every reallocation (see
+// Plan).
+func NewDriver(nodes int, gamma, initial float64, audit *Audit) *Driver {
+	return &Driver{stats: NewStats(nodes, gamma, initial), audit: audit, probation: make([]time.Time, nodes)}
 }
 
 // Revive restores node k's estimate to at least the cold-start value: a
@@ -84,8 +91,9 @@ func (d *Driver) Speeds() []float64 {
 // due, then nodes that are not alive get nothing and the rest share the
 // tiles by Algorithm 3 on their share-scaled Algorithm 2 speeds. alive
 // holds one entry per node; tileBytes and caps are Algorithm 3's
-// storage constraint (nil caps = unlimited); image labels the decision
-// in the audit trail.
+// storage constraint (nil caps = unlimited). When the Driver has an
+// audit ring, the first plan and every plan that changes the split are
+// recorded there as a Decision stamped with now and image.
 //
 // now only has to be monotone across calls on one Driver — wall time
 // for the live runtime, virtual time for the simulator.
@@ -101,8 +109,43 @@ func (d *Driver) Plan(now time.Time, image uint32, tiles int, alive []bool, tile
 	if p.Alloc, err = Allocate(tiles, p.Speeds, tileBytes, caps, nil); err != nil {
 		return p, err
 	}
-	d.mon.ObserveAllocation(p.Alloc, p.Speeds, image)
+	if d.audit != nil {
+		d.mu.Lock()
+		dec := d.decide(now, image, p)
+		d.mu.Unlock()
+		if dec != nil {
+			// Outside d.mu: the ring may log through the caller's logger.
+			d.audit.record(*dec)
+		}
+	}
 	return p, nil
+}
+
+// decide returns the audit record for p when p is the first plan or
+// moved tiles since the previous one: its speeds, the split it
+// replaced, the objective before and after, the tiles moved and the
+// node whose estimate shifted most. Callers hold d.mu.
+func (d *Driver) decide(now time.Time, image uint32, p Plan) *Decision {
+	var dec *Decision
+	if d.last == nil || !slices.Equal(d.last, p.Alloc) {
+		dec = &Decision{
+			At: now, Image: image,
+			Speeds:   slices.Clone(p.Speeds),
+			Next:     slices.Clone(p.Alloc),
+			ObjAfter: p.Alloc.Bottleneck(p.Speeds),
+		}
+		if d.last == nil {
+			dec.ObjBefore, dec.Trigger = dec.ObjAfter, "initial"
+		} else {
+			dec.Prev = slices.Clone(d.last)
+			dec.ObjBefore = dec.Prev.Bottleneck(p.Speeds)
+			dec.TilesMoved = tilesMoved(dec.Prev, p.Alloc)
+			dec.Trigger = attributeTrigger(d.lastSpeeds, p.Speeds)
+		}
+	}
+	d.last = append(d.last[:0], p.Alloc...)
+	d.lastSpeeds = append(d.lastSpeeds[:0], p.Speeds...)
+	return dec
 }
 
 // Settle is the statistics-collection block for one finished image:
@@ -111,12 +154,7 @@ func (d *Driver) Plan(now time.Time, image uint32, tiles int, alive []bool, tile
 func (d *Driver) Settle(received []int) {
 	d.mu.Lock()
 	d.stats.Update(received)
-	var speeds []float64
-	if d.mon != nil {
-		speeds = d.stats.Speeds()
-	}
 	d.mu.Unlock()
-	d.mon.ObserveSpeeds(speeds)
 }
 
 // aliveSpeeds returns the allocator's speed vector: the Algorithm 2

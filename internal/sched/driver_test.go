@@ -19,6 +19,10 @@ type schedule struct {
 	tiles int
 	now   time.Time
 
+	audit     *Audit
+	last      Allocation // the previous successful plan's split
+	decisions int        // decisions the audit should hold
+
 	alive   []bool
 	stalled []bool
 	share   []float64
@@ -35,7 +39,8 @@ func newSchedule(t *testing.T, seed int64) *schedule {
 	for k := range s.alive {
 		s.alive[k] = true
 	}
-	s.d = NewDriver(n, []float64{0.5, 0.9}[rng.Intn(2)], float64(s.tiles)/float64(n), nil)
+	s.audit = NewAudit(0, nil)
+	s.d = NewDriver(n, []float64{0.5, 0.9}[rng.Intn(2)], float64(s.tiles)/float64(n), s.audit)
 	return s
 }
 
@@ -130,6 +135,22 @@ func (s *schedule) step(image uint32) {
 		t.Fatalf("image %d: plan %v differs from Allocate %v on %v", image, p.Alloc, plain, want)
 	}
 
+	// Audit: exactly one decision for a plan that changed the split (or
+	// is the first), stamped with this plan; none for a repeat.
+	changed := s.last == nil || !slices.Equal(s.last, p.Alloc)
+	if changed {
+		s.decisions++
+	}
+	ds := s.audit.Decisions()
+	if len(ds) != s.decisions {
+		t.Fatalf("image %d: audit holds %d decisions, want %d (split %v after %v)", image, len(ds), s.decisions, p.Alloc, s.last)
+	}
+	if dec := ds[len(ds)-1]; changed && (dec.Image != image || !dec.At.Equal(s.now) ||
+		!slices.Equal(dec.Next, p.Alloc) || !slices.Equal(dec.Prev, s.last) || !slices.Equal(dec.Speeds, p.Speeds)) {
+		t.Fatalf("image %d: decision %+v does not record plan %+v after %v", image, dec, p, s.last)
+	}
+	s.last = p.Alloc
+
 	// A fault may land between an image's plan and its settle.
 	if s.rng.Intn(20) == 0 {
 		s.mutate()
@@ -174,10 +195,10 @@ func TestDriverPlanNeedsOneViewPerNode(t *testing.T) {
 }
 
 // TestDriverConcurrentUse: plans, settles and the run-time setters from
-// many goroutines (the pipelined Central's access pattern), for the
-// race detector.
+// many goroutines (the pipelined Central's access pattern), with the
+// audit attached, for the race detector.
 func TestDriverConcurrentUse(t *testing.T) {
-	d := NewDriver(3, 0.9, 4, nil)
+	d := NewDriver(3, 0.9, 4, NewAudit(0, nil))
 	var wg sync.WaitGroup
 	for g := 0; g < 4; g++ {
 		wg.Add(1)

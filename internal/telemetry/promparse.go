@@ -215,15 +215,13 @@ func (s *PromScrape) LabelValues(name, label string) []string {
 // Buckets reassembles a histogram family's cumulative buckets for the
 // sample set matching the given label pairs: the finite upper bounds
 // (sorted) and their cumulative counts, with the +Inf bucket last.
+// Series that share an upper bound are summed, so a family split by a
+// label the pairs leave open (e.g. replica) reads as one histogram.
 func (s *PromScrape) Buckets(name string, labels ...string) (upper []float64, cum []uint64) {
 	if s == nil || len(labels)%2 != 0 {
 		return nil, nil
 	}
-	type bkt struct {
-		le  float64
-		cum uint64
-	}
-	var finite []bkt
+	finite := map[float64]uint64{}
 	var infCum uint64
 	haveInf := false
 	for _, i := range s.byName[name+"_bucket"] {
@@ -240,7 +238,7 @@ func (s *PromScrape) Buckets(name string, labels ...string) (upper []float64, cu
 		}
 		le := sample.Labels["le"]
 		if le == "+Inf" {
-			infCum = uint64(sample.Value)
+			infCum += uint64(sample.Value)
 			haveInf = true
 			continue
 		}
@@ -248,15 +246,17 @@ func (s *PromScrape) Buckets(name string, labels ...string) (upper []float64, cu
 		if err != nil {
 			continue
 		}
-		finite = append(finite, bkt{b, uint64(sample.Value)})
+		finite[b] += uint64(sample.Value)
 	}
 	if !haveInf {
 		return nil, nil
 	}
-	sort.Slice(finite, func(i, j int) bool { return finite[i].le < finite[j].le })
-	for _, b := range finite {
-		upper = append(upper, b.le)
-		cum = append(cum, b.cum)
+	for b := range finite {
+		upper = append(upper, b)
+	}
+	sort.Float64s(upper)
+	for _, b := range upper {
+		cum = append(cum, finite[b])
 	}
 	return upper, append(cum, infCum)
 }
