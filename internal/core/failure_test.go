@@ -2,8 +2,10 @@ package core
 
 import (
 	"context"
+	"io"
 	"math/rand"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -81,6 +83,57 @@ func TestRuntimeSurvivesWorkerDeath(t *testing.T) {
 	}
 	if deadlineMisses > 1 {
 		t.Fatalf("only the transition image may miss tiles, got %d misses", deadlineMisses)
+	}
+}
+
+// dyingConn fails — and closes — its connection on the first task frame
+// sent after it is armed: the node dies mid-image, with that image's
+// tiles already queued on its session.
+type dyingConn struct {
+	Conn
+	armed atomic.Bool
+}
+
+func (d *dyingConn) Send(m *Message) error {
+	if d.armed.Load() && m.Kind == KindTask {
+		d.Conn.Close()
+		return io.ErrClosedPipe
+	}
+	return d.Conn.Send(m)
+}
+
+// TestNodeDeathMidImageLosesNoTile: the tiles stranded on a node that
+// dies mid-image are redispatched to the survivors, so even the
+// transition image misses no tile and equals local execution.
+func TestNodeDeathMidImageLosesNoTile(t *testing.T) {
+	var dying *dyingConn
+	opt := models.Options{Grid: fdsp.Grid{Rows: 4, Cols: 4}}
+	c, m, stop := buildRuntime(t, opt, 4, 5*time.Second, func(cfg *CentralConfig) {
+		dying = &dyingConn{Conn: cfg.Conns[1]}
+		cfg.Conns[1] = dying
+	})
+	defer stop()
+	rng := rand.New(rand.NewSource(7))
+	x := tensor.New(1, 3, 32, 32)
+	x.RandN(rng, 1)
+	want := m.Net.Forward(x, false)
+	for i := 0; i < 3; i++ {
+		if i == 1 {
+			dying.armed.Store(true)
+		}
+		got, st, err := c.Infer(x)
+		if err != nil {
+			t.Fatalf("image %d: %v", i, err)
+		}
+		if i < 2 && st.Alloc[1] == 0 {
+			t.Fatalf("image %d: node 1 should have been handed tiles", i)
+		}
+		if i > 0 && st.Received[1] != 0 {
+			t.Fatalf("image %d: dead node returned %d tiles", i, st.Received[1])
+		}
+		if st.TilesMissed != 0 || !got.Equal(want, 1e-4) {
+			t.Fatalf("image %d: missed %d tiles; the output must stay exact across the failover", i, st.TilesMissed)
+		}
 	}
 }
 

@@ -20,21 +20,13 @@ import (
 //
 //	InferAsync: layout → allocate → dispatch (encodeTile + place per tile)
 //	Wait:       settle (settleTile per arrival) → assemble → back → updateStats
-//
-// FDSP and halo execution differ only in layout (halo extends each
-// tile's source region) and assemble (halo crops instead of
-// zero-filling); everything between — sessions, failover, pipelining,
-// the breakdown, tracing — is shared.
 type Inflight struct {
-	c        *Central
-	parent   context.Context
-	cctx     context.Context // parent + T_L deadline
-	cancelTL context.CancelFunc
-	img      uint32
-	tiles    []fdsp.Tile // the grid's regions of the input, in index order
-	// src holds the region actually sent for each tile: the tile itself
-	// under FDSP (src aliases tiles), its halo extension in halo mode.
-	src        []fdsp.Tile
+	c          *Central
+	parent     context.Context
+	cctx       context.Context // parent + T_L deadline
+	cancelTL   context.CancelFunc
+	img        uint32
+	tiles      []fdsp.Tile // the grid's regions of the input, in index order
 	col        *imageCollector
 	dispatchAt []time.Time // per tile, for round-trip accounting
 	start      time.Time
@@ -69,9 +61,7 @@ func (c *Central) InferAsync(ctx context.Context, x *tensor.Tensor) (*Inflight, 
 	img := c.imageID.Add(1)
 	h := &Inflight{c: c, parent: ctx, img: img, start: time.Now()}
 	h.stats.TraceID = c.traceBase | uint64(img)
-	if err := h.layout(x); err != nil {
-		return nil, err
-	}
+	h.tiles = c.grid.Layout(x.Shape[2], x.Shape[3])
 	assignment, err := h.allocate()
 	if err != nil {
 		return nil, err
@@ -94,29 +84,6 @@ func (c *Central) InferAsync(ctx context.Context, x *tensor.Tensor) (*Inflight, 
 	// paper's "after transmitting all the tiles" anchor.
 	h.cctx, h.cancelTL = context.WithTimeout(ctx, c.TL)
 	return h, nil
-}
-
-// layout fixes the image's tile geometry: the grid's regions of x and
-// the region sent for each. In halo mode the sent region is the tile
-// extended by the halo margin (clamped at the image border), and tiles
-// must align to the prefix's downsampling so the crop lands on whole
-// result pixels.
-func (h *Inflight) layout(x *tensor.Tensor) error {
-	ih, iw := x.Shape[2], x.Shape[3]
-	h.tiles = h.c.grid.Layout(ih, iw)
-	h.src = h.tiles
-	halo := h.c.halo
-	if halo == nil {
-		return nil
-	}
-	h.src = make([]fdsp.Tile, len(h.tiles))
-	for ti, tl := range h.tiles {
-		if d := halo.down; tl.Y0%d != 0 || tl.X0%d != 0 || tl.H%d != 0 || tl.W%d != 0 {
-			return fmt.Errorf("core: tile %d not aligned to downsample %d", ti, d)
-		}
-		h.src[ti] = fdsp.HaloExtension(tl, halo.margin, ih, iw)
-	}
-	return nil
 }
 
 // allocate is the input-partition block: the driver plans the split
@@ -181,12 +148,12 @@ func (h *Inflight) dispatch(ctx context.Context, x *tensor.Tensor, assignment []
 	return nil
 }
 
-// encodeTile serialises tile ti's source region into a pooled wire
+// encodeTile serialises tile ti's region of x into a pooled wire
 // buffer; the session's send loop releases it once the frame is safely
 // on the wire (a failed send keeps it intact for redispatch). The tile
 // tensor itself is dead after serialisation.
 func (h *Inflight) encodeTile(x *tensor.Tensor, ti int, quantUplink bool) *Message {
-	tile := fdsp.ExtractTile(x, h.src[ti])
+	tile := fdsp.ExtractTile(x, h.tiles[ti])
 	payload, sentQuant := encodeLevelsOrRaw(nil, tile, quantUplink)
 	tensor.PutTensor(tile)
 	return &Message{
@@ -223,8 +190,7 @@ func tileSpanID(img uint32, tile int) uint64 {
 func TraceIDString(id uint64) string { return fmt.Sprintf("%016x", id) }
 
 // Wait collects the image's intermediate results, zero-fills whatever
-// missed the deadline (FDSP; in halo mode a miss is an error), and runs
-// the layer-computation block.
+// missed the deadline, and runs the layer-computation block.
 func (h *Inflight) Wait() (*tensor.Tensor, InferStats, error) {
 	if !h.finished {
 		h.finished = true
@@ -246,17 +212,14 @@ func (h *Inflight) collect() (*tensor.Tensor, error) {
 	if h.release != nil {
 		h.release()
 	}
-	var merged *tensor.Tensor
-	if err == nil {
-		if merged, err = h.assemble(); err != nil {
-			h.updateStats()
-		}
-	}
 	if err != nil {
+		for _, t := range h.outTiles {
+			tensor.PutTensor(t)
+		}
 		h.stats.Latency = time.Since(h.start)
 		return nil, err
 	}
-	out := h.back(merged)
+	out := h.back(h.assemble())
 
 	latency := time.Since(h.start)
 	h.stats.Latency = latency
@@ -273,11 +236,19 @@ func (h *Inflight) collect() (*tensor.Tensor, error) {
 // fails when a tile could not be placed on any node, the caller
 // cancelled, or the Central shut down — in which case nobody will ever
 // deliver the outstanding tiles, so waiting out T_L would only return a
-// zero-filled answer late.
+// zero-filled answer late. However it returns, it first seals the
+// collector and books every result already delivered, so a tile that
+// arrived is never zero-filled and a later one is stale.
 func (h *Inflight) settle() error {
 	h.outTiles = make([]*tensor.Tensor, len(h.tiles))
 	h.stats.Received = make([]int, len(h.c.sessions))
 	h.stats.Breakdown = &Breakdown{Image: h.img, TraceID: h.stats.TraceID}
+	defer func() {
+		h.col.seal()
+		for len(h.col.ch) > 0 {
+			h.settleTile(<-h.col.ch)
+		}
+	}()
 	for h.got < len(h.tiles) {
 		select {
 		case a := <-h.col.ch:
@@ -345,52 +316,30 @@ func (h *Inflight) updateStats() {
 	}
 }
 
-// assemble turns the settled tiles into the back layers' input. Under
-// FDSP a missing tile is zero-filled (paper: "start executing the later
-// layers by setting the missing input to zero"); in halo mode each
-// result is cropped to its tile's exact region and a missing tile is an
-// error, because an exact answer cannot be built around a hole. Either
-// way the boundary already ran on the Conv nodes, so the merged tensor
-// feeds Back directly.
-func (h *Inflight) assemble() (*tensor.Tensor, error) {
+// assemble turns the settled tiles into the back layers' input. A
+// missing tile is zero-filled (paper: "start executing the later layers
+// by setting the missing input to zero"); the boundary already ran on
+// the Conv nodes, so the merged tensor feeds Back directly.
+func (h *Inflight) assemble() *tensor.Tensor {
 	c := h.c
 	missed := len(h.tiles) - h.got
 	h.stats.TilesMissed = missed
 	if missed > 0 {
+		full := c.Model.FrontOutputShape()
+		shape := []int{1, full[0], full[1] / c.grid.Rows, full[2] / c.grid.Cols}
 		for i, t := range h.outTiles {
 			if t == nil {
 				c.flight.Record("deadline-miss", h.img, i, -1,
 					fmt.Sprintf("tile %d of image %d missed T_L=%v", i, h.img, c.TL))
+				z := tensor.GetTensor(shape...)
+				clear(z.Data)
+				h.outTiles[i] = z
 			}
 		}
 		if c.metrics != nil {
 			c.metrics.TilesMissed.Add(float64(missed))
 		}
 		c.flight.Dump("deadline-miss", h.img)
-	}
-	switch {
-	case c.halo != nil && missed > 0:
-		for _, t := range h.outTiles {
-			tensor.PutTensor(t)
-		}
-		return nil, fmt.Errorf("core: halo mode cannot zero-fill (exactness contract); %d tiles missing", missed)
-	case c.halo != nil:
-		d := c.halo.down
-		for i, tl := range h.tiles {
-			ext := h.outTiles[i]
-			h.outTiles[i] = fdsp.Crop(ext, (tl.Y0-h.src[i].Y0)/d, (tl.X0-h.src[i].X0)/d, tl.H/d, tl.W/d)
-			tensor.PutTensor(ext)
-		}
-	case missed > 0:
-		full := c.Model.FrontOutputShape()
-		shape := []int{1, full[0], full[1] / c.grid.Rows, full[2] / c.grid.Cols}
-		for i, t := range h.outTiles {
-			if t == nil {
-				z := tensor.GetTensor(shape...)
-				clear(z.Data)
-				h.outTiles[i] = z
-			}
-		}
 		c.trace.Instant("zero-fill", "central", 0, c.trace.Offset(time.Now()),
 			map[string]any{"image": h.img, "missed": missed, "trace_id": TraceIDString(h.stats.TraceID)})
 	}
@@ -402,7 +351,7 @@ func (h *Inflight) assemble() (*tensor.Tensor, error) {
 		tensor.PutTensor(t)
 	}
 	h.outTiles = nil
-	return merged, nil
+	return merged
 }
 
 // back is the layer-computation block. The Central's compute stage is

@@ -39,10 +39,8 @@ type Dialer = func(context.Context) (Conn, error)
 // half-configured. The Conv-node set is fixed here too; what can change
 // while the runtime is live is a method on Central (SetShare).
 type CentralConfig struct {
-	// Model is this Central's model instance. A partitioned model runs
-	// ADCNN's FDSP execution over the model's own grid; an unpartitioned
-	// (original-weights) model runs exact halo-extended execution over
-	// Grid — the AOFL/DeepThings style the paper compares against.
+	// Model is this Central's model instance; it must be partitioned, and
+	// every image is tiled with the model's own grid (FDSP).
 	Model *models.Model
 	// Conns holds one established connection per Conv node.
 	Conns []Conn
@@ -55,15 +53,6 @@ type CentralConfig struct {
 	// 6.1); Gamma is Algorithm 2's decay.
 	TL    time.Duration
 	Gamma float64
-	// Grid selects halo execution and is required exactly when Model is
-	// unpartitioned: every tile is sent extended by the separable
-	// prefix's receptive-field margin (fdsp.HaloExtension) and its result
-	// cropped before reassembly. No retraining is needed and the output
-	// equals local execution — at the cost of transmitting and computing
-	// the overlap, which is the overhead FDSP eliminates. Exactness is
-	// the contract, so a tile that misses T_L fails the image instead of
-	// being zero-filled.
-	Grid fdsp.Grid
 	// Metrics, when set, records the metric catalog the SLO engine and
 	// adcnn-top read, and per-node health.
 	Metrics *Metrics
@@ -84,8 +73,8 @@ type CentralConfig struct {
 // per-image collectors, and cancellation plumbed from Shutdown and the
 // T_L deadline down to every blocking point. Multiple images may be in
 // flight at once (InferAsync / Pipeline); Infer is the synchronous
-// convenience wrapper. Every image, FDSP or halo, goes through the one
-// tile lifecycle in inflight.go.
+// convenience wrapper. Every image goes through the one tile lifecycle
+// in inflight.go.
 //
 // Everything here — the per-node sessions with their epochs and
 // clock-offset estimators, the pending table, the Algorithm 2 statistics
@@ -106,8 +95,7 @@ type Central struct {
 	// updateStats settles the image with it.
 	driver *sched.Driver
 
-	grid fdsp.Grid  // the model's grid, or the config's in halo mode
-	halo *haloShape // nil in FDSP mode
+	grid fdsp.Grid // the model's grid
 
 	metrics *Metrics
 	trace   *telemetry.Trace
@@ -133,21 +121,14 @@ type Central struct {
 	cancel context.CancelFunc
 }
 
-// haloShape is the tile geometry of halo execution: how far each tile is
-// extended on the way out, and the separable prefix's total downsampling
-// (which maps input-pixel offsets onto result-pixel offsets for the
-// crop).
-type haloShape struct{ margin, down int }
-
 // NewCentral is the shorthand for the common case: a partitioned model,
 // no reconnects, no observability. gamma is Algorithm 2's decay.
 func NewCentral(m *models.Model, conns []Conn, tl time.Duration, gamma float64) (*Central, error) {
 	return CentralConfig{Model: m, Conns: conns, TL: tl, Gamma: gamma}.Start()
 }
 
-// Start validates the configuration and returns a running Central: the
-// connections are metered (when Metrics is set) and one session per
-// node is up.
+// Start validates the configuration and returns a running Central with
+// one session per node up.
 func (cfg CentralConfig) Start() (*Central, error) {
 	m := cfg.Model
 	if m == nil {
@@ -159,21 +140,8 @@ func (cfg CentralConfig) Start() (*Central, error) {
 	if cfg.Dialers != nil && len(cfg.Dialers) != len(cfg.Conns) {
 		return nil, fmt.Errorf("core: %d dialers for %d conv nodes", len(cfg.Dialers), len(cfg.Conns))
 	}
-	grid, haloMode := m.Opt.Grid, cfg.Grid != (fdsp.Grid{})
-	var halo *haloShape
-	switch {
-	case m.Opt.Partitioned() && haloMode:
-		return nil, fmt.Errorf("core: a partitioned model brings its own grid; Grid is for halo mode on the original model")
-	case !m.Opt.Partitioned() && !haloMode:
-		return nil, fmt.Errorf("core: central requires a partitioned model, or a Grid for halo execution")
-	case haloMode:
-		if m.Opt.Clipped() {
-			return nil, fmt.Errorf("core: halo mode needs the original (unmodified) model")
-		}
-		if err := cfg.Grid.Validate(); err != nil {
-			return nil, err
-		}
-		grid, halo = cfg.Grid, newHaloShape(m.Cfg)
+	if !m.Opt.Partitioned() {
+		return nil, fmt.Errorf("core: central requires a partitioned model")
 	}
 
 	ctx, cancel := context.WithCancel(context.Background())
@@ -181,8 +149,7 @@ func (cfg CentralConfig) Start() (*Central, error) {
 	c := &Central{
 		Model:     m,
 		TL:        cfg.TL,
-		grid:      grid,
-		halo:      halo,
+		grid:      m.Opt.Grid,
 		metrics:   cfg.Metrics,
 		trace:     cfg.Trace,
 		flight:    cfg.Flight,
@@ -196,7 +163,7 @@ func (cfg CentralConfig) Start() (*Central, error) {
 		c.health = NewHealthTracker(n, met.NodeHealth)
 		audit = met.Audit
 	}
-	c.driver = sched.NewDriver(n, cfg.Gamma, float64(grid.Tiles())/float64(n), audit)
+	c.driver = sched.NewDriver(n, cfg.Gamma, float64(c.grid.Tiles())/float64(n), audit)
 	cfg.Trace.SetThreadName(0, "central")
 	c.sessions = make([]*nodeSession, n)
 	for k, conn := range cfg.Conns {
@@ -212,21 +179,6 @@ func (cfg CentralConfig) Start() (*Central, error) {
 		go s.run()
 	}
 	return c, nil
-}
-
-// newHaloShape derives the halo margin of cfg's separable prefix,
-// rounded up to its downsampling factor so the crop offsets are whole
-// result pixels.
-func newHaloShape(cfg models.Config) *haloShape {
-	var geoms []fdsp.LayerGeom
-	for _, g := range cfg.HaloGeoms(cfg.Separable) {
-		geoms = append(geoms, fdsp.LayerGeom{Kernel: g[0], Stride: g[1]})
-	}
-	margin, down := fdsp.HaloMargin(geoms), fdsp.Downsample(geoms)
-	if margin%down != 0 {
-		margin += down - margin%down
-	}
-	return &haloShape{margin: margin, down: down}
 }
 
 // SetShare installs per-node capacity shares for this replica (see

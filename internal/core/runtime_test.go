@@ -6,6 +6,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"io"
 	"math/rand"
 	"strings"
 	"sync"
@@ -323,13 +324,31 @@ func TestDeadlineZeroFillsMissingTiles(t *testing.T) {
 	}
 }
 
-func TestCentralRequiresPartitionedModel(t *testing.T) {
-	m, err := models.Build(models.VGGSim(), models.Options{}, 1)
-	if err != nil {
-		t.Fatal(err)
+// TestCentralConfigValidation: Start rejects every configuration that
+// could not run, before any session exists.
+func TestCentralConfigValidation(t *testing.T) {
+	build := func(opt models.Options) *models.Model {
+		m, err := models.Build(models.VGGSim(), opt, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return m
 	}
+	partitioned := build(models.Options{Grid: fdsp.Grid{Rows: 2, Cols: 2}})
 	a, _ := Pipe()
-	if _, err := NewCentral(m, []Conn{a}, time.Second, 0.9); err == nil {
-		t.Fatal("unpartitioned model must be rejected")
+	dial := func(context.Context) (Conn, error) { return nil, io.EOF }
+	for _, tc := range []struct {
+		name string
+		cfg  CentralConfig
+	}{
+		{"nil model", CentralConfig{Conns: []Conn{a}}},
+		{"no conns", CentralConfig{Model: partitioned}},
+		{"dialer count mismatch", CentralConfig{Model: partitioned, Conns: []Conn{a}, Dialers: []Dialer{dial, dial}}},
+		{"unpartitioned model", CentralConfig{Model: build(models.Options{}), Conns: []Conn{a}}},
+	} {
+		if c, err := tc.cfg.Start(); err == nil {
+			c.Shutdown()
+			t.Errorf("%s: Start must fail", tc.name)
+		}
 	}
 }

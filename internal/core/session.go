@@ -40,14 +40,17 @@ type pendingKey struct {
 }
 
 // imageCollector gathers one image's arrivals. The session recv loops
-// push into ch (buffered to the tile count, so delivery never blocks);
-// abort carries a fatal dispatch failure to the waiter.
+// deliver into ch (buffered to the tile count, so delivery never
+// blocks) until the waiter seals it; abort carries a fatal dispatch
+// failure to the waiter.
 type imageCollector struct {
-	img  uint32
-	ch   chan arrival
-	fail chan struct{}
-	once sync.Once
-	err  error
+	img    uint32
+	ch     chan arrival
+	fail   chan struct{}
+	once   sync.Once
+	err    error
+	mu     sync.Mutex // orders deliver against seal
+	sealed bool
 }
 
 func newImageCollector(img uint32, tiles int) *imageCollector {
@@ -64,6 +67,26 @@ func (col *imageCollector) abort(err error) {
 		col.err = err
 		close(col.fail)
 	})
+}
+
+// deliver hands a to the waiter. It reports false once the image is
+// sealed: the result is then stale and a's tensor is the caller's.
+func (col *imageCollector) deliver(a arrival) bool {
+	col.mu.Lock()
+	ok := !col.sealed
+	if ok {
+		col.ch <- a
+	}
+	col.mu.Unlock()
+	return ok
+}
+
+// seal ends delivery: after it returns, ch holds every result the image
+// will ever get.
+func (col *imageCollector) seal() {
+	col.mu.Lock()
+	col.sealed = true
+	col.mu.Unlock()
 }
 
 // pendingEntry is one outstanding tile's table row: the collector it
@@ -457,13 +480,18 @@ func (s *nodeSession) recvLoop(conn Conn) error {
 			s.c.flight.Record("decode-error", m.ImageID, int(m.TileID), s.id, derr.Error())
 			continue
 		}
-		s.c.flight.Record("result", m.ImageID, int(m.TileID), s.id, "")
-		e.col.ch <- arrival{
+		if !e.col.deliver(arrival{
 			tile: int(m.TileID), node: s.id, t: t, wire: wire,
 			taskWire: e.taskBytes,
 			enqNs:    e.enqNs, sentNs: e.sentNs, recvNs: recvNs,
 			timing: m.Timing, offsetNs: offsetNs,
+		}) {
+			// The image settled while this result was being decoded.
+			tensor.PutTensor(t)
+			s.c.flight.Record("stale", m.ImageID, int(m.TileID), s.id, "")
+			continue
 		}
+		s.c.flight.Record("result", m.ImageID, int(m.TileID), s.id, "")
 	}
 }
 

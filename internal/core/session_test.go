@@ -224,14 +224,28 @@ func TestInferContextCancellation(t *testing.T) {
 
 // TestStaleResultsCounted: results landing after T_L settled their tiles
 // must be dropped and recorded as stale flight events, not delivered to
-// a dead collector.
+// a dead collector. The worker's delay puts every result well past the
+// 1ns T_L, so every tile misses and comes back stale.
 func TestStaleResultsCounted(t *testing.T) {
-	opt := models.Options{Grid: fdsp.Grid{Rows: 2, Cols: 2}}
+	m, err := models.Build(models.VGGSim(), models.Options{Grid: fdsp.Grid{Rows: 2, Cols: 2}}, 42)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, b := Pipe()
+	w := NewWorker(1, m)
+	w.SetDelay(50 * time.Millisecond)
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() { defer wg.Done(); _ = w.Serve(context.Background(), b) }()
 	flight := telemetry.NewFlightRecorder(0)
-	c, _, stop := buildRuntime(t, opt, 2, time.Nanosecond, func(cfg *CentralConfig) {
-		cfg.Metrics, cfg.Flight = NewMetrics(telemetry.NewRegistry(), 0), flight
-	})
-	defer stop()
+	c, err := CentralConfig{
+		Model: m, Conns: []Conn{a}, TL: time.Nanosecond, Gamma: 0.9,
+		Metrics: NewMetrics(telemetry.NewRegistry(), 0), Flight: flight,
+	}.Start()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { c.Shutdown(); wg.Wait() }()
 
 	rng := rand.New(rand.NewSource(35))
 	x := tensor.New(1, 3, 32, 32)
@@ -240,22 +254,45 @@ func TestStaleResultsCounted(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.TilesMissed == 0 {
-		t.Skip("scheduler beat a 1ns deadline — cannot force stale results")
+	if st.TilesMissed != 4 {
+		t.Fatalf("missed %d of 4 tiles that cannot beat T_L", st.TilesMissed)
 	}
-	stale := func() bool {
+	stale := func() (n int) {
 		for _, ev := range flight.Events() {
 			if ev.Kind == "stale" {
-				return true
+				n++
 			}
 		}
-		return false
+		return n
 	}
-	deadline := time.Now().Add(2 * time.Second)
-	for !stale() {
+	deadline := time.Now().Add(5 * time.Second)
+	for stale() < st.TilesMissed {
 		if time.Now().After(deadline) {
-			t.Fatal("overdue results never produced a stale flight event")
+			t.Fatalf("%d overdue results produced %d stale flight events", st.TilesMissed, stale())
 		}
 		time.Sleep(5 * time.Millisecond)
+	}
+}
+
+// TestSettleBooksDeliveredTiles: when T_L has already expired but every
+// tile's result is waiting in the collector, settle books them all — a
+// tile that arrived is never zero-filled.
+func TestSettleBooksDeliveredTiles(t *testing.T) {
+	c, m, stop := buildRuntime(t, models.Options{Grid: fdsp.Grid{Rows: 2, Cols: 2}}, 1, time.Second)
+	defer stop()
+	full := m.FrontOutputShape()
+	expired, cancel := context.WithCancel(context.Background())
+	cancel()
+	for i := 0; i < 20; i++ {
+		img := c.imageID.Add(1)
+		tiles := c.grid.Layout(32, 32)
+		h := &Inflight{c: c, parent: context.Background(), cctx: expired, cancelTL: cancel,
+			img: img, tiles: tiles, col: newImageCollector(img, len(tiles)), start: time.Now()}
+		for ti := range tiles {
+			h.col.ch <- arrival{tile: ti, t: tensor.New(1, full[0], full[1]/2, full[2]/2)}
+		}
+		if _, st, err := h.Wait(); err != nil || st.TilesMissed != 0 {
+			t.Fatalf("image %d: %d of %d delivered tiles counted missed (err %v)", i, st.TilesMissed, len(tiles), err)
+		}
 	}
 }
