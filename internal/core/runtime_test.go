@@ -344,11 +344,21 @@ func TestCentralConfigValidation(t *testing.T) {
 		{"nil model", CentralConfig{Conns: []Conn{a}}},
 		{"no conns", CentralConfig{Model: partitioned}},
 		{"dialer count mismatch", CentralConfig{Model: partitioned, Conns: []Conn{a}, Dialers: []Dialer{dial, dial}}},
-		{"unpartitioned model", CentralConfig{Model: build(models.Options{}), Conns: []Conn{a}}},
 	} {
 		if c, err := tc.cfg.Start(); err == nil {
 			c.Shutdown()
 			t.Errorf("%s: Start must fail", tc.name)
 		}
+	}
+}
+
+func TestCentralRequiresPartitionedModel(t *testing.T) {
+	m, err := models.Build(models.VGGSim(), models.Options{}, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, _ := Pipe()
+	if _, err := NewCentral(m, []Conn{a}, time.Second, 0.9); err == nil {
+		t.Fatal("unpartitioned model must be rejected")
 	}
 }
