@@ -144,16 +144,20 @@ func (h *Inflight) dispatch(ctx context.Context, x *tensor.Tensor, assignment []
 			h.dispatchAt[ti] = time.Now()
 		}
 	}
-	span.End(map[string]any{"image": h.img, "tiles": len(h.tiles), "trace_id": TraceIDString(h.stats.TraceID)})
+	if tr != nil {
+		span.End(map[string]any{"image": h.img, "tiles": len(h.tiles), "trace_id": TraceIDString(h.stats.TraceID)})
+	}
 	return nil
 }
 
 // encodeTile serialises tile ti's region of x into a pooled wire
 // buffer; the session's send loop releases it once the frame is safely
 // on the wire (a failed send keeps it intact for redispatch). The tile
-// tensor itself is dead after serialisation.
+// is staged in a pooled tensor, dead after serialisation.
 func (h *Inflight) encodeTile(x *tensor.Tensor, ti int, quantUplink bool) *Message {
-	tile := fdsp.ExtractTile(x, h.tiles[ti])
+	t := h.tiles[ti]
+	tile := tensor.GetTensor(1, x.Shape[1], t.H, t.W)
+	fdsp.ExtractTileInto(tile, x, t)
 	payload, sentQuant := encodeLevelsOrRaw(nil, tile, quantUplink)
 	tensor.PutTensor(tile)
 	return &Message{
@@ -224,8 +228,10 @@ func (h *Inflight) collect() (*tensor.Tensor, error) {
 	latency := time.Since(h.start)
 	h.stats.Latency = latency
 	h.updateStats()
-	c.trace.Span(fmt.Sprintf("image %d", h.img), "image", 0, c.trace.Offset(h.start), latency,
-		map[string]any{"missed": h.stats.TilesMissed, "wire_bytes": h.stats.WireBytes, "trace_id": TraceIDString(h.stats.TraceID)})
+	if tr := c.trace; tr != nil {
+		tr.Span(fmt.Sprintf("image %d", h.img), "image", 0, tr.Offset(h.start), latency,
+			map[string]any{"missed": h.stats.TilesMissed, "wire_bytes": h.stats.WireBytes, "trace_id": TraceIDString(h.stats.TraceID)})
+	}
 	if len(h.stats.Breakdown.Tiles) == 0 {
 		h.stats.Breakdown = nil
 	}
@@ -296,10 +302,12 @@ func (h *Inflight) settleTile(a arrival) {
 		if met != nil {
 			met.TileRoundTrip.ObserveDuration(rt.Nanoseconds())
 		}
-		tr.Span(fmt.Sprintf("tile %d", a.tile), "tile", a.node+1,
-			tr.Offset(h.dispatchAt[a.tile]), rt,
-			map[string]any{"image": h.img, "tile": a.tile, "wire_bytes": a.wire,
-				"trace_id": TraceIDString(h.stats.TraceID)})
+		if tr != nil {
+			tr.Span(fmt.Sprintf("tile %d", a.tile), "tile", a.node+1,
+				tr.Offset(h.dispatchAt[a.tile]), rt,
+				map[string]any{"image": h.img, "tile": a.tile, "wire_bytes": a.wire,
+					"trace_id": TraceIDString(h.stats.TraceID)})
+		}
 	}
 }
 
@@ -340,11 +348,15 @@ func (h *Inflight) assemble() *tensor.Tensor {
 			c.metrics.TilesMissed.Add(float64(missed))
 		}
 		c.flight.Dump("deadline-miss", h.img)
-		c.trace.Instant("zero-fill", "central", 0, c.trace.Offset(time.Now()),
-			map[string]any{"image": h.img, "missed": missed, "trace_id": TraceIDString(h.stats.TraceID)})
+		if tr := c.trace; tr != nil {
+			tr.Instant("zero-fill", "central", 0, tr.Offset(time.Now()),
+				map[string]any{"image": h.img, "missed": missed, "trace_id": TraceIDString(h.stats.TraceID)})
+		}
 	}
-	merged := fdsp.Reassemble(h.outTiles, c.grid)
-	// Reassemble copies every tile into the merged tensor, so the
+	ch, mh, mw := fdsp.MergedSize(h.outTiles, c.grid)
+	merged := tensor.GetTensor(1, ch, mh, mw)
+	fdsp.ReassembleInto(merged, h.outTiles, c.grid)
+	// The merge copies every tile into the merged tensor, so the
 	// pool-backed per-tile buffers (decoded results and zero fills alike)
 	// can go home immediately.
 	for _, t := range h.outTiles {
@@ -356,14 +368,21 @@ func (h *Inflight) assemble() *tensor.Tensor {
 
 // back is the layer-computation block. The Central's compute stage is
 // one resource: concurrent in-flight images run it in turn, which is
-// exactly the pipeline's third stage.
+// exactly the pipeline's third stage. The merged tensor is pooled and
+// goes back once the back layers have read it — unless their answer is
+// merged itself or a view of it (an empty or reshape-only Back).
 func (h *Inflight) back(merged *tensor.Tensor) *tensor.Tensor {
 	c := h.c
 	c.backMu.Lock()
 	defer c.backMu.Unlock()
 	span := c.trace.Begin("back", "central", 0)
 	out := c.Model.Back.Forward(merged, false)
-	span.End(map[string]any{"image": h.img, "trace_id": TraceIDString(h.stats.TraceID)})
+	if c.trace != nil {
+		span.End(map[string]any{"image": h.img, "trace_id": TraceIDString(h.stats.TraceID)})
+	}
+	if !out.SharesData(merged) {
+		tensor.PutTensor(merged)
+	}
 	return out
 }
 

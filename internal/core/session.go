@@ -459,8 +459,9 @@ func (s *nodeSession) recvLoop(conn Conn) error {
 		}
 		// Decode into a pool-backed tensor, then hand the wire buffer
 		// straight back: the decoders fully copy the payload out, so the
-		// frame's bytes are dead the moment DecodeInto returns.
-		t := new(tensor.Tensor)
+		// frame's bytes are dead the moment DecodeInto returns. The
+		// header is recycled too; the decoders resize its shape and data.
+		t := tensor.GetTensor()
 		var derr error
 		switch {
 		case m.Compressed:

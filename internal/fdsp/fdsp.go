@@ -77,6 +77,17 @@ func (g Grid) Layout(h, w int) []Tile {
 
 // ExtractTile copies tile t out of a [1,C,H,W] image.
 func ExtractTile(x *tensor.Tensor, t Tile) *tensor.Tensor {
+	if x.Rank() != 4 {
+		panic(fmt.Sprintf("fdsp: ExtractTile expects [1,C,H,W], got %v", x.Shape))
+	}
+	out := tensor.New(1, x.Shape[1], t.H, t.W)
+	ExtractTileInto(out, x, t)
+	return out
+}
+
+// ExtractTileInto is ExtractTile copying into dst, shaped [1,C,t.H,t.W];
+// it writes every element of dst.
+func ExtractTileInto(dst, x *tensor.Tensor, t Tile) {
 	if x.Rank() != 4 || x.Shape[0] != 1 {
 		panic(fmt.Sprintf("fdsp: ExtractTile expects [1,C,H,W], got %v", x.Shape))
 	}
@@ -84,15 +95,16 @@ func ExtractTile(x *tensor.Tensor, t Tile) *tensor.Tensor {
 	if t.Y0+t.H > h || t.X0+t.W > w {
 		panic(fmt.Sprintf("fdsp: tile %+v outside image %dx%d", t, h, w))
 	}
-	out := tensor.New(1, c, t.H, t.W)
+	if dst.Len() != c*t.H*t.W {
+		panic(fmt.Sprintf("fdsp: tile %+v of %d channels into %v", t, c, dst.Shape))
+	}
 	for ch := 0; ch < c; ch++ {
 		for ty := 0; ty < t.H; ty++ {
 			srcOff := ch*h*w + (t.Y0+ty)*w + t.X0
 			dstOff := ch*t.H*t.W + ty*t.W
-			copy(out.Data[dstOff:dstOff+t.W], x.Data[srcOff:srcOff+t.W])
+			copy(dst.Data[dstOff:dstOff+t.W], x.Data[srcOff:srcOff+t.W])
 		}
 	}
-	return out
 }
 
 // Crop copies the h×w rectangle at (top, left) out of a [1,C,H,W] map.
@@ -117,48 +129,61 @@ func Crop(x *tensor.Tensor, top, left, h, w int) *tensor.Tensor {
 // and tiles in the same grid column must share a width; this holds
 // whenever the per-tile network applies a uniform downsampling factor.
 func Reassemble(tiles []*tensor.Tensor, g Grid) *tensor.Tensor {
+	c, h, w := MergedSize(tiles, g)
+	out := tensor.New(1, c, h, w)
+	ReassembleInto(out, tiles, g)
+	return out
+}
+
+// MergedSize returns the channels, height and width of the map that
+// Reassemble stitches tiles into: the heights of the first grid column
+// and the widths of the first grid row, summed. It panics when a tile's
+// shape breaks the grid's row heights or column widths.
+func MergedSize(tiles []*tensor.Tensor, g Grid) (c, h, w int) {
 	if len(tiles) != g.Tiles() {
 		panic(fmt.Sprintf("fdsp: %d tiles for grid %v", len(tiles), g))
 	}
-	c := tiles[0].Shape[1]
-	rowH := make([]int, g.Rows)
-	colW := make([]int, g.Cols)
+	c = tiles[0].Shape[1]
 	for r := 0; r < g.Rows; r++ {
-		rowH[r] = tiles[r*g.Cols].Shape[2]
+		h += tiles[r*g.Cols].Shape[2]
 	}
 	for cc := 0; cc < g.Cols; cc++ {
-		colW[cc] = tiles[cc].Shape[3]
+		w += tiles[cc].Shape[3]
 	}
-	totalH, totalW := 0, 0
-	for _, h := range rowH {
-		totalH += h
+	for i, t := range tiles {
+		r, cc := i/g.Cols, i%g.Cols
+		if t.Shape[1] != c || t.Shape[2] != tiles[r*g.Cols].Shape[2] || t.Shape[3] != tiles[cc].Shape[3] {
+			panic(fmt.Sprintf("fdsp: tile (%d,%d) shape %v inconsistent with row height %d / col width %d",
+				r, cc, t.Shape, tiles[r*g.Cols].Shape[2], tiles[cc].Shape[3]))
+		}
 	}
-	for _, w := range colW {
-		totalW += w
+	return c, h, w
+}
+
+// ReassembleInto is Reassemble writing into dst, shaped [1, MergedSize];
+// it writes every element of dst.
+func ReassembleInto(dst *tensor.Tensor, tiles []*tensor.Tensor, g Grid) {
+	c, totalH, totalW := MergedSize(tiles, g)
+	if dst.Len() != c*totalH*totalW {
+		panic(fmt.Sprintf("fdsp: %d×%d×%d map into %v", c, totalH, totalW, dst.Shape))
 	}
-	out := tensor.New(1, c, totalH, totalW)
 	y := 0
 	for r := 0; r < g.Rows; r++ {
 		x := 0
 		for cc := 0; cc < g.Cols; cc++ {
 			t := tiles[r*g.Cols+cc]
-			if t.Shape[1] != c || t.Shape[2] != rowH[r] || t.Shape[3] != colW[cc] {
-				panic(fmt.Sprintf("fdsp: tile (%d,%d) shape %v inconsistent with row height %d / col width %d",
-					r, cc, t.Shape, rowH[r], colW[cc]))
-			}
 			th, tw := t.Shape[2], t.Shape[3]
 			for ch := 0; ch < c; ch++ {
 				for ty := 0; ty < th; ty++ {
 					srcOff := ch*th*tw + ty*tw
 					dstOff := ch*totalH*totalW + (y+ty)*totalW + x
-					copy(out.Data[dstOff:dstOff+tw], t.Data[srcOff:srcOff+tw])
+					copy(dst.Data[dstOff:dstOff+tw], t.Data[srcOff:srcOff+tw])
 				}
 			}
 			x += tw
 		}
-		y += rowH[r]
+		y += tiles[r*g.Cols].Shape[2]
 	}
-	return out
 }
 
 // SplitBatch rearranges [N,C,H,W] into [N*T,C,H/R,W/C] so the separable

@@ -67,11 +67,14 @@ func (m *Model) Int8InputOK() bool {
 // activations arrive as uint8 affine levels (a decoded quantized wire
 // payload) of shape [c, h, w]. The entry convolution consumes the
 // levels directly through its int8 GEMM — no dequant→f32→requant round
-// trip on the boundary tensor — and the remaining Front layers continue
-// in their configured mode. Returns (nil, false) when the model cannot
-// take the levels entry (see Int8InputOK) or the shape does not match
-// the entry convolution; the caller then dequantizes and runs the
-// ordinary f32 Front.
+// trip on the boundary tensor — into a pooled tensor that goes back once
+// the next layer has read it. The rest of block 0 runs layer by layer,
+// each through its own Forward (as bench's replay times it), and the
+// later blocks through Front.ForwardFrom, each block's intermediates
+// taken from the pool and only its answer fresh. Returns (nil, false)
+// when the model cannot take the levels entry (see Int8InputOK) or the
+// shape does not match the entry convolution; the caller then
+// dequantizes and runs the ordinary f32 Front.
 func (m *Model) ForwardFrontLevels(levels []uint8, c, h, w int, af quant.Affine) (*tensor.Tensor, bool) {
 	conv, ok := m.frontEntryConv()
 	if !ok || !conv.Int8() {
@@ -81,14 +84,20 @@ func (m *Model) ForwardFrontLevels(levels []uint8, c, h, w int, af quant.Affine)
 		return nil, false
 	}
 	oh, ow := conv.Geom.OutSize(h, w)
-	cur := tensor.New(1, conv.OutC, oh, ow)
-	conv.ForwardLevelsInto(cur, levels, h, w, af)
-	block0 := m.Front.Layers[0].(*nn.Sequential)
-	for _, l := range block0.Layers[1:] {
+	// live is the conv's pooled output until no tensor views it any more.
+	live := tensor.GetTensor(1, conv.OutC, oh, ow)
+	conv.ForwardLevelsInto(live, levels, h, w, af)
+	cur := live
+	for _, l := range m.Front.Layers[0].(*nn.Sequential).Layers[1:] {
 		cur = l.Forward(cur, false)
+		if live != nil && !cur.SharesData(live) {
+			tensor.PutTensor(live)
+			live = nil
+		}
 	}
-	for _, l := range m.Front.Layers[1:] {
-		cur = l.Forward(cur, false)
+	y := m.Front.ForwardFrom(cur, 1, false)
+	if live != nil && !y.SharesData(live) {
+		tensor.PutTensor(live)
 	}
-	return cur, true
+	return y, true
 }

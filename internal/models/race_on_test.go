@@ -1,0 +1,8 @@
+//go:build race
+
+package models
+
+// raceEnabled gates allocation-count assertions: under the race detector
+// sync.Pool deliberately drops puts, so pooled paths legitimately
+// allocate.
+const raceEnabled = true

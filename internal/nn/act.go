@@ -17,11 +17,10 @@ func NewReLU(label string) *ReLU { return &ReLU{label: label} }
 
 // Forward computes max(0, x).
 func (r *ReLU) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
-	y := tensor.New(x.Shape...)
 	if !train {
-		reluInto(y.Data, x.Data)
-		return y
+		return r.infer(x, false)
 	}
+	y := tensor.New(x.Shape...)
 	r.mask = make([]bool, len(x.Data))
 	for i, v := range x.Data {
 		if v > 0 {
@@ -29,6 +28,13 @@ func (r *ReLU) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 			r.mask[i] = true
 		}
 	}
+	return y
+}
+
+// infer rectifies into an output taken with newOut(pooled, …).
+func (r *ReLU) infer(x *tensor.Tensor, pooled bool) *tensor.Tensor {
+	y := newOut(pooled, x.Shape...)
+	reluInto(y.Data, x.Data)
 	return y
 }
 
@@ -107,6 +113,13 @@ func (c *ClippedReLU) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 		c.mask = make([]bool, len(x.Data))
 	}
 	c.clipInto(y.Data, x.Data, train)
+	return y
+}
+
+// infer clips into an output taken with newOut(pooled, …).
+func (c *ClippedReLU) infer(x *tensor.Tensor, pooled bool) *tensor.Tensor {
+	y := newOut(pooled, x.Shape...)
+	c.clipInto(y.Data, x.Data, false)
 	return y
 }
 

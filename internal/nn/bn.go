@@ -58,15 +58,13 @@ func (bn *BatchNorm2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	if x.Rank() != 4 || x.Shape[1] != bn.C {
 		panic(fmt.Sprintf("nn: %s expects NCHW with C=%d, got %v", bn.label, bn.C, x.Shape))
 	}
+	if !train {
+		return bn.infer(x, false)
+	}
 	n, h, w := x.Shape[0], x.Shape[2], x.Shape[3]
 	plane := h * w
 	sample := bn.C * plane
 	y := tensor.New(x.Shape...)
-
-	if !train {
-		bn.foldedInto(y.Data, x.Data, n, plane)
-		return y
-	}
 
 	if bn.Frozen {
 		// Training-mode forward with fixed statistics: cache what the
@@ -129,6 +127,17 @@ func (bn *BatchNorm2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 		bn.RunningMean.Data[ch] = (1-bn.Momentum)*bn.RunningMean.Data[ch] + bn.Momentum*mean
 		bn.RunningVar.Data[ch] = (1-bn.Momentum)*bn.RunningVar.Data[ch] + bn.Momentum*variance
 	}
+	return y
+}
+
+// infer applies the inference transform into an output taken with
+// newOut(pooled, …).
+func (bn *BatchNorm2D) infer(x *tensor.Tensor, pooled bool) *tensor.Tensor {
+	if x.Rank() != 4 || x.Shape[1] != bn.C {
+		panic(fmt.Sprintf("nn: %s expects NCHW with C=%d, got %v", bn.label, bn.C, x.Shape))
+	}
+	y := newOut(pooled, x.Shape...)
+	bn.foldedInto(y.Data, x.Data, x.Shape[0], x.Shape[2]*x.Shape[3])
 	return y
 }
 

@@ -68,7 +68,12 @@ func (c *Conv2D) oneByOne() bool {
 
 // Forward computes y[n] = W·im2col(x[n]) + b for each sample n.
 func (c *Conv2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
-	return c.forward(x, train, convPost{})
+	return c.forward(x, train, false, convPost{})
+}
+
+// infer is the inference Forward, its output taken with newOut(pooled, …).
+func (c *Conv2D) infer(x *tensor.Tensor, pooled bool) *tensor.Tensor {
+	return c.forward(x, false, pooled, convPost{})
 }
 
 // convPost is what an inference conv fused with the layers after it
@@ -82,11 +87,12 @@ type convPost struct {
 	relu bool
 }
 
-// forward is Forward with post applied, allocating only the output.
-func (c *Conv2D) forward(x *tensor.Tensor, train bool, post convPost) *tensor.Tensor {
+// forward is Forward with post applied, its output taken with
+// newOut(pooled, …) and all its scratch from the pool.
+func (c *Conv2D) forward(x *tensor.Tensor, train, pooled bool, post convPost) *tensor.Tensor {
 	n, h, w := x.Shape[0], x.Shape[2], x.Shape[3]
 	oh, ow := c.Geom.OutSize(h, w)
-	y := tensor.New(n, c.OutC, oh, ow)
+	y := newOut(pooled, n, c.OutC, oh, ow)
 	c.forwardInto(y, x, train, post)
 	return y
 }

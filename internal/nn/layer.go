@@ -71,36 +71,97 @@ type inPlacer interface {
 	ForwardInPlace(x *tensor.Tensor)
 }
 
-// forwardChain runs layers in order. At inference it fuses: a Conv2D
-// followed by a BatchNorm2D over its channels, and by a ReLU if one comes
-// next, runs as one conv call whose GEMM applies the BatchNorm and the
-// ReLU before its store (bit for bit what their passes would leave). An
-// inPlacer that follows a layer of the same chain works in that layer's
-// output instead of allocating its own: the chain made that tensor and
-// nothing else holds it. The chain's input is never written — until some
-// layer has returned storage of its own (not a view of what it was
-// given, as Flatten and an empty Sequential do), inPlacers allocate like
-// any layer.
+// inferer is a leaf layer with an inference form that takes its output
+// with newOut: from the tensor pool when pooled — the caller then owns it
+// and puts it back once consumed — and fresh otherwise.
+type inferer interface {
+	infer(x *tensor.Tensor, pooled bool) *tensor.Tensor
+}
+
+// newOut returns an output tensor of the given shape: from the pool,
+// contents unspecified, when pooled; fresh and zeroed otherwise.
+func newOut(pooled bool, shape ...int) *tensor.Tensor {
+	if pooled {
+		return tensor.GetTensor(shape...)
+	}
+	return tensor.New(shape...)
+}
+
+// forwardChain runs layers in order; at inference it is inferChain with
+// a fresh answer.
 func forwardChain(layers []Layer, x *tensor.Tensor, train bool) *tensor.Tensor {
-	owned := false
-	for i := 0; i < len(layers); i++ {
-		if !train {
-			if conv, post, span := convBN(layers[i:]); span > 0 {
-				x = conv.forward(x, false, post)
-				owned = true
-				i += span - 1
-				continue
-			}
-			if ip, ok := layers[i].(inPlacer); ok && owned {
-				ip.ForwardInPlace(x)
-				continue
-			}
-		}
-		y := layers[i].Forward(x, train)
-		owned = owned || !sameStorage(y, x)
-		x = y
+	if !train {
+		return inferChain(layers, x, false)
+	}
+	for _, l := range layers {
+		x = l.Forward(x, true)
 	}
 	return x
+}
+
+// inferChain is the inference forward of a chain. It fuses: a Conv2D
+// followed by a BatchNorm2D over its channels, and by a ReLU if one
+// comes next, runs as one conv call whose GEMM applies the BatchNorm and
+// the ReLU before its store (bit for bit what their passes would
+// leave). A leaf layer's output is an intermediate taken from the tensor
+// pool and put back as soon as the next step has consumed it, except the
+// answer: the output of the step that only inPlacers follow, taken by
+// newOut(pooled, …). An inPlacer that follows a layer of the same chain
+// works in that layer's output: the chain made that tensor and nothing
+// else holds it. Three tensors are never put back: the chain's input,
+// which is never written either; what a step returns that shares its
+// input's storage (a view, as Flatten returns of the input; SharesData); and the
+// output of a layer without an inference form — a nested block
+// (Sequential, Residual) or a foreign layer — which the chain did not
+// take from the pool. A block's answer is fresh inside a chain as it is
+// when the block is called alone, so a block costs the same in both
+// places and a per-block profile sums to its chain.
+func inferChain(layers []Layer, x *tensor.Tensor, pooled bool) *tensor.Tensor {
+	// mine: x is storage some step of this chain made (an inPlacer may
+	// write it); put: x came from the pool and goes back once consumed.
+	mine, put := false, false
+	for i := 0; i < len(layers); {
+		if ip, ok := layers[i].(inPlacer); ok && mine {
+			ip.ForwardInPlace(x)
+			i++
+			continue
+		}
+		conv, post, span := convBN(layers[i:])
+		pool := pooled || !inPlaceTail(layers[i+max(span, 1):])
+		var y *tensor.Tensor
+		switch l := layers[i].(type) {
+		case inferer:
+			if span > 0 {
+				y = conv.forward(x, false, pool, post)
+				break
+			}
+			span = 1
+			y = l.infer(x, pool)
+		default:
+			span = 1
+			y, pool = l.Forward(x, false), false
+		}
+		if !y.SharesData(x) {
+			if put {
+				tensor.PutTensor(x)
+			}
+			mine, put = true, pool
+		}
+		x = y
+		i += span
+	}
+	return x
+}
+
+// inPlaceTail reports whether every layer of layers is an inPlacer, so
+// that whatever precedes them makes the chain's answer.
+func inPlaceTail(layers []Layer) bool {
+	for _, l := range layers {
+		if _, ok := l.(inPlacer); !ok {
+			return false
+		}
+	}
+	return true
 }
 
 // convBN matches the fusable pattern at the head of layers — a Conv2D,
@@ -122,11 +183,6 @@ func convBN(layers []Layer) (*Conv2D, convPost, int) {
 		}
 	}
 	return conv, convPost{bn: bn}, 2
-}
-
-// sameStorage reports whether two tensors view the same backing array.
-func sameStorage(a, b *tensor.Tensor) bool {
-	return len(a.Data) > 0 && len(b.Data) > 0 && &a.Data[0] == &b.Data[0]
 }
 
 // Backward runs every layer's backward pass in reverse order.

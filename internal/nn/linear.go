@@ -28,6 +28,13 @@ func (f *Flatten) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	return x.Reshape(n, x.Len()/n)
 }
 
+// ForwardInPlace reshapes x itself to Forward(x, false)'s shape: a chain
+// that made x owns its header as well as its data.
+func (f *Flatten) ForwardInPlace(x *tensor.Tensor) {
+	n := x.Shape[0]
+	x.Shape = append(x.Shape[:0], n, x.Len()/n)
+}
+
 // Backward restores the original shape.
 func (f *Flatten) Backward(grad *tensor.Tensor) *tensor.Tensor {
 	if f.inShape == nil {
@@ -75,6 +82,14 @@ func NewLinear(label string, in, out int, rng *rand.Rand) *Linear {
 func (l *Linear) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	y := tensor.New(x.Shape[0], l.Out)
 	l.ForwardInto(y, x, train)
+	return y
+}
+
+// infer is the inference Forward into an output taken with
+// newOut(pooled, …).
+func (l *Linear) infer(x *tensor.Tensor, pooled bool) *tensor.Tensor {
+	y := newOut(pooled, x.Shape[0], l.Out)
+	l.ForwardInto(y, x, false)
 	return y
 }
 

@@ -34,22 +34,11 @@ func (p *MaxPool2D) OutShape(in []int) []int {
 // Forward computes the max over each window, caching argmax for Backward
 // when training.
 func (p *MaxPool2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
-	if x.Rank() != 4 {
-		panic(fmt.Sprintf("nn: %s expects NCHW input, got %v", p.label, x.Shape))
-	}
-	n, c, h, w := x.Shape[0], x.Shape[1], x.Shape[2], x.Shape[3]
-	oh := (h-p.K)/p.Stride + 1
-	ow := (w-p.K)/p.Stride + 1
-	if oh < 1 || ow < 1 {
-		panic(fmt.Sprintf("nn: %s window %d too large for input %v", p.label, p.K, x.Shape))
-	}
-	y := tensor.New(n, c, oh, ow)
 	if !train {
-		for i := 0; i < n*c; i++ {
-			p.maxInto(y.Data[i*oh*ow:][:oh*ow], x.Data[i*h*w:][:h*w], w, ow)
-		}
-		return y
+		return p.infer(x, false)
 	}
+	n, c, h, w, oh, ow := p.dims(x)
+	y := tensor.New(n, c, oh, ow)
 	p.inShape = []int{n, c, h, w}
 	p.argmax = make([]int, n*c*oh*ow)
 	for i := 0; i < n; i++ {
@@ -75,6 +64,31 @@ func (p *MaxPool2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 				}
 			}
 		}
+	}
+	return y
+}
+
+// dims checks x and returns its NCHW dimensions and the output's
+// height and width.
+func (p *MaxPool2D) dims(x *tensor.Tensor) (n, c, h, w, oh, ow int) {
+	if x.Rank() != 4 {
+		panic(fmt.Sprintf("nn: %s expects NCHW input, got %v", p.label, x.Shape))
+	}
+	n, c, h, w = x.Shape[0], x.Shape[1], x.Shape[2], x.Shape[3]
+	oh = (h-p.K)/p.Stride + 1
+	ow = (w-p.K)/p.Stride + 1
+	if oh < 1 || ow < 1 {
+		panic(fmt.Sprintf("nn: %s window %d too large for input %v", p.label, p.K, x.Shape))
+	}
+	return n, c, h, w, oh, ow
+}
+
+// infer pools every plane into an output taken with newOut(pooled, …).
+func (p *MaxPool2D) infer(x *tensor.Tensor, pooled bool) *tensor.Tensor {
+	n, c, h, w, oh, ow := p.dims(x)
+	y := newOut(pooled, n, c, oh, ow)
+	for i := 0; i < n*c; i++ {
+		p.maxInto(y.Data[i*oh*ow:][:oh*ow], x.Data[i*h*w:][:h*w], w, ow)
 	}
 	return y
 }
@@ -138,8 +152,17 @@ func NewGlobalAvgPool2D(label string) *GlobalAvgPool2D {
 
 // Forward averages over H×W per channel.
 func (p *GlobalAvgPool2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
+	y := p.infer(x, false)
+	if train {
+		p.inShape = append([]int(nil), x.Shape...)
+	}
+	return y
+}
+
+// infer averages into an output taken with newOut(pooled, …).
+func (p *GlobalAvgPool2D) infer(x *tensor.Tensor, pooled bool) *tensor.Tensor {
 	n, c, h, w := x.Shape[0], x.Shape[1], x.Shape[2], x.Shape[3]
-	y := tensor.New(n, c)
+	y := newOut(pooled, n, c)
 	inv := 1 / float32(h*w)
 	for i := 0; i < n; i++ {
 		for ch := 0; ch < c; ch++ {
@@ -150,9 +173,6 @@ func (p *GlobalAvgPool2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 			}
 			y.Data[i*c+ch] = s * inv
 		}
-	}
-	if train {
-		p.inShape = []int{n, c, h, w}
 	}
 	return y
 }

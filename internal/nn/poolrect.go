@@ -28,6 +28,16 @@ func NewMaxPoolRect(label string, kh, kw, sh, sw int) *MaxPoolRect {
 
 // Forward computes the windowed max.
 func (p *MaxPoolRect) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
+	return p.forward(x, train, false)
+}
+
+// infer is the inference Forward, its output taken with newOut(pooled, …).
+func (p *MaxPoolRect) infer(x *tensor.Tensor, pooled bool) *tensor.Tensor {
+	return p.forward(x, false, pooled)
+}
+
+// forward is Forward with its output taken by newOut(pooled, …).
+func (p *MaxPoolRect) forward(x *tensor.Tensor, train, pooled bool) *tensor.Tensor {
 	if x.Rank() != 4 {
 		panic(fmt.Sprintf("nn: %s expects NCHW, got %v", p.label, x.Shape))
 	}
@@ -37,7 +47,7 @@ func (p *MaxPoolRect) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	if oh < 1 || ow < 1 {
 		panic(fmt.Sprintf("nn: %s window too large for %v", p.label, x.Shape))
 	}
-	y := tensor.New(n, c, oh, ow)
+	y := newOut(pooled, n, c, oh, ow)
 	if train {
 		p.inShape = []int{n, c, h, w}
 		p.argmax = make([]int, n*c*oh*ow)

@@ -25,12 +25,21 @@ func NewUpsample2D(label string, factor int) *Upsample2D {
 
 // Forward replicates each pixel factor×factor times.
 func (u *Upsample2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
+	y := u.infer(x, false)
+	if train {
+		u.inShape = append([]int(nil), x.Shape...)
+	}
+	return y
+}
+
+// infer upsamples into an output taken with newOut(pooled, …).
+func (u *Upsample2D) infer(x *tensor.Tensor, pooled bool) *tensor.Tensor {
 	if x.Rank() != 4 {
 		panic(fmt.Sprintf("nn: %s expects NCHW, got %v", u.label, x.Shape))
 	}
 	n, c, h, w := x.Shape[0], x.Shape[1], x.Shape[2], x.Shape[3]
 	f := u.Factor
-	y := tensor.New(n, c, h*f, w*f)
+	y := newOut(pooled, n, c, h*f, w*f)
 	for i := 0; i < n*c; i++ {
 		src := x.Data[i*h*w : (i+1)*h*w]
 		dst := y.Data[i*h*f*w*f:]
@@ -45,9 +54,6 @@ func (u *Upsample2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 				}
 			}
 		}
-	}
-	if train {
-		u.inShape = []int{n, c, h, w}
 	}
 	return y
 }

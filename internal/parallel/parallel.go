@@ -45,35 +45,11 @@ func ForChunkedWorkers(n, chunk, workers int, fn func(lo, hi int)) {
 	}
 	if workers <= 1 || nChunks == 1 {
 		for lo := 0; lo < n; lo += chunk {
-			hi := lo + chunk
-			if hi > n {
-				hi = n
-			}
-			fn(lo, hi)
+			fn(lo, min(lo+chunk, n))
 		}
 		return
 	}
-	var next int64 = -1
-	var wg sync.WaitGroup
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func() {
-			defer wg.Done()
-			for {
-				ci := int(atomic.AddInt64(&next, 1))
-				if ci >= nChunks {
-					return
-				}
-				lo := ci * chunk
-				hi := lo + chunk
-				if hi > n {
-					hi = n
-				}
-				fn(lo, hi)
-			}
-		}()
-	}
-	wg.Wait()
+	fanOut(n, chunk, workers, fn, nil)
 }
 
 // ForWorkers is For with an explicit worker bound.
@@ -90,20 +66,58 @@ func ForWorkers(n, workers int, fn func(i int)) {
 		}
 		return
 	}
-	var next int64 = -1
-	var wg sync.WaitGroup
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(atomic.AddInt64(&next, 1))
-				if i >= n {
-					return
-				}
-				fn(i)
-			}
-		}()
+	fanOut(n, 1, workers, nil, fn)
+}
+
+// job is one fanned-out loop: everything its workers share lives in
+// this one record, recycled through jobs. Workers claim chunks
+// [lo, lo+chunk) of [0, n) through next until none is left; the ranges
+// are disjoint, so the outcome does not depend on which worker ran which.
+type job struct {
+	next     atomic.Int64
+	wg       sync.WaitGroup
+	n, chunk int
+	ranges   func(lo, hi int) // one of ranges and each is set
+	each     func(i int)
+}
+
+var jobs = sync.Pool{New: func() any { return new(job) }}
+
+// fanOut runs the loop on workers goroutines — workers−1 spawned ones
+// and the caller's — and returns once every chunk is done. The one
+// allocation is the closure each go statement makes: the record itself
+// comes from jobs and goes back once the last worker has signed off.
+func fanOut(n, chunk, workers int, ranges func(lo, hi int), each func(i int)) {
+	j := jobs.Get().(*job)
+	j.n, j.chunk, j.ranges, j.each = n, chunk, ranges, each
+	j.next.Store(0)
+	j.wg.Add(workers - 1)
+	for w := 1; w < workers; w++ {
+		go j.run()
 	}
-	wg.Wait()
+	j.work()
+	j.wg.Wait()
+	j.ranges, j.each = nil, nil
+	jobs.Put(j)
+}
+
+// run is a spawned worker.
+func (j *job) run() {
+	defer j.wg.Done()
+	j.work()
+}
+
+// work claims and runs chunks until none is left.
+func (j *job) work() {
+	for {
+		lo := int(j.next.Add(int64(j.chunk))) - j.chunk
+		if lo >= j.n {
+			return
+		}
+		if j.each != nil {
+			j.each(lo)
+			continue
+		}
+		j.ranges(lo, min(lo+j.chunk, j.n))
+	}
 }

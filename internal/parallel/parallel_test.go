@@ -1,6 +1,7 @@
 package parallel
 
 import (
+	"sync"
 	"sync/atomic"
 	"testing"
 	"testing/quick"
@@ -130,4 +131,63 @@ func TestForChunkedWorkersSingleInOrder(t *testing.T) {
 			t.Fatalf("ranges = %v, want %v", ranges, want)
 		}
 	}
+}
+
+// TestFanOutAllocatesOnce: a fanned-out call allocates its one shared
+// record at most — the calling goroutine works as one of the workers and
+// the spawned ones start straight from the record — with the loop
+// bodies' own closures made once, outside the measured call.
+func TestFanOutAllocatesOnce(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector allocates on goroutine start")
+	}
+	var sum atomic.Int64
+	ranges := func(lo, hi int) { sum.Add(int64(hi - lo)) }
+	each := func(i int) { sum.Add(1) }
+	for _, tc := range []struct {
+		name string
+		call func()
+	}{
+		{"ForChunkedWorkers", func() { ForChunkedWorkers(64, 4, 2, ranges) }},
+		{"ForWorkers", func() { ForWorkers(16, 2, each) }},
+	} {
+		tc.call()
+		allocs := testing.AllocsPerRun(200, tc.call)
+		t.Logf("%s: %v", tc.name, allocs)
+		if allocs > 1 {
+			t.Errorf("%s at 2 workers allocates %v per call, want at most 1", tc.name, allocs)
+		}
+	}
+	if got := sum.Load(); got != 202*64+202*16 {
+		t.Fatalf("covered %d indices, want %d", got, 202*64+202*16)
+	}
+}
+
+// TestFanOutConcurrentCallers: loops fanned out from several goroutines
+// at once share the pooled job records, and each still covers its own
+// indices exactly once.
+func TestFanOutConcurrentCallers(t *testing.T) {
+	var wg sync.WaitGroup
+	for c := 0; c < 4; c++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for rep := 0; rep < 50; rep++ {
+				counts := make([]int64, 97)
+				ForChunkedWorkers(len(counts), 5, 3, func(lo, hi int) {
+					for i := lo; i < hi; i++ {
+						atomic.AddInt64(&counts[i], 1)
+					}
+				})
+				ForWorkers(len(counts), 3, func(i int) { atomic.AddInt64(&counts[i], 1) })
+				for i, n := range counts {
+					if n != 2 {
+						t.Errorf("index %d covered %d times, want 2", i, n)
+						return
+					}
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }

@@ -62,6 +62,9 @@ func PutBuf(buf []float32) {
 	if c == 0 || c&(c-1) != 0 || bits.Len(uint(c))-1 > maxBucket {
 		return
 	}
+	if poison {
+		fillNaN(buf[:c])
+	}
 	p := shells.Get().(*[]float32)
 	*p = buf[:0:c]
 	bufPools[bits.Len(uint(c))-1].Put(p)
@@ -111,22 +114,29 @@ func PutBytes(buf []byte) {
 	bytePools[bits.Len(uint(c))-1].Put(p)
 }
 
-// GetTensor returns a tensor with pooled backing storage and unspecified
-// contents. Release it with PutTensor. The Tensor header itself is a fresh
-// allocation; callers on a zero-alloc path should hold raw slices instead.
+// Tensor headers recycle through a pool of their own, each keeping its
+// rank-4 shape backing, so a GetTensor/PutTensor pair allocates nothing
+// at steady state: not the data, not the header, not the shape.
+var headers = sync.Pool{New: func() any { return header(nil) }}
+
+// GetTensor returns a tensor with pooled storage and header and
+// unspecified contents. Release it with PutTensor.
 func GetTensor(shape ...int) *Tensor {
-	n := Volume(shape)
-	s := make([]int, len(shape))
-	copy(s, shape)
-	return &Tensor{Shape: s, Data: GetBuf(n)}
+	t := headers.Get().(*Tensor)
+	t.Shape = append(t.Shape[:0], shape...)
+	t.Data = GetBuf(Volume(shape))
+	return t
 }
 
-// PutTensor recycles a tensor's backing storage obtained from GetTensor.
-// The tensor (and any views sharing its data) must not be used afterwards.
+// PutTensor recycles a tensor obtained from GetTensor: its storage and
+// its header both go back to the pools, so neither t nor any view sharing
+// its data may be used afterwards — a later GetTensor hands the same
+// header to someone else. A nil t is a no-op.
 func PutTensor(t *Tensor) {
 	if t == nil {
 		return
 	}
 	PutBuf(t.Data)
 	t.Data = nil
+	headers.Put(t)
 }

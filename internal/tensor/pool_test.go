@@ -54,10 +54,29 @@ func TestGetPutTensor(t *testing.T) {
 	}
 	x.Fill(1)
 	PutTensor(x)
-	if x.Data != nil {
-		t.Fatal("PutTensor must detach the data slice")
-	}
 	PutTensor(nil) // must not panic
+	// A recycled header takes the new shape whatever rank it had.
+	y := GetTensor(2, 3, 4, 5)
+	if y.Rank() != 4 || y.Len() != 120 || y.Shape[3] != 5 {
+		t.Fatalf("GetTensor after a put: shape %v len %d", y.Shape, y.Len())
+	}
+	PutTensor(y)
+}
+
+// TestGetPutTensorAllocFree: a Get/Put pair recycles the header and its
+// shape as well as the data, so at steady state it allocates nothing.
+func TestGetPutTensorAllocFree(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race detector makes sync.Pool drop puts; alloc counts are meaningless")
+	}
+	PutTensor(GetTensor(1, 8, 16, 16)) // prime the pools
+	allocs := testing.AllocsPerRun(200, func() {
+		PutTensor(GetTensor(1, 8, 16, 16))
+	})
+	// Tolerate sub-1 noise: a GC sweep may empty a sync.Pool mid-run.
+	if allocs >= 0.5 {
+		t.Fatalf("GetTensor/PutTensor allocates %v per cycle, want 0", allocs)
+	}
 }
 
 func TestGetBufAllocFree(t *testing.T) {

@@ -28,9 +28,25 @@ func New(shape ...int) *Tensor {
 		}
 		n *= d
 	}
-	s := make([]int, len(shape))
-	copy(s, shape)
-	return &Tensor{Shape: s, Data: make([]float32, n)}
+	t := header(shape)
+	t.Data = make([]float32, n)
+	return t
+}
+
+// header returns a new tensor header holding a copy of shape. Up to
+// rank 4 the shape's backing array lives in the header's allocation, so
+// a fresh tensor costs two allocations, the header and its data, not
+// three.
+func header(shape []int) *Tensor {
+	if len(shape) > 4 {
+		return &Tensor{Shape: append([]int(nil), shape...)}
+	}
+	h := new(struct {
+		t     Tensor
+		shape [4]int
+	})
+	h.t.Shape = append(h.shape[:0], shape...)
+	return &h.t
 }
 
 // FromSlice wraps data in a tensor of the given shape. The slice is used
@@ -43,9 +59,9 @@ func FromSlice(data []float32, shape ...int) *Tensor {
 	if len(data) != n {
 		panic(fmt.Sprintf("tensor: data length %d does not match the rank-%d shape's volume %d", len(data), len(shape), n))
 	}
-	s := make([]int, len(shape))
-	copy(s, shape)
-	return &Tensor{Shape: s, Data: data}
+	t := header(shape)
+	t.Data = data
+	return t
 }
 
 // Len returns the total number of elements.
@@ -85,11 +101,19 @@ func (t *Tensor) Reshape(shape ...int) *Tensor {
 		n *= d
 	}
 	if n != len(t.Data) {
-		panic(fmt.Sprintf("tensor: reshape %v -> %v volume mismatch", t.Shape, shape))
+		// The target shape is not formatted: that would make every
+		// caller heap-allocate its argument array.
+		panic(fmt.Sprintf("tensor: reshape %v -> a rank-%d shape: volume mismatch %d vs %d", t.Shape, len(shape), len(t.Data), n))
 	}
-	s := make([]int, len(shape))
-	copy(s, shape)
-	return &Tensor{Shape: s, Data: t.Data}
+	v := header(shape)
+	v.Data = t.Data
+	return v
+}
+
+// SharesData reports whether t and o view the same backing array from
+// the same first element: o is t, or a reshape of it.
+func (t *Tensor) SharesData(o *Tensor) bool {
+	return len(t.Data) > 0 && len(o.Data) > 0 && &t.Data[0] == &o.Data[0]
 }
 
 // Zero sets every element to 0.
