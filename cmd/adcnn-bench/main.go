@@ -169,16 +169,6 @@ var experimentTable = []struct {
 		}
 		return nil
 	}},
-	// Control-plane sharding: single vs dual Central replica throughput
-	// over one shared live-TCP Conv pool.
-	{"cluster", false, func(e *env) error {
-		rep, err := experiments.ClusterBench(e.images * 4)
-		if err != nil {
-			return err
-		}
-		rep.WriteText(e.w)
-		return e.report("cluster", rep)
-	}},
 	{"locality", false, text(func(e *env) (*experiments.LocalityResult, error) {
 		return experiments.FeatureLocality(accuracySetup(e))
 	})},

@@ -47,8 +47,8 @@ func main() {
 
 	// One worker, one NodeServer: every Central that connects gets an
 	// independent session (own epoch, timing buffers, bounded compute
-	// queue) while sharing the node's one simulated device, so N
-	// replicas see the node's real capacity split between them.
+	// queue) while sharing the node's model and cores, so N replicas
+	// split the node's real capacity between them.
 	w := core.NewWorker(*id, m)
 	ns := core.NewNodeServer(w, 0)
 

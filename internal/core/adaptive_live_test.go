@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"math/rand"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -10,8 +11,34 @@ import (
 
 	"adcnn/internal/fdsp"
 	"adcnn/internal/models"
+	"adcnn/internal/nn"
 	"adcnn/internal/tensor"
 )
+
+// holdLayer is an identity layer that first sleeps for the current hold:
+// appended to a node's front, it makes the node slow in its compute.
+type holdLayer struct {
+	d atomic.Int64 // ns
+}
+
+func (h *holdLayer) Forward(x *tensor.Tensor, _ bool) *tensor.Tensor {
+	time.Sleep(time.Duration(h.d.Load()))
+	return x
+}
+func (h *holdLayer) Backward(g *tensor.Tensor) *tensor.Tensor { return g }
+func (h *holdLayer) Params() []*nn.Param                      { return nil }
+func (h *holdLayer) Name() string                             { return "hold" }
+
+// slowWorker returns a worker over a copy of m whose front ends in a
+// hold layer holding every tile for d, and the layer, so the test can
+// change the hold mid-run. The copy shares m's weights.
+func slowWorker(id int, m *models.Model, d time.Duration) (*Worker, *holdLayer) {
+	hold := new(holdLayer)
+	hold.d.Store(int64(d))
+	cp := *m
+	cp.Front = nn.NewSequential(m.Front.Name(), append(slices.Clone(m.Front.Layers), hold)...)
+	return NewWorker(id, &cp), hold
+}
 
 // slowLink holds every message the Central receives over Conn for the
 // current delay before handing it on: the results of the node behind it
@@ -68,14 +95,17 @@ func TestLiveRuntimeAdaptsToSlowWorker(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			conns := make([]Conn, workers)
 			ws := make([]*Worker, workers)
+			var hold *holdLayer
 			var wg sync.WaitGroup
 			for i := range ws {
 				a, b := Pipe()
 				conns[i], ws[i] = a, NewWorker(i+1, m)
+				if i == slow {
+					ws[i], hold = slowWorker(i+1, m, tc.compute)
+				}
 				wg.Add(1)
 				go func() { defer wg.Done(); _ = ws[i].Serve(context.Background(), b) }()
 			}
-			ws[slow].SetDelay(tc.compute)
 			link := &slowLink{Conn: conns[slow]}
 			link.delay.Store(int64(tc.link))
 			conns[slow] = link
@@ -115,7 +145,7 @@ func TestLiveRuntimeAdaptsToSlowWorker(t *testing.T) {
 
 			// Lift the fault. A shed node has starved by now, so only
 			// probation can give it tiles again.
-			ws[slow].SetDelay(0)
+			hold.d.Store(0)
 			link.delay.Store(0)
 			due := time.Now().Add(probationCadence)
 			for late := 0; ; {

@@ -187,8 +187,7 @@ func TestWaitAfterShutdownFailsFast(t *testing.T) {
 	for i := range conns {
 		a, b := Pipe()
 		conns[i] = a
-		w := NewWorker(i+1, m)
-		w.SetDelay(500 * time.Millisecond)
+		w, _ := slowWorker(i+1, m, 500*time.Millisecond)
 		wg.Add(1)
 		go func() { defer wg.Done(); _ = w.Serve(context.Background(), b) }()
 	}

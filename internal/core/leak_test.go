@@ -97,8 +97,7 @@ func TestNoGoroutineLeakAfterNodeLeaves(t *testing.T) {
 	// genuinely unsettled when its connection closes.
 	const k = 2
 	a, b := Pipe()
-	w := NewWorker(k+1, m)
-	w.SetDelay(2 * time.Millisecond)
+	w, _ := slowWorker(k+1, m, 2*time.Millisecond)
 	var wwg sync.WaitGroup
 	wwg.Add(1)
 	go func() { defer wwg.Done(); _ = w.Serve(context.Background(), b) }()

@@ -104,16 +104,16 @@ type pendingEntry struct {
 // demux is the pending table shared by every node session.
 type demux struct {
 	mu sync.Mutex
-	m  map[pendingKey]*pendingEntry
+	m  map[pendingKey]pendingEntry
 }
 
-func (d *demux) init() { d.m = make(map[pendingKey]*pendingEntry) }
+func (d *demux) init() { d.m = make(map[pendingKey]pendingEntry) }
 
 // register enters every tile of an image into the table.
 func (d *demux) register(col *imageCollector, tiles int) {
 	d.mu.Lock()
 	for t := 0; t < tiles; t++ {
-		d.m[pendingKey{col.img, uint32(t)}] = &pendingEntry{col: col, node: -1}
+		d.m[pendingKey{col.img, uint32(t)}] = pendingEntry{col: col, node: -1}
 	}
 	d.mu.Unlock()
 }
@@ -127,6 +127,7 @@ func (d *demux) markEnqueued(k pendingKey, node int, ns int64, bytes int) {
 		e.enqNs = ns
 		e.sentNs = 0
 		e.taskBytes = bytes
+		d.m[k] = e
 	}
 	d.mu.Unlock()
 }
@@ -136,13 +137,15 @@ func (d *demux) markSent(k pendingKey, ns int64) {
 	d.mu.Lock()
 	if e, ok := d.m[k]; ok {
 		e.sentNs = ns
+		d.m[k] = e
 	}
 	d.mu.Unlock()
 }
 
-// claim removes and returns the entry for a key. The removal makes
-// delivery exactly-once: a duplicate or late result finds no entry.
-func (d *demux) claim(k pendingKey) (*pendingEntry, bool) {
+// claim removes the entry for a key and returns a copy of it. The
+// removal makes delivery exactly-once: a duplicate or late result finds
+// no entry.
+func (d *demux) claim(k pendingKey) (pendingEntry, bool) {
 	d.mu.Lock()
 	e, ok := d.m[k]
 	if ok {

@@ -189,8 +189,7 @@ func TestInferContextCancellation(t *testing.T) {
 	for i := 0; i < 2; i++ {
 		a, b := Pipe()
 		conns[i] = a
-		w := NewWorker(i+1, m)
-		w.SetDelay(time.Second) // results won't arrive before the cancel
+		w, _ := slowWorker(i+1, m, time.Second) // results won't arrive before the cancel
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
@@ -224,7 +223,7 @@ func TestInferContextCancellation(t *testing.T) {
 
 // TestStaleResultsCounted: results landing after T_L settled their tiles
 // must be dropped and recorded as stale flight events, not delivered to
-// a dead collector. The worker's delay puts every result well past the
+// a dead collector. The worker's hold puts every result well past the
 // 1ns T_L, so every tile misses and comes back stale.
 func TestStaleResultsCounted(t *testing.T) {
 	m, err := models.Build(models.VGGSim(), models.Options{Grid: fdsp.Grid{Rows: 2, Cols: 2}}, 42)
@@ -232,8 +231,7 @@ func TestStaleResultsCounted(t *testing.T) {
 		t.Fatal(err)
 	}
 	a, b := Pipe()
-	w := NewWorker(1, m)
-	w.SetDelay(50 * time.Millisecond)
+	w, _ := slowWorker(1, m, 50*time.Millisecond)
 	var wg sync.WaitGroup
 	wg.Add(1)
 	go func() { defer wg.Done(); _ = w.Serve(context.Background(), b) }()

@@ -77,7 +77,7 @@ func (m *Message) ReleasePayload() {
 type ConvTiming struct {
 	RecvNs         int64 // task frame read off the wire
 	DecodeNs       int64 // input tensor decoded
-	ComputeStartNs int64 // device free, Front compute begins (queue wait ends)
+	ComputeStartNs int64 // compute loop takes the task, Front compute begins (queue wait ends)
 	ComputeEndNs   int64 // Front+Boundary forward done
 	EncodeNs       int64 // result payload encoded
 	SendNs         int64 // result frame about to be written

@@ -24,34 +24,7 @@ type Worker struct {
 	Model *models.Model
 	// Metrics, when set, records task counts and per-tile process time.
 	Metrics *WorkerMetrics
-
-	// delay is the artificial per-tile latency (see SetDelay).
-	delay atomic.Int64
-	// clockSkew offsets every timestamp this worker stamps into timing
-	// records — a fault-injection hook modelling a Conv node whose
-	// monotonic clock disagrees with the Central's (the offset estimator
-	// must absorb it; see the chaos harness's clock-skew drill).
-	clockSkew atomic.Int64
 }
-
-// SetClockSkew shifts the worker's timing-record clock by d — race-safe,
-// effective from the next timestamp. Zero restores honest stamps.
-func (w *Worker) SetClockSkew(d time.Duration) {
-	w.clockSkew.Store(int64(d))
-}
-
-// now is monoNow plus the injected clock skew; every ConvTiming
-// timestamp the worker produces comes through here.
-func (w *Worker) now() int64 {
-	return monoNow() + w.clockSkew.Load()
-}
-
-// SetDelay sets the artificial per-tile latency — the live-runtime
-// equivalent of throttling a device with CPUlimit, used to exercise the
-// adaptive scheduler against a genuinely slow node. Race-safe at any
-// time, before Serve or mid-run (gray-failure and SLO experiments); it
-// takes effect from the next task.
-func (w *Worker) SetDelay(d time.Duration) { w.delay.Store(int64(d)) }
 
 // NewWorker creates a Conv-node worker around a model instance (the
 // worker uses only Front and Boundary).
@@ -79,16 +52,13 @@ const DefaultSessionQueue = 4
 // NodeServer is the multi-session serving state of one Conv node: many
 // Central replicas hold concurrent connections to the same node, each
 // with an independent session (its own receive/compute goroutine pair,
-// timing buffers and bounded compute queue), while the node's one
-// simulated device — the Delay pacer — is shared across all of them, so
-// two Centrals splitting a node see its real capacity split between
-// them rather than doubled.
+// timing buffers and bounded compute queue). The sessions share only
+// the worker's model and the host's cores.
 type NodeServer struct {
 	w     *Worker
 	queue int
 
 	mu       sync.Mutex
-	nextFree time.Time // shared device pacer across sessions
 	seq      uint64
 	sessions map[uint64]*workerSession
 }
@@ -142,34 +112,6 @@ func (ns *NodeServer) Sessions() []WorkerSessionDebug {
 	return out
 }
 
-// pace charges the shared device pacer for one task and sleeps until the
-// device frees up. The device takes the task up when it arrived (recv)
-// or when the previous task releases it, whichever is later — from any
-// session — so a task that was already queued starts the instant the
-// device frees, however long this host took to wake up, compute and
-// send the previous result; the node's simulated capacity is one
-// fixed-rate resource no matter how many Centrals are attached or how
-// busy the host is (see the Delay comment in the compute loop for why a
-// plain sleep would be wrong).
-func (ns *NodeServer) pace(ctx context.Context, delay time.Duration, recv time.Time) bool {
-	ns.mu.Lock()
-	if ns.nextFree.Before(recv) {
-		ns.nextFree = recv
-	}
-	ns.nextFree = ns.nextFree.Add(delay)
-	rem := time.Until(ns.nextFree)
-	ns.mu.Unlock()
-	if rem <= 0 {
-		return true
-	}
-	select {
-	case <-time.After(rem):
-		return true
-	case <-ctx.Done():
-		return false
-	}
-}
-
 // workerTask is one decoded tile task queued between a session's recv
 // and compute loops. Tasks are pooled: the decoded tensor (or quantized
 // levels) ride along so decode can run ahead of compute without
@@ -189,9 +131,9 @@ var workerTaskPool = sync.Pool{New: func() any {
 }}
 
 // workerSession is one Central's connection to the node: a recv loop
-// (decode into the bounded task queue) and a compute loop (pace,
-// compute, encode, send) with per-session scratch, so concurrent
-// sessions never share mutable state beyond the device pacer.
+// (decode into the bounded task queue) and a compute loop (compute,
+// encode, send) with per-session scratch, so concurrent sessions share
+// no mutable state.
 type workerSession struct {
 	ns      *NodeServer
 	id      uint64
@@ -296,7 +238,7 @@ func (s *workerSession) recvLoop(ctx context.Context) error {
 		}
 		t := workerTaskPool.Get().(*workerTask)
 		t.start = time.Now()
-		t.tm = ConvTiming{RecvNs: w.now()}
+		t.tm = ConvTiming{RecvNs: monoNow()}
 		t.img, t.tile = m.ImageID, m.TileID
 		t.traceID, t.spanID = m.TraceID, m.SpanID
 		t.quantized = m.Quantized
@@ -310,7 +252,7 @@ func (s *workerSession) recvLoop(ctx context.Context) error {
 			putWorkerTask(t)
 			return fmt.Errorf("core: worker %d: %w", w.ID, err)
 		}
-		t.tm.DecodeNs = w.now()
+		t.tm.DecodeNs = monoNow()
 		select {
 		case s.tasks <- t:
 		case <-s.dead:
@@ -323,11 +265,10 @@ func (s *workerSession) recvLoop(ctx context.Context) error {
 	}
 }
 
-// computeLoop drains the task queue: pace the shared device, run
-// Front + Boundary, encode, send the result. Results leave in task
-// order, preserving the single-session wire contract. Per-session
-// encode scratch is reused across tiles; the result message is only
-// borrowed by Send.
+// computeLoop drains the task queue: run Front + Boundary, encode,
+// send the result. Results leave in task order, preserving the
+// single-session wire contract. Per-session encode scratch is reused
+// across tiles; the result message is only borrowed by Send.
 func (s *workerSession) computeLoop(ctx context.Context) error {
 	w := s.ns.w
 	met := w.Metrics
@@ -335,26 +276,11 @@ func (s *workerSession) computeLoop(ctx context.Context) error {
 	var encBuf []byte
 	defer func() { tensor.PutBytes(encBuf) }()
 	for t := range s.tasks {
-		// The delay models a device that serves tiles at a fixed rate:
-		// each task occupies the device for the delay of wall-clock time,
-		// and back-to-back tasks — across every attached session — chain
-		// off the previous release time rather than off this goroutine's
-		// (scheduler-jittered) wake-up. A plain sleep-per-task would model
-		// a device that speeds up when more Centrals attach, which no real
-		// device does. The wait sits between decode and compute, so it
-		// shows up in the timing record as queue time, like a busy real
-		// device — and so does any wait in the bounded task queue itself.
-		if delay := time.Duration(w.delay.Load()); delay > 0 {
-			if !s.ns.pace(ctx, delay, t.start) {
-				putWorkerTask(t)
-				return nil
-			}
-		}
 		if ctx.Err() != nil {
 			putWorkerTask(t)
 			return nil
 		}
-		t.tm.ComputeStartNs = w.now()
+		t.tm.ComputeStartNs = monoNow()
 		var (
 			out                   []byte
 			compressed, quantized bool
@@ -375,7 +301,7 @@ func (s *workerSession) computeLoop(ctx context.Context) error {
 			s.taskCtr.Inc()
 			met.Process.ObserveDuration(time.Since(t.start).Nanoseconds())
 		}
-		t.tm.SendNs = w.now()
+		t.tm.SendNs = monoNow()
 		*res = Message{
 			Kind: KindResult, ImageID: t.img, TileID: t.tile,
 			Compressed: compressed, Quantized: quantized, Payload: out,
@@ -448,20 +374,20 @@ func (w *Worker) boundaryEncode(y *tensor.Tensor, tm *ConvTiming, buf []byte) ([
 		// is empty.
 		w.Model.Boundary.Layers[0].(*nn.ClippedReLU).ForwardInPlace(y)
 	}
-	tm.ComputeEndNs = w.now()
+	tm.ComputeEndNs = monoNow()
 	if clipped && opt.QuantBits > 0 {
 		p := compress.NewPipeline(opt.QuantBits, opt.ClipHi-opt.ClipLo)
 		// Pre-size to the worst case so the fused encoder never grows the
 		// buffer mid-scan; at steady state the same buffer serves every tile.
 		buf = growBytes(buf, p.MaxEncodedSize(y))
 		out, err := p.EncodeInto(buf[:0], y)
-		tm.EncodeNs = w.now()
+		tm.EncodeNs = monoNow()
 		if err != nil {
 			return buf[:0], true, false, err
 		}
 		return out, true, false, nil
 	}
 	out, levels := encodeLevelsOrRaw(buf, y, opt.Int8)
-	tm.EncodeNs = w.now()
+	tm.EncodeNs = monoNow()
 	return out, false, levels, nil
 }

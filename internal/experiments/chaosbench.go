@@ -32,7 +32,7 @@ import (
 // defaults sized for a ~10s-per-drill run. The healthy traffic before
 // calibration lasts 1.5× SlowWindow.
 type ChaosBenchConfig struct {
-	BaseDelay  time.Duration // healthy per-tile Conv service time (default 2ms)
+	BaseDelay  time.Duration // every node's healthy per-tile hold (default 2ms)
 	FastWindow time.Duration // SLO fast burn window (default 500ms)
 	SlowWindow time.Duration // SLO slow burn window (default 2s)
 	Timeout    time.Duration // per-assertion wait bound (default 6×slow)
@@ -42,14 +42,14 @@ type ChaosBenchConfig struct {
 // The drills' fixed fault sizes.
 //
 // chaosSlowFactor scales the *measured* healthy tile p99, not
-// BaseDelay: the slow node's per-tile service time becomes
+// BaseDelay: the slow node's per-tile hold becomes
 // chaosSlowFactor×p99 while the objective sits at 2.5×p99, so the slow
 // node is unambiguously bad and the healthy nodes unambiguously good
 // however loaded the host is.
 const (
 	chaosNodes        = 4                     // cluster size
 	chaosThrottleRate = 96 << 10              // bandwidth drill cap, bytes/sec
-	chaosSlowFactor   = 5                     // slow-node drill service time, ×(baseline p99)
+	chaosSlowFactor   = 5                     // slow-node drill hold, ×(baseline p99)
 	chaosSkew         = 30 * time.Millisecond // clock-skew drill injection
 )
 
@@ -80,7 +80,7 @@ type chaosDrill struct {
 // chaosDrills is the schedule, in run order. The link faults run on
 // closed-loop traffic, which keeps the link estimates fed. The slow
 // node is a gray failure the SLO engine and the health scorer must
-// catch on their own, paced at 1.5× the injected service time: a fault
+// catch on their own, paced at 1.5× the injected hold: a fault
 // that slowed the image rate would skew the good/bad tile mix inside
 // the burn windows and stretch detection for reasons that have nothing
 // to do with the engine.
@@ -261,7 +261,7 @@ func newDrillRig(cfg ChaosBenchConfig) (*drillRig, error) {
 	// One tile per node: a faulted node's slowdown lands on exactly its
 	// share of tiles, so the bad fraction is 1/Nodes by design.
 	c, live, stop, err := liveCentral(models.Options{Grid: fdsp.Grid{Rows: 2, Cols: 2}}, chaosNodes,
-		func(w *core.Worker) { w.SetDelay(cfg.BaseDelay) }, core.CentralConfig{Metrics: met, Flight: flight})
+		cfg.BaseDelay, core.CentralConfig{Metrics: met, Flight: flight})
 	if err != nil {
 		return nil, err
 	}
@@ -559,7 +559,7 @@ func drillSkew(cl *drillRig, res *ChaosDrillResult) {
 	res.check("offset-warmup", warm, "offset estimator warmed on tile exchanges")
 
 	res.FaultAtMs = cl.sinceMs(time.Now())
-	target.w.SetClockSkew(chaosSkew)
+	target.skew.Store(int64(chaosSkew))
 	// The node's stamps now read +skew, so the mapping back onto the
 	// Central's clock must converge to −skew.
 	off, ok := waitFor(cl.ctx, cfg.Timeout, func() (float64, bool) {
@@ -572,7 +572,7 @@ func drillSkew(cl *drillRig, res *ChaosDrillResult) {
 		off/1e6, skew/1e6, skew/1e6)
 
 	res.HealAtMs = cl.sinceMs(time.Now())
-	target.w.SetClockSkew(0)
+	target.skew.Store(0)
 	back, ok := waitFor(cl.ctx, cfg.Timeout, func() (float64, bool) {
 		off := float64(cl.session(target.idx).ClockOffsetNs)
 		return off, math.Abs(off) <= 0.3*skew
@@ -584,16 +584,17 @@ func drillSkew(cl *drillRig, res *ChaosDrillResult) {
 		"clock skew must not trip the Central-clock latency SLO")
 }
 
-// drillSlowNode is the gray-failure schedule: the last node serves
-// tiles chaosSlowFactor× slower, the SLO must breach with the health
-// tracker blaming that node, and recover once it heals. How fast the
-// breach fired is recorded, not checked.
+// drillSlowNode is the gray-failure schedule: the last node holds each
+// tile for chaosSlowFactor× the healthy tile p99, the SLO must breach
+// with the health tracker blaming that node's compute phase, and
+// recover once it heals. How fast the breach fired is recorded, not
+// checked.
 func drillSlowNode(cl *drillRig, res *ChaosDrillResult) {
 	cfg := cl.cfg
 	target := cl.nodes[len(cl.nodes)-1]
 	inject := time.Duration(chaosSlowFactor * cl.p99 * float64(time.Second))
 	res.FaultAtMs = cl.sinceMs(time.Now())
-	target.w.SetDelay(inject)
+	target.hold.Store(int64(inject))
 
 	breachAt, breached := waitFor(cl.ctx, cfg.Timeout, func() (float64, bool) {
 		return cl.seen(telemetry.SLOBreach, res.FaultAtMs)
@@ -606,13 +607,15 @@ func drillSlowNode(cl *drillRig, res *ChaosDrillResult) {
 		res.WithinTwoFastWin = res.DetectionMs <= 2*ms(cfg.FastWindow)
 		res.WarnAtMs, _ = cl.seen(telemetry.SLOWarn, res.FaultAtMs)
 		node, score, phase := cl.c.Health().Worst()
-		res.check("health-blame", node == target.idx,
-			"health tracker blames node %d (score %.2f, phase %s)", node, score, phase)
+		want := core.PhaseNames[core.PhaseCompute]
+		res.check("health-blame", node == target.idx && phase == want,
+			"health tracker blames node %d (score %.2f, phase %s), want node %d phase %s",
+			node, score, phase, target.idx, want)
 		cl.checkBlame(res, target)
 	}
 
 	res.HealAtMs = cl.sinceMs(time.Now())
-	target.w.SetDelay(cfg.BaseDelay)
+	target.hold.Store(int64(cfg.BaseDelay))
 	if breached {
 		at, ok := waitFor(cl.ctx, cfg.Timeout, func() (float64, bool) {
 			return cl.seen(telemetry.SLOOK, res.HealAtMs)

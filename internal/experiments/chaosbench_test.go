@@ -49,8 +49,8 @@ func TestChaosBenchReducedSchedule(t *testing.T) {
 // TestSlowNodeDrillDetectsInjectedSlowNode runs the slow-node drill at
 // reduced scale and asserts the acceptance criteria: the breach fires
 // within two fast-window periods of the injection, the health scorer
-// ranks the injected node worst, and the objective recovers after the
-// node heals.
+// ranks the injected node worst in its compute phase, and the objective
+// recovers after the node heals.
 //
 // The hard invariants (breach fires, flight ring dumps, recovery) must
 // hold on every attempt. The two timing-sensitive criteria — detection
@@ -133,7 +133,8 @@ func TestSlowNodeDrillDetectsInjectedSlowNode(t *testing.T) {
 }
 
 // worstIsInjected reports whether the drill's health-blame check held:
-// at the breach the tracker ranked the injected node worst.
+// at the breach the tracker ranked the injected node worst, and blamed
+// its compute phase.
 func worstIsInjected(d ChaosDrillResult) bool {
 	for _, c := range d.Checks {
 		if c.Name == "health-blame" {

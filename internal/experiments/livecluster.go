@@ -9,13 +9,16 @@ import (
 
 	"adcnn/internal/core"
 	"adcnn/internal/models"
+	"adcnn/internal/nn"
+	"adcnn/internal/tensor"
 )
 
 // liveCluster is the one fixture every live-runtime experiment boots: a
 // pool of Conv nodes on loopback TCP, each a NodeServer over one worker,
 // that any number of Centrals dial into. Real sockets everywhere, so
 // crashing a node is closing its listener and its connections, not
-// flipping a flag, and a second replica is just a second dial.
+// flipping a flag, and a second Central (the stream comparison runs
+// two) is just a second dial.
 type liveCluster struct {
 	opt    models.Options
 	nodes  []*liveNode
@@ -25,13 +28,16 @@ type liveCluster struct {
 }
 
 // liveNode is one Conv node of the pool and the handle experiments
-// inject faults through: w takes SetDelay/SetClockSkew, rate throttles
-// the node's sockets, crash/restart take it off and back on the network.
+// inject faults through. Three faults are read live, zero being
+// healthy: rate throttles the node's sockets, hold slows its compute,
+// skew shifts its clock. crash/restart take it off and back on the
+// network.
 type liveNode struct {
 	idx  int
 	addr string
-	w    *core.Worker
-	rate atomic.Int64 // bytes/sec cap on every connection; 0 = unthrottled
+	rate atomic.Int64 // bytes/sec cap on every connection
+	hold atomic.Int64 // ns each tile's front sleeps (holdLayer)
+	skew atomic.Int64 // ns added to every timing stamp sent (skewConn)
 
 	cl *liveCluster
 	ns *core.NodeServer
@@ -48,22 +54,22 @@ const (
 	liveGamma = 0.9
 )
 
-// startLiveCluster builds VGG-sim under opt and starts n nodes serving
-// it. setup, when non-nil, configures each worker (delay, metrics)
-// before it serves — mutating Worker fields later races with its reads.
-func startLiveCluster(opt models.Options, n int, setup func(*core.Worker)) (*liveCluster, error) {
-	m, err := models.Build(models.VGGSim(), opt, 42)
-	if err != nil {
-		return nil, err
-	}
+// startLiveCluster starts n nodes, each serving its own VGG-sim under
+// opt whose front ends in the node's hold layer, every hold starting
+// at hold.
+func startLiveCluster(opt models.Options, n int, hold time.Duration) (*liveCluster, error) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cl := &liveCluster{opt: opt, ctx: ctx, cancel: cancel}
 	for k := 0; k < n; k++ {
-		w := core.NewWorker(k+1, m)
-		if setup != nil {
-			setup(w)
+		m, err := models.Build(models.VGGSim(), opt, 42)
+		if err != nil {
+			cl.stop()
+			return nil, err
 		}
-		node := &liveNode{idx: k, w: w, cl: cl, ns: core.NewNodeServer(w, 0)}
+		node := &liveNode{idx: k, cl: cl}
+		node.hold.Store(int64(hold))
+		m.Front.Append(holdLayer{&node.hold})
+		node.ns = core.NewNodeServer(core.NewWorker(k+1, m), 0)
 		ln, err := net.Listen("tcp", "127.0.0.1:0")
 		if err != nil {
 			cl.stop()
@@ -78,7 +84,7 @@ func startLiveCluster(opt models.Options, n int, setup func(*core.Worker)) (*liv
 
 // central dials every node and starts a Central over the pool. cfg
 // carries the caller's observability and link settings; the fixture owns
-// the model (a fresh instance per Central: replicas must not contend on
+// the model (a fresh instance per Central: two Centrals must not share
 // one model's scratch state), the connections and their reconnect
 // dialers, T_L and γ.
 func (cl *liveCluster) central(cfg core.CentralConfig) (*core.Central, error) {
@@ -102,11 +108,11 @@ func (cl *liveCluster) central(cfg core.CentralConfig) (*core.Central, error) {
 	return cfg.Start()
 }
 
-// liveCentral boots the fixture with one Central on it — the shape every
-// single-replica experiment runs on. stop shuts the Central down first,
-// then the pool.
-func liveCentral(opt models.Options, n int, setup func(*core.Worker), cfg core.CentralConfig) (*core.Central, *liveCluster, func(), error) {
-	cl, err := startLiveCluster(opt, n, setup)
+// liveCentral boots the fixture with one Central on it, the shape the
+// chaos drills run on. stop shuts the Central down first, then the
+// pool.
+func liveCentral(opt models.Options, n int, hold time.Duration, cfg core.CentralConfig) (*core.Central, *liveCluster, func(), error) {
+	cl, err := startLiveCluster(opt, n, hold)
 	if err != nil {
 		return nil, nil, nil, err
 	}
@@ -130,9 +136,9 @@ func (cl *liveCluster) stop() {
 }
 
 // serve accepts on ln until the node crashes; every accepted connection
-// gets its own NodeServer session behind the node's throttle. The
-// sessions run under a per-listener context: cancelling it makes each
-// session close its connection.
+// gets its own NodeServer session behind the node's throttle and skew.
+// The sessions run under a per-listener context: cancelling it makes
+// each session close its connection.
 func (n *liveNode) serve(ln net.Listener) {
 	ctx, cancel := context.WithCancel(n.cl.ctx)
 	n.crash = func() { cancel(); ln.Close() }
@@ -147,7 +153,8 @@ func (n *liveNode) serve(ln net.Listener) {
 			n.cl.wg.Add(1)
 			go func() {
 				defer n.cl.wg.Done()
-				_ = n.ns.ServeConn(ctx, core.NewStreamConn(&throttledConn{Conn: raw, rate: &n.rate}))
+				conn := core.NewStreamConn(&throttledConn{Conn: raw, rate: &n.rate})
+				_ = n.ns.ServeConn(ctx, skewConn{Conn: conn, skew: &n.skew})
 				raw.Close()
 			}()
 		}
@@ -179,6 +186,42 @@ func (n *liveNode) restart() error {
 		time.Sleep(20 * time.Millisecond)
 	}
 	return err
+}
+
+// holdLayer is an identity layer that first sleeps for its node's
+// current hold. It ends the node's front, so a held node is slow in
+// its compute phase, as a throttled device would be.
+type holdLayer struct{ d *atomic.Int64 }
+
+func (h holdLayer) Forward(x *tensor.Tensor, _ bool) *tensor.Tensor {
+	time.Sleep(time.Duration(h.d.Load()))
+	return x
+}
+func (h holdLayer) Backward(g *tensor.Tensor) *tensor.Tensor { return g }
+func (h holdLayer) Params() []*nn.Param                      { return nil }
+func (h holdLayer) Name() string                             { return "hold" }
+
+// skewConn adds the node's current skew to the six timing stamps of
+// every result the node sends: a Conv node whose monotonic clock
+// disagrees with the Central's, which the offset estimator must absorb.
+// It stamps a copy, since the worker reuses its message and record.
+type skewConn struct {
+	core.Conn
+	skew *atomic.Int64
+}
+
+func (c skewConn) Send(m *core.Message) error {
+	d := c.skew.Load()
+	if d == 0 || m.Timing == nil {
+		return c.Conn.Send(m)
+	}
+	tm := *m.Timing
+	for _, ns := range []*int64{&tm.RecvNs, &tm.DecodeNs, &tm.ComputeStartNs, &tm.ComputeEndNs, &tm.EncodeNs, &tm.SendNs} {
+		*ns += d
+	}
+	cp := *m
+	cp.Timing = &tm
+	return c.Conn.Send(&cp)
 }
 
 // throttleChunk is the transfer granularity of a throttled connection:

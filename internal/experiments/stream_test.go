@@ -1,6 +1,9 @@
 package experiments
 
 import (
+	"runtime"
+	"sync"
+	"syscall"
 	"testing"
 	"time"
 
@@ -30,18 +33,56 @@ func TestThroughputBeatsInverseLatency(t *testing.T) {
 }
 
 // TestLivePipelinedBeatsSequential is the live-runtime counterpart of the
-// simulator gain check above: with each Conv node's simulated device
-// holding a tile for a fixed service time, a bounded Pipeline must
-// overlap that hold with the Central's dispatch and back-layer work.
+// simulator gain check above: on real compute, a bounded Pipeline must
+// overlap the Conv nodes' fronts with the Central's dispatch and
+// back-layer work. That overlap runs the nodes and the Central at once,
+// so it needs two cores; while another process holds one (go test runs
+// packages side by side), a working runtime reads about 1.0. A gain at
+// or below the gate is therefore a failure only when spareCores read
+// at least 1.7 both before and after the comparison, and a skip that
+// reports both readings when it did not.
 func TestLivePipelinedBeatsSequential(t *testing.T) {
 	opt := models.Options{Grid: fdsp.Grid{Rows: 2, Cols: 2}}
-	seq, pipe, err := livePipelineComparison(opt, 4, 24, 4, 3, 4*time.Millisecond, nil)
+	before := spareCores(t)
+	seq, pipe, err := livePipelineComparison(opt, 4, 400, 4, 3, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
+	after := spareCores(t)
 	gain := pipe.ThroughputIPS / seq.ThroughputIPS
-	if gain <= 1.05 {
-		t.Fatalf("pipelined %.2f imgs/s vs sequential %.2f imgs/s (gain %.2fx): pipelining must pay",
-			pipe.ThroughputIPS, seq.ThroughputIPS, gain)
+	t.Logf("pipelined %.2f imgs/s vs sequential %.2f imgs/s (gain %.2fx); spare cores %.2f before, %.2f after",
+		pipe.ThroughputIPS, seq.ThroughputIPS, gain, before, after)
+	if gain > 1.05 {
+		return
 	}
+	if min(before, after) < 1.7 {
+		t.Skipf("gain %.2fx on a host with %.2f cores to spare: overlap needs two", gain, min(before, after))
+	}
+	t.Fatalf("gain %.2fx with two cores to spare: pipelining must pay more than 1.05x", gain)
+}
+
+// spareCores spins GOMAXPROCS goroutines for 100ms and reports the CPU
+// time the process got per unit of wall time: how many cores the host
+// had to spare for it.
+func spareCores(t *testing.T) float64 {
+	cpu := func() time.Duration {
+		var ru syscall.Rusage
+		if err := syscall.Getrusage(syscall.RUSAGE_SELF, &ru); err != nil {
+			t.Fatal(err)
+		}
+		return time.Duration(ru.Utime.Nano() + ru.Stime.Nano())
+	}
+	const spin = 100 * time.Millisecond
+	c0, start := cpu(), time.Now()
+	var wg sync.WaitGroup
+	for i := 0; i < runtime.GOMAXPROCS(0); i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for time.Since(start) < spin {
+			}
+		}()
+	}
+	wg.Wait()
+	return float64(cpu()-c0) / float64(time.Since(start))
 }
