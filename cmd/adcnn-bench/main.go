@@ -150,25 +150,6 @@ var experimentTable = []struct {
 		rep.WriteText(e.w)
 		return e.report("stream", rep)
 	}},
-	// Scripted fault schedule against the live TCP runtime: node
-	// crash/restart, bandwidth collapse, clock skew, and a slow-node
-	// gray failure, each asserting the telemetry stack saw what happened
-	// (link estimates, audit attribution, breach + blame, recovery); the
-	// slow-node drill also records how fast the SLO engine detected it.
-	{"chaos", false, func(e *env) error {
-		rep, err := experiments.ChaosBench(experiments.ChaosBenchConfig{})
-		if err != nil {
-			return err
-		}
-		rep.WriteText(e.w)
-		if err := e.report("chaos", rep); err != nil {
-			return err
-		}
-		if !rep.Pass {
-			return fmt.Errorf("drill assertions failed (see %s)", reportPath(e.out, "chaos"))
-		}
-		return nil
-	}},
 	{"locality", false, text(func(e *env) (*experiments.LocalityResult, error) {
 		return experiments.FeatureLocality(accuracySetup(e))
 	})},

@@ -24,10 +24,10 @@ func TestUnknownExperimentExits2(t *testing.T) {
 }
 
 func TestOutFlag(t *testing.T) {
-	if got := reportPath("", "chaos"); got != "BENCH_chaos.json" {
+	if got := reportPath("", "stream"); got != "BENCH_stream.json" {
 		t.Fatalf("default report path %q", got)
 	}
-	if got := reportPath("x.json", "chaos"); got != "x.json" {
+	if got := reportPath("x.json", "stream"); got != "x.json" {
 		t.Fatalf("-out ignored: %q", got)
 	}
 	// One path cannot hold every report of -exp all.

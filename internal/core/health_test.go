@@ -106,7 +106,7 @@ func TestHealthTrackerNilAndBounds(t *testing.T) {
 }
 
 // TestHealthTrackerRecoveryTimeline pins the recovery semantics the
-// chaos drills assert against: the slow baseline stays frozen through
+// fault scenarios of TestChaosScenarios assert against: the slow baseline stays frozen through
 // the anomaly, the score decays at the fast-EWMA rate once the node
 // heals (≈ 2·0.75^t for a 3× anomaly), and after the freeze lifts the
 // baseline resumes tracking genuine drift.

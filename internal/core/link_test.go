@@ -5,10 +5,10 @@ import (
 	"time"
 )
 
-// TestLinkStateTracksBandwidthCollapse pins the acceptance behaviour the
-// chaos bandwidth drill's link-estimate check relies on: after a collapse the seconds-per-byte
-// EWMA with attack α must land within 25% of the throttled rate in 3
-// samples, where a bytes-per-second EWMA would still be orders of
+// TestLinkStateTracksBandwidthCollapse pins the behaviour the bandwidth
+// scenario of TestChaosScenarios relies on: after a collapse the
+// seconds-per-byte EWMA with attack α must land within 25% of the
+// throttled rate in 3 samples, where a bytes-per-second EWMA would still be orders of
 // magnitude high.
 func TestLinkStateTracksBandwidthCollapse(t *testing.T) {
 	var l linkState

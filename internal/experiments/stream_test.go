@@ -35,23 +35,29 @@ func TestThroughputBeatsInverseLatency(t *testing.T) {
 // TestLivePipelinedBeatsSequential is the live-runtime counterpart of the
 // simulator gain check above: on real compute, a bounded Pipeline must
 // overlap the Conv nodes' fronts with the Central's dispatch and
-// back-layer work. That overlap runs the nodes and the Central at once,
-// so it needs two cores; while another process holds one (go test runs
-// packages side by side), a working runtime reads about 1.0. A gain at
-// or below the gate is therefore a failure only when spareCores read
-// at least 1.7 both before and after the comparison, and a skip that
-// reports both readings when it did not.
+// back-layer work. That it admits more than one image at a time is
+// checked without timing: the pipelined Central's in-flight gauge must
+// read 2 or more as some Submit returns (one-at-a-time admission reads
+// exactly 1, since an image leaves the gauge before its admission slot
+// frees). The overlap pays only with two cores; while another process
+// holds one (go test runs packages side by side), a working runtime
+// reads a gain of about 1.0. A gain at or below the gate is therefore a
+// failure only when spareCores read at least 1.7 both before and after
+// the comparison, and a skip that reports both readings when it did not.
 func TestLivePipelinedBeatsSequential(t *testing.T) {
 	opt := models.Options{Grid: fdsp.Grid{Rows: 2, Cols: 2}}
 	before := spareCores(t)
-	seq, pipe, err := livePipelineComparison(opt, 4, 400, 4, 3, nil)
+	seq, pipe, peak, err := livePipelineComparison(opt, 4, 400, 4, 3, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	after := spareCores(t)
 	gain := pipe.ThroughputIPS / seq.ThroughputIPS
-	t.Logf("pipelined %.2f imgs/s vs sequential %.2f imgs/s (gain %.2fx); spare cores %.2f before, %.2f after",
-		pipe.ThroughputIPS, seq.ThroughputIPS, gain, before, after)
+	t.Logf("pipelined %.2f imgs/s vs sequential %.2f imgs/s (gain %.2fx, peak %d images in flight); spare cores %.2f before, %.2f after",
+		pipe.ThroughputIPS, seq.ThroughputIPS, gain, peak, before, after)
+	if peak < 2 {
+		t.Fatalf("the pipelined Central never held two images in flight (peak %d)", peak)
+	}
 	if gain > 1.05 {
 		return
 	}

@@ -118,32 +118,35 @@ func (l *closedLoop) run() StreamBenchRun {
 }
 
 // livePipelineComparison runs a sequential loop (one image at a time)
-// and a pipelined one, each through its own Central on one pool of
-// nodes: warmup unmeasured images per client, then at least images
+// and a pipelined one, each through its own metered Central on one pool
+// of nodes: warmup unmeasured images per client, then at least images
 // each over streamRounds alternating rounds, every loop measured for
 // at least minPass in all. The pipelined loop keeps depth images in
 // flight through one Pipeline, so the Conv nodes' fronts overlap the
 // Central's split and back layers — per-image latency includes the
 // admission wait, so it rises with depth even as throughput improves;
 // that trade is the point — and its Central carries trace when it is
-// non-nil.
-func livePipelineComparison(opt models.Options, nodes, images, warmup, depth int, trace *telemetry.Trace) (seq, pipe StreamBenchRun, err error) {
-	cl, err := startLiveCluster(opt, nodes, 0)
+// non-nil. peak is the most images the pipelined Central held in flight
+// as any Submit returned: 1 means it never overlapped two.
+func livePipelineComparison(opt models.Options, nodes, images, warmup, depth int, trace *telemetry.Trace) (seq, pipe StreamBenchRun, peak int, err error) {
+	cl, err := startLiveCluster(opt, nodes)
 	if err != nil {
-		return seq, pipe, err
+		return seq, pipe, 0, err
 	}
 	defer cl.stop()
-	cs, err := cl.central(core.CentralConfig{})
+	cs, err := cl.central(core.CentralConfig{Metrics: core.NewMetrics(telemetry.NewRegistry(), 0)})
 	if err != nil {
-		return seq, pipe, err
+		return seq, pipe, 0, err
 	}
 	defer cs.Shutdown()
-	cp, err := cl.central(core.CentralConfig{Trace: trace})
+	met := core.NewMetrics(telemetry.NewRegistry(), 0)
+	cp, err := cl.central(core.CentralConfig{Metrics: met, Trace: trace})
 	if err != nil {
-		return seq, pipe, err
+		return seq, pipe, 0, err
 	}
 	defer cp.Shutdown()
 	p := core.NewPipeline(cp, depth)
+	var peakMu sync.Mutex
 	x := tensor.New(1, 3, 32, 32)
 	x.RandN(rand.New(rand.NewSource(7)), 1)
 	loops := []*closedLoop{
@@ -156,24 +159,27 @@ func livePipelineComparison(opt models.Options, nodes, images, warmup, depth int
 			if err != nil {
 				return 0, err
 			}
+			peakMu.Lock()
+			peak = max(peak, int(met.InflightImages.Value()))
+			peakMu.Unlock()
 			_, st, err := h.Wait()
 			return st.Latency, err
 		}},
 	}
 	for _, l := range loops {
 		if err := l.pass(warmup*l.clients, 0); err != nil {
-			return seq, pipe, err
+			return seq, pipe, 0, err
 		}
 		l.lat, l.wall = nil, 0
 	}
 	for r := 0; r < streamRounds; r++ {
 		for _, l := range loops {
 			if err := l.pass((images+streamRounds-1)/streamRounds, minPass/streamRounds); err != nil {
-				return seq, pipe, err
+				return seq, pipe, 0, err
 			}
 		}
 	}
-	return loops[0].run(), loops[1].run(), nil
+	return loops[0].run(), loops[1].run(), peak, nil
 }
 
 // StreamBench runs the live pipelining experiment. The trace, when
@@ -201,7 +207,7 @@ func StreamBench(images int, trace *telemetry.Trace) (*StreamBenchReport, error)
 		PipelineDepth: pipelineDepth,
 	}
 	var err error
-	rep.LiveSequential, rep.LivePipelined, err = livePipelineComparison(
+	rep.LiveSequential, rep.LivePipelined, _, err = livePipelineComparison(
 		models.Options{Grid: fdsp.Grid{Rows: 2, Cols: 2}}, nodes, images, warmup, pipelineDepth, trace)
 	if err != nil {
 		return nil, err
