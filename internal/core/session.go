@@ -210,7 +210,7 @@ type nodeSession struct {
 	backoff     time.Duration // current reconnect backoff (0 when connected)
 
 	// offset maps this Conv node's monotonic clock onto the Central's,
-	// refreshed from every task→result exchange (RTT-midpoint EWMA).
+	// refreshed from every task→result exchange (the minimum-RTT filter).
 	offset *telemetry.OffsetEstimator
 
 	// link holds the passive uplink/downlink rate estimates from tile

@@ -58,15 +58,15 @@ func (c *Conv2D) OutShape(in []int) []int {
 }
 
 // oneByOne reports whether the layer is a pure 1×1 stride-1 convolution,
-// for which the input plane already is the column matrix (YOLO's
-// bottleneck layers hit this path) and im2col is skipped entirely.
+// for which the input plane already is the column matrix training keeps
+// for Backward.
 func (c *Conv2D) oneByOne() bool {
 	return c.Geom.KH == 1 && c.Geom.KW == 1 &&
 		c.Geom.StrideH == 1 && c.Geom.StrideW == 1 &&
 		c.Geom.PadH == 0 && c.Geom.PadW == 0
 }
 
-// Forward computes y[n] = W·im2col(x[n]) + b for each sample n.
+// Forward computes y[n] = W ⊛ x[n] + b for each sample n.
 func (c *Conv2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	return c.forward(x, train, false, convPost{})
 }
@@ -98,9 +98,9 @@ func (c *Conv2D) forward(x *tensor.Tensor, train, pooled bool, post convPost) *t
 }
 
 // ForwardInto is Forward writing into a caller-owned output of shape
-// [N, OutC, OH, OW]. In inference mode (train=false) the im2col scratch
-// comes from the tensor buffer pool, so the call is allocation-free — the
-// hot path for FDSP tile serving.
+// [N, OutC, OH, OW]. In inference mode (train=false) the bordered input
+// scratch comes from the tensor buffer pool, so the call is
+// allocation-free — the hot path for FDSP tile serving.
 func (c *Conv2D) ForwardInto(y, x *tensor.Tensor, train bool) {
 	c.forwardInto(y, x, train, convPost{})
 }
@@ -124,10 +124,9 @@ func (c *Conv2D) forwardInto(y, x *tensor.Tensor, train bool, post convPost) {
 		c.inShape = []int{n, c.InC, h, w}
 		c.cols = make([]*tensor.Tensor, n)
 	}
-	// Samples are independent, so the im2col + matmul + bias work
-	// parallelises cleanly across the batch. Single-sample (and
-	// single-proc) calls take the direct loop: no closure, no goroutines,
-	// no allocations.
+	// Samples are independent, so the convolution parallelises cleanly
+	// across the batch. Single-sample (and single-proc) calls take the
+	// direct loop: no closure, no goroutines, no allocations.
 	if n == 1 || runtime.GOMAXPROCS(0) == 1 {
 		for i := 0; i < n; i++ {
 			c.forwardOne(y.Data, x.Data, i, h, w, oh, ow, train, post)
@@ -176,7 +175,8 @@ func (c *Conv2D) foldLen(bn *BatchNorm2D) int {
 // the GEMM's accumulators and ep's post-ops — with bn, when not nil,
 // folded into its scale and shift — run before its store, so the output
 // is written once: no clearing pass before the product and no pass after
-// it.
+// it. Inference reads the input through tensor.ConvInto's offset table;
+// training builds the column matrix Backward needs.
 func (c *Conv2D) forwardSample(yd, xd []float32, i, h, w, oh, ow int, train bool, ep tensor.Epilogue, bn *BatchNorm2D) {
 	kdim := c.InC * c.Geom.KH * c.Geom.KW
 	plane := oh * ow
@@ -186,34 +186,26 @@ func (c *Conv2D) forwardSample(yd, xd []float32, i, h, w, oh, ow int, train bool
 	ys := yd[i*outSample : (i+1)*outSample]
 	wd := c.Weight.Value.Data
 	switch {
-	case c.oneByOne():
-		if train {
-			c.cols[i] = tensor.FromSlice(xs, c.InC, h*w)
-		}
+	case !train:
+		// The fold rides at the end of the scratch: a pool bucket of its
+		// own would be one more to refill after every GC.
+		n := c.Geom.ConvScratchLen(c.InC, h, w, c.OutC)
+		buf := tensor.GetBuf(n + c.foldLen(bn))
 		if bn != nil {
-			ab := tensor.GetBuf(c.foldLen(bn))
-			defer tensor.PutBuf(ab)
-			bn.foldInto(&ep, ab)
+			bn.foldInto(&ep, buf[n:])
 		}
+		tensor.ConvInto(ys, xs, wd, c.InC, h, w, c.OutC, c.Geom, ep, buf[:n])
+		tensor.PutBuf(buf)
+	case c.oneByOne():
+		c.cols[i] = tensor.FromSlice(xs, c.InC, h*w)
 		tensor.GemmEpilogueInto(ys, wd, xs, c.OutC, kdim, plane, ep)
-	case train:
+	default:
 		// Training keeps the column matrix for Backward; its storage is
 		// pooled and recycled there.
 		cols := tensor.GetTensor(kdim, plane)
 		tensor.Im2ColSlice(cols.Data, xs, c.InC, h, w, c.Geom)
 		c.cols[i] = cols
 		tensor.GemmEpilogueInto(ys, wd, cols.Data, c.OutC, kdim, plane, ep)
-	default:
-		// The fold rides at the end of the column scratch: a pool bucket
-		// of its own would be one more to refill after every GC.
-		buf := tensor.GetBuf(kdim*plane + c.foldLen(bn))
-		if bn != nil {
-			bn.foldInto(&ep, buf[kdim*plane:])
-		}
-		cols := buf[:kdim*plane]
-		tensor.Im2ColSlice(cols, xs, c.InC, h, w, c.Geom)
-		tensor.GemmEpilogueInto(ys, wd, cols, c.OutC, kdim, plane, ep)
-		tensor.PutBuf(buf)
 	}
 }
 

@@ -56,8 +56,8 @@ func (c *Conv2D) forwardSampleInt8(yd, xd []float32, i, h, w, oh, ow int, ep ten
 		c.forwardSample(yd, xd, i, h, w, oh, ow, false, ep, bn)
 		return
 	}
-	// The fold rides at the end of the column scratch, as in forwardSample;
-	// the columns are kp-byte rows, so it starts 16-byte aligned.
+	// The fold rides at the end of the column scratch: the columns are
+	// kp-byte rows, so it starts 16-byte aligned.
 	cols := plane * c.int8w.KP
 	bq := tensor.GetBytes(cols + 4*c.foldLen(bn))
 	if bn != nil {

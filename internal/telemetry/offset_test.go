@@ -85,6 +85,39 @@ func TestOffsetBoundedUnderAsymmetricRTT(t *testing.T) {
 	}
 }
 
+func TestOffsetFilterPicksMinimumRTTExchange(t *testing.T) {
+	// Every exchange but one queues on the uplink, so its midpoint is
+	// biased by (up−down)/2; the symmetric one has the lowest RTT and its
+	// offset is exactly −skew. The filter must report that offset itself
+	// while the exchange is among the last eight, then, after the remote
+	// clock steps, follow the new skew within eight exchanges.
+	const skew, stepped = 1_000_000, 5_000_000
+	e := NewOffsetEstimator(0)
+	now := int64(1_000)
+	rng := rand.New(rand.NewSource(9))
+	for i := 0; i < 8; i++ {
+		up, down := int64(300_000+rng.Intn(1_000_000)), int64(50_000)
+		if i == 4 {
+			up, down = 100_000, 100_000
+		}
+		_, now = exchange(e, now, skew, up, 50_000, down)
+		now += 200_000
+		if got := e.Offset(); i >= 4 && got != -skew {
+			t.Fatalf("after exchange %d: offset %d, want exactly %d (the minimum-RTT exchange's)", i, got, -skew)
+		}
+	}
+	for i := 1; ; i++ {
+		_, now = exchange(e, now, stepped, 150_000, 50_000, 150_000)
+		now += 200_000
+		if e.Offset() == -stepped {
+			break
+		}
+		if i == offsetFilterLen {
+			t.Fatalf("offset %d after %d exchanges at the new skew, want %d", e.Offset(), i, -stepped)
+		}
+	}
+}
+
 func TestOffsetDeratesNoisySamples(t *testing.T) {
 	// Samples taken over a congested (high-RTT) exchange must move the
 	// estimate less than clean ones: converge on clean exchanges, then
@@ -114,6 +147,33 @@ func TestOffsetDeratesNoisySamples(t *testing.T) {
 	// over 20 samples; the RTT derating must keep the drift far smaller.
 	if drift > 300_000 {
 		t.Fatalf("noisy samples moved the estimate by %dns — RTT derating not working", drift)
+	}
+}
+
+func TestOffsetHoldsThroughCongestion(t *testing.T) {
+	// Half a millisecond of latency each way, then twenty exchanges that
+	// queue 34 ms up and 16 ms down — more than the filter's window. Each
+	// of them is 9 ms off; the estimate must not move until clean
+	// exchanges come back, and then it must be exact again.
+	const skew = 2_000_000
+	e := NewOffsetEstimator(0)
+	now := int64(1_000)
+	step := func(up, down int64) {
+		_, now = exchange(e, now, skew, up, 100_000, down)
+		now += 1_000_000
+	}
+	for i := 0; i < 16; i++ {
+		step(500_000, 500_000)
+	}
+	for i := 0; i < 20; i++ {
+		step(34_000_000, 16_000_000)
+		if got := e.Offset(); got != -skew {
+			t.Fatalf("congested exchange %d moved the offset to %d, want %d", i, got, -skew)
+		}
+	}
+	step(500_000, 500_000)
+	if got := e.Offset(); got != -skew {
+		t.Fatalf("offset %d after the congestion, want %d", got, -skew)
 	}
 }
 

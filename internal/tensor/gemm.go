@@ -1,14 +1,17 @@
 package tensor
 
 import (
+	"math"
 	"runtime"
+	"unsafe"
 
 	"adcnn/internal/parallel"
 )
 
 // GEMM engine. All three matmul entry points (MatMulInto, MatMulTransA,
-// MatMulTransB) funnel into one row-major C = A·B driver that cuts C into
-// MR×NR tiles and hands each to the tier's micro-kernel (gemmTile):
+// MatMulTransB) and the inference convolution (ConvInto) funnel into one
+// row-major C = A·B routine (gemm) that cuts C into MR×NR tiles and hands
+// each to the tier's micro-kernel (gemmTile):
 //
 //   - the kernel holds its tile in registers over the whole of k, seeds
 //     row r with bias[r], applies the epilogue's post-ops (folded
@@ -20,8 +23,11 @@ import (
 //     thread, or as part of a wider product is bit-identical, which is
 //     what makes an FDSP tile computed on a node equal the same pixels of
 //     the whole-image forward;
-//   - both operands are read in place, A (the weights) by broadcast and B
-//     by rows — no packed copy of any model, no packing pass per call;
+//   - A (the weights) is read in place by broadcast, and B row p where it
+//     lies, at b + boff[p] from a table of row offsets: p·n for a plain
+//     product, and for a convolution the start of tap p's run in the
+//     sample's zero-bordered copy, so no column matrix is built. Nothing
+//     is packed — no copy of any model, no packing pass per call;
 //   - the kernel takes any tile width up to NR; only a bottom edge of
 //     fewer than MR rows is special: it is computed as the full tile that
 //     ends at A's last row, into a stack tile whose live rows are copied
@@ -42,6 +48,10 @@ const (
 
 	gemmMaxMR   = 6      // tallest tile of any tier
 	gemmMaxTile = 6 * 64 // most elements in a tile of any tier
+
+	// gemmPrefetchRows is how far ahead in k the AVX-512 kernel prefetches
+	// B; an offset table carries that many entries past its k.
+	gemmPrefetchRows = 9
 )
 
 // Epilogue is what a GEMM does to row i of its output besides the
@@ -102,8 +112,9 @@ func (p rowPost) apply(y []float32) {
 func GemmInto(c, a, b []float32, m, k, n int) { GemmEpilogueInto(c, a, b, m, k, n, Epilogue{}) }
 
 // GemmEpilogueInto is GemmInto with ep applied to every row of C as its
-// tile finishes: C = post(bias·1ᵀ + A·B), a convolution layer and what
-// follows it at inference in one pass. Skip rows are n apart, like C's.
+// tile finishes: C = post(bias·1ᵀ + A·B), a layer and what follows it at
+// inference in one pass. Skip rows are n apart, like C's. B holds fewer
+// than 2³¹ elements.
 func GemmEpilogueInto(c, a, b []float32, m, k, n int, ep Epilogue) {
 	if len(c) < m*n || len(a) < m*k || len(b) < k*n || !ep.fits(m, n, n) {
 		panic("tensor: GemmInto operand shorter than its shape")
@@ -111,21 +122,48 @@ func GemmEpilogueInto(c, a, b []float32, m, k, n int, ep Epilogue) {
 	if m == 0 || n == 0 {
 		return
 	}
-	if k == 0 { // C = post(bias·1ᵀ); the kernels want a first row of A and B
-		post := gemmPost{scale: ep.Scale, shift: ep.Shift, skip: ep.Skip, ldskip: n, relu: ep.ReLU}
-		for i := 0; i < m; i++ {
-			row := c[i*n : (i+1)*n]
-			clear(row)
-			if ep.Bias != nil {
-				for j := range row {
-					row[j] = ep.Bias[i]
-				}
-			}
-			post.row(i, n).apply(row)
-		}
+	if k == 0 {
+		gemmBiasOnly(c, m, n, ep)
 		return
 	}
-	g := gemmCall{c: c, a: a, b: b, m: m, k: k, n: n, ep: ep}
+	if int64(k)*int64(n) > math.MaxInt32 {
+		panic("tensor: GemmInto B beyond 2³¹ elements")
+	}
+	buf := GetBuf(k + gemmPrefetchRows)
+	boff := offsetsIn(buf)
+	for p := range boff {
+		boff[p] = int32(min(p, k-1) * n)
+	}
+	gemm(gemmCall{c: c, a: a, b: b, boff: boff, m: m, k: k, n: n, ep: ep})
+	PutBuf(buf)
+}
+
+// offsetsIn views buf as a table of B row offsets: the tables ride in
+// float scratch, so they come from its pool and need none of their own.
+func offsetsIn(buf []float32) []int32 {
+	return unsafe.Slice((*int32)(unsafe.Pointer(unsafe.SliceData(buf))), len(buf))
+}
+
+// gemmBiasOnly writes C = post(bias·1ᵀ), a product with k = 0: the
+// kernels want a first row of A and B.
+func gemmBiasOnly(c []float32, m, n int, ep Epilogue) {
+	post := gemmPost{scale: ep.Scale, shift: ep.Shift, skip: ep.Skip, ldskip: n, relu: ep.ReLU}
+	for i := 0; i < m; i++ {
+		row := c[i*n : (i+1)*n]
+		clear(row)
+		if ep.Bias != nil {
+			for j := range row {
+				row[j] = ep.Bias[i]
+			}
+		}
+		post.row(i, n).apply(row)
+	}
+}
+
+// gemm runs g, whose c, a, b, boff, m, k ≥ 1, n ≥ 1 and ep are set, over
+// the tier's tile grid: the bottom edge, the thread split and the tiles.
+func gemm(g gemmCall) {
+	m, k, n, a, ep := g.m, g.k, g.n, g.a, g.ep
 	g.mr, g.nr = gemmTileShape()
 	if r := m % g.mr; r != 0 {
 		// The bottom edge is computed as a full tile whose last r rows are
@@ -194,9 +232,11 @@ func padTop(dst, src []float32, mr, m, ld int) []float32 {
 	return dst
 }
 
-// gemmCall is one GemmEpilogueInto call as its tile loops see it.
+// gemmCall is one product as its tile loops see it: C (m×n, row
+// stride n) = post(bias + A·B) with B row p at b[boff[p]:].
 type gemmCall struct {
 	c, a, b []float32
+	boff    []int32 // k row offsets into b, then gemmPrefetchRows more
 	m, k, n int
 	ep      Epilogue
 	mr, nr  int       // the tier's tile
@@ -242,7 +282,7 @@ func (g *gemmCall) tile(c []float32, ldc int, a []float32, ep *Epilogue, i, j, n
 	if ep.Skip != nil {
 		post.skip = ep.Skip[i*g.n+j:]
 	}
-	gemmTile(c, ldc, a, g.k, g.b[j:], g.n, g.k, nr, bias, &post)
+	gemmTile(c, ldc, a, g.k, g.b[j:], g.boff, g.k, nr, bias, &post)
 }
 
 // gemmPost is one tile's post-ops as the kernels read them (the assembly

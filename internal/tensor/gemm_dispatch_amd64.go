@@ -34,16 +34,16 @@ func gemmTileShape() (mr, nr int) {
 var laneMasks = [32]int32{-1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1}
 
 // gemmTile runs the dispatched tier's micro-kernel on one tile:
-// c[r*ldc+j] = post(bias[r] + Σp a[r*lda+p]·b[p*ldb+j]) for r < MR,
-// j < nr, with k ≥ 1, nr ≤ NR and MR readable rows of a, bias and
-// post's per-row slices.
-func gemmTile(c []float32, ldc int, a []float32, lda int, b []float32, ldb, k, nr int, bias []float32, post *gemmPost) {
+// c[r*ldc+j] = post(bias[r] + Σp a[r*lda+p]·b[boff[p]+j]) for r < MR,
+// j < nr, with k ≥ 1, nr ≤ NR, MR readable rows of a, bias and post's
+// per-row slices, and k+gemmPrefetchRows entries of boff.
+func gemmTile(c []float32, ldc int, a []float32, lda int, b []float32, boff []int32, k, nr int, bias []float32, post *gemmPost) {
 	switch kernelTier {
 	case TierAVX512:
-		gemmTileAVX512(&c[0], ldc, &a[0], lda, &b[0], ldb, k, uint64(1)<<nr-1, &bias[0], post)
+		gemmTileAVX512(&c[0], ldc, &a[0], lda, &b[0], &boff[0], k, uint64(1)<<nr-1, &bias[0], post)
 	case TierAVX2:
-		gemmTileAVX2(&c[0], ldc, &a[0], lda, &b[0], ldb, k, &laneMasks[16-nr], &bias[0], post)
+		gemmTileAVX2(&c[0], ldc, &a[0], lda, &b[0], &boff[0], k, &laneMasks[16-nr], &bias[0], post)
 	default:
-		gemmTileGeneric(c, ldc, a, lda, b, ldb, k, nr, bias, post)
+		gemmTileGeneric(c, ldc, a, lda, b, boff, k, nr, bias, post)
 	}
 }

@@ -10,6 +10,6 @@ func detectKernelTier() KernelTier { return TierGeneric }
 func gemmTileShape() (mr, nr int) { return 4, 64 }
 
 // gemmTile routes to the portable kernel.
-func gemmTile(c []float32, ldc int, a []float32, lda int, b []float32, ldb, k, nr int, bias []float32, post *gemmPost) {
-	gemmTileGeneric(c, ldc, a, lda, b, ldb, k, nr, bias, post)
+func gemmTile(c []float32, ldc int, a []float32, lda int, b []float32, boff []int32, k, nr int, bias []float32, post *gemmPost) {
+	gemmTileGeneric(c, ldc, a, lda, b, boff, k, nr, bias, post)
 }

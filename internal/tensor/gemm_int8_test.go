@@ -205,10 +205,14 @@ func TestKernelTierParityF32(t *testing.T) {
 			lda, ldb, ldc := k+rng.Intn(3), nrMax+rng.Intn(5), nrMax+rng.Intn(5)
 			a := randSlice(rng, mr*lda)
 			b := randSlice(rng, (k-1)*ldb+nr) // ends with the last live element
+			boff := make([]int32, k+gemmPrefetchRows)
+			for p := range boff {
+				boff[p] = int32(p * ldb)
+			}
 			bias := randSlice(rng, mr)
 			got := randSlice(rng, mr*ldc)
 			want := append([]float32(nil), got...)
-			gemmTile(got, ldc, a, lda, b, ldb, k, nr, bias, &gemmPost{})
+			gemmTile(got, ldc, a, lda, b, boff, k, nr, bias, &gemmPost{})
 			for r := 0; r < mr; r += 4 { // the portable tile is 4 rows
 				rows := min(4, mr-r)
 				tile := make([]float32, 4*ldc)
@@ -216,7 +220,7 @@ func TestKernelTierParityF32(t *testing.T) {
 				copy(ar, a[r*lda:(r+rows)*lda])
 				var br [4]float32
 				copy(br[:], bias[r:r+rows])
-				gemmTileGeneric(tile, ldc, ar, lda, b, ldb, k, nr, br[:], &gemmPost{})
+				gemmTileGeneric(tile, ldc, ar, lda, b, boff, k, nr, br[:], &gemmPost{})
 				for q := 0; q < rows; q++ {
 					copy(want[(r+q)*ldc:][:nr], tile[q*ldc:])
 				}

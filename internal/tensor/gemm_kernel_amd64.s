@@ -12,11 +12,14 @@
 // mask), the ReLU (VMAXPS with +0 as the second source, which is what it
 // returns for NaN and for −0) — each pass over all six rows skipped when
 // its op is off.
-// A is read in place, one broadcast per (row, k); B rows are loaded nr
-// wide under a lane mask, so nr may be anything in [1, NR] and nothing
-// past column nr is read or written. Every C element is one chain of
-// fused multiply-adds in ascending k — the same chain whatever the
-// tile's position, so results do not depend on how C is cut into tiles.
+// A is read in place, one broadcast per (row, k). B row p is at
+// b + boff[p] (elements): a plain product passes offsets p·ldb, a
+// convolution one per tap into its bordered input. The last vector of a
+// row narrower than NR loads under a lane mask, so nr may be anything
+// in [1, NR] and nothing past column nr is read or written. Every C
+// element is one chain of fused multiply-adds in ascending k — the same
+// chain whatever the tile's position, so results do not depend on how
+// C is cut into tiles.
 
 // The 6×64 AVX-512 tile: Z24..Z27 hold the B row, row r of C lives in
 // Z(4r)..Z(4r+3). Six broadcasts and four B loads feed 24 multiply-adds
@@ -41,30 +44,49 @@
 	ROW3(a, c0, c1, c2, c3)   \
 	VFMADD231PS Z28, Z27, c3
 
-// BROWv loads a B row v vectors wide and prefetches the row 9 ahead.
-#define BROW1 \
-	VMOVUPS.Z  (SI), K1, Z24 \
-	PREFETCHT0 (SI)(R13*1)
+// BROWv loads a B row v vectors wide from SI + 4·R10 and prefetches the
+// row 9 ahead, at SI + 4·R13. A tile that runs the v-vector loop has its
+// first v−1 vectors whole, so only the last loads under its lane mask;
+// BROW4F is a whole 64-wide row, loaded with no mask at all.
+#define BWHOLE(off, z) \
+	VMOVUPS    off(SI)(R10*4), z \
+	PREFETCHT0 off(SI)(R13*4)
+
+#define BMASKED(off, k, z) \
+	VMOVUPS.Z  off(SI)(R10*4), k, z \
+	PREFETCHT0 off(SI)(R13*4)
+
+#define BROW1 BMASKED(0, K1, Z24)
 
 #define BROW2 \
-	BROW1                       \
-	VMOVUPS.Z  64(SI), K2, Z25 \
-	PREFETCHT0 64(SI)(R13*1)
+	BWHOLE(0, Z24) \
+	BMASKED(64, K2, Z25)
 
 #define BROW3 \
-	BROW2                        \
-	VMOVUPS.Z  128(SI), K3, Z26 \
-	PREFETCHT0 128(SI)(R13*1)
+	BWHOLE(0, Z24)  \
+	BWHOLE(64, Z25) \
+	BMASKED(128, K3, Z26)
 
 #define BROW4 \
-	BROW3                        \
-	VMOVUPS.Z  192(SI), K4, Z27 \
-	PREFETCHT0 192(SI)(R13*1)
+	BWHOLE(0, Z24)   \
+	BWHOLE(64, Z25)  \
+	BWHOLE(128, Z26) \
+	BMASKED(192, K4, Z27)
 
+#define BROW4F \
+	BWHOLE(0, Z24)   \
+	BWHOLE(64, Z25)  \
+	BWHOLE(128, Z26) \
+	BWHOLE(192, Z27)
+
+// KLOOP512 steps CX through the int32 offset table: R10 is this row's
+// offset, R13 the one gemmPrefetchRows (9) entries on.
 #define KLOOP512(loop, BROW, ROW) \
 loop:                               \
+	MOVLQSX (CX), R10                \
+	MOVLQSX 36(CX), R13              \
 	BROW                             \
-	ADDQ R10, SI                     \
+	ADDQ $4, CX                      \
 	ROW((AX), Z0, Z1, Z2, Z3)        \
 	ROW((AX)(R8*1), Z4, Z5, Z6, Z7)  \
 	ROW((AX)(R8*2), Z8, Z9, Z10, Z11) \
@@ -121,18 +143,18 @@ loop:                               \
 	VMOVUPS c3, K4, 192(DI) \
 	ADDQ    R12, DI
 
-// func gemmTileAVX512(c *float32, ldc int, a *float32, lda int, b *float32, ldb, k int, mask uint64, bias *float32, post *gemmPost)
+// func gemmTileAVX512(c *float32, ldc int, a *float32, lda int, b *float32, boff *int32, k int, mask uint64, bias *float32, post *gemmPost)
 //
 // 6×64 tile: 24 ZMM accumulators. Bits [0,64) of mask select the live
-// columns; a must address 6 readable rows of k floats, bias 6 floats.
-// Strides are in elements.
+// columns; a must address 6 readable rows of k floats, boff k+9
+// offsets, bias 6 floats. Strides and offsets are in elements.
 TEXT ·gemmTileAVX512(SB), NOSPLIT, $0-80
 	MOVQ     c+0(FP), DI
 	MOVQ     ldc+8(FP), R12
 	MOVQ     a+16(FP), AX
 	MOVQ     lda+24(FP), R8
 	MOVQ     b+32(FP), SI
-	MOVQ     ldb+40(FP), R10
+	MOVQ     boff+40(FP), CX
 	MOVQ     k+48(FP), DX
 	KMOVQ    mask+56(FP), K1
 	MOVQ     bias+64(FP), R11
@@ -141,10 +163,8 @@ TEXT ·gemmTileAVX512(SB), NOSPLIT, $0-80
 	KSHIFTRQ $48, K1, K4
 	SHLQ     $2, R12
 	SHLQ     $2, R8
-	SHLQ     $2, R10
 	LEAQ     (R8)(R8*2), BX
 	ADDQ     AX, BX            // A rows 3..5
-	LEAQ     (R10)(R10*8), R13 // B prefetch distance: 9 rows
 
 	SEED512(0, Z0, Z1, Z2, Z3)
 	SEED512(4, Z4, Z5, Z6, Z7)
@@ -154,6 +174,8 @@ TEXT ·gemmTileAVX512(SB), NOSPLIT, $0-80
 	SEED512(20, Z20, Z21, Z22, Z23)
 	TESTQ   DX, DX
 	JZ      store512
+	KORTESTQ K1, K1
+	JCS     loop512full
 	KTESTQ  K4, K4
 	JNZ     loop512x4
 	KTESTQ  K3, K3
@@ -164,6 +186,7 @@ TEXT ·gemmTileAVX512(SB), NOSPLIT, $0-80
 	KLOOP512(loop512x2, BROW2, ROW2)
 	KLOOP512(loop512x3, BROW3, ROW3)
 	KLOOP512(loop512x4, BROW4, ROW4)
+	KLOOP512(loop512full, BROW4F, ROW4)
 
 store512:
 	MOVQ  post+72(FP), R9
@@ -248,24 +271,24 @@ out512:
 	VMASKMOVPS c1, Y15, 32(DI) \
 	ADDQ       R12, DI
 
-// func gemmTileAVX2(c *float32, ldc int, a *float32, lda int, b *float32, ldb, k int, mask *int32, bias *float32, post *gemmPost)
+// func gemmTileAVX2(c *float32, ldc int, a *float32, lda int, b *float32, boff *int32, k int, mask *int32, bias *float32, post *gemmPost)
 //
 // 6×16 tile: 12 YMM accumulators, which leaves one register for the
 // broadcast and one for a lane mask, so the two masks (mask[0:8] and
 // mask[8:16], all-ones words for live columns) are reloaded per B row.
+// B row p is at b + boff[p], as in the AVX-512 kernel.
 TEXT ·gemmTileAVX2(SB), NOSPLIT, $0-80
 	MOVQ c+0(FP), DI
 	MOVQ ldc+8(FP), R12
 	MOVQ a+16(FP), AX
 	MOVQ lda+24(FP), R8
 	MOVQ b+32(FP), SI
-	MOVQ ldb+40(FP), R10
+	MOVQ boff+40(FP), CX
 	MOVQ k+48(FP), DX
 	MOVQ mask+56(FP), R13
 	MOVQ bias+64(FP), R11
 	SHLQ $2, R12
 	SHLQ $2, R8
-	SHLQ $2, R10
 	LEAQ (R8)(R8*2), BX
 	ADDQ AX, BX              // A rows 3..5
 
@@ -279,11 +302,12 @@ TEXT ·gemmTileAVX2(SB), NOSPLIT, $0-80
 	JZ    store256
 
 loop256:
+	MOVLQSX    (CX), R10
 	VMOVDQU    (R13), Y14
 	VMOVDQU    32(R13), Y15
-	VMASKMOVPS (SI), Y14, Y12
-	VMASKMOVPS 32(SI), Y15, Y13
-	ADDQ       R10, SI
+	VMASKMOVPS (SI)(R10*4), Y14, Y12
+	VMASKMOVPS 32(SI)(R10*4), Y15, Y13
+	ADDQ       $4, CX
 	ROW256((AX), Y0, Y1)
 	ROW256((AX)(R8*1), Y2, Y3)
 	ROW256((AX)(R8*2), Y4, Y5)

@@ -262,6 +262,14 @@ func Run() Report {
 		}
 	}
 	_ = tensor.SetInt8Engine(tensor.Int8Engines()[0])
+
+	// Inference convolution, one thread: Conv2D's forward (the bordered
+	// input read through the offset table) against im2col + the fused
+	// GEMM on the same sample. speedup_vs_ref is the im2col time over
+	// Conv2D's.
+	for _, cs := range convF32Shapes {
+		add(benchConvF32(cs))
+	}
 	runtime.GOMAXPROCS(maxProcs)
 
 	// Model-zoo conv GEMM shapes at full parallelism.
@@ -275,7 +283,7 @@ func Run() Report {
 			GFlops: gflops(cs.M, cs.K, cs.N, ns), AllocsPerOp: al})
 	}
 
-	// Whole-layer inference forward (pooled im2col, fused bias): the
+	// Whole-layer inference forward (pooled bordered input, fused bias): the
 	// allocs column is the zero-allocation acceptance criterion.
 	rng := rand.New(rand.NewSource(2))
 	conv := nn.NewConv2D("bench", 64, 64, 3, 3, 1, 1, rng)
@@ -444,6 +452,62 @@ func Run() Report {
 	}
 
 	return rep
+}
+
+// convF32Shape is one class of inference convolution: InC×H×H in, OutC
+// out, a K×K kernel at Stride with Pad.
+type convF32Shape struct {
+	Name                         string
+	InC, OutC, H, K, Stride, Pad int
+}
+
+// convF32Shapes are the f32 convolutions an FDSP tile runs: ResNet18's
+// stem on a 2×2 tile, its stride-1 and stride-2 3×3 convs and its 1×1
+// shortcut at 28², the 512-channel 3×3 at 7², and VGG-sim's 24-channel
+// layers on a 4×4 tile's 2×2 plane.
+var convF32Shapes = []convF32Shape{
+	{"r18_stem_7x7s2_112sq", 3, 64, 112, 7, 2, 3},
+	{"r18_3x3s1_64x64_28sq", 64, 64, 28, 3, 1, 1},
+	{"r18_3x3s2_64x128_28sq", 64, 128, 28, 3, 2, 1},
+	{"r18_1x1s2_64x128_28sq", 64, 128, 28, 1, 2, 0},
+	{"r18_3x3s1_512x512_7sq", 512, 512, 7, 3, 1, 1},
+	{"vggsim_3x3s1_24x24_2sq", 24, 24, 2, 3, 1, 1},
+}
+
+// benchConvF32 times cs through Conv2D's inference forward and through
+// Im2ColSlice + GemmEpilogueInto with the layer's bias, at the current
+// GOMAXPROCS.
+func benchConvF32(cs convF32Shape) Result {
+	rng := rand.New(rand.NewSource(6))
+	conv := nn.NewConv2D(cs.Name, cs.InC, cs.OutC, cs.K, cs.K, cs.Stride, cs.Pad, rng)
+	conv.Bias.Value.RandU(rng, -1, 1)
+	x := tensor.New(1, cs.InC, cs.H, cs.H)
+	x.RandU(rng, -1, 1)
+	y := tensor.New(conv.OutShape(x.Shape)...)
+	oh, ow := conv.Geom.OutSize(cs.H, cs.H)
+	k := cs.InC * cs.K * cs.K
+	cols := make([]float32, k*oh*ow)
+	ep := tensor.Epilogue{Bias: conv.Bias.Value.Data}
+	run := func(f func()) testing.BenchmarkResult {
+		f() // prime the pools
+		return testing.Benchmark(func(tb *testing.B) {
+			tb.ReportAllocs()
+			for i := 0; i < tb.N; i++ {
+				f()
+			}
+		})
+	}
+	fr := run(func() { conv.ForwardInto(y, x, false) })
+	ir := run(func() {
+		tensor.Im2ColSlice(cols, x.Data, cs.InC, cs.H, cs.H, conv.Geom)
+		tensor.GemmEpilogueInto(y.Data, conv.Weight.Value.Data, cols, cs.OutC, k, oh*ow, ep)
+	})
+	ns := float64(fr.NsPerOp())
+	return Result{Name: "conv_f32_" + cs.Name, Shape: fmt.Sprintf("1x%dx%dx%d", cs.InC, cs.H, cs.H),
+		Threads: runtime.GOMAXPROCS(0), NsPerOp: ns,
+		GFlops:       2 * float64(cs.OutC) * float64(k) * float64(oh*ow) / ns,
+		AllocsPerOp:  fr.AllocsPerOp(),
+		SpeedupVsRef: float64(ir.NsPerOp()) / ns}
 }
 
 // benchInt8Requant measures GemmInt8RequantInto on m×Int8KP(k)×n under

@@ -5,7 +5,7 @@ import (
 	"sync"
 )
 
-// Scratch-buffer arena. The compute kernels (GEMM packing, im2col columns)
+// Scratch-buffer arena. The compute kernels (bordered inputs, offset tables)
 // need short-lived float32 slices on every forward call; allocating them
 // fresh puts the garbage collector on the inference hot path. Buffers are
 // recycled through size-bucketed sync.Pools instead: bucket b holds slices
