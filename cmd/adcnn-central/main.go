@@ -18,8 +18,6 @@ import (
 	"net"
 	"net/http"
 	"os"
-	"path/filepath"
-	"strconv"
 	"strings"
 	"time"
 
@@ -85,142 +83,71 @@ func redialer(addr string) core.Dialer {
 	}
 }
 
-// replicaObs is the per-replica observability buildCentral leaves
-// behind for the run loop: the SLO engine /healthz consults (nil
-// without -metrics-addr) and the tracer written out at exit (nil
-// without -trace).
-type replicaObs struct {
-	engine *telemetry.SLOEngine
-	trace  *telemetry.Trace
-}
-
-// centralBuilder holds what every replica is built from. One closure,
-// buildCentral, turns it into a configured, running Central — whatever
-// the replica count, every replica gets the same dialers, flight ring,
-// metrics, SLO engine and tracer.
-type centralBuilder struct {
-	logger   *slog.Logger
-	addrs    []string
-	replicas int
-	model    func() (*models.Model, error) // a fresh instance per call
-	// base is the configuration the replicas share as is: T_L, γ and
-	// the process-wide flight ring. buildCentral adds what is per
-	// replica — model, connections, metrics, tracer.
-	base           core.CentralConfig
-	connectTimeout time.Duration
-	slo            core.SLOConfig
-	tracing        bool
-
-	// reg is nil without -metrics-addr: no metrics, no SLO engines.
-	reg *telemetry.Registry
-	// One audit ring (like the one flight ring) for the whole process:
-	// every replica's reallocations interleave in the same decision
-	// history, which is the view a postmortem wants.
-	audit *sched.Audit
-
-	obs []replicaObs // indexed by replica, filled by buildCentral
-}
-
-// buildCentral is core.NewCluster's build function for replica r.
-func (b *centralBuilder) buildCentral(r int) (*core.Central, error) {
-	// Each replica gets its own model instance (same seed, same weights,
-	// so all replicas compute identical back layers) — Central serializes
-	// back-layer execution per instance, and neither another replica nor
-	// the -verify oracle may contend on its scratch state.
-	cfg := b.base
-	var err error
-	if cfg.Model, err = b.model(); err != nil {
-		return nil, err
-	}
-	for _, addr := range b.addrs {
-		nc, err := dialNode(addr, b.connectTimeout)
+// startCentral dials every Conv node in addrs (each with a reconnect
+// dialer) into cfg's connections and starts the Central. When cfg
+// carries Metrics it also starts the SLO engine over them: a breach
+// dumps the flight ring (naming the objective and the worst-health
+// node) and fails /healthz so a load balancer drains us. The engine is
+// nil without Metrics.
+func startCentral(logger *slog.Logger, cfg core.CentralConfig, addrs []string, connectTimeout time.Duration, slo core.SLOConfig) (*core.Central, *telemetry.SLOEngine, error) {
+	for _, addr := range addrs {
+		nc, err := dialNode(addr, connectTimeout)
 		if err != nil {
 			for _, c := range cfg.Conns {
 				c.Close()
 			}
-			return nil, err
+			return nil, nil, err
 		}
 		cfg.Conns = append(cfg.Conns, core.NewStreamConn(nc))
 		cfg.Dialers = append(cfg.Dialers, redialer(addr))
 	}
-	obs := &b.obs[r]
-	if b.reg != nil {
-		cfg.Metrics = core.NewMetrics(b.reg, r)
-		// Scheduler decision audit: every Algorithm 3 reallocation lands
-		// in the ring served at /debug/sched and logged at Debug level.
-		cfg.Metrics.Audit = b.audit
-		obs.engine = core.NewSLOEngine(cfg.Metrics, b.slo)
-	}
-	if b.tracing {
-		obs.trace = telemetry.NewTrace()
-		cfg.Trace = obs.trace
-	}
 	cen, err := cfg.Start()
-	if err != nil {
-		return nil, err
+	if err != nil || cfg.Metrics == nil {
+		return cen, nil, err
 	}
-	if obs.engine != nil {
-		// SLO engine over the tile instruments: a breach dumps the
-		// flight ring (naming the objective and the worst-health node)
-		// and fails /healthz so a load balancer drains us.
-		cen.WireSLO(obs.engine)
-		obs.engine.Subscribe(func(tr telemetry.SLOTransition) {
-			b.logger.Warn("slo transition", "replica", r, "objective", tr.Objective,
-				"from", tr.FromName, "to", tr.ToName, "detail", tr.Detail)
-		})
-		go obs.engine.Run(context.Background(), 0)
-	}
-	return cen, nil
+	engine := core.NewSLOEngine(cfg.Metrics, slo)
+	cen.WireSLO(engine)
+	engine.Subscribe(func(tr telemetry.SLOTransition) {
+		logger.Warn("slo transition", "objective", tr.Objective,
+			"from", tr.FromName, "to", tr.ToName, "detail", tr.Detail)
+	})
+	go engine.Run(context.Background(), 0)
+	return cen, engine, nil
 }
 
-// breached is the /healthz and /readyz check: it fails while any
-// replica's SLO engine is in breach.
-func (b *centralBuilder) breached() error {
-	for r, o := range b.obs {
-		if o.engine.Breached() {
-			return fmt.Errorf("slo breach on replica %d: %+v", r, o.engine.Status())
+// sloCheck is the /healthz and /readyz check: it fails while engine is
+// in breach.
+func sloCheck(engine *telemetry.SLOEngine) func() error {
+	return func() error {
+		if engine.Breached() {
+			return fmt.Errorf("slo breach: %+v", engine.Status())
 		}
+		return nil
 	}
-	return nil
 }
 
-// tracePath names replica r's trace file: path itself for a lone
-// Central, path with ".r<r>" before the extension otherwise.
-func (b *centralBuilder) tracePath(path string, r int) string {
-	if b.replicas == 1 {
-		return path
-	}
-	ext := filepath.Ext(path)
-	return fmt.Sprintf("%s.r%d%s", strings.TrimSuffix(path, ext), r, ext)
-}
-
-// sessionsHandler serves every replica's node-session snapshot as JSON,
-// keyed by replica index, for mounting at /debug/sessions.
-func sessionsHandler(cl *core.Cluster) http.Handler {
+// sessionsHandler serves the Central's node-session snapshot as a JSON
+// list, one entry per node, for mounting at /debug/sessions.
+func sessionsHandler(cen *core.Central) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
 		w.Header().Set("Content-Type", "application/json")
-		all := make(map[string][]core.SessionDebug, cl.Replicas())
-		for r := 0; r < cl.Replicas(); r++ {
-			all[strconv.Itoa(r)] = cl.Replica(r).DebugSessions()
-		}
 		enc := json.NewEncoder(w)
 		enc.SetIndent("", " ")
-		_ = enc.Encode(all)
+		_ = enc.Encode(cen.DebugSessions())
 	})
 }
 
 func main() {
 	nodeList := flag.String("nodes", "127.0.0.1:9001", "comma-separated Conv node addresses")
 	mf := cliutil.RegisterModelFlags(flag.CommandLine)
-	images := flag.Int("images", 10, "number of synthetic images to run")
+	images := flag.Int("images", 10, "number of synthetic images to run (at least 1)")
 	tl := flag.Duration("tl", 5*time.Second, "result wait deadline T_L")
 	gamma := flag.Float64("gamma", 0.9, "statistics decay γ")
 	verify := flag.Bool("verify", true, "check outputs against local execution")
 	metricsAddr := flag.String("metrics-addr", "", "serve /metrics, /healthz, /debug/pprof, /debug/flight, /debug/sessions and /debug/sched on this address (e.g. :9090)")
-	tracePath := flag.String("trace", "", "write a Chrome trace-event JSON timeline (central + conv-side spans) to this file; with -replicas N, one file per replica (out.r0.json, ...)")
+	tracePath := flag.String("trace", "", "write a Chrome trace-event JSON timeline (central + conv-side spans) to this file")
 	connectTimeout := flag.Duration("connect-timeout", 30*time.Second, "total dial budget per conv node (retry with backoff)")
-	pipeline := flag.Int("pipeline", 0, "keep up to this many images in flight per replica (0 = one at a time)")
-	replicas := flag.Int("replicas", 1, "run this many Central replicas over the same conv pool (each conv node serves one session per replica)")
+	pipeline := flag.Int("pipeline", 0, "keep up to this many images in flight (0 = one at a time)")
 	breakdown := flag.Bool("breakdown", false, "print the per-image mean phase decomposition after each image")
 	flightSize := flag.Int("flight-size", telemetry.DefaultFlightSize, "flight recorder ring capacity (events)")
 	sloP99 := flag.Duration("slo-p99", 250*time.Millisecond, "SLO: p99 tile round-trip latency objective (0 disables)")
@@ -235,72 +162,64 @@ func main() {
 		os.Exit(1)
 	}
 
-	cfg, err := cliutil.SimConfigByName(mf.Name)
+	simCfg, err := cliutil.SimConfigByName(mf.Name)
 	if err != nil {
 		die("bad -model", "err", err)
 	}
-	if *replicas < 1 {
-		die("bad -replicas", "replicas", *replicas)
+	if *images < 1 {
+		die("bad -images: want at least 1", "images", *images)
 	}
-	// The oracle instance -verify runs locally; every replica builds its
-	// own from the same recipe.
+	// The oracle instance -verify runs locally; the Central gets its own
+	// from the same recipe (same seed, same weights): it serializes
+	// back-layer execution per instance, and the oracle must not contend
+	// on its scratch state.
 	oracle, err := mf.Build()
 	if err != nil {
 		die("build model", "err", err)
 	}
 	mf.Log(logger, oracle)
-
-	b := &centralBuilder{
-		logger: logger, replicas: *replicas, model: mf.Build,
-		base: core.CentralConfig{
-			TL: *tl, Gamma: *gamma,
-			// The flight recorder is cheap (a mutex-guarded ring) and is
-			// what explains a missed deadline after the fact, so it is
-			// always on; the metrics address only decides whether it is
-			// reachable over HTTP.
-			Flight: telemetry.NewFlightRecorder(*flightSize),
-		},
-		connectTimeout: *connectTimeout,
-		slo: core.SLOConfig{
-			TileP99:    disableZero(sloP99.Seconds()),
-			MissBudget: disableZero(*sloMiss),
-			FastWindow: *sloFast,
-			SlowWindow: *sloSlow,
-		},
-		tracing: *tracePath != "",
-		audit:   sched.NewAudit(0, logger),
-		obs:     make([]replicaObs, *replicas),
+	cfg := core.CentralConfig{
+		TL: *tl, Gamma: *gamma,
+		// The flight recorder is cheap (a mutex-guarded ring) and is
+		// what explains a missed deadline after the fact, so it is
+		// always on; the metrics address only decides whether it is
+		// reachable over HTTP.
+		Flight: telemetry.NewFlightRecorder(*flightSize),
 	}
-	for _, addr := range strings.Split(*nodeList, ",") {
-		b.addrs = append(b.addrs, strings.TrimSpace(addr))
+	if cfg.Model, err = mf.Build(); err != nil {
+		die("build model", "err", err)
 	}
 	if *metricsAddr != "" {
-		b.reg = telemetry.NewRegistry()
-		telemetry.RegisterBuildInfo(b.reg, "central", tensor.DetectedKernelTier().String())
+		cfg.Metrics = core.NewMetrics(telemetry.NewRegistry())
+		telemetry.RegisterBuildInfo(cfg.Metrics.Registry, "central", tensor.DetectedKernelTier().String())
+		// Scheduler decision audit: every Algorithm 3 reallocation lands
+		// in the ring served at /debug/sched and logged at Debug level.
+		cfg.Metrics.Audit = sched.NewAudit(0, logger)
 	}
-
-	// One run path for every replica count: N full Centrals — each with
-	// its own connections, statistics and pending table — drive the Conv
-	// pool through core.Cluster, whose one queue every replica drains.
-	// With one replica that reduces to a bounded pipeline over a single
-	// Central.
-	depth := *pipeline
-	if depth < 1 {
-		depth = 1
+	if *tracePath != "" {
+		cfg.Trace = telemetry.NewTrace()
 	}
-	cl, err := core.NewCluster(b.buildCentral, core.ClusterOptions{
-		Replicas: *replicas, Depth: depth, Registry: b.reg,
+	var addrs []string
+	for _, addr := range strings.Split(*nodeList, ",") {
+		addrs = append(addrs, strings.TrimSpace(addr))
+	}
+	cen, engine, err := startCentral(logger, cfg, addrs, *connectTimeout, core.SLOConfig{
+		TileP99:    disableZero(sloP99.Seconds()),
+		MissBudget: disableZero(*sloMiss),
+		FastWindow: *sloFast,
+		SlowWindow: *sloSlow,
 	})
 	if err != nil {
 		die("start central", "err", err)
 	}
-	logger.Info("central up", "replicas", *replicas, "nodes", len(b.addrs))
+	logger.Info("central up", "nodes", len(addrs))
 
-	if b.reg != nil {
-		mux := telemetry.MuxChecks(b.reg, b.breached, b.breached)
-		mux.Handle("/debug/flight", b.base.Flight)
-		mux.Handle("/debug/sched", b.audit)
-		mux.Handle("/debug/sessions", sessionsHandler(cl))
+	if cfg.Metrics != nil {
+		check := sloCheck(engine)
+		mux := telemetry.MuxChecks(cfg.Metrics.Registry, check, check)
+		mux.Handle("/debug/flight", cfg.Flight)
+		mux.Handle("/debug/sched", cfg.Metrics.Audit)
+		mux.Handle("/debug/sessions", sessionsHandler(cen))
 		_, bound, err := telemetry.ServeMux(*metricsAddr, mux)
 		if err != nil {
 			die("metrics server", "err", err)
@@ -309,7 +228,7 @@ func main() {
 			"paths", "/metrics /healthz /readyz /debug/pprof /debug/flight /debug/sessions /debug/sched")
 	}
 
-	set, err := synthSet(cfg, *images, mf.Seed+100)
+	set, err := synthSet(simCfg, *images, mf.Seed+100)
 	if err != nil {
 		die("build dataset", "err", err)
 	}
@@ -322,69 +241,63 @@ func main() {
 		verifyTol = 5e-2
 	}
 
-	// Submit from a feeder goroutine (Submit blocks on admission once
-	// the queue is full) and collect in submission order here.
-	pend := make(chan (<-chan core.ClusterResult), *replicas*4)
+	// Submit from a feeder goroutine (Submit blocks while -pipeline
+	// images are in flight) and collect in submission order here. pend
+	// holds a handle per admission slot, so the feeder keeps every slot
+	// busy while the collector waits on the oldest image.
+	depth := max(*pipeline, 1)
+	pipe := core.NewPipeline(cen, depth)
+	pend := make(chan *core.Inflight, depth)
 	go func() {
 		defer close(pend)
 		for i := 0; i < *images; i++ {
 			x, _ := set.Batch(i, 1)
-			ch, err := cl.Submit(context.Background(), x)
+			h, err := pipe.Submit(context.Background(), x)
 			if err != nil {
-				ec := make(chan core.ClusterResult, 1)
-				ec <- core.ClusterResult{Err: err}
-				ch = ec
+				die("submit image", "image", i, "err", err)
 			}
-			pend <- ch
+			pend <- h
 		}
 	}()
 
 	wallStart := time.Now()
 	var total time.Duration
 	mismatches, i := 0, 0
-	executed := make([]int, *replicas)
-	for ch := range pend {
-		r := <-ch
-		if r.Err != nil {
-			die("image failed", "image", i, "err", r.Err)
+	for h := range pend {
+		out, st, err := h.Wait()
+		if err != nil {
+			die("image failed", "image", i, "err", err)
 		}
-		executed[r.Replica]++
-		total += r.Stats.Latency
+		total += st.Latency
 		status := ""
 		if *verify {
 			x, _ := set.Batch(i, 1)
-			if !r.Out.Equal(oracle.Net.Forward(x, false), verifyTol) {
+			if !out.Equal(oracle.Net.Forward(x, false), verifyTol) {
 				status += "  MISMATCH vs local"
 				mismatches++
 			}
 		}
-		fmt.Printf("image %2d: replica %d  latency %8v  missed %d  alloc %v%s\n",
-			i, r.Replica, r.Stats.Latency.Round(time.Microsecond),
-			r.Stats.TilesMissed, r.Stats.Alloc, status)
+		fmt.Printf("image %2d: latency %8v  missed %d  alloc %v%s\n",
+			i, st.Latency.Round(time.Microsecond), st.TilesMissed, st.Alloc, status)
 		if *breakdown {
-			r.Stats.Breakdown.WriteText(os.Stdout)
+			st.Breakdown.WriteText(os.Stdout)
 		}
 		logger.Debug("image complete",
-			"image", i, "replica", r.Replica, "trace_id", core.TraceIDString(r.Stats.TraceID),
-			"latency", r.Stats.Latency, "missed", r.Stats.TilesMissed)
+			"image", i, "trace_id", core.TraceIDString(st.TraceID),
+			"latency", st.Latency, "missed", st.TilesMissed)
 		i++
 	}
 	wall := time.Since(wallStart)
 	fmt.Printf("mean latency: %v over %d images; throughput %.2f imgs/s; %d mismatches\n",
 		(total / time.Duration(*images)).Round(time.Microsecond), *images,
 		float64(*images)/wall.Seconds(), mismatches)
-	fmt.Printf("executed per replica %v\n", executed)
 
-	cl.Shutdown()
-	for r, o := range b.obs {
-		if o.trace == nil {
-			continue
-		}
-		path := b.tracePath(*tracePath, r)
-		if err := o.trace.WriteFile(path); err != nil {
+	cen.Shutdown()
+	if cfg.Trace != nil {
+		if err := cfg.Trace.WriteFile(*tracePath); err != nil {
 			logger.Error("write trace", "err", err)
 		} else {
-			logger.Info("wrote trace", "path", path, "events", o.trace.Len())
+			logger.Info("wrote trace", "path", *tracePath, "events", cfg.Trace.Len())
 		}
 	}
 	if mismatches > 0 {

@@ -14,7 +14,6 @@ import (
 	"adcnn/internal/core"
 	"adcnn/internal/fdsp"
 	"adcnn/internal/models"
-	"adcnn/internal/sched"
 	"adcnn/internal/telemetry"
 	"adcnn/internal/tensor"
 )
@@ -47,74 +46,64 @@ func convPool(t *testing.T, m *models.Model, n int) []string {
 	return addrs
 }
 
-// TestEveryReplicaCountGetsObservability: the one build closure gives
-// every replica — of a lone Central and of a cluster alike — an SLO
-// engine and a tracer, and /healthz fails once any replica breaches.
-func TestEveryReplicaCountGetsObservability(t *testing.T) {
-	build := func() (*models.Model, error) {
-		return models.Build(models.VGGSim(), models.Options{Grid: fdsp.Grid{Rows: 2, Cols: 2}}, 42)
-	}
-	m, err := build()
-	if err != nil {
-		t.Fatal(err)
-	}
-	addrs := convPool(t, m, 2)
-	for _, replicas := range []int{1, 2} {
-		b := &centralBuilder{
-			logger: slog.New(slog.NewTextHandler(io.Discard, nil)),
-			addrs:  addrs, replicas: replicas, model: build,
-			base:           core.CentralConfig{TL: 5 * time.Second, Gamma: 0.9, Flight: telemetry.NewFlightRecorder(0)},
-			connectTimeout: 5 * time.Second,
-			// A 1ns latency objective: every tile that flows is a bad one.
-			slo:     core.SLOConfig{TileP99: 1e-9, MissBudget: -1},
-			tracing: true,
-			reg:     telemetry.NewRegistry(),
-			audit:   sched.NewAudit(0, nil),
-			obs:     make([]replicaObs, replicas),
-		}
-		cl, err := core.NewCluster(b.buildCentral, core.ClusterOptions{Replicas: replicas, Depth: 1, Registry: b.reg})
+// TestCentralGetsObservability: with metrics on, the Central started
+// over TCP gets an SLO engine, its tracer records the images, the
+// /healthz check fails once the engine breaches, and /debug/sessions
+// serves one JSON entry per Conv node.
+func TestCentralGetsObservability(t *testing.T) {
+	build := func() *models.Model {
+		m, err := models.Build(models.VGGSim(), models.Options{Grid: fdsp.Grid{Rows: 2, Cols: 2}}, 42)
 		if err != nil {
 			t.Fatal(err)
 		}
-		for r, o := range b.obs {
-			if o.engine == nil || o.trace == nil {
-				t.Fatalf("replicas=%d: replica %d built without engine (%v) or tracer (%v)",
-					replicas, r, o.engine != nil, o.trace != nil)
-			}
+		return m
+	}
+	addrs := convPool(t, build(), 2)
+	cfg := core.CentralConfig{
+		Model: build(), TL: 5 * time.Second, Gamma: 0.9,
+		Metrics: core.NewMetrics(telemetry.NewRegistry()),
+		Trace:   telemetry.NewTrace(),
+		Flight:  telemetry.NewFlightRecorder(0),
+	}
+	logger := slog.New(slog.NewTextHandler(io.Discard, nil))
+	// A 1ns latency objective: every tile that flows is a bad one.
+	cen, engine, err := startCentral(logger, cfg, addrs, 5*time.Second, core.SLOConfig{TileP99: 1e-9, MissBudget: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cen.Shutdown()
+	if engine == nil {
+		t.Fatal("central with metrics started without an SLO engine")
+	}
+	check := sloCheck(engine)
+	if err := check(); err != nil {
+		t.Fatalf("breached before any traffic: %v", err)
+	}
+	pipe := core.NewPipeline(cen, 2)
+	x := tensor.New(1, 3, 32, 32)
+	for i := 0; i < 4; i++ {
+		h, err := pipe.Submit(context.Background(), x)
+		if err != nil {
+			t.Fatal(err)
 		}
-		if err := b.breached(); err != nil {
-			t.Fatalf("replicas=%d: breached before any traffic: %v", replicas, err)
+		if _, _, err := h.Wait(); err != nil {
+			t.Fatal(err)
 		}
-		// The images go to whichever replica takes them first, and a
-		// replica that ran none stays healthy: one breach must be enough.
-		x := tensor.New(1, 3, 32, 32)
-		for i := 0; i < 4; i++ {
-			ch, err := cl.Submit(context.Background(), x)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if r := <-ch; r.Err != nil {
-				t.Fatal(r.Err)
-			}
-		}
-		for _, o := range b.obs {
-			o.engine.Tick(time.Now())
-		}
-		if err := b.breached(); err == nil || !strings.Contains(err.Error(), "slo breach") {
-			t.Fatalf("replicas=%d: /healthz check = %v after 16 tiles over a 1ns objective", replicas, err)
-		}
-		rec := httptest.NewRecorder()
-		sessionsHandler(cl).ServeHTTP(rec, httptest.NewRequest("GET", "/debug/sessions", nil))
-		var sessions map[string][]core.SessionDebug
-		if err := json.Unmarshal(rec.Body.Bytes(), &sessions); err != nil {
-			t.Fatalf("bad JSON from /debug/sessions: %v", err)
-		}
-		if ct := rec.Header().Get("Content-Type"); ct != "application/json" || len(sessions) != replicas || len(sessions["0"]) != len(addrs) {
-			t.Fatalf("replicas=%d: /debug/sessions served %q %+v", replicas, ct, sessions)
-		}
-		cl.Shutdown()
-		if got, want := b.tracePath("out.json", replicas-1), map[int]string{1: "out.json", 2: "out.r1.json"}[replicas]; got != want {
-			t.Fatalf("trace path = %q, want %q", got, want)
-		}
+	}
+	if cfg.Trace.Len() == 0 {
+		t.Fatal("the tracer recorded nothing over 4 images")
+	}
+	engine.Tick(time.Now())
+	if err := check(); err == nil || !strings.Contains(err.Error(), "slo breach") {
+		t.Fatalf("/healthz check = %v after 16 tiles over a 1ns objective", err)
+	}
+	rec := httptest.NewRecorder()
+	sessionsHandler(cen).ServeHTTP(rec, httptest.NewRequest("GET", "/debug/sessions", nil))
+	var sessions []core.SessionDebug
+	if err := json.Unmarshal(rec.Body.Bytes(), &sessions); err != nil {
+		t.Fatalf("bad JSON from /debug/sessions: %v", err)
+	}
+	if ct := rec.Header().Get("Content-Type"); ct != "application/json" || len(sessions) != len(addrs) {
+		t.Fatalf("/debug/sessions served %q %+v, want one entry per node", ct, sessions)
 	}
 }

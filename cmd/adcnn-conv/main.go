@@ -45,10 +45,11 @@ func main() {
 	}
 	mf.Log(logger, m)
 
-	// One worker, one NodeServer: every Central that connects gets an
-	// independent session (own epoch, timing buffers, bounded compute
-	// queue) while sharing the node's model and cores, so N replicas
-	// split the node's real capacity between them.
+	// One worker, one NodeServer: every connection gets an independent
+	// session (own epoch, timing buffers, bounded compute queue) over the
+	// node's one model and its cores. A reconnecting Central's new
+	// session may overlap its dead one, and several Centrals split the
+	// node's real capacity between them.
 	w := core.NewWorker(*id, m)
 	ns := core.NewNodeServer(w, 0)
 
@@ -57,7 +58,7 @@ func main() {
 	// node with no Central attached is idle, not broken, so restarting
 	// it would be wrong. /readyz is readiness ("send me traffic"): 503
 	// until at least one session is attached — "≥ 1", not "exactly 1",
-	// because a node serving several Central replicas is more ready, not
+	// because a node serving several Centrals is more ready, not
 	// less — so an orchestrator can hold a rollout until the node is
 	// actually doing work.
 	if *metricsAddr != "" {

@@ -136,17 +136,10 @@ func (d *dash) poll(addr string) *scrapeSet {
 	}
 	s.metrics, s.err = telemetry.ParsePrometheus(strings.NewReader(string(raw)))
 	if body, err := d.fetch(addr, "/debug/sessions"); err == nil {
-		// A map of replica id -> sessions. The node table shows the
-		// lowest replica's view (states rarely diverge — every replica
-		// talks to the same nodes).
-		var byRep map[string][]sessionRow
-		if json.Unmarshal(body, &byRep) == nil && len(byRep) > 0 {
-			keys := make([]string, 0, len(byRep))
-			for k := range byRep {
-				keys = append(keys, k)
-			}
-			sort.Strings(keys)
-			s.sessions = byRep[keys[0]]
+		// One entry per Conv node.
+		var rows []sessionRow
+		if json.Unmarshal(body, &rows) == nil {
+			s.sessions = rows
 		}
 	}
 	if body, err := d.fetch(addr, "/debug/sched"); err == nil {
@@ -190,9 +183,8 @@ func (d *dash) render() string {
 	fmt.Fprintf(&b, "\n  images %6.1f/s   inflight %2.0f   zero-fill %5.2f/s",
 		imgRate, inflight, missRate)
 
-	// Tile round-trip quantiles over every replica's buckets, from the
-	// delta between polls (falls back to since-start when the delta is
-	// empty).
+	// Tile round-trip quantiles from the bucket delta between polls
+	// (falls back to since-start when the delta is empty).
 	upper, cum := m.Buckets("adcnn_central_tile_roundtrip_seconds")
 	if prev.metrics != nil {
 		pu, pc := prev.metrics.Buckets("adcnn_central_tile_roundtrip_seconds")
@@ -223,17 +215,6 @@ func (d *dash) render() string {
 			}
 			fmt.Fprintf(&b, "   %-18s %-14s burn fast %5.1f  slow %5.1f\n",
 				r.name, state, r.fastBurn, r.slowBurn)
-		}
-	}
-
-	// ---- cluster replicas (the Central's; a Conv node has none).
-	if reps := m.LabelValues("adcnn_cluster_images_total", "replica"); len(reps) > 0 {
-		queue, _ := m.Value("adcnn_cluster_queue_depth")
-		fmt.Fprintf(&b, "\n  %s   queued %.0f\n", d.bold("replicas"), queue)
-		fmt.Fprintf(&b, "   %-7s %s\n", "replica", "imgs/s")
-		for _, r := range reps {
-			tput := d.rateWith(m, prev.metrics, "adcnn_cluster_images_total", dt, "replica", r)
-			fmt.Fprintf(&b, "   %-7s %.1f\n", r, tput)
 		}
 	}
 
@@ -354,9 +335,7 @@ func (d *dash) render() string {
 }
 
 // rate computes a counter's per-second delta between two scrapes,
-// summed over all of the family's samples — every Central family
-// carries a replica label, so the headline rates aggregate across
-// replicas instead of picking an arbitrary one.
+// summed over all of the family's samples.
 func (d *dash) rate(cur, prev *telemetry.PromScrape, name string, dt float64) float64 {
 	cv, ok := sumName(cur, name)
 	if !ok || prev == nil {
@@ -369,21 +348,8 @@ func (d *dash) rate(cur, prev *telemetry.PromScrape, name string, dt float64) fl
 	return (cv - pv) / dt
 }
 
-// rateWith is rate for one labeled sample (no summing).
-func (d *dash) rateWith(cur, prev *telemetry.PromScrape, name string, dt float64, labels ...string) float64 {
-	cv, ok := cur.Value(name, labels...)
-	if !ok || prev == nil {
-		return 0
-	}
-	pv, _ := prev.Value(name, labels...)
-	if cv < pv {
-		return 0
-	}
-	return (cv - pv) / dt
-}
-
 // sumName sums every sample of a family whose labels include the given
-// key=value pairs, whatever its other labels (e.g. replica).
+// key=value pairs, whatever its other labels.
 func sumName(s *telemetry.PromScrape, name string, labels ...string) (float64, bool) {
 	if s == nil {
 		return 0, false
@@ -407,7 +373,7 @@ func sumName(s *telemetry.PromScrape, name string, labels ...string) (float64, b
 }
 
 // phaseLine renders mean per-phase time from the histogram sum/count
-// deltas of adcnn_central_tile_phase_seconds, summed over replicas.
+// deltas of adcnn_central_tile_phase_seconds.
 func (d *dash) phaseLine(cur, prev *telemetry.PromScrape) string {
 	var parts []string
 	for _, phase := range cur.LabelValues("adcnn_central_tile_phase_seconds_count", "phase") {

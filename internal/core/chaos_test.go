@@ -195,7 +195,7 @@ func newChaosRig(t *testing.T) *chaosRig {
 		t.Fatal(err)
 	}
 	r := &chaosRig{
-		met:    NewMetrics(telemetry.NewRegistry(), 0),
+		met:    NewMetrics(telemetry.NewRegistry()),
 		flight: telemetry.NewFlightRecorder(1 << 15),
 		x:      tensor.New(1, 3, 32, 32),
 		now:    time.Unix(0, 0),

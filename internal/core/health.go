@@ -182,9 +182,6 @@ const (
 // NewSLOEngine builds an engine over m's cumulative tile instruments
 // with the standard ADCNN objectives: p99 of TileRoundTrip, and the
 // zero-fill ratio of TilesMissed over the tiles TileRoundTrip settled.
-// The objective names carry m's "@replica" suffix, so the engines of
-// several replicas sharing one registry export separate adcnn_slo_*
-// series instead of overwriting each other's.
 func NewSLOEngine(m *Metrics, cfg SLOConfig) *telemetry.SLOEngine {
 	if cfg.TileP99 == 0 {
 		cfg.TileP99 = DefaultTileP99
@@ -198,14 +195,13 @@ func NewSLOEngine(m *Metrics, cfg SLOConfig) *telemetry.SLOEngine {
 	if cfg.SlowWindow <= 0 {
 		cfg.SlowWindow = DefaultSLOWindows[1]
 	}
-	suffix := "@" + m.replica
 	e := telemetry.NewSLOEngine(m.Registry)
 	if cfg.TileP99 > 0 {
-		e.Register(telemetry.NewLatencySLO(SLOTileLatency+suffix, m.TileRoundTrip,
+		e.Register(telemetry.NewLatencySLO(SLOTileLatency, m.TileRoundTrip,
 			0.99, cfg.TileP99, cfg.FastWindow, cfg.SlowWindow))
 	}
 	if cfg.MissBudget > 0 {
-		e.Register(telemetry.NewRatioSLO(SLOZeroFill+suffix, m.TileRoundTrip, m.TilesMissed,
+		e.Register(telemetry.NewRatioSLO(SLOZeroFill, m.TileRoundTrip, m.TilesMissed,
 			cfg.MissBudget, cfg.FastWindow, cfg.SlowWindow))
 	}
 	return e

@@ -7,15 +7,11 @@ import (
 	"adcnn/internal/telemetry"
 )
 
-// Metrics bundles a Central replica's instruments, resolved once from a
+// Metrics bundles the Central's instruments, resolved once from a
 // telemetry.Registry so the per-tile hot path never touches a map. A nil
-// *Metrics disables instrumentation at every call site. Every family
-// carries a leading "replica" label bound to the bundle's replica, so
-// one schema serves a lone Central (replica "0") and several replicas
-// sharing one registry, each with its own bundle.
+// *Metrics disables instrumentation at every call site.
 type Metrics struct {
 	Registry *telemetry.Registry
-	replica  string // the replica label value every family carries
 
 	Images         *telemetry.Counter
 	TileRoundTrip  *telemetry.Histogram            // seconds, tile dispatch → result arrival
@@ -30,32 +26,28 @@ type Metrics struct {
 	SchedSpeed     *telemetry.GaugeVec             // node, Algorithm 2 estimate s_k after each image settles
 
 	// Audit, when set, receives the scheduler's decisions (see
-	// sched.Driver.Plan); replicas may share one ring.
+	// sched.Driver.Plan).
 	Audit *sched.Audit
 }
 
-// NewMetrics registers replica's bundle of the Central catalog on reg
-// (see DESIGN.md "Observability" for the name catalog). Bundles of
-// different replicas share the families and differ in the replica
-// value they are curried to.
-func NewMetrics(reg *telemetry.Registry, replica int) *Metrics {
-	r := strconv.Itoa(replica)
+// NewMetrics registers the Central catalog on reg (see DESIGN.md
+// "Observability" for the name catalog).
+func NewMetrics(reg *telemetry.Registry) *Metrics {
 	m := &Metrics{
 		Registry:       reg,
-		replica:        r,
-		Images:         reg.CounterVec("adcnn_central_images_total", "Distributed inferences started.", "replica").With(r),
-		TileRoundTrip:  reg.HistogramVec("adcnn_central_tile_roundtrip_seconds", "Tile dispatch to intermediate-result arrival.", nil, "replica").With(r),
-		TilesMissed:    reg.CounterVec("adcnn_central_tiles_missed_total", "Tiles zero-filled at the deadline T_L.", "replica").With(r),
-		InflightImages: reg.GaugeVec("adcnn_central_inflight_images", "Images dispatched whose results are still being collected.", "replica").With(r),
-		SendQueueDepth: reg.GaugeVec("adcnn_central_send_queue_depth", "Tile tasks queued in each node session's send loop.", "replica", "node").Curry(r),
-		NodeHealth:     reg.GaugeVec("adcnn_central_node_health", "Gray-failure anomaly score per Conv node: worst relative deviation of the fast phase-time EWMA over the node's slow baseline (0 = at baseline).", "replica", "node").Curry(r),
-		LinkRTT:        reg.GaugeVec("adcnn_central_link_rtt_seconds", "Per-node link round-trip time from task-to-result exchanges (remote hold time subtracted).", "replica", "node").Curry(r),
-		LinkUp:         reg.GaugeVec("adcnn_central_link_up_bytes_per_second", "EWMA uplink transfer rate to each Conv node, estimated from tile phase timings (0 = unknown or stale).", "replica", "node").Curry(r),
-		LinkDown:       reg.GaugeVec("adcnn_central_link_down_bytes_per_second", "EWMA downlink transfer rate from each Conv node, estimated from tile phase timings (0 = unknown or stale).", "replica", "node").Curry(r),
-		SchedSpeed:     reg.GaugeVec("adcnn_sched_speed", "Algorithm 2 EWMA throughput estimate s_k per Conv node.", "replica", "node").Curry(r),
+		Images:         reg.Counter("adcnn_central_images_total", "Distributed inferences started."),
+		TileRoundTrip:  reg.Histogram("adcnn_central_tile_roundtrip_seconds", "Tile dispatch to intermediate-result arrival.", nil),
+		TilesMissed:    reg.Counter("adcnn_central_tiles_missed_total", "Tiles zero-filled at the deadline T_L."),
+		InflightImages: reg.Gauge("adcnn_central_inflight_images", "Images dispatched whose results are still being collected."),
+		SendQueueDepth: reg.GaugeVec("adcnn_central_send_queue_depth", "Tile tasks queued in each node session's send loop.", "node"),
+		NodeHealth:     reg.GaugeVec("adcnn_central_node_health", "Gray-failure anomaly score per Conv node: worst relative deviation of the fast phase-time EWMA over the node's slow baseline (0 = at baseline).", "node"),
+		LinkRTT:        reg.GaugeVec("adcnn_central_link_rtt_seconds", "Per-node link round-trip time from task-to-result exchanges (remote hold time subtracted).", "node"),
+		LinkUp:         reg.GaugeVec("adcnn_central_link_up_bytes_per_second", "EWMA uplink transfer rate to each Conv node, estimated from tile phase timings (0 = unknown or stale).", "node"),
+		LinkDown:       reg.GaugeVec("adcnn_central_link_down_bytes_per_second", "EWMA downlink transfer rate from each Conv node, estimated from tile phase timings (0 = unknown or stale).", "node"),
+		SchedSpeed:     reg.GaugeVec("adcnn_sched_speed", "Algorithm 2 EWMA throughput estimate s_k per Conv node.", "node"),
 	}
 	phases := reg.HistogramVec("adcnn_central_tile_phase_seconds",
-		"Per-tile latency decomposition: time spent in each phase of the tile's journey.", nil, "replica", "phase").Curry(r)
+		"Per-tile latency decomposition: time spent in each phase of the tile's journey.", nil, "phase")
 	for p := 0; p < NumPhases; p++ {
 		m.TilePhase[p] = phases.With(PhaseNames[p])
 	}

@@ -29,7 +29,7 @@ func buildInstrumentedRuntime(t *testing.T, n int) (*Central, *Metrics, *WorkerM
 		t.Fatal(err)
 	}
 	reg := telemetry.NewRegistry()
-	met, wm := NewMetrics(reg, 0), NewWorkerMetrics(reg)
+	met, wm := NewMetrics(reg), NewWorkerMetrics(reg)
 	met.Audit = sched.NewAudit(0, nil)
 	trace := telemetry.NewTrace()
 	conns := make([]Conn, n)
@@ -67,7 +67,7 @@ func TestLinkRTTGaugeFromTileExchanges(t *testing.T) {
 		}
 	}
 	for k, s := range c.DebugSessions() {
-		v, ok := met.Registry.Value("adcnn_central_link_rtt_seconds", "0", nodeLabel(k))
+		v, ok := met.Registry.Value("adcnn_central_link_rtt_seconds", nodeLabel(k))
 		if !ok || v <= 0 || v != float64(s.RTTNs)/1e9 {
 			t.Fatalf("node %d: rtt gauge %v (ok=%v), want %v > 0 from the session's estimator", k, v, ok, float64(s.RTTNs)/1e9)
 		}
@@ -109,8 +109,8 @@ func TestInferRecordsMetrics(t *testing.T) {
 			t.Fatalf("%s%v = %v (ok=%v), want %v", name, lv, v, ok, want)
 		}
 	}
-	mustValue("adcnn_central_images_total", images, "0")
-	mustValue("adcnn_central_tiles_missed_total", 0, "0")
+	mustValue("adcnn_central_images_total", images)
+	mustValue("adcnn_central_tiles_missed_total", 0)
 
 	dispatched := 0
 	for k := 0; k < nodes; k++ {
@@ -132,7 +132,7 @@ func TestInferRecordsMetrics(t *testing.T) {
 
 	// Algorithm 2's speed estimates must be published per node.
 	for k := 0; k < nodes; k++ {
-		if v, ok := reg.Value("adcnn_sched_speed", "0", nodeLabel(k)); !ok || v <= 0 {
+		if v, ok := reg.Value("adcnn_sched_speed", nodeLabel(k)); !ok || v <= 0 {
 			t.Fatalf("s_%d gauge = %v (ok=%v)", k, v, ok)
 		}
 	}
@@ -179,7 +179,7 @@ func TestCentralPublishesSchedulerState(t *testing.T) {
 			first = st.Alloc
 		}
 		for k, s := range c.driver.Speeds() {
-			if v, ok := met.Registry.Value("adcnn_sched_speed", "0", nodeLabel(k)); !ok || v != s {
+			if v, ok := met.Registry.Value("adcnn_sched_speed", nodeLabel(k)); !ok || v != s {
 				t.Fatalf("image %d: s_%d gauge = %v (ok=%v), want the driver's %v", i, k, v, ok, s)
 			}
 		}

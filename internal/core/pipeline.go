@@ -27,35 +27,19 @@ func NewPipeline(c *Central, depth int) *Pipeline {
 }
 
 // Submit blocks until an admission slot frees, then dispatches x's
-// tiles and returns the in-flight handle. The slot is released when the
-// handle's Wait finishes, so at most depth images overlap. Every
-// successful Submit must be paired with exactly one Wait.
+// tiles and returns the in-flight handle; it returns ctx's error if ctx
+// ends first, and the Central's once it shuts down. The slot is
+// released when the handle's Wait finishes (or here, when the dispatch
+// fails), so at most depth images overlap. Every successful Submit must
+// be paired with exactly one Wait.
 func (p *Pipeline) Submit(ctx context.Context, x *tensor.Tensor) (*Inflight, error) {
-	if err := p.Reserve(ctx); err != nil {
-		return nil, err
-	}
-	return p.SubmitReserved(ctx, x)
-}
-
-// Reserve blocks until an admission slot frees and takes it without
-// dispatching anything yet, for a caller that must not pick its next
-// image until it can actually start one (see Cluster.dispatch). Every
-// successful Reserve must be followed by exactly one SubmitReserved.
-func (p *Pipeline) Reserve(ctx context.Context) error {
 	select {
 	case p.sem <- struct{}{}:
 	case <-ctx.Done():
-		return ctx.Err()
+		return nil, ctx.Err()
 	case <-p.C.ctx.Done():
-		return p.C.ctx.Err()
+		return nil, p.C.ctx.Err()
 	}
-	return nil
-}
-
-// SubmitReserved is Submit for a caller already holding a slot from
-// Reserve: the slot travels with the returned handle, or is released
-// here when the dispatch fails.
-func (p *Pipeline) SubmitReserved(ctx context.Context, x *tensor.Tensor) (*Inflight, error) {
 	release := func() { <-p.sem }
 	h, err := p.C.InferAsync(ctx, x)
 	if err != nil {

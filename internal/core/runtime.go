@@ -36,8 +36,7 @@ type Dialer = func(context.Context) (Conn, error)
 // CentralConfig is everything a Central is built from. It is fixed at
 // construction: Start validates it, wraps the connections and starts
 // the node sessions, so there is no window in which a Central exists
-// half-configured. The Conv-node set is fixed here too; what can change
-// while the runtime is live is a method on Central (SetShare).
+// half-configured. The Conv-node set is fixed here too.
 type CentralConfig struct {
 	// Model is this Central's model instance; it must be partitioned, and
 	// every image is tiled with the model's own grid (FDSP).
@@ -75,24 +74,15 @@ type CentralConfig struct {
 // flight at once (InferAsync / Pipeline); Infer is the synchronous
 // convenience wrapper. Every image goes through the one tile lifecycle
 // in inflight.go.
-//
-// Everything here — the per-node sessions with their epochs and
-// clock-offset estimators, the pending table, the Algorithm 2 statistics
-// — is private to one Central, so a Central is also one replica of the
-// control plane: several can drive the same Conv pool concurrently (the
-// Conv side serves each an independent session; see NodeServer), fed
-// from the one queue in Cluster. SetShare tilts a replica toward some
-// nodes of the pool and away from others, so co-resident replicas
-// spread over the pool instead of herding onto the same nodes.
 type Central struct {
 	Model *models.Model
 	// TL is the wait deadline for intermediate results; missing tiles are
 	// zero-filled (paper Section 6.1).
 	TL time.Duration
 
-	// driver is the allocation policy (Algorithms 2 and 3, the cluster
-	// share, probation revival): allocate asks it for a plan,
-	// updateStats settles the image with it.
+	// driver is the allocation policy (Algorithms 2 and 3, probation
+	// revival): allocate asks it for a plan, updateStats settles the
+	// image with it.
 	driver *sched.Driver
 
 	grid fdsp.Grid // the model's grid
@@ -180,15 +170,6 @@ func (cfg CentralConfig) Start() (*Central, error) {
 	}
 	return c, nil
 }
-
-// SetShare installs per-node capacity shares for this replica (see
-// sched.Driver.SetShare: only their ratios across nodes change a
-// split). Safe to call concurrently with Infer — shares take effect on
-// the next allocation.
-func (c *Central) SetShare(share []float64) { c.driver.SetShare(share) }
-
-// NumNodes reports how many Conv nodes the Central was started with.
-func (c *Central) NumNodes() int { return len(c.sessions) }
 
 // Infer runs one distributed inference for a [1,C,H,W] input and returns
 // the model output.

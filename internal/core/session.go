@@ -509,9 +509,9 @@ func (s *nodeSession) reconnect() bool {
 		s.mu.Lock()
 		s.backoff = backoff
 		s.mu.Unlock()
-		// ±20% jitter: several replicas losing the same node reconnect on
-		// the same schedule otherwise, and the restarted node takes every
-		// redial in one synchronized burst.
+		// ±20% jitter: several Central processes losing the same node
+		// reconnect on the same schedule otherwise, and the restarted node
+		// takes every redial in one synchronized burst.
 		sleep := backoff + time.Duration((rand.Float64()-0.5)*0.4*float64(backoff))
 		select {
 		case <-c.ctx.Done():

@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"errors"
 	"math/rand"
 	"sync"
 	"testing"
@@ -33,7 +34,7 @@ func TestSessionReconnectRevivesNode(t *testing.T) {
 		}()
 		return a, nil
 	}
-	met := NewMetrics(telemetry.NewRegistry(), 0)
+	met := NewMetrics(telemetry.NewRegistry())
 	c, conns, stop := buildRuntimeConns(t, m, 2, 5*time.Second, func(cfg *CentralConfig) {
 		cfg.Metrics, cfg.Dialers = met, []Dialer{redial, nil}
 	})
@@ -117,7 +118,9 @@ func TestInferAsyncOverlap(t *testing.T) {
 
 // TestPipelineOrderedResults streams images through a bounded Pipeline,
 // waits on them in submission order and checks every output and that the
-// admission slots drain.
+// admission slots drain. A Submit that waits for a slot of a full
+// pipeline returns its context's error when the context ends, and takes
+// no slot.
 func TestPipelineOrderedResults(t *testing.T) {
 	opt := models.Options{Grid: fdsp.Grid{Rows: 2, Cols: 2}}
 	c, m, stop := buildRuntime(t, opt, 2, 5*time.Second)
@@ -152,6 +155,28 @@ func TestPipelineOrderedResults(t *testing.T) {
 	}
 	if len(p.sem) != 0 {
 		t.Fatalf("pipeline still holds %d admission slots after drain", len(p.sem))
+	}
+
+	var held []*Inflight
+	for _, x := range inputs[:2] {
+		h, err := p.Submit(context.Background(), x)
+		if err != nil {
+			t.Fatal(err)
+		}
+		held = append(held, h)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
+	defer cancel()
+	if _, err := p.Submit(ctx, inputs[2]); !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("submit on a full pipeline returned %v, want %v", err, context.DeadlineExceeded)
+	}
+	for _, h := range held {
+		if _, _, err := h.Wait(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if len(p.sem) != 0 {
+		t.Fatalf("pipeline holds %d admission slots after a cancelled submit", len(p.sem))
 	}
 }
 
@@ -238,7 +263,7 @@ func TestStaleResultsCounted(t *testing.T) {
 	flight := telemetry.NewFlightRecorder(0)
 	c, err := CentralConfig{
 		Model: m, Conns: []Conn{a}, TL: time.Nanosecond, Gamma: 0.9,
-		Metrics: NewMetrics(telemetry.NewRegistry(), 0), Flight: flight,
+		Metrics: NewMetrics(telemetry.NewRegistry()), Flight: flight,
 	}.Start()
 	if err != nil {
 		t.Fatal(err)

@@ -49,9 +49,10 @@ func (w *Worker) Serve(ctx context.Context, conn Conn) error {
 // compute loop before TCP backpressure reaches the Central.
 const DefaultSessionQueue = 4
 
-// NodeServer is the multi-session serving state of one Conv node: many
-// Central replicas hold concurrent connections to the same node, each
-// with an independent session (its own receive/compute goroutine pair,
+// NodeServer is the multi-session serving state of one Conv node: a
+// reconnecting Central's new connection can overlap its dead one, and
+// several Centrals may share one node pool, so every connection gets an
+// independent session (its own receive/compute goroutine pair,
 // timing buffers and bounded compute queue). The sessions share only
 // the worker's model and the host's cores.
 type NodeServer struct {

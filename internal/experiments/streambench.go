@@ -134,12 +134,12 @@ func livePipelineComparison(opt models.Options, nodes, images, warmup, depth int
 		return seq, pipe, 0, err
 	}
 	defer cl.stop()
-	cs, err := cl.central(core.CentralConfig{Metrics: core.NewMetrics(telemetry.NewRegistry(), 0)})
+	cs, err := cl.central(core.CentralConfig{Metrics: core.NewMetrics(telemetry.NewRegistry())})
 	if err != nil {
 		return seq, pipe, 0, err
 	}
 	defer cs.Shutdown()
-	met := core.NewMetrics(telemetry.NewRegistry(), 0)
+	met := core.NewMetrics(telemetry.NewRegistry())
 	cp, err := cl.central(core.CentralConfig{Metrics: met, Trace: trace})
 	if err != nil {
 		return seq, pipe, 0, err

@@ -11,8 +11,8 @@ import (
 type Plan struct {
 	// Alloc is the Algorithm 3 split: tiles per node.
 	Alloc Allocation
-	// Speeds are the Algorithm 2 estimates the split was computed from:
-	// zero for nodes that are not alive, scaled by the cluster share.
+	// Speeds are the Algorithm 2 estimates the split was computed from,
+	// zero for nodes that are not alive.
 	Speeds []float64
 	// Revived lists the starved-but-alive nodes this plan re-admitted on
 	// probation (see Driver.Plan).
@@ -20,8 +20,7 @@ type Plan struct {
 }
 
 // Driver is the whole allocation policy around Algorithms 2 and 3: the
-// s_k statistics, the cluster capacity share, and probation revival of
-// starved nodes. The live Central and the virtual-time Sim run the same
+// s_k statistics and probation revival of starved nodes. The live Central and the virtual-time Sim run the same
 // Driver; the only thing that differs between them is where the time
 // comes from, so time is an argument (Plan's now) and the Driver never
 // reads a clock. That also
@@ -39,8 +38,6 @@ type Driver struct {
 	audit      *Audit
 	last       Allocation
 	lastSpeeds []float64
-
-	share []float64 // see SetShare; nil = this replica owns every node outright
 
 	// probation timestamps each node's last probation revival (zero =
 	// never); see probationRevives.
@@ -65,20 +62,7 @@ func (d *Driver) Revive(k int) {
 	d.mu.Unlock()
 }
 
-// SetShare installs the cluster's per-node capacity shares: node k's
-// measured speed is scaled by share[k] in every subsequent plan. Only
-// the ratios between nodes change a split — a share that is the same
-// on every node routes exactly the tiles no share would (Algorithm 3
-// is scale-invariant) — so the shares steer a replica toward some
-// nodes and away from others (see AffinityTilt). A nil or short share
-// leaves the remaining nodes unscaled.
-func (d *Driver) SetShare(share []float64) {
-	d.mu.Lock()
-	d.share = append(d.share[:0], share...)
-	d.mu.Unlock()
-}
-
-// Speeds returns a copy of the raw Algorithm 2 estimates (no share, no
+// Speeds returns a copy of the raw Algorithm 2 estimates (no
 // liveness).
 func (d *Driver) Speeds() []float64 {
 	d.mu.Lock()
@@ -89,7 +73,7 @@ func (d *Driver) Speeds() []float64 {
 // Plan is the input-partition decision for one image of tiles tiles at
 // time now: probation first revives any starved-but-alive node that is
 // due, then nodes that are not alive get nothing and the rest share the
-// tiles by Algorithm 3 on their share-scaled Algorithm 2 speeds. alive
+// tiles by Algorithm 3 on their Algorithm 2 speeds. alive
 // holds one entry per node; tileBytes and caps are Algorithm 3's
 // storage constraint (nil caps = unlimited). When the Driver has an
 // audit ring, the first plan and every plan that changes the split are
@@ -158,8 +142,7 @@ func (d *Driver) Settle(received []int) {
 }
 
 // aliveSpeeds returns the allocator's speed vector: the Algorithm 2
-// estimates, zeroed for nodes that are not alive and scaled by the
-// cluster share. Callers hold d.mu.
+// estimates, zeroed for nodes that are not alive. Callers hold d.mu.
 func (d *Driver) aliveSpeeds(alive []bool) []float64 {
 	speeds := make([]float64, len(alive))
 	for k, up := range alive {
@@ -167,9 +150,6 @@ func (d *Driver) aliveSpeeds(alive []bool) []float64 {
 			continue
 		}
 		speeds[k] = d.stats.Speed(k)
-		if k < len(d.share) {
-			speeds[k] *= d.share[k]
-		}
 	}
 	return speeds
 }

@@ -10,8 +10,7 @@ import (
 
 // schedule is one seeded run of the Driver against a model cluster the
 // test mutates: nodes die and rejoin, stall (alive but returning
-// nothing, so Algorithm 2 starves them), shares move. The clock is a
-// variable.
+// nothing, so Algorithm 2 starves them). The clock is a variable.
 type schedule struct {
 	t     *testing.T
 	rng   *rand.Rand
@@ -25,7 +24,6 @@ type schedule struct {
 
 	alive   []bool
 	stalled []bool
-	share   []float64
 	revived []time.Time // last probation revival per node, zero = never
 }
 
@@ -61,12 +59,6 @@ func (s *schedule) mutate() {
 		s.stalled[k] = true
 	case 3:
 		s.stalled[k] = false
-	case 4:
-		s.share = make([]float64, s.rng.Intn(len(s.alive)+1))
-		for i := range s.share {
-			s.share[i] = 0.1 + 0.9*s.rng.Float64()
-		}
-		s.d.SetShare(s.share)
 	}
 }
 
@@ -110,14 +102,11 @@ func (s *schedule) step(image uint32) {
 		}
 	}
 
-	// The speeds are the (post-revival) estimates, zero for the dead,
-	// scaled by the share.
+	// The speeds are the (post-revival) estimates, zero for the dead.
 	want := s.d.Speeds()
 	for k := range want {
 		if !s.alive[k] {
 			want[k] = 0
-		} else if k < len(s.share) {
-			want[k] *= s.share[k]
 		}
 	}
 	if !slices.Equal(p.Speeds, want) {
@@ -194,7 +183,7 @@ func TestDriverPlanNeedsOneViewPerNode(t *testing.T) {
 	}
 }
 
-// TestDriverConcurrentUse: plans, settles and the run-time setters from
+// TestDriverConcurrentUse: plans, settles, revivals and reads from
 // many goroutines (the pipelined Central's access pattern), with the
 // audit attached, for the race detector.
 func TestDriverConcurrentUse(t *testing.T) {
@@ -212,7 +201,6 @@ func TestDriverConcurrentUse(t *testing.T) {
 					return
 				}
 				d.Settle(p.Alloc)
-				d.SetShare([]float64{0.5, 1})
 				d.Revive(1)
 				_ = d.Speeds()
 			}

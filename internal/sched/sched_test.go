@@ -192,8 +192,8 @@ func TestAllocateMonotoneProperty(t *testing.T) {
 
 // Property: Algorithm 3 is scale-invariant — multiplying every speed by
 // one positive factor leaves the split unchanged, tie-breaking draws
-// included. A cluster share that is the same on every node of a replica
-// therefore routes nothing differently (Driver.SetShare).
+// included: only the ratios between the nodes' speeds decide a split,
+// never their unit.
 func TestAllocateScaleInvariant(t *testing.T) {
 	// same allocates tiles over speeds and over factor·speeds with
 	// identically seeded tie-breaking and compares the two splits.

@@ -216,7 +216,7 @@ func (s *PromScrape) LabelValues(name, label string) []string {
 // sample set matching the given label pairs: the finite upper bounds
 // (sorted) and their cumulative counts, with the +Inf bucket last.
 // Series that share an upper bound are summed, so a family split by a
-// label the pairs leave open (e.g. replica) reads as one histogram.
+// label the pairs leave open (e.g. phase) reads as one histogram.
 func (s *PromScrape) Buckets(name string, labels ...string) (upper []float64, cum []uint64) {
 	if s == nil || len(labels)%2 != 0 {
 		return nil, nil

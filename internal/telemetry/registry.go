@@ -191,12 +191,8 @@ func (r *Registry) Counter(name, help string) *Counter {
 	return r.CounterVec(name, help).With()
 }
 
-// CounterVec is a counter family with labels. A vec may carry curried
-// (pre-bound) leading label values — see Curry.
-type CounterVec struct {
-	f   *family
-	pre []string
-}
+// CounterVec is a counter family with labels.
+type CounterVec struct{ f *family }
 
 // CounterVec returns the counter family named name with the given label
 // schema.
@@ -204,27 +200,9 @@ func (r *Registry) CounterVec(name, help string, labelNames ...string) *CounterV
 	return &CounterVec{f: r.lookup(name, help, KindCounter, nil, labelNames)}
 }
 
-// With resolves one label-value tuple (appended to any curried values).
+// With resolves one label-value tuple.
 func (v *CounterVec) With(values ...string) *Counter {
-	return v.f.child(joinPre(v.pre, values), func() any { return &Counter{} }).(*Counter)
-}
-
-// Curry returns a view of the family with the given leading label values
-// pre-bound: With on the view supplies only the remaining labels. The
-// view shares the family, so differently-curried views of one vec stay
-// schema-consistent — this is how per-replica instrument bundles share
-// one registry without re-registering families.
-func (v *CounterVec) Curry(values ...string) *CounterVec {
-	return &CounterVec{f: v.f, pre: joinPre(v.pre, values)}
-}
-
-// joinPre concatenates curried and call-site label values.
-func joinPre(pre, values []string) []string {
-	if len(pre) == 0 {
-		return values
-	}
-	out := make([]string, 0, len(pre)+len(values))
-	return append(append(out, pre...), values...)
+	return v.f.child(values, func() any { return &Counter{} }).(*Counter)
 }
 
 // ------------------------------------------------------------------ gauge
@@ -246,12 +224,8 @@ func (r *Registry) Gauge(name, help string) *Gauge {
 	return r.GaugeVec(name, help).With()
 }
 
-// GaugeVec is a gauge family with labels, optionally curried (see
-// CounterVec.Curry).
-type GaugeVec struct {
-	f   *family
-	pre []string
-}
+// GaugeVec is a gauge family with labels.
+type GaugeVec struct{ f *family }
 
 // GaugeVec returns the gauge family named name with the given label
 // schema.
@@ -259,14 +233,9 @@ func (r *Registry) GaugeVec(name, help string, labelNames ...string) *GaugeVec {
 	return &GaugeVec{f: r.lookup(name, help, KindGauge, nil, labelNames)}
 }
 
-// With resolves one label-value tuple (appended to any curried values).
+// With resolves one label-value tuple.
 func (v *GaugeVec) With(values ...string) *Gauge {
-	return v.f.child(joinPre(v.pre, values), func() any { return &Gauge{} }).(*Gauge)
-}
-
-// Curry pre-binds leading label values (see CounterVec.Curry).
-func (v *GaugeVec) Curry(values ...string) *GaugeVec {
-	return &GaugeVec{f: v.f, pre: joinPre(v.pre, values)}
+	return v.f.child(values, func() any { return &Gauge{} }).(*Gauge)
 }
 
 // addFloat atomically adds v to a float64 stored as uint64 bits.
@@ -346,12 +315,8 @@ func (r *Registry) Histogram(name, help string, buckets []float64) *Histogram {
 	return r.HistogramVec(name, help, buckets).With()
 }
 
-// HistogramVec is a histogram family with labels, optionally curried
-// (see CounterVec.Curry).
-type HistogramVec struct {
-	f   *family
-	pre []string
-}
+// HistogramVec is a histogram family with labels.
+type HistogramVec struct{ f *family }
 
 // HistogramVec returns the histogram family named name with the given
 // bucket layout and label schema. nil buckets use DefBuckets.
@@ -367,17 +332,12 @@ func (r *Registry) HistogramVec(name, help string, buckets []float64, labelNames
 	return &HistogramVec{f: r.lookup(name, help, KindHistogram, buckets, labelNames)}
 }
 
-// With resolves one label-value tuple (appended to any curried values).
+// With resolves one label-value tuple.
 func (v *HistogramVec) With(values ...string) *Histogram {
 	f := v.f
-	return f.child(joinPre(v.pre, values), func() any {
+	return f.child(values, func() any {
 		return &Histogram{upper: f.buckets, counts: make([]uint64, len(f.buckets)+1)}
 	}).(*Histogram)
-}
-
-// Curry pre-binds leading label values (see CounterVec.Curry).
-func (v *HistogramVec) Curry(values ...string) *HistogramVec {
-	return &HistogramVec{f: v.f, pre: joinPre(v.pre, values)}
 }
 
 // --------------------------------------------------------------- snapshot
