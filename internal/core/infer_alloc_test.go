@@ -15,12 +15,13 @@ import (
 // an in-process Central and two Conv nodes with tracing off, both sides
 // of the wire counted. It measured 359 once the inference chains, the
 // split, the merge and the result decode recycled their tensors (713
-// before), and 343 once the pending table kept its rows by value. 230
-// of those are answers, two allocations each: the 7 front blocks'
-// answers of each of the 16 tiles and the back's 3 blocks and head. The
-// rest is per-image bookkeeping: the allocation plan, one task message
-// per tile, the in-process pipe's frames.
-const inferBudget = 355
+// before), 343 once the pending table kept its rows by value, and 318
+// once sched.Allocate stopped growing a tie list per tile. 230 of those
+// are answers, two allocations each: the 7 front blocks' answers of each
+// of the 16 tiles and the back's 3 blocks and head. The rest is
+// per-image bookkeeping: the allocation plan, one task message per tile,
+// the in-process pipe's frames.
+const inferBudget = 330
 
 // TestInferAllocationBudget holds a whole image to inferBudget, so a
 // stage that goes back to allocating its scratch per tile fails here.

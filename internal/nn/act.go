@@ -1,10 +1,6 @@
 package nn
 
-import (
-	"math"
-
-	"adcnn/internal/tensor"
-)
+import "adcnn/internal/tensor"
 
 // ReLU is the standard rectified linear unit.
 type ReLU struct {
@@ -31,32 +27,16 @@ func (r *ReLU) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	return y
 }
 
-// infer rectifies into an output taken with newOut(pooled, …).
+// infer rectifies into an output taken with newOut(pooled, …): v where
+// v > 0 and +0 elsewhere (negatives, −0, NaN).
 func (r *ReLU) infer(x *tensor.Tensor, pooled bool) *tensor.Tensor {
 	y := newOut(pooled, x.Shape...)
-	reluInto(y.Data, x.Data)
+	tensor.RowPost{ReLU: true}.Into(y.Data, x.Data)
 	return y
 }
 
 // ForwardInPlace overwrites x with Forward(x, false).
-func (r *ReLU) ForwardInPlace(x *tensor.Tensor) { reluInto(x.Data, x.Data) }
-
-// reluInto writes v where v > 0 and +0 elsewhere (negatives, -0, NaN);
-// dst may be src. The sign of an activation is a coin toss, so the test
-// is done on the bit pattern, which compiles to a conditional move and
-// not to a branch that mispredicts every other element: a float32 is > 0
-// exactly when its bits lie in [1, +Inf's].
-func reluInto(dst, src []float32) {
-	dst = dst[:len(src)]
-	for i, v := range src {
-		u := math.Float32bits(v)
-		var keep uint32
-		if u-1 < 0x7F800000 {
-			keep = u
-		}
-		dst[i] = math.Float32frombits(keep)
-	}
-}
+func (r *ReLU) ForwardInPlace(x *tensor.Tensor) { tensor.RowPost{ReLU: true}.Into(x.Data, x.Data) }
 
 // Backward zeroes the gradient where the forward input was non-positive.
 func (r *ReLU) Backward(grad *tensor.Tensor) *tensor.Tensor {

@@ -160,18 +160,17 @@ func (bn *BatchNorm2D) foldInto(ep *tensor.Epilogue, scratch []float32) {
 	}
 }
 
-// foldedInto applies the inference transform per channel, the multiply
-// and the add each rounded on its own (as the GEMM epilogue does them).
+// foldedInto applies the inference transform per channel plane, the
+// multiply and the add each rounded on its own (as the GEMM epilogue
+// does them).
 func (bn *BatchNorm2D) foldedInto(dst, src []float32, n, plane int) {
 	sample := bn.C * plane
 	for ch := 0; ch < bn.C; ch++ {
-		a, b := bn.fold(ch)
+		post := tensor.RowPost{Affine: true}
+		post.Scale, post.Shift = bn.fold(ch)
 		for i := 0; i < n; i++ {
-			s := src[i*sample+ch*plane : i*sample+(ch+1)*plane]
-			d := dst[i*sample+ch*plane : i*sample+(ch+1)*plane]
-			for j, v := range s {
-				d[j] = float32(a*v) + b
-			}
+			at := i*sample + ch*plane
+			post.Into(dst[at:at+plane], src[at:at+plane])
 		}
 	}
 }

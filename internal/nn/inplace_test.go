@@ -85,17 +85,22 @@ func TestInferenceChainNeverWritesItsInput(t *testing.T) {
 	}
 }
 
-// TestReLUIntoEdgeValues pins the bit-pattern test in reluInto to v > 0.
+// TestReLUIntoEdgeValues pins the inference ReLU, allocating and in
+// place, to v > 0: +0 for −0, negatives and NaN.
 func TestReLUIntoEdgeValues(t *testing.T) {
 	inf := float32(math.Inf(1))
 	nan := float32(math.NaN())
 	src := []float32{0, float32(math.Copysign(0, -1)), 1e-45, -1e-45, 3, -3, inf, -inf, nan, -nan, math.MaxFloat32}
 	want := []float32{0, 0, 1e-45, 0, 3, 0, inf, 0, 0, 0, math.MaxFloat32}
-	got := make([]float32, len(src))
-	reluInto(got, src)
+	r := NewReLU("r")
+	x := tensor.FromSlice(append([]float32(nil), src...), len(src))
+	got := r.Forward(x, false)
+	r.ForwardInPlace(x)
 	for i := range want {
-		if math.Float32bits(got[i]) != math.Float32bits(want[i]) {
-			t.Errorf("relu(%g) = %g, want %g", src[i], got[i], want[i])
+		for _, y := range []*tensor.Tensor{got, x} {
+			if math.Float32bits(y.Data[i]) != math.Float32bits(want[i]) {
+				t.Errorf("relu(%g) = %g, want %g", src[i], y.Data[i], want[i])
+			}
 		}
 	}
 }

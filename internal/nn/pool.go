@@ -83,10 +83,16 @@ func (p *MaxPool2D) dims(x *tensor.Tensor) (n, c, h, w, oh, ow int) {
 	return n, c, h, w, oh, ow
 }
 
-// infer pools every plane into an output taken with newOut(pooled, …).
+// infer pools every plane into an output taken with newOut(pooled, …):
+// the 2×2/stride-2 window, the zoo's, in one vector pass over all of
+// them, any other with maxInto per plane.
 func (p *MaxPool2D) infer(x *tensor.Tensor, pooled bool) *tensor.Tensor {
 	n, c, h, w, oh, ow := p.dims(x)
 	y := newOut(pooled, n, c, oh, ow)
+	if p.K == 2 && p.Stride == 2 {
+		tensor.MaxPool2x2Into(y.Data, x.Data, n*c, h, w)
+		return y
+	}
 	for i := 0; i < n*c; i++ {
 		p.maxInto(y.Data[i*oh*ow:][:oh*ow], x.Data[i*h*w:][:h*w], w, ow)
 	}

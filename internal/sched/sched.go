@@ -118,36 +118,38 @@ func Allocate(tiles int, speeds []float64, tileBytes int64, capacities []int64, 
 	if k == 0 {
 		return nil, errors.New("sched: no nodes")
 	}
-	maxTiles := make([]int, k)
-	for i := range maxTiles {
-		maxTiles[i] = tiles
-		if capacities != nil && tileBytes > 0 {
-			maxTiles[i] = int(capacities[i] / tileBytes)
-		}
-	}
 	x := make(Allocation, k)
+	// ties holds the nodes sharing the best cost, recorded only when rng
+	// breaks them; a cluster of up to len(tieBuf) nodes keeps it on the
+	// stack, so the answer is the call's one allocation.
+	var tieBuf [16]int
+	ties := tieBuf[:0]
 	for t := 0; t < tiles; t++ {
 		best := -1
 		bestCost := inf
-		var ties []int
 		for i := 0; i < k; i++ {
-			if speeds[i] <= 0 || x[i] >= maxTiles[i] {
+			limit := tiles
+			if capacities != nil && tileBytes > 0 {
+				limit = int(capacities[i] / tileBytes)
+			}
+			if speeds[i] <= 0 || x[i] >= limit {
 				continue
 			}
 			cost := float64(x[i]+1) / speeds[i]
 			switch {
 			case cost < bestCost:
 				bestCost, best = cost, i
-				ties = ties[:0]
-				ties = append(ties, i)
-			case cost == bestCost:
+				if rng != nil {
+					ties = append(ties[:0], i)
+				}
+			case cost == bestCost && rng != nil:
 				ties = append(ties, i)
 			}
 		}
 		if best < 0 {
 			return nil, ErrNoCapacity
 		}
-		if len(ties) > 1 && rng != nil {
+		if len(ties) > 1 {
 			best = ties[rng.Intn(len(ties))]
 		}
 		x[best]++

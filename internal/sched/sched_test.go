@@ -264,3 +264,47 @@ func TestBottleneckInfiniteForZeroSpeed(t *testing.T) {
 		t.Fatal("zero-speed node with tiles must have infinite bottleneck")
 	}
 }
+
+// TestAllocateAllocatesOnlyItsAnswer: a call makes its Allocation and
+// nothing else, with and without an rng to break the ties.
+func TestAllocateAllocatesOnlyItsAnswer(t *testing.T) {
+	speeds := []float64{1, 1}
+	for _, rng := range []*rand.Rand{nil, rand.New(rand.NewSource(1))} {
+		allocs := testing.AllocsPerRun(100, func() {
+			if _, err := Allocate(16, speeds, 0, nil, rng); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs != 1 {
+			t.Fatalf("rng %v: Allocate(16 tiles, 2 nodes) allocates %.1f times, want 1", rng != nil, allocs)
+		}
+	}
+}
+
+// TestAllocateTieBreakGolden pins the seeded tie-break draws: twelve
+// calls on one rng over tied speeds, a failed node and a capacity bound,
+// and the rng's next draw (so the number of draws too).
+func TestAllocateTieBreakGolden(t *testing.T) {
+	rng := rand.New(rand.NewSource(42))
+	speeds := []float64{2, 2, 1, 2, 0, 1}
+	caps := []int64{64, 64, 64, 24, 64, 64}
+	want := [][]int{
+		{0, 0, 0, 1, 0, 0}, {1, 0, 0, 1, 0, 0}, {1, 1, 0, 1, 0, 0}, {1, 2, 0, 1, 0, 0},
+		{1, 1, 0, 2, 0, 1}, {1, 2, 1, 1, 0, 1}, {2, 2, 1, 1, 0, 1}, {2, 2, 1, 2, 0, 1},
+		{2, 3, 1, 2, 0, 1}, {3, 2, 1, 3, 0, 1}, {3, 3, 1, 3, 0, 1}, {4, 3, 1, 3, 0, 1},
+	}
+	for i, w := range want {
+		x, err := Allocate(i+1, speeds, 8, caps, rng)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for k := range w {
+			if x[k] != w[k] {
+				t.Fatalf("call %d: %v, want %v", i+1, x, w)
+			}
+		}
+	}
+	if next := rng.Intn(1000); next != 178 {
+		t.Fatalf("next draw %d, want 178: the calls drew a different number of times", next)
+	}
+}

@@ -206,6 +206,16 @@ func TestSLOHistoryBounded(t *testing.T) {
 
 // TestSLOBurnMath checks both objective kinds against
 // burns worked out by hand from the bucket interpolation.
+//
+// A latency objective reads its bad fraction from the histogram with
+// FractionAboveFromBuckets, which takes the observations inside a bucket
+// (lo, hi] as spread evenly over it: an objective v inside the bucket
+// counts (hi−v)/(hi−lo) of them as above v, whatever their true values.
+// So the error is up to the whole bucket's count, and it vanishes at a
+// bound, where every observation is on a known side. On DefBuckets the
+// buckets are wide near the tile times (25–50 ms, 50–100 ms): against a
+// 44.5 ms objective, tiles of 45 ms — all of them bad — read
+// (50−44.5)/(50−25) = 22 % bad (TestSLOBurnAtDefBucketsBound).
 func TestSLOBurnMath(t *testing.T) {
 	reg := NewRegistry()
 	h := reg.Histogram("lat_seconds", "", []float64{0.01, 0.1})
@@ -226,6 +236,31 @@ func TestSLOBurnMath(t *testing.T) {
 	// 25 missed of 125 settled = 20% on a 1% budget → burn 20.
 	if math.Abs(st[1].FastBurn-20) > 1e-9 || st[1].SlowBurn != st[1].FastBurn {
 		t.Fatalf("zero-fill burn %+v, want 20", st[1])
+	}
+}
+
+// TestSLOBurnAtDefBucketsBound pins both sides of the interpolation
+// error documented on TestSLOBurnMath, on DefBuckets with a 1 % budget:
+// an objective at the 25 ms bound counts tiles of 20 ms and 45 ms
+// exactly, and a 44.5 ms objective reads tiles of 45 ms as 22 % bad.
+func TestSLOBurnAtDefBucketsBound(t *testing.T) {
+	for _, c := range []struct {
+		objective, tile float64
+		bad             float64 // the fraction above the objective it reads
+	}{
+		{0.025, 0.045, 1}, // exact: every tile is above
+		{0.025, 0.020, 0}, // exact: every tile is below
+		{0.0445, 0.045, (0.05 - 0.0445) / (0.05 - 0.025)}, // 0.22, not 1
+	} {
+		h := NewRegistry().Histogram("tile_seconds", "", DefBuckets)
+		e := NewSLOEngine(nil)
+		e.Register(NewLatencySLO("tile_latency_p99", h, 0.99, c.objective, time.Second, time.Second))
+		observeN(h, 100, c.tile)
+		e.Tick(t0)
+		if st := e.Status()[0]; math.Abs(st.FastBurn-100*c.bad) > 1e-9 {
+			t.Errorf("objective %g s, tiles %g s: burn %g, want %g (%.0f%% bad)",
+				c.objective, c.tile, st.FastBurn, 100*c.bad, 100*c.bad)
+		}
 	}
 }
 

@@ -131,7 +131,7 @@ func ConvInto(y, x, wt []float32, c, h, w, outC int, g ConvGeom, ep Epilogue, sc
 			copyShort(out[oy*p.ow:][:p.ow], in[oy*p.wq:])
 		}
 		if ep.Skip != nil {
-			rowPost{skip: ep.Skip[i*plane:][:plane], relu: ep.ReLU}.apply(out)
+			RowPost{Skip: ep.Skip[i*plane:][:plane], ReLU: ep.ReLU}.Into(out, out)
 		}
 	}
 }

@@ -82,30 +82,6 @@ func (ep *Epilogue) fits(m, n, ld int) bool {
 		(ep.Skip == nil || m == 0 || len(ep.Skip) >= (m-1)*ld+n)
 }
 
-// rowPost is an epilogue's post-ops on one output row in scalar Go: the
-// portable kernels' epilogue, and the op order the assembly keeps.
-type rowPost struct {
-	affine       bool
-	scale, shift float32
-	skip         []float32
-	relu         bool
-}
-
-func (p rowPost) apply(y []float32) {
-	for j, v := range y {
-		if p.affine {
-			v = float32(p.scale*v) + p.shift
-		}
-		if p.skip != nil {
-			v += p.skip[j]
-		}
-		if p.relu && !(v > 0) {
-			v = 0
-		}
-		y[j] = v
-	}
-}
-
 // GemmInto computes C = A·B on raw row-major slices: c[m*n] is
 // overwritten with a[m*k]·b[k*n]. It is the slice-level core behind the
 // tensor matmul API; hot paths that must not allocate call it directly.
@@ -156,7 +132,7 @@ func gemmBiasOnly(c []float32, m, n int, ep Epilogue) {
 				row[j] = ep.Bias[i]
 			}
 		}
-		post.row(i, n).apply(row)
+		post.row(i, n).Into(row, row)
 	}
 }
 
@@ -297,13 +273,13 @@ type gemmPost struct {
 }
 
 // row is tile row r's post-ops for the portable kernel, nr wide.
-func (p *gemmPost) row(r, nr int) rowPost {
-	q := rowPost{affine: p.scale != nil, relu: p.relu}
-	if q.affine {
-		q.scale, q.shift = p.scale[r], p.shift[r]
+func (p *gemmPost) row(r, nr int) RowPost {
+	q := RowPost{Affine: p.scale != nil, ReLU: p.relu}
+	if q.Affine {
+		q.Scale, q.Shift = p.scale[r], p.shift[r]
 	}
 	if p.skip != nil {
-		q.skip = p.skip[r*p.ldskip:][:nr]
+		q.Skip = p.skip[r*p.ldskip:][:nr]
 	}
 	return q
 }

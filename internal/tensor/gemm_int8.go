@@ -524,11 +524,11 @@ func int8PanelGeneric(p *int8Panel) {
 			for c := range y {
 				y[c] = float32(p.scale[r]*float32(acc[r][c]-p.corr[r])) + p.bias[r]
 			}
-			post := rowPost{affine: p.affine, scale: p.postScale[r], shift: p.postShift[r], relu: p.relu}
+			post := RowPost{Affine: p.affine, Scale: p.postScale[r], Shift: p.postShift[r], ReLU: p.relu}
 			if p.skip[r] != nil {
-				post.skip = unsafe.Slice((*float32)(p.skip[r]), p.n)[j : j+live]
+				post.Skip = unsafe.Slice((*float32)(p.skip[r]), p.n)[j : j+live]
 			}
-			post.apply(y)
+			post.Into(y, y)
 		}
 	}
 }

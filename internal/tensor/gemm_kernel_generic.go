@@ -33,7 +33,7 @@ func gemmTileGeneric(c []float32, ldc int, a []float32, lda int, b []float32, bo
 				c1[j] += float32(t * v)
 			}
 		}
-		post.row(r, nr).apply(c0)
-		post.row(r+1, nr).apply(c1)
+		post.row(r, nr).Into(c0, c0)
+		post.row(r+1, nr).Into(c1, c1)
 	}
 }

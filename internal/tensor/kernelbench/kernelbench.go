@@ -11,6 +11,7 @@ import (
 	"io"
 	"math/rand"
 	"runtime"
+	"sort"
 	"testing"
 	"time"
 
@@ -22,10 +23,14 @@ import (
 
 // Result is one benchmark measurement.
 type Result struct {
-	Name         string  `json:"name"`
-	Shape        string  `json:"shape,omitempty"`
-	Threads      int     `json:"threads"`
-	NsPerOp      float64 `json:"ns_per_op"`
+	Name    string  `json:"name"`
+	Shape   string  `json:"shape,omitempty"`
+	Threads int     `json:"threads"`
+	NsPerOp float64 `json:"ns_per_op"`
+	// RefNsPerOp is the reference side's median ns per call on a row
+	// timed in alternating rounds; SpeedupVsRef is then the median of
+	// the rounds' ratios, not the ratio of the medians.
+	RefNsPerOp   float64 `json:"ref_ns_per_op,omitempty"`
 	GFlops       float64 `json:"gflops,omitempty"`
 	GBPerSec     float64 `json:"gb_per_sec,omitempty"`
 	GMACPerSec   float64 `json:"gmac_per_sec,omitempty"`
@@ -270,6 +275,13 @@ func Run() Report {
 	for _, cs := range convF32Shapes {
 		add(benchConvF32(cs))
 	}
+
+	// The memory-bound passes of ResNet18's stem on a 2×2 tile, one
+	// thread: the generic tier's loop against the host tier's kernel.
+	// gb_per_sec counts every float read and written once.
+	for _, r := range benchPostOps() {
+		add(r)
+	}
 	runtime.GOMAXPROCS(maxProcs)
 
 	// Model-zoo conv GEMM shapes at full parallelism.
@@ -474,9 +486,9 @@ var convF32Shapes = []convF32Shape{
 	{"vggsim_3x3s1_24x24_2sq", 24, 24, 2, 3, 1, 1},
 }
 
-// benchConvF32 times cs through Conv2D's inference forward and through
+// benchConvF32 times cs through Conv2D's inference forward against
 // Im2ColSlice + GemmEpilogueInto with the layer's bias, at the current
-// GOMAXPROCS.
+// GOMAXPROCS, in alternating rounds.
 func benchConvF32(cs convF32Shape) Result {
 	rng := rand.New(rand.NewSource(6))
 	conv := nn.NewConv2D(cs.Name, cs.InC, cs.OutC, cs.K, cs.K, cs.Stride, cs.Pad, rng)
@@ -488,26 +500,119 @@ func benchConvF32(cs convF32Shape) Result {
 	k := cs.InC * cs.K * cs.K
 	cols := make([]float32, k*oh*ow)
 	ep := tensor.Epilogue{Bias: conv.Bias.Value.Data}
-	run := func(f func()) testing.BenchmarkResult {
-		f() // prime the pools
-		return testing.Benchmark(func(tb *testing.B) {
-			tb.ReportAllocs()
-			for i := 0; i < tb.N; i++ {
-				f()
-			}
-		})
-	}
-	fr := run(func() { conv.ForwardInto(y, x, false) })
-	ir := run(func() {
+	p := paired(func() {
 		tensor.Im2ColSlice(cols, x.Data, cs.InC, cs.H, cs.H, conv.Geom)
 		tensor.GemmEpilogueInto(y.Data, conv.Weight.Value.Data, cols, cs.OutC, k, oh*ow, ep)
-	})
-	ns := float64(fr.NsPerOp())
+	}, func() { conv.ForwardInto(y, x, false) })
 	return Result{Name: "conv_f32_" + cs.Name, Shape: fmt.Sprintf("1x%dx%dx%d", cs.InC, cs.H, cs.H),
-		Threads: runtime.GOMAXPROCS(0), NsPerOp: ns,
-		GFlops:       2 * float64(cs.OutC) * float64(k) * float64(oh*ow) / ns,
-		AllocsPerOp:  fr.AllocsPerOp(),
-		SpeedupVsRef: float64(ir.NsPerOp()) / ns}
+		Threads: runtime.GOMAXPROCS(0), NsPerOp: p.ns, RefNsPerOp: p.refNs,
+		GFlops:       2 * float64(cs.OutC) * float64(k) * float64(oh*ow) / p.ns,
+		AllocsPerOp:  p.allocs,
+		SpeedupVsRef: p.ratio}
+}
+
+// benchPostOps times the stem's 2×2 max-pool, folded BatchNorm and ReLU
+// on a 64×56×56 map (ResNet18's stem output on a 2×2 tile), each on the
+// generic tier against the host's, in alternating rounds.
+func benchPostOps() []Result {
+	const c, h, w = 64, 56, 56
+	rng := rand.New(rand.NewSource(7))
+	x := tensor.New(1, c, h, w)
+	x.RandU(rng, -1, 1)
+	y := tensor.New(1, c, h, w)
+	scale, shift := make([]float32, c), make([]float32, c)
+	for ch := range scale {
+		scale[ch], shift[ch] = rng.Float32()+0.5, rng.Float32()-0.5
+	}
+	n := float64(c * h * w)
+	rows := []struct {
+		name  string
+		bytes float64
+		f     func()
+	}{
+		{"maxpool2x2_f32_stem", 4 * (n + n/4), func() { tensor.MaxPool2x2Into(y.Data, x.Data, c, h, w) }},
+		{"post_f32_bn", 8 * n, func() {
+			for ch := range scale {
+				plane := ch * h * w
+				tensor.RowPost{Affine: true, Scale: scale[ch], Shift: shift[ch]}.Into(y.Data[plane:plane+h*w], x.Data[plane:plane+h*w])
+			}
+		}},
+		{"post_f32_relu", 8 * n, func() { tensor.RowPost{ReLU: true}.Into(y.Data, x.Data) }},
+	}
+	host := tensor.CurrentKernelTier()
+	defer tensor.SetKernelTier(host)
+	onTier := func(t tensor.KernelTier, f func()) func() {
+		return func() {
+			_ = tensor.SetKernelTier(t)
+			f()
+		}
+	}
+	var out []Result
+	for _, r := range rows {
+		p := paired(onTier(tensor.TierGeneric, r.f), onTier(host, r.f))
+		out = append(out, Result{Name: r.name, Shape: fmt.Sprintf("%dx%dx%d", c, h, w), Threads: 1,
+			NsPerOp: p.ns, RefNsPerOp: p.refNs, GBPerSec: r.bytes / p.ns, AllocsPerOp: p.allocs, SpeedupVsRef: p.ratio})
+	}
+	return out
+}
+
+// pairRounds and pairRoundTime set paired's measurement: a shared host's
+// slow spells last seconds, so two sides timed one after the other can
+// land in different ones; short alternating rounds put both in each.
+const (
+	pairRounds    = 7
+	pairRoundTime = 100 * time.Millisecond
+)
+
+// pairTiming is what paired measured: each side's median ns per call,
+// the median over rounds of ref's time over the side's, and the side's
+// allocations per call.
+type pairTiming struct {
+	refNs, ns, ratio float64
+	allocs           int64
+}
+
+// paired times ref and f in pairRounds alternating rounds of about
+// pairRoundTime each, the batch sizes set once from a calibration run.
+func paired(ref, f func()) pairTiming {
+	nRef, n := batchFor(ref), batchFor(f)
+	refNs, ns, ratios := make([]float64, pairRounds), make([]float64, pairRounds), make([]float64, pairRounds)
+	for i := range ratios {
+		refNs[i], ns[i] = timeCalls(ref, nRef), timeCalls(f, n)
+		ratios[i] = refNs[i] / ns[i]
+	}
+	return pairTiming{refNs: median(refNs), ns: median(ns), ratio: median(ratios),
+		allocs: int64(testing.AllocsPerRun(3, f))}
+}
+
+// batchFor returns how many calls of f take about pairRoundTime,
+// doubling a batch until it takes a tenth of that.
+func batchFor(f func()) int {
+	for n := 1; ; n *= 2 {
+		if ns := timeCalls(f, n); float64(n)*ns >= float64(pairRoundTime/10) {
+			return max(1, int(float64(pairRoundTime)/ns))
+		}
+	}
+}
+
+// timeCalls returns the mean ns per call of n calls of f.
+func timeCalls(f func(), n int) float64 {
+	start := time.Now()
+	for i := 0; i < n; i++ {
+		f()
+	}
+	return float64(time.Since(start).Nanoseconds()) / float64(n)
+}
+
+// median returns the middle of xs (the mean of the two middles for an
+// even count), sorting xs.
+func median(xs []float64) float64 {
+	sort.Float64s(xs)
+	m := len(xs) / 2
+	if len(xs)%2 == 0 {
+		return (xs[m-1] + xs[m]) / 2
+	}
+	return xs[m]
 }
 
 // benchInt8Requant measures GemmInt8RequantInto on m×Int8KP(k)×n under
