@@ -25,7 +25,8 @@ func convInt8Bound(w []float32, oc, kdim int, bq []uint8, j, kp int, af quant.Af
 
 // TestConv2DInt8VsF32Oracle pins the int8 forward against the f32
 // forward within the analytic quantization error bound, across
-// geometries (padding, stride, 1×1) and a multi-sample batch.
+// geometries (padding, stride, 1×1) and a multi-sample batch, on the
+// im2col route and (InC a multiple of 64) the implicit one.
 func TestConv2DInt8VsF32Oracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	type cfg struct {
@@ -35,6 +36,8 @@ func TestConv2DInt8VsF32Oracle(t *testing.T) {
 		{3, 8, 3, 3, 1, 1, 12, 12, 1},
 		{4, 6, 3, 3, 2, 1, 11, 9, 2},
 		{8, 5, 1, 1, 1, 0, 7, 7, 1},
+		{64, 6, 3, 3, 2, 1, 9, 8, 2},
+		{128, 5, 1, 1, 2, 0, 6, 7, 1},
 	} {
 		conv := NewConv2D("t", c.inC, c.outC, c.kh, c.kw, c.stride, c.pad, rng)
 		x := tensor.New(c.n, c.inC, c.h, c.w)
@@ -263,5 +266,33 @@ func TestQuantizeInt8RejectsNonFinite(t *testing.T) {
 	}
 	if conv.Int8() {
 		t.Fatal("failed quantization must not enable the int8 path")
+	}
+}
+
+// TestQuantizeInt8RejectsKPastBound: a layer whose k the int8 GEMM could
+// not run — past tensor.Int8MaxKP once padded — fails to quantize, so
+// the error comes at QuantizeInt8 and not at the first forward: a
+// Linear, a conv on the im2col route and one on the implicit route.
+func TestQuantizeInt8RejectsKPastBound(t *testing.T) {
+	rng := rand.New(rand.NewSource(59))
+	for _, l := range []interface {
+		Layer
+		QuantizeInt8() error
+		Int8() bool
+	}{
+		NewLinear("fc", 70000, 2, rng),
+		NewConv2D("im2col", 7304, 2, 3, 3, 1, 1, rng),   // k 65736, kp 65792
+		NewConv2D("implicit", 7360, 2, 3, 3, 1, 1, rng), // k = kp = 66240
+	} {
+		if err := l.QuantizeInt8(); err == nil {
+			t.Errorf("%s: QuantizeInt8 accepted a k past the int8 bound", l.Name())
+		}
+		if l.Int8() {
+			t.Errorf("%s: failed quantization enabled the int8 path", l.Name())
+		}
+	}
+	// The bound itself still quantizes.
+	if err := NewLinear("fc", tensor.Int8MaxKP, 2, rng).QuantizeInt8(); err != nil {
+		t.Fatal(err)
 	}
 }

@@ -32,24 +32,56 @@ type PerChannel struct {
 // finite and every resulting scale finite and positive (an all-zero row
 // takes scale 1 and codes 0), mirroring the codec's rejection of
 // non-finite operating points: a single +Inf weight would otherwise
-// poison the whole channel's scale silently.
+// poison the whole channel's scale silently. kp above tensor.Int8MaxKP
+// is an error: the int8 GEMM could not run it.
 func QuantizePerChannel(w []float32, outC, k, kp int) (*PerChannel, error) {
+	if err := checkPerChannel(w, outC, k, kp); err != nil {
+		return nil, err
+	}
+	return quantizeRows(w, k, tensor.NewInt8Weights(outC, kp))
+}
+
+// QuantizePerChannelConv is QuantizePerChannel for the filters of a
+// convolution tensor.ConvInt8Into runs: w is [outC][c][taps], c a
+// multiple of 64, and the codes are stored in (tap, channel) order as
+// they are quantized (tensor.NewInt8ConvWeights). KP is c·taps.
+func QuantizePerChannelConv(w []float32, outC, c, taps int) (*PerChannel, error) {
+	if !tensor.ConvInt8Channels(c) || taps <= 0 {
+		return nil, fmt.Errorf("quant: implicit conv needs a positive multiple of 64 channels, not %d×%d taps", c, taps)
+	}
+	k := c * taps
+	if err := checkPerChannel(w, outC, k, k); err != nil {
+		return nil, err
+	}
+	return quantizeRows(w, k, tensor.NewInt8ConvWeights(outC, c, taps))
+}
+
+func checkPerChannel(w []float32, outC, k, kp int) error {
 	if outC <= 0 || k <= 0 {
-		return nil, fmt.Errorf("quant: per-channel shape %d×%d not positive", outC, k)
+		return fmt.Errorf("quant: per-channel shape %d×%d not positive", outC, k)
 	}
 	if kp < k {
-		return nil, fmt.Errorf("quant: kp %d below k %d", kp, k)
+		return fmt.Errorf("quant: kp %d below k %d", kp, k)
+	}
+	if kp > tensor.Int8MaxKP {
+		return fmt.Errorf("quant: kp %d above the int8 GEMM bound %d", kp, tensor.Int8MaxKP)
 	}
 	if len(w) < outC*k {
-		return nil, fmt.Errorf("quant: weight slice %d shorter than %d×%d", len(w), outC, k)
+		return fmt.Errorf("quant: weight slice %d shorter than %d×%d", len(w), outC, k)
 	}
+	return nil
+}
+
+// quantizeRows quantizes the data.M rows of w, k each, into data.
+func quantizeRows(w []float32, k int, data tensor.Int8Weights) (*PerChannel, error) {
+	outC, kp := data.M, data.KP
 	pc := &PerChannel{
 		OutC:   outC,
 		K:      k,
 		KP:     kp,
 		Scales: make([]float32, outC),
 		RowSum: make([]int32, outC),
-		Data:   tensor.NewInt8Weights(outC, kp),
+		Data:   data,
 	}
 	dst := make([]int8, kp) // one row at a time: the tail past k stays 0
 	for oc := 0; oc < outC; oc++ {

@@ -23,6 +23,14 @@ func (g ConvGeom) plan(h, w int) convPlan {
 	return p
 }
 
+// tapStart is where tap (kh, kw) of channel 0 reads its phase planes,
+// in elements of one channel's planes: phase (kh mod StrideH, kw mod
+// StrideW) from row kh/StrideH, column kw/StrideW on.
+func (p convPlan) tapStart(g ConvGeom, kh, kw int) int {
+	a, b := kh%g.StrideH, kw%g.StrideW
+	return (a*p.pb+b)*p.hq*p.wq + kh/g.StrideH*p.wq + kw/g.StrideW
+}
+
 // planes is the element count of the phase planes, 0 when the sample
 // is read in place.
 func (p convPlan) planes(c int) int {
@@ -91,24 +99,15 @@ func ConvInto(y, x, wt []float32, c, h, w, outC int, g ConvGeom, ep Epilogue, sc
 		fillPhases(src, x, c, h, w, g, p)
 	}
 	wide, scratch := scratch[:p.wide(outC)], scratch[p.wide(outC):]
-	// Tap (kh, kw) of channel 0 reads phase (a, b) = (kh mod StrideH,
-	// kw mod StrideW) from row qh = kh/StrideH, column qw = kw/StrideW on,
-	// counted rather than divided; channel ch+1's taps are channel ch's a
-	// channel of planes further.
+	// Channel ch+1's taps are channel ch's a channel of planes further.
 	boff := offsetsIn(scratch[:k+gemmPrefetchRows])
-	taps, pq := g.KH*g.KW, p.hq*p.wq
-	for kh, a, qh := 0, 0, 0; kh < g.KH; kh++ {
-		for kw, b, qw := 0, 0, 0; kw < g.KW; kw++ {
-			boff[kh*g.KW+kw] = int32((a*p.pb+b)*pq + qh*p.wq + qw)
-			if b++; b == g.StrideW {
-				b, qw = 0, qw+1
-			}
-		}
-		if a++; a == g.StrideH {
-			a, qh = 0, qh+1
+	taps := g.KH * g.KW
+	for kh := 0; kh < g.KH; kh++ {
+		for kw := 0; kw < g.KW; kw++ {
+			boff[kh*g.KW+kw] = int32(p.tapStart(g, kh, kw))
 		}
 	}
-	step, next := int32(p.pa*p.pb*pq), boff[taps:k]
+	step, next := int32(p.pa*p.pb*p.hq*p.wq), boff[taps:k]
 	for q := range next {
 		next[q] = boff[q] + step
 	}
@@ -120,11 +119,27 @@ func ConvInto(y, x, wt []float32, c, h, w, outC int, g ConvGeom, ep Epilogue, sc
 		gemm(gc)
 		return
 	}
-	gc.c, gc.n = wide, p.n
-	if ep.Skip != nil {
-		gc.ep.Skip, gc.ep.ReLU = nil, false
-	}
+	gc.c, gc.n, gc.ep = wide, p.n, ep.wideProduct()
 	gemm(gc)
+	p.copyOut(y, wide, outC, ep)
+}
+
+// wideProduct is what a product on the bordered width applies of ep:
+// all of it but, when there is a skip, the skip and the ReLU after it,
+// which copyOut applies to the live columns.
+func (ep Epilogue) wideProduct() Epilogue {
+	if ep.Skip != nil {
+		ep.Skip, ep.ReLU = nil, false
+	}
+	return ep
+}
+
+// copyOut copies the live columns of the bordered-width product wide,
+// outC rows of p.n, into the [outC, OH·OW] planes of y, applying ep's
+// skip and then its ReLU on the way when there is a skip, each rounded
+// on its own as the kernel epilogues do.
+func (p convPlan) copyOut(y, wide []float32, outC int, ep Epilogue) {
+	plane := p.oh * p.ow
 	for i := 0; i < outC; i++ {
 		out, in := y[i*plane:][:plane], wide[i*p.n:][:p.n]
 		for oy := 0; oy < p.oh; oy++ {

@@ -15,20 +15,26 @@ import (
 //
 //	A: m weight rows of kp int8 codes, zero-padded from k to kp, held
 //	   as Int8Weights in the layout the engine reads
-//	B: [n][kp] uint8 — activation columns (transposed im2col), the
-//	   k..kp-1 tail zero-filled
+//	B: n activation columns of kp uint8 levels, read through a column
+//	   stride ldb and an offset table boff: k step q (bytes 64q..64q+63
+//	   of a column) of column j is the 64 bytes at j·ldb + boff[q]
 //	acc[i][j] = Σ_k a[i][k]·b[j][k]
 //
 // kp is k rounded up to a multiple of int8KStep, 64 bytes: one VNNI k
 // step, and one row of an AMX tile. Because the A pad is zero the B pad
 // value never matters, but packers zero it anyway to keep buffers
-// deterministic.
+// deterministic. The packed layout — the transposed im2col matrix
+// [n][kp] — is the trivial case, ldb = kp and boff[q] = 64q; the
+// implicit convolution (ConvInt8Into) reads a channels-last copy of the
+// sample in place, a column starting at its pixel and each k step at
+// one tap's run of 64 channels.
 //
 // Three engines compute it, bit-identically, and a call runs the fastest
 // the host has (Int8Engine):
 //
 //   - amx: the matrix engine (gemm_int8_amx_amd64.s). The activation
-//     rows are its A tiles as they lie, the weights its B tiles, laid out
+//     columns are its A tiles as they lie — 16 columns ldb apart, a k
+//     step's tile at its offset — the weights its B tiles, laid out
 //     once by NewInt8Weights; 16×16 int32 C tiles come out transposed
 //     and an AVX-512 epilogue finishes them.
 //   - vnni: an int8MR×int8NR register tile of VPDPBUSD accumulators per
@@ -46,10 +52,8 @@ import (
 const (
 	// int8KStep is the k granularity of the packed operands.
 	int8KStep = 64
-	// int8MaxKP bounds kp so the int32 accumulator cannot overflow:
-	// each product is at most 128·255, so |acc| ≤ kp·32640 must stay
-	// below 2^31.
-	int8MaxKP = 65728
+	// int8MaxKP bounds kp so the int32 accumulator cannot overflow.
+	int8MaxKP = Int8MaxKP
 	// int8MR×int8NR is the register tile of the panel kernels.
 	int8MR = 4
 	int8NR = 4
@@ -65,6 +69,19 @@ const (
 	// 16 weight channels of a B tile, and a C tile is amxTile×amxTile.
 	amxTile = 16
 )
+
+// Int8MaxKP is the largest kp the int8 GEMM takes: each product is at
+// most 128·255, so |acc| ≤ kp·32640 must stay below 2^31.
+const Int8MaxKP = 65728
+
+// packedOffsets is the offset table of the packed layout, k step q at
+// byte 64q of its column, for every kp up to int8MaxKP.
+var packedOffsets = func() (t [int8MaxKP / int8KStep]int32) {
+	for q := range t {
+		t[q] = int32(q * int8KStep)
+	}
+	return t
+}()
 
 // Int8KP returns k rounded up to the packing granularity of the int8
 // GEMM operands.
@@ -129,10 +146,15 @@ func SetInt8Engine(name string) error {
 // Int8Weights is the weight operand of the int8 GEMM: M rows of KP int8
 // codes, held in the layout of the engine that was selected when it was
 // packed — [M][KP] rows for the panel kernels, AMX B tiles otherwise.
+// A convolution's weights for ConvInt8Into (NewInt8ConvWeights) hold
+// each row's codes in (tap, channel) order, the order its k steps walk;
+// Row and SetRow still read and write a row in (channel, tap) order, the
+// im2col order, so only the engines see the difference.
 type Int8Weights struct {
 	M, KP int
 	codes []int8
 	tiled bool
+	taps  int // > 1: codes stored tap-major, KP/taps channels per tap
 }
 
 // NewInt8Weights returns m rows of kp zero codes in the layout of the
@@ -141,6 +163,19 @@ type Int8Weights struct {
 func NewInt8Weights(m, kp int) Int8Weights {
 	w := Int8Weights{M: m, KP: kp, tiled: currentInt8Engine() == engineAMX}
 	w.codes = make([]int8, w.size(w.tiled))
+	return w
+}
+
+// NewInt8ConvWeights returns the weights of a convolution ConvInt8Into
+// runs: m filters of c channels × taps kernel positions, c a multiple of
+// 64, so KP is c·taps with no pad. SetRow takes a filter in its
+// [c][taps] order and stores it as [taps][c].
+func NewInt8ConvWeights(m, c, taps int) Int8Weights {
+	if !ConvInt8Channels(c) || taps <= 0 {
+		panic("tensor: NewInt8ConvWeights needs a positive multiple of 64 channels and taps")
+	}
+	w := NewInt8Weights(m, c*taps)
+	w.taps = taps
 	return w
 }
 
@@ -154,8 +189,53 @@ func PackInt8Weights(rows []int8, m, kp int) Int8Weights {
 	return w
 }
 
-// SetRow sets row i to codes[:KP].
+// SetRow sets row i to codes[:KP], given in (channel, tap) order.
 func (w *Int8Weights) SetRow(i int, codes []int8) {
+	if w.taps <= 1 {
+		w.setStored(i, codes)
+		return
+	}
+	codes = codes[:w.KP]
+	c, taps := w.KP/w.taps, w.taps
+	if !w.tiled {
+		d := w.codes[i*w.KP:][:w.KP]
+		for t := 0; t < taps; t++ {
+			for ch, k := 0, t*c; ch < c; ch, k = ch+1, k+1 {
+				d[k] = codes[ch*taps+t]
+			}
+		}
+		return
+	}
+	// Stored code k lies in line k/4 of the tile, byte k%4 of its quad;
+	// c is a multiple of 4, so a tap's quads hold four channels each.
+	d := bytesOf(w.codes[w.tileRow(i):])
+	s := bytesOf(codes)
+	for t := 0; t < taps; t++ {
+		for ch, k := 0, t*c; ch < c; ch, k = ch+4, k+4 {
+			q := d[k/4*4*amxTile:][:4]
+			q[0], q[1], q[2], q[3] = s[ch*taps+t], s[(ch+1)*taps+t], s[(ch+2)*taps+t], s[(ch+3)*taps+t]
+		}
+	}
+}
+
+// Row copies row i's KP codes into dst in (channel, tap) order.
+func (w *Int8Weights) Row(i int, dst []int8) {
+	if w.taps <= 1 {
+		w.stored(i, dst)
+		return
+	}
+	row := make([]int8, w.KP)
+	w.stored(i, row)
+	c := w.KP / w.taps
+	for ch := 0; ch < c; ch++ {
+		for t := range dst[ch*w.taps:][:w.taps] {
+			dst[ch*w.taps+t] = row[t*c+ch]
+		}
+	}
+}
+
+// setStored sets row i to codes[:KP] in the stored order.
+func (w *Int8Weights) setStored(i int, codes []int8) {
 	if !w.tiled {
 		copy(w.codes[i*w.KP:(i+1)*w.KP], codes)
 		return
@@ -166,8 +246,8 @@ func (w *Int8Weights) SetRow(i int, codes []int8) {
 	}
 }
 
-// Row copies row i's KP codes into dst.
-func (w *Int8Weights) Row(i int, dst []int8) {
+// stored copies row i's KP codes into dst in the stored order.
+func (w *Int8Weights) stored(i int, dst []int8) {
 	if !w.tiled {
 		copy(dst[:w.KP], w.codes[i*w.KP:])
 		return
@@ -193,23 +273,23 @@ func (w *Int8Weights) size(tiled bool) int {
 	return w.M * w.KP
 }
 
-// as returns w in the tiled or row layout: w itself, or a copy in buf,
-// a pooled buffer the caller releases.
+// as returns w in the tiled or row layout, its codes in the same order:
+// w itself, or a copy in buf, a pooled buffer the caller releases.
 func (w *Int8Weights) as(tiled bool) (out Int8Weights, buf []byte) {
 	if w.tiled == tiled {
 		return *w, nil
 	}
-	out = Int8Weights{M: w.M, KP: w.KP, tiled: tiled}
+	out = Int8Weights{M: w.M, KP: w.KP, tiled: tiled, taps: w.taps}
 	buf = GetBytes(out.size(tiled))
 	out.codes = unsafe.Slice((*int8)(unsafe.Pointer(unsafe.SliceData(buf))), len(buf))
 	if tiled {
 		clear(buf) // the channels past M
 		for i := 0; i < w.M; i++ {
-			out.SetRow(i, w.codes[i*w.KP:])
+			out.setStored(i, w.codes[i*w.KP:])
 		}
 	} else {
 		for i := 0; i < w.M; i++ {
-			w.Row(i, out.codes[i*w.KP:])
+			w.stored(i, out.codes[i*w.KP:])
 		}
 	}
 	return out, buf
@@ -240,7 +320,7 @@ type Int8Requant struct {
 // GemmInt8DotInto computes C = A·Bᵀ over the packed int8 layout above,
 // A as [m][kp] rows: c[i*n+j] = Σ_k a[i*kp+k]·b[j*kp+k], exact int32
 // arithmetic. kp must be a positive multiple of int8KStep and at most
-// int8MaxKP. The AMX engine tiles a into pooled scratch first.
+// Int8MaxKP. The AMX engine tiles a into pooled scratch first.
 func GemmInt8DotInto(c []int32, a []int8, b []uint8, m, n, kp int) {
 	if len(c) < m*n {
 		panic("tensor: GemmInt8DotInto operand shorter than its shape")
@@ -252,16 +332,23 @@ func GemmInt8DotInto(c []int32, a []int8, b []uint8, m, n, kp int) {
 
 // GemmInt8RequantInto computes the int8 product of w and b and
 // requantizes it through rq into y: y[i*ldy+j] is rq's epilogue applied
-// to Σ_k w[i][k]·b[j*kp+k], for the w.M rows and n columns. Same operand
-// contract as GemmInt8DotInto; ldy ≥ n.
+// to Σ_k w[i][k]·b[j*kp+k], for the w.M rows and n columns, k in the
+// order w stores its codes. Same operand contract as GemmInt8DotInto;
+// ldy ≥ n.
 func GemmInt8RequantInto(y []float32, ldy int, w *Int8Weights, b []uint8, n int, rq Int8Requant) {
-	m := w.M
+	g := int8Call{w: *w, b: b, n: n}
+	g.requantInto(y, ldy, rq)
+}
+
+// requantInto checks y and rq against g's shape and runs g requantized
+// into y, rows ldy apart.
+func (g *int8Call) requantInto(y []float32, ldy int, rq Int8Requant) {
+	m, n := g.w.M, g.n
 	if m > 0 && n > 0 && (ldy < n || len(y) < (m-1)*ldy+n) ||
 		len(rq.WScale) < m || len(rq.RowSum) < m || !rq.fits(m, n, ldy) {
 		panic("tensor: GemmInt8RequantInto operand shorter than its shape")
 	}
-	g := int8Call{w: *w, b: b, n: n, ldc: ldy, rq: rq,
-		c: unsafe.Pointer(unsafe.SliceData(y))}
+	g.c, g.ldc, g.rq = unsafe.Pointer(unsafe.SliceData(y)), ldy, rq
 	g.run()
 }
 
@@ -271,24 +358,43 @@ func checkInt8KP(kp int) {
 	}
 }
 
-// int8Call is one int8 GEMM call as its loops see it. c points at
-// element [0][0] of the output — int32 when raw, float32 otherwise —
-// whose rows are ldc elements apart.
+// int8Call is one int8 GEMM call as its loops see it. B column j's k
+// step q is the 64 bytes at b[j·ldb+boff[q]:]; a nil boff is the packed
+// layout. c points at element [0][0] of the output — int32 when raw,
+// float32 otherwise — whose rows are ldc elements apart.
 type int8Call struct {
-	w   Int8Weights
-	b   []uint8
-	n   int
-	c   unsafe.Pointer
-	ldc int
-	raw bool
-	rq  Int8Requant
+	w    Int8Weights
+	b    []uint8
+	ldb  int
+	boff []int32
+	n    int
+	c    unsafe.Pointer
+	ldc  int
+	raw  bool
+	rq   Int8Requant
 }
 
 func (g *int8Call) run() {
 	w := &g.w
 	checkInt8KP(w.KP)
-	if len(w.codes) < w.size(w.tiled) || len(g.b) < g.n*w.KP {
+	steps := w.KP / int8KStep
+	if g.boff == nil {
+		g.ldb, g.boff = w.KP, packedOffsets[:steps]
+	}
+	if len(w.codes) < w.size(w.tiled) || len(g.boff) < steps || g.ldb < 0 {
 		panic("tensor: int8 GEMM operand shorter than its shape")
+	}
+	if g.n > 0 {
+		span := 0
+		for _, o := range g.boff[:steps] {
+			if o < 0 {
+				panic("tensor: int8 GEMM offset below zero")
+			}
+			span = max(span, int(o))
+		}
+		if len(g.b) < (g.n-1)*g.ldb+span+int8KStep {
+			panic("tensor: int8 GEMM operand shorter than its shape")
+		}
 	}
 	if w.M == 0 || g.n == 0 {
 		return
@@ -326,7 +432,7 @@ func (g *int8Call) runPanels() {
 func (g int8Call) panels(p0, p1 int) {
 	var p int8Panel
 	kp := g.w.KP
-	p.kp = kp
+	p.kp, p.ldb, p.boff = kp, g.ldb, &g.boff[0]
 	p.raw = g.raw
 	esz := uintptr(4) // int32 and float32 alike
 	block := max(int8NR, int8BlockBytes/kp&^(int8NR-1))
@@ -334,7 +440,7 @@ func (g int8Call) panels(p0, p1 int) {
 	p.relu = g.rq.ReLU
 	for j0 := 0; j0 < g.n; j0 += block {
 		p.n = min(block, g.n-j0)
-		p.b = &g.b[j0*kp]
+		p.b = &g.b[j0*g.ldb]
 		for pi := p0; pi < p1; pi++ {
 			for r := 0; r < int8MR; r++ {
 				i := min(pi*int8MR+r, g.w.M-1)
@@ -363,7 +469,8 @@ func (g *int8Call) runAMX() {
 	kp := g.w.KP
 	k.setConfig(min(g.n, amxTile))
 	k.a = &g.b[0]
-	k.kp, k.ldc = kp, g.ldc
+	k.ldb, k.ldc = g.ldb, g.ldc
+	k.boff, k.steps = &g.boff[0], kp/int8KStep
 	k.tiles = (g.n + amxTile - 1) / amxTile
 	k.pairs = (k.tiles + 1) / 2
 	k.lastCol = max(g.n-amxTile, 0)
@@ -401,7 +508,7 @@ func (g *int8Call) runAMX() {
 }
 
 // amxKernel is one int8TilesAMX call: every column pair against
-// one or two channel tiles (live[1] is 0 when there is one), accumulated
+// one or two channel tiles, column j's k step q at a + j·ldb + boff[q], (live[1] is 0 when there is one), accumulated
 // over the whole of kp in a 2×2 block of C tiles, then finished tile by
 // tile — requantized with the channels as lanes, transposed in registers
 // so a row holds one channel, and post-opped (or stored raw) under a
@@ -415,6 +522,7 @@ type amxKernel struct {
 	cfg       [64]uint8                     // LDTILECFG palette 1: C tmm0-3, A tmm4-5, B tmm6-7
 	scratch   *[4 * amxTile * amxTile]int32 // the four C tiles
 	a         *uint8
+	boff      *int32 // steps entries: k step q of a column is at boff[q]
 	w         [2]*int8
 	c, skip   unsafe.Pointer
 	wScale    *float32
@@ -422,7 +530,8 @@ type amxKernel struct {
 	bias      *float32
 	postScale *float32
 	postShift *float32
-	kp, ldc   int
+	ldb, ldc  int
+	steps     int // 64-byte k steps
 	tiles     int // column tiles
 	pairs     int
 	lastCol   int
@@ -445,8 +554,9 @@ func (k *amxKernel) setConfig(rows int) {
 	k.cfg[48+6], k.cfg[48+7] = amxTile, amxTile // B: kp/4 lines of one 64-byte k step
 }
 
-// int8Panel is one panel-kernel call: int8MR weight rows against n
-// activation columns starting at b, the columns kp bytes apart. Output
+// int8Panel is one panel-kernel call: int8MR weight rows of kp codes
+// against n activation columns starting at b, the columns ldb bytes
+// apart and k step q of each boff[q] bytes into it. Output
 // row r starts at c[r] (int32 when raw, float32 otherwise); a
 // requantized element is scale[r]·float32(acc − corr[r]) + bias[r], then
 // float32(postScale[r]·y) + postShift[r] when affine, y + the element at
@@ -463,8 +573,9 @@ type int8Panel struct {
 	postScale [int8MR]float32
 	postShift [int8MR]float32
 	b         *uint8
+	boff      *int32
 	n         int
-	kp        int
+	kp, ldb   int
 	raw       bool
 	affine    bool
 	relu      bool
@@ -496,22 +607,31 @@ func int8PanelGeneric(p *int8Panel) {
 	for r := range a {
 		a[r] = unsafe.Slice(p.a[r], kp)
 	}
-	bAll := unsafe.Slice(p.b, p.n*kp)
+	boff := unsafe.Slice(p.boff, kp/int8KStep)
 	for j := 0; j < p.n; j += int8NR {
-		var bc [int8NR][]uint8
-		for c := range bc {
-			jc := min(j+c, p.n-1)
-			bc[c] = bAll[jc*kp : (jc+1)*kp]
+		var col [int8NR]unsafe.Pointer
+		for c := range col {
+			col[c] = unsafe.Add(unsafe.Pointer(p.b), min(j+c, p.n-1)*p.ldb)
 		}
 		var acc [int8MR][int8NR]int32
-		for k := 0; k < kp; k++ {
-			b0, b1, b2, b3 := int32(bc[0][k]), int32(bc[1][k]), int32(bc[2][k]), int32(bc[3][k])
-			for r := range acc {
-				av := int32(a[r][k])
-				acc[r][0] += av * b0
-				acc[r][1] += av * b1
-				acc[r][2] += av * b2
-				acc[r][3] += av * b3
+		for q, off := range boff {
+			var ak [int8MR]*[int8KStep]int8
+			for r := range ak {
+				ak[r] = (*[int8KStep]int8)(a[r][q*int8KStep:])
+			}
+			var bc [int8NR]*[int8KStep]uint8
+			for c := range bc {
+				bc[c] = (*[int8KStep]uint8)(unsafe.Add(col[c], off))
+			}
+			for k := 0; k < int8KStep; k++ {
+				b0, b1, b2, b3 := int32(bc[0][k]), int32(bc[1][k]), int32(bc[2][k]), int32(bc[3][k])
+				for r := range acc {
+					av := int32(ak[r][k])
+					acc[r][0] += av * b0
+					acc[r][1] += av * b1
+					acc[r][2] += av * b2
+					acc[r][3] += av * b3
+				}
 			}
 		}
 		live := min(int8NR, p.n-j)

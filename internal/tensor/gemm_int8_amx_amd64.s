@@ -6,9 +6,10 @@
 // func int8TilesAMX(k *amxKernel)
 //
 // The AMX-INT8 engine. Per column pair, tmm0-3 accumulate a 2×2 block
-// of C tiles over the whole of kp: C(a, b) += A(a)·B(b) with A tiles the
-// 16 activation rows at stride kp (tmm4-5) and B tiles one 64-byte k
-// step of 16 weight channels (tmm6-7). TDPBUSD multiplies unsigned A
+// of C tiles over the whole of kp: C(a, b) += A(a)·B(b) with A tiles 16
+// activation columns at stride ldb, k step q's tile boff[q] bytes past
+// the columns' starts (tmm4-5), and B tiles one 64-byte k step of 16
+// weight channels (tmm6-7). TDPBUSD multiplies unsigned A
 // bytes by signed B bytes in quads into int32 — exact, as VPDPBUSD.
 // A missing second column or channel tile skips its loads and products.
 //
@@ -25,11 +26,12 @@
 // and a signal saves the tile registers in its frame like any other
 // extended state.
 //
-// Registers in the k loop: AX BX the A tiles' rows, CX DX the B tiles,
-// SI kp, DI 64, R8 the steps left, R11 R12 the second A and B tiles'
-// presence; R9 k and R10 the pair throughout. The frame holds the
-// pair's column tiles: their first columns js0 js1, their column masks
-// mask0 mask1, and whether the second exists, twoA.
+// Registers in the k loop: R13 R14 the A tiles' first columns and AX BX
+// the step's tiles, CX DX the B tiles, SI ldb, DI 64, R8 the offset
+// table entry, R11 R12 the second A and B tiles' presence; R9 k and R10
+// the pair throughout. The frame holds the pair's column tiles: their
+// first columns js0 js1, their column masks mask0 mask1, and whether the
+// second exists, twoA; and bend, the offset table's end.
 
 // Go's assembler has no AMX mnemonics: the instructions are encoded by
 // hand (VEX.128.0F38.W0, opcodes 49 4B 5E). TILELOADD and TILESTORED
@@ -170,10 +172,14 @@
 // MORE(r) ends the tile when it has no channel r.
 #define MORE(r) CMPQ BX, $r; JLE nexttile
 
-TEXT ·int8TilesAMX(SB), NOSPLIT, $40-8
+TEXT ·int8TilesAMX(SB), NOSPLIT, $48-8
 	MOVQ k+0(FP), R9
 	LEAQ amxKernel_cfg(R9), DI
 	LDTILECFG_DI
+	MOVQ amxKernel_steps(R9), AX
+	SHLQ $2, AX
+	ADDQ amxKernel_boff(R9), AX
+	MOVQ AX, bend-48(SP)
 	XORQ R10, R10
 
 pair:
@@ -210,16 +216,17 @@ pair:
 	CMPQ    CX, amxKernel_tiles(R9)
 	SETLT   twoA-40(SP)
 
-	MOVQ  amxKernel_kp(R9), SI
+	MOVQ  amxKernel_ldb(R9), SI
 	IMULQ SI, AX
 	ADDQ  amxKernel_a(R9), AX
+	MOVQ  AX, R13
 	IMULQ SI, BX
 	ADDQ  amxKernel_a(R9), BX
+	MOVQ  BX, R14
 	MOVQ  amxKernel_w+0(R9), CX
 	MOVQ  amxKernel_w+8(R9), DX
 	MOVQ  $64, DI
-	MOVQ  SI, R8
-	SHRQ  $6, R8
+	MOVQ  amxKernel_boff(R9), R8
 	MOVBQZX twoA-40(SP), R11
 	MOVQ  amxKernel_live+8(R9), R12
 	TILEZERO(0)
@@ -228,6 +235,9 @@ pair:
 	TILEZERO(3)
 
 kloop:
+	MOVL (R8), AX // the step's offset
+	LEAQ (R14)(AX*1), BX
+	ADDQ R13, AX
 	TILELOADD(4, rAX, rSI)
 	TILELOADD(6, rCX, rDI)
 	TDPBUSD(0, 4, 6)
@@ -246,12 +256,11 @@ onlyB0:
 	TDPBUSD(3, 5, 7)
 
 nextk:
-	ADDQ $64, AX
-	ADDQ $64, BX
 	ADDQ $1024, CX
 	ADDQ $1024, DX
-	DECQ R8
-	JNZ  kloop
+	ADDQ $4, R8
+	CMPQ R8, bend-48(SP)
+	JNE  kloop
 
 	// C(a, b) goes to scratch tile 2a+b.
 	MOVQ amxKernel_scratch(R9), AX

@@ -15,13 +15,14 @@
 // then summed horizontally in one shuffle tree that leaves 128-bit lane
 // r holding row r's four columns, and the tile is requantized and run
 // through the post-ops (or not, when raw) and stored under a column
-// mask. The k loop counts DX up from -kp to 0, so the row and column
-// pointers carry kp.
+// mask. The k loop counts DX up from -kp to 0, so the row pointers carry
+// kp; the columns are ldb bytes apart, and each k step re-bases them by
+// its entry of the offset table, which CX walks.
 //
-// Registers: R8-R11 A rows, R12 R13 BX SI the tile's B columns, AX the
-// tile's first column, CX b+kp, DI p; Z24 the lane index, Z25-Z29
-// corr, scale, bias, postScale and postShift spread to their rows'
-// lanes, Z30 +0; K2 the live columns.
+// Registers: R8-R11 A rows, R12 R13 BX SI the tile's B columns, R14 the
+// step's offset, AX the tile's first column, DI p; Z24 the lane index,
+// Z25-Z29 corr, scale, bias, postScale and postShift spread to their
+// rows' lanes, Z30 +0; K2 the live columns.
 
 // HALVES: x = [x.Q0+x.Q2, x.Q1+x.Q3, y.Q0+y.Q2, y.Q1+y.Q3].
 #define HALVES(x, y, t) \
@@ -54,8 +55,6 @@ TEXT ·int8PanelVNNI(SB), NOSPLIT, $0-8
 	ADDQ DX, R9
 	ADDQ DX, R10
 	ADDQ DX, R11
-	MOVQ int8Panel_b(DI), CX
-	ADDQ DX, CX
 
 	CMPB int8Panel_raw(DI), $0
 	JNE  cols
@@ -90,10 +89,12 @@ tile:
 	CMPQ    R12, SI
 	CMOVQLT R12, SI
 	MOVQ    AX, R12
-	IMULQ   int8Panel_kp(DI), R12
-	IMULQ   int8Panel_kp(DI), R13
-	IMULQ   int8Panel_kp(DI), BX
-	IMULQ   int8Panel_kp(DI), SI
+	MOVQ    int8Panel_ldb(DI), CX
+	IMULQ   CX, R12
+	IMULQ   CX, R13
+	IMULQ   CX, BX
+	IMULQ   CX, SI
+	MOVQ    int8Panel_b(DI), CX
 	ADDQ    CX, R12
 	ADDQ    CX, R13
 	ADDQ    CX, BX
@@ -116,18 +117,20 @@ tile:
 	VPXORD Z14, Z14, Z14
 	VPXORD Z15, Z15, Z15
 
-	MOVQ int8Panel_b(DI), DX
-	SUBQ CX, DX // -kp
+	MOVQ int8Panel_kp(DI), DX
+	NEGQ DX
+	MOVQ int8Panel_boff(DI), CX
 
 kloop:
+	MOVL     (CX), R14
 	VMOVDQU8 (R8)(DX*1), Z16
 	VMOVDQU8 (R9)(DX*1), Z17
 	VMOVDQU8 (R10)(DX*1), Z18
 	VMOVDQU8 (R11)(DX*1), Z19
-	VMOVDQU8 (R12)(DX*1), Z20
-	VMOVDQU8 (R13)(DX*1), Z21
-	VMOVDQU8 (BX)(DX*1), Z22
-	VMOVDQU8 (SI)(DX*1), Z23
+	VMOVDQU8 (R12)(R14*1), Z20
+	VMOVDQU8 (R13)(R14*1), Z21
+	VMOVDQU8 (BX)(R14*1), Z22
+	VMOVDQU8 (SI)(R14*1), Z23
 	VPDPBUSD Z16, Z20, Z0
 	VPDPBUSD Z17, Z20, Z4
 	VPDPBUSD Z18, Z20, Z8
@@ -144,6 +147,7 @@ kloop:
 	VPDPBUSD Z17, Z23, Z7
 	VPDPBUSD Z18, Z23, Z11
 	VPDPBUSD Z19, Z23, Z15
+	ADDQ     $4, CX
 	ADDQ     $64, DX
 	JNZ      kloop
 
@@ -166,7 +170,6 @@ kloop:
 	VSHUFPS $0xDD, Z2, Z0, Z0
 	VPADDD  Z16, Z0, Z0 // lane r, dword c: acc(r, c)
 
-	MOVQ    CX, R13 // b+kp, while CL holds the shift
 	MOVQ    int8Panel_n(DI), CX
 	SUBQ    AX, CX
 	MOVQ    $4, BX
@@ -176,7 +179,6 @@ kloop:
 	SHLQ    CX, BX
 	DECQ    BX
 	KMOVW   BX, K2
-	MOVQ    R13, CX
 
 	CMPB int8Panel_raw(DI), $0
 	JNE  store

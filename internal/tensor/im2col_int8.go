@@ -342,13 +342,13 @@ func swapBlocks(a, b uint64, bits uint, mask uint64) (uint64, uint64) {
 }
 
 // load8Strided returns bytes s, s+stride, …, s+7·stride of src as one
-// word, for a stride of 1 or 2.
+// word, for a stride of 1 or 2, reading no byte past the last.
 func load8Strided(src []uint8, s, stride int) uint64 {
 	w := binary.LittleEndian.Uint64(src[s:])
 	if stride == 1 {
 		return w
 	}
-	return evenBytes(w) | evenBytes(binary.LittleEndian.Uint64(src[s+8:]))<<32
+	return evenBytes(w) | evenBytes(binary.LittleEndian.Uint64(src[s+7:])>>8)<<32
 }
 
 // evenBytes packs bytes 0, 2, 4 and 6 of w into its low four bytes.
@@ -358,10 +358,15 @@ func evenBytes(w uint64) uint64 {
 	return (w | w>>16) & 0x00000000FFFFFFFF
 }
 
-// fillU8 sets every byte of s to v (the compiler lowers the loop to a
-// memset-style fill for v==0 and a tight store loop otherwise).
+// fillU8 sets every byte of s to v: a store per byte for a short run,
+// and past 16 bytes a filled prefix doubled, so a long run costs a few
+// copies rather than a store per byte.
 func fillU8(s []uint8, v uint8) {
-	for i := range s {
+	n := min(len(s), 16)
+	for i := range s[:n] {
 		s[i] = v
+	}
+	for ; n < len(s); n *= 2 {
+		copy(s[n:], s[:n])
 	}
 }

@@ -275,6 +275,14 @@ func Run() Report {
 	for _, cs := range convF32Shapes {
 		add(benchConvF32(cs))
 	}
+	// The same on the int8 path, ResNet18's shapes: Conv2D's forward
+	// (the channels-last copy read in place; im2col for the stem)
+	// against the quantized im2col + GemmInt8RequantInto route.
+	for _, cs := range convF32Shapes {
+		if cs.Name[:4] == "r18_" {
+			add(benchConvInt8(cs))
+		}
+	}
 
 	// The memory-bound passes of ResNet18's stem on a 2×2 tile, one
 	// thread: the generic tier's loop against the host tier's kernel.
@@ -382,40 +390,29 @@ func Run() Report {
 	tensor.PutBytes(qbuf)
 
 	// Whole-layer int8-vs-f32 ratio per model-zoo shape: each zoo GEMM
-	// shape rebuilt as the conv layer that produces it, forward pass
-	// measured f32 then int8 on the same layer. speedup_vs_ref is the
-	// int8/f32 whole-layer ratio; what int8 buys an image is the
-	// end-to-end benchmark's r18-int8-seq against r18-f32-seq.
+	// shape rebuilt as the conv layer that produces it, the f32 and the
+	// int8 forward of one set of weights in alternating rounds.
+	// speedup_vs_ref is the f32/int8 whole-layer ratio; what int8 buys an
+	// image is the end-to-end benchmark's r18-int8-seq against
+	// r18-f32-seq.
 	for _, cs := range ZooConvShapes {
-		lrng := rand.New(rand.NewSource(4))
-		lconv := nn.NewConv2D(cs.Name, cs.InC, cs.M, cs.KH, cs.KW, 1, cs.Pad, lrng)
-		lx := tensor.New(1, cs.InC, cs.H, cs.W)
-		lx.RandU(lrng, -1, 1)
-		ly := tensor.New(lconv.OutShape(lx.Shape)...)
-		lconv.ForwardInto(ly, lx, false)
-		fr := testing.Benchmark(func(tb *testing.B) {
-			for i := 0; i < tb.N; i++ {
-				lconv.ForwardInto(ly, lx, false)
-			}
-		})
-		if err := lconv.QuantizeInt8(); err != nil {
+		layer := func() *nn.Conv2D {
+			return nn.NewConv2D(cs.Name, cs.InC, cs.M, cs.KH, cs.KW, 1, cs.Pad, rand.New(rand.NewSource(4)))
+		}
+		fconv, qconv := layer(), layer()
+		if err := qconv.QuantizeInt8(); err != nil {
 			continue
 		}
-		lconv.ForwardInto(ly, lx, false)
-		qr := testing.Benchmark(func(tb *testing.B) {
-			tb.ReportAllocs()
-			for i := 0; i < tb.N; i++ {
-				lconv.ForwardInto(ly, lx, false)
-			}
-		})
-		lconv.ClearInt8()
-		flops := 2 * float64(cs.M) * float64(cs.K) * float64(cs.N)
+		lx := tensor.New(1, cs.InC, cs.H, cs.W)
+		lx.RandU(rand.New(rand.NewSource(5)), -1, 1)
+		ly := tensor.New(fconv.OutShape(lx.Shape)...)
+		p := paired(func() { fconv.ForwardInto(ly, lx, false) }, func() { qconv.ForwardInto(ly, lx, false) })
 		add(Result{Name: "int8_whole_layer_" + cs.Name,
 			Shape:   fmt.Sprintf("1x%dx%dx%d", cs.InC, cs.H, cs.W),
-			Threads: maxProcs, NsPerOp: float64(qr.NsPerOp()),
-			GFlops:       flops / float64(qr.NsPerOp()),
-			AllocsPerOp:  qr.AllocsPerOp(),
-			SpeedupVsRef: float64(fr.NsPerOp()) / float64(qr.NsPerOp())})
+			Threads: maxProcs, NsPerOp: p.ns, RefNsPerOp: p.refNs,
+			GFlops:       2 * float64(cs.M) * float64(cs.K) * float64(cs.N) / p.ns,
+			AllocsPerOp:  p.allocs,
+			SpeedupVsRef: p.ratio})
 	}
 
 	// Conv → BatchNorm → ReLU at inference, f32 and int8, on ResNet18's L1
@@ -505,6 +502,43 @@ func benchConvF32(cs convF32Shape) Result {
 		tensor.GemmEpilogueInto(y.Data, conv.Weight.Value.Data, cols, cs.OutC, k, oh*ow, ep)
 	}, func() { conv.ForwardInto(y, x, false) })
 	return Result{Name: "conv_f32_" + cs.Name, Shape: fmt.Sprintf("1x%dx%dx%d", cs.InC, cs.H, cs.H),
+		Threads: runtime.GOMAXPROCS(0), NsPerOp: p.ns, RefNsPerOp: p.refNs,
+		GFlops:       2 * float64(cs.OutC) * float64(k) * float64(oh*ow) / p.ns,
+		AllocsPerOp:  p.allocs,
+		SpeedupVsRef: p.ratio}
+}
+
+// benchConvInt8 times cs through Conv2D's int8 inference forward against
+// the im2col route it replaces for InC a multiple of 64 — MinMax,
+// AffineFor, Im2ColQuantSlice and GemmInt8RequantInto with the layer's
+// bias and its filters in im2col order — at the current GOMAXPROCS, in
+// alternating rounds.
+func benchConvInt8(cs convF32Shape) Result {
+	rng := rand.New(rand.NewSource(8))
+	conv := nn.NewConv2D(cs.Name, cs.InC, cs.OutC, cs.K, cs.K, cs.Stride, cs.Pad, rng)
+	conv.Bias.Value.RandU(rng, -1, 1)
+	if err := conv.QuantizeInt8(); err != nil {
+		panic(err)
+	}
+	x := tensor.New(1, cs.InC, cs.H, cs.H)
+	x.RandU(rng, -1, 1)
+	y := tensor.New(conv.OutShape(x.Shape)...)
+	oh, ow := conv.Geom.OutSize(cs.H, cs.H)
+	k := cs.InC * cs.K * cs.K
+	kp := tensor.Int8KP(k)
+	pc, err := quant.QuantizePerChannel(conv.Weight.Value.Data, cs.OutC, k, kp)
+	if err != nil {
+		panic(err)
+	}
+	cols := make([]uint8, oh*ow*kp)
+	p := paired(func() {
+		mn, mx := tensor.MinMax(x.Data)
+		af, _ := quant.AffineFor(mn, mx)
+		tensor.Im2ColQuantSlice(cols, x.Data, cs.InC, cs.H, cs.H, conv.Geom, af.InvScale(), af.Zero, kp)
+		tensor.GemmInt8RequantInto(y.Data, oh*ow, &pc.Data, cols, oh*ow, tensor.Int8Requant{WScale: pc.Scales,
+			RowSum: pc.RowSum, XScale: af.Scale, XZero: int32(af.Zero), Epilogue: tensor.Epilogue{Bias: conv.Bias.Value.Data}})
+	}, func() { conv.ForwardInto(y, x, false) })
+	return Result{Name: "conv_int8_" + cs.Name, Shape: fmt.Sprintf("1x%dx%dx%d", cs.InC, cs.H, cs.H),
 		Threads: runtime.GOMAXPROCS(0), NsPerOp: p.ns, RefNsPerOp: p.refNs,
 		GFlops:       2 * float64(cs.OutC) * float64(k) * float64(oh*ow) / p.ns,
 		AllocsPerOp:  p.allocs,

@@ -38,6 +38,27 @@ func gather3x3(row, src []uint8, s, wp, plane int) {
 	gather3x3Words(&row[0], &src[s], c, wp, plane)
 }
 
+// hwcRunAVX512 (hwc_kernel_amd64.s) is transposeRun's loop for run ≥ 8
+// and a stride of 1 or 2, c a multiple of 64; idx holds 0, plane, …,
+// 7·plane.
+//
+//go:noescape
+func hwcRunAVX512(dst, src *uint8, idx *[8]int64, c, run, stride int)
+
+// transposeRunSIMD runs transposeRun on the AVX-512 kernel when the tier
+// has it and the run fits, reporting whether it did.
+func transposeRunSIMD(dst, src []uint8, s, c, run, plane, stride int) bool {
+	if kernelTier < TierAVX512 || run < 8 || stride > 2 || c%int8KStep != 0 {
+		return false
+	}
+	_ = dst[(run-1)*c+c-1]
+	_ = src[s+(c-1)*plane+(run-1)*stride]
+	idx := [8]int64{0, int64(plane), int64(2 * plane), int64(3 * plane),
+		int64(4 * plane), int64(5 * plane), int64(6 * plane), int64(7 * plane)}
+	hwcRunAVX512(&dst[0], &src[s], &idx, c, run, stride)
+	return true
+}
+
 // quantizeAffineSIMD quantizes a prefix of src into dst with the widest
 // available vector kernel and returns how many elements it handled; the
 // caller finishes the tail with the scalar quantizer. Returns 0 when no
