@@ -86,8 +86,8 @@ func redialer(addr string) core.Dialer {
 // startCentral dials every Conv node in addrs (each with a reconnect
 // dialer) into cfg's connections and starts the Central. When cfg
 // carries Metrics it also starts the SLO engine over them: a breach
-// dumps the flight ring (naming the objective and the worst-health
-// node) and fails /healthz so a load balancer drains us. The engine is
+// dumps the flight ring (naming the objective and the last image's
+// critical path) and fails /healthz so a load balancer drains us. The engine is
 // nil without Metrics.
 func startCentral(logger *slog.Logger, cfg core.CentralConfig, addrs []string, connectTimeout time.Duration, slo core.SLOConfig) (*core.Central, *telemetry.SLOEngine, error) {
 	for _, addr := range addrs {

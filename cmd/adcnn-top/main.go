@@ -1,9 +1,9 @@
 // Command adcnn-top is a live terminal ops console for an ADCNN
 // deployment: it polls the Central's (and optionally the Conv nodes')
 // debug endpoints — /metrics, /debug/sessions, /debug/sched — and
-// renders throughput, per-node speed/health/phase bars, SLO status and
-// the scheduler's recent decisions as an ANSI dashboard. Dependency
-// free: the Prometheus text parsing lives in internal/telemetry.
+// renders throughput, per-node speed and critical-path bars, phases, SLO
+// status and the scheduler's recent decisions as an ANSI dashboard.
+// Dependency free: the Prometheus text parsing lives in internal/telemetry.
 //
 // Usage:
 //
@@ -222,8 +222,8 @@ func (d *dash) render() string {
 	nodes := m.LabelValues("adcnn_sched_speed", "node")
 	if len(nodes) > 0 {
 		fmt.Fprintf(&b, "\n  %s\n", d.bold("nodes"))
-		fmt.Fprintf(&b, "   %-4s %-7s %-22s %-7s %-20s %-6s %s\n",
-			"node", "s_k", "", "health", "", "queue", "state")
+		fmt.Fprintf(&b, "   %-4s %-7s %-22s %-5s  %-20s %-14s %-6s %s\n",
+			"node", "s_k", "", "crit", "", "", "queue", "state")
 		maxSpeed := 0.0
 		for _, n := range nodes {
 			if v, ok := m.Value("adcnn_sched_speed", "node", n); ok && v > maxSpeed {
@@ -234,10 +234,23 @@ func (d *dash) render() string {
 		for _, r := range cur.sessions {
 			sessions[r.Node] = r
 		}
+		// crit: the node's share of the interval's images whose last tile
+		// it ran, beside the phase that most often put it there.
+		const crit = "adcnn_central_critical_path_total"
+		critPhases := m.LabelValues(crit, "phase")
 		for _, n := range nodes {
 			speed, _ := m.Value("adcnn_sched_speed", "node", n)
-			health, _ := m.Value("adcnn_central_node_health", "node", n)
 			queue, _ := m.Value("adcnn_central_send_queue_depth", "node", n)
+			share, phase := 0.0, "-"
+			if imgRate > 0 {
+				share = d.rate(m, prev.metrics, crit, dt, "node", n) / imgRate
+				top := 0.0
+				for _, p := range critPhases {
+					if v := d.rate(m, prev.metrics, crit, dt, "node", n, "phase", p); v > top {
+						top, phase = v, p
+					}
+				}
+			}
 			state := d.green("alive")
 			k, _ := strconv.Atoi(n)
 			if row, ok := sessions[k]; ok && !row.Alive {
@@ -245,15 +258,9 @@ func (d *dash) render() string {
 			} else if ok && row.Epochs > 1 {
 				state = d.yellow(fmt.Sprintf("alive (epoch %d)", row.Epochs))
 			}
-			healthStr := d.green(fmt.Sprintf("%5.2f", health))
-			if health >= 1 {
-				healthStr = d.red(fmt.Sprintf("%5.2f", health))
-			} else if health >= 0.5 {
-				healthStr = d.yellow(fmt.Sprintf("%5.2f", health))
-			}
-			fmt.Fprintf(&b, "   %-4s %-7.2f %-22s %s  %-20s %-6.0f %s\n",
-				n, speed, d.bar(speed, maxSpeed, 20), healthStr,
-				d.bar(math.Min(health, 2), 2, 18), queue, state)
+			fmt.Fprintf(&b, "   %-4s %-7.2f %-22s %4.0f%%  %-20s %-14s %-6.0f %s\n",
+				n, speed, d.bar(speed, maxSpeed, 20), 100*share,
+				d.bar(share, 1, 18), phase, queue, state)
 		}
 	}
 
@@ -335,13 +342,14 @@ func (d *dash) render() string {
 }
 
 // rate computes a counter's per-second delta between two scrapes,
-// summed over all of the family's samples.
-func (d *dash) rate(cur, prev *telemetry.PromScrape, name string, dt float64) float64 {
-	cv, ok := sumName(cur, name)
+// summed over the family's samples whose labels include the given
+// key=value pairs.
+func (d *dash) rate(cur, prev *telemetry.PromScrape, name string, dt float64, labels ...string) float64 {
+	cv, ok := sumName(cur, name, labels...)
 	if !ok || prev == nil {
 		return 0
 	}
-	pv, _ := sumName(prev, name)
+	pv, _ := sumName(prev, name, labels...)
 	if cv < pv {
 		return 0
 	}

@@ -52,9 +52,10 @@ func daemonFamilies(t *testing.T) (central, conv []telemetry.FamilySnapshot) {
 }
 
 // TestCatalogHasReaders: every family the daemons export is read by this
-// console (histograms through their _bucket, _count or _sum series). A
-// family nothing reads is a cost without a consumer: give it a panel
-// here, or delete it with the code that feeds it. Each daemon exports
+// console (histograms through their _bucket, _count or _sum series), and
+// every family the console reads is exported. A family nothing reads is
+// a cost without a consumer: give it a panel here, or delete it with the
+// code that feeds it. Each daemon exports
 // only its own role's families: a Conv node no Central or scheduler
 // series, a Central no worker series. The Central's catalog is one
 // Central's: no family carries a replica label, there is no
@@ -93,16 +94,35 @@ func TestCatalogHasReaders(t *testing.T) {
 			t.Errorf("family %s is registered but adcnn-top never reads it", f.Name)
 		}
 	}
+	// And the other way: every family this console quotes is registered,
+	// so a panel cannot go on reading a family that is gone.
+	for _, q := range regexp.MustCompile(`"(adcnn_[a-z0-9_]+?)(?:_bucket|_count|_sum)?"`).FindAllSubmatch(src, -1) {
+		if !names[string(q[1])] {
+			t.Errorf("adcnn-top reads %s, which neither daemon registers", q[1])
+		}
+	}
 	t.Logf("%d families: %d on the Central, %d on a Conv node", len(names), len(central), len(conv))
 }
 
 // TestRenderReadsTheCentral: on a Central that settled 90 tiles at
 // 0.8 ms and 10 at 200 ms, the frame's tile quantiles are the ones of
 // its round-trip histogram (so p99 lies among the slow tiles), and the
-// compute phase reads the histogram's mean.
+// compute phase reads the histogram's mean. Over an interval of 20
+// images, the node table's crit column shows each node's share of them
+// as critical path, from the counter deltas, beside its dominant phase.
 func TestRenderReadsTheCentral(t *testing.T) {
 	reg := telemetry.NewRegistry()
 	met := core.NewMetrics(reg)
+	crit := func(node string, phase, n int) {
+		met.CriticalPath.With(node, core.PhaseNames[phase]).Add(float64(n))
+	}
+	met.Images.Add(10)
+	crit("0", core.PhaseCompute, 3)
+	srv := httptest.NewServer(telemetry.MuxChecks(reg, nil, nil))
+	defer srv.Close()
+	d := &dash{central: strings.TrimPrefix(srv.URL, "http://"), client: srv.Client()}
+	d.prev = d.poll(d.central)
+
 	for _, tiles := range []struct {
 		n   int
 		sec float64
@@ -112,12 +132,23 @@ func TestRenderReadsTheCentral(t *testing.T) {
 			met.TilePhase[core.PhaseCompute].Observe(tiles.sec)
 		}
 	}
-	srv := httptest.NewServer(telemetry.MuxChecks(reg, nil, nil))
-	defer srv.Close()
-	d := &dash{central: strings.TrimPrefix(srv.URL, "http://"), client: srv.Client()}
-	d.prev = &scrapeSet{at: time.Now().Add(-time.Second)}
+	met.Images.Add(20)
+	crit("0", core.PhaseCompute, 5)
+	crit("0", core.PhaseUplink, 2)
+	crit("1", core.PhaseNodeQueue, 8)
+	for _, n := range []string{"0", "1", "2"} {
+		met.SchedSpeed.With(n).Set(1)
+	}
 	frame := d.render()
 
+	for _, row := range []struct{ node, share, phase string }{
+		{"0", "35%", "compute"}, {"1", "40%", "node_queue"}, {"2", "0%", "-"},
+	} {
+		re := regexp.MustCompile(`(?m)^   ` + row.node + ` .* ` + row.share + `  \[[| ]*\] ` + regexp.QuoteMeta(row.phase) + ` `)
+		if !re.MatchString(frame) {
+			t.Errorf("node %s row lacks crit %s %s:\n%s", row.node, row.share, row.phase, frame)
+		}
+	}
 	h := met.TileRoundTrip.Snapshot()
 	q := func(p float64) float64 { return telemetry.QuantileFromBuckets(h.Upper, h.Cumulative(), p) }
 	if p99 := q(0.99); p99 <= 0.1 || p99 > 0.25 {

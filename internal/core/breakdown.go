@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"io"
+	"slices"
 	"time"
 )
 
@@ -161,6 +162,43 @@ func (b *Breakdown) MeanTotal() time.Duration {
 		s += t.Total
 	}
 	return s / time.Duration(len(b.Tiles))
+}
+
+// blamePhases are the phases Critical weighs: the three where a slow
+// node shows. The other three are dominated by the Central's own load.
+var blamePhases = [3]int{PhaseCompute, PhaseUplink, PhaseNodeQueue}
+
+// Critical says why the image took as long as it did. node ran the last
+// tile, which set the image's latency. phase is the one of blamePhases
+// in which that tile most exceeds the median (the upper one for an even
+// count, 0 for none) of the same phase over the image's tiles on other
+// nodes, and excess is by how much, so a shift on every node blames no
+// one. phase is -1 and excess 0 when no phase is above its peers'
+// median; node is -1 too when there is no tile.
+func (b *Breakdown) Critical() (node, phase int, excess time.Duration) {
+	if b == nil || len(b.Tiles) == 0 {
+		return -1, -1, 0
+	}
+	last := &b.Tiles[len(b.Tiles)-1]
+	node, phase = last.Node, -1
+	peers := make([]time.Duration, 0, 64) // up to an 8×8 grid on the stack
+	for _, p := range blamePhases {
+		peers = peers[:0]
+		for i := range b.Tiles {
+			if b.Tiles[i].Node != node {
+				peers = append(peers, b.Tiles[i].Phase[p])
+			}
+		}
+		var median time.Duration
+		if len(peers) > 0 {
+			slices.Sort(peers)
+			median = peers[len(peers)/2]
+		}
+		if d := last.Phase[p] - median; d > excess {
+			phase, excess = p, d
+		}
+	}
+	return node, phase, excess
 }
 
 // WriteText renders the mean per-phase decomposition as one line, e.g.

@@ -108,3 +108,79 @@ func TestBreakdownMeansAndText(t *testing.T) {
 		t.Fatal("nil breakdown mean must be 0")
 	}
 }
+
+// imageOf builds an image's breakdown of tiles tiles over nodes nodes,
+// tile i on node i%nodes with the phases tile(node) gives it, so the
+// last tile is node (tiles-1)%nodes's.
+func imageOf(tiles, nodes int, tile func(node int) TileBreakdown) *Breakdown {
+	b := &Breakdown{}
+	for i := 0; i < tiles; i++ {
+		tb := tile(i % nodes)
+		tb.Tile, tb.Node = i, i%nodes
+		b.Tiles = append(b.Tiles, tb)
+	}
+	return b
+}
+
+// phases is a tile with the three phases Critical weighs.
+func phases(compute, uplink, queue time.Duration) TileBreakdown {
+	var tb TileBreakdown
+	tb.Phase[PhaseCompute], tb.Phase[PhaseUplink], tb.Phase[PhaseNodeQueue] = compute, uplink, queue
+	return tb
+}
+
+// TestBreakdownCritical: the last tile's node is blamed only for a
+// phase above its peers' median, so a shift on every node (a pipeline
+// filling its node queues) blames no one, where a tracker judging each
+// node by its own history raised a lasting alarm on all of them.
+func TestBreakdownCritical(t *testing.T) {
+	const ms, us = time.Millisecond, time.Microsecond
+	every := func(tb TileBreakdown) func(int) TileBreakdown {
+		return func(int) TileBreakdown { return tb }
+	}
+	// on3 gives node 3 slow and every other node fast.
+	on3 := func(slow, fast TileBreakdown) func(int) TileBreakdown {
+		return func(k int) TileBreakdown {
+			if k == 3 {
+				return slow
+			}
+			return fast
+		}
+	}
+	healthy := phases(10*ms, 2*ms, 10*us)
+	for _, tc := range []struct {
+		name        string
+		b           *Breakdown
+		node, phase int
+		excess      time.Duration
+	}{
+		{"nil", nil, -1, -1, 0},
+		{"empty", &Breakdown{}, -1, -1, 0},
+		{"steady", imageOf(16, 4, every(healthy)), 3, -1, 0},
+		{"node_queue 10µs to 1ms on every node", imageOf(16, 4, every(phases(10*ms, 2*ms, ms))), 3, -1, 0},
+		{"compute ×5 on node 3", imageOf(16, 4, on3(phases(50*ms, 2*ms, 10*us), healthy)), 3, PhaseCompute, 40 * ms},
+		{"uplink ×20 on node 3", imageOf(16, 4, on3(phases(10*ms, 40*ms, 10*us), healthy)), 3, PhaseUplink, 38 * ms},
+		{"healed, then compute ×1.3 on every node", imageOf(16, 4, every(phases(13*ms, 2*ms, 10*us))), 3, -1, 0},
+		{"a slow peer, a healthy node last", imageOf(16, 4, func(k int) TileBreakdown {
+			if k == 0 {
+				return phases(50*ms, 2*ms, 10*us)
+			}
+			return healthy
+		}), 3, -1, 0},
+		{"an even peer count takes the upper median", imageOf(5, 5, func(k int) TileBreakdown {
+			return phases(time.Duration(k+1)*ms, 0, 0)
+		}), 4, PhaseCompute, 2 * ms},
+		{"one node only: its largest phase", imageOf(4, 1, every(phases(10*ms, 12*ms, ms))), 0, PhaseUplink, 12 * ms},
+	} {
+		node, phase, excess := tc.b.Critical()
+		if node != tc.node || phase != tc.phase || excess != tc.excess {
+			t.Errorf("%s: Critical() = (%d, %d, %v), want (%d, %d, %v)",
+				tc.name, node, phase, excess, tc.node, tc.phase, tc.excess)
+		}
+	}
+
+	b := imageOf(16, 4, on3(phases(50*ms, 2*ms, 10*us), healthy))
+	if n := testing.AllocsPerRun(100, func() { b.Critical() }); n != 0 {
+		t.Errorf("Critical on a 4×4 image allocates %v times, want 0", n)
+	}
+}

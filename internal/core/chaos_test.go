@@ -27,20 +27,13 @@ import (
 // objective sits at 2.5× that p99: the slow node is unambiguously bad
 // and the healthy nodes unambiguously good however loaded the host is.
 //
-// Every node but the target holds each tile chaosBaseHold, so most
-// healthy round trips are mostly sleep and the objective sits
-// milliseconds above them: a busy host's scheduling noise, which the
-// image clock packs into few images, seldom reaches it. The target
-// computes at full speed while healthy, so the health tracker, which
-// scores a node against its own baseline, sees its slowdown as many
-// times its compute. The asymmetry is deliberate: with the same hold on
-// every node the target's compute baseline grows with it, and under
-// -race about one run in five blamed the target's uplink or a healthy
-// node's node_queue instead. That case, a slow node whose baseline
-// matches its peers', is not covered here. The engine judges tiles through the histogram's
-// buckets, so a tile counts as fully bad only past the first bucket
-// bound above the objective: a throttled tile (~75 ms) clears it for
-// any p99 up to 20 ms and still breaches for one up to ~30 ms.
+// Every node holds each tile chaosBaseHold, so most healthy round trips
+// are mostly sleep and the objective sits milliseconds above them: a
+// busy host's scheduling noise, which the image clock packs into few
+// images, seldom reaches it. The engine judges tiles through the
+// histogram's buckets, so a tile counts as fully bad only past the first
+// bucket bound above the objective: a throttled tile (~75 ms) clears it
+// for any p99 up to 20 ms and still breaches for one up to ~30 ms.
 const (
 	chaosNodes      = 4 // a 2×2 grid: one tile per node and image
 	chaosTick       = 50 * time.Millisecond
@@ -205,11 +198,7 @@ func newChaosRig(t *testing.T) *chaosRig {
 	cfg := CentralConfig{Model: m, TL: chaosTL, Gamma: 0.9, Metrics: r.met, Flight: r.flight}
 	for k := 0; k < chaosNodes; k++ {
 		n := &chaosNode{restart: make(chan struct{}, 1), wg: &wg}
-		hold := chaosBaseHold
-		if k == chaosTarget {
-			hold = 0
-		}
-		n.w, n.hold = slowWorker(k+1, m, hold)
+		n.w, n.hold = slowWorker(k+1, m, chaosBaseHold)
 		r.nodes = append(r.nodes, n)
 		cfg.Conns = append(cfg.Conns, n.connect())
 		cfg.Dialers = append(cfg.Dialers, n.dial)
@@ -323,24 +312,25 @@ func TestChaosScenarios(t *testing.T) {
 		since := time.Now()
 		target.hold.d.Store(int64(chaosSlowFactor * r.p99 * float64(time.Second)))
 		breachAt := 0
+		var breach InferStats
 		for i := 1; i <= 2*fastImages && breachAt == 0; i++ {
-			if _, fired := r.image(t); entered(fired, telemetry.SLOBreach) {
-				breachAt = i
+			if st, fired := r.image(t); entered(fired, telemetry.SLOBreach) {
+				breachAt, breach = i, st
 			}
 		}
 		if breachAt == 0 {
 			t.Fatalf("no breach within two fast windows (%d images) of the slowdown", 2*fastImages)
 		}
-		worst, _, phase := r.c.Health().Worst()
-		t.Logf("breach %d images (%v virtual) after the slowdown; health %.2f",
-			breachAt, time.Duration(breachAt)*chaosTick, r.c.Health().Scores())
-		if want := PhaseNames[PhaseCompute]; worst != chaosTarget || phase != want {
-			t.Errorf("health blames node %d phase %q at the breach, want node %d phase %q", worst, phase, chaosTarget, want)
+		node, phase, excess := breach.Breakdown.Critical()
+		t.Logf("breach %d images (%v virtual) after the slowdown; its critical path: node %d phase %d excess %v",
+			breachAt, time.Duration(breachAt)*chaosTick, node, phase, excess)
+		if node != chaosTarget || phase != PhaseCompute {
+			t.Errorf("the breach image's critical path is node %d phase %d, want node %d phase %d (compute)", node, phase, chaosTarget, PhaseCompute)
 		}
 		if ok, reasons := r.blamed(chaosTarget, PhaseCompute, since); !ok {
 			t.Errorf("no breach dump since the slowdown names worst-node=%d phase=compute: %q", chaosTarget, reasons)
 		}
-		target.hold.d.Store(0)
+		target.hold.d.Store(int64(chaosBaseHold))
 		if trs := r.run(t, 2*slowImages); !entered(trs, telemetry.SLOOK) || r.engine.Breached() {
 			t.Errorf("SLO not back to ok %d images after the heal: %v", 2*slowImages, trs)
 		}

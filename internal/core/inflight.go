@@ -272,8 +272,8 @@ func (h *Inflight) settle() error {
 }
 
 // settleTile books one arrived result: the tile's output, the per-node
-// tally Algorithm 2 reads, the phase breakdown, and the health and
-// link-rate observations derived from it.
+// tally Algorithm 2 reads, the phase breakdown, and the link-rate
+// observations derived from it.
 func (h *Inflight) settleTile(a arrival) {
 	c := h.c
 	met, tr := c.metrics, c.trace
@@ -290,7 +290,6 @@ func (h *Inflight) settleTile(a arrival) {
 				met.TilePhase[p].ObserveDuration(int64(tb.Phase[p]))
 			}
 		}
-		c.health.Observe(a.node, &tb)
 		// Feed the link profiler: uplink bytes over the uplink
 		// phase, downlink bytes over the downlink phase.
 		c.sessions[a.node].link.observe(int64(a.taskWire), int64(a.wire),
@@ -313,7 +312,8 @@ func (h *Inflight) settleTile(a arrival) {
 
 // updateStats is the statistics-collection block: the image's per-node
 // tally goes to Algorithm 2 (see sched.Driver.Settle), whose updated
-// estimates are published as adcnn_sched_speed.
+// estimates are published as adcnn_sched_speed. With metrics on, the
+// image's critical path is counted and kept for the SLO breach dump.
 func (h *Inflight) updateStats() {
 	c := h.c
 	c.driver.Settle(h.stats.Received)
@@ -321,6 +321,13 @@ func (h *Inflight) updateStats() {
 		for k, s := range c.driver.Speeds() {
 			c.metrics.SchedSpeed.With(nodeLabel(k)).Set(s)
 		}
+		node, phase, excess := h.stats.Breakdown.Critical()
+		if phase >= 0 {
+			c.metrics.CriticalPath.With(nodeLabel(node), PhaseNames[phase]).Inc()
+		}
+		c.critMu.Lock()
+		c.crit.node, c.crit.phase, c.crit.excess = node, phase, excess
+		c.critMu.Unlock()
 	}
 }
 

@@ -12,9 +12,9 @@ import (
 // multiplies seconds-per-byte, and an EWMA converges toward a large
 // new value in a couple of samples where the reciprocal bytes-per-second
 // EWMA would crawl down from a huge healthy baseline for dozens. The
-// alphas are asymmetric for the same reason the health tracker's are:
-// react to a slowdown fast (attack), forgive recoveries a little more
-// slowly (decay) so one lucky transfer does not erase a collapse.
+// alphas are asymmetric: react to a slowdown fast (attack), forgive
+// recoveries a little more slowly (decay) so one lucky transfer does not
+// erase a collapse.
 const (
 	linkAttackAlpha = 0.5                  // sample says the link got slower
 	linkDecayAlpha  = 0.2                  // sample says the link got faster

@@ -19,7 +19,7 @@ type Metrics struct {
 	InflightImages *telemetry.Gauge                // images dispatched, Wait not finished
 	SendQueueDepth *telemetry.GaugeVec             // node, tasks queued in the session send loop
 	TilePhase      [NumPhases]*telemetry.Histogram // seconds, per-tile latency decomposition by phase
-	NodeHealth     *telemetry.GaugeVec             // node, gray-failure anomaly score (0 = at baseline)
+	CriticalPath   *telemetry.CounterVec           // node, phase: images whose last tile ran on node, by the phase most above its peers' median
 	LinkRTT        *telemetry.GaugeVec             // node, smoothed tile-exchange round-trip time (hold time subtracted)
 	LinkUp         *telemetry.GaugeVec             // node, EWMA uplink bytes/sec (0 = unknown/stale)
 	LinkDown       *telemetry.GaugeVec             // node, EWMA downlink bytes/sec (0 = unknown/stale)
@@ -40,7 +40,7 @@ func NewMetrics(reg *telemetry.Registry) *Metrics {
 		TilesMissed:    reg.Counter("adcnn_central_tiles_missed_total", "Tiles zero-filled at the deadline T_L."),
 		InflightImages: reg.Gauge("adcnn_central_inflight_images", "Images dispatched whose results are still being collected."),
 		SendQueueDepth: reg.GaugeVec("adcnn_central_send_queue_depth", "Tile tasks queued in each node session's send loop.", "node"),
-		NodeHealth:     reg.GaugeVec("adcnn_central_node_health", "Gray-failure anomaly score per Conv node: worst relative deviation of the fast phase-time EWMA over the node's slow baseline (0 = at baseline).", "node"),
+		CriticalPath:   reg.CounterVec("adcnn_central_critical_path_total", "Images whose last tile to settle ran on each Conv node, by the phase in which that tile most exceeded the median of the same phase over the other nodes' tiles; images with no excess are not counted.", "node", "phase"),
 		LinkRTT:        reg.GaugeVec("adcnn_central_link_rtt_seconds", "Per-node link round-trip time from task-to-result exchanges (remote hold time subtracted).", "node"),
 		LinkUp:         reg.GaugeVec("adcnn_central_link_up_bytes_per_second", "EWMA uplink transfer rate to each Conv node, estimated from tile phase timings (0 = unknown or stale).", "node"),
 		LinkDown:       reg.GaugeVec("adcnn_central_link_down_bytes_per_second", "EWMA downlink transfer rate from each Conv node, estimated from tile phase timings (0 = unknown or stale).", "node"),

@@ -53,7 +53,7 @@ type CentralConfig struct {
 	TL    time.Duration
 	Gamma float64
 	// Metrics, when set, records the metric catalog the SLO engine and
-	// adcnn-top read, and per-node health.
+	// adcnn-top read, and each image's critical path.
 	Metrics *Metrics
 	// Trace, when set, receives per-image phase spans on tid 0 and
 	// per-tile spans (both sides of the wire) on tid node+1.
@@ -90,7 +90,14 @@ type Central struct {
 	metrics *Metrics
 	trace   *telemetry.Trace
 	flight  *telemetry.FlightRecorder
-	health  *HealthTracker
+
+	// crit is the last settled image's Breakdown.Critical, kept when
+	// metrics are on for the SLO breach dump to name.
+	critMu sync.Mutex
+	crit   struct {
+		node, phase int
+		excess      time.Duration
+	}
 
 	// traceBase salts per-image trace IDs so traces from successive runs
 	// don't collide when merged; the image ID is folded in per image.
@@ -150,7 +157,6 @@ func (cfg CentralConfig) Start() (*Central, error) {
 	c.pending.init()
 	var audit *sched.Audit
 	if met := cfg.Metrics; met != nil {
-		c.health = NewHealthTracker(n, met.NodeHealth)
 		audit = met.Audit
 	}
 	c.driver = sched.NewDriver(n, cfg.Gamma, float64(c.grid.Tiles())/float64(n), audit)
