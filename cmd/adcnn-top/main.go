@@ -9,7 +9,7 @@
 //
 //	adcnn-top -central 127.0.0.1:9090
 //	adcnn-top -central 127.0.0.1:9090 -conv 127.0.0.1:9091,127.0.0.1:9092
-//	adcnn-top -central 127.0.0.1:9090 -once          # one frame, no ANSI
+//	adcnn-top -central 127.0.0.1:9090 -once          # one frame over one -interval, no ANSI
 package main
 
 import (
@@ -44,9 +44,6 @@ type sessionRow struct {
 	QueueDepth   int     `json:"queue_depth"`
 	PendingTiles int     `json:"pending_tiles"`
 	BackoffMs    float64 `json:"reconnect_backoff_ms"`
-	UplinkBps    float64 `json:"uplink_bytes_per_sec"`
-	DownlinkBps  float64 `json:"downlink_bytes_per_sec"`
-	LinkSamples  int     `json:"link_samples"`
 }
 
 // schedPage mirrors sched.Audit's /debug/sched JSON.
@@ -77,7 +74,7 @@ func main() {
 	central := flag.String("central", "127.0.0.1:9090", "Central metrics address (host:port)")
 	convList := flag.String("conv", "", "comma-separated Conv metrics addresses")
 	interval := flag.Duration("interval", time.Second, "poll interval")
-	once := flag.Bool("once", false, "render one frame and exit (no screen control)")
+	once := flag.Bool("once", false, "render one frame over one -interval and exit (no screen control)")
 	noColor := flag.Bool("no-color", false, "disable ANSI colors")
 	flag.Parse()
 
@@ -91,8 +88,7 @@ func main() {
 	d := &dash{color: !*noColor, central: *central, convs: convs, client: cl}
 
 	if *once {
-		d.prev = d.poll(*central)
-		fmt.Print(d.render())
+		fmt.Print(d.renderOnce(*interval))
 		return
 	}
 	// Alternate screen, cursor hidden; restore on exit.
@@ -151,6 +147,14 @@ func (d *dash) poll(addr string) *scrapeSet {
 	return s
 }
 
+// renderOnce draws one frame whose rates, quantiles and crit shares
+// cover one interval: a baseline poll, the wait, then the frame's poll.
+func (d *dash) renderOnce(interval time.Duration) string {
+	d.prev = d.poll(d.central)
+	time.Sleep(interval)
+	return d.render()
+}
+
 // render polls and draws one frame, updating the rate baseline.
 func (d *dash) render() string {
 	cur := d.poll(d.central)
@@ -189,7 +193,7 @@ func (d *dash) render() string {
 	if prev.metrics != nil {
 		pu, pc := prev.metrics.Buckets("adcnn_central_tile_roundtrip_seconds")
 		if len(pu) == len(upper) {
-			if delta := telemetry.DeltaBuckets(cum, pc); delta != nil && delta[len(delta)-1] > 0 {
+			if delta := telemetry.DeltaBuckets(cum, pc); len(delta) > 0 && delta[len(delta)-1] > 0 {
 				cum = delta
 			}
 		}
@@ -222,8 +226,8 @@ func (d *dash) render() string {
 	nodes := m.LabelValues("adcnn_sched_speed", "node")
 	if len(nodes) > 0 {
 		fmt.Fprintf(&b, "\n  %s\n", d.bold("nodes"))
-		fmt.Fprintf(&b, "   %-4s %-7s %-22s %-5s  %-20s %-14s %-6s %s\n",
-			"node", "s_k", "", "crit", "", "", "queue", "state")
+		fmt.Fprintf(&b, "   %-4s %-7s %-22s %-5s  %-20s %-14s %-6s %-8s %s\n",
+			"node", "s_k", "", "crit", "", "", "queue", "rtt", "state")
 		maxSpeed := 0.0
 		for _, n := range nodes {
 			if v, ok := m.Value("adcnn_sched_speed", "node", n); ok && v > maxSpeed {
@@ -241,6 +245,10 @@ func (d *dash) render() string {
 		for _, n := range nodes {
 			speed, _ := m.Value("adcnn_sched_speed", "node", n)
 			queue, _ := m.Value("adcnn_central_send_queue_depth", "node", n)
+			rtt := "-"
+			if v, _ := m.Value("adcnn_central_link_rtt_seconds", "node", n); v > 0 {
+				rtt = fmtSec(v)
+			}
 			share, phase := 0.0, "-"
 			if imgRate > 0 {
 				share = d.rate(m, prev.metrics, crit, dt, "node", n) / imgRate
@@ -258,46 +266,15 @@ func (d *dash) render() string {
 			} else if ok && row.Epochs > 1 {
 				state = d.yellow(fmt.Sprintf("alive (epoch %d)", row.Epochs))
 			}
-			fmt.Fprintf(&b, "   %-4s %-7.2f %-22s %4.0f%%  %-20s %-14s %-6.0f %s\n",
+			fmt.Fprintf(&b, "   %-4s %-7.2f %-22s %4.0f%%  %-20s %-14s %-6.0f %-8s %s\n",
 				n, speed, d.bar(speed, maxSpeed, 20), 100*share,
-				d.bar(share, 1, 18), phase, queue, state)
+				d.bar(share, 1, 18), phase, queue, rtt, state)
 		}
 	}
 
 	// ---- phase decomposition (mean seconds per phase since last poll).
 	if line := d.phaseLine(m, prev.metrics); line != "" {
 		fmt.Fprintf(&b, "\n  %s\n   %s\n", d.bold("tile phases (mean, last interval)"), line)
-	}
-
-	// ---- link telemetry: RTT and passive rate estimates, all from tile
-	// exchanges.
-	linkNodes := m.LabelValues("adcnn_central_link_rtt_seconds", "node")
-	if len(linkNodes) == 0 {
-		linkNodes = m.LabelValues("adcnn_central_link_up_bytes_per_second", "node")
-	}
-	if len(linkNodes) > 0 {
-		fmt.Fprintf(&b, "\n  %s\n", d.bold("links"))
-		fmt.Fprintf(&b, "   %-4s %-8s %-10s %-10s %s\n",
-			"node", "rtt", "uplink", "downlink", "samples")
-		sess := map[int]sessionRow{}
-		for _, r := range cur.sessions {
-			sess[r.Node] = r
-		}
-		for _, n := range linkNodes {
-			rtt, _ := m.Value("adcnn_central_link_rtt_seconds", "node", n)
-			up, _ := m.Value("adcnn_central_link_up_bytes_per_second", "node", n)
-			down, _ := m.Value("adcnn_central_link_down_bytes_per_second", "node", n)
-			rttStr := "-"
-			if rtt > 0 {
-				rttStr = fmtSec(rtt)
-			}
-			samples := 0
-			if k, err := strconv.Atoi(n); err == nil {
-				samples = sess[k].LinkSamples
-			}
-			fmt.Fprintf(&b, "   %-4s %-8s %-10s %-10s %d\n",
-				n, rttStr, fmtBps(up), fmtBps(down), samples)
-		}
 	}
 
 	// ---- recent scheduler decisions.
@@ -445,22 +422,6 @@ func buildLine(m *telemetry.PromScrape) string {
 	}
 	sort.Strings(parts)
 	return strings.Join(parts, "  ")
-}
-
-// fmtBps renders a bytes-per-second estimate (0 = unknown).
-func fmtBps(v float64) string {
-	switch {
-	case v <= 0:
-		return "-"
-	case v < 1e3:
-		return fmt.Sprintf("%.0fB/s", v)
-	case v < 1e6:
-		return fmt.Sprintf("%.1fKB/s", v/1e3)
-	case v < 1e9:
-		return fmt.Sprintf("%.1fMB/s", v/1e6)
-	default:
-		return fmt.Sprintf("%.1fGB/s", v/1e9)
-	}
 }
 
 // fmtSec renders seconds human-readably (µs/ms/s).

@@ -3,6 +3,7 @@ package main
 import (
 	"context"
 	"fmt"
+	"net/http"
 	"net/http/httptest"
 	"os"
 	"regexp"
@@ -109,7 +110,8 @@ func TestCatalogHasReaders(t *testing.T) {
 // its round-trip histogram (so p99 lies among the slow tiles), and the
 // compute phase reads the histogram's mean. Over an interval of 20
 // images, the node table's crit column shows each node's share of them
-// as critical path, from the counter deltas, beside its dominant phase.
+// as critical path, from the counter deltas, beside its dominant phase,
+// and each node's row ends in its RTT gauge.
 func TestRenderReadsTheCentral(t *testing.T) {
 	reg := telemetry.NewRegistry()
 	met := core.NewMetrics(reg)
@@ -139,6 +141,7 @@ func TestRenderReadsTheCentral(t *testing.T) {
 	for _, n := range []string{"0", "1", "2"} {
 		met.SchedSpeed.With(n).Set(1)
 	}
+	met.LinkRTT.With("1").Set(0.0012)
 	frame := d.render()
 
 	for _, row := range []struct{ node, share, phase string }{
@@ -147,6 +150,11 @@ func TestRenderReadsTheCentral(t *testing.T) {
 		re := regexp.MustCompile(`(?m)^   ` + row.node + ` .* ` + row.share + `  \[[| ]*\] ` + regexp.QuoteMeta(row.phase) + ` `)
 		if !re.MatchString(frame) {
 			t.Errorf("node %s row lacks crit %s %s:\n%s", row.node, row.share, row.phase, frame)
+		}
+	}
+	for _, row := range []struct{ node, rtt string }{{"0", "-"}, {"1", "1.2ms"}} {
+		if !regexp.MustCompile(`(?m)^   ` + row.node + ` .* ` + regexp.QuoteMeta(row.rtt) + ` +alive$`).MatchString(frame) {
+			t.Errorf("node %s row lacks rtt %s:\n%s", row.node, row.rtt, frame)
 		}
 	}
 	h := met.TileRoundTrip.Snapshot()
@@ -160,5 +168,36 @@ func TestRenderReadsTheCentral(t *testing.T) {
 	}
 	if mean := fmtSec((90*0.0008 + 10*0.2) / 100); !strings.Contains(frame, "compute="+mean) {
 		t.Errorf("frame lacks the compute mean %s:\n%s", mean, frame)
+	}
+}
+
+// TestRenderOnceSpansAnInterval: -once takes its baseline scrape and the
+// frame's scrape one interval apart, so the frame's rates describe that
+// interval rather than the milliseconds between two back-to-back polls.
+// The registry is empty, as on a daemon that is not a Central: the frame
+// must still render.
+func TestRenderOnceSpansAnInterval(t *testing.T) {
+	const interval = 100 * time.Millisecond
+	mux := telemetry.MuxChecks(telemetry.NewRegistry(), nil, nil)
+	var mu sync.Mutex
+	var scrapes []time.Time
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path == "/metrics" {
+			mu.Lock()
+			scrapes = append(scrapes, time.Now())
+			mu.Unlock()
+		}
+		mux.ServeHTTP(w, r)
+	}))
+	defer srv.Close()
+	d := &dash{central: strings.TrimPrefix(srv.URL, "http://"), client: srv.Client()}
+	frame := d.renderOnce(interval)
+	mu.Lock()
+	defer mu.Unlock()
+	if len(scrapes) != 2 {
+		t.Fatalf("%d /metrics scrapes, want 2:\n%s", len(scrapes), frame)
+	}
+	if gap := scrapes[1].Sub(scrapes[0]); gap < interval {
+		t.Errorf("scrapes %v apart, want at least the %v interval", gap, interval)
 	}
 }

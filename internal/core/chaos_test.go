@@ -96,7 +96,7 @@ func (n *chaosNode) throttle(size int) {
 // link, clock and crash faults. A task's payload is throttled before the
 // worker stamps its arrival and a result's after the worker stamps its
 // departure, so a collapsed link lands in the uplink and downlink phases
-// the Central's link estimator reads. A result's six timing stamps move
+// and in the exchange's round trip. A result's six timing stamps move
 // by the node's skew, on a copy, since the worker reuses its record.
 type faultConn struct {
 	Conn
@@ -336,36 +336,46 @@ func TestChaosScenarios(t *testing.T) {
 		}
 	})
 
-	// A collapsed link that still delivers within T_L: the estimates
-	// follow the throttle down, the SLO breaches and blames the node, and
-	// all of it recovers after the heal.
+	// A collapsed link that still delivers within T_L: the SLO breaches,
+	// the breach image's critical path and the breach dump name the
+	// node's uplink, the node's RTT rises tenfold, and all of it
+	// recovers after the heal.
 	t.Run("bandwidth", func(t *testing.T) {
-		healthyUp := r.session(chaosTarget).UplinkBps
-		if healthyUp <= 0 {
-			t.Fatalf("no healthy uplink estimate: %+v", r.session(chaosTarget))
+		healthyRTT := r.session(chaosTarget).RTTNs
+		if healthyRTT <= 0 {
+			t.Fatalf("no healthy RTT: %+v", r.session(chaosTarget))
 		}
 		since := time.Now()
 		target.rate.Store(chaosRate)
-		trs := r.run(t, 2*fastImages)
-		s := r.session(chaosTarget)
+		var trs []telemetry.SLOTransition
+		var breach *InferStats
+		for i := 0; i < 2*fastImages; i++ {
+			st, fired := r.image(t)
+			if breach == nil && entered(fired, telemetry.SLOBreach) {
+				breach = &st
+			}
+			trs = append(trs, fired...)
+		}
+		throttledRTT := r.session(chaosTarget).RTTNs
 		target.rate.Store(0)
-		t.Logf("throttled to %d B/s: uplink %.0f -> %.0f B/s, downlink %.0f B/s", chaosRate, healthyUp, s.UplinkBps, s.DownlinkBps)
-		if math.Abs(s.DownlinkBps-chaosRate)/chaosRate > 0.25 {
-			t.Errorf("downlink estimate %.0f B/s not within 25%% of the %d B/s throttle", s.DownlinkBps, chaosRate)
-		}
-		if !(s.UplinkBps > 0 && s.UplinkBps < healthyUp/4) {
-			t.Errorf("uplink estimate %.0f B/s did not collapse below a quarter of healthy %.0f B/s", s.UplinkBps, healthyUp)
-		}
+		t.Logf("throttled to %d B/s: RTT %v -> %v", chaosRate, time.Duration(healthyRTT), time.Duration(throttledRTT))
 		if !entered(trs, telemetry.SLOBreach) {
 			t.Errorf("no breach under the collapse: %v", trs)
+		} else if node, phase, excess := breach.Breakdown.Critical(); node != chaosTarget || phase != PhaseUplink {
+			t.Errorf("the breach image's critical path is node %d phase %d (excess %v), want node %d phase %d (uplink)",
+				node, phase, excess, chaosTarget, PhaseUplink)
+		}
+		if throttledRTT < 10*healthyRTT {
+			t.Errorf("RTT %v under the throttle, want at least 10× the healthy %v", time.Duration(throttledRTT), time.Duration(healthyRTT))
 		}
 		if ok, reasons := r.blamed(chaosTarget, PhaseUplink, since); !ok {
 			t.Errorf("no breach dump since the throttle names worst-node=%d phase=uplink: %q", chaosTarget, reasons)
 		}
 		r.run(t, slowImages+fastImages)
-		s = r.session(chaosTarget)
-		if !(s.UplinkBps > 3*chaosRate && s.DownlinkBps > 3*chaosRate) {
-			t.Errorf("estimates up %.0f down %.0f B/s after the heal, want both above 3× the throttle", s.UplinkBps, s.DownlinkBps)
+		back := r.session(chaosTarget).RTTNs
+		t.Logf("RTT %v after the heal", time.Duration(back))
+		if back >= throttledRTT/10 {
+			t.Errorf("RTT %v after the heal, want below a tenth of the throttled %v", time.Duration(back), time.Duration(throttledRTT))
 		}
 		if r.engine.Breached() {
 			t.Error("SLO still breached after the heal")

@@ -20,12 +20,6 @@ type SessionDebug struct {
 	ClockOffsetNs int64 `json:"clock_offset_ns"`
 	RTTNs         int64 `json:"rtt_ns"`
 	OffsetSamples int64 `json:"offset_samples"`
-	// UplinkBps/DownlinkBps are the passive link-rate estimates in
-	// bytes/sec (0 = unknown, unconverged, or stale); LinkSamples counts
-	// the transfer samples behind them.
-	UplinkBps   float64 `json:"uplink_bytes_per_sec"`
-	DownlinkBps float64 `json:"downlink_bytes_per_sec"`
-	LinkSamples int     `json:"link_samples"`
 }
 
 // DebugSessions snapshots every node session's state.

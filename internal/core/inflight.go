@@ -175,7 +175,7 @@ func (h *Inflight) place(ctx context.Context, task *Message, k int) (int, bool) 
 	key := pendingKey{task.ImageID, task.TileID}
 	sessions := h.c.sessions
 	for attempt := 0; attempt < len(sessions); attempt++ {
-		h.c.pending.markEnqueued(key, k, monoNow(), len(task.Payload))
+		h.c.pending.markEnqueued(key, k, monoNow())
 		if sessions[k].enqueue(ctx, task) {
 			return k, true
 		}
@@ -272,8 +272,7 @@ func (h *Inflight) settle() error {
 }
 
 // settleTile books one arrived result: the tile's output, the per-node
-// tally Algorithm 2 reads, the phase breakdown, and the link-rate
-// observations derived from it.
+// tally Algorithm 2 reads, and the phase breakdown.
 func (h *Inflight) settleTile(a arrival) {
 	c := h.c
 	met, tr := c.metrics, c.trace
@@ -290,10 +289,6 @@ func (h *Inflight) settleTile(a arrival) {
 				met.TilePhase[p].ObserveDuration(int64(tb.Phase[p]))
 			}
 		}
-		// Feed the link profiler: uplink bytes over the uplink
-		// phase, downlink bytes over the downlink phase.
-		c.sessions[a.node].link.observe(int64(a.taskWire), int64(a.wire),
-			int64(tb.Phase[PhaseUplink]), int64(tb.Phase[PhaseDownlink]))
 		h.tracePhases(&tb, a.sentNs)
 	}
 	if h.dispatchAt != nil {

@@ -26,7 +26,7 @@ func (c *Central) redispatch(orphans []*Message) {
 		placed := false
 		for _, s := range c.sessions {
 			if s.Alive() {
-				c.pending.markEnqueued(pendingKey{m.ImageID, m.TileID}, s.id, monoNow(), len(m.Payload))
+				c.pending.markEnqueued(pendingKey{m.ImageID, m.TileID}, s.id, monoNow())
 				if !s.enqueue(c.ctx, m) {
 					continue
 				}

@@ -21,8 +21,6 @@ type Metrics struct {
 	TilePhase      [NumPhases]*telemetry.Histogram // seconds, per-tile latency decomposition by phase
 	CriticalPath   *telemetry.CounterVec           // node, phase: images whose last tile ran on node, by the phase most above its peers' median
 	LinkRTT        *telemetry.GaugeVec             // node, smoothed tile-exchange round-trip time (hold time subtracted)
-	LinkUp         *telemetry.GaugeVec             // node, EWMA uplink bytes/sec (0 = unknown/stale)
-	LinkDown       *telemetry.GaugeVec             // node, EWMA downlink bytes/sec (0 = unknown/stale)
 	SchedSpeed     *telemetry.GaugeVec             // node, Algorithm 2 estimate s_k after each image settles
 
 	// Audit, when set, receives the scheduler's decisions (see
@@ -42,8 +40,6 @@ func NewMetrics(reg *telemetry.Registry) *Metrics {
 		SendQueueDepth: reg.GaugeVec("adcnn_central_send_queue_depth", "Tile tasks queued in each node session's send loop.", "node"),
 		CriticalPath:   reg.CounterVec("adcnn_central_critical_path_total", "Images whose last tile to settle ran on each Conv node, by the phase in which that tile most exceeded the median of the same phase over the other nodes' tiles; images with no excess are not counted.", "node", "phase"),
 		LinkRTT:        reg.GaugeVec("adcnn_central_link_rtt_seconds", "Per-node link round-trip time from task-to-result exchanges (remote hold time subtracted).", "node"),
-		LinkUp:         reg.GaugeVec("adcnn_central_link_up_bytes_per_second", "EWMA uplink transfer rate to each Conv node, estimated from tile phase timings (0 = unknown or stale).", "node"),
-		LinkDown:       reg.GaugeVec("adcnn_central_link_down_bytes_per_second", "EWMA downlink transfer rate from each Conv node, estimated from tile phase timings (0 = unknown or stale).", "node"),
 		SchedSpeed:     reg.GaugeVec("adcnn_sched_speed", "Algorithm 2 EWMA throughput estimate s_k per Conv node.", "node"),
 	}
 	phases := reg.HistogramVec("adcnn_central_tile_phase_seconds",

@@ -74,6 +74,50 @@ func TestLinkRTTGaugeFromTileExchanges(t *testing.T) {
 	}
 }
 
+// TestWorkerProcessTimesComputeAndEncode: adcnn_worker_process_seconds
+// is Front+Boundary+encode, not the tile's time on the node. Two tasks
+// sent back to back to a node holding each one 20 ms leave the second
+// waiting out the first in the queue; counting that wait would put the
+// sum near 3 holds.
+func TestWorkerProcessTimesComputeAndEncode(t *testing.T) {
+	const hold = 20 * time.Millisecond
+	m, err := models.Build(models.VGGSim(), models.Options{Grid: fdsp.Grid{Rows: 2, Cols: 2}}, 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w, _ := slowWorker(1, m, hold)
+	w.Metrics = NewWorkerMetrics(telemetry.NewRegistry())
+	a, b := Pipe()
+	defer a.Close()
+	done := make(chan struct{})
+	go func() { defer close(done); _ = w.Serve(context.Background(), b) }()
+
+	x := tensor.New(1, 3, 32, 32)
+	x.RandN(rand.New(rand.NewSource(15)), 1)
+	tl := m.Opt.Grid.Layout(32, 32)[0]
+	for tile := uint32(0); tile < 2; tile++ {
+		task := &Message{Kind: KindTask, ImageID: 1, TileID: tile, Payload: AppendTensor(nil, fdsp.ExtractTile(x, tl))}
+		if err := a.Send(task); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 2; i++ {
+		if _, err := a.Recv(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	a.Close()
+	<-done
+	h := w.Metrics.Process.Snapshot()
+	t.Logf("process histogram: %d tiles, sum %.1fms for a %v hold", h.Count, h.Sum*1e3, hold)
+	if h.Count != 2 {
+		t.Fatalf("process histogram counts %d tiles, want 2", h.Count)
+	}
+	if limit := 2.5 * hold.Seconds(); h.Sum >= limit {
+		t.Errorf("process histogram sum %.1fms, want under %.1fms: queue wait counted", h.Sum*1e3, limit*1e3)
+	}
+}
+
 // TestInferRecordsMetrics runs real inferences over Pipe transports and
 // checks the whole metric chain: image counters, latency histograms and
 // worker-side task counts against the per-node tile tallies of

@@ -17,11 +17,10 @@ import (
 // the Conv-side timing record, and the session's clock-offset estimate
 // at arrival time.
 type arrival struct {
-	tile     int
-	node     int
-	t        *tensor.Tensor
-	wire     int // result payload bytes (downlink)
-	taskWire int // task payload bytes (uplink)
+	tile int
+	node int
+	t    *tensor.Tensor
+	wire int // result payload bytes (downlink)
 
 	enqNs    int64 // task enqueued on the session
 	sentNs   int64 // task frame handed to the socket
@@ -94,11 +93,10 @@ func (col *imageCollector) seal() {
 // attempt (redispatch overwrites them, so the breakdown describes the
 // attempt that actually produced the result).
 type pendingEntry struct {
-	col       *imageCollector
-	node      int   // session the tile was last enqueued on
-	enqNs     int64 // central mono ns, last enqueue
-	sentNs    int64 // central mono ns, frame handed to the socket
-	taskBytes int   // task payload bytes, for the link-rate estimate
+	col    *imageCollector
+	node   int   // session the tile was last enqueued on
+	enqNs  int64 // central mono ns, last enqueue
+	sentNs int64 // central mono ns, frame handed to the socket
 }
 
 // demux is the pending table shared by every node session.
@@ -118,15 +116,13 @@ func (d *demux) register(col *imageCollector, tiles int) {
 	d.mu.Unlock()
 }
 
-// markEnqueued stamps a tile's dispatch-queue entry time, owner, and
-// uplink payload size.
-func (d *demux) markEnqueued(k pendingKey, node int, ns int64, bytes int) {
+// markEnqueued stamps a tile's dispatch-queue entry time and owner.
+func (d *demux) markEnqueued(k pendingKey, node int, ns int64) {
 	d.mu.Lock()
 	if e, ok := d.m[k]; ok {
 		e.node = node
 		e.enqNs = ns
 		e.sentNs = 0
-		e.taskBytes = bytes
 		d.m[k] = e
 	}
 	d.mu.Unlock()
@@ -213,10 +209,6 @@ type nodeSession struct {
 	// refreshed from every task→result exchange (the minimum-RTT filter).
 	offset *telemetry.OffsetEstimator
 
-	// link holds the passive uplink/downlink rate estimates from tile
-	// phase timings.
-	link linkState
-
 	queueDepth *telemetry.Gauge // nil disables
 	rttGauge   *telemetry.Gauge // nil disables
 }
@@ -230,13 +222,11 @@ func newNodeSession(id int, c *Central, conn Conn, dial Dialer) *nodeSession {
 		conn:   conn,
 		alive:  true,
 		down:   make(chan struct{}),
-		offset: telemetry.NewOffsetEstimator(0),
+		offset: telemetry.NewOffsetEstimator(),
 	}
 	if m := c.metrics; m != nil {
 		s.queueDepth = m.SendQueueDepth.With(nodeLabel(id))
 		s.rttGauge = m.LinkRTT.With(nodeLabel(id))
-		s.link.upGauge = m.LinkUp.With(nodeLabel(id))
-		s.link.downGauge = m.LinkDown.With(nodeLabel(id))
 	}
 	return s
 }
@@ -486,8 +476,7 @@ func (s *nodeSession) recvLoop(conn Conn) error {
 		}
 		if !e.col.deliver(arrival{
 			tile: int(m.TileID), node: s.id, t: t, wire: wire,
-			taskWire: e.taskBytes,
-			enqNs:    e.enqNs, sentNs: e.sentNs, recvNs: recvNs,
+			enqNs: e.enqNs, sentNs: e.sentNs, recvNs: recvNs,
 			timing: m.Timing, offsetNs: offsetNs,
 		}) {
 			// The image settled while this result was being decoded.
@@ -525,9 +514,6 @@ func (s *nodeSession) reconnect() bool {
 			s.mu.Lock()
 			s.backoff = 0
 			s.mu.Unlock()
-			// The reconnected node may sit behind a different path; let
-			// the rate estimates rebuild from fresh samples.
-			s.link.reset()
 			s.revive(conn)
 			c.reviveNode(s.id)
 			c.flight.Record("session-reconnect", 0, -1, s.id, "")
@@ -554,6 +540,5 @@ func (s *nodeSession) debugInfo() SessionDebug {
 	info.ClockOffsetNs = s.offset.Offset()
 	info.RTTNs = s.offset.RTT()
 	info.OffsetSamples = s.offset.Samples()
-	info.UplinkBps, info.DownlinkBps, info.LinkSamples = s.link.snapshot()
 	return info
 }

@@ -124,7 +124,6 @@ type workerTask struct {
 	x               *tensor.Tensor
 	qt              *QuantTile
 	tm              ConvTiming
-	start           time.Time
 }
 
 var workerTaskPool = sync.Pool{New: func() any {
@@ -238,7 +237,6 @@ func (s *workerSession) recvLoop(ctx context.Context) error {
 			return fmt.Errorf("core: worker %d: unexpected message kind %d", w.ID, m.Kind)
 		}
 		t := workerTaskPool.Get().(*workerTask)
-		t.start = time.Now()
 		t.tm = ConvTiming{RecvNs: monoNow()}
 		t.img, t.tile = m.ImageID, m.TileID
 		t.traceID, t.spanID = m.TraceID, m.SpanID
@@ -300,7 +298,7 @@ func (s *workerSession) computeLoop(ctx context.Context) error {
 		s.tilesDone.Add(1)
 		if met != nil {
 			s.taskCtr.Inc()
-			met.Process.ObserveDuration(time.Since(t.start).Nanoseconds())
+			met.Process.ObserveDuration(t.tm.EncodeNs - t.tm.ComputeStartNs)
 		}
 		t.tm.SendNs = monoNow()
 		*res = Message{

@@ -33,10 +33,9 @@ import "sync"
 // no-ops on a nil receiver.
 type OffsetEstimator struct {
 	mu      sync.Mutex
-	alpha   float64
 	window  [offsetFloorLen]offsetSample // ring; exchange i at i mod len
 	offset  int64                        // the estimate
-	rtt     float64                      // EWMA of sample RTT (ns)
+	rtt     float64                      // EWMA of sample RTT (ns), weight 0.2
 	samples int64
 }
 
@@ -55,17 +54,8 @@ const (
 	offsetDelayGate = 4
 )
 
-// DefaultOffsetAlpha is the EWMA weight of the smoothed RTT.
-const DefaultOffsetAlpha = 0.2
-
-// NewOffsetEstimator creates an estimator whose RTT() is an EWMA of
-// weight alpha in (0,1]; alpha ≤ 0 uses DefaultOffsetAlpha.
-func NewOffsetEstimator(alpha float64) *OffsetEstimator {
-	if alpha <= 0 || alpha > 1 {
-		alpha = DefaultOffsetAlpha
-	}
-	return &OffsetEstimator{alpha: alpha}
-}
+// NewOffsetEstimator creates an estimator with no exchanges filed.
+func NewOffsetEstimator() *OffsetEstimator { return new(OffsetEstimator) }
 
 // Update files one exchange into the filter and returns the updated
 // offset and this sample's RTT (both ns). Samples with negative RTT
@@ -86,7 +76,7 @@ func (e *OffsetEstimator) Update(t0, t1, t2, t3 int64) (offsetNs, rttNs int64) {
 	if e.samples == 0 {
 		e.rtt = float64(rtt)
 	} else {
-		e.rtt += e.alpha * (float64(rtt) - e.rtt)
+		e.rtt += 0.2 * (float64(rtt) - e.rtt)
 	}
 	e.samples++
 	if b, floor := e.lowest(offsetFilterLen), e.lowest(offsetFloorLen); b.rtt <= offsetDelayGate*floor.rtt {

@@ -21,7 +21,7 @@ func TestOffsetConvergesUnderConstantSkew(t *testing.T) {
 	// Remote clock = local + skew. The additive convention is
 	// remote + Offset() = local, so the estimate must converge to -skew.
 	const skew = 3_000_000 // 3ms
-	e := NewOffsetEstimator(0)
+	e := NewOffsetEstimator()
 	now := int64(1_000)
 	for i := 0; i < 200; i++ {
 		_, now = exchange(e, now, skew, 50_000, 400_000, 50_000)
@@ -41,8 +41,9 @@ func TestOffsetConvergesUnderConstantSkew(t *testing.T) {
 
 func TestOffsetTracksDrift(t *testing.T) {
 	// The remote clock drifts 50ppm fast: after each 1ms step the skew
-	// grows by 50ns. The EWMA must follow within a few RTTs' worth.
-	e := NewOffsetEstimator(0.3)
+	// grows by 50ns. Every exchange has the same RTT, so the clock filter
+	// picks the newest and the estimate must follow the drift.
+	e := NewOffsetEstimator()
 	now := int64(1_000)
 	skew := int64(1_000_000)
 	for i := 0; i < 2000; i++ {
@@ -51,8 +52,9 @@ func TestOffsetTracksDrift(t *testing.T) {
 		skew += 50
 	}
 	got := e.Offset()
-	// Lag of an EWMA with weight a on a ramp of slope s per step is
-	// s(1-a)/a — 50·0.7/0.3 ≈ 117ns here; allow generous slack.
+	// The newest exchange's midpoint is exact on these symmetric paths,
+	// so the estimate trails by the one step of drift since (50ns);
+	// allow generous slack.
 	if diff := got + skew; diff < -20_000 || diff > 20_000 {
 		t.Fatalf("offset %d lags true -%d by %d, want within 20µs", got, skew, got+skew)
 	}
@@ -64,7 +66,7 @@ func TestOffsetBoundedUnderAsymmetricRTT(t *testing.T) {
 	// error never exceeds RTT/2 — the theoretical bound.
 	const skew = 2_000_000
 	const up, down = 1_600_000, 400_000 // heavily asymmetric
-	e := NewOffsetEstimator(0)
+	e := NewOffsetEstimator()
 	now := int64(1_000)
 	for i := 0; i < 100; i++ {
 		_, now = exchange(e, now, skew, up, 200_000, down)
@@ -92,7 +94,7 @@ func TestOffsetFilterPicksMinimumRTTExchange(t *testing.T) {
 	// while the exchange is among the last eight, then, after the remote
 	// clock steps, follow the new skew within eight exchanges.
 	const skew, stepped = 1_000_000, 5_000_000
-	e := NewOffsetEstimator(0)
+	e := NewOffsetEstimator()
 	now := int64(1_000)
 	rng := rand.New(rand.NewSource(9))
 	for i := 0; i < 8; i++ {
@@ -119,12 +121,13 @@ func TestOffsetFilterPicksMinimumRTTExchange(t *testing.T) {
 }
 
 func TestOffsetDeratesNoisySamples(t *testing.T) {
-	// Samples taken over a congested (high-RTT) exchange must move the
-	// estimate less than clean ones: converge on clean exchanges, then
-	// hit the estimator with wildly biased high-RTT samples and check
-	// the estimate barely moves.
+	// Samples taken over a congested (high-RTT) exchange must not move
+	// the estimate: converge on clean exchanges, then hit the estimator
+	// with wildly biased high-RTT samples. While a clean exchange is among
+	// the last eight the filter picks it; after that the delay gate holds
+	// the estimate, since the best of the eight is far above the floor.
 	const skew = 1_000_000
-	e := NewOffsetEstimator(0.2)
+	e := NewOffsetEstimator()
 	now := int64(1_000)
 	for i := 0; i < 100; i++ {
 		_, now = exchange(e, now, skew, 20_000, 50_000, 20_000)
@@ -143,10 +146,11 @@ func TestOffsetDeratesNoisySamples(t *testing.T) {
 	if drift < 0 {
 		drift = -drift
 	}
-	// An un-derated EWMA (weight 0.2) would absorb ~98% of a ~1-2ms bias
-	// over 20 samples; the RTT derating must keep the drift far smaller.
+	// A plain EWMA of the offset (weight 0.2) would absorb ~98% of a
+	// ~1-2ms bias over 20 samples; the filter must keep the drift far
+	// smaller.
 	if drift > 300_000 {
-		t.Fatalf("noisy samples moved the estimate by %dns — RTT derating not working", drift)
+		t.Fatalf("noisy samples moved the estimate by %dns — the minimum-RTT filter let them through", drift)
 	}
 }
 
@@ -156,7 +160,7 @@ func TestOffsetHoldsThroughCongestion(t *testing.T) {
 	// of them is 9 ms off; the estimate must not move until clean
 	// exchanges come back, and then it must be exact again.
 	const skew = 2_000_000
-	e := NewOffsetEstimator(0)
+	e := NewOffsetEstimator()
 	now := int64(1_000)
 	step := func(up, down int64) {
 		_, now = exchange(e, now, skew, up, 100_000, down)
@@ -179,7 +183,7 @@ func TestOffsetHoldsThroughCongestion(t *testing.T) {
 
 func TestOffsetRejectsNegativeRTT(t *testing.T) {
 	// RTT = (t3−t0)−(t2−t1) = −20 here: not a causally valid exchange.
-	e := NewOffsetEstimator(0)
+	e := NewOffsetEstimator()
 	if _, rtt := e.Update(100, 50, 60, 90); rtt >= 0 {
 		t.Fatalf("expected negative RTT back, got %d", rtt)
 	}
