@@ -23,9 +23,7 @@ import (
 
 	"adcnn/internal/cliutil"
 	"adcnn/internal/core"
-	"adcnn/internal/dataset"
-	"adcnn/internal/models"
-	"adcnn/internal/sched"
+	"adcnn/internal/experiments"
 	"adcnn/internal/telemetry"
 	"adcnn/internal/tensor"
 )
@@ -144,12 +142,11 @@ func main() {
 	tl := flag.Duration("tl", 5*time.Second, "result wait deadline T_L")
 	gamma := flag.Float64("gamma", 0.9, "statistics decay γ")
 	verify := flag.Bool("verify", true, "check outputs against local execution")
-	metricsAddr := flag.String("metrics-addr", "", "serve /metrics, /healthz, /debug/pprof, /debug/flight, /debug/sessions and /debug/sched on this address (e.g. :9090)")
+	metricsAddr := flag.String("metrics-addr", "", "serve /metrics, /healthz, /readyz, /debug/pprof, /debug/flight (rare events, reallocations included) and /debug/sessions on this address (e.g. :9090)")
 	tracePath := flag.String("trace", "", "write a Chrome trace-event JSON timeline (central + conv-side spans) to this file")
 	connectTimeout := flag.Duration("connect-timeout", 30*time.Second, "total dial budget per conv node (retry with backoff)")
 	pipeline := flag.Int("pipeline", 0, "keep up to this many images in flight (0 = one at a time)")
 	breakdown := flag.Bool("breakdown", false, "print the per-image mean phase decomposition after each image")
-	flightSize := flag.Int("flight-size", telemetry.DefaultFlightSize, "flight recorder ring capacity (events)")
 	sloP99 := flag.Duration("slo-p99", 250*time.Millisecond, "SLO: p99 tile round-trip latency objective (0 disables)")
 	sloMiss := flag.Float64("slo-miss-budget", core.DefaultMissBudget, "SLO: tolerated zero-fill fraction (0 disables)")
 	sloFast := flag.Duration("slo-fast", core.DefaultSLOWindows[0], "SLO: fast burn-rate window")
@@ -180,11 +177,11 @@ func main() {
 	mf.Log(logger, oracle)
 	cfg := core.CentralConfig{
 		TL: *tl, Gamma: *gamma,
-		// The flight recorder is cheap (a mutex-guarded ring) and is
-		// what explains a missed deadline after the fact, so it is
-		// always on; the metrics address only decides whether it is
-		// reachable over HTTP.
-		Flight: telemetry.NewFlightRecorder(*flightSize),
+		// The flight recorder holds rare events only (reallocations,
+		// misses, session transitions) and is what explains a missed
+		// deadline after the fact, so it is always on; the metrics
+		// address only decides whether it is reachable over HTTP.
+		Flight: telemetry.NewFlightRecorder(0),
 	}
 	if cfg.Model, err = mf.Build(); err != nil {
 		die("build model", "err", err)
@@ -192,9 +189,6 @@ func main() {
 	if *metricsAddr != "" {
 		cfg.Metrics = core.NewMetrics(telemetry.NewRegistry())
 		telemetry.RegisterBuildInfo(cfg.Metrics.Registry, "central", tensor.DetectedKernelTier().String())
-		// Scheduler decision audit: every Algorithm 3 reallocation lands
-		// in the ring served at /debug/sched and logged at Debug level.
-		cfg.Metrics.Audit = sched.NewAudit(0, logger)
 	}
 	if *tracePath != "" {
 		cfg.Trace = telemetry.NewTrace()
@@ -218,17 +212,16 @@ func main() {
 		check := sloCheck(engine)
 		mux := telemetry.MuxChecks(cfg.Metrics.Registry, check, check)
 		mux.Handle("/debug/flight", cfg.Flight)
-		mux.Handle("/debug/sched", cfg.Metrics.Audit)
 		mux.Handle("/debug/sessions", sessionsHandler(cen))
 		_, bound, err := telemetry.ServeMux(*metricsAddr, mux)
 		if err != nil {
 			die("metrics server", "err", err)
 		}
 		logger.Info("debug endpoints up", "addr", bound.String(),
-			"paths", "/metrics /healthz /readyz /debug/pprof /debug/flight /debug/sessions /debug/sched")
+			"paths", "/metrics /healthz /readyz /debug/pprof /debug/flight /debug/sessions")
 	}
 
-	set, err := synthSet(simCfg, *images, mf.Seed+100)
+	set, err := experiments.SynthSet(simCfg, *images, mf.Seed+100)
 	if err != nil {
 		die("build dataset", "err", err)
 	}
@@ -303,19 +296,4 @@ func main() {
 	if mismatches > 0 {
 		os.Exit(1)
 	}
-}
-
-func synthSet(cfg models.Config, n int, seed int64) (*dataset.Set, error) {
-	switch cfg.Task {
-	case models.TaskClassify:
-		return dataset.Classification(n, cfg.Classes, cfg.InputC, cfg.InputH, cfg.InputW, 0.15, seed), nil
-	case models.TaskSegment:
-		return dataset.Segmentation(n, cfg.Classes, cfg.InputC, cfg.InputH, cfg.InputW, seed), nil
-	case models.TaskDetect:
-		dh, dw := cfg.TotalDownsample()
-		return dataset.Cells(n, cfg.Classes, cfg.InputC, cfg.InputH, cfg.InputW, cfg.InputH/dh, cfg.InputW/dw, seed), nil
-	case models.TaskText:
-		return dataset.Text(n, cfg.Classes, cfg.InputC, cfg.InputH, seed), nil
-	}
-	return nil, fmt.Errorf("unknown task")
 }

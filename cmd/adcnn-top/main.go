@@ -1,8 +1,9 @@
 // Command adcnn-top is a live terminal ops console for an ADCNN
 // deployment: it polls the Central's (and optionally the Conv nodes')
-// debug endpoints — /metrics, /debug/sessions, /debug/sched — and
+// debug endpoints — /metrics, /debug/sessions, /debug/flight — and
 // renders throughput, per-node speed and critical-path bars, phases, SLO
-// status and the scheduler's recent decisions as an ANSI dashboard.
+// status and the scheduler's recent decisions (the flight ring's realloc
+// events) as an ANSI dashboard.
 // Dependency free: the Prometheus text parsing lives in internal/telemetry.
 //
 // Usage:
@@ -19,6 +20,7 @@ import (
 	"io"
 	"math"
 	"net/http"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -32,7 +34,7 @@ type scrapeSet struct {
 	at       time.Time
 	metrics  *telemetry.PromScrape
 	sessions []sessionRow
-	sched    *schedPage
+	reallocs []telemetry.FlightEvent
 	err      error
 }
 
@@ -44,22 +46,6 @@ type sessionRow struct {
 	QueueDepth   int     `json:"queue_depth"`
 	PendingTiles int     `json:"pending_tiles"`
 	BackoffMs    float64 `json:"reconnect_backoff_ms"`
-}
-
-// schedPage mirrors sched.Audit's /debug/sched JSON.
-type schedPage struct {
-	Recorded  uint64 `json:"decisions_recorded"`
-	Decisions []struct {
-		Seq        uint64    `json:"seq"`
-		At         time.Time `json:"at"`
-		Image      uint32    `json:"image"`
-		Prev       []int     `json:"prev"`
-		Next       []int     `json:"next"`
-		ObjBefore  float64   `json:"obj_before"`
-		ObjAfter   float64   `json:"obj_after"`
-		TilesMoved int       `json:"tiles_moved"`
-		Trigger    string    `json:"trigger"`
-	} `json:"decisions"`
 }
 
 // sloRow is one objective's judgment, reconstructed from the gauges.
@@ -138,13 +124,61 @@ func (d *dash) poll(addr string) *scrapeSet {
 			s.sessions = rows
 		}
 	}
-	if body, err := d.fetch(addr, "/debug/sched"); err == nil {
-		var page schedPage
-		if json.Unmarshal(body, &page) == nil {
-			s.sched = &page
+	s.reallocs, _ = d.reallocs(addr)
+	return s
+}
+
+// reallocs reads the realloc events of the Central's /debug/flight ring.
+// The page leads with up to 32 whole-ring dumps, megabytes past fetch's
+// cap, so it streams past them token by token and decodes only the
+// "recent" ring.
+func (d *dash) reallocs(addr string) ([]telemetry.FlightEvent, error) {
+	resp, err := d.client.Get("http://" + addr + "/debug/flight")
+	if err != nil {
+		return nil, err
+	}
+	defer resp.Body.Close()
+	dec := json.NewDecoder(resp.Body)
+	if t, err := dec.Token(); err != nil || t != json.Delim('{') {
+		return nil, fmt.Errorf("/debug/flight: not a JSON object (%v)", err)
+	}
+	for dec.More() {
+		key, err := dec.Token()
+		if err != nil {
+			return nil, err
+		}
+		if key != "recent" {
+			if err := skipValue(dec); err != nil {
+				return nil, err
+			}
+			continue
+		}
+		var recent []telemetry.FlightEvent
+		if err := dec.Decode(&recent); err != nil {
+			return nil, err
+		}
+		return slices.DeleteFunc(recent, func(ev telemetry.FlightEvent) bool { return ev.Kind != "realloc" }), nil
+	}
+	return nil, nil
+}
+
+// skipValue consumes the next JSON value from dec without keeping it.
+func skipValue(dec *json.Decoder) error {
+	for depth := 0; ; {
+		t, err := dec.Token()
+		if err != nil {
+			return err
+		}
+		switch t {
+		case json.Delim('{'), json.Delim('['):
+			depth++
+		case json.Delim('}'), json.Delim(']'):
+			depth--
+		}
+		if depth == 0 {
+			return nil
 		}
 	}
-	return s
 }
 
 // renderOnce draws one frame whose rates, quantiles and crit shares
@@ -278,16 +312,13 @@ func (d *dash) render() string {
 	}
 
 	// ---- recent scheduler decisions.
-	if cur.sched != nil && len(cur.sched.Decisions) > 0 {
-		fmt.Fprintf(&b, "\n  %s (%d total)\n", d.bold("scheduler decisions"), cur.sched.Recorded)
-		ds := cur.sched.Decisions
-		if len(ds) > 5 {
-			ds = ds[len(ds)-5:]
+	if evs := cur.reallocs; len(evs) > 0 {
+		fmt.Fprintf(&b, "\n  %s (%d in the flight ring)\n", d.bold("scheduler decisions"), len(evs))
+		if len(evs) > 5 {
+			evs = evs[len(evs)-5:]
 		}
-		for _, dec := range ds {
-			fmt.Fprintf(&b, "   #%-4d img %-5d %v -> %v  moved %d  obj %.2f->%.2f  %s\n",
-				dec.Seq, dec.Image, dec.Prev, dec.Next, dec.TilesMoved,
-				dec.ObjBefore, dec.ObjAfter, dec.Trigger)
+		for _, ev := range evs {
+			fmt.Fprintf(&b, "   img %-5d %s\n", ev.Image, ev.Detail)
 		}
 	}
 

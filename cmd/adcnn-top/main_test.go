@@ -201,3 +201,45 @@ func TestRenderOnceSpansAnInterval(t *testing.T) {
 		t.Errorf("scrapes %v apart, want at least the %v interval", gap, interval)
 	}
 }
+
+// TestRenderShowsReallocations: the decisions panel reads the realloc
+// events of the Central's /debug/flight ring, and still does when the
+// page carries 32 whole-ring dumps, several MiB past fetch's cap.
+func TestRenderShowsReallocations(t *testing.T) {
+	f := telemetry.NewFlightRecorder(0)
+	filler := strings.Repeat("x", 100)
+	for i := 0; i < telemetry.DefaultFlightSize; i++ {
+		f.Record("stale", uint32(i+1), i%16, i%4, filler)
+	}
+	details := []string{
+		"initial: [] → [8 8], 0 tiles moved, bottleneck 1 → 1",
+		"speed node=1 -50%: [8 8] → [11 5], 3 tiles moved, bottleneck 2 → 1.38",
+	}
+	for i, detail := range details {
+		f.Record("realloc", uint32(i+1), -1, i-1, detail)
+	}
+	for i := 0; i < 32; i++ {
+		f.DumpAll("slo-breach")
+	}
+	mux := telemetry.MuxChecks(telemetry.NewRegistry(), nil, nil)
+	mux.Handle("/debug/flight", f)
+	srv := httptest.NewServer(mux)
+	defer srv.Close()
+	rec := httptest.NewRecorder()
+	f.ServeHTTP(rec, httptest.NewRequest("GET", "/debug/flight", nil))
+	if rec.Body.Len() <= 4<<20 {
+		t.Fatalf("page is %d bytes, want it past the 4 MiB fetch cap", rec.Body.Len())
+	}
+
+	d := &dash{central: strings.TrimPrefix(srv.URL, "http://"), client: srv.Client()}
+	d.prev = d.poll(d.central)
+	frame := d.render()
+	if !strings.Contains(frame, "scheduler decisions (2 in the flight ring)") {
+		t.Errorf("frame lacks the decisions panel over a %d-byte page:\n%s", rec.Body.Len(), frame)
+	}
+	for i, detail := range details {
+		if want := fmt.Sprintf("img %-5d %s", i+1, detail); !strings.Contains(frame, want) {
+			t.Errorf("frame lacks %q:\n%s", want, frame)
+		}
+	}
+}

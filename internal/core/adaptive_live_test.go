@@ -12,6 +12,7 @@ import (
 	"adcnn/internal/fdsp"
 	"adcnn/internal/models"
 	"adcnn/internal/nn"
+	"adcnn/internal/telemetry"
 	"adcnn/internal/tensor"
 )
 
@@ -109,7 +110,8 @@ func TestLiveRuntimeAdaptsToSlowWorker(t *testing.T) {
 			link := &slowLink{Conn: conns[slow]}
 			link.delay.Store(int64(tc.link))
 			conns[slow] = link
-			c, err := NewCentral(m, conns, tc.tl, 0.9)
+			flight := telemetry.NewFlightRecorder(0)
+			c, err := CentralConfig{Model: m, Conns: conns, TL: tc.tl, Gamma: 0.9, Flight: flight}.Start()
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -158,6 +160,19 @@ func TestLiveRuntimeAdaptsToSlowWorker(t *testing.T) {
 					}
 				}
 				time.Sleep(10 * time.Millisecond)
+			}
+			// A revival is session-scoped: image 0, tile −1, the node.
+			revivals := 0
+			for _, ev := range flight.Events() {
+				if ev.Kind != "probation-revive" {
+					continue
+				}
+				if revivals++; ev.Image != 0 || ev.Tile != -1 || ev.Node != slow {
+					t.Fatalf("revival event %+v, want image 0, tile -1, node %d", ev, slow)
+				}
+			}
+			if tc.shed && revivals == 0 {
+				t.Fatal("the shed node came back without a probation-revive event")
 			}
 		})
 	}

@@ -21,16 +21,15 @@ import (
 //	InferAsync: layout → allocate → dispatch (encodeTile + place per tile)
 //	Wait:       settle (settleTile per arrival) → assemble → back → updateStats
 type Inflight struct {
-	c          *Central
-	parent     context.Context
-	cctx       context.Context // parent + T_L deadline
-	cancelTL   context.CancelFunc
-	img        uint32
-	tiles      []fdsp.Tile // the grid's regions of the input, in index order
-	col        *imageCollector
-	dispatchAt []time.Time // per tile, for round-trip accounting
-	start      time.Time
-	release    func() // pipeline admission slot, may be nil
+	c        *Central
+	parent   context.Context
+	cctx     context.Context // parent + T_L deadline
+	cancelTL context.CancelFunc
+	img      uint32
+	tiles    []fdsp.Tile // the grid's regions of the input, in index order
+	col      *imageCollector
+	start    time.Time
+	release  func() // pipeline admission slot, may be nil
 
 	// What settle has gathered so far; the rest of the tally (results
 	// per node, result bytes, the breakdown) accumulates in stats.
@@ -71,7 +70,7 @@ func (c *Central) InferAsync(ctx context.Context, x *tensor.Tensor) (*Inflight, 
 	h.col = newImageCollector(img, len(h.tiles))
 	c.pending.register(h.col, len(h.tiles))
 	if err := h.dispatch(ctx, x, assignment); err != nil {
-		c.pending.dropImage(img, len(h.tiles))
+		c.pending.dropImage(img, len(h.tiles), nil)
 		return nil, err
 	}
 	// The image exists from here on: it is counted, and Wait owes the
@@ -88,20 +87,25 @@ func (c *Central) InferAsync(ctx context.Context, x *tensor.Tensor) (*Inflight, 
 
 // allocate is the input-partition block: the driver plans the split
 // (Algorithm 3 on the current stats, skipping nodes whose sessions are
-// down — see sched.Driver.Plan). Returns tile → node.
+// down — see sched.Driver.Plan). A plan that is the first or moves tiles
+// becomes one realloc flight event on the image. Returns tile → node.
 func (h *Inflight) allocate() ([]int, error) {
 	c := h.c
 	alive := make([]bool, len(c.sessions))
 	for k, s := range c.sessions {
 		alive[k] = s.Alive()
 	}
-	plan, err := c.driver.Plan(h.start, h.img, len(h.tiles), alive, 0, nil)
+	plan, err := c.driver.Plan(h.start, len(h.tiles), alive, 0, nil)
 	if err != nil {
 		return nil, fmt.Errorf("core: allocation: %w", err)
 	}
 	for _, k := range plan.Revived {
-		c.flight.Record("probation-revive", 0, 0, k,
+		c.flight.Record("probation-revive", 0, -1, k,
 			"starved speed estimate: re-admitting node at cold-start weight")
+	}
+	if plan.Trigger != "" && c.flight != nil {
+		node, detail := plan.Realloc()
+		c.flight.Record("realloc", h.img, -1, node, detail)
 	}
 	assignment := make([]int, 0, len(h.tiles))
 	for k, n := range plan.Alloc {
@@ -117,11 +121,7 @@ func (h *Inflight) allocate() ([]int, error) {
 // tiles already placed come back as stale results).
 func (h *Inflight) dispatch(ctx context.Context, x *tensor.Tensor, assignment []int) error {
 	c := h.c
-	met, tr := c.metrics, c.trace
-	span := tr.Begin("dispatch", "central", 0)
-	if met != nil || tr != nil {
-		h.dispatchAt = make([]time.Time, len(h.tiles))
-	}
+	span := c.trace.Begin("dispatch", "central", 0)
 	// In the int8 operating mode the uplink carries quantized tiles: uint8
 	// levels plus a per-tile affine, 4× smaller than float32 and consumed
 	// directly by the workers' int8 entry convolution. Gated on the model
@@ -139,12 +139,8 @@ func (h *Inflight) dispatch(ctx context.Context, x *tensor.Tensor, assignment []
 			return fmt.Errorf("core: no alive conv node for tile %d", ti)
 		}
 		h.stats.Alloc[k]++
-		c.flight.Record("enqueue", h.img, ti, k, "")
-		if h.dispatchAt != nil {
-			h.dispatchAt[ti] = time.Now()
-		}
 	}
-	if tr != nil {
+	if c.trace != nil {
 		span.End(map[string]any{"image": h.img, "tiles": len(h.tiles), "trace_id": TraceIDString(h.stats.TraceID)})
 	}
 	return nil
@@ -208,7 +204,12 @@ func (h *Inflight) collect() (*tensor.Tensor, error) {
 	err := h.settle()
 	// The image is settled one way or the other: late results are stale
 	// from here on, and the admission slot and load count are returned.
-	c.pending.dropImage(h.img, len(h.tiles))
+	// A missed tile's entry says where it was left, for its flight event.
+	var lost []pendingEntry
+	if err == nil && h.got < len(h.tiles) && c.flight != nil {
+		lost = make([]pendingEntry, len(h.tiles))
+	}
+	c.pending.dropImage(h.img, len(h.tiles), lost)
 	h.cancelTL()
 	if c.metrics != nil {
 		c.metrics.InflightImages.Add(-1)
@@ -223,7 +224,7 @@ func (h *Inflight) collect() (*tensor.Tensor, error) {
 		h.stats.Latency = time.Since(h.start)
 		return nil, err
 	}
-	out := h.back(h.assemble())
+	out := h.back(h.assemble(lost))
 
 	latency := time.Since(h.start)
 	h.stats.Latency = latency
@@ -272,7 +273,8 @@ func (h *Inflight) settle() error {
 }
 
 // settleTile books one arrived result: the tile's output, the per-node
-// tally Algorithm 2 reads, and the phase breakdown.
+// tally Algorithm 2 reads, and the phase breakdown, whose Total is the
+// tile's round trip for the histogram and the trace.
 func (h *Inflight) settleTile(a arrival) {
 	c := h.c
 	met, tr := c.metrics, c.trace
@@ -285,22 +287,17 @@ func (h *Inflight) settleTile(a arrival) {
 		tb := newTileBreakdown(a.tile, a.node, a.enqNs, a.sentNs, a.recvNs, collectNs, a.timing, a.offsetNs)
 		h.stats.Breakdown.Tiles = append(h.stats.Breakdown.Tiles, tb)
 		if met != nil {
+			met.TileRoundTrip.ObserveDuration(int64(tb.Total))
 			for p := 0; p < NumPhases; p++ {
 				met.TilePhase[p].ObserveDuration(int64(tb.Phase[p]))
 			}
 		}
-		h.tracePhases(&tb, a.sentNs)
-	}
-	if h.dispatchAt != nil {
-		rt := time.Since(h.dispatchAt[a.tile])
-		if met != nil {
-			met.TileRoundTrip.ObserveDuration(rt.Nanoseconds())
-		}
 		if tr != nil {
 			tr.Span(fmt.Sprintf("tile %d", a.tile), "tile", a.node+1,
-				tr.Offset(h.dispatchAt[a.tile]), rt,
+				tr.Offset(monoWall(a.enqNs)), tb.Total,
 				map[string]any{"image": h.img, "tile": a.tile, "wire_bytes": a.wire,
 					"trace_id": TraceIDString(h.stats.TraceID)})
+			h.tracePhases(&tb, a.sentNs)
 		}
 	}
 }
@@ -329,8 +326,12 @@ func (h *Inflight) updateStats() {
 // assemble turns the settled tiles into the back layers' input. A
 // missing tile is zero-filled (paper: "start executing the later layers
 // by setting the missing input to zero"); the boundary already ran on
-// the Conv nodes, so the merged tensor feeds Back directly.
-func (h *Inflight) assemble() *tensor.Tensor {
+// the Conv nodes, so the merged tensor feeds Back directly. lost, when
+// non-nil, holds each tile's pending entry as the image dropped it (col
+// nil for a tile whose result was already claimed): a missed tile's
+// event names the node it was last enqueued on and whether its frame
+// had left the Central.
+func (h *Inflight) assemble(lost []pendingEntry) *tensor.Tensor {
 	c := h.c
 	missed := len(h.tiles) - h.got
 	h.stats.TilesMissed = missed
@@ -338,13 +339,23 @@ func (h *Inflight) assemble() *tensor.Tensor {
 		full := c.Model.FrontOutputShape()
 		shape := []int{1, full[0], full[1] / c.grid.Rows, full[2] / c.grid.Cols}
 		for i, t := range h.outTiles {
-			if t == nil {
-				c.flight.Record("deadline-miss", h.img, i, -1,
-					fmt.Sprintf("tile %d of image %d missed T_L=%v", i, h.img, c.TL))
-				z := tensor.GetTensor(shape...)
-				clear(z.Data)
-				h.outTiles[i] = z
+			if t != nil {
+				continue
 			}
+			if lost != nil {
+				node, where := -1, ""
+				if e := lost[i]; e.col != nil {
+					node, where = e.node, ", frame queued"
+					if e.sentNs > 0 {
+						where = ", frame sent"
+					}
+				}
+				c.flight.Record("deadline-miss", h.img, i, node,
+					fmt.Sprintf("tile %d of image %d missed T_L=%v%s", i, h.img, c.TL, where))
+			}
+			z := tensor.GetTensor(shape...)
+			clear(z.Data)
+			h.outTiles[i] = z
 		}
 		if c.metrics != nil {
 			c.metrics.TilesMissed.Add(float64(missed))

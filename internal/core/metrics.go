@@ -3,7 +3,6 @@ package core
 import (
 	"strconv"
 
-	"adcnn/internal/sched"
 	"adcnn/internal/telemetry"
 )
 
@@ -14,7 +13,7 @@ type Metrics struct {
 	Registry *telemetry.Registry
 
 	Images         *telemetry.Counter
-	TileRoundTrip  *telemetry.Histogram            // seconds, tile dispatch → result arrival
+	TileRoundTrip  *telemetry.Histogram            // seconds, tile enqueue → collected (the Breakdown's Total)
 	TilesMissed    *telemetry.Counter              // zero-filled at T_L
 	InflightImages *telemetry.Gauge                // images dispatched, Wait not finished
 	SendQueueDepth *telemetry.GaugeVec             // node, tasks queued in the session send loop
@@ -22,10 +21,6 @@ type Metrics struct {
 	CriticalPath   *telemetry.CounterVec           // node, phase: images whose last tile ran on node, by the phase most above its peers' median
 	LinkRTT        *telemetry.GaugeVec             // node, smoothed tile-exchange round-trip time (hold time subtracted)
 	SchedSpeed     *telemetry.GaugeVec             // node, Algorithm 2 estimate s_k after each image settles
-
-	// Audit, when set, receives the scheduler's decisions (see
-	// sched.Driver.Plan).
-	Audit *sched.Audit
 }
 
 // NewMetrics registers the Central catalog on reg (see DESIGN.md
@@ -34,7 +29,7 @@ func NewMetrics(reg *telemetry.Registry) *Metrics {
 	m := &Metrics{
 		Registry:       reg,
 		Images:         reg.Counter("adcnn_central_images_total", "Distributed inferences started."),
-		TileRoundTrip:  reg.Histogram("adcnn_central_tile_roundtrip_seconds", "Tile dispatch to intermediate-result arrival.", nil),
+		TileRoundTrip:  reg.Histogram("adcnn_central_tile_roundtrip_seconds", "Tile enqueue on the Central to its result collected: the sum of the six tile phases.", nil),
 		TilesMissed:    reg.Counter("adcnn_central_tiles_missed_total", "Tiles zero-filled at the deadline T_L."),
 		InflightImages: reg.Gauge("adcnn_central_inflight_images", "Images dispatched whose results are still being collected."),
 		SendQueueDepth: reg.GaugeVec("adcnn_central_send_queue_depth", "Tile tasks queued in each node session's send loop.", "node"),

@@ -3,9 +3,10 @@ package core
 import (
 	"context"
 	"errors"
+	"fmt"
 	"io"
+	"math"
 	"math/rand"
-	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -19,8 +20,8 @@ import (
 )
 
 // buildInstrumentedRuntime mirrors buildRuntime with the Central's
-// Metrics, an audit ring and a Trace, and the Workers' WorkerMetrics,
-// both bundles on one registry.
+// Metrics, a flight recorder and a Trace, and the Workers'
+// WorkerMetrics, both bundles on one registry.
 func buildInstrumentedRuntime(t *testing.T, n int) (*Central, *Metrics, *WorkerMetrics, *telemetry.Trace, func()) {
 	t.Helper()
 	cfg := models.VGGSim()
@@ -30,7 +31,6 @@ func buildInstrumentedRuntime(t *testing.T, n int) (*Central, *Metrics, *WorkerM
 	}
 	reg := telemetry.NewRegistry()
 	met, wm := NewMetrics(reg), NewWorkerMetrics(reg)
-	met.Audit = sched.NewAudit(0, nil)
 	trace := telemetry.NewTrace()
 	conns := make([]Conn, n)
 	var wg sync.WaitGroup
@@ -45,7 +45,8 @@ func buildInstrumentedRuntime(t *testing.T, n int) (*Central, *Metrics, *WorkerM
 			_ = w.Serve(context.Background(), b)
 		}()
 	}
-	c, err := CentralConfig{Model: m, Conns: conns, TL: 5 * time.Second, Gamma: 0.9, Metrics: met, Trace: trace}.Start()
+	c, err := CentralConfig{Model: m, Conns: conns, TL: 5 * time.Second, Gamma: 0.9, Metrics: met, Trace: trace,
+		Flight: telemetry.NewFlightRecorder(0)}.Start()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -205,8 +206,8 @@ func TestInferRecordsMetrics(t *testing.T) {
 }
 
 // TestCentralPublishesSchedulerState: after every image settles, the
-// speed gauge holds the driver's Algorithm 2 estimates, and the audit
-// ring handed in through Metrics holds the driver's first decision.
+// speed gauge holds the driver's Algorithm 2 estimates, and the flight
+// ring holds the driver's first decision as a realloc event on image 1.
 func TestCentralPublishesSchedulerState(t *testing.T) {
 	const nodes = 2
 	c, met, _, _, stop := buildInstrumentedRuntime(t, nodes)
@@ -228,9 +229,39 @@ func TestCentralPublishesSchedulerState(t *testing.T) {
 			}
 		}
 	}
-	ds := met.Audit.Decisions()
-	if len(ds) == 0 || ds[0].Trigger != "initial" || !slices.Equal(ds[0].Next, first) {
-		t.Fatalf("audit %+v, want an initial decision for split %v first", ds, first)
+	evs := c.flight.Events()
+	want := fmt.Sprintf("initial: [] → %v,", first)
+	if len(evs) == 0 || evs[0].Kind != "realloc" || evs[0].Image != 1 || evs[0].Tile != -1 ||
+		evs[0].Node != -1 || !strings.HasPrefix(evs[0].Detail, want) {
+		t.Fatalf("flight ring %+v, want a realloc event %q… on image 1 first", evs, want)
+	}
+}
+
+// TestTileRoundTripIsBreakdownTotal: the round-trip histogram observes
+// each settled tile's Breakdown Total (enqueue → collected, the sum of
+// its six phases), and nothing else.
+func TestTileRoundTripIsBreakdownTotal(t *testing.T) {
+	c, met, _, _, stop := buildInstrumentedRuntime(t, 2)
+	defer stop()
+	x := tensor.New(1, 3, 32, 32)
+	x.RandN(rand.New(rand.NewSource(6)), 1)
+	tiles, total := 0, time.Duration(0)
+	for i := 0; i < 4; i++ {
+		_, st, err := c.Infer(x)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, tb := range st.Breakdown.Tiles {
+			tiles++
+			total += tb.Total
+		}
+	}
+	h := met.TileRoundTrip.Snapshot()
+	if h.Count != uint64(tiles) || tiles != 4*16 {
+		t.Fatalf("round-trip histogram counts %d tiles, breakdowns hold %d (want 64)", h.Count, tiles)
+	}
+	if diff := math.Abs(h.Sum - total.Seconds()); diff > float64(tiles)*1e-9 {
+		t.Fatalf("round-trip sum %.9fs, breakdown totals %.9fs: off by %.0fns", h.Sum, total.Seconds(), diff*1e9)
 	}
 }
 

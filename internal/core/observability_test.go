@@ -7,6 +7,7 @@ import (
 	"net"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -183,7 +184,10 @@ func TestInferBreakdownCloses(t *testing.T) {
 }
 
 // TestDeadlineMissDumpsFlightRecorder: a forced T_L miss must leave a
-// non-empty flight dump naming the image and the missed tiles.
+// non-empty flight dump naming the image and the missed tiles. A missed
+// tile still pending when the image dropped it names the node it was
+// last enqueued on and whether its frame had left the Central; one whose
+// result was already claimed names no node.
 func TestDeadlineMissDumpsFlightRecorder(t *testing.T) {
 	opt := models.Options{Grid: fdsp.Grid{Rows: 2, Cols: 2}}
 	flight := telemetry.NewFlightRecorder(0)
@@ -210,11 +214,18 @@ func TestDeadlineMissDumpsFlightRecorder(t *testing.T) {
 	if len(d.Events) == 0 {
 		t.Fatal("flight dump must not be empty")
 	}
-	misses := 0
+	misses, pending := 0, 0
 	for _, ev := range d.Events {
 		if ev.Kind == "deadline-miss" {
 			if ev.Image != d.Image || ev.Tile < 0 {
 				t.Fatalf("miss event must name (image, tile): %+v", ev)
+			}
+			where := strings.HasSuffix(ev.Detail, ", frame sent") || strings.HasSuffix(ev.Detail, ", frame queued")
+			if (ev.Node >= 0) != where || ev.Node >= 2 || ev.Node < -1 {
+				t.Fatalf("miss event must name a node and say sent or queued together: %+v", ev)
+			}
+			if ev.Node >= 0 {
+				pending++
 			}
 			misses++
 		}
@@ -222,6 +233,38 @@ func TestDeadlineMissDumpsFlightRecorder(t *testing.T) {
 	if misses != st.TilesMissed {
 		t.Fatalf("dump records %d misses, stats say %d", misses, st.TilesMissed)
 	}
+	// Only a result in the middle of its decode as T_L fires has left
+	// the table; at 1ns that is never every missed tile.
+	if pending == 0 {
+		t.Fatalf("no miss names the node its tile was pending on: %+v", d.Events)
+	}
+}
+
+// TestHealthyRingHoldsOnlyReallocations: settled tiles are in each
+// image's Breakdown, not the flight ring, so healthy 4×4 images leave
+// only the scheduler's decisions there, the first on image 1.
+func TestHealthyRingHoldsOnlyReallocations(t *testing.T) {
+	flight := telemetry.NewFlightRecorder(0)
+	c, _, stop := buildRuntime(t, models.Options{Grid: fdsp.Grid{Rows: 4, Cols: 4}}, 2, 10*time.Second,
+		func(cfg *CentralConfig) { cfg.Flight = flight })
+	defer stop()
+	x := tensor.New(1, 3, 32, 32)
+	x.RandN(rand.New(rand.NewSource(16)), 1)
+	for i := 0; i < 20; i++ {
+		if _, st, err := c.Infer(x); err != nil || st.TilesMissed != 0 {
+			t.Fatalf("image %d: %v, %d missed", i, err, st.TilesMissed)
+		}
+	}
+	evs := flight.Events()
+	if len(evs) == 0 || evs[0].Image != 1 || !strings.HasPrefix(evs[0].Detail, "initial: ") {
+		t.Fatalf("ring %+v, want the initial realloc event first", evs)
+	}
+	for _, ev := range evs {
+		if ev.Kind != "realloc" || ev.Tile != -1 {
+			t.Fatalf("healthy ring holds %+v among %d events, want realloc events only", ev, len(evs))
+		}
+	}
+	t.Logf("%d realloc events over 20 images", len(evs))
 }
 
 // TestDebugSessions: after traffic has flowed, DebugSessions must report one row per node with live offset-estimator state.

@@ -58,10 +58,10 @@ type CentralConfig struct {
 	// Trace, when set, receives per-image phase spans on tid 0 and
 	// per-tile spans (both sides of the wire) on tid node+1.
 	Trace *telemetry.Trace
-	// Flight, when set, receives the structured event stream (enqueue,
-	// sent, result, stale, deadline misses, session transitions) and
-	// dumps the affected image's recent events whenever a tile misses
-	// T_L or a session fails over.
+	// Flight, when set, receives the rare events (reallocations, deadline
+	// misses, stale results, session transitions; settled tiles are in
+	// each image's Breakdown) and dumps the affected image's events
+	// whenever a tile misses T_L or a session fails over.
 	Flight *telemetry.FlightRecorder
 }
 
@@ -155,11 +155,7 @@ func (cfg CentralConfig) Start() (*Central, error) {
 		cancel:    cancel,
 	}
 	c.pending.init()
-	var audit *sched.Audit
-	if met := cfg.Metrics; met != nil {
-		audit = met.Audit
-	}
-	c.driver = sched.NewDriver(n, cfg.Gamma, float64(c.grid.Tiles())/float64(n), audit)
+	c.driver = sched.NewDriver(n, cfg.Gamma, float64(c.grid.Tiles())/float64(n))
 	cfg.Trace.SetThreadName(0, "central")
 	c.sessions = make([]*nodeSession, n)
 	for k, conn := range cfg.Conns {

@@ -164,11 +164,17 @@ func (d *demux) perNode() map[int]int {
 }
 
 // dropImage removes an image's remaining entries (deadline hit or the
-// image finished); later results for it are stale.
-func (d *demux) dropImage(img uint32, tiles int) {
+// image finished); later results for it are stale. When lost is non-nil
+// (one slot per tile), each tile's entry is copied into its slot first;
+// a tile with no entry left keeps the zero entry (col nil).
+func (d *demux) dropImage(img uint32, tiles int, lost []pendingEntry) {
 	d.mu.Lock()
 	for t := 0; t < tiles; t++ {
-		delete(d.m, pendingKey{img, uint32(t)})
+		k := pendingKey{img, uint32(t)}
+		if lost != nil {
+			lost[t] = d.m[k]
+		}
+		delete(d.m, k)
 	}
 	d.mu.Unlock()
 }
@@ -406,7 +412,6 @@ func (s *nodeSession) sendLoop(conn Conn, stop chan struct{}) error {
 			if err := conn.Send(m); err != nil {
 				return err
 			}
-			s.c.flight.Record("sent", m.ImageID, int(m.TileID), s.id, "")
 			// Release the task's pooled payload only if markDown has not
 			// claimed the message in the window after Send returned: a
 			// concurrent epoch teardown orphans pendingSend for redispatch,
@@ -482,9 +487,7 @@ func (s *nodeSession) recvLoop(conn Conn) error {
 			// The image settled while this result was being decoded.
 			tensor.PutTensor(t)
 			s.c.flight.Record("stale", m.ImageID, int(m.TileID), s.id, "")
-			continue
 		}
-		s.c.flight.Record("result", m.ImageID, int(m.TileID), s.id, "")
 	}
 }
 

@@ -186,7 +186,7 @@ func NewSim(cfg SimConfig) (*Sim, error) {
 		s.window = perNode * 5 / 4
 	}
 	s.deadline = 4 * s.window
-	s.driver = sched.NewDriver(len(cfg.Nodes), cfg.Gamma, float64(s.tiles)/float64(len(cfg.Nodes)), nil)
+	s.driver = sched.NewDriver(len(cfg.Nodes), cfg.Gamma, float64(s.tiles)/float64(len(cfg.Nodes)))
 	s.rng = rand.New(rand.NewSource(cfg.Seed + 1))
 	return s, nil
 }
@@ -236,7 +236,7 @@ func (s *Sim) RunImage() ImageResult {
 	for i, d := range s.cfg.Nodes {
 		alive[i] = !d.Failed()
 	}
-	plan, err := s.driver.Plan(simEpoch.Add(base), uint32(img), s.tiles, alive, s.tileInWire, caps)
+	plan, err := s.driver.Plan(simEpoch.Add(base), s.tiles, alive, s.tileInWire, caps)
 	alloc := plan.Alloc
 	if err != nil {
 		// Nothing can run: all nodes failed. Model total loss: the image

@@ -14,7 +14,7 @@ import (
 func ProgressiveVsOneShot(setup AccuracySetup) (progressive, oneShot float64, err error) {
 	cfg := setup.Models[0]
 	grid := setup.Grids[0]
-	data, err := synthSet(cfg, setup.Samples, setup.Seed)
+	data, err := SynthSet(cfg, setup.Samples, setup.Seed)
 	if err != nil {
 		return 0, 0, err
 	}

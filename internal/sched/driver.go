@@ -17,6 +17,30 @@ type Plan struct {
 	// Revived lists the starved-but-alive nodes this plan re-admitted on
 	// probation (see Driver.Plan).
 	Revived []int
+
+	// Trigger is set only on a plan that is the Driver's first or changes
+	// the previous plan's split: "initial", or the node whose estimate
+	// moved most since the previous plan ("speed node=K ±P%", or
+	// "speed-drift" when none moved). Prev is the split such a plan
+	// replaced, nil for the first. Both are zero on a repeat.
+	Trigger string
+	Prev    Allocation
+	// triggerNode is the node Trigger names, −1 for none.
+	triggerNode int
+}
+
+// Realloc describes a plan whose Trigger is set, for an event log: the
+// node the trigger names (−1 for none) and one line — trigger, previous
+// → new split, tiles moved, and the bottleneck (Equation 1, under this
+// plan's speeds) of the previous split and of the new one.
+func (p Plan) Realloc() (node int, detail string) {
+	after := p.Alloc.Bottleneck(p.Speeds)
+	before, moved := after, 0
+	if p.Prev != nil {
+		before, moved = p.Prev.Bottleneck(p.Speeds), tilesMoved(p.Prev, p.Alloc)
+	}
+	return p.triggerNode, fmt.Sprintf("%s: %v → %v, %d tiles moved, bottleneck %.3g → %.3g",
+		p.Trigger, p.Prev, p.Alloc, moved, before, after)
 }
 
 // Driver is the whole allocation policy around Algorithms 2 and 3: the
@@ -32,10 +56,8 @@ type Driver struct {
 	mu    sync.Mutex
 	stats *Stats
 
-	// audit, when non-nil, receives every plan whose split is the first
-	// or differs from the previous plan's; last and lastSpeeds are that
-	// previous plan's split and speeds.
-	audit      *Audit
+	// last and lastSpeeds are the previous plan's split and speeds, what
+	// a new plan's Trigger and Prev are judged against.
 	last       Allocation
 	lastSpeeds []float64
 
@@ -46,10 +68,9 @@ type Driver struct {
 
 // NewDriver creates the policy for a fixed set of nodes Conv nodes.
 // gamma is Algorithm 2's decay and initial the cold-start estimate (see
-// NewStats). audit, when non-nil, records every reallocation (see
-// Plan).
-func NewDriver(nodes int, gamma, initial float64, audit *Audit) *Driver {
-	return &Driver{stats: NewStats(nodes, gamma, initial), audit: audit, probation: make([]time.Time, nodes)}
+// NewStats).
+func NewDriver(nodes int, gamma, initial float64) *Driver {
+	return &Driver{stats: NewStats(nodes, gamma, initial), probation: make([]time.Time, nodes)}
 }
 
 // Revive restores node k's estimate to at least the cold-start value: a
@@ -75,13 +96,12 @@ func (d *Driver) Speeds() []float64 {
 // due, then nodes that are not alive get nothing and the rest share the
 // tiles by Algorithm 3 on their Algorithm 2 speeds. alive
 // holds one entry per node; tileBytes and caps are Algorithm 3's
-// storage constraint (nil caps = unlimited). When the Driver has an
-// audit ring, the first plan and every plan that changes the split are
-// recorded there as a Decision stamped with now and image.
+// storage constraint (nil caps = unlimited). The first plan and every
+// plan that changes the split carry a Trigger and the Prev split.
 //
 // now only has to be monotone across calls on one Driver — wall time
 // for the live runtime, virtual time for the simulator.
-func (d *Driver) Plan(now time.Time, image uint32, tiles int, alive []bool, tileBytes int64, caps []int64) (Plan, error) {
+func (d *Driver) Plan(now time.Time, tiles int, alive []bool, tileBytes int64, caps []int64) (Plan, error) {
 	if len(alive) != d.stats.Nodes() {
 		return Plan{}, fmt.Errorf("sched: %d liveness flags for %d nodes", len(alive), d.stats.Nodes())
 	}
@@ -93,43 +113,69 @@ func (d *Driver) Plan(now time.Time, image uint32, tiles int, alive []bool, tile
 	if p.Alloc, err = Allocate(tiles, p.Speeds, tileBytes, caps, nil); err != nil {
 		return p, err
 	}
-	if d.audit != nil {
-		d.mu.Lock()
-		dec := d.decide(now, image, p)
-		d.mu.Unlock()
-		if dec != nil {
-			// Outside d.mu: the ring may log through the caller's logger.
-			d.audit.record(*dec)
-		}
-	}
+	d.mu.Lock()
+	d.compare(&p)
+	d.mu.Unlock()
 	return p, nil
 }
 
-// decide returns the audit record for p when p is the first plan or
-// moved tiles since the previous one: its speeds, the split it
-// replaced, the objective before and after, the tiles moved and the
-// node whose estimate shifted most. Callers hold d.mu.
-func (d *Driver) decide(now time.Time, image uint32, p Plan) *Decision {
-	var dec *Decision
-	if d.last == nil || !slices.Equal(d.last, p.Alloc) {
-		dec = &Decision{
-			At: now, Image: image,
-			Speeds:   slices.Clone(p.Speeds),
-			Next:     slices.Clone(p.Alloc),
-			ObjAfter: p.Alloc.Bottleneck(p.Speeds),
-		}
-		if d.last == nil {
-			dec.ObjBefore, dec.Trigger = dec.ObjAfter, "initial"
-		} else {
-			dec.Prev = slices.Clone(d.last)
-			dec.ObjBefore = dec.Prev.Bottleneck(p.Speeds)
-			dec.TilesMoved = tilesMoved(dec.Prev, p.Alloc)
-			dec.Trigger = attributeTrigger(d.lastSpeeds, p.Speeds)
-		}
+// compare sets p's Trigger and Prev when p is the first plan or changes
+// the previous plan's split, then makes p the baseline for the next.
+// Only such a plan allocates. Callers hold d.mu.
+func (d *Driver) compare(p *Plan) {
+	switch {
+	case d.last == nil:
+		p.Trigger, p.triggerNode = "initial", -1
+	case !slices.Equal(d.last, p.Alloc):
+		p.Prev = slices.Clone(d.last)
+		p.triggerNode, p.Trigger = attributeTrigger(d.lastSpeeds, p.Speeds)
 	}
 	d.last = append(d.last[:0], p.Alloc...)
 	d.lastSpeeds = append(d.lastSpeeds[:0], p.Speeds...)
-	return dec
+}
+
+// tilesMoved is half the L1 distance between two splits over the same
+// nodes — the number of tiles that changed nodes.
+func tilesMoved(prev, next Allocation) int {
+	d := 0
+	for k := range next {
+		if diff := next[k] - prev[k]; diff > 0 {
+			d += diff
+		} else {
+			d -= diff
+		}
+	}
+	return d / 2
+}
+
+// attributeTrigger names the node whose s_k estimate moved most
+// (relatively) between two plans; a zero baseline counts as 1 so a
+// node rising from nothing still yields a finite attribution. A
+// Driver's node set is fixed, so both vectors have one entry per node.
+// The node is −1 when no estimate moved.
+func attributeTrigger(prevSpeeds, speeds []float64) (int, string) {
+	worst, worstK := 0.0, -1
+	for k := range speeds {
+		base := prevSpeeds[k]
+		if base <= 0 {
+			base = 1
+		}
+		rel := (speeds[k] - prevSpeeds[k]) / base
+		if rel < 0 {
+			rel = -rel
+		}
+		if rel > worst {
+			worst, worstK = rel, k
+		}
+	}
+	if worstK < 0 || worst < 1e-9 {
+		return -1, "speed-drift"
+	}
+	sign := "+"
+	if speeds[worstK] < prevSpeeds[worstK] {
+		sign = "-"
+	}
+	return worstK, fmt.Sprintf("speed node=%d %s%.0f%%", worstK, sign, worst*100)
 }
 
 // Settle is the statistics-collection block for one finished image:

@@ -1,8 +1,10 @@
 package sched
 
 import (
+	"fmt"
 	"math/rand"
 	"slices"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -18,9 +20,7 @@ type schedule struct {
 	tiles int
 	now   time.Time
 
-	audit     *Audit
-	last      Allocation // the previous successful plan's split
-	decisions int        // decisions the audit should hold
+	last Allocation // the previous successful plan's split
 
 	alive   []bool
 	stalled []bool
@@ -37,8 +37,7 @@ func newSchedule(t *testing.T, seed int64) *schedule {
 	for k := range s.alive {
 		s.alive[k] = true
 	}
-	s.audit = NewAudit(0, nil)
-	s.d = NewDriver(n, []float64{0.5, 0.9}[rng.Intn(2)], float64(s.tiles)/float64(n), s.audit)
+	s.d = NewDriver(n, []float64{0.5, 0.9}[rng.Intn(2)], float64(s.tiles)/float64(n))
 	return s
 }
 
@@ -74,7 +73,7 @@ func (s *schedule) step(image uint32) {
 			best = max(best, raw[k])
 		}
 	}
-	p, err := s.d.Plan(s.now, image, s.tiles, s.alive, 0, nil)
+	p, err := s.d.Plan(s.now, s.tiles, s.alive, 0, nil)
 	if !anyAlive {
 		if err == nil {
 			t.Fatalf("image %d: plan succeeded with no alive node: %v", image, p.Alloc)
@@ -124,19 +123,18 @@ func (s *schedule) step(image uint32) {
 		t.Fatalf("image %d: plan %v differs from Allocate %v on %v", image, p.Alloc, plain, want)
 	}
 
-	// Audit: exactly one decision for a plan that changed the split (or
-	// is the first), stamped with this plan; none for a repeat.
+	// Reallocation report: a Trigger exactly on a plan that changed the
+	// split (or is the first), whose Prev is the split it replaced and
+	// whose Realloc line names both; none on a repeat.
 	changed := s.last == nil || !slices.Equal(s.last, p.Alloc)
-	if changed {
-		s.decisions++
+	if changed != (p.Trigger != "") {
+		t.Fatalf("image %d: trigger %q on split %v after %v", image, p.Trigger, p.Alloc, s.last)
 	}
-	ds := s.audit.Decisions()
-	if len(ds) != s.decisions {
-		t.Fatalf("image %d: audit holds %d decisions, want %d (split %v after %v)", image, len(ds), s.decisions, p.Alloc, s.last)
+	if (changed && !slices.Equal(p.Prev, s.last)) || (!changed && p.Prev != nil) {
+		t.Fatalf("image %d: plan %v reports prev %v, replaced %v", image, p.Alloc, p.Prev, s.last)
 	}
-	if dec := ds[len(ds)-1]; changed && (dec.Image != image || !dec.At.Equal(s.now) ||
-		!slices.Equal(dec.Next, p.Alloc) || !slices.Equal(dec.Prev, s.last) || !slices.Equal(dec.Speeds, p.Speeds)) {
-		t.Fatalf("image %d: decision %+v does not record plan %+v after %v", image, dec, p, s.last)
+	if _, detail := p.Realloc(); changed && !strings.Contains(detail, fmt.Sprintf("%v → %v,", p.Prev, p.Alloc)) {
+		t.Fatalf("image %d: realloc %q does not name %v → %v", image, detail, p.Prev, p.Alloc)
 	}
 	s.last = p.Alloc
 
@@ -175,19 +173,19 @@ func TestDriverPolicyProperties(t *testing.T) {
 // construction, so a plan over more or fewer liveness flags is a
 // caller bug.
 func TestDriverPlanNeedsOneViewPerNode(t *testing.T) {
-	d := NewDriver(2, 0.9, 4, nil)
+	d := NewDriver(2, 0.9, 4)
 	for _, alive := range [][]bool{{true}, {true, true, true}} {
-		if _, err := d.Plan(time.Unix(0, 0), 1, 4, alive, 0, nil); err == nil {
+		if _, err := d.Plan(time.Unix(0, 0), 4, alive, 0, nil); err == nil {
 			t.Fatalf("plan over %d liveness flags for 2 nodes succeeded", len(alive))
 		}
 	}
 }
 
 // TestDriverConcurrentUse: plans, settles, revivals and reads from
-// many goroutines (the pipelined Central's access pattern), with the
-// audit attached, for the race detector.
+// many goroutines (the pipelined Central's access pattern), for the race
+// detector.
 func TestDriverConcurrentUse(t *testing.T) {
-	d := NewDriver(3, 0.9, 4, NewAudit(0, nil))
+	d := NewDriver(3, 0.9, 4)
 	var wg sync.WaitGroup
 	for g := 0; g < 4; g++ {
 		wg.Add(1)
@@ -195,7 +193,7 @@ func TestDriverConcurrentUse(t *testing.T) {
 			defer wg.Done()
 			alive := []bool{true, g%2 == 0, true}
 			for i := 0; i < 200; i++ {
-				p, err := d.Plan(time.Unix(int64(i), 0), uint32(i), 12, alive, 0, nil)
+				p, err := d.Plan(time.Unix(int64(i), 0), 12, alive, 0, nil)
 				if err != nil {
 					t.Error(err)
 					return
@@ -207,4 +205,58 @@ func TestDriverConcurrentUse(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
+}
+
+// TestPlanReportsReallocation drives a Driver through a first plan, a
+// repeat and a reallocation, and reads what each plan reports.
+func TestPlanReportsReallocation(t *testing.T) {
+	// γ = 1 makes each s_k the last image's n_k, so the test sets the
+	// speeds outright.
+	d := NewDriver(2, 1, 4)
+	both := []bool{true, true}
+	plan := func() Plan {
+		t.Helper()
+		p, err := d.Plan(time.Unix(1000, 0), 12, both, 0, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return p
+	}
+
+	// First allocation: "initial", no predecessor.
+	first := plan()
+	node, detail := first.Realloc()
+	if first.Trigger != "initial" || first.Prev != nil || node != -1 ||
+		detail != "initial: [] → [6 6], 0 tiles moved, bottleneck 1.5 → 1.5" {
+		t.Fatalf("initial plan %+v reports node %d %q", first, node, detail)
+	}
+	// Identical split: a steady state, nothing to report.
+	d.Settle([]int{4, 4})
+	if p := plan(); p.Trigger != "" || p.Prev != nil {
+		t.Fatalf("repeat plan reports %q after %v", p.Trigger, p.Prev)
+	}
+	// Node 1 slowed to half speed, the split shifts 2 tiles off it.
+	// Old split {6,6} under new speeds {4,2}: bottleneck 6/2 = 3; new
+	// split {8,4}: 8/4 = 4/2 = 2. The line shows the move's payoff.
+	d.Settle([]int{4, 2})
+	re := plan()
+	node, detail = re.Realloc()
+	if re.Trigger != "speed node=1 -50%" || node != 1 || !slices.Equal(re.Prev, Allocation{6, 6}) {
+		t.Fatalf("reallocation %+v, want trigger node=1 -50%% after [6 6]", re)
+	}
+	if want := "speed node=1 -50%: [6 6] → [8 4], 2 tiles moved, bottleneck 3 → 2"; detail != want {
+		t.Fatalf("realloc line %q, want %q", detail, want)
+	}
+}
+
+func TestTilesMovedAndTrigger(t *testing.T) {
+	if got := tilesMoved(Allocation{8, 8}, Allocation{12, 4}); got != 4 {
+		t.Fatalf("tilesMoved = %d, want 4", got)
+	}
+	if k, got := attributeTrigger([]float64{2, 2}, []float64{2, 2}); got != "speed-drift" || k != -1 {
+		t.Fatalf("no-drift trigger %d %q", k, got)
+	}
+	if k, got := attributeTrigger([]float64{2, 4}, []float64{2, 6}); !strings.Contains(got, "node=1 +50%") || k != 1 {
+		t.Fatalf("speed-up trigger %d %q", k, got)
+	}
 }

@@ -8,9 +8,11 @@ import (
 )
 
 // FlightEvent is one structured entry in the flight recorder: a compact
-// record of something that happened to a tile, an image, or a session.
-// AtNs is nanoseconds since the recorder's epoch. Tile and Node are −1
-// when not applicable.
+// record of something rare that happened to a tile, an image, or a
+// session — a reallocation, a missed deadline, a stale result, a
+// session transition. AtNs is nanoseconds since the recorder's epoch.
+// Tile and Node are −1 when not applicable; a session-scoped event has
+// image 0.
 type FlightEvent struct {
 	AtNs   int64  `json:"at_ns"`
 	Kind   string `json:"kind"`
@@ -31,9 +33,10 @@ type FlightDump struct {
 }
 
 // FlightRecorder is a fixed-size ring buffer of FlightEvents plus a
-// bounded list of triggered dumps. Recording is a mutex-guarded struct
-// copy — cheap enough for the per-tile path — and all methods are
-// no-ops on a nil receiver, matching the rest of the telemetry layer.
+// bounded list of triggered dumps. It is fed rare events only, so a
+// healthy run's ring spans a long history. Recording is a
+// mutex-guarded struct copy, and all methods are no-ops on a nil
+// receiver, matching the rest of the telemetry layer.
 type FlightRecorder struct {
 	mu       sync.Mutex
 	epoch    time.Time

@@ -19,9 +19,9 @@ type Check func() error
 //	/debug/pprof/  the standard Go profiler endpoints
 //
 // Daemons mount additional debug endpoints on the mux before serving:
-// the Central adds /debug/flight (flight-recorder ring + dumps),
-// /debug/sessions (per-node session state) and /debug/sched (scheduler
-// decision audit).
+// the Central adds /debug/flight (flight-recorder ring + dumps, the
+// scheduler's reallocations included) and /debug/sessions (per-node
+// session state).
 //
 // /healthz serves live and /readyz serves ready (a nil Check always
 // passes). The split follows the usual load-balancer contract —
